@@ -28,10 +28,7 @@ use grouping::objective::{GroupingObjective, ObjectiveConstants};
 use grouping::worker_info::Grouping;
 use simcore::events::EventQueue;
 use simcore::trace::{FaultEvent, FaultEventKind, TracePoint, TrainingTrace};
-use wireless::aircomp::{
-    air_aggregate_indexed_into, apply_group_update_in_place, AirAggregationInput,
-    AirAggregationScratch,
-};
+use wireless::aircomp::{air_superpose_into, apply_group_update_in_place, AirAggregationInput};
 use wireless::energy::EnergyLedger;
 use wireless::power::{optimize_power, PowerControlConfig};
 use wireless::timing::OmaScheme;
@@ -137,11 +134,11 @@ fn faulty_participants(
 ///
 /// The local-training hot path is allocation-free in steady state: every
 /// worker owns a persistent [`WorkerPool`] slot (model, RNG stream, scratch
-/// workspace, local-parameter buffer), the per-group dispatch vectors,
-/// power-control buffers and the AirComp estimate/ideal/energy buffers
-/// ([`air_aggregate_indexed_into`] gathering straight from them +
-/// [`AirAggregationScratch`]) are all reused across rounds, and evaluation
-/// runs through the batched `evaluate_ws` path. With
+/// workspace, local-parameter buffer and its cached `‖w_i‖²`), the per-group
+/// dispatch vectors, power-control buffers and the AirComp estimate/energy
+/// buffers ([`air_superpose_into`] gathering straight from them) are all
+/// reused across rounds, and evaluation runs through the batched
+/// `evaluate_ws` path. With
 /// `opts.parallel` the members of the aggregating group train concurrently on
 /// the persistent worker pool — bit-identical to the sequential schedule.
 pub fn run_group_async(
@@ -176,7 +173,7 @@ pub fn run_group_async(
     let mut data_sizes: Vec<f64> = Vec::new();
     let mut gains: Vec<f64> = Vec::new();
     let mut group_estimate = FlatParams::zeros(model_dim);
-    let mut air_scratch = AirAggregationScratch::new();
+    let mut energies: Vec<f64> = Vec::new();
     let mut pc = PowerControlConfig::for_group(1.0, &[1.0], &[1.0]);
 
     // Fault bookkeeping. When the plan is disabled (the historical case) the
@@ -312,7 +309,7 @@ pub fn run_group_async(
                 );
                 let norm_bound = participants
                     .iter()
-                    .map(|&w| pool.local(w).norm())
+                    .map(|&w| pool.local_norm_sq(w).sqrt())
                     .fold(0.0_f64, f64::max)
                     .max(1e-9);
                 assert!(
@@ -329,25 +326,26 @@ pub fn run_group_async(
                     (1.0, 1.0)
                 };
                 let noise_var = if noise { wireless.noise_variance } else { 0.0 };
-                // Gather straight from the round-persistent buffers: no
-                // per-round Vec<AirAggregationInput> — this was the last
-                // steady-state allocation on the AirComp path.
-                air_aggregate_indexed_into(
+                // Gather straight from the round-persistent buffers (no
+                // per-round Vec<AirAggregationInput>), one pass over each
+                // local model: its norm² was cached by the local update.
+                air_superpose_into(
                     participants.len(),
                     |k| AirAggregationInput {
                         data_size: data_sizes[k],
                         channel_gain: gains[k],
                         params: pool.local(participants[k]),
                     },
+                    |k| pool.local_norm_sq(participants[k]),
                     sigma,
                     eta,
                     noise_var,
                     rng,
                     &mut group_estimate,
-                    &mut air_scratch,
+                    &mut energies,
                 );
                 for (k, &w) in participants.iter().enumerate() {
-                    ledger.record(w, air_scratch.per_worker_energy[k]);
+                    ledger.record(w, energies[k]);
                 }
                 ledger.finish_round();
             }

@@ -35,6 +35,9 @@ pub struct WorkerSlot {
     ws: Workspace,
     /// The local parameters produced by the worker's most recent update.
     local: FlatParams,
+    /// `local.norm_sq()`, computed once at the end of the update (inside the
+    /// parallel fan-out) for the power-control bound and the transmit energy.
+    local_norm_sq: f64,
     /// Mean training loss of the most recent update.
     last_loss: f64,
 }
@@ -58,6 +61,7 @@ impl WorkerPool {
                 rng: rng.fork(w as u64),
                 ws: Workspace::new(),
                 local: FlatParams::zeros(q),
+                local_norm_sq: 0.0,
                 last_loss: 0.0,
             })
             .collect();
@@ -94,6 +98,7 @@ impl WorkerPool {
                 &mut slot.ws,
                 &mut slot.local,
             );
+            slot.local_norm_sq = slot.local.norm_sq();
         };
         let muts = parallel::disjoint_muts(&mut self.slots, &self.sorted_members);
         let jobs: Vec<(usize, &mut WorkerSlot)> =
@@ -101,8 +106,10 @@ impl WorkerPool {
         if parallel {
             // A round's member updates are a uniform micro fan-out (similar
             // shard sizes, identical model work), so one contiguous chunk per
-            // thread minimises queue overhead; the hint is scheduling-only
-            // and keeps the trace bit-identical (see the parallel crate).
+            // thread minimises queue overhead — every thread with nothing
+            // else to do, joining callers included, takes one. The hint is
+            // scheduling-only and keeps the trace bit-identical (see the
+            // parallel crate).
             let _: Vec<()> = jobs
                 .into_par_iter()
                 .map(|(w, slot)| train_one(w, slot))
@@ -118,6 +125,11 @@ impl WorkerPool {
     /// The local parameters worker `w` produced in its most recent update.
     pub fn local(&self, w: usize) -> &FlatParams {
         &self.slots[w].local
+    }
+
+    /// `‖local(w)‖²`, bit-identical to `local(w).norm_sq()`.
+    pub fn local_norm_sq(&self, w: usize) -> f64 {
+        self.slots[w].local_norm_sq
     }
 
     /// Mean training loss of worker `w`'s most recent update.

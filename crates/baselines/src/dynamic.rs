@@ -18,10 +18,7 @@ use fedml::params::FlatParams;
 use fedml::rng::Rng64;
 use fedml::workspace::Workspace;
 use simcore::trace::{FaultEvent, FaultEventKind, TracePoint, TrainingTrace};
-use wireless::aircomp::{
-    air_aggregate_indexed_into, apply_group_update_in_place, AirAggregationInput,
-    AirAggregationScratch,
-};
+use wireless::aircomp::{air_superpose_into, apply_group_update_in_place, AirAggregationInput};
 use wireless::energy::EnergyLedger;
 use wireless::power::{optimize_power, PowerControlConfig};
 
@@ -123,7 +120,7 @@ impl FlMechanism for Dynamic {
         let mut data_sizes: Vec<f64> = Vec::new();
         let mut sel_gains: Vec<f64> = Vec::new();
         let mut group_estimate = FlatParams::zeros(system.model_dim());
-        let mut air_scratch = AirAggregationScratch::new();
+        let mut energies: Vec<f64> = Vec::new();
         let mut pc = PowerControlConfig::for_group(1.0, &[1.0], &[1.0]);
 
         template.set_params(&global);
@@ -250,7 +247,7 @@ impl FlMechanism for Dynamic {
             sel_gains.extend(participants.iter().map(|&w| gains[w]));
             let norm_bound = participants
                 .iter()
-                .map(|&w| pool.local(w).norm())
+                .map(|&w| pool.local_norm_sq(w).sqrt())
                 .fold(0.0_f64, f64::max)
                 .max(1e-9);
             let (sigma, eta) = if cfg.power_control {
@@ -267,23 +264,24 @@ impl FlMechanism for Dynamic {
                 0.0
             };
             // Gather straight from the round-persistent buffers: no per-round
-            // Vec<AirAggregationInput> allocation.
-            air_aggregate_indexed_into(
+            // Vec<AirAggregationInput> allocation, one pass per local model.
+            air_superpose_into(
                 participants.len(),
                 |i| AirAggregationInput {
                     data_size: data_sizes[i],
                     channel_gain: sel_gains[i],
                     params: pool.local(participants[i]),
                 },
+                |i| pool.local_norm_sq(participants[i]),
                 sigma,
                 eta,
                 noise_var,
                 rng,
                 &mut group_estimate,
-                &mut air_scratch,
+                &mut energies,
             );
             for (i, &w) in participants.iter().enumerate() {
-                ledger.record(w, air_scratch.per_worker_energy[i]);
+                ledger.record(w, energies[i]);
             }
             ledger.finish_round();
             apply_group_update_in_place(&mut global, &group_estimate, group_data, total_data);

@@ -32,7 +32,7 @@ use airfedga::system::{FlMechanism, FlSystemConfig};
 use airfedga::worker_pool::WorkerPool;
 use baselines::{AirFedAvg, BaselineOptions, Dynamic, DynamicConfig, FedAvg, TiFl};
 use bench::bench_system;
-use bench::reference::mlp_local_update_reference;
+use bench::reference::{fork_join_chunks_spawned, mlp_local_update_reference};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use faults::FaultSpec;
 use fedml::dataset::SyntheticSpec;
@@ -257,7 +257,7 @@ fn bench_pool(c: &mut Criterion) {
     });
     group.bench_function("fork_join_noop_8/spawn_per_call", |b| {
         b.iter(|| {
-            parallel::fork_join_chunks_spawned(8, &|i| {
+            fork_join_chunks_spawned(8, &|i| {
                 black_box(i);
             })
         })

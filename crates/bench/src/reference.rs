@@ -1,4 +1,7 @@
-//! The per-sample reference trainer.
+//! Reference implementations kept out of the library crates: the per-sample
+//! trainer and the spawn-per-call fork/join ([`fork_join_chunks_spawned`]).
+//!
+//! ## The per-sample reference trainer
 //!
 //! This is the algorithm the first version of `fedml` shipped: walk the
 //! mini-batch one sample at a time, computing a matvec per layer on the way
@@ -169,10 +172,39 @@ pub fn mlp_local_update_reference(
     loss_sum / batches as f64
 }
 
+/// Spawn-per-call fork/join: one scoped OS thread per chunk, joined before
+/// returning — what `parallel::fork_join_chunks` did before the persistent
+/// pool. The baseline the `pool` bench group measures the pool's amortised
+/// overhead against.
+pub fn fork_join_chunks_spawned<F: Fn(usize) + Sync>(chunks: usize, run: &F) {
+    if chunks <= 1 {
+        for c in 0..chunks {
+            run(c);
+        }
+        return;
+    }
+    std::thread::scope(|s| {
+        for c in 1..chunks {
+            s.spawn(move || run(c));
+        }
+        run(0);
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use fedml::dataset::SyntheticSpec;
+
+    #[test]
+    fn spawned_reference_runs_every_chunk() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let total = AtomicUsize::new(0);
+        fork_join_chunks_spawned(8, &|c| {
+            total.fetch_add(c + 1, Ordering::Relaxed);
+        });
+        assert_eq!(total.load(Ordering::Relaxed), 36);
+    }
 
     #[test]
     fn reference_gradients_match_batched_engine() {

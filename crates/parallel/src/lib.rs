@@ -12,27 +12,38 @@
 //! park on a condvar between calls. A fork/join call splits its input into
 //! contiguous chunks, publishes the call to a global queue, wakes the
 //! workers, and *participates itself*: the calling thread claims and executes
-//! chunks exactly like a worker until none are left, then waits for the
-//! chunks other threads claimed to finish. Compared to the previous
-//! spawn-per-call design (`std::thread::scope`, tens of microseconds of
-//! thread start/join per call) the steady-state cost of a fan-out is a queue
-//! push, a condvar wake and one uncontended latch — which is what makes
-//! per-round parallelism profitable even for very small groups (see the
-//! `pool` bench group).
+//! its own chunks exactly like a worker until none are left, and then keeps
+//! working as a **helper** — it claims chunks of *other* queued calls until
+//! the chunks other threads claimed from its own call have finished. The
+//! steady-state cost of a fan-out is a queue push, a condvar wake and a few
+//! atomic increments, which is what makes per-round parallelism profitable
+//! even for very small groups (see the `pool` bench group).
 //!
 //! ## Nesting rules
 //!
 //! Fork/join calls may nest arbitrarily: a closure running on a pool worker
 //! (or on the caller) can itself call [`fork_join_chunks`] / `par_iter`.
-//! Nested calls push to the same global queue, so **idle workers help with
-//! inner fan-outs**; and because every caller executes its own unclaimed
-//! chunks before blocking, a call can always complete on the calling thread
-//! alone — there is no cyclic wait and **no deadlock**, whatever the nesting
-//! depth. (A chunk claimed by another thread is always being actively
-//! executed, and its own nested waits satisfy the same invariant
-//! inductively.) The experiment harness exploits this: `run_grid` fans
-//! independent experiment cells over the pool while each cell's training
-//! rounds keep issuing inner per-member fan-outs.
+//! Nested calls push to the same global queue, so idle workers **and joining
+//! callers** help with them. A thread only parks when its own call's chunks
+//! are all claimed and nothing it may help with is queued; it is woken by new
+//! work or by the completion of its call (both signals are ordered by the
+//! queue lock against the check that precedes parking, so neither wake-up can
+//! be lost). A parked thread waits for chunks that are running on other
+//! threads' stacks. On a stack, every frame is younger than the frames below
+//! it; a chunk is younger than its call; and a parked join is the frame that
+//! created its call. A cycle of threads, each parked above a chunk the
+//! previous one waits for, would therefore need a chunk older than its own
+//! call — there is **no deadlock**, whatever the nesting depth.
+//!
+//! A joining caller never helps *outwards*: each call records how many
+//! fan-out levels enclose it (its depth), and the joiner of a depth-`d` call
+//! only claims chunks of calls at depth `≥ d`. The experiment harness relies
+//! on this: `run_grid` fans experiment cells over the pool (depth 0) while
+//! each cell's training rounds issue per-member fan-outs (depth 1), so a
+//! thread waiting inside one cell helps other cells' rounds but never starts
+//! a second cell on top of the suspended one — thread-local guards installed
+//! per cell (telemetry scope, cancel token, watchdog budget) never interleave
+//! and at most one system per thread is live in memory.
 //!
 //! ## Over-decomposed chunking
 //!
@@ -191,11 +202,14 @@ pub fn pool_workers() -> usize {
 /// This is the primitive beneath `par_iter().map(..).collect()`. The calling
 /// thread participates (it claims and executes chunks like a worker), so the
 /// call completes even if every pool worker is busy, and nested calls are
-/// deadlock-free (see the module docs). With `chunks <= 1` or a sequential
+/// deadlock-free (see the module docs). While chunks of this call are still
+/// running elsewhere, the calling thread may execute chunks of *other* calls
+/// at least as deeply nested as this one. With `chunks <= 1` or a sequential
 /// pool configuration the chunks run in-line in index order.
 ///
 /// If any chunk panics, the remaining chunks still execute and the first
-/// panic is re-thrown on the calling thread afterwards.
+/// panic is re-thrown on the calling thread afterwards (never on a thread
+/// that merely helped with the chunk).
 pub fn fork_join_chunks<F: Fn(usize) + Sync>(chunks: usize, run: &F) {
     // Sched plane: a sequential configuration short-circuits parallel maps
     // in `collect_with` before they reach this call, so the fan-out count
@@ -206,25 +220,6 @@ pub fn fork_join_chunks<F: Fn(usize) + Sync>(chunks: usize, run: &F) {
     pool::fork_join(chunks, run)
 }
 
-/// Reference implementation of [`fork_join_chunks`] that spawns one scoped OS
-/// thread per chunk and joins them — the crate's pre-pool behaviour. Kept
-/// (not used by any engine path) as the baseline the `pool` benchmark group
-/// measures the persistent pool's amortised overhead against.
-pub fn fork_join_chunks_spawned<F: Fn(usize) + Sync>(chunks: usize, run: &F) {
-    if chunks <= 1 {
-        for c in 0..chunks {
-            run(c);
-        }
-        return;
-    }
-    std::thread::scope(|s| {
-        for c in 1..chunks {
-            s.spawn(move || run(c));
-        }
-        run(0);
-    });
-}
-
 /// The persistent pool internals: the one module that needs `unsafe` (the
 /// fork/join protocol sends a lifetime-erased pointer to the stack-allocated
 /// call descriptor to the worker threads).
@@ -232,10 +227,39 @@ pub fn fork_join_chunks_spawned<F: Fn(usize) + Sync>(chunks: usize, run: &F) {
 mod pool {
     use super::max_threads;
     use std::any::Any;
+    use std::cell::Cell;
     use std::collections::VecDeque;
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Condvar, Mutex, OnceLock};
+    use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
+
+    thread_local! {
+        /// Fan-out levels enclosing the code this thread is running: 0 at top
+        /// level, `d + 1` inside a chunk of a depth-`d` call.
+        static DEPTH: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Sets the thread's [`DEPTH`] for a scope; restores it on drop, so a
+    /// chunk that unwinds leaves the thread at the depth it was entered at.
+    pub(super) struct Level(usize);
+
+    impl Level {
+        fn enter(depth: usize) -> Level {
+            Level(DEPTH.replace(depth))
+        }
+
+        /// One level deeper: for the items a fan-out runs in-line, so depth
+        /// counts enclosing fan-outs whether or not they reached the pool.
+        pub(super) fn nested() -> Level {
+            Level::enter(DEPTH.get() + 1)
+        }
+    }
+
+    impl Drop for Level {
+        fn drop(&mut self) {
+            DEPTH.set(self.0);
+        }
+    }
 
     /// One fork/join call in flight. Lives on the calling thread's stack for
     /// the whole call: the caller does not return until `done == chunks`.
@@ -246,24 +270,26 @@ mod pool {
         data: *const (),
         call: fn(*const (), usize),
         chunks: usize,
+        /// [`DEPTH`] of the calling thread: joiners only help calls at least
+        /// as deep as their own (see the module docs).
+        depth: usize,
         /// Next chunk index to claim. Only ever advanced **under the pool's
         /// queue lock**, so the removal of an exhausted call from the queue
         /// is atomic with the claim of its final chunk.
         next: AtomicUsize,
-        /// Completed-chunk count plus the first captured panic payload.
-        state: Mutex<DoneState>,
-        all_done: Condvar,
-    }
-
-    struct DoneState {
-        done: usize,
-        panic: Option<Box<dyn Any + Send>>,
+        /// Completed-chunk count. The increment that makes it `chunks` frees
+        /// the caller to return and pop this struct: whoever performs an
+        /// increment touches only the `'static` pool afterwards.
+        done: AtomicUsize,
+        /// First captured panic payload, stored before the panicking chunk's
+        /// `done` increment.
+        panic: Mutex<Option<Box<dyn Any + Send>>>,
     }
 
     fn shim<F: Fn(usize) + Sync>(data: *const (), chunk: usize) {
         // SAFETY: `data` was created from a live `&F` in `fork_join`, and the
         // fork/join protocol guarantees the referent outlives every call
-        // (the caller blocks until all chunks complete).
+        // (the caller does not return until all chunks complete).
         let f = unsafe { &*(data as *const F) };
         f(chunk);
     }
@@ -271,13 +297,35 @@ mod pool {
     /// Queue entry: raw pointer to a stack-owned [`FanOut`].
     struct FanPtr(*const FanOut);
     // SAFETY: a `FanPtr` is only dereferenced while the fork/join protocol
-    // keeps its referent alive — see the invariants in `claim_front`.
+    // keeps its referent alive — see the invariants in `claim`.
     unsafe impl Send for FanPtr {}
 
+    struct Queue {
+        fans: VecDeque<FanPtr>,
+        /// Joining callers parked on `work_available`. They may be unable to
+        /// use the work a targeted wake-up announces (depth rule), so while
+        /// any is parked every signal is a broadcast.
+        parked_joiners: usize,
+    }
+
     struct Shared {
-        queue: Mutex<VecDeque<FanPtr>>,
+        queue: Mutex<Queue>,
+        /// Workers wait here for work; joining callers for work or for the
+        /// completion of their call.
         work_available: Condvar,
         workers: usize,
+    }
+
+    impl Shared {
+        fn lock(&self) -> MutexGuard<'_, Queue> {
+            self.queue.lock().expect("pool queue poisoned")
+        }
+
+        fn park<'q>(&self, q: MutexGuard<'q, Queue>) -> MutexGuard<'q, Queue> {
+            self.work_available
+                .wait(q)
+                .expect("pool queue poisoned while parked")
+        }
     }
 
     /// The process-global pool, started lazily on first use. `None` when the
@@ -291,7 +339,10 @@ mod pool {
                 return None;
             }
             let sh: &'static Shared = Box::leak(Box::new(Shared {
-                queue: Mutex::new(VecDeque::new()),
+                queue: Mutex::new(Queue {
+                    fans: VecDeque::new(),
+                    parked_joiners: 0,
+                }),
                 work_available: Condvar::new(),
                 workers,
             }));
@@ -315,23 +366,20 @@ mod pool {
     fn worker_loop(sh: &'static Shared) {
         loop {
             let (fan, chunk) = {
-                let mut q = sh.queue.lock().expect("pool queue poisoned");
+                let mut q = sh.lock();
                 loop {
-                    if let Some(claimed) = claim_front(&mut q) {
+                    if let Some(claimed) = claim(&mut q, |_, _| true) {
                         break claimed;
                     }
-                    q = sh
-                        .work_available
-                        .wait(q)
-                        .expect("pool queue poisoned while parked");
+                    q = sh.park(q);
                 }
             };
-            execute(fan, chunk);
+            execute(sh, fan, chunk);
         }
     }
 
-    /// Under the queue lock: claim the next chunk of the front call, popping
-    /// the call once its final chunk is claimed.
+    /// Under the queue lock: claim the next chunk of the oldest queued call
+    /// that is `eligible`, removing the call once its final chunk is claimed.
     ///
     /// Pointer-validity invariant: a call is pushed before its caller claims
     /// any chunk, is removed (under this same lock) together with the claim
@@ -339,62 +387,57 @@ mod pool {
     /// every *claimed* chunk has completed. So any entry observed in the
     /// queue still has unclaimed chunks, and its pointer is live for the
     /// duration of the claimed chunk's execution.
-    fn claim_front(q: &mut VecDeque<FanPtr>) -> Option<(*const FanOut, usize)> {
-        loop {
-            let &FanPtr(p) = q.front()?;
-            // SAFETY: see the invariant above.
-            let fan = unsafe { &*p };
-            let c = fan.next.fetch_add(1, Ordering::Relaxed);
-            if c + 1 >= fan.chunks {
-                q.pop_front();
-            }
-            if c < fan.chunks {
-                return Some((p, c));
-            }
-            // Defensive: an exhausted entry should never be observable (it is
-            // popped with its final claim); if it were, skip to the next.
-        }
-    }
-
-    /// The calling thread's claim path (its call may sit anywhere in the
-    /// queue, not just at the front). Same lock, same invariants.
-    fn claim_mine(sh: &Shared, fan: &FanOut, me: *const FanOut) -> Option<usize> {
-        let mut q = sh.queue.lock().expect("pool queue poisoned");
+    fn claim(
+        q: &mut Queue,
+        eligible: impl Fn(*const FanOut, &FanOut) -> bool,
+    ) -> Option<(*const FanOut, usize)> {
+        // SAFETY: see the invariant above.
+        let i = (q.fans.iter()).position(|e| eligible(e.0, unsafe { &*e.0 }))?;
+        let p = q.fans[i].0;
+        // SAFETY: see the invariant above.
+        let fan = unsafe { &*p };
         let c = fan.next.fetch_add(1, Ordering::Relaxed);
         if c + 1 >= fan.chunks {
-            q.retain(|e| !std::ptr::eq(e.0, me));
+            q.fans.remove(i);
         }
-        (c < fan.chunks).then_some(c)
+        Some((p, c))
     }
 
     /// Execute one claimed chunk and publish its completion. Panics are
     /// captured so the protocol stays balanced; the first payload is
-    /// re-thrown by the caller after the join.
-    fn execute(p: *const FanOut, chunk: usize) {
-        // SAFETY: the chunk was claimed under the queue lock, so the caller
-        // is still blocked in `fork_join` waiting for this completion and the
-        // `FanOut` is alive (see `claim_front`).
+    /// re-thrown by the call's own caller after the join.
+    fn execute(sh: &Shared, p: *const FanOut, chunk: usize) {
+        // SAFETY: the chunk was claimed under the queue lock and is not yet
+        // counted in `done`, so the caller is still inside `fork_join` and
+        // the `FanOut` is alive (see `claim`).
         let fan = unsafe { &*p };
+        let chunks = fan.chunks;
         telemetry::metrics::POOL_CHUNKS_CLAIMED.add(1);
+        let level = Level::enter(fan.depth + 1);
         let result = catch_unwind(AssertUnwindSafe(|| (fan.call)(fan.data, chunk)));
-        let mut st = fan.state.lock().expect("fork/join latch poisoned");
+        drop(level);
         if let Err(payload) = result {
-            if st.panic.is_none() {
-                st.panic = Some(payload);
-            }
+            let mut first = fan.panic.lock().expect("fork/join panic slot poisoned");
+            first.get_or_insert(payload);
         }
-        st.done += 1;
-        if st.done == fan.chunks {
-            // The caller can only observe `done == chunks` after this guard
-            // drops, at which point this thread no longer touches `fan`.
-            fan.all_done.notify_all();
+        // Release: the chunk's writes (and payload) happen-before the
+        // caller's Acquire load that observes the count. `fan` may be gone
+        // the moment the count is complete — only `sh` is used below.
+        if fan.done.fetch_add(1, Ordering::AcqRel) + 1 == chunks {
+            // The caller checks `done` under the queue lock before parking,
+            // so taking the lock here orders this signal after that check.
+            let parked = sh.lock().parked_joiners > 0;
+            if parked {
+                sh.work_available.notify_all();
+            }
         }
     }
 
     pub(super) fn fork_join<F: Fn(usize) + Sync>(chunks: usize, run: &F) {
-        let sequential = chunks <= 1;
-        let Some(sh) = (if sequential { None } else { shared() }) else {
+        let depth = DEPTH.get();
+        let Some(sh) = (if chunks <= 1 { None } else { shared() }) else {
             telemetry::metrics::POOL_CHUNKS_CLAIMED.add(chunks as u64);
+            let _level = Level::enter(depth + 1);
             for c in 0..chunks {
                 run(c);
             }
@@ -404,45 +447,46 @@ mod pool {
             data: run as *const F as *const (),
             call: shim::<F>,
             chunks,
+            depth,
             next: AtomicUsize::new(0),
-            state: Mutex::new(DoneState {
-                done: 0,
-                panic: None,
-            }),
-            all_done: Condvar::new(),
+            done: AtomicUsize::new(0),
+            panic: Mutex::new(None),
         };
         let me: *const FanOut = &fan;
-        {
-            let mut q = sh.queue.lock().expect("pool queue poisoned");
-            q.push_back(FanPtr(me));
-        }
+        let mut q = sh.lock();
+        q.fans.push_back(FanPtr(me));
         // Wake only as many workers as there are chunks the caller cannot
         // take itself: the engines' hottest fan-outs are 2–4 chunks, and
         // notify_all would stampede every parked worker into the queue lock
         // just to find the call already drained by the help-first loop below.
+        // Signalled under the lock, so `parked_joiners` is exact.
         let wakes = chunks - 1;
-        if wakes >= sh.workers {
+        if wakes >= sh.workers || q.parked_joiners > 0 {
             sh.work_available.notify_all();
         } else {
             for _ in 0..wakes {
                 sh.work_available.notify_one();
             }
         }
-        // Help-first: execute our own chunks until they are all claimed.
-        while let Some(c) = claim_mine(sh, &fan, me) {
-            execute(me, c);
+        // Help-first, then helping join: execute our own chunks while any is
+        // unclaimed, then chunks of other calls at least as deep, until the
+        // chunks other threads claimed from this call have completed.
+        while fan.done.load(Ordering::Acquire) < chunks {
+            let work = claim(&mut q, |p, _| std::ptr::eq(p, me))
+                .or_else(|| claim(&mut q, |_, other| other.depth >= depth));
+            if let Some((p, c)) = work {
+                drop(q);
+                execute(sh, p, c);
+                q = sh.lock();
+            } else {
+                q.parked_joiners += 1;
+                q = sh.park(q);
+                q.parked_joiners -= 1;
+            }
         }
-        // Join: wait for the chunks other threads claimed.
-        let mut st = fan.state.lock().expect("fork/join latch poisoned");
-        while st.done < fan.chunks {
-            st = fan
-                .all_done
-                .wait(st)
-                .expect("fork/join latch poisoned while waiting");
-        }
-        let payload = st.panic.take();
-        drop(st);
-        if let Some(payload) = payload {
+        drop(q);
+        let payload = fan.panic.into_inner();
+        if let Some(payload) = payload.expect("fork/join panic slot poisoned") {
             resume_unwind(payload);
         }
     }
@@ -537,6 +581,7 @@ impl<'a, T: Sync, F> ParMap<'a, T, F> {
         let n = self.items.len();
         let f = &self.f;
         if max_threads() <= 1 || n < 2 {
+            let _level = pool::Level::nested();
             return C::from_vec(self.items.iter().map(f).collect());
         }
         let chunk = chunk_len(n, self.hint);
@@ -603,6 +648,7 @@ impl<T: Send, F> ParIntoMap<T, F> {
         let n = self.items.len();
         let f = &self.f;
         if max_threads() <= 1 || n < 2 {
+            let _level = pool::Level::nested();
             return C::from_vec(self.items.into_iter().map(f).collect());
         }
         let chunk = chunk_len(n, self.hint);
@@ -717,16 +763,6 @@ mod tests {
         }
         // Zero chunks is a no-op.
         fork_join_chunks(0, &|_| panic!("must not run"));
-    }
-
-    #[test]
-    fn spawned_reference_runs_every_chunk() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let total = AtomicUsize::new(0);
-        fork_join_chunks_spawned(8, &|c| {
-            total.fetch_add(c + 1, Ordering::Relaxed);
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 36);
     }
 
     #[test]

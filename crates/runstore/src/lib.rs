@@ -338,15 +338,17 @@ impl RunStore {
         let path = self.run_path(key);
         fs::rename(&tmp, &path)?;
         // Advisory completion log; appended *after* the rename so a
-        // journal line always refers to a fully stored replicate.
-        let mut journal = fs::OpenOptions::new()
+        // journal line always refers to a fully stored replicate. One
+        // `write` per line: `writeln!` on a `File` issues one per format
+        // piece, and lines from concurrent stores would interleave.
+        let line = format!(
+            "{key:032x} cell={cell_index} run_seed={run_seed} system_seed={system_seed} {cell_label}\n"
+        );
+        fs::OpenOptions::new()
             .create(true)
             .append(true)
-            .open(self.spec_dir.join("journal"))?;
-        writeln!(
-            journal,
-            "{key:032x} cell={cell_index} run_seed={run_seed} system_seed={system_seed} {cell_label}"
-        )?;
+            .open(self.spec_dir.join("journal"))?
+            .write_all(line.as_bytes())?;
         Ok(path)
     }
 
@@ -746,6 +748,45 @@ mod tests {
         assert_eq!(fresh.completed(), 0);
         assert!(fresh.load_trace(0, "cell", 1, 2).is_none());
         assert_eq!(fresh.journal_len(), 0);
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn concurrent_stores_journal_one_whole_line_each() {
+        let root = tmp_root("journal-threads");
+        let store = RunStore::open(&root, "spec").unwrap();
+        let trace = sample_trace();
+        let (threads, per_thread) = (8usize, 25usize);
+        let start = std::sync::Barrier::new(threads);
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let (store, trace, start) = (&store, &trace, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..per_thread {
+                        let label = format!("mechanism with spaces {t}");
+                        store
+                            .store_trace(t * per_thread + i, &label, 4242 + i as u64, 42, trace)
+                            .unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(store.journal_len(), threads * per_thread);
+        // Completion order is free; the set of lines is not.
+        let journal = fs::read_to_string(store.spec_dir().join("journal")).unwrap();
+        let mut lines: Vec<&str> = journal.lines().collect();
+        lines.sort_unstable();
+        let mut expected: Vec<String> = (0..threads * per_thread)
+            .map(|cell| {
+                let label = format!("mechanism with spaces {}", cell / per_thread);
+                let run_seed = 4242 + (cell % per_thread) as u64;
+                let key = replicate_key(cell, &label, run_seed, 42);
+                format!("{key:032x} cell={cell} run_seed={run_seed} system_seed=42 {label}")
+            })
+            .collect();
+        expected.sort_unstable();
+        assert_eq!(lines, expected, "a journal line was torn or lost");
         fs::remove_dir_all(&root).ok();
     }
 

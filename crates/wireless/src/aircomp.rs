@@ -15,7 +15,7 @@
 //! reports the per-round aggregation error `ε_j^t` (Eq. (17)) and the energy
 //! spent by each worker (Eq. (7)).
 
-use crate::energy::transmit_energy;
+use crate::energy::transmit_energy_from_norm_sq;
 use crate::power::transmit_power;
 use fedml::params::FlatParams;
 use fedml::rng::Rng64;
@@ -61,9 +61,8 @@ impl AirAggregationResult {
 
 /// Reusable scratch for [`air_aggregate_into`]: the ideal-model buffer and
 /// the per-worker energy vector that the allocating [`air_aggregate`] wrapper
-/// would otherwise create fresh each round. One instance per engine loop,
-/// reused across every round (buffers grow to the group/model size once and
-/// stay there).
+/// would otherwise create fresh each call (buffers grow to the group/model
+/// size once and stay there).
 #[derive(Debug, Default)]
 pub struct AirAggregationScratch {
     /// The ideal (error-free) group model `Σ (d_i/D_j) w_i^t` of Eq. (15),
@@ -101,8 +100,8 @@ pub struct AirAggregationStats {
 /// Panics if the inputs are empty or have mismatched dimensions.
 ///
 /// Allocating convenience wrapper around [`air_aggregate_into`]; the engine
-/// loops call the `_into` variant with round-persistent buffers so the whole
-/// AirComp round is allocation-free in steady state.
+/// loops call [`air_superpose_into`] with round-persistent buffers so the
+/// whole AirComp round is allocation-free in steady state.
 pub fn air_aggregate(
     inputs: &[AirAggregationInput<'_>],
     sigma: f64,
@@ -133,7 +132,7 @@ pub fn air_aggregate(
 
 /// In-place variant of [`air_aggregate`]: writes the denoised group estimate
 /// into `group_estimate` (resized to the model dimension) and the secondary
-/// outputs into `scratch`, so the per-round engine loop performs **zero**
+/// outputs into `scratch`, so a caller looping over rounds performs **zero**
 /// heap allocations once the buffers have grown to size. Bit-identical to
 /// [`air_aggregate`] (same accumulation order, same RNG draw order).
 pub fn air_aggregate_into(
@@ -159,16 +158,13 @@ pub fn air_aggregate_into(
 
 /// Gather variant of [`air_aggregate_into`]: the `count` contributions are
 /// produced on demand by `input(k)` instead of being read from a
-/// pre-collected slice.
-///
-/// This is what lets the engine loops drop their last steady-state heap
-/// allocation on the AirComp path — the per-round
-/// `Vec<AirAggregationInput>` that existed only to marry each member's
-/// `(data_size, gain)` pair to a borrow of its local model. The engines now
-/// pass `|k| AirAggregationInput { data_size: data_sizes[k], channel_gain:
-/// gains[k], params: pool.local(members[k]) }` straight from their
-/// round-persistent buffers. Bit-identical to the slice path: same
+/// pre-collected slice, so a caller holding `(data_size, gain)` pairs and
+/// local models in separate round-persistent buffers needs no per-round
+/// `Vec<AirAggregationInput>`. Bit-identical to the slice path: same
 /// accumulation order (`k = 0, 1, …`), same RNG draw order.
+///
+/// The engine loops call the core, [`air_superpose_into`], directly; this
+/// function adds the ideal model and error norm on top of it.
 #[allow(clippy::too_many_arguments)]
 pub fn air_aggregate_indexed_into<'p>(
     count: usize,
@@ -180,6 +176,53 @@ pub fn air_aggregate_indexed_into<'p>(
     group_estimate: &mut FlatParams,
     scratch: &mut AirAggregationScratch,
 ) -> AirAggregationStats {
+    // Ideal group model sum_i (d_i / D_j) w_i and the error against it, on
+    // top of the shared core (which validates the inputs).
+    let group_data_size = air_superpose_into(
+        count,
+        &input,
+        |k| input(k).params.norm_sq(),
+        sigma,
+        eta,
+        noise_variance,
+        rng,
+        group_estimate,
+        &mut scratch.per_worker_energy,
+    );
+    scratch.ideal.0.resize(group_estimate.dim(), 0.0);
+    scratch.ideal.as_mut_slice().fill(0.0);
+    for k in 0..count {
+        let c = input(k);
+        scratch.ideal.axpy(c.data_size / group_data_size, c.params);
+    }
+    AirAggregationStats {
+        error_norm_sq: group_estimate.dist_sq(&scratch.ideal),
+        group_data_size,
+    }
+}
+
+/// The core of an over-the-air aggregation, and the whole of it for the
+/// engine loops: superposition (Eq. (9)), AWGN, denoising (Eq. (10)) and the
+/// per-worker energy (Eq. (7), pushed onto the cleared `per_worker_energy` in
+/// input order) from a caller-supplied `‖w_i‖²` — `norm_sq(k)` must equal
+/// `input(k).params.norm_sq()`, which the engines cache per local update.
+/// Returns the group data size `D_j`.
+///
+/// [`air_aggregate_indexed_into`] is this plus the ideal model and the error
+/// norm of Eq. (15)/(17), which no engine reads; estimate, energies and RNG
+/// draws are bit-identical between the two.
+#[allow(clippy::too_many_arguments)]
+pub fn air_superpose_into<'p>(
+    count: usize,
+    input: impl Fn(usize) -> AirAggregationInput<'p>,
+    norm_sq: impl Fn(usize) -> f64,
+    sigma: f64,
+    eta: f64,
+    noise_variance: f64,
+    rng: &mut Rng64,
+    group_estimate: &mut FlatParams,
+    per_worker_energy: &mut Vec<f64>,
+) -> f64 {
     assert!(count > 0, "over-the-air aggregation with no workers");
     assert!(sigma > 0.0, "sigma must be positive");
     assert!(eta > 0.0, "eta must be positive");
@@ -192,18 +235,14 @@ pub fn air_aggregate_indexed_into<'p>(
     // directly in the caller's estimate buffer.
     group_estimate.0.resize(dim, 0.0);
     group_estimate.as_mut_slice().fill(0.0);
-    // Ideal group model sum_i (d_i / D_j) w_i.
-    scratch.ideal.0.resize(dim, 0.0);
-    scratch.ideal.as_mut_slice().fill(0.0);
-    scratch.per_worker_energy.clear();
+    per_worker_energy.clear();
     for k in 0..count {
         let c = input(k);
         assert_eq!(c.params.dim(), dim, "parameter dimension mismatch");
         assert!(c.data_size > 0.0, "worker data size must be positive");
         group_estimate.axpy(c.data_size * sigma, c.params);
-        scratch.ideal.axpy(c.data_size / group_data_size, c.params);
         let p = transmit_power(c.data_size, sigma, c.channel_gain);
-        scratch.per_worker_energy.push(transmit_energy(p, c.params));
+        per_worker_energy.push(transmit_energy_from_norm_sq(p, norm_sq(k)));
     }
     if noise_variance > 0.0 {
         let std = noise_variance.sqrt();
@@ -212,12 +251,7 @@ pub fn air_aggregate_indexed_into<'p>(
 
     // Denoised group estimate w~ = y / (D_j sqrt(eta)).
     group_estimate.scale(1.0 / (group_data_size * eta.sqrt()));
-    let error_norm_sq = group_estimate.dist_sq(&scratch.ideal);
-
-    AirAggregationStats {
-        error_norm_sq,
-        group_data_size,
-    }
+    group_data_size
 }
 
 /// Apply the asynchronous global update of Eq. (10)/(16):

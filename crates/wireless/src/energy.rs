@@ -11,8 +11,15 @@ use serde::{Deserialize, Serialize};
 
 /// Per-round transmit energy `E_i^t = ‖p_i^t · w_i^t‖²` (Eq. (7)).
 pub fn transmit_energy(transmit_power: f64, params: &FlatParams) -> f64 {
+    transmit_energy_from_norm_sq(transmit_power, params.norm_sq())
+}
+
+/// [`transmit_energy`] for a caller that already holds `‖w_i^t‖²` (the
+/// engines compute it once per local update and reuse it for the power-control
+/// norm bound). Same expression, so the same bits.
+pub fn transmit_energy_from_norm_sq(transmit_power: f64, norm_sq: f64) -> f64 {
     assert!(transmit_power >= 0.0, "transmit power must be non-negative");
-    transmit_power * transmit_power * params.norm_sq()
+    transmit_power * transmit_power * norm_sq
 }
 
 /// Cumulative energy bookkeeping across a training run.

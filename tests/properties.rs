@@ -10,7 +10,10 @@
 
 use air_fedga::airfedga::convergence::{lemma1_envelope, lemma1_recursion};
 use air_fedga::airfedga::mechanism::{run_group_async, AggregationMode, EngineOptions};
-use air_fedga::airfedga::system::FlSystemConfig;
+use air_fedga::airfedga::mechanism::{AirFedGa, AirFedGaConfig};
+use air_fedga::airfedga::system::{FlMechanism, FlSystemConfig};
+use air_fedga::airfedga::worker_pool::WorkerPool;
+use air_fedga::baselines::{AirFedAvg, BaselineOptions, Dynamic, DynamicConfig};
 use air_fedga::fedml::dataset::SyntheticSpec;
 use air_fedga::fedml::model::{LogisticRegression, Mlp, Model};
 use air_fedga::fedml::params::FlatParams;
@@ -21,8 +24,8 @@ use air_fedga::grouping::greedy::{greedy_grouping, GreedyGroupingConfig};
 use air_fedga::grouping::objective::{GroupingObjective, ObjectiveConstants};
 use air_fedga::grouping::worker_info::{Grouping, WorkerInfo};
 use air_fedga::wireless::aircomp::{
-    air_aggregate, air_aggregate_into, apply_group_update, AirAggregationInput,
-    AirAggregationScratch,
+    air_aggregate, air_aggregate_indexed_into, air_aggregate_into, air_superpose_into,
+    apply_group_update, AirAggregationInput, AirAggregationScratch,
 };
 use air_fedga::wireless::power::{optimize_power, transmit_power, PowerControlConfig};
 use bench::reference::{logreg_loss_and_gradient, mlp_loss_and_gradient};
@@ -418,6 +421,169 @@ fn air_aggregate_into_is_bit_identical_to_allocating_path() {
         }
         assert_eq!(scratch.per_worker_energy, res.per_worker_energy);
     }
+}
+
+/// The engines' aggregation core (`air_superpose_into`, fed a cached norm²)
+/// is bit-identical to the public `air_aggregate_indexed_into` on everything
+/// both produce — group estimate, per-worker energies, group size and the
+/// RNG stream left behind — for odd and even dimensions, with and without
+/// noise, from one member to a hundred.
+#[test]
+fn engine_core_is_bit_identical_to_the_public_aggregate() {
+    let mut rng = Rng64::seed_from(7103);
+    let mut estimate = FlatParams::zeros(0);
+    let mut scratch = AirAggregationScratch::new();
+    let mut core_estimate = FlatParams::zeros(0);
+    let mut core_energies: Vec<f64> = Vec::new();
+    let groups = [1usize, 2, 3, 7, 30, 100];
+    for case in 0..CASES {
+        let dim = 1 + rng.index(96) + case % 2; // both parities occur
+        let group = groups[case % groups.len()];
+        let params: Vec<FlatParams> = (0..group)
+            .map(|_| FlatParams((0..dim).map(|_| rng.gaussian()).collect()))
+            .collect();
+        let sizes: Vec<f64> = (0..group).map(|_| rng.uniform_range(1.0, 50.0)).collect();
+        let gains: Vec<f64> = (0..group).map(|_| rng.uniform_range(0.05, 2.0)).collect();
+        let norms: Vec<f64> = params.iter().map(FlatParams::norm_sq).collect();
+        let input = |k: usize| AirAggregationInput {
+            data_size: sizes[k],
+            channel_gain: gains[k],
+            params: &params[k],
+        };
+        let sigma = rng.uniform_range(0.1, 2.0);
+        let eta = rng.uniform_range(0.1, 4.0);
+        let noise = if case % 3 == 0 {
+            0.0
+        } else {
+            rng.uniform_range(0.0, 1.0)
+        };
+        let mut rng_public = Rng64::seed_from(9100 + case as u64);
+        let mut rng_core = Rng64::seed_from(9100 + case as u64);
+        let stats = air_aggregate_indexed_into(
+            group,
+            input,
+            sigma,
+            eta,
+            noise,
+            &mut rng_public,
+            &mut estimate,
+            &mut scratch,
+        );
+        let group_size = air_superpose_into(
+            group,
+            input,
+            |k| norms[k],
+            sigma,
+            eta,
+            noise,
+            &mut rng_core,
+            &mut core_estimate,
+            &mut core_energies,
+        );
+        let tag = format!("case {case}: dim {dim}, {group} members, noise {noise}");
+        assert_eq!(
+            group_size.to_bits(),
+            stats.group_data_size.to_bits(),
+            "{tag}"
+        );
+        assert_eq!(core_estimate.dim(), dim, "{tag}");
+        for (x, y) in core_estimate.0.iter().zip(estimate.0.iter()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{tag}: estimate diverged");
+        }
+        assert_eq!(core_energies.len(), group, "{tag}");
+        for (x, y) in core_energies.iter().zip(scratch.per_worker_energy.iter()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{tag}: energy diverged");
+        }
+        assert_eq!(
+            rng_core.next_u64(),
+            rng_public.next_u64(),
+            "{tag}: RNG draws"
+        );
+    }
+}
+
+/// `WorkerPool` caches each member's `‖w_i‖²` inside the (parallel or
+/// sequential) local update; the cache is the same bits as recomputing it,
+/// round after round, and untouched workers keep the norm of their zeros.
+#[test]
+fn worker_pool_norm_cache_matches_recomputation() {
+    let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(7104));
+    let n = system.num_workers();
+    for parallel in [false, true] {
+        let mut pool = WorkerPool::new(&system, &mut Rng64::seed_from(7105));
+        let mut dispatch = system.template.params();
+        let mut rng = Rng64::seed_from(7106);
+        for round in 0..4 {
+            let members: Vec<usize> = (0..n).filter(|_| rng.uniform() < 0.6).collect();
+            pool.train_members(&members, &dispatch, &system, parallel);
+            for w in 0..n {
+                assert_eq!(
+                    pool.local_norm_sq(w).to_bits(),
+                    pool.local(w).norm_sq().to_bits(),
+                    "parallel {parallel}, round {round}, worker {w}"
+                );
+            }
+            if let Some(&w) = members.first() {
+                dispatch.clone_from(pool.local(w));
+            }
+        }
+    }
+}
+
+/// 25 rounds of Air-FedGA, Air-FedAvg and Dynamic, fault-free and churned,
+/// in the run store's bit-exact text encoding, against the traces the engines
+/// produced before the aggregation was split into core + ideal layer and the
+/// norm² cache was introduced (`tests/golden/engine_traces_25r.txt`, written
+/// by this same code at the commit before that change).
+#[test]
+fn engine_traces_match_the_pinned_golden_file() {
+    assert_eq!(
+        render_engine_traces(),
+        include_str!("golden/engine_traces_25r.txt"),
+        "an engine's 25-round trace changed bits"
+    );
+}
+
+fn render_engine_traces() -> String {
+    let churn = air_fedga::faults::FaultSpec {
+        dropout_rate: 0.002,
+        mean_downtime: 60.0,
+        straggler_fraction: 0.3,
+        straggler_slowdown: 3.0,
+        outage_rate: 0.001,
+        outage_duration: 20.0,
+        deadline: Some(400.0),
+        ..air_fedga::faults::FaultSpec::none()
+    };
+    let options = BaselineOptions {
+        total_rounds: 25,
+        eval_every: 1,
+        max_virtual_time: None,
+        parallel: true,
+    };
+    let mechanisms: [Box<dyn FlMechanism>; 3] = [
+        Box::new(AirFedGa::new(AirFedGaConfig {
+            total_rounds: 25,
+            eval_every: 1,
+            ..AirFedGaConfig::default()
+        })),
+        Box::new(AirFedAvg::new(options)),
+        Box::new(Dynamic::new(DynamicConfig {
+            options,
+            ..DynamicConfig::default()
+        })),
+    ];
+    let mut out = String::new();
+    for faults in [air_fedga::faults::FaultSpec::none(), churn] {
+        let mut cfg = FlSystemConfig::mnist_lr_quick();
+        cfg.faults = faults;
+        let system = cfg.build(&mut Rng64::seed_from(7107));
+        for mechanism in &mechanisms {
+            let trace = mechanism.run(&system, &mut Rng64::seed_from(7108));
+            out.push_str(&runstore::encode_trace(&trace));
+        }
+    }
+    out
 }
 
 /// `run_grid` (experiment-level parallelism) returns exactly what the
