@@ -1,5 +1,5 @@
-//! Benchmarks of the experiment-level `run_grid` / `run_replicated`
-//! parallelism layers.
+//! Benchmarks of the experiment-level parallelism layers: `run_grid` and the
+//! replicate runner (`run_replicated_isolated_plan`).
 //!
 //! * `grid/run_grid_8cells` — 8 independent (seed, mechanism) cells fanned
 //!   across the persistent worker pool through
@@ -11,7 +11,8 @@
 //!   mechanism-style cells × 3 replication seeds fanned as one flat
 //!   12-replicate grid (the over-decomposed pool schedule's target shape:
 //!   replicate costs are uneven because different seeds converge at
-//!   different round counts), folded into per-eval-point Welford stats.
+//!   different round counts) through the replicate runner (no cache,
+//!   default policy), folded into per-eval-point Welford stats.
 //! * `replicated/sequential_4cells_x3seeds` — the same product as the
 //!   sequential double loop plus the same fold; bit-identical results.
 //!
@@ -32,7 +33,9 @@ use airfedga::system::FlSystemConfig;
 use baselines::{AirFedAvg, BaselineOptions};
 use bench::bench_system;
 use criterion::{criterion_group, criterion_main, Criterion};
-use experiments::harness::{run_grid, run_replicated, RunSummary};
+use experiments::harness::{
+    run_grid, run_replicated_isolated_plan, NoCache, RunPolicy, RunSummary, SeedPlan,
+};
 use experiments::stats::CellStats;
 use fedml::rng::Rng64;
 use std::hint::black_box;
@@ -69,18 +72,24 @@ fn bench_replicated(c: &mut Criterion) {
     };
     // Cells are distinguished by a base offset folded into the run seed, so
     // every (cell, seed) replicate draws a distinct RNG stream — the same
-    // shape the figure binaries use.
+    // shape the figures use.
     let run_one = |cell: u64, seed: u64| {
         let mech = AirFedAvg::new(opts);
         RunSummary::from_trace(mech.run(&system, &mut Rng64::seed_from(cell * 1000 + seed)))
     };
     let seeds = [4242u64, 4243, 4244];
+    let plan = SeedPlan::fixed_system(21, seeds.to_vec());
     let mut group = c.benchmark_group("replicated");
     group.bench_function("run_replicated_4cells_x3seeds", |b| {
         b.iter(|| {
-            black_box(run_replicated((0..4u64).collect(), &seeds, |&cell, s| {
-                run_one(cell, s)
-            }))
+            black_box(run_replicated_isolated_plan(
+                (0..4u64).collect(),
+                &plan,
+                |i, _| format!("cell {i}"),
+                &RunPolicy::default(),
+                &NoCache,
+                |&cell, s| run_one(cell, s),
+            ))
         })
     });
     group.bench_function("sequential_4cells_x3seeds", |b| {

@@ -12,9 +12,10 @@
 
 use airfedga::mechanism::{AirFedGa, AirFedGaConfig};
 use airfedga::system::FlSystemConfig;
-use experiments::harness::{compare_mechanisms, MechanismChoice};
+use experiments::harness::{run_mechanism_cells, MechanismChoice, NoCache, RunPolicy, SeedPlan};
 use experiments::report::Table;
 use experiments::scale::Scale;
+use experiments::sweeps::scalability_cells;
 use fedml::rng::Rng64;
 use grouping::emd::average_group_emd;
 use grouping::tifl::{default_tier_count, tifl_grouping};
@@ -29,27 +30,35 @@ fn main() {
     let mechanisms = MechanismChoice::all();
 
     // Round-time measurements at two population sizes for the scalability
-    // column.
-    let mut avg_round = vec![vec![0.0f64; 2]; mechanisms.len()];
-    for (col, &n) in [n_small, n_large].iter().enumerate() {
-        let mut cfg = scale.apply(FlSystemConfig::mnist_cnn());
-        cfg.num_workers = n;
-        // Constant per-worker shard size across the two population sizes, so
-        // the scalability column measures the mechanisms, not shard shrinkage.
-        cfg.dataset.samples_per_class = 30 * n / cfg.dataset.num_classes.max(1);
-        let summaries = compare_mechanisms(
-            &cfg,
-            &mechanisms,
-            rounds,
-            scale.eval_every(),
-            None,
-            42,
-            4242,
-        );
-        for (row, s) in summaries.iter().enumerate() {
-            avg_round[row][col] = s.average_round_time;
-        }
+    // column: one cell per (population, mechanism) at a constant per-worker
+    // shard size, through the replicate runner, single seed.
+    let (configs, cells) = scalability_cells(
+        &scale.apply(FlSystemConfig::mnist_cnn()),
+        &[n_small, n_large],
+        30,
+        &mechanisms,
+    );
+    let outcome = run_mechanism_cells(
+        &configs,
+        cells,
+        rounds,
+        scale.eval_every(),
+        None,
+        &SeedPlan::fixed_system(42, vec![4242]),
+        &RunPolicy::default(),
+        &NoCache,
+    );
+    if !outcome.is_complete() {
+        eprint!("{}", outcome.failure_report());
+        std::process::exit(1);
     }
+    // Flat, population-major: the small population's mechanisms first.
+    let avg_round: Vec<f64> = outcome
+        .cells
+        .iter()
+        .flatten()
+        .map(|c| c.first().average_round_time)
+        .collect();
 
     // EMD of the participating unit per mechanism family, measured on the
     // larger system.
@@ -149,7 +158,7 @@ fn main() {
         ),
     ];
     for (name, air_time, idle, emd, row) in families {
-        let ratio = avg_round[row][1] / avg_round[row][0];
+        let ratio = avg_round[mechanisms.len() + row] / avg_round[row];
         table.add_row(vec![
             name.to_string(),
             format!("{air_time:.2}"),

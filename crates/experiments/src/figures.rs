@@ -1,6 +1,7 @@
 //! Shared driver for the loss/accuracy-vs-time figures (Figs. 3–6) and the
-//! energy figure (Fig. 9): run the AirComp mechanisms on one system, print
-//! the paper-style summary rows and dump one CSV per mechanism.
+//! energy figure (Fig. 9): list one cell per mechanism on one system, run
+//! them through `harness::run_mechanism_cells`, print the paper-style
+//! summary rows and dump one CSV per mechanism.
 //!
 //! With `num_seeds > 1` the driver replicates every mechanism over the seed
 //! stream `4242, 4243, …` (see `stats::replication_seeds`), prints
@@ -13,51 +14,24 @@
 //! virtual-time cap).
 
 use crate::harness::{
-    compare_mechanisms_replicated_durable, CellFailure, MechanismChoice, NoCache, ReplicateCache,
-    RunPolicy, RunSummary, SeedPlan,
+    run_mechanism_cells, MechanismCell, MechanismChoice, ReplicateCache, ReplicatedOutcome,
+    RunPolicy, SeedPlan,
 };
 use crate::report::{error_bar_csv, fmt_opt_secs, fmt_secs, gnuplot_script, try_write_csv, Table};
-use crate::scale::{seeds_flag, system_seeds_flag, Scale};
+use crate::scale::Scale;
 use crate::stats::{replication_seeds, CellStats};
 use airfedga::system::FlSystemConfig;
 
-/// Outcome of a figure run, returned so integration tests can assert on the
-/// reproduced *shape* (who wins, roughly by how much).
-#[derive(Debug, Clone)]
-pub struct FigureOutcome {
-    /// Full replication statistics per mechanism, in the order they were
-    /// requested (a one-seed fold when the figure ran without `--seeds`).
-    pub cells: Vec<CellStats>,
-}
-
-impl FigureOutcome {
-    /// The canonical (first-seed) summaries, one per mechanism, in request
-    /// order — borrowed from [`Self::cells`] rather than stored twice.
-    pub fn summaries(&self) -> impl Iterator<Item = &RunSummary> {
-        self.cells.iter().map(|c| c.first())
-    }
-
-    /// The canonical summary for a given mechanism label.
-    pub fn get(&self, label: &str) -> &RunSummary {
-        self.summaries()
-            .find(|s| s.mechanism == label)
-            .unwrap_or_else(|| panic!("no summary for mechanism {label}"))
-    }
-}
-
-/// The run-RNG seed every figure binary historically used; replicate `r`
+/// The run-RNG seed every figure historically used; replicate `r`
 /// runs with `FIGURE_RUN_SEED + r`.
 pub const FIGURE_RUN_SEED: u64 = 4242;
 
-/// The system-construction seed shared by the figure binaries.
+/// The system-construction seed shared by the figures.
 pub const FIGURE_SYSTEM_SEED: u64 = 42;
 
 /// Everything a figure driver needs beyond the workload itself: scale,
 /// replication, seeds and the run-shape overrides a scenario file may set.
-/// [`FigureParams::from_env`] reproduces the historical binary behaviour
-/// (scale from `AIRFEDGA_SCALE`, replication from `--seeds` /
-/// `--system-seeds`, everything else at the figure defaults), and the
-/// `Default` value is the historical single-seed full-scale run.
+/// The `Default` value is the historical single-seed full-scale run.
 #[derive(Debug, Clone)]
 pub struct FigureParams {
     /// Experiment scale (worker counts, round budgets, shard sizes).
@@ -99,17 +73,6 @@ impl Default for FigureParams {
 }
 
 impl FigureParams {
-    /// The figure binaries' parameter source: scale from the environment,
-    /// replication from the `--seeds N` / `--system-seeds` flags.
-    pub fn from_env() -> Self {
-        Self {
-            scale: Scale::from_env(),
-            num_seeds: seeds_flag(),
-            vary_system: system_seeds_flag(),
-            ..Self::default()
-        }
-    }
-
     /// The seed plan these parameters describe.
     pub fn plan(&self) -> SeedPlan {
         SeedPlan {
@@ -141,75 +104,25 @@ impl FigureParams {
     }
 }
 
-/// Run one loss/accuracy-vs-time comparison (the shape of Figs. 3–6).
+/// Run one loss/accuracy-vs-time comparison (the shape of Figs. 3–6 and 9):
+/// one cell per mechanism, all on the same system, through
+/// [`run_mechanism_cells`] under the given [`RunPolicy`] and
+/// [`ReplicateCache`].
 ///
-/// * `workload` — the system preset (model + dataset).
-/// * `mechanisms` — which mechanisms to compare.
+/// * `workload` — the system preset (model + dataset), pre-scale.
 /// * `accuracy_targets` — the accuracies whose time-to-reach is reported
 ///   (e.g. the paper quotes time to a stable 80 % for Fig. 3).
 /// * `csv_prefix` — base name for the per-mechanism CSV traces.
-/// * `params` — scale, replication and run-shape overrides
-///   ([`FigureParams::from_env`] for the binaries). `num_seeds == 1`
+/// * `params` — scale, replication and run-shape overrides. `num_seeds == 1`
 ///   reproduces the historical single-seed output byte for byte; `> 1` adds
 ///   mean±std rows, `*_errorbars.csv` files and a shaded-band gnuplot script.
-pub fn run_time_accuracy_figure(
-    title: &str,
-    workload: FlSystemConfig,
-    mechanisms: &[MechanismChoice],
-    accuracy_targets: &[f64],
-    csv_prefix: &str,
-    params: &FigureParams,
-) -> FigureOutcome {
-    let run = run_time_accuracy_figure_durable(
-        title,
-        workload,
-        mechanisms,
-        accuracy_targets,
-        csv_prefix,
-        params,
-        &RunPolicy::default(),
-        &NoCache,
-    );
-    run.survivors()
-}
-
-/// Result of a durable figure run: per-mechanism statistics in request order
-/// (`None` where every replicate of a mechanism died) plus the recorded
-/// replicate failures.
-#[derive(Debug)]
-pub struct FigureRun {
-    /// Per-mechanism folded statistics, request order; `None` = the
-    /// mechanism lost every replicate.
-    pub cells: Vec<Option<CellStats>>,
-    /// Replicate failures across the flat (mechanism × seed) grid,
-    /// including the recovered ones.
-    pub failures: Vec<CellFailure>,
-}
-
-impl FigureRun {
-    /// The surviving cells as a [`FigureOutcome`] (for shape assertions and
-    /// [`print_speedups`]).
-    pub fn survivors(&self) -> FigureOutcome {
-        FigureOutcome {
-            cells: self.cells.iter().flatten().cloned().collect(),
-        }
-    }
-
-    /// True when no replicate was lost for good.
-    pub fn is_complete(&self) -> bool {
-        self.failures.iter().all(|f| f.recovered)
-    }
-}
-
-/// [`run_time_accuracy_figure`] under an explicit [`RunPolicy`] and
-/// [`ReplicateCache`]: replicates are panic-isolated (a dead mechanism is
-/// dropped from the table and CSVs instead of aborting the figure), cached
-/// replicates are loaded instead of re-run, and fresh ones are persisted as
-/// they complete. With the default policy and [`NoCache`] — how
-/// [`run_time_accuracy_figure`] calls it — a healthy run's stdout and CSV
-/// bytes are identical to the historical driver.
+///
+/// Returns the runner's outcome: per-mechanism statistics in request order
+/// plus the replicate failures. A mechanism that lost every replicate (a
+/// `None` cell) is dropped from the table and CSVs instead of aborting the
+/// figure.
 #[allow(clippy::too_many_arguments)]
-pub fn run_time_accuracy_figure_durable(
+pub fn run_time_accuracy_figure(
     title: &str,
     workload: FlSystemConfig,
     mechanisms: &[MechanismChoice],
@@ -218,7 +131,7 @@ pub fn run_time_accuracy_figure_durable(
     params: &FigureParams,
     policy: &RunPolicy,
     cache: &dyn ReplicateCache,
-) -> FigureRun {
+) -> ReplicatedOutcome {
     let scale = params.scale;
     let cfg = params.apply(workload);
     println!(
@@ -229,9 +142,17 @@ pub fn run_time_accuracy_figure_durable(
     );
     let plan = params.plan();
     let seeds = plan.run_seeds.clone();
-    let outcome = compare_mechanisms_replicated_durable(
-        &cfg,
-        mechanisms,
+    let outcome = run_mechanism_cells(
+        std::slice::from_ref(&cfg),
+        mechanisms
+            .iter()
+            .map(|&mechanism| MechanismCell {
+                config: 0,
+                mechanism,
+                xi: None,
+                label: mechanism.label().to_string(),
+            })
+            .collect(),
         params.rounds(),
         params.eval(),
         params.max_virtual_time,
@@ -239,7 +160,7 @@ pub fn run_time_accuracy_figure_durable(
         policy,
         cache,
     );
-    let cells = outcome.cells;
+    let cells = &outcome.cells;
     // Robustness columns appear only for faulty workloads, so fault-free
     // figures keep their historical byte-frozen table layout.
     let faulty = !cfg.faults.is_none();
@@ -363,17 +284,15 @@ pub fn run_time_accuracy_figure_durable(
             &gnuplot_script(title, &format!("{csv_prefix}_errorbars.png"), &series),
         );
     }
-    FigureRun {
-        cells,
-        failures: outcome.failures,
-    }
+    outcome
 }
 
-/// Print the paper's headline speed-up claim for a figure: how much faster
-/// Air-FedGA reaches `target` accuracy than each other mechanism.
-pub fn print_speedups(outcome: &FigureOutcome, target: f64) {
-    let Some(ga) = outcome
-        .summaries()
+/// Print the paper's headline speed-up claim for a figure's surviving
+/// cells: how much faster Air-FedGA's canonical (first-seed) run reaches
+/// `target` accuracy than each other mechanism's.
+pub fn print_speedups(cells: &[Option<CellStats>], target: f64) {
+    let summaries = || cells.iter().flatten().map(CellStats::first);
+    let Some(ga) = summaries()
         .find(|s| s.mechanism == "Air-FedGA")
         .and_then(|s| s.time_to_accuracy(target))
     else {
@@ -383,7 +302,7 @@ pub fn print_speedups(outcome: &FigureOutcome, target: f64) {
         );
         return;
     };
-    for s in outcome.summaries() {
+    for s in summaries() {
         if s.mechanism == "Air-FedGA" {
             continue;
         }
@@ -409,29 +328,43 @@ pub fn print_speedups(outcome: &FigureOutcome, target: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::NoCache;
 
-    fn quick_params(num_seeds: usize) -> FigureParams {
-        FigureParams {
-            scale: Scale::Quick,
-            num_seeds,
-            ..FigureParams::default()
-        }
+    fn quick_figure(
+        title: &str,
+        mechanisms: &[MechanismChoice],
+        csv_prefix: &str,
+        num_seeds: usize,
+    ) -> Vec<CellStats> {
+        let run = run_time_accuracy_figure(
+            title,
+            FlSystemConfig::mnist_lr_quick(),
+            mechanisms,
+            &[0.5],
+            csv_prefix,
+            &FigureParams {
+                scale: Scale::Quick,
+                num_seeds,
+                ..FigureParams::default()
+            },
+            &RunPolicy::default(),
+            &NoCache,
+        );
+        assert!(run.is_complete());
+        print_speedups(&run.cells, 0.5);
+        run.cells.into_iter().flatten().collect()
     }
 
     #[test]
     fn figure_driver_runs_at_quick_scale() {
-        let outcome = run_time_accuracy_figure(
+        let cells = quick_figure(
             "test figure",
-            FlSystemConfig::mnist_lr_quick(),
             &[MechanismChoice::AirFedAvg, MechanismChoice::AirFedGa],
-            &[0.5],
             "test_fig",
-            &quick_params(1),
+            1,
         );
-        assert_eq!(outcome.summaries().count(), 2);
-        assert_eq!(outcome.cells.len(), 2);
-        assert_eq!(outcome.get("Air-FedGA").mechanism, "Air-FedGA");
-        print_speedups(&outcome, 0.5);
+        assert_eq!(cells.len(), 2);
+        assert_eq!(cells[1].first().mechanism, "Air-FedGA");
     }
 
     #[test]
@@ -453,32 +386,18 @@ mod tests {
 
     #[test]
     fn replicated_figure_keeps_the_first_seed_canonical() {
-        let single = run_time_accuracy_figure(
-            "single",
-            FlSystemConfig::mnist_lr_quick(),
-            &[MechanismChoice::AirFedGa],
-            &[0.5],
-            "test_fig_s1",
-            &quick_params(1),
-        );
-        let triple = run_time_accuracy_figure(
-            "triple",
-            FlSystemConfig::mnist_lr_quick(),
-            &[MechanismChoice::AirFedGa],
-            &[0.5],
-            "test_fig_s3",
-            &quick_params(3),
-        );
+        let single = quick_figure("single", &[MechanismChoice::AirFedGa], "test_fig_s1", 1);
+        let triple = quick_figure("triple", &[MechanismChoice::AirFedGa], "test_fig_s3", 3);
         // Replicate 0 of the multi-seed run IS the single-seed run.
-        let a = &single.cells[0].first().trace;
-        let b = &triple.cells[0].first().trace;
+        let a = &single[0].first().trace;
+        let b = &triple[0].first().trace;
         assert_eq!(a.len(), b.len());
         for (pa, pb) in a.points().iter().zip(b.points()) {
             assert_eq!(pa.loss.to_bits(), pb.loss.to_bits());
             assert_eq!(pa.time.to_bits(), pb.time.to_bits());
         }
         // Error-bar statistics cover all three replicates.
-        let cell = &triple.cells[0];
+        let cell = &triple[0];
         assert_eq!(cell.seeds, vec![4242, 4243, 4244]);
         assert!(cell.points.iter().all(|p| p.loss.n == 3));
     }

@@ -1,43 +1,40 @@
-//! # experiments — regeneration harness for every table and figure
+//! # experiments — the replicate runner, figure drivers and analysis binaries
 //!
-//! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper's evaluation section (§VI) on the simulated substrate, printing the
-//! same rows/series the paper reports and (optionally) writing CSV files for
-//! plotting. The shared pieces live here:
+//! Every experiment of the paper's evaluation section (§VI) is a
+//! `(system variant × mechanism × seed)` product of independent replicates
+//! folded into per-cell statistics. The shared pieces live here:
 //!
-//! * [`harness`] — building systems, running a set of mechanisms on the same
-//!   system, and collecting time/energy-to-accuracy summaries.
-//! * [`figures`] / [`sweeps`] — the shared figure drivers (time-accuracy
+//! * [`harness`] — the one replicate runner
+//!   (`run_replicated_isolated_plan`: cache pass → parallel misses →
+//!   bounded retries → fold), `run_mechanism_cells` (which owns the
+//!   shared-system-or-per-replicate decision) and the bare `run_grid` pool
+//!   fan-out, plus the [`RunSummary`] each replicate produces.
+//! * [`figures`] / [`sweeps`] — the figure drivers (time-accuracy
 //!   comparisons, the ξ-sweep and the scalability sweep) parameterised by
-//!   [`figures::FigureParams`]; the `fig*` binaries and the `scenario`
-//!   crate's declarative spec files execute these same code paths.
+//!   [`figures::FigureParams`]: each lists its cells and system configs,
+//!   calls the runner and renders. The `scenario` crate's spec files are
+//!   their only caller: `airfedga-run scenarios/<fig>.toml` is how a figure
+//!   is run.
 //! * [`report`] — plain-text table rendering, CSV output (including the
 //!   error-bar CSVs of replicated runs) and shaded-band gnuplot scripts.
 //! * [`scale`] — the `AIRFEDGA_SCALE` switch (`full` / `quick`) so the same
-//!   binaries can be exercised in CI seconds or run at paper scale, plus the
-//!   `--seeds N` / `--system-seeds` flag parsers.
+//!   experiments can be exercised in CI seconds or run at paper scale.
 //! * [`stats`] — Welford replication statistics behind the multi-seed
-//!   error-bar flags.
+//!   error bars.
 //! * [`watchdog`] — per-cell wall-clock timeouts: a monitor thread cancels
 //!   the cooperative `simcore::cancel` token of a cell that overruns its
 //!   `[limits] cell_timeout_secs` budget, turning a hung cell into a
 //!   labelled `CellFailure` instead of a stalled grid.
 //!
+//! Figs. 3–6 and 8–10 are committed specs (`scenarios/fig*.toml`). The
+//! binaries under `src/bin/` are the analyses no scenario kind expresses:
+//!
 //! | Binary | Reproduces |
 //! |--------|------------|
-//! | `fig4_cnn_mnist`    | Fig. 4 — loss/accuracy vs time, CNN on MNIST-like |
-//! | `fig5_cnn_cifar`    | Fig. 5 — loss/accuracy vs time, CNN on CIFAR-10-like |
-//! | `fig6_vgg_imagenet` | Fig. 6 — loss/accuracy vs time, VGG-16 surrogate on ImageNet-100-like |
 //! | `fig7_grouping_boxplot` | Fig. 7 — per-group latency ranges at ξ = 0.3 |
-//! | `fig9_energy`       | Fig. 9 — aggregation energy to reach target accuracy |
 //! | `table1_comparison` | Table I — qualitative mechanism comparison, measured proxies |
 //! | `table3_emd`        | Table III — average inter-group EMD per grouping method |
 //! | `theorem1_bound`    | Theorem 1 / Corollaries 1–2 — numeric bound evaluation |
-//!
-//! The `fig3_lr_mnist`, `fig8_xi_sweep` and `fig10_scalability` binaries
-//! moved to the `scenario` crate as thin wrappers over committed scenario
-//! files (`scenarios/fig3.toml`, …) — run them, or any other spec, with
-//! `airfedga-run <scenario.toml>`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -51,7 +48,7 @@ pub mod sweeps;
 pub mod watchdog;
 
 pub use figures::FigureParams;
-pub use harness::{compare_mechanisms, run_replicated, MechanismChoice, RunSummary, SeedPlan};
+pub use harness::{MechanismChoice, RunSummary, SeedPlan};
 pub use report::{write_csv, Table};
 pub use scale::Scale;
 pub use stats::{replication_seeds, CellStats, SummaryStats, Welford};

@@ -1,60 +1,15 @@
-//! Experiment scale selection and run-size flags.
+//! Experiment scale selection.
 //!
 //! The paper's experiments use 100 workers and thousands of seconds of
 //! virtual training. Re-running everything at that scale takes minutes per
 //! figure on a laptop; CI and the Criterion benches need seconds. The
 //! `AIRFEDGA_SCALE` environment variable switches between the two without
 //! touching the experiment code: `full` (default for the binaries) or
-//! `quick`. The `--seeds N` command-line flag ([`seeds_flag`]) selects how
-//! many replication seeds the multi-seed figure binaries run, and
-//! `--system-seeds` ([`system_seeds_flag`]) makes each replicate re-sample
-//! the system (shards, profiles, initial model) as well as the run RNG.
+//! `quick`. (Replication — `--seeds N`, `--system-seeds` — is parsed by the
+//! `scenario` crate's `CliOverrides::parse`, the one place that reads the
+//! command line.)
 
 use airfedga::system::FlSystemConfig;
-
-/// Parse the `--seeds N` replication flag from the process arguments
-/// (`--seeds 3` or `--seeds=3`), returning `None` when the flag is absent —
-/// callers that have another source for the seed count (a scenario file's
-/// `run.seeds` key) use the distinction to let the CLI override the spec.
-/// Panics on a malformed value (silent fallback would mask a typo'd
-/// replication request); 0 is clamped to 1.
-pub fn seeds_flag_opt() -> Option<usize> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let value = if a == "--seeds" {
-            Some(
-                args.next()
-                    .expect("--seeds requires a value (e.g. --seeds 3)"),
-            )
-        } else {
-            a.strip_prefix("--seeds=").map(str::to_string)
-        };
-        if let Some(v) = value {
-            let n: usize = v
-                .parse()
-                .unwrap_or_else(|_| panic!("invalid --seeds value: {v:?}"));
-            return Some(n.max(1));
-        }
-    }
-    None
-}
-
-/// [`seeds_flag_opt`] with the historical default: 1 when absent — the
-/// single-seed default whose output is byte-identical to the pre-replication
-/// binaries.
-pub fn seeds_flag() -> usize {
-    seeds_flag_opt().unwrap_or(1)
-}
-
-/// Parse the `--system-seeds` flag from the process arguments. When present,
-/// replication varies the sampled system (shards, worker profiles, initial
-/// model) as well as the run seed: replicate `r` builds its system from
-/// `system_seed + r`, folding both noise sources into the error bars. The
-/// default (absent) keeps the historical one-system-per-figure behaviour,
-/// and replicate 0 always uses the historical system seed either way.
-pub fn system_seeds_flag() -> bool {
-    std::env::args().skip(1).any(|a| a == "--system-seeds")
-}
 
 /// How big an experiment to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,15 +79,6 @@ mod tests {
         assert_eq!(quick.num_workers, 20);
         assert!(quick.dataset.samples_per_class < full.dataset.samples_per_class);
         assert!(Scale::Quick.total_rounds() < Scale::Full.total_rounds());
-    }
-
-    #[test]
-    fn flag_parsers_default_when_absent() {
-        // The test harness is not invoked with experiment flags, so the
-        // parsers must report "absent" here.
-        assert_eq!(seeds_flag_opt(), None);
-        assert_eq!(seeds_flag(), 1);
-        assert!(!system_seeds_flag());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Streaming replication statistics (Welford accumulation).
 //!
-//! Multi-seed replication ([`crate::harness::run_replicated`]) folds the
+//! Multi-seed replication ([`crate::harness::run_replicated_isolated_plan`]) folds the
 //! per-seed [`crate::harness::RunSummary`] traces of one experiment cell into
 //! per-eval-point mean / standard deviation / min / max. The accumulator is
 //! Welford's online algorithm — numerically stable (no catastrophic

@@ -1,18 +1,19 @@
 //! Shared drivers for the parameter-sweep figures: the Fig. 8 ξ-sweep and
 //! the Fig. 10 scalability sweep.
 //!
-//! Historically these lived inline in the `fig8_xi_sweep` and
-//! `fig10_scalability` binaries; they are extracted here so a declarative
-//! scenario file (the `scenario` crate) and the legacy binaries execute the
-//! **same** code path — a scenario that reproduces a figure is byte-identical
-//! to the binary that always did. Both drivers take the same
-//! [`FigureParams`] bundle as the time-accuracy figures, so `--seeds N`
-//! replication, the `--system-seeds` axis, and scenario-file overrides work
-//! uniformly across every figure shape.
+//! Each driver lists its cells and system configs, hands them to
+//! `harness::run_mechanism_cells` with the caller's [`RunPolicy`] and
+//! [`ReplicateCache`], renders the surviving cells and returns the replicate
+//! failures — the same shape as the time-accuracy and grid drivers, so
+//! `--seeds N`, `--system-seeds`, `[limits]`, `--resume` / `--fresh` and
+//! panic isolation work uniformly across every scenario kind. Output for the
+//! default parameters is byte-identical to the historical `fig8_xi_sweep` /
+//! `fig10_scalability` binaries.
 
 use crate::figures::FigureParams;
 use crate::harness::{
-    compare_mechanisms_replicated, run_grid, run_replicated, MechanismChoice, RunSummary,
+    run_grid, run_mechanism_cells, CellFailure, MechanismCell, MechanismChoice, ReplicateCache,
+    RunPolicy,
 };
 use crate::report::{fmt_opt_secs, fmt_secs, try_write_csv, Table};
 use crate::scale::Scale;
@@ -68,16 +69,19 @@ impl XiSweepFigure {
     }
 }
 
-/// Run a ξ-sweep figure: one replicated grid cell per ξ value, fanned across
-/// the persistent pool, printing the time-to-target table and writing the
-/// sweep CSV. Byte-identical to the historical `fig8_xi_sweep` binary for
-/// the default parameters.
-pub fn run_xi_sweep(fig: &XiSweepFigure, params: &FigureParams) {
+/// Run a ξ-sweep figure: one Air-FedGA cell per ξ value, all on one system,
+/// printing the time-to-target table and writing the sweep CSV. A ξ whose
+/// replicates all died has no row; its failures are returned.
+pub fn run_xi_sweep(
+    fig: &XiSweepFigure,
+    params: &FigureParams,
+    policy: &RunPolicy,
+    cache: &dyn ReplicateCache,
+) -> Vec<CellFailure> {
     let scale = params.scale;
     let plan = params.plan();
-    let seeds = plan.run_seeds.clone();
+    let seeds = &plan.run_seeds;
     let cfg = params.apply(fig.workload.clone());
-    let system = cfg.build(&mut Rng64::seed_from(plan.system_seed));
     let xis = fig
         .xis
         .clone()
@@ -85,41 +89,45 @@ pub fn run_xi_sweep(fig: &XiSweepFigure, params: &FigureParams) {
     let total_rounds = params
         .total_rounds
         .unwrap_or_else(|| scale.total_rounds() * fig.rounds_factor);
-    let eval_every = params.eval();
-    let mech_for = |xi: f64| {
-        AirFedGa::new(AirFedGaConfig {
-            xi,
-            total_rounds,
-            eval_every,
-            max_virtual_time: params.max_virtual_time,
-            ..AirFedGaConfig::default()
+
+    // Group counts are seed-independent (Algorithm 3 is deterministic given
+    // the system), so they are computed once per ξ outside the replication,
+    // on the replicate-0 system.
+    let groups: Vec<usize> = {
+        let system = cfg.build(&mut Rng64::seed_from(plan.system_seed));
+        println!(
+            "{} ({} workers, {:?} scale)\n",
+            fig.title,
+            system.num_workers(),
+            scale
+        );
+        run_grid(xis.clone(), |xi| {
+            AirFedGa::new(AirFedGaConfig {
+                xi,
+                ..AirFedGaConfig::default()
+            })
+            .grouping_for(&system)
+            .num_groups()
         })
     };
-
-    println!(
-        "{} ({} workers, {:?} scale)\n",
-        fig.title,
-        system.num_workers(),
-        scale
+    let outcome = run_mechanism_cells(
+        std::slice::from_ref(&cfg),
+        xis.iter()
+            .map(|&xi| MechanismCell {
+                config: 0,
+                mechanism: MechanismChoice::AirFedGa,
+                xi: Some(xi),
+                label: format!("xi={}", fmt_xi(xi)),
+            })
+            .collect(),
+        total_rounds,
+        params.eval(),
+        params.max_virtual_time,
+        &plan,
+        policy,
+        cache,
     );
-    // Group counts are seed-independent (Algorithm 3 is deterministic given
-    // the system), so they are computed once per ξ outside the replication;
-    // under `--system-seeds` they describe the replicate-0 system.
-    let groups: Vec<usize> = run_grid(xis.clone(), |xi| {
-        mech_for(xi).grouping_for(&system).num_groups()
-    });
-    // One replicated cell per ξ; each (ξ, seed) replicate re-seeds its own
-    // run RNG (and, under `--system-seeds`, builds its own system), so the
-    // fanned sweep is bit-identical to the sequential double loop at any
-    // thread count / chunk factor.
-    let sweep = run_replicated(xis.clone(), &seeds, |&xi, seed| {
-        if plan.vary_system {
-            let sys = cfg.build(&mut Rng64::seed_from(plan.system_seed_for(seed)));
-            RunSummary::from_trace(mech_for(xi).run(&sys, &mut Rng64::seed_from(seed)))
-        } else {
-            RunSummary::from_trace(mech_for(xi).run(&system, &mut Rng64::seed_from(seed)))
-        }
-    });
+    let sweep = &outcome.cells;
 
     let mut header: Vec<String> = vec!["xi".to_string(), "groups".to_string()];
     for t in &fig.targets {
@@ -136,7 +144,8 @@ pub fn run_xi_sweep(fig: &XiSweepFigure, params: &FigureParams) {
             csv.push_str(&format!(",t{:.0}", t * 100.0));
         }
         csv.push('\n');
-        for ((xi, num_groups), cell) in xis.iter().zip(&groups).zip(&sweep) {
+        for ((xi, num_groups), cell) in xis.iter().zip(&groups).zip(sweep) {
+            let Some(cell) = cell else { continue };
             let times: Vec<Option<f64>> = fig
                 .targets
                 .iter()
@@ -178,7 +187,8 @@ pub fn run_xi_sweep(fig: &XiSweepFigure, params: &FigureParams) {
             csv.push_str(&format!(",t{pct:.0}_mean,t{pct:.0}_std,t{pct:.0}_n"));
         }
         csv.push('\n');
-        for ((xi, num_groups), cell) in xis.iter().zip(&groups).zip(&sweep) {
+        for ((xi, num_groups), cell) in xis.iter().zip(&groups).zip(sweep) {
+            let Some(cell) = cell else { continue };
             let stats: Vec<_> = fig
                 .targets
                 .iter()
@@ -197,6 +207,7 @@ pub fn run_xi_sweep(fig: &XiSweepFigure, params: &FigureParams) {
         println!("{}", table.render());
         try_write_csv(&fig.csv_name, &csv);
     }
+    outcome.failures
 }
 
 /// Description of one scalability figure (the Fig. 10 shape): sweep the
@@ -232,26 +243,82 @@ impl ScalabilityFigure {
     }
 }
 
-/// Run a scalability figure: a two-level grid (worker counts outer, the
-/// replicated mechanism comparison inner), printing the per-`N` round-time
-/// and total-time tables and writing the sweep CSV. Byte-identical to the
-/// historical `fig10_scalability` binary for the default parameters.
-pub fn run_scalability(fig: &ScalabilityFigure, params: &FigureParams) {
+/// The cells of a worker-count sweep: one system config per entry of
+/// `worker_counts` (the already-scaled `base` with that many workers) and one
+/// cell per (worker count, mechanism), worker count outermost. The sweep
+/// keeps the per-worker shard size constant at `per_worker_samples`, as in a
+/// scalability experiment where adding workers adds data: this isolates how
+/// the *mechanisms* scale with N rather than how shrinking shards speed up
+/// local training.
+pub fn scalability_cells(
+    base: &FlSystemConfig,
+    worker_counts: &[usize],
+    per_worker_samples: usize,
+    mechanisms: &[MechanismChoice],
+) -> (Vec<FlSystemConfig>, Vec<MechanismCell>) {
+    let configs = worker_counts
+        .iter()
+        .map(|&n| {
+            let mut cfg = base.clone();
+            cfg.num_workers = n;
+            cfg.dataset.samples_per_class = per_worker_samples * n / cfg.dataset.num_classes.max(1);
+            cfg
+        })
+        .collect();
+    let cells = worker_counts
+        .iter()
+        .enumerate()
+        .flat_map(|(config, &n)| {
+            mechanisms.iter().map(move |&mechanism| MechanismCell {
+                config,
+                mechanism,
+                xi: None,
+                label: format!("N={n} {}", mechanism.label()),
+            })
+        })
+        .collect();
+    (configs, cells)
+}
+
+/// Run a scalability figure: one cell per (worker count, mechanism), one
+/// system per worker count, printing the per-`N` round-time and total-time
+/// tables and writing the sweep CSV. A cell whose replicates all died shows
+/// as `n/a` and has no CSV row; its failures are returned.
+pub fn run_scalability(
+    fig: &ScalabilityFigure,
+    params: &FigureParams,
+    policy: &RunPolicy,
+    cache: &dyn ReplicateCache,
+) -> Vec<CellFailure> {
     let scale = params.scale;
     let plan = params.plan();
-    let seeds = plan.run_seeds.clone();
+    let seeds = &plan.run_seeds;
     let worker_counts = fig
         .worker_counts
         .clone()
         .unwrap_or_else(|| ScalabilityFigure::default_worker_counts(scale));
     let target = fig.target;
     let replicated = seeds.len() > 1;
-    let total_rounds = params.rounds();
-    let eval_every = params.eval();
 
-    let order: Vec<&'static str> = fig.mechanisms.iter().map(|m| m.label()).collect();
+    let (configs, cells) = scalability_cells(
+        &scale.apply(fig.workload.clone()),
+        &worker_counts,
+        fig.per_worker_samples,
+        &fig.mechanisms,
+    );
+    let outcome = run_mechanism_cells(
+        &configs,
+        cells,
+        params.rounds(),
+        params.eval(),
+        params.max_virtual_time,
+        &plan,
+        policy,
+        cache,
+    );
+
     let mut header: Vec<&str> = vec!["N"];
-    header.extend(order.iter().copied());
+    header.extend(fig.mechanisms.iter().map(|m| m.label()));
     let mut round_table = Table::new(
         &format!(
             "{} (left): average single-round time (s) vs number of workers",
@@ -276,60 +343,31 @@ pub fn run_scalability(fig: &ScalabilityFigure, params: &FigureParams) {
     } else {
         format!("n,mechanism,avg_round_s,time_to_{:.0}_s\n", target * 100.0)
     };
-
-    // Two-level grid: the outer cells are the worker counts, and each cell
-    // fans its (mechanism × seed) replicates through the pool again — nested
-    // fan-out the pool resolves without deadlock, with over-decomposition
-    // keeping threads busy across the very uneven per-mechanism costs. Every
-    // replicate derives its RNG streams from its own (system_seed, run_seed),
-    // so this is bit-identical to the sequential triple loop it replaced.
-    let per_n: Vec<(usize, Vec<CellStats>)> = run_grid(worker_counts, |n| {
-        let mut cfg = scale.apply(fig.workload.clone());
-        cfg.num_workers = n;
-        // Keep the per-worker shard size constant across the sweep, as in a
-        // scalability experiment where adding workers adds data: this
-        // isolates how the *mechanisms* scale with N rather than how
-        // shrinking shards speed up local training.
-        cfg.dataset.samples_per_class = fig.per_worker_samples * n / cfg.dataset.num_classes.max(1);
-        let cells = compare_mechanisms_replicated(
-            &cfg,
-            &fig.mechanisms,
-            total_rounds,
-            eval_every,
-            params.max_virtual_time,
-            &plan,
-        );
-        (n, cells)
-    });
-    for (n, cells) in per_n {
-        let cell = |label: &str, f: &dyn Fn(&CellStats) -> String| {
+    let per_n = outcome.cells.chunks(fig.mechanisms.len());
+    for (n, cells) in worker_counts.iter().zip(per_n) {
+        let column = |f: &dyn Fn(&CellStats) -> String| {
             cells
                 .iter()
-                .find(|c| c.mechanism == label)
-                .map(f)
-                .unwrap_or_else(|| "n/a".to_string())
+                .map(|c| c.as_ref().map_or_else(|| "n/a".to_string(), f))
+                .collect::<Vec<String>>()
         };
         let mut round_row = vec![n.to_string()];
         let mut total_row = vec![n.to_string()];
-        for label in &order {
-            if replicated {
-                round_row.push(cell(label, &|c| {
-                    c.average_round_time_stats().fmt_mean_std(1)
-                }));
-                total_row.push(cell(label, &|c| {
-                    c.time_to_accuracy_stats(target)
-                        .fmt_with_count(0, seeds.len())
-                }));
-            } else {
-                round_row.push(cell(label, &|c| fmt_secs(c.first().average_round_time)));
-                total_row.push(cell(label, &|c| {
-                    fmt_opt_secs(c.first().time_to_accuracy(target))
-                }));
-            }
+        if replicated {
+            round_row.extend(column(&|c| c.average_round_time_stats().fmt_mean_std(1)));
+            total_row.extend(column(&|c| {
+                c.time_to_accuracy_stats(target)
+                    .fmt_with_count(0, seeds.len())
+            }));
+        } else {
+            round_row.extend(column(&|c| fmt_secs(c.first().average_round_time)));
+            total_row.extend(column(&|c| {
+                fmt_opt_secs(c.first().time_to_accuracy(target))
+            }));
         }
         round_table.add_row(round_row);
         total_table.add_row(total_row);
-        for c in &cells {
+        for c in cells.iter().flatten() {
             if replicated {
                 let round = c.average_round_time_stats();
                 let tta = c.time_to_accuracy_stats(target);
@@ -359,6 +397,7 @@ pub fn run_scalability(fig: &ScalabilityFigure, params: &FigureParams) {
     println!("{}", round_table.render());
     println!("{}", total_table.render());
     try_write_csv(&fig.csv_name, &csv);
+    outcome.failures
 }
 
 /// A general mechanism constructor for sweep cells: the named mechanism at
@@ -429,7 +468,7 @@ mod tests {
 
     #[test]
     fn xi_sweep_runs_at_test_scale() {
-        run_xi_sweep(
+        let failures = run_xi_sweep(
             &XiSweepFigure {
                 title: "test xi sweep".to_string(),
                 workload: FlSystemConfig::mnist_lr_quick(),
@@ -444,6 +483,9 @@ mod tests {
                 eval_every: Some(2),
                 ..FigureParams::default()
             },
+            &RunPolicy::default(),
+            &crate::harness::NoCache,
         );
+        assert!(failures.is_empty());
     }
 }

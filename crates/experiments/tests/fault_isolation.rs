@@ -1,9 +1,11 @@
-//! End-to-end harness smoke: a grid with a deliberately panicking cell must
-//! finish, retry the cell once, and report the failure with its (cell, seed)
-//! label — instead of aborting and losing every completed cell.
+//! End-to-end harness smoke: a grid with deliberately panicking replicates
+//! must finish, retry each once, and report the failures with their
+//! (cell, seed) labels — instead of aborting and losing every completed
+//! cell.
 
 use experiments::harness::{
-    run_grid_isolated, run_replicated_isolated, MechanismChoice, RunSummary,
+    run_replicated_isolated_plan, MechanismChoice, NoCache, ReplicatedOutcome, RunPolicy,
+    RunSummary, SeedPlan,
 };
 use experiments::report::write_csv;
 use fedml::rng::Rng64;
@@ -11,21 +13,40 @@ use fedml::rng::Rng64;
 use airfedga::system::FlSystemConfig;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// `mechanisms × seeds` on the quick LR system through the one runner
+/// (default policy: one retry; no cache); `sabotage` runs first in every
+/// attempt and may panic.
+fn run_sabotaged(
+    mechanisms: Vec<MechanismChoice>,
+    seeds: &[u64],
+    sabotage: impl Fn(MechanismChoice, u64) + Sync,
+) -> ReplicatedOutcome {
+    let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(5));
+    run_replicated_isolated_plan(
+        mechanisms,
+        &SeedPlan::fixed_system(5, seeds.to_vec()),
+        |_, choice| choice.label().to_string(),
+        &RunPolicy::default(),
+        &NoCache,
+        |&choice, seed| {
+            sabotage(choice, seed);
+            let mech = choice.build(3, 1, None);
+            RunSummary::from_trace(mech.run(&system, &mut Rng64::seed_from(seed)))
+        },
+    )
+}
+
 #[test]
 fn grid_with_a_panicking_cell_completes_with_a_failure_report() {
-    let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(5));
     let retries = AtomicUsize::new(0);
-    let outcome = run_replicated_isolated(
+    let outcome = run_sabotaged(
         MechanismChoice::aircomp_trio(),
         &[4242, 4243],
-        |_, choice| choice.label().to_string(),
-        |&choice, seed| {
+        |choice, seed| {
             if choice == MechanismChoice::Dynamic && seed == 4243 {
                 retries.fetch_add(1, Ordering::SeqCst);
                 panic!("deliberately injected cell failure");
             }
-            let mech = choice.build(3, 1, None);
-            RunSummary::from_trace(mech.run(&system, &mut Rng64::seed_from(seed)))
         },
     );
 
@@ -60,23 +81,38 @@ fn grid_with_a_panicking_cell_completes_with_a_failure_report() {
     assert!(!outcome.is_complete());
 }
 
+/// A replicate that fails once and then succeeds costs the grid nothing: the
+/// sequential retry fills its slot, every cell keeps every seed, and the
+/// blip is still reported (as recovered) so flaky cells don't go unnoticed.
 #[test]
 fn transient_cell_failures_recover_on_retry() {
     let attempts = AtomicUsize::new(0);
-    let outcome = run_grid_isolated(
-        vec![0usize, 1, 2, 3],
-        |i, _| format!("cell {i}"),
-        |&cell| {
-            if cell == 1 && attempts.fetch_add(1, Ordering::SeqCst) == 0 {
+    let outcome = run_sabotaged(
+        vec![MechanismChoice::AirFedAvg, MechanismChoice::AirFedGa],
+        &[4242, 4243],
+        |choice, seed| {
+            if choice == MechanismChoice::AirFedGa
+                && seed == 4242
+                && attempts.fetch_add(1, Ordering::SeqCst) == 0
+            {
                 panic!("transient blip");
             }
-            cell * 10
         },
     );
-    assert!(outcome.is_complete());
-    assert_eq!(outcome.results, vec![Some(0), Some(10), Some(20), Some(30)]);
+    assert!(
+        outcome.is_complete(),
+        "retry should have recovered the replicate"
+    );
+    for cell in &outcome.cells {
+        assert_eq!(cell.as_ref().expect("cell survives").seeds, [4242, 4243]);
+    }
+    assert_eq!(attempts.load(Ordering::SeqCst), 2);
     assert_eq!(outcome.failures.len(), 1);
-    assert!(outcome.failures[0].recovered);
+    let failure = &outcome.failures[0];
+    assert!(failure.recovered);
+    assert_eq!(failure.attempts, 2);
+    assert_eq!(failure.message, "transient blip");
+    assert!(outcome.failure_report().contains("recovered on retry"));
 }
 
 /// Several (cell, seed) pairs die on *both* attempts: the report lists them
@@ -84,19 +120,15 @@ fn transient_cell_failures_recover_on_retry() {
 /// to `None`, and the survivors are untouched.
 #[test]
 fn multiple_dead_replicates_report_in_input_order() {
-    let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(5));
-    let outcome = run_replicated_isolated(
+    let outcome = run_sabotaged(
         vec![MechanismChoice::AirFedAvg, MechanismChoice::AirFedGa],
         &[4242, 4243],
-        |_, choice| choice.label().to_string(),
-        |&choice, seed| {
+        |choice, seed| {
             let dead = (choice == MechanismChoice::AirFedAvg && seed == 4243)
                 || choice == MechanismChoice::AirFedGa;
             if dead {
                 panic!("always dies ({}, {seed})", choice.label());
             }
-            let mech = choice.build(3, 1, None);
-            RunSummary::from_trace(mech.run(&system, &mut Rng64::seed_from(seed)))
         },
     );
 
@@ -134,19 +166,11 @@ fn multiple_dead_replicates_report_in_input_order() {
 /// surviving cells' rows, never a row for a cell that lost every replicate.
 #[test]
 fn mixed_success_and_failure_yields_a_partial_csv() {
-    let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(5));
-    let outcome = run_replicated_isolated(
-        MechanismChoice::aircomp_trio(),
-        &[4242],
-        |_, choice| choice.label().to_string(),
-        |&choice, seed| {
-            if choice == MechanismChoice::AirFedAvg {
-                panic!("dead mechanism");
-            }
-            let mech = choice.build(3, 1, None);
-            RunSummary::from_trace(mech.run(&system, &mut Rng64::seed_from(seed)))
-        },
-    );
+    let outcome = run_sabotaged(MechanismChoice::aircomp_trio(), &[4242], |choice, _| {
+        if choice == MechanismChoice::AirFedAvg {
+            panic!("dead mechanism");
+        }
+    });
 
     // Render the survivors the way the grid driver does: one row per cell
     // that still has statistics.

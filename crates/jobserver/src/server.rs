@@ -18,11 +18,10 @@
 //! One executor thread runs jobs strictly one at a time (the grid saturates
 //! the machine through the deterministic pool; see the crate docs) through
 //! `scenario::run::execute` — the *same* function the batch driver calls —
-//! with three overrides: the run store is `--resume` against the daemon's
-//! shared `<root>/runstore` (cross-job dedup), CSVs go to the job's own
-//! `jobs/<id>/results/`, and the inline sweep kinds (which keep no
-//! per-replicate results) run with the store disabled. A spec-level panic is
-//! caught and recorded as a failed job; the daemon survives.
+//! with two overrides, the same for every scenario kind: the run store is
+//! `--resume` against the daemon's shared `<root>/runstore` (cross-job
+//! dedup), and CSVs go to the job's own `jobs/<id>/results/`. A spec-level
+//! panic is caught and recorded as a failed job; the daemon survives.
 
 use crate::http::{read_request, write_response, Request};
 use crate::job::{JobRecord, JobState};
@@ -405,23 +404,16 @@ impl Server {
             .ok();
     }
 
-    /// The shared driver path: identical to `airfedga-run` on the same spec
-    /// up to the three service overrides (store root, results dir, and
-    /// store-less inline kinds).
+    /// The shared driver path: identical to `airfedga-run --resume` on the
+    /// same spec up to the two service overrides (store root, results dir).
     fn execute_spec(
         &self,
         spec_text: &str,
         job_dir: &Path,
     ) -> Result<ExecutionReport, scenario::ScenarioError> {
         let spec = ScenarioSpec::parse(spec_text)?;
-        let store = match spec.kind {
-            scenario::ScenarioKind::TimeAccuracy | scenario::ScenarioKind::Grid => {
-                StoreMode::Resume
-            }
-            _ => StoreMode::Disabled,
-        };
         let cli = CliOverrides {
-            store,
+            store: StoreMode::Resume,
             store_root: Some(self.shared.config.root.join("runstore")),
             results_dir: Some(job_dir.join("results")),
             ..CliOverrides::default()

@@ -2,8 +2,8 @@
 //!
 //! The driver reads a spec (see the `scenario` crate and `scenarios/` for
 //! the format), validates it against the component registry, and runs it
-//! through the same deterministic experiment machinery the figure binaries
-//! use. Flags:
+//! through the one replicate runner — this is how every figure of the paper
+//! is run (`airfedga-run scenarios/fig3.toml`, …). Flags:
 //!
 //! * `--seeds N` — replicate over N run seeds (overrides `run.seeds`).
 //! * `--system-seeds` — also re-sample the system per replicate.
@@ -21,16 +21,16 @@
 //! * `--results-dir DIR` — relocate CSV output away from `results/`.
 //! * `--list-components` — print the registry catalogue and exit.
 //!
-//! Scale comes from `AIRFEDGA_SCALE` (`full` / `quick`), exactly as for the
-//! figure binaries. The driver prints nothing beyond what the scenario's
-//! driver prints, so spec-driven output stays byte-comparable to the legacy
-//! binaries (CI diffs them). Exit status: 0 on a clean run, 1 when the grid
+//! Scale comes from `AIRFEDGA_SCALE` (`full` / `quick`). The driver prints
+//! nothing beyond what the scenario's driver prints, so output stays
+//! byte-comparable across schedules, resumes and the job service (CI diffs
+//! them). Exit status: 0 on a clean run, 1 when the grid
 //! finished but lost replicates for good (the failure report goes to
 //! stderr), 2 on usage/parse errors.
 
-use scenario::run::{EXIT_CLEAN, EXIT_FAILURES, EXIT_USAGE};
-use scenario::run_scenario_str;
-use scenario::Registry;
+use experiments::scale::Scale;
+use scenario::run::{execute, EXIT_CLEAN, EXIT_FAILURES, EXIT_USAGE};
+use scenario::{CliOverrides, Registry, ScenarioSpec};
 
 const USAGE: &str = "usage: airfedga-run <scenario.toml> [--seeds N] [--system-seeds] \
                      [--resume | --fresh] [--telemetry DIR] [--progress]\n\
@@ -38,45 +38,6 @@ const USAGE: &str = "usage: airfedga-run <scenario.toml> [--seeds N] [--system-s
                      \u{20}      airfedga-run --list-components\n\
                      exit status: 0 clean run; 1 grid finished with unrecovered replicate \
                      failures; 2 usage, read or spec errors";
-
-/// Extract the scenario path, rejecting unknown flags and extra operands —
-/// a typo'd flag (`--system-seed`, `--seed 3`) must fail loudly, not
-/// silently run a different experiment than the one requested.
-fn scenario_path(args: &[String]) -> Result<String, String> {
-    let mut path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seeds" => {
-                if it.next().is_none() {
-                    return Err("--seeds requires a value (e.g. --seeds 3)".to_string());
-                }
-            }
-            "--telemetry" | "--store-root" | "--results-dir" => {
-                if it.next().is_none() {
-                    return Err(format!("{a} requires a directory (e.g. {a} out/)"));
-                }
-            }
-            "--system-seeds" | "--resume" | "--fresh" | "--progress" => {}
-            _ if a.starts_with("--seeds=") => {}
-            _ if a.starts_with("--telemetry=") => {}
-            _ if a.starts_with("--store-root=") => {}
-            _ if a.starts_with("--results-dir=") => {}
-            _ if a.starts_with('-') => {
-                return Err(format!("unknown flag `{a}`"));
-            }
-            _ => {
-                if let Some(first) = &path {
-                    return Err(format!(
-                        "unexpected extra argument `{a}` (scenario file already given: {first})"
-                    ));
-                }
-                path = Some(a.clone());
-            }
-        }
-    }
-    path.ok_or_else(|| "missing scenario file".to_string())
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -88,8 +49,8 @@ fn main() {
         println!("{USAGE}");
         return;
     }
-    let path = match scenario_path(&args) {
-        Ok(path) => path,
+    let (path, cli) = match CliOverrides::parse(&args) {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("airfedga-run: {e}\n{USAGE}");
             std::process::exit(EXIT_USAGE);
@@ -98,11 +59,12 @@ fn main() {
     let text = match std::fs::read_to_string(&path) {
         Ok(text) => text,
         Err(e) => {
-            eprintln!("airfedga-run: cannot read {path}: {e}");
+            eprintln!("airfedga-run: cannot read {}: {e}", path.display());
             std::process::exit(EXIT_USAGE);
         }
     };
-    match run_scenario_str(&text) {
+    let path = path.display();
+    match ScenarioSpec::parse(&text).and_then(|spec| execute(&spec, Scale::from_env(), &cli)) {
         Ok(report) => {
             // Failures (recovered ones included) go to stderr so stdout
             // stays byte-comparable; unrecovered losses make the run fail.
@@ -133,87 +95,70 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::scenario_path;
+    use scenario::{CliOverrides, StoreMode};
+    use std::path::{Path, PathBuf};
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
+    fn parse(list: &[&str]) -> Result<(PathBuf, CliOverrides), String> {
+        let args: Vec<String> = list.iter().map(|s| s.to_string()).collect();
+        CliOverrides::parse(&args)
     }
 
     #[test]
     fn known_flags_and_one_path_are_accepted() {
+        let (path, cli) = parse(&["scenarios/fig3.toml"]).unwrap();
+        assert_eq!(path, Path::new("scenarios/fig3.toml"));
+        assert_eq!(cli.seeds, None);
+        assert_eq!(cli.store, StoreMode::Disabled);
+
+        let (path, cli) = parse(&["--seeds", "3", "s.toml", "--system-seeds"]).unwrap();
+        assert_eq!(path, Path::new("s.toml"));
+        assert_eq!(cli.seeds, Some(3));
+        assert!(cli.system_seeds);
+        // `--seeds=N` works too, and 0 is clamped to one replicate.
+        assert_eq!(parse(&["--seeds=0", "s.toml"]).unwrap().1.seeds, Some(1));
+
         assert_eq!(
-            scenario_path(&args(&["scenarios/fig3.toml"])).unwrap(),
-            "scenarios/fig3.toml"
+            parse(&["s.toml", "--resume"]).unwrap().1.store,
+            StoreMode::Resume
         );
         assert_eq!(
-            scenario_path(&args(&["--seeds", "3", "s.toml", "--system-seeds"])).unwrap(),
-            "s.toml"
+            parse(&["--fresh", "s.toml"]).unwrap().1.store,
+            StoreMode::Fresh
         );
-        assert_eq!(
-            scenario_path(&args(&["--seeds=3", "s.toml"])).unwrap(),
-            "s.toml"
-        );
-        assert_eq!(
-            scenario_path(&args(&["s.toml", "--resume"])).unwrap(),
-            "s.toml"
-        );
-        assert_eq!(
-            scenario_path(&args(&["--fresh", "s.toml"])).unwrap(),
-            "s.toml"
-        );
-        assert_eq!(
-            scenario_path(&args(&["s.toml", "--telemetry", "out/", "--progress"])).unwrap(),
-            "s.toml"
-        );
-        assert_eq!(
-            scenario_path(&args(&["--telemetry=out/tel", "s.toml"])).unwrap(),
-            "s.toml"
-        );
-        assert_eq!(
-            scenario_path(&args(&[
-                "s.toml",
-                "--store-root",
-                "sr/",
-                "--results-dir",
-                "rd/"
-            ]))
-            .unwrap(),
-            "s.toml"
-        );
-        assert_eq!(
-            scenario_path(&args(&["--store-root=sr", "--results-dir=rd", "s.toml"])).unwrap(),
-            "s.toml"
-        );
+
+        let (_, cli) = parse(&["s.toml", "--telemetry", "out/", "--progress"]).unwrap();
+        assert_eq!(cli.telemetry.as_deref(), Some("out/"));
+        assert!(cli.progress_force);
+        let (path, cli) = parse(&["--telemetry=out/tel", "s.toml"]).unwrap();
+        assert_eq!(path, Path::new("s.toml"));
+        assert_eq!(cli.telemetry.as_deref(), Some("out/tel"));
+
+        let (_, cli) = parse(&["s.toml", "--store-root", "sr/", "--results-dir", "rd/"]).unwrap();
+        assert_eq!(cli.store_root.as_deref(), Some(Path::new("sr/")));
+        assert_eq!(cli.results_dir.as_deref(), Some(Path::new("rd/")));
+        let (_, cli) = parse(&["--store-root=sr", "--results-dir=rd", "s.toml"]).unwrap();
+        assert_eq!(cli.store_root.as_deref(), Some(Path::new("sr")));
+        assert_eq!(cli.results_dir.as_deref(), Some(Path::new("rd")));
     }
 
     #[test]
     fn typoed_flags_fail_instead_of_silently_running() {
-        assert!(scenario_path(&args(&["s.toml", "--system-seed"]))
-            .unwrap_err()
-            .contains("unknown flag"));
-        assert!(scenario_path(&args(&["s.toml", "--seed", "3"]))
-            .unwrap_err()
-            .contains("unknown flag"));
-        assert!(scenario_path(&args(&["--seeds"]))
-            .unwrap_err()
-            .contains("requires a value"));
-        assert!(scenario_path(&args(&["s.toml", "--telemetry"]))
-            .unwrap_err()
-            .contains("requires a directory"));
-        assert!(scenario_path(&args(&["s.toml", "--store-root"]))
-            .unwrap_err()
-            .contains("requires a directory"));
-        assert!(scenario_path(&args(&["s.toml", "--results-dir"]))
-            .unwrap_err()
-            .contains("requires a directory"));
-        assert!(scenario_path(&args(&["s.toml", "--telemetries", "out/"]))
-            .unwrap_err()
-            .contains("unknown flag"));
-        assert!(scenario_path(&args(&["a.toml", "b.toml"]))
-            .unwrap_err()
-            .contains("extra argument"));
-        assert!(scenario_path(&args(&[]))
-            .unwrap_err()
-            .contains("missing scenario file"));
+        let err = |list: &[&str]| parse(list).unwrap_err();
+        assert!(err(&["s.toml", "--system-seed"]).contains("unknown flag"));
+        assert!(err(&["s.toml", "--seed", "3"]).contains("unknown flag"));
+        assert!(err(&["s.toml", "--system-seeds=yes"]).contains("unknown flag"));
+        assert!(err(&["s.toml", "--telemetries", "out/"]).contains("unknown flag"));
+        assert!(err(&["--seeds"]).contains("requires a value"));
+        assert!(err(&["s.toml", "--seeds="]).contains("requires a value"));
+        // A malformed replication request is a usage error, not a panic.
+        assert!(err(&["s.toml", "--seeds", "abc"]).contains("invalid --seeds value"));
+        assert!(err(&["s.toml", "--seeds", "--resume"]).contains("requires a value"));
+        for flag in ["--telemetry", "--store-root", "--results-dir"] {
+            assert!(err(&["s.toml", flag]).contains("requires a directory"));
+            assert!(err(&["s.toml", flag, "--progress"]).contains("requires a directory"));
+        }
+        assert!(err(&["s.toml", "--resume", "--fresh"]).contains("mutually exclusive"));
+        assert!(err(&["a.toml", "b.toml"]).contains("extra argument"));
+        assert!(err(&[]).contains("missing scenario file"));
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Experiments are **data, not code**: a scenario file (a TOML subset, see
 //! [`toml`]) names a workload, mechanisms, seeds and sweep axes, and one
-//! driver executes it through the deterministic `experiments` machinery
-//! (`run_grid` / `run_replicated`). The pieces:
+//! driver executes it through the one replicate runner of the `experiments`
+//! crate (`harness::run_mechanism_cells`). The pieces:
 //!
 //! * [`toml`] — the self-contained TOML-subset parser (no crates.io access,
 //!   so hand-rolled like the `crates/compat` stand-ins), with line-numbered
@@ -13,21 +13,14 @@
 //!   presets) scenario files compose from.
 //! * [`spec`] — the typed [`spec::ScenarioSpec`]: validation, defaulting,
 //!   and the deterministic sweep-axis → grid-cell expansion.
-//! * [`run`] — executing a spec through the shared figure/sweep drivers, and
-//!   the CLI glue (`--seeds` / `--system-seeds` override the spec's keys;
-//!   `--resume` / `--fresh` select the crash-safe run store).
+//! * [`run`] — executing a spec of any kind through the shared figure/sweep
+//!   drivers, and the CLI glue ([`CliOverrides::parse`]: `--seeds` /
+//!   `--system-seeds` override the spec's keys; `--resume` / `--fresh`
+//!   select the crash-safe run store).
 //!
-//! Binaries:
-//!
-//! * `airfedga-run <scenario.toml>` — run any spec file.
-//! * `fig3_lr_mnist` / `fig8_xi_sweep` / `fig10_scalability` — thin wrappers
-//!   over the committed `scenarios/fig3.toml` / `fig8.toml` / `fig10.toml`,
-//!   kept so existing workflows (and the CI determinism jobs) are untouched;
-//!   their output is byte-identical to the pre-scenario hardcoded binaries.
-//!
-//! A scenario that reproduces a figure runs the *same* code path as the
-//! figure binary, so spec-driven and legacy output are byte-identical — the
-//! CI scenario-equivalence job diffs them.
+//! One binary: `airfedga-run <scenario.toml>` runs any spec file, and the
+//! committed `scenarios/fig{3,4,5,6,8,9,9_cifar,10}.toml` are how the
+//! paper's figures are run — there are no per-figure binaries.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -38,7 +31,7 @@ pub mod spec;
 pub mod toml;
 
 pub use registry::Registry;
-pub use run::{run_scenario_str, CliOverrides, ExecutionReport, StoreMode};
+pub use run::{CliOverrides, ExecutionReport, StoreMode};
 pub use spec::{RunLimits, ScenarioKind, ScenarioSpec};
 
 /// An error from parsing or validating a scenario, with the 1-based source

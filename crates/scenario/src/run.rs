@@ -1,13 +1,12 @@
 //! Executing a validated [`ScenarioSpec`].
 //!
-//! The figure-shaped kinds (`time_accuracy`, `xi_sweep`, `scalability`)
-//! dispatch straight into the shared `experiments` drivers — the same code
-//! paths the legacy figure binaries call, so a scenario that reproduces a
-//! figure is byte-identical to the binary. The generic `grid` kind expands
-//! the sweep cross-product ([`crate::spec::expand_grid`]) and fans the flat
-//! `(cell × seed)` list through `harness::run_replicated_isolated_plan`,
-//! printing a summary table and writing `<csv_prefix>_grid.csv`; a
-//! panicking replicate is retried per the spec's `[limits]` policy, and the
+//! All four kinds run the same way: the kind's driver lists its cells and
+//! system configs — `experiments::figures` / `experiments::sweeps` for the
+//! figure shapes, [`expand_grid`] here for the generic `grid` — and hands
+//! them to the one replicate runner (`harness::run_mechanism_cells`) with
+//! the spec's `[limits]` policy and the run store as its cache, then renders
+//! its tables and CSVs from the folded cells. So panic isolation, retries,
+//! the watchdog and `--resume` / `--fresh` work for every kind; replicate
 //! failures come back in the [`ExecutionReport`] for the binary to print to
 //! stderr and fold into its exit code.
 //!
@@ -16,8 +15,7 @@
 //! select the [`StoreMode`] (a content-addressed store under `runstore/` —
 //! see the `runstore` crate — keyed by the resolved spec, so completed
 //! replicates of an interrupted grid are loaded instead of re-run), and
-//! `AIRFEDGA_SCALE` selects the scale exactly as it does for the figure
-//! binaries.
+//! `AIRFEDGA_SCALE` selects the scale.
 //!
 //! Telemetry: `--telemetry <dir>` (or the spec's `[telemetry] dir` key)
 //! enables the `telemetry` crate for the run and flushes `spans.jsonl`,
@@ -30,18 +28,16 @@
 
 use crate::spec::{expand_grid, GridCell, ScenarioKind, ScenarioSpec};
 use crate::ScenarioError;
-use experiments::figures::{
-    print_speedups, run_time_accuracy_figure_durable, FigureOutcome, FigureParams,
-};
+use experiments::figures::{print_speedups, run_time_accuracy_figure, FigureParams};
 use experiments::harness::{
-    run_replicated_isolated_plan, CellFailure, NoCache, ReplicateCache, RunPolicy, RunSummary,
+    self, run_mechanism_cells, CellFailure, MechanismCell, NoCache, ReplicateCache, RunPolicy,
 };
 use experiments::report::{fmt_opt_secs, fmt_secs, try_write_csv, Table};
-use experiments::scale::{seeds_flag_opt, system_seeds_flag, Scale};
+use experiments::scale::Scale;
+use experiments::stats::CellStats;
 use experiments::sweeps::{
-    build_sweep_mechanism, fmt_xi, run_scalability, run_xi_sweep, ScalabilityFigure, XiSweepFigure,
+    fmt_xi, run_scalability, run_xi_sweep, ScalabilityFigure, XiSweepFigure,
 };
-use fedml::rng::Rng64;
 use runstore::{CacheStats, RunStore, StoreCache};
 use std::path::{Path, PathBuf};
 
@@ -100,50 +96,70 @@ pub struct CliOverrides {
 }
 
 impl CliOverrides {
-    /// Parse the overrides from the process arguments. `Err` is a usage
-    /// problem (conflicting flags, a flag missing its value) the binary
-    /// should report and exit on.
-    pub fn from_args() -> Result<Self, String> {
-        let args: Vec<String> = std::env::args().collect();
-        let resume = args.iter().any(|a| a == "--resume");
-        let fresh = args.iter().any(|a| a == "--fresh");
-        let store = match (resume, fresh) {
-            (true, true) => {
-                return Err("--resume and --fresh are mutually exclusive".to_string());
+    /// Parse a driver command line (program name excluded) into the scenario
+    /// path and the overrides — the one place the command line is read.
+    /// Value flags take `--flag VALUE` or `--flag=VALUE`. `Err` is a usage
+    /// problem the binary reports before exiting with [`EXIT_USAGE`]: an
+    /// unknown flag or extra operand (a typo'd `--system-seed` must fail
+    /// loudly, not silently run a different experiment), a missing or
+    /// malformed value, conflicting store flags, or no scenario file.
+    pub fn parse(args: &[String]) -> Result<(PathBuf, Self), String> {
+        let mut cli = Self::default();
+        let mut path: Option<&String> = None;
+        let (mut resume, mut fresh) = (false, false);
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let (flag, attached) = match arg.split_once('=') {
+                Some((flag, value)) if flag.starts_with("--") => (flag, Some(value)),
+                _ => (arg.as_str(), None),
+            };
+            // The flag's value: attached, or the next argument unless that
+            // is another flag.
+            let mut value = |what: &str| {
+                let value = match attached {
+                    Some(v) => Some(v.to_string()),
+                    None => it.next().filter(|v| !v.starts_with('-')).cloned(),
+                };
+                value
+                    .filter(|v| !v.is_empty())
+                    .ok_or_else(|| format!("{flag} requires {what}"))
+            };
+            let mut dir = || value(&format!("a directory (e.g. {flag} out/)"));
+            match (flag, attached) {
+                ("--seeds", _) => {
+                    let v = value("a value (e.g. --seeds 3)")?;
+                    let n: usize = v
+                        .parse()
+                        .map_err(|_| format!("invalid --seeds value: {v:?}"))?;
+                    cli.seeds = Some(n.max(1));
+                }
+                ("--telemetry", _) => cli.telemetry = Some(dir()?),
+                ("--store-root", _) => cli.store_root = Some(PathBuf::from(dir()?)),
+                ("--results-dir", _) => cli.results_dir = Some(PathBuf::from(dir()?)),
+                ("--system-seeds", None) => cli.system_seeds = true,
+                ("--progress", None) => cli.progress_force = true,
+                ("--resume", None) => resume = true,
+                ("--fresh", None) => fresh = true,
+                _ if arg.starts_with('-') => return Err(format!("unknown flag `{arg}`")),
+                _ => match path {
+                    Some(first) => {
+                        return Err(format!(
+                            "unexpected extra argument `{arg}` \
+                             (scenario file already given: {first})"
+                        ));
+                    }
+                    None => path = Some(arg),
+                },
             }
+        }
+        cli.store = match (resume, fresh) {
+            (true, true) => return Err("--resume and --fresh are mutually exclusive".to_string()),
             (true, false) => StoreMode::Resume,
             (false, true) => StoreMode::Fresh,
             (false, false) => StoreMode::Disabled,
         };
-        // The directory-valued flags share one shape: `--flag DIR` or
-        // `--flag=DIR`, rejecting a missing or flag-like value.
-        let dir_flag = |flag: &str| -> Result<Option<String>, String> {
-            let mut value = None;
-            let eq = format!("{flag}=");
-            for (i, a) in args.iter().enumerate() {
-                if a == flag {
-                    match args.get(i + 1) {
-                        Some(dir) if !dir.starts_with('-') => value = Some(dir.clone()),
-                        _ => return Err(format!("{flag} requires a directory argument")),
-                    }
-                } else if let Some(dir) = a.strip_prefix(&eq) {
-                    if dir.is_empty() {
-                        return Err(format!("{flag} requires a directory argument"));
-                    }
-                    value = Some(dir.to_string());
-                }
-            }
-            Ok(value)
-        };
-        Ok(Self {
-            seeds: seeds_flag_opt(),
-            system_seeds: system_seeds_flag(),
-            store,
-            telemetry: dir_flag("--telemetry")?,
-            progress_force: args.iter().any(|a| a == "--progress"),
-            store_root: dir_flag("--store-root")?.map(PathBuf::from),
-            results_dir: dir_flag("--results-dir")?.map(PathBuf::from),
-        })
+        let path = path.ok_or_else(|| "missing scenario file".to_string())?;
+        Ok((PathBuf::from(path), cli))
     }
 }
 
@@ -153,9 +169,7 @@ impl CliOverrides {
 /// either was active.
 #[derive(Debug, Default)]
 pub struct ExecutionReport {
-    /// Replicate failures across the run, recovered ones included. Always
-    /// empty for the inline kinds (`xi_sweep`, `scalability`), which abort
-    /// on panic instead of isolating it.
+    /// Replicate failures across the run, recovered ones included.
     pub failures: Vec<CellFailure>,
     /// Run-store cache statistics (hits / recomputes / corrupt degrades)
     /// when the run used `--resume` / `--fresh`; `None` with the store
@@ -173,19 +187,10 @@ impl ExecutionReport {
         self.failures.iter().all(|f| f.recovered)
     }
 
-    /// Multi-line failure report (empty string when nothing failed), in the
-    /// same format the grid driver historically printed.
+    /// Multi-line failure report (empty string when nothing failed); see
+    /// [`harness::failure_report`].
     pub fn failure_report(&self) -> String {
-        if self.failures.is_empty() {
-            return String::new();
-        }
-        let mut out = format!("{} replicate(s) panicked:\n", self.failures.len());
-        for f in &self.failures {
-            out.push_str("  - ");
-            out.push_str(&f.describe());
-            out.push('\n');
-        }
-        out
+        harness::failure_report(&self.failures)
     }
 }
 
@@ -288,25 +293,16 @@ impl Drop for ResultsDirGuard {
 }
 
 /// Execute a validated scenario at the given scale with the given CLI
-/// overrides. Prints and writes exactly what the equivalent figure binary
-/// would (no extra banners — output stays byte-comparable); replicate
-/// failures come back in the [`ExecutionReport`] for the binary to print to
-/// stderr and turn into its exit code.
+/// overrides. Prints only what the kind's driver prints (no extra banners —
+/// output stays byte-comparable across runs); replicate failures come back
+/// in the [`ExecutionReport`] for the binary to print to stderr and turn
+/// into its exit code.
 pub fn execute(
     spec: &ScenarioSpec,
     scale: Scale,
     cli: &CliOverrides,
 ) -> Result<ExecutionReport, ScenarioError> {
     let params = figure_params(spec, scale, cli);
-    if cli.store != StoreMode::Disabled
-        && !matches!(spec.kind, ScenarioKind::TimeAccuracy | ScenarioKind::Grid)
-    {
-        return Err(ScenarioError::new(format!(
-            "[{}] --resume/--fresh apply only to time_accuracy and grid scenarios \
-             (the inline sweep kinds keep no per-replicate results to store)",
-            spec.name
-        )));
-    }
     let policy = run_policy(spec);
     let store = open_store(spec, scale, &params, cli.store, cli.store_root.as_deref())?;
     let store_cache = store.as_ref().map(StoreCache::new);
@@ -339,9 +335,9 @@ pub fn execute(
     }
 
     let grid_span = telemetry::span!("grid");
-    let mut report = match spec.kind {
+    let failures = match spec.kind {
         ScenarioKind::TimeAccuracy => {
-            let run = run_time_accuracy_figure_durable(
+            let run = run_time_accuracy_figure(
                 &spec.title,
                 spec.base_config.clone(),
                 &spec.mechanisms,
@@ -352,55 +348,51 @@ pub fn execute(
                 cache,
             );
             if let Some(target) = spec.speedup_target {
-                print_speedups(&run.survivors(), target);
+                print_speedups(&run.cells, target);
             }
             if !spec.energy_targets.is_empty() {
-                print_energy_table(spec, &params, &run.survivors());
+                print_energy_table(spec, &params, &run.cells);
             }
-            ExecutionReport {
-                failures: run.failures,
-                ..ExecutionReport::default()
-            }
+            run.failures
         }
-        ScenarioKind::XiSweep => {
-            run_xi_sweep(
-                &XiSweepFigure {
-                    title: spec.title.clone(),
-                    workload: spec.base_config.clone(),
-                    xis: spec.sweep_xi.clone(),
-                    targets: spec.accuracy_targets.clone(),
-                    csv_name: format!("{}_xi_sweep.csv", spec.csv_prefix),
-                    rounds_factor: 2,
-                },
-                &params,
-            );
-            ExecutionReport::default()
-        }
-        ScenarioKind::Scalability => {
-            run_scalability(
-                &ScalabilityFigure {
-                    title: spec.title.clone(),
-                    workload: spec.base_config.clone(),
-                    worker_counts: spec.sweep_num_workers.clone(),
-                    per_worker_samples: spec.per_worker_samples,
-                    target: spec.accuracy_targets[0],
-                    mechanisms: spec.mechanisms.clone(),
-                    csv_name: format!("{}_scalability.csv", spec.csv_prefix),
-                },
-                &params,
-            );
-            ExecutionReport::default()
-        }
-        ScenarioKind::Grid => ExecutionReport {
-            failures: run_grid_scenario(spec, &params, &policy, cache),
-            ..ExecutionReport::default()
-        },
+        ScenarioKind::XiSweep => run_xi_sweep(
+            &XiSweepFigure {
+                title: spec.title.clone(),
+                workload: spec.base_config.clone(),
+                xis: spec.sweep_xi.clone(),
+                targets: spec.accuracy_targets.clone(),
+                csv_name: format!("{}_xi_sweep.csv", spec.csv_prefix),
+                rounds_factor: 2,
+            },
+            &params,
+            &policy,
+            cache,
+        ),
+        ScenarioKind::Scalability => run_scalability(
+            &ScalabilityFigure {
+                title: spec.title.clone(),
+                workload: spec.base_config.clone(),
+                worker_counts: spec.sweep_num_workers.clone(),
+                per_worker_samples: spec.per_worker_samples,
+                target: spec.accuracy_targets[0],
+                mechanisms: spec.mechanisms.clone(),
+                csv_name: format!("{}_scalability.csv", spec.csv_prefix),
+            },
+            &params,
+            &policy,
+            cache,
+        ),
+        ScenarioKind::Grid => run_grid_scenario(spec, &params, &policy, cache),
     };
     drop(grid_span);
 
     // Cache statistics are collected even with telemetry off (the atomics
     // live on the `StoreCache` itself), so `--resume` can always summarise.
-    report.cache = store_cache.as_ref().map(StoreCache::stats);
+    let mut report = ExecutionReport {
+        failures,
+        cache: store_cache.as_ref().map(StoreCache::stats),
+        profile: None,
+    };
 
     if let Some(dir) = &telemetry_dir {
         let profile = telemetry::flush_to_dir(dir).map_err(|e| {
@@ -420,7 +412,7 @@ pub fn execute(
 /// spent to reach the spec's `run.energy_targets`. Byte-identical to the
 /// historical `fig9_energy` binary's table (single-seed cells print the
 /// canonical first-seed value, replicated cells mean±std [reached/total]).
-fn print_energy_table(spec: &ScenarioSpec, params: &FigureParams, outcome: &FigureOutcome) {
+fn print_energy_table(spec: &ScenarioSpec, params: &FigureParams, cells: &[Option<CellStats>]) {
     let num_seeds = params.num_seeds;
     let title = match &spec.energy_label {
         Some(label) => format!("Aggregation energy (J) to reach target accuracy — {label}"),
@@ -431,7 +423,7 @@ fn print_energy_table(spec: &ScenarioSpec, params: &FigureParams, outcome: &Figu
         .collect();
     let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
     let mut table = Table::new(&title, &header_refs);
-    for c in &outcome.cells {
+    for c in cells.iter().flatten() {
         let mut row = vec![c.mechanism.clone()];
         for &t in &spec.energy_targets {
             row.push(if num_seeds == 1 {
@@ -448,21 +440,24 @@ fn print_energy_table(spec: &ScenarioSpec, params: &FigureParams, outcome: &Figu
     println!("{}", table.render());
 }
 
-/// Parse and execute a scenario document with the binary defaults: scale
-/// from `AIRFEDGA_SCALE`, overrides from the command line. The entry point
-/// of `airfedga-run` and of the thin figure wrappers.
-pub fn run_scenario_str(src: &str) -> Result<ExecutionReport, ScenarioError> {
-    let spec = ScenarioSpec::parse(src)?;
-    let cli = CliOverrides::from_args().map_err(ScenarioError::new)?;
-    execute(&spec, Scale::from_env(), &cli)
+/// Names a grid cell in failure reports and run-store keys:
+/// `"N=10 xi=0.3 Air-FedGA"`, minus the axes the spec does not sweep.
+fn cell_label(cell: &GridCell) -> String {
+    let mut parts: Vec<String> = Vec::new();
+    if let Some(n) = cell.num_workers {
+        parts.push(format!("N={n}"));
+    }
+    if let Some(xi) = cell.xi {
+        parts.push(format!("xi={}", fmt_xi(xi)));
+    }
+    parts.push(cell.mechanism.label().to_string());
+    parts.join(" ")
 }
 
-/// The generic cross-product sweep: every [`GridCell`] builds its own system
-/// (axes may change the worker count) and runs its mechanism, with the flat
-/// `(cell × seed)` product fanned across the persistent pool. Cells derive
-/// all randomness from their own `(system_seed, run_seed)`, so the grid is
-/// bit-identical to the sequential double loop at any thread count / chunk
-/// factor. Returns the replicate failures (recovered ones included) for the
+/// The generic cross-product sweep: one cell per [`GridCell`]. Only the
+/// worker-count axis affects the system build (xi and the mechanism act at
+/// run time), so the system variants are one per distinct worker count.
+/// Returns the replicate failures (recovered ones included) for the
 /// caller's [`ExecutionReport`].
 fn run_grid_scenario(
     spec: &ScenarioSpec,
@@ -472,10 +467,9 @@ fn run_grid_scenario(
 ) -> Vec<CellFailure> {
     let scale = params.scale;
     let plan = params.plan();
-    let seeds = plan.run_seeds.clone();
+    let seeds = &plan.run_seeds;
     let base = params.apply(spec.base_config.clone());
     let rounds = params.rounds();
-    let eval_every = params.eval();
     let cells = expand_grid(spec);
 
     println!(
@@ -494,72 +488,43 @@ fn run_grid_scenario(
         );
     }
 
-    // Only the worker-count axis affects the system build (xi and the
-    // mechanism act at run time), so with a fixed system seed the distinct
-    // systems are one per worker count — build each once and share it
-    // across cells and replicates. Under `--system-seeds` every replicate
-    // needs its own sample, so cells build inline instead.
-    let cfg_for = |n: Option<usize>| {
-        let mut cfg = base.clone();
-        if let Some(n) = n {
-            cfg.num_workers = n;
-        }
-        cfg
-    };
     let mut distinct_ns: Vec<Option<usize>> = Vec::new();
     for cell in &cells {
         if !distinct_ns.contains(&cell.num_workers) {
             distinct_ns.push(cell.num_workers);
         }
     }
-    let shared: Vec<airfedga::system::FlSystem> = if plan.vary_system {
-        Vec::new()
-    } else {
-        distinct_ns
-            .iter()
-            .map(|&n| cfg_for(n).build(&mut Rng64::seed_from(plan.system_seed)))
-            .collect()
-    };
-    // Cells run panic-isolated: a failed (cell, seed) replicate is retried
-    // once sequentially, surviving replicates keep their statistics, and the
-    // failures are reported after the table instead of aborting the run.
-    let cell_label = |_i: usize, cell: &GridCell| {
-        let mut parts: Vec<String> = Vec::new();
-        if let Some(n) = cell.num_workers {
-            parts.push(format!("N={n}"));
-        }
-        if let Some(xi) = cell.xi {
-            parts.push(format!("xi={}", fmt_xi(xi)));
-        }
-        parts.push(cell.mechanism.label().to_string());
-        parts.join(" ")
-    };
-    let outcome = run_replicated_isolated_plan(
-        cells.clone(),
+    let configs: Vec<_> = distinct_ns
+        .iter()
+        .map(|&n| {
+            let mut cfg = base.clone();
+            if let Some(n) = n {
+                cfg.num_workers = n;
+            }
+            cfg
+        })
+        .collect();
+    let mechanism_cells = cells
+        .iter()
+        .map(|cell| MechanismCell {
+            config: distinct_ns
+                .iter()
+                .position(|&n| n == cell.num_workers)
+                .expect("cell worker count is in distinct_ns by construction"),
+            mechanism: cell.mechanism,
+            xi: cell.xi,
+            label: cell_label(cell),
+        })
+        .collect();
+    let outcome = run_mechanism_cells(
+        &configs,
+        mechanism_cells,
+        rounds,
+        params.eval(),
+        params.max_virtual_time,
         &plan,
-        cell_label,
         policy,
         cache,
-        |cell, seed| {
-            let mech = build_sweep_mechanism(
-                cell.mechanism,
-                cell.xi,
-                rounds,
-                eval_every,
-                params.max_virtual_time,
-            );
-            if plan.vary_system {
-                let system = cfg_for(cell.num_workers)
-                    .build(&mut Rng64::seed_from(plan.system_seed_for(seed)));
-                RunSummary::from_trace(mech.run(&system, &mut Rng64::seed_from(seed)))
-            } else {
-                let idx = distinct_ns
-                    .iter()
-                    .position(|&n| n == cell.num_workers)
-                    .expect("cell worker count is in distinct_ns by construction");
-                RunSummary::from_trace(mech.run(&shared[idx], &mut Rng64::seed_from(seed)))
-            }
-        },
     );
     let stats = &outcome.cells;
 
@@ -1097,13 +1062,11 @@ xi = [0.3, 1.0]
         let _ = std::fs::remove_dir_all(&root);
     }
 
-    /// `--resume`/`--fresh` are rejected for the inline sweep kinds, which
-    /// keep no per-replicate results to store.
-    #[test]
-    fn store_flags_are_rejected_for_inline_kinds() {
-        let src = r#"
+    /// Tiny sweep-kind specs; `NAME` is replaced per test so concurrent tests
+    /// never share a CSV file or a store slot.
+    const TINY_XI_SWEEP: &str = r#"
 [scenario]
-name = "test_scenario_xi"
+name = "NAME"
 kind = "xi_sweep"
 title = "test xi sweep"
 
@@ -1114,16 +1077,93 @@ workload = "mnist_lr_quick"
 accuracy_targets = [0.5]
 rounds = 4
 eval_every = 2
+seeds = 2
 
 [sweep]
-xi = [1.0]
+xi = [0.3, 1.0]
 "#;
-        let spec = ScenarioSpec::parse(src).unwrap();
-        let cli = CliOverrides {
-            store: StoreMode::Resume,
-            ..CliOverrides::default()
-        };
-        let err = execute(&spec, Scale::Quick, &cli).unwrap_err();
-        assert!(err.msg.contains("--resume/--fresh apply only"));
+
+    const TINY_SCALABILITY: &str = r#"
+[scenario]
+name = "NAME"
+kind = "scalability"
+title = "test scalability"
+
+[run]
+mechanisms = ["air-fedavg", "air-fedga"]
+accuracy_targets = [0.5]
+rounds = 4
+eval_every = 2
+seeds = 2
+
+[sweep]
+num_workers = [5, 8]
+
+[system]
+workload = "mnist_lr_quick"
+"#;
+
+    /// The sweep kinds go through the same runner as the other two, so the
+    /// run store works for them: `--fresh` computes and persists every
+    /// replicate, `--resume` replays all of them to identical CSV bytes.
+    #[test]
+    fn sweep_kinds_resume_to_identical_csv_bytes() {
+        for (src, csv, replicates) in [
+            (TINY_XI_SWEEP, "results/test_scenario_store_xi_sweep.csv", 4),
+            (
+                TINY_SCALABILITY,
+                "results/test_scenario_store_scalability.csv",
+                8,
+            ),
+        ] {
+            let spec = ScenarioSpec::parse(&src.replace("NAME", "test_scenario_store")).unwrap();
+            let run = |store: StoreMode| {
+                let cli = CliOverrides {
+                    store,
+                    ..CliOverrides::default()
+                };
+                let report = execute(&spec, Scale::Quick, &cli).unwrap();
+                assert!(report.is_clean());
+                let bytes = std::fs::read(csv).unwrap();
+                std::fs::remove_file(csv).unwrap();
+                (report.cache.expect("store was active"), bytes)
+            };
+            let (fresh_stats, fresh_bytes) = run(StoreMode::Fresh);
+            assert_eq!(fresh_stats.hits, 0);
+            assert_eq!(fresh_stats.misses, replicates);
+            let (resume_stats, resume_bytes) = run(StoreMode::Resume);
+            assert!(resume_stats.all_hits(), "{}", resume_stats.summary());
+            assert_eq!(resume_stats.hits, replicates);
+            assert_eq!(fresh_bytes, resume_bytes, "{csv} changed on resume");
+        }
+    }
+
+    /// `[limits]` and panic isolation apply to the sweep kinds too: an
+    /// injected panic is a labelled, unrecovered failure per replicate (the
+    /// binary's `EXIT_FAILURES`), not an abort.
+    #[test]
+    fn injected_panic_in_a_sweep_kind_is_a_labelled_failure() {
+        let broken = "\n[faults]\ninject_panic_round = 2\n\n[limits]\nmax_retries = 0\n";
+        for (src, first_label) in [
+            (TINY_XI_SWEEP, "xi=0.3 seed 4242"),
+            (TINY_SCALABILITY, "N=5 Air-FedAvg seed 4242"),
+        ] {
+            let src = format!("{src}{broken}").replace("NAME", "test_scenario_sweep_panic");
+            let spec = ScenarioSpec::parse(&src).unwrap();
+            let report = execute(&spec, Scale::Quick, &CliOverrides::default()).unwrap();
+            assert!(!report.is_clean());
+            let first = &report.failures[0];
+            assert_eq!((first.index, first.label.as_str()), (0, first_label));
+            assert!(
+                first.message.contains("injected fault"),
+                "{}",
+                first.message
+            );
+            assert!(report
+                .failures
+                .iter()
+                .all(|f| !f.recovered && f.attempts == 1));
+            assert!(report.failure_report().contains("FAILED (no retry)"));
+        }
     }
 }

@@ -6,8 +6,8 @@
 //! **unknown keys are rejected** (a typo'd key fails loudly instead of
 //! silently running the default). The spec then maps onto the shared
 //! experiment drivers — `FlSystemConfig` + [`FigureParams`] for the figure
-//! shapes, and the flat [`GridCell`] list `harness::run_replicated` consumes
-//! for generic sweeps.
+//! shapes, and the flat [`GridCell`] list the generic `grid` driver hands to
+//! the replicate runner.
 //!
 //! ## Sweep expansion order
 //!
@@ -115,8 +115,8 @@ pub struct ScenarioSpec {
     /// Per-worker shard size of the scalability sweep
     /// (`[sweep] per_worker_samples`, default 30).
     pub per_worker_samples: usize,
-    /// Per-cell execution limits (`[limits]`; `time_accuracy` and `grid`
-    /// kinds only). `None` — no table — keeps the historical behaviour.
+    /// Per-cell execution limits (`[limits]`). `None` — no table — keeps the
+    /// historical behaviour.
     pub limits: Option<RunLimits>,
     /// Observability settings (`[telemetry]`). A pure side-channel: the
     /// default-reset copy is what the canonical spec form hashes, so these
@@ -124,8 +124,8 @@ pub struct ScenarioSpec {
     pub telemetry: TelemetrySettings,
 }
 
-/// The `[limits]` table: per-cell retry/timeout policy for the isolated
-/// runners. Absent keys fall back to the harness defaults (one retry, no
+/// The `[limits]` table: per-cell retry/timeout policy for the replicate
+/// runner. Absent keys fall back to the harness defaults (one retry, no
 /// backoff, no timeout).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunLimits {
@@ -813,10 +813,6 @@ impl ScenarioSpec {
                     self.sweep_num_workers.is_none(),
                     "xi_sweep scenarios take no num_workers axis (use kind = \"grid\")",
                 )?;
-                need(
-                    self.limits.is_none(),
-                    "xi_sweep scenarios run inline and take no [limits] table",
-                )?;
             }
             ScenarioKind::Scalability => {
                 need(
@@ -831,10 +827,6 @@ impl ScenarioSpec {
                 need(
                     self.sweep_xi.is_none(),
                     "scalability scenarios take no xi axis (use kind = \"grid\")",
-                )?;
-                need(
-                    self.limits.is_none(),
-                    "scalability scenarios run inline and take no [limits] table",
                 )?;
             }
             ScenarioKind::Grid => {
@@ -1204,32 +1196,6 @@ system_seeds = true
         let err =
             ScenarioSpec::parse(&format!("{MINIMAL_GRID}\n[limits]\ntimeout = 5\n")).unwrap_err();
         assert!(err.msg.contains("limits.timeout"), "{}", err.msg);
-    }
-
-    #[test]
-    fn limits_table_is_rejected_for_inline_kinds() {
-        let src = r#"
-[scenario]
-name = "tiny_xi"
-kind = "xi_sweep"
-title = "Tiny xi sweep"
-
-[system]
-workload = "mnist_lr_quick"
-
-[run]
-accuracy_targets = [0.5]
-rounds = 4
-eval_every = 2
-
-[sweep]
-xi = [0.1]
-
-[limits]
-max_retries = 0
-"#;
-        let err = ScenarioSpec::parse(src).unwrap_err();
-        assert!(err.msg.contains("no [limits] table"), "{}", err.msg);
     }
 
     #[test]

@@ -60,6 +60,33 @@ xi = [1.0]
 max_retries = 0
 "#;
 
+/// A `scalability` sweep whose every replicate panics at round 2, retries
+/// disabled: the sweep kinds isolate and report like the other two.
+const SWEEP_PANIC_SPEC: &str = r#"
+[scenario]
+name = "cli_contract_sweep_panic"
+kind = "scalability"
+title = "cli contract injected panic in a sweep kind"
+
+[system]
+workload = "mnist_lr_quick"
+
+[faults]
+inject_panic_round = 2
+
+[run]
+mechanisms = ["air-fedga"]
+accuracy_targets = [0.5]
+rounds = 4
+eval_every = 2
+
+[sweep]
+num_workers = [5]
+
+[limits]
+max_retries = 0
+"#;
+
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("scenario_cli_{tag}_{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
@@ -96,6 +123,18 @@ fn usage_read_and_spec_errors_exit_2() {
     assert_eq!(run_in(&dir, &["x.toml", "--frsh"]).status.code(), Some(2));
     // Missing operand.
     assert_eq!(run_in(&dir, &[]).status.code(), Some(2));
+    // A malformed or missing `--seeds` value is a usage error (these two
+    // used to panic inside the flag parser and exit 101).
+    for args in [
+        &["x.toml", "--seeds", "abc"][..],
+        &["x.toml", "--seeds", "--resume"][..],
+    ] {
+        let out = run_in(&dir, args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("--seeds"), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: airfedga-run"), "{args:?}: {stderr}");
+    }
     // Unreadable file.
     assert_eq!(run_in(&dir, &["no_such_spec.toml"]).status.code(), Some(2));
     // Spec that fails validation.
@@ -120,13 +159,16 @@ fn clean_run_exits_0_and_unrecovered_failures_exit_1() {
         String::from_utf8_lossy(&clean.stderr)
     );
 
-    let failed = run_in(&dir, &["panic.toml"]);
-    assert_eq!(failed.status.code(), Some(1));
-    let stderr = String::from_utf8(failed.stderr).unwrap();
-    assert!(
-        stderr.contains("replicate(s) panicked"),
-        "stderr was: {stderr}"
-    );
+    fs::write(dir.join("sweep_panic.toml"), SWEEP_PANIC_SPEC).unwrap();
+    for spec in ["panic.toml", "sweep_panic.toml"] {
+        let failed = run_in(&dir, &[spec]);
+        assert_eq!(failed.status.code(), Some(1), "{spec}");
+        let stderr = String::from_utf8(failed.stderr).unwrap();
+        assert!(
+            stderr.contains("replicate(s) panicked"),
+            "{spec}: stderr was: {stderr}"
+        );
+    }
     fs::remove_dir_all(&dir).ok();
 }
 

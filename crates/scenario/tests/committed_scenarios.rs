@@ -2,11 +2,15 @@
 //! carry the shape its figure (or novel workload) expects — a spec that
 //! drifts from the registry or the format fails here, not at run time in CI.
 
+use airfedga::system::FlSystemConfig;
 use experiments::harness::MechanismChoice;
 use scenario::spec::expand_grid;
 use scenario::{ScenarioKind, ScenarioSpec};
 
 const FIG3: &str = include_str!("../../../scenarios/fig3.toml");
+const FIG4: &str = include_str!("../../../scenarios/fig4.toml");
+const FIG5: &str = include_str!("../../../scenarios/fig5.toml");
+const FIG6: &str = include_str!("../../../scenarios/fig6.toml");
 const FIG8: &str = include_str!("../../../scenarios/fig8.toml");
 const FIG9: &str = include_str!("../../../scenarios/fig9.toml");
 const FIG9_CIFAR: &str = include_str!("../../../scenarios/fig9_cifar.toml");
@@ -21,6 +25,9 @@ const WATCHDOG: &str = include_str!("../../../scenarios/watchdog_smoke.toml");
 fn every_committed_scenario_parses_and_validates() {
     for (name, src) in [
         ("fig3", FIG3),
+        ("fig4", FIG4),
+        ("fig5", FIG5),
+        ("fig6", FIG6),
         ("fig8", FIG8),
         ("fig9", FIG9),
         ("fig9_cifar", FIG9_CIFAR),
@@ -65,6 +72,57 @@ fn fig3_spec_matches_the_historical_binary_shape() {
     // The workload preset is the paper's headline config.
     assert_eq!(spec.base_config.num_workers, 100);
     assert_eq!(spec.base_config.dataset.name, "mnist-like");
+}
+
+/// Figs. 4–6 were binaries until the one-runner refactor; their specs carry
+/// the binaries' titles, workloads, targets, CSV prefixes and speed-up
+/// targets verbatim.
+#[test]
+fn fig4_to_fig6_specs_match_the_historical_binary_shapes() {
+    let expected = [
+        (
+            FIG4,
+            "Fig. 4: CNN on MNIST-like (loss/accuracy vs time)",
+            "fig4",
+            FlSystemConfig::mnist_cnn(),
+            [0.8, 0.85, 0.9],
+            0.8,
+        ),
+        (
+            FIG5,
+            "Fig. 5: CNN on CIFAR-10-like (loss/accuracy vs time)",
+            "fig5",
+            FlSystemConfig::cifar_cnn(),
+            [0.45, 0.5, 0.55],
+            0.5,
+        ),
+        (
+            FIG6,
+            "Fig. 6: VGG-16 surrogate on ImageNet-100-like (loss/accuracy vs time)",
+            "fig6",
+            FlSystemConfig::imagenet_vgg(),
+            [0.3, 0.4, 0.5],
+            0.4,
+        ),
+    ];
+    for (src, title, csv_prefix, workload, targets, speedup) in expected {
+        let spec = ScenarioSpec::parse(src).unwrap();
+        assert_eq!(spec.kind, ScenarioKind::TimeAccuracy);
+        assert_eq!(spec.title, title);
+        assert_eq!(spec.csv_prefix, csv_prefix);
+        assert_eq!(spec.mechanisms, MechanismChoice::aircomp_trio());
+        assert_eq!(spec.accuracy_targets, targets);
+        assert_eq!(spec.speedup_target, Some(speedup));
+        assert!(spec.energy_targets.is_empty());
+        // Historical seeds and replication, and the preset untouched.
+        assert_eq!((spec.system_seed, spec.run_seed), (42, 4242));
+        assert_eq!(spec.num_seeds, 1);
+        assert!(!spec.vary_system);
+        assert_eq!(spec.num_workers, None);
+        assert_eq!(spec.base_config.dataset.name, workload.dataset.name);
+        assert_eq!(spec.base_config.model, workload.model);
+        assert_eq!(spec.base_config.num_workers, workload.num_workers);
+    }
 }
 
 #[test]
