@@ -5,6 +5,7 @@
 //! Algorithm-2 power-control solve, the Algorithm-3 grouping (run once per
 //! training job), EMD evaluation and the event queue.
 
+use bench::reference::air_aggregate;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fedml::dataset::SyntheticSpec;
 use fedml::model::{Mlp, Model};
@@ -18,7 +19,7 @@ use grouping::tifl::tifl_grouping;
 use grouping::worker_info::{Grouping, WorkerInfo};
 use simcore::events::EventQueue;
 use std::hint::black_box;
-use wireless::aircomp::{air_aggregate, AirAggregationInput};
+use wireless::aircomp::AirAggregationInput;
 use wireless::power::{optimize_power, PowerControlConfig};
 
 fn synthetic_workers(n: usize, classes: usize) -> Vec<WorkerInfo> {

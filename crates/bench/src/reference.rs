@@ -1,5 +1,6 @@
 //! Reference implementations kept out of the library crates: the per-sample
-//! trainer and the spawn-per-call fork/join ([`fork_join_chunks_spawned`]).
+//! trainer, the spawn-per-call fork/join ([`fork_join_chunks_spawned`]) and
+//! the allocating over-the-air aggregation ([`air_aggregate`]).
 //!
 //! ## The per-sample reference trainer
 //!
@@ -25,6 +26,7 @@ use fedml::model::{LogisticRegression, Mlp, Model};
 use fedml::optimizer::SgdConfig;
 use fedml::params::FlatParams;
 use fedml::rng::Rng64;
+use wireless::aircomp::{air_aggregate_into, AirAggregationInput, AirAggregationScratch};
 
 /// Per-sample loss and averaged gradient of a [`LogisticRegression`] model —
 /// the reference implementation of `Model::loss_and_gradient`.
@@ -191,10 +193,85 @@ pub fn fork_join_chunks_spawned<F: Fn(usize) + Sync>(chunks: usize, run: &F) {
     });
 }
 
+/// Result of one allocating over-the-air aggregation ([`air_aggregate`]).
+#[derive(Debug, Clone)]
+pub struct AirAggregationResult {
+    /// The denoised group estimate `w̃_j^t = y_t / (D_j √η_t)`.
+    pub group_estimate: FlatParams,
+    /// The ideal (error-free) group model `Σ (d_i/D_j) w_i^t` of Eq. (15).
+    pub ideal_group_model: FlatParams,
+    /// Squared L2 norm of the aggregation error `ε_j^t` (Eq. (17)).
+    pub error_norm_sq: f64,
+    /// Energy `E_i^t` spent by each participating worker (Eq. (7)).
+    pub per_worker_energy: Vec<f64>,
+    /// Total data size `D_{j_t}` of the participants.
+    pub group_data_size: f64,
+}
+
+impl AirAggregationResult {
+    /// Mean squared error per model coordinate.
+    pub fn mse(&self) -> f64 {
+        self.error_norm_sq / self.group_estimate.dim() as f64
+    }
+
+    /// Total energy spent by the group in this aggregation.
+    pub fn total_energy(&self) -> f64 {
+        self.per_worker_energy.iter().sum()
+    }
+}
+
+/// One over-the-air aggregation (Eq. (9) + the denoising of Eq. (10)) into
+/// freshly allocated buffers: the allocating baseline of the
+/// `aircomp_aggregation` bench group and the fresh-buffer side of the
+/// bit-identity property tests. Same arguments, panics, accumulation order
+/// and RNG draws as [`air_aggregate_into`], which it wraps.
+pub fn air_aggregate(
+    inputs: &[AirAggregationInput<'_>],
+    sigma: f64,
+    eta: f64,
+    noise_variance: f64,
+    rng: &mut Rng64,
+) -> AirAggregationResult {
+    let dim = inputs.first().map_or(0, |c| c.params.dim());
+    let mut group_estimate = FlatParams::zeros(dim);
+    let mut scratch = AirAggregationScratch::new();
+    let stats = air_aggregate_into(
+        inputs,
+        sigma,
+        eta,
+        noise_variance,
+        rng,
+        &mut group_estimate,
+        &mut scratch,
+    );
+    AirAggregationResult {
+        group_estimate,
+        ideal_group_model: scratch.ideal,
+        error_norm_sq: stats.error_norm_sq,
+        per_worker_energy: scratch.per_worker_energy,
+        group_data_size: stats.group_data_size,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use fedml::dataset::SyntheticSpec;
+
+    #[test]
+    fn mse_is_error_over_dimension() {
+        let w = FlatParams(vec![1.0; 10]);
+        let inputs = vec![AirAggregationInput {
+            data_size: 1.0,
+            channel_gain: 1.0,
+            params: &w,
+        }];
+        let mut rng = Rng64::seed_from(5);
+        let res = air_aggregate(&inputs, 1.0, 1.0, 0.5, &mut rng);
+        assert!((res.mse() - res.error_norm_sq / 10.0).abs() < 1e-15);
+        // p = d*sigma/h = 1 ; E = ||p w||^2 = 10.
+        assert!((res.total_energy() - 10.0).abs() < 1e-12);
+    }
 
     #[test]
     fn spawned_reference_runs_every_chunk() {

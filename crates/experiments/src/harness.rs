@@ -8,14 +8,18 @@
 //!   persistent worker pool, results in input order, nested fan-out allowed
 //!   (each cell's training rounds use the pool again; see the `parallel`
 //!   crate docs).
-//! * [`run_replicated_isolated_plan`] — **the** runner: cache pass →
-//!   parallel misses (stored as they complete) → bounded input-order retries
-//!   → per-cell fold. Panic isolation, the [`RunPolicy`] watchdog/retries
-//!   and the [`ReplicateCache`] apply to everything that goes through it.
+//! * [`run_replicated_isolated_plan`] — **the** runner: cache pass → group
+//!   the misses that are one computation → parallel pass over the group
+//!   leaders (stored as they complete) → bounded input-order retries →
+//!   per-cell fold. Panic isolation, the [`RunPolicy`] watchdog/retries and
+//!   the [`ReplicateCache`] apply to everything that goes through it.
 //! * [`run_mechanism_cells`] — the runner for cells that are "a mechanism on
 //!   one of these systems": it owns the decision to build each system once
-//!   and share it, or to re-sample it per replicate (`--system-seeds`).
-//!   Every scenario kind and `table1_comparison` call this.
+//!   (lazily, by the first replicate that needs it) and share it, or to
+//!   re-sample it per replicate (`--system-seeds`), and it tells the runner
+//!   which cells are the same computation (those that differ only in a ξ
+//!   their mechanism never reads). Every scenario kind and
+//!   `table1_comparison` call this.
 //!
 //! **Seed-stream contract** (see [`crate::stats::replication_seeds`]):
 //! replicate `r` of a cell runs with seed `seeds[r]`, and the figures use
@@ -27,17 +31,19 @@
 //! `PARALLEL_THREADS` / `PARALLEL_CHUNKS` setting, and to a resumed one.
 
 use crate::stats::CellStats;
-use crate::sweeps::build_sweep_mechanism;
+use crate::sweeps::{build_sweep_mechanism, effective_xi};
 use airfedga::mechanism::{AirFedGa, AirFedGaConfig};
 use airfedga::system::{FlMechanism, FlSystem, FlSystemConfig};
 use baselines::{AirFedAvg, BaselineOptions, Dynamic, DynamicConfig, FedAvg, TiFl};
 use fedml::rng::Rng64;
 use parallel::prelude::*;
 use simcore::trace::TrainingTrace;
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
 
 /// Which mechanism to include in a comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum MechanismChoice {
     /// The paper's contribution.
     AirFedGa,
@@ -372,6 +378,10 @@ pub trait ReplicateCache: Sync {
     /// Persist a freshly completed replicate. Must be atomic (a torn write
     /// must never be loadable) and infallible from the caller's view —
     /// storage errors should degrade to "not cached", not kill the grid.
+    /// The summary may have been computed for a sibling cell that is the
+    /// same computation (see [`run_mechanism_cells`]); it is bit for bit what
+    /// this replicate would have produced, and it is stored under this
+    /// replicate's own coordinates.
     fn store(
         &self,
         cell_index: usize,
@@ -424,6 +434,11 @@ pub struct ReplicatedOutcome {
     /// First-attempt failures across the flat (cell × seed) grid, recovered
     /// ones included, in flat-index order.
     pub failures: Vec<CellFailure>,
+    /// Replicates that were not run themselves but took the result of an
+    /// identical replicate computed in this run (always 0 through
+    /// [`run_replicated_isolated_plan`], where every cell is its own
+    /// computation).
+    pub shared: usize,
 }
 
 impl ReplicatedOutcome {
@@ -439,35 +454,10 @@ impl ReplicatedOutcome {
 }
 
 /// Run the full (cell × seed) replication product and fold each cell's
-/// replicates into [`CellStats`] — the only code that runs replicates.
-///
-/// `run_cell(&cell, seed)` runs one replicate under [`run_grid`]'s
-/// determinism contract (all randomness from the cell's own data and the
-/// seed, no I/O). The product is laid out cell-major — `(cell 0, seeds[0]),
-/// (cell 0, seeds[1]), …` — and executed in four steps:
-///
-/// 1. **Cache pass**, sequential and in input order: replicates the
-///    [`ReplicateCache`] holds are loaded, the rest queued. A fully warmed
-///    cache replays the grid without touching the worker pool.
-/// 2. **Parallel pass** over the misses as one flat [`run_grid`], so a slow
-///    replicate never serializes the others. Each attempt is panic-isolated
-///    and runs under the [`RunPolicy`]'s watchdog; a success is stored at
-///    once, so an interrupted grid loses only the replicates in flight.
-/// 3. **Retries**: failed replicates get up to `policy.max_retries` more
-///    attempts, sequentially and in input order. A replicate that never
-///    succeeds is dropped from its cell's statistics (the error bars cover
-///    fewer seeds) and reported as a [`CellFailure`] labelled
-///    `"<label(ci, &cell)> seed <seed>"`; its `index` is the flat
-///    (cell × seed) coordinate whether or not the cache was warm.
-/// 4. **Fold** per cell over the surviving replicates. With one seed the
-///    statistics degenerate to that run (`CellStats::first()` is the plain
-///    single-seed run, bit for bit).
-///
-/// Every replicate is bit-identical wherever and whenever it runs, so a
-/// resumed grid folds to the same [`CellStats`] — and renders the same bytes
-/// — as an uninterrupted one. `plan.system_seed_for(seed)` is part of each
-/// cache key, so `--system-seeds` replicates never collide with
-/// fixed-system ones.
+/// replicates into [`CellStats`], every cell its own computation. This is
+/// [`run_replicates`] — the only code that runs replicates; see it for the
+/// steps — with the cell index as the cell's identity, so no two replicates
+/// share a run.
 pub fn run_replicated_isolated_plan<T, F, L>(
     cells: Vec<T>,
     plan: &SeedPlan,
@@ -481,6 +471,66 @@ where
     F: Fn(&T, u64) -> RunSummary + Sync,
     L: Fn(usize, &T) -> String,
 {
+    run_replicates(cells, plan, label, |ci, _| ci, policy, cache, run_cell)
+}
+
+/// The one body behind [`run_replicated_isolated_plan`] and
+/// [`run_mechanism_cells`].
+///
+/// `run_cell(&cell, seed)` runs one replicate under [`run_grid`]'s
+/// determinism contract (all randomness from the cell's own data and the
+/// seed, no I/O). `identity(ci, &cell)` names the computation a cell stands
+/// for: the caller promises that two cells of equal identity produce, for
+/// equal seeds, bit-identical summaries. The product is laid out cell-major
+/// — `(cell 0, seeds[0]), (cell 0, seeds[1]), …` — and executed in five
+/// steps:
+///
+/// 1. **Cache pass**, sequential and in input order: replicates the
+///    [`ReplicateCache`] holds under their own key are loaded, the rest
+///    queued. A fully warmed cache replays the grid without touching the
+///    worker pool.
+/// 2. **Group** the misses by `(identity, run seed, system seed)`, in input
+///    order. The first member of a group leads: it is the only one that
+///    runs. Who leads depends on the input alone, never on the schedule.
+/// 3. **Parallel pass** over the leaders as one flat [`run_grid`], so a slow
+///    replicate never serializes the others. Each attempt is panic-isolated
+///    and runs under the [`RunPolicy`]'s watchdog; a success is stored at
+///    once under every member's own key, so an interrupted grid loses only
+///    the replicates in flight and the store holds one entry per replicate
+///    whether or not it was shared.
+/// 4. **Retries**: failed leaders get up to `policy.max_retries` more
+///    attempts, sequentially and in input order. A group that never succeeds
+///    is dropped from its cells' statistics (the error bars cover fewer
+///    seeds) and reported as one [`CellFailure`] per member, labelled
+///    `"<label(ci, &cell)> seed <seed>"`; its `index` is the member's flat
+///    (cell × seed) coordinate whether or not the cache was warm — what a
+///    runner that shared nothing would report.
+/// 5. **Fold** per cell over the surviving replicates, followers holding a
+///    clone of their leader's summary. With one seed the statistics
+///    degenerate to that run (`CellStats::first()` is the plain single-seed
+///    run, bit for bit).
+///
+/// Every replicate is bit-identical wherever and whenever it runs, so a
+/// resumed grid folds to the same [`CellStats`] — and renders the same bytes
+/// — as an uninterrupted one. `plan.system_seed_for(seed)` is part of each
+/// cache key, so `--system-seeds` replicates never collide with
+/// fixed-system ones.
+fn run_replicates<T, K, F, L, I>(
+    cells: Vec<T>,
+    plan: &SeedPlan,
+    label: L,
+    identity: I,
+    policy: &RunPolicy,
+    cache: &dyn ReplicateCache,
+    run_cell: F,
+) -> ReplicatedOutcome
+where
+    T: Sync + Send,
+    K: Ord,
+    F: Fn(&T, u64) -> RunSummary + Sync,
+    L: Fn(usize, &T) -> String,
+    I: Fn(usize, &T) -> K,
+{
     let seeds = &plan.run_seeds;
     assert!(!seeds.is_empty(), "replication needs at least one seed");
     let labels: Vec<String> = cells
@@ -491,9 +541,6 @@ where
     let pairs: Vec<(usize, u64)> = (0..cells.len())
         .flat_map(|ci| seeds.iter().map(move |&s| (ci, s)))
         .collect();
-    let store = |(ci, seed): (usize, u64), summary: &RunSummary| {
-        cache.store(ci, &labels[ci], seed, plan.system_seed_for(seed), summary);
-    };
 
     // 1. Cache pass.
     let progress = telemetry::progress::Reporter::new("cells", pairs.len());
@@ -508,66 +555,89 @@ where
         results.push(hit);
     }
 
-    // 2. Parallel pass over the misses.
-    let first_pass: Vec<Result<RunSummary, String>> = run_grid(todo.clone(), |flat| {
+    // 2. Group the misses that are one computation, groups in the input
+    // order of their first member; `group[0]` leads.
+    let mut by_key: BTreeMap<(K, u64, u64), Vec<usize>> = BTreeMap::new();
+    for flat in todo {
         let (ci, seed) = pairs[flat];
+        let key = (identity(ci, &cells[ci]), seed, plan.system_seed_for(seed));
+        by_key.entry(key).or_default().push(flat);
+    }
+    let mut groups: Vec<Vec<usize>> = by_key.into_values().collect();
+    groups.sort_by_key(|group| group[0]);
+    // A leader's result, stored under every member's own key.
+    let store = |group: &[usize], summary: &RunSummary| {
+        for &flat in group {
+            let (ci, seed) = pairs[flat];
+            cache.store(ci, &labels[ci], seed, plan.system_seed_for(seed), summary);
+        }
+    };
+
+    // 3. Parallel pass over the leaders.
+    let first_pass: Vec<Result<RunSummary, String>> = run_grid((0..groups.len()).collect(), |g| {
+        let group = &groups[g];
+        let (ci, seed) = pairs[group[0]];
         let _scope = telemetry::spans::scope(ci as i64, seed as i64, 0);
         let _span = telemetry::span!("replicate", seed);
         let attempt = attempt_cell(policy, || run_cell(&cells[ci], seed));
         if let Ok(summary) = &attempt {
-            store(pairs[flat], summary);
-            progress.done(true);
+            store(group, summary);
+            for _ in group {
+                progress.done(true);
+            }
         }
         attempt
     });
 
-    // 3. Bounded sequential retries, input order.
+    // 4. Bounded sequential retries, input order.
     let mut failures: Vec<CellFailure> = Vec::new();
-    for (flat, attempt) in todo.into_iter().zip(first_pass) {
-        let (ci, seed) = pairs[flat];
-        let first_message = match attempt {
-            Ok(summary) => {
-                results[flat] = Some(summary);
-                continue;
-            }
-            Err(message) => message,
-        };
+    let mut shared = 0usize;
+    for (group, mut attempt) in groups.iter().zip(first_pass) {
+        let (ci, seed) = pairs[group[0]];
+        let first_message = attempt.as_ref().err().cloned();
         let mut attempts = 1usize;
-        let mut last_message = first_message.clone();
-        while results[flat].is_none() && attempts <= policy.max_retries {
+        while attempt.is_err() && attempts <= policy.max_retries {
             policy.backoff_sleep(attempts);
             telemetry::metrics::HARNESS_RETRIES.add(1);
             progress.retried();
             attempts += 1;
             let _scope = telemetry::spans::scope(ci as i64, seed as i64, (attempts - 1) as u32);
             let _span = telemetry::span!("replicate", seed);
-            match attempt_cell(policy, || run_cell(&cells[ci], seed)) {
-                Ok(summary) => {
-                    store(pairs[flat], &summary);
-                    results[flat] = Some(summary);
-                }
-                Err(message) => last_message = message,
+            attempt = attempt_cell(policy, || run_cell(&cells[ci], seed));
+            if let Ok(summary) = &attempt {
+                store(group, summary);
             }
         }
-        let recovered = results[flat].is_some();
-        progress.done(recovered);
-        failures.push(CellFailure {
-            index: flat,
-            label: format!("{} seed {}", labels[ci], seed),
-            // Recovered replicates report what first went wrong; dead ones
-            // report the final attempt's panic.
-            message: if recovered {
-                first_message
-            } else {
-                last_message
-            },
-            recovered,
-            attempts,
-        });
+        if let Some(first_message) = first_message {
+            for &flat in group {
+                progress.done(attempt.is_ok());
+                failures.push(CellFailure {
+                    index: flat,
+                    label: format!("{} seed {}", labels[pairs[flat].0], seed),
+                    // Recovered replicates report what first went wrong; dead
+                    // ones report the final attempt's panic.
+                    message: match &attempt {
+                        Ok(_) => first_message.clone(),
+                        Err(last_message) => last_message.clone(),
+                    },
+                    recovered: attempt.is_ok(),
+                    attempts,
+                });
+            }
+        }
+        if let Ok(summary) = attempt {
+            shared += group.len() - 1;
+            for &follower in &group[1..] {
+                results[follower] = Some(summary.clone());
+            }
+            results[group[0]] = Some(summary);
+        }
     }
+    failures.sort_by_key(|f| f.index);
+    telemetry::metrics::HARNESS_SHARED_REPLICATES.add(shared as u64);
     progress.finish();
 
-    // 4. Fold per cell over the surviving replicates.
+    // 5. Fold per cell over the surviving replicates.
     let mut flat_iter = results.into_iter();
     let folded = (0..cells.len())
         .map(|_| {
@@ -582,6 +652,7 @@ where
     ReplicatedOutcome {
         cells: folded,
         failures,
+        shared,
     }
 }
 
@@ -649,16 +720,43 @@ pub struct MechanismCell {
     pub label: String,
 }
 
-/// [`run_replicated_isolated_plan`] for cells that each run a mechanism on
-/// one of a few system variants — every scenario kind has this shape. This
-/// function alone decides how systems are shared: under a fixed-system plan
-/// each of `configs` is built once from `plan.system_seed`, eagerly and
-/// before the cache pass, and shared by every cell and replicate that names
-/// it; under `plan.vary_system` every replicate builds its own from
-/// `plan.system_seed_for(seed)`. Mechanisms come from
-/// [`build_sweep_mechanism`] at the given round budget. With one seed,
-/// [`NoCache`] and the default policy this is the plain "same system, same
-/// run seed, every mechanism" comparison of Figs. 3–6.
+impl MechanismCell {
+    /// The computation this cell stands for on a given seed: its system
+    /// variant, its mechanism and the ξ that mechanism is actually built
+    /// with ([`effective_xi`], by bit pattern). Cells of equal identity
+    /// differ at most in a ξ nothing reads, and in their label.
+    fn identity(&self) -> (usize, MechanismChoice, Option<u64>) {
+        let xi = effective_xi(self.mechanism, self.xi);
+        (self.config, self.mechanism, xi.map(f64::to_bits))
+    }
+}
+
+/// The runner for cells that each run a mechanism on one of a few system
+/// variants — every scenario kind has this shape. Two decisions live here
+/// and nowhere else.
+///
+/// **How systems are shared.** Under a fixed-system plan each of `configs`
+/// is built at most once from `plan.system_seed`, by the first replicate
+/// that needs it, and shared by every cell and replicate that names it; a
+/// config no cache miss names is never built, so an all-hits run builds
+/// nothing. Lazy is bit-safe because a build is a function of the config and
+/// the seed alone — whichever replicate gets there first builds the same
+/// system — and emits no telemetry, so nothing leaks into that replicate's
+/// spans. (A build must not fan out on the pool: a helping join inside the
+/// initialiser could pick up a replicate that waits on the same system.)
+/// Under `plan.vary_system` every replicate builds its own from
+/// `plan.system_seed_for(seed)`.
+///
+/// **Which cells are one computation.** A cell's identity is its config, its
+/// mechanism and the ξ that mechanism is built with — [`effective_xi`], the
+/// same function [`build_sweep_mechanism`] applies, compared by bit pattern
+/// — so grid cells that differ only in a ξ their mechanism never reads train
+/// once per seed and the rest take that result (see
+/// [`ReplicatedOutcome::shared`]).
+///
+/// Mechanisms come from [`build_sweep_mechanism`] at the given round budget.
+/// With one seed, [`NoCache`] and the default policy this is the plain "same
+/// system, same run seed, every mechanism" comparison of Figs. 3–6.
 #[allow(clippy::too_many_arguments)]
 pub fn run_mechanism_cells(
     configs: &[FlSystemConfig],
@@ -671,17 +769,12 @@ pub fn run_mechanism_cells(
     cache: &dyn ReplicateCache,
 ) -> ReplicatedOutcome {
     let build = |config: usize, seed: u64| configs[config].build(&mut Rng64::seed_from(seed));
-    let shared: Vec<FlSystem> = if plan.vary_system {
-        Vec::new()
-    } else {
-        (0..configs.len())
-            .map(|config| build(config, plan.system_seed))
-            .collect()
-    };
-    run_replicated_isolated_plan(
+    let shared: Vec<OnceLock<FlSystem>> = configs.iter().map(|_| OnceLock::new()).collect();
+    run_replicates(
         cells,
         plan,
         |_, cell| cell.label.clone(),
+        |_, cell| cell.identity(),
         policy,
         cache,
         |cell, seed| {
@@ -693,12 +786,15 @@ pub fn run_mechanism_cells(
                 max_virtual_time,
             );
             let own;
-            let system = match shared.get(cell.config) {
-                Some(system) => system,
-                None => {
-                    own = build(cell.config, plan.system_seed_for(seed));
-                    &own
-                }
+            let system = if plan.vary_system {
+                own = build(cell.config, plan.system_seed_for(seed));
+                &own
+            } else {
+                shared[cell.config].get_or_init(|| {
+                    #[cfg(test)]
+                    tests::SHARED_SYSTEM_BUILDS.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                    build(cell.config, plan.system_seed)
+                })
             };
             RunSummary::from_trace(mech.run(system, &mut Rng64::seed_from(seed)))
         },
@@ -709,6 +805,12 @@ pub fn run_mechanism_cells(
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+
+    /// Shared systems built by `run_mechanism_cells` in this test process.
+    /// Only the subprocess of `shared_systems_are_built_once_per_config_with_a_miss`
+    /// reads it: there no other test runs beside it.
+    pub(super) static SHARED_SYSTEM_BUILDS: AtomicUsize = AtomicUsize::new(0);
 
     const DUO: [MechanismChoice; 2] = [MechanismChoice::AirFedAvg, MechanismChoice::AirFedGa];
 
@@ -759,6 +861,90 @@ mod tests {
             assert_eq!(x.time.to_bits(), y.time.to_bits());
             assert_eq!(x.energy.to_bits(), y.energy.to_bits());
         }
+    }
+
+    type Key = (usize, String, u64, u64);
+
+    /// An in-memory [`ReplicateCache`] that records what it was asked.
+    #[derive(Default)]
+    struct MapCache {
+        stored: Mutex<BTreeMap<Key, RunSummary>>,
+        hits: AtomicUsize,
+        misses: AtomicUsize,
+    }
+
+    impl MapCache {
+        /// Every stored replicate under its own key, summaries rendered with
+        /// `Debug` (shortest round-trip floats: equal text ⇔ equal bits).
+        fn encoded(&self) -> BTreeMap<Key, String> {
+            let stored = self.stored.lock().unwrap();
+            stored
+                .iter()
+                .map(|(key, summary)| (key.clone(), format!("{summary:?}")))
+                .collect()
+        }
+    }
+
+    impl ReplicateCache for MapCache {
+        fn load(&self, ci: usize, label: &str, run: u64, system: u64) -> Option<RunSummary> {
+            let key = (ci, label.to_string(), run, system);
+            let hit = self.stored.lock().unwrap().get(&key).cloned();
+            let counter = if hit.is_some() {
+                &self.hits
+            } else {
+                &self.misses
+            };
+            counter.fetch_add(1, Ordering::SeqCst);
+            hit
+        }
+        fn store(&self, ci: usize, label: &str, run: u64, system: u64, s: &RunSummary) {
+            let key = (ci, label.to_string(), run, system);
+            self.stored.lock().unwrap().insert(key, s.clone());
+        }
+    }
+
+    /// A ξ × five-mechanism grid on config 0, ξ outermost — the `grid`
+    /// kind's layout. Per ξ value: FedAvg, TiFL, Dynamic, Air-FedAvg,
+    /// Air-FedGA, so FedAvg's cells are 0, 5, 10, ….
+    fn xi_grid(xis: &[f64]) -> Vec<MechanismCell> {
+        let cell = |xi: f64, mechanism: MechanismChoice| MechanismCell {
+            config: 0,
+            mechanism,
+            xi: Some(xi),
+            label: format!("xi={xi} {}", mechanism.label()),
+        };
+        xis.iter()
+            .flat_map(|&xi| MechanismChoice::all().into_iter().map(move |m| cell(xi, m)))
+            .collect()
+    }
+
+    fn stub_summary(cell: &MechanismCell, seed: u64) -> RunSummary {
+        let workload = format!("seed {seed}");
+        RunSummary::from_trace(TrainingTrace::new(cell.mechanism.label(), &workload))
+    }
+
+    /// Stub replicates through the one body under the mechanism-cell
+    /// identity — for the sharing tests, which only care who ran and who
+    /// was handed what.
+    fn run_shared_stubs(
+        cells: Vec<MechanismCell>,
+        plan: &SeedPlan,
+        policy: &RunPolicy,
+        cache: &dyn ReplicateCache,
+        body: impl Fn(&MechanismCell, u64) + Sync,
+    ) -> ReplicatedOutcome {
+        run_replicates(
+            cells,
+            plan,
+            |_, cell| cell.label.clone(),
+            |_, cell| cell.identity(),
+            policy,
+            cache,
+            |cell, seed| {
+                body(cell, seed);
+                stub_summary(cell, seed)
+            },
+        )
     }
 
     /// Stub replicates — for the policy tests, which only care who ran when.
@@ -1083,23 +1269,6 @@ mod tests {
     /// statistics must be bit-identical either way.
     #[test]
     fn replicate_cache_hits_skip_recomputation() {
-        use std::collections::BTreeMap;
-        use std::sync::Mutex;
-
-        type Key = (usize, String, u64, u64);
-        #[derive(Default)]
-        struct MapCache(Mutex<BTreeMap<Key, RunSummary>>);
-        impl ReplicateCache for MapCache {
-            fn load(&self, ci: usize, label: &str, run: u64, system: u64) -> Option<RunSummary> {
-                let key = (ci, label.to_string(), run, system);
-                self.0.lock().unwrap().get(&key).cloned()
-            }
-            fn store(&self, ci: usize, label: &str, run: u64, system: u64, s: &RunSummary) {
-                let key = (ci, label.to_string(), run, system);
-                self.0.lock().unwrap().insert(key, s.clone());
-            }
-        }
-
         let system = quick_system(5);
         let calls = AtomicUsize::new(0);
         let cache = MapCache::default();
@@ -1135,9 +1304,298 @@ mod tests {
 
         // Evict one replicate: exactly that one recomputes.
         let evicted = (1, "Air-FedGA".to_string(), 4243, 42);
-        let removed = cache.0.lock().unwrap().remove(&evicted);
+        let removed = cache.stored.lock().unwrap().remove(&evicted);
         assert!(removed.is_some(), "evicted key was cached");
         run();
         assert_eq!(calls.load(Ordering::SeqCst), 5);
+    }
+
+    /// The fact the mechanism-cell identity rests on, asserted rather than
+    /// assumed: run unshared, only Air-FedGA's trace depends on ξ.
+    #[test]
+    fn only_air_fedga_reads_xi() {
+        let system = quick_system(5);
+        let run = |choice: MechanismChoice, xi: f64| {
+            let mech = build_sweep_mechanism(choice, Some(xi), 3, 1, None);
+            let trace = mech.run(&system, &mut Rng64::seed_from(4242));
+            format!("{:?}", RunSummary::from_trace(trace))
+        };
+        for choice in MechanismChoice::all() {
+            let same = run(choice, 0.1) == run(choice, 0.9);
+            assert_eq!(
+                same,
+                choice != MechanismChoice::AirFedGa,
+                "{}: xi = 0.1 vs 0.9",
+                choice.label()
+            );
+        }
+    }
+
+    /// Sharing is invisible in everything the run produces: the folded
+    /// statistics and every `(ci, label, seed, system seed) → summary` store
+    /// are those of a runner where each cell is its own computation — under
+    /// a fixed system and under `--system-seeds`, where a group never spans
+    /// two system seeds.
+    #[test]
+    fn sharing_changes_no_statistic_and_no_stored_summary() {
+        let cfg = FlSystemConfig::mnist_lr_quick();
+        let cells = xi_grid(&[0.3, 0.8]);
+        let fixed = SeedPlan::fixed_system(5, vec![4242, 4243]);
+        let varying = SeedPlan {
+            vary_system: true,
+            ..fixed.clone()
+        };
+        for plan in [fixed, varying] {
+            let shared_store = MapCache::default();
+            let shared = run_mechanism_cells(
+                std::slice::from_ref(&cfg),
+                cells.clone(),
+                2,
+                1,
+                None,
+                &plan,
+                &RunPolicy::default(),
+                &shared_store,
+            );
+            let calls = AtomicUsize::new(0);
+            let own_store = MapCache::default();
+            let systems: Vec<FlSystem> = (plan.run_seeds.iter())
+                .map(|&seed| quick_system(plan.system_seed_for(seed)))
+                .collect();
+            let unshared = run_replicated_isolated_plan(
+                cells.clone(),
+                &plan,
+                |_, cell| cell.label.clone(),
+                &RunPolicy::default(),
+                &own_store,
+                |cell, seed| {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                    let system = &systems[plan.replicate_of(seed)];
+                    let mech = build_sweep_mechanism(cell.mechanism, cell.xi, 2, 1, None);
+                    RunSummary::from_trace(mech.run(system, &mut Rng64::seed_from(seed)))
+                },
+            );
+            assert_eq!(calls.load(Ordering::SeqCst), 20);
+            assert_eq!(unshared.shared, 0);
+            // Four mechanisms without a ξ × one further ξ value × two seeds.
+            assert_eq!(shared.shared, 8);
+            assert!(shared.failures.is_empty() && unshared.failures.is_empty());
+            assert_eq!(
+                format!("{:?}", shared.cells),
+                format!("{:?}", unshared.cells),
+                "folded statistics differ (vary_system = {})",
+                plan.vary_system
+            );
+            assert_eq!(shared_store.encoded().len(), 20);
+            assert_eq!(shared_store.encoded(), own_store.encoded());
+        }
+    }
+
+    /// 30 replicates, 14 computations: per seed, one run for each of the four
+    /// mechanisms without a ξ and one per ξ for Air-FedGA. Every member is
+    /// stored under its own key with its own group's summary.
+    #[test]
+    fn a_group_of_identical_replicates_runs_once() {
+        let calls = AtomicUsize::new(0);
+        let cache = MapCache::default();
+        let cells = xi_grid(&[0.1, 0.3, 0.8]);
+        let outcome = run_shared_stubs(
+            cells.clone(),
+            &SeedPlan::fixed_system(0, vec![7, 8]),
+            &RunPolicy::default(),
+            &cache,
+            |_, _| {
+                calls.fetch_add(1, Ordering::SeqCst);
+            },
+        );
+        assert_eq!(calls.load(Ordering::SeqCst), 14);
+        assert_eq!(outcome.shared, 16);
+        assert!(outcome.failures.is_empty());
+        let stored = cache.stored.lock().unwrap();
+        assert_eq!(stored.len(), 30);
+        for ((ci, label, seed, _), summary) in stored.iter() {
+            assert_eq!(label, &cells[*ci].label);
+            assert_eq!(summary.mechanism, cells[*ci].mechanism.label());
+            assert_eq!(summary.trace.workload, format!("seed {seed}"));
+        }
+        for (cell, stats) in cells.iter().zip(&outcome.cells) {
+            let stats = stats.as_ref().expect("healthy cell");
+            assert_eq!(stats.seeds, [7, 8]);
+            assert_eq!(stats.mechanism, cell.mechanism.label());
+        }
+    }
+
+    /// Groups form among the misses only. With one member of FedAvg's group
+    /// (cells 0, 5, 10) already stored — a follower, then the would-be
+    /// leader — the other two still cost one run, led by the first of them,
+    /// and hits and misses are counted per own key.
+    #[test]
+    fn a_partially_warm_group_recomputes_once() {
+        for (warm, leader) in [(5, "xi=0.1 FedAvg"), (0, "xi=0.3 FedAvg")] {
+            let cells = xi_grid(&[0.1, 0.3, 0.8]);
+            let cache = MapCache::default();
+            cache.store(
+                warm,
+                &cells[warm].label,
+                7,
+                0,
+                &stub_summary(&cells[warm], 7),
+            );
+            let ran = Mutex::new(Vec::new());
+            let outcome = run_shared_stubs(
+                cells,
+                &SeedPlan::fixed_system(0, vec![7]),
+                &RunPolicy::default(),
+                &cache,
+                |cell, _| ran.lock().unwrap().push(cell.label.clone()),
+            );
+            let ran = ran.into_inner().unwrap();
+            // Seven computations as on a cold cache; FedAvg's has one
+            // follower fewer.
+            assert_eq!(ran.len(), 7);
+            assert!(ran.iter().any(|label| label == leader), "{ran:?}");
+            assert_eq!(ran.iter().filter(|l| l.ends_with(" FedAvg")).count(), 1);
+            assert_eq!(outcome.shared, 7);
+            assert_eq!(cache.hits.load(Ordering::SeqCst), 1);
+            assert_eq!(cache.misses.load(Ordering::SeqCst), 14);
+            assert_eq!(cache.stored.lock().unwrap().len(), 15);
+            assert!(outcome.cells.iter().all(Option::is_some));
+        }
+    }
+
+    /// A leader that fails once and then succeeds recovers its whole group:
+    /// one failure per member (own flat index, own label), every member
+    /// stored, one retry made.
+    #[test]
+    fn a_flaky_leader_recovers_every_member_of_its_group() {
+        let fedavg_calls = AtomicUsize::new(0);
+        let cache = MapCache::default();
+        let outcome = run_shared_stubs(
+            xi_grid(&[0.1, 0.8]),
+            &SeedPlan::fixed_system(0, vec![7]),
+            &RunPolicy::default(),
+            &cache,
+            |cell, _| {
+                let flaky = cell.mechanism == MechanismChoice::FedAvg;
+                if flaky && fedavg_calls.fetch_add(1, Ordering::SeqCst) == 0 {
+                    panic!("flaky");
+                }
+            },
+        );
+        assert_eq!(fedavg_calls.load(Ordering::SeqCst), 2);
+        assert!(outcome.is_complete());
+        let reported: Vec<(usize, &str)> = outcome
+            .failures
+            .iter()
+            .map(|f| (f.index, f.label.as_str()))
+            .collect();
+        assert_eq!(
+            reported,
+            [(0, "xi=0.1 FedAvg seed 7"), (5, "xi=0.8 FedAvg seed 7")]
+        );
+        for f in &outcome.failures {
+            assert!(f.recovered);
+            assert_eq!((f.attempts, f.message.as_str()), (2, "flaky"));
+        }
+        assert_eq!(outcome.shared, 4);
+        assert_eq!(cache.stored.lock().unwrap().len(), 10);
+        assert!(outcome.cells.iter().all(Option::is_some));
+    }
+
+    /// A [`ReplicateCache`] that holds every replicate whose label starts
+    /// with the prefix.
+    struct WarmFor(&'static str);
+
+    impl ReplicateCache for WarmFor {
+        fn load(&self, _: usize, label: &str, _: u64, _: u64) -> Option<RunSummary> {
+            label
+                .starts_with(self.0)
+                .then(|| RunSummary::from_trace(TrainingTrace::new("stub", "none")))
+        }
+        fn store(&self, _: usize, _: &str, _: u64, _: u64, _: &RunSummary) {}
+    }
+
+    /// A config that cannot be built: `build` asserts `num_workers > 0`.
+    fn unbuildable() -> FlSystemConfig {
+        FlSystemConfig {
+            num_workers: 0,
+            ..FlSystemConfig::mnist_lr_quick()
+        }
+    }
+
+    /// An all-hits run builds nothing — not even a system whose build would
+    /// panic.
+    #[test]
+    fn an_all_hits_run_builds_no_system() {
+        let outcome = run_mechanism_cells(
+            &[unbuildable()],
+            xi_grid(&[0.3, 0.8]),
+            3,
+            1,
+            None,
+            &SeedPlan::fixed_system(5, vec![4242, 4243]),
+            &RunPolicy::default(),
+            &WarmFor(""),
+        );
+        assert!(outcome.failures.is_empty(), "{}", outcome.failure_report());
+        assert!(outcome.cells.iter().all(Option::is_some));
+    }
+
+    /// Child half of the test below: inert in a normal test run. Spawned
+    /// alone with `HARNESS_LAZY_BUILD_CHILD` set and four pool threads, it
+    /// trains 24 replicates on two buildable configs next to an all-hits
+    /// unbuildable one and counts the shared systems built.
+    #[test]
+    fn lazy_build_child_counts_system_builds() {
+        if std::env::var_os("HARNESS_LAZY_BUILD_CHILD").is_none() {
+            return;
+        }
+        let quick = FlSystemConfig::mnist_lr_quick();
+        let cells: Vec<MechanismCell> = (0..3)
+            .flat_map(|config| {
+                xi_grid(&[0.3, 0.8])
+                    .into_iter()
+                    .map(move |cell| MechanismCell {
+                        config,
+                        label: format!("config {config} {}", cell.label),
+                        ..cell
+                    })
+            })
+            .collect();
+        let outcome = run_mechanism_cells(
+            &[quick.clone(), quick, unbuildable()],
+            cells,
+            1,
+            1,
+            None,
+            &SeedPlan::fixed_system(5, vec![4242, 4243]),
+            &RunPolicy::default(),
+            &WarmFor("config 2"),
+        );
+        assert!(outcome.failures.is_empty(), "{}", outcome.failure_report());
+        assert_eq!(SHARED_SYSTEM_BUILDS.load(Ordering::SeqCst), 2);
+    }
+
+    /// Under four pool threads — replicates of one config racing for its
+    /// system — a shared system is built exactly once per config that has a
+    /// miss. A subprocess, because the pool reads `PARALLEL_THREADS` once
+    /// per process and the build counter is process-wide.
+    #[test]
+    fn shared_systems_are_built_once_per_config_with_a_miss() {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([
+                "harness::tests::lazy_build_child_counts_system_builds",
+                "--exact",
+            ])
+            .env("HARNESS_LAZY_BUILD_CHILD", "1")
+            .env("PARALLEL_THREADS", "4")
+            .output()
+            .expect("spawn the lazy-build child");
+        assert!(
+            out.status.success(),
+            "lazy-build child failed:\n{}\n{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
 }

@@ -5,10 +5,13 @@
 //! folded into per-cell statistics. The shared pieces live here:
 //!
 //! * [`harness`] — the one replicate runner
-//!   (`run_replicated_isolated_plan`: cache pass → parallel misses →
-//!   bounded retries → fold), `run_mechanism_cells` (which owns the
-//!   shared-system-or-per-replicate decision) and the bare `run_grid` pool
-//!   fan-out, plus the [`RunSummary`] each replicate produces.
+//!   (`run_replicated_isolated_plan`: cache pass → group identical misses →
+//!   parallel pass over one leader per group → bounded retries → fold),
+//!   `run_mechanism_cells` (which owns the shared-system-or-per-replicate
+//!   decision, builds shared systems on first use, and lets grid cells that
+//!   differ only in a ξ their mechanism never reads train once) and the bare
+//!   `run_grid` pool fan-out, plus the [`RunSummary`] each replicate
+//!   produces.
 //! * [`figures`] / [`sweeps`] — the figure drivers (time-accuracy
 //!   comparisons, the ξ-sweep and the scalability sweep) parameterised by
 //!   [`figures::FigureParams`]: each lists its cells and system configs,

@@ -3,8 +3,8 @@
 //!
 //! Each driver lists its cells and system configs, hands them to
 //! `harness::run_mechanism_cells` with the caller's [`RunPolicy`] and
-//! [`ReplicateCache`], renders the surviving cells and returns the replicate
-//! failures — the same shape as the time-accuracy and grid drivers, so
+//! [`ReplicateCache`], renders the surviving cells and returns the runner's
+//! outcome — the same shape as the time-accuracy and grid drivers, so
 //! `--seeds N`, `--system-seeds`, `[limits]`, `--resume` / `--fresh` and
 //! panic isolation work uniformly across every scenario kind. Output for the
 //! default parameters is byte-identical to the historical `fig8_xi_sweep` /
@@ -12,8 +12,8 @@
 
 use crate::figures::FigureParams;
 use crate::harness::{
-    run_grid, run_mechanism_cells, CellFailure, MechanismCell, MechanismChoice, ReplicateCache,
-    RunPolicy,
+    run_grid, run_mechanism_cells, MechanismCell, MechanismChoice, ReplicateCache,
+    ReplicatedOutcome, RunPolicy,
 };
 use crate::report::{fmt_opt_secs, fmt_secs, try_write_csv, Table};
 use crate::scale::Scale;
@@ -71,13 +71,13 @@ impl XiSweepFigure {
 
 /// Run a ξ-sweep figure: one Air-FedGA cell per ξ value, all on one system,
 /// printing the time-to-target table and writing the sweep CSV. A ξ whose
-/// replicates all died has no row; its failures are returned.
+/// replicates all died has no row; its failures are in the returned outcome.
 pub fn run_xi_sweep(
     fig: &XiSweepFigure,
     params: &FigureParams,
     policy: &RunPolicy,
     cache: &dyn ReplicateCache,
-) -> Vec<CellFailure> {
+) -> ReplicatedOutcome {
     let scale = params.scale;
     let plan = params.plan();
     let seeds = &plan.run_seeds;
@@ -207,7 +207,7 @@ pub fn run_xi_sweep(
         println!("{}", table.render());
         try_write_csv(&fig.csv_name, &csv);
     }
-    outcome.failures
+    outcome
 }
 
 /// Description of one scalability figure (the Fig. 10 shape): sweep the
@@ -283,13 +283,13 @@ pub fn scalability_cells(
 /// Run a scalability figure: one cell per (worker count, mechanism), one
 /// system per worker count, printing the per-`N` round-time and total-time
 /// tables and writing the sweep CSV. A cell whose replicates all died shows
-/// as `n/a` and has no CSV row; its failures are returned.
+/// as `n/a` and has no CSV row; its failures are in the returned outcome.
 pub fn run_scalability(
     fig: &ScalabilityFigure,
     params: &FigureParams,
     policy: &RunPolicy,
     cache: &dyn ReplicateCache,
-) -> Vec<CellFailure> {
+) -> ReplicatedOutcome {
     let scale = params.scale;
     let plan = params.plan();
     let seeds = &plan.run_seeds;
@@ -397,12 +397,29 @@ pub fn run_scalability(
     println!("{}", round_table.render());
     println!("{}", total_table.render());
     try_write_csv(&fig.csv_name, &csv);
-    outcome.failures
+    outcome
+}
+
+/// The ξ a sweep cell's mechanism is built with — the one place that knows
+/// which mechanisms read ξ. Only Air-FedGA has one (the grouping trade-off
+/// of Algorithm 3); for every other mechanism an override is dropped, so
+/// cells that differ only in it are the same computation.
+/// [`build_sweep_mechanism`] applies the override exactly when this returns
+/// it, and `harness::run_mechanism_cells` keys the replicates it may share on
+/// the same value.
+pub fn effective_xi(choice: MechanismChoice, xi: Option<f64>) -> Option<f64> {
+    match choice {
+        MechanismChoice::AirFedGa => xi,
+        MechanismChoice::AirFedAvg
+        | MechanismChoice::Dynamic
+        | MechanismChoice::FedAvg
+        | MechanismChoice::TiFl => None,
+    }
 }
 
 /// A general mechanism constructor for sweep cells: the named mechanism at
-/// the given round budget, with an optional ξ override applied to Air-FedGA
-/// (the other mechanisms have no ξ; the override is ignored for them).
+/// the given round budget, with the ξ override [`effective_xi`] lets through
+/// (Air-FedGA's; the other mechanisms have no ξ and ignore it).
 pub fn build_sweep_mechanism(
     choice: MechanismChoice,
     xi: Option<f64>,
@@ -410,15 +427,15 @@ pub fn build_sweep_mechanism(
     eval_every: usize,
     max_virtual_time: Option<f64>,
 ) -> Box<dyn FlMechanism> {
-    match (choice, xi) {
-        (MechanismChoice::AirFedGa, Some(xi)) => Box::new(AirFedGa::new(AirFedGaConfig {
+    match effective_xi(choice, xi) {
+        Some(xi) => Box::new(AirFedGa::new(AirFedGaConfig {
             xi,
             total_rounds,
             eval_every,
             max_virtual_time,
             ..AirFedGaConfig::default()
         })),
-        (choice, _) => choice.build(total_rounds, eval_every, max_virtual_time),
+        None => choice.build(total_rounds, eval_every, max_virtual_time),
     }
 }
 
@@ -464,11 +481,16 @@ mod tests {
         assert_eq!(avg.name(), "FedAvg");
         let plain = build_sweep_mechanism(MechanismChoice::AirFedGa, None, 10, 2, None);
         assert_eq!(plain.name(), "Air-FedGA");
+        for choice in MechanismChoice::all() {
+            let reads_xi = choice == MechanismChoice::AirFedGa;
+            assert_eq!(effective_xi(choice, Some(0.7)), reads_xi.then_some(0.7));
+            assert_eq!(effective_xi(choice, None), None);
+        }
     }
 
     #[test]
     fn xi_sweep_runs_at_test_scale() {
-        let failures = run_xi_sweep(
+        let outcome = run_xi_sweep(
             &XiSweepFigure {
                 title: "test xi sweep".to_string(),
                 workload: FlSystemConfig::mnist_lr_quick(),
@@ -486,6 +508,6 @@ mod tests {
             &RunPolicy::default(),
             &crate::harness::NoCache,
         );
-        assert!(failures.is_empty());
+        assert!(outcome.failures.is_empty());
     }
 }

@@ -4,8 +4,8 @@
 //! cell.
 
 use experiments::harness::{
-    run_replicated_isolated_plan, MechanismChoice, NoCache, ReplicatedOutcome, RunPolicy,
-    RunSummary, SeedPlan,
+    run_mechanism_cells, run_replicated_isolated_plan, MechanismCell, MechanismChoice, NoCache,
+    ReplicatedOutcome, RunPolicy, RunSummary, SeedPlan,
 };
 use experiments::report::write_csv;
 use fedml::rng::Rng64;
@@ -188,4 +188,64 @@ fn mixed_success_and_failure_yields_a_partial_csv() {
     assert!(text.contains("Dynamic"));
     assert!(text.contains("Air-FedGA"));
     assert!(!text.contains("Air-FedAvg"));
+}
+
+/// A group of identical replicates that dies — FedAvg repeated per ξ, killed
+/// by `inject_panic_round` with retries off — is reported as a runner that
+/// shares nothing would: one dead failure per member, under the member's own
+/// flat index and label, in flat order although the group was handled as one.
+#[test]
+fn a_dead_shared_group_reports_every_member() {
+    let mut cfg = FlSystemConfig::mnist_lr_quick();
+    cfg.faults.inject_panic_round = Some(2);
+    let cells: Vec<MechanismCell> = [0.3, 0.8]
+        .into_iter()
+        .flat_map(|xi| {
+            [MechanismChoice::FedAvg, MechanismChoice::AirFedGa].map(|mechanism| MechanismCell {
+                config: 0,
+                mechanism,
+                xi: Some(xi),
+                label: format!("xi={xi} {}", mechanism.label()),
+            })
+        })
+        .collect();
+    let policy = RunPolicy {
+        max_retries: 0,
+        ..RunPolicy::default()
+    };
+    let plan = SeedPlan::fixed_system(5, vec![4242, 4243]);
+    let outcome = run_mechanism_cells(&[cfg], cells, 3, 1, None, &plan, &policy, &NoCache);
+
+    assert!(outcome.cells.iter().all(Option::is_none));
+    assert_eq!(outcome.shared, 0, "nobody was handed a result");
+    let reported: Vec<(usize, &str)> = outcome
+        .failures
+        .iter()
+        .map(|f| (f.index, f.label.as_str()))
+        .collect();
+    assert_eq!(
+        reported,
+        [
+            (0, "xi=0.3 FedAvg seed 4242"),
+            (1, "xi=0.3 FedAvg seed 4243"),
+            (2, "xi=0.3 Air-FedGA seed 4242"),
+            (3, "xi=0.3 Air-FedGA seed 4243"),
+            (4, "xi=0.8 FedAvg seed 4242"),
+            (5, "xi=0.8 FedAvg seed 4243"),
+            (6, "xi=0.8 Air-FedGA seed 4242"),
+            (7, "xi=0.8 Air-FedGA seed 4243"),
+        ]
+    );
+    for f in &outcome.failures {
+        assert!(!f.recovered);
+        assert_eq!(f.attempts, 1);
+        assert!(f.message.contains("injected fault"), "{}", f.message);
+    }
+    let report = outcome.failure_report();
+    assert!(report.starts_with("8 replicate(s) panicked:"));
+    let lines: Vec<&str> = report.lines().skip(1).collect();
+    for (flat, line) in lines.iter().enumerate() {
+        let head = format!("  - cell {flat} [");
+        assert!(line.starts_with(&head) && line.contains("FAILED (no retry)"));
+    }
 }

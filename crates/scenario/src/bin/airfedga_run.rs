@@ -77,6 +77,11 @@ fn main() {
             if let Some(cache) = &report.cache {
                 eprintln!("{}", cache.summary());
             }
+            // "Recomputed" counts store misses, not trainings: say so when
+            // some of them were served by one shared training.
+            if let Some(line) = report.sharing_summary() {
+                eprintln!("{line}");
+            }
             if let Some(profile) = &report.profile {
                 eprint!("{profile}");
             }

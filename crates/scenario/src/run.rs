@@ -8,7 +8,9 @@
 //! its tables and CSVs from the folded cells. So panic isolation, retries,
 //! the watchdog and `--resume` / `--fresh` work for every kind; replicate
 //! failures come back in the [`ExecutionReport`] for the binary to print to
-//! stderr and fold into its exit code.
+//! stderr and fold into its exit code. Cells that are the same computation —
+//! a `grid`'s mechanisms without a ξ, repeated per ξ value — train once per
+//! seed and share the result; the report counts them.
 //!
 //! CLI precedence: the `--seeds N` and `--system-seeds` flags override the
 //! spec's `run.seeds` / `run.system_seeds` keys, `--resume` / `--fresh`
@@ -30,7 +32,8 @@ use crate::spec::{expand_grid, GridCell, ScenarioKind, ScenarioSpec};
 use crate::ScenarioError;
 use experiments::figures::{print_speedups, run_time_accuracy_figure, FigureParams};
 use experiments::harness::{
-    self, run_mechanism_cells, CellFailure, MechanismCell, NoCache, ReplicateCache, RunPolicy,
+    self, run_mechanism_cells, CellFailure, MechanismCell, NoCache, ReplicateCache,
+    ReplicatedOutcome, RunPolicy,
 };
 use experiments::report::{fmt_opt_secs, fmt_secs, try_write_csv, Table};
 use experiments::scale::Scale;
@@ -171,6 +174,12 @@ impl CliOverrides {
 pub struct ExecutionReport {
     /// Replicate failures across the run, recovered ones included.
     pub failures: Vec<CellFailure>,
+    /// Size of the run's (cell × seed) replicate product.
+    pub replicates: usize,
+    /// Replicates that took the result of an identical replicate computed in
+    /// this run instead of running (`ReplicatedOutcome::shared`): the store's
+    /// "recomputed" count minus this is the number of trainings run.
+    pub shared_replicates: usize,
     /// Run-store cache statistics (hits / recomputes / corrupt degrades)
     /// when the run used `--resume` / `--fresh`; `None` with the store
     /// disabled. Collected even with telemetry off.
@@ -191,6 +200,17 @@ impl ExecutionReport {
     /// [`harness::failure_report`].
     pub fn failure_report(&self) -> String {
         harness::failure_report(&self.failures)
+    }
+
+    /// One stderr line saying how many replicates were served by a shared
+    /// training, or `None` when every replicate that ran, ran for itself.
+    pub fn sharing_summary(&self) -> Option<String> {
+        (self.shared_replicates > 0).then(|| {
+            format!(
+                "harness: {} of {} replicate(s) reused an identical replicate computed in this run",
+                self.shared_replicates, self.replicates
+            )
+        })
     }
 }
 
@@ -335,7 +355,7 @@ pub fn execute(
     }
 
     let grid_span = telemetry::span!("grid");
-    let failures = match spec.kind {
+    let outcome = match spec.kind {
         ScenarioKind::TimeAccuracy => {
             let run = run_time_accuracy_figure(
                 &spec.title,
@@ -353,7 +373,7 @@ pub fn execute(
             if !spec.energy_targets.is_empty() {
                 print_energy_table(spec, &params, &run.cells);
             }
-            run.failures
+            run
         }
         ScenarioKind::XiSweep => run_xi_sweep(
             &XiSweepFigure {
@@ -389,7 +409,9 @@ pub fn execute(
     // Cache statistics are collected even with telemetry off (the atomics
     // live on the `StoreCache` itself), so `--resume` can always summarise.
     let mut report = ExecutionReport {
-        failures,
+        replicates: outcome.cells.len() * params.num_seeds.max(1),
+        failures: outcome.failures,
+        shared_replicates: outcome.shared,
         cache: store_cache.as_ref().map(StoreCache::stats),
         profile: None,
     };
@@ -457,14 +479,15 @@ fn cell_label(cell: &GridCell) -> String {
 /// The generic cross-product sweep: one cell per [`GridCell`]. Only the
 /// worker-count axis affects the system build (xi and the mechanism act at
 /// run time), so the system variants are one per distinct worker count.
-/// Returns the replicate failures (recovered ones included) for the
-/// caller's [`ExecutionReport`].
+/// Mechanisms without a xi repeat per xi value in the table but train once
+/// per `(N, seed)`: the runner shares that one result among the repeats.
+/// Returns the runner's outcome for the caller's [`ExecutionReport`].
 fn run_grid_scenario(
     spec: &ScenarioSpec,
     params: &FigureParams,
     policy: &RunPolicy,
     cache: &dyn ReplicateCache,
-) -> Vec<CellFailure> {
+) -> ReplicatedOutcome {
     let scale = params.scale;
     let plan = params.plan();
     let seeds = &plan.run_seeds;
@@ -670,7 +693,7 @@ fn run_grid_scenario(
     }
     println!("{}", table.render());
     try_write_csv(&format!("{}_grid.csv", spec.csv_prefix), &csv);
-    outcome.failures
+    outcome
 }
 
 #[cfg(test)]
@@ -703,6 +726,11 @@ xi = [0.3, 1.0]
         let report = execute(&spec, Scale::Quick, &CliOverrides::default()).unwrap();
         assert!(report.is_clean());
         assert!(report.failure_report().is_empty());
+        // Air-FedAvg has no xi: its xi=1.0 cell reuses the xi=0.3 training.
+        assert_eq!((report.replicates, report.shared_replicates), (4, 1));
+        assert!(report
+            .sharing_summary()
+            .is_some_and(|line| line.starts_with("harness: 1 of 4 replicate(s) reused")));
         // And replicated, with system re-sampling.
         let report = execute(
             &spec,
@@ -775,9 +803,10 @@ eval_every = 2
 speedup_target = 0.5
 "#;
         let spec = ScenarioSpec::parse(src).unwrap();
-        assert!(execute(&spec, Scale::Quick, &CliOverrides::default())
-            .unwrap()
-            .is_clean());
+        let report = execute(&spec, Scale::Quick, &CliOverrides::default()).unwrap();
+        assert!(report.is_clean());
+        // Two mechanisms, two computations: nothing to share, nothing said.
+        assert_eq!(report.sharing_summary(), None);
     }
 
     /// An injected panic in one cell leaves the grid's survivors intact and

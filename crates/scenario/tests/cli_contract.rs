@@ -249,6 +249,21 @@ fn store_root_and_results_dir_relocation_is_byte_identical() {
         String::from_utf8_lossy(&moved.stderr)
     );
 
+    // The stderr report: the store summary, then — Air-FedAvg's two xi cells
+    // being one computation per seed — how many replicates reused a sibling.
+    let stderr = String::from_utf8_lossy(&default_run.stderr);
+    let report: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("runstore: ") || l.starts_with("harness: "))
+        .collect();
+    assert_eq!(
+        report,
+        [
+            "runstore: 0 hit(s), 8 recomputed, 0 corrupt file(s) degraded to recompute",
+            "harness: 2 of 8 replicate(s) reused an identical replicate computed in this run",
+        ]
+    );
+
     // stdout is identical up to the "-> wrote <path>" lines, which name the
     // relocated directory by design.
     let tables = |bytes: &[u8]| -> String {

@@ -278,6 +278,12 @@ pub static RUNSTORE_CORRUPT: Counter = Counter::new("runstore.corrupt_degraded",
 
 /// Grid-cell retry attempts made by the isolation harness.
 pub static HARNESS_RETRIES: Counter = Counter::new("harness.retries", Plane::Logical);
+/// Replicates the harness did not run because an identical replicate of the
+/// same run (a grid cell differing only in a ξ its mechanism never reads)
+/// was computed once and delivered to them too. Grouping follows input
+/// order, not completion order, so the count is schedule-independent.
+pub static HARNESS_SHARED_REPLICATES: Counter =
+    Counter::new("harness.shared_replicates", Plane::Logical);
 /// Cells cancelled by the watchdog after exceeding their wall-clock budget.
 /// Logical in the sense that a cancel changes the run's *results*: two runs
 /// that disagree on this counter already disagree on their failure reports.
@@ -301,7 +307,7 @@ pub static REPLICATE_US: Histogram = Histogram::new("span.replicate_us", Plane::
 /// Wall-clock duration of `round` spans, microseconds.
 pub static ROUND_US: Histogram = Histogram::new("span.round_us", Plane::Timing);
 
-static ALL_COUNTERS: [&Counter; 16] = [
+static ALL_COUNTERS: [&Counter; 17] = [
     &ENGINE_ROUNDS,
     &ENGINE_PARTICIPANTS,
     &ENGINE_PARTICIPANTS_FILTERED,
@@ -312,6 +318,7 @@ static ALL_COUNTERS: [&Counter; 16] = [
     &RUNSTORE_MISSES,
     &RUNSTORE_CORRUPT,
     &HARNESS_RETRIES,
+    &HARNESS_SHARED_REPLICATES,
     &WATCHDOG_CANCELS,
     &GEMM_NN,
     &GEMM_TN,

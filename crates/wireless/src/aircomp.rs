@@ -19,7 +19,6 @@ use crate::energy::transmit_energy_from_norm_sq;
 use crate::power::transmit_power;
 use fedml::params::FlatParams;
 use fedml::rng::Rng64;
-use serde::{Deserialize, Serialize};
 
 /// One worker's contribution to an over-the-air aggregation.
 #[derive(Debug, Clone)]
@@ -32,37 +31,9 @@ pub struct AirAggregationInput<'a> {
     pub params: &'a FlatParams,
 }
 
-/// Result of one over-the-air aggregation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AirAggregationResult {
-    /// The denoised group estimate `w̃_j^t = y_t / (D_j √η_t)`.
-    pub group_estimate: FlatParams,
-    /// The ideal (error-free) group model `Σ (d_i/D_j) w_i^t` of Eq. (15).
-    pub ideal_group_model: FlatParams,
-    /// Squared L2 norm of the aggregation error `ε_j^t` (Eq. (17)).
-    pub error_norm_sq: f64,
-    /// Energy `E_i^t` spent by each participating worker (Eq. (7)).
-    pub per_worker_energy: Vec<f64>,
-    /// Total data size `D_{j_t}` of the participants.
-    pub group_data_size: f64,
-}
-
-impl AirAggregationResult {
-    /// Mean squared error per model coordinate.
-    pub fn mse(&self) -> f64 {
-        self.error_norm_sq / self.group_estimate.dim() as f64
-    }
-
-    /// Total energy spent by the group in this aggregation.
-    pub fn total_energy(&self) -> f64 {
-        self.per_worker_energy.iter().sum()
-    }
-}
-
 /// Reusable scratch for [`air_aggregate_into`]: the ideal-model buffer and
-/// the per-worker energy vector that the allocating [`air_aggregate`] wrapper
-/// would otherwise create fresh each call (buffers grow to the group/model
-/// size once and stay there).
+/// the per-worker energy vector, which would otherwise be created fresh each
+/// call (buffers grow to the group/model size once and stay there).
 #[derive(Debug, Default)]
 pub struct AirAggregationScratch {
     /// The ideal (error-free) group model `Σ (d_i/D_j) w_i^t` of Eq. (15),
@@ -91,50 +62,17 @@ pub struct AirAggregationStats {
     pub group_data_size: f64,
 }
 
-/// Perform one over-the-air aggregation (Eq. (9) + the denoising of Eq. (10)).
+/// Perform one over-the-air aggregation (Eq. (9) + the denoising of Eq. (10))
+/// over a slice of contributions: writes the denoised group estimate into
+/// `group_estimate` (resized to the model dimension) and the secondary
+/// outputs into `scratch`, so a caller looping over rounds performs **zero**
+/// heap allocations once the buffers have grown to size.
 ///
 /// * `sigma` / `eta` — the power-scaling and denoising factors chosen by
 ///   Algorithm 2 for this round.
 /// * `noise_variance` — AWGN variance σ₀² at the server (0 disables noise).
 ///
 /// Panics if the inputs are empty or have mismatched dimensions.
-///
-/// Allocating convenience wrapper around [`air_aggregate_into`]; the engine
-/// loops call [`air_superpose_into`] with round-persistent buffers so the
-/// whole AirComp round is allocation-free in steady state.
-pub fn air_aggregate(
-    inputs: &[AirAggregationInput<'_>],
-    sigma: f64,
-    eta: f64,
-    noise_variance: f64,
-    rng: &mut Rng64,
-) -> AirAggregationResult {
-    let dim = inputs.first().map_or(0, |c| c.params.dim());
-    let mut group_estimate = FlatParams::zeros(dim);
-    let mut scratch = AirAggregationScratch::new();
-    let stats = air_aggregate_into(
-        inputs,
-        sigma,
-        eta,
-        noise_variance,
-        rng,
-        &mut group_estimate,
-        &mut scratch,
-    );
-    AirAggregationResult {
-        group_estimate,
-        ideal_group_model: scratch.ideal,
-        error_norm_sq: stats.error_norm_sq,
-        per_worker_energy: scratch.per_worker_energy,
-        group_data_size: stats.group_data_size,
-    }
-}
-
-/// In-place variant of [`air_aggregate`]: writes the denoised group estimate
-/// into `group_estimate` (resized to the model dimension) and the secondary
-/// outputs into `scratch`, so a caller looping over rounds performs **zero**
-/// heap allocations once the buffers have grown to size. Bit-identical to
-/// [`air_aggregate`] (same accumulation order, same RNG draw order).
 pub fn air_aggregate_into(
     inputs: &[AirAggregationInput<'_>],
     sigma: f64,
@@ -300,6 +238,42 @@ mod tests {
         FlatParams(v)
     }
 
+    /// One aggregation into fresh buffers.
+    struct Fresh {
+        group_estimate: FlatParams,
+        ideal_group_model: FlatParams,
+        error_norm_sq: f64,
+        per_worker_energy: Vec<f64>,
+        group_data_size: f64,
+    }
+
+    fn air_aggregate(
+        inputs: &[AirAggregationInput<'_>],
+        sigma: f64,
+        eta: f64,
+        noise_variance: f64,
+        rng: &mut Rng64,
+    ) -> Fresh {
+        let mut group_estimate = FlatParams::zeros(0);
+        let mut scratch = AirAggregationScratch::new();
+        let stats = air_aggregate_into(
+            inputs,
+            sigma,
+            eta,
+            noise_variance,
+            rng,
+            &mut group_estimate,
+            &mut scratch,
+        );
+        Fresh {
+            group_estimate,
+            ideal_group_model: scratch.ideal,
+            error_norm_sq: stats.error_norm_sq,
+            per_worker_energy: scratch.per_worker_energy,
+            group_data_size: stats.group_data_size,
+        }
+    }
+
     #[test]
     fn noiseless_matched_factors_recover_ideal_average() {
         // With z = 0 and sigma = sqrt(eta), w~ = sum d_i w_i / D exactly.
@@ -383,7 +357,6 @@ mod tests {
         // p = d*sigma/h = 2 ; E = ||p w||^2 = 4 * 4 = 16.
         assert_eq!(res.per_worker_energy.len(), 1);
         assert!((res.per_worker_energy[0] - 16.0).abs() < 1e-12);
-        assert!((res.total_energy() - 16.0).abs() < 1e-12);
     }
 
     #[test]
@@ -501,18 +474,5 @@ mod tests {
             }
             assert_eq!(scratch.per_worker_energy, res.per_worker_energy);
         }
-    }
-
-    #[test]
-    fn mse_is_error_over_dimension() {
-        let w = params(vec![1.0; 10]);
-        let inputs = vec![AirAggregationInput {
-            data_size: 1.0,
-            channel_gain: 1.0,
-            params: &w,
-        }];
-        let mut rng = Rng64::seed_from(5);
-        let res = air_aggregate(&inputs, 1.0, 1.0, 0.5, &mut rng);
-        assert!((res.mse() - res.error_norm_sq / 10.0).abs() < 1e-15);
     }
 }

@@ -27,8 +27,8 @@ pub mod power;
 pub mod timing;
 
 pub use aircomp::{
-    air_aggregate, air_aggregate_indexed_into, air_aggregate_into, air_superpose_into,
-    AirAggregationInput, AirAggregationResult, AirAggregationScratch, AirAggregationStats,
+    air_aggregate_indexed_into, air_aggregate_into, air_superpose_into, AirAggregationInput,
+    AirAggregationScratch, AirAggregationStats,
 };
 pub use channel::ChannelModel;
 pub use power::{optimize_power, PowerControlConfig, PowerSolution};

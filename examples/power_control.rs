@@ -8,7 +8,9 @@
 
 use air_fedga::fedml::params::FlatParams;
 use air_fedga::fedml::rng::Rng64;
-use air_fedga::wireless::aircomp::{air_aggregate, AirAggregationInput};
+use air_fedga::wireless::aircomp::{
+    air_aggregate_into, AirAggregationInput, AirAggregationScratch,
+};
 use air_fedga::wireless::power::{optimize_power, transmit_power, PowerControlConfig};
 
 fn main() {
@@ -39,6 +41,8 @@ fn main() {
         .map(|i| FlatParams(vec![0.05 * (i as f64 + 1.0); 2_000]))
         .collect();
     println!("Effect on one aggregation of a 2000-dimensional model:");
+    let mut estimate = FlatParams::zeros(0);
+    let mut scratch = AirAggregationScratch::new();
     for budget in [0.5, 10.0, 1e4] {
         let mut cfg = PowerControlConfig::for_group(
             params.iter().map(|p| p.norm()).fold(0.0, f64::max),
@@ -57,7 +61,15 @@ fn main() {
                 params: p,
             })
             .collect();
-        let result = air_aggregate(&inputs, sol.sigma, sol.eta, cfg.noise_variance, &mut rng);
+        let stats = air_aggregate_into(
+            &inputs,
+            sol.sigma,
+            sol.eta,
+            cfg.noise_variance,
+            &mut rng,
+            &mut estimate,
+            &mut scratch,
+        );
         let max_power = data_sizes
             .iter()
             .zip(channel_gains.iter())
@@ -65,8 +77,8 @@ fn main() {
             .fold(0.0_f64, f64::max);
         println!(
             "  budget {budget:>7.1} J | aggregation MSE {:.3e} | total energy {:8.2} J | max p_i {:.3}",
-            result.mse(),
-            result.total_energy(),
+            stats.error_norm_sq / estimate.dim() as f64,
+            scratch.per_worker_energy.iter().sum::<f64>(),
             max_power
         );
     }

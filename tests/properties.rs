@@ -24,11 +24,11 @@ use air_fedga::grouping::greedy::{greedy_grouping, GreedyGroupingConfig};
 use air_fedga::grouping::objective::{GroupingObjective, ObjectiveConstants};
 use air_fedga::grouping::worker_info::{Grouping, WorkerInfo};
 use air_fedga::wireless::aircomp::{
-    air_aggregate, air_aggregate_indexed_into, air_aggregate_into, air_superpose_into,
-    apply_group_update, AirAggregationInput, AirAggregationScratch,
+    air_aggregate_indexed_into, air_aggregate_into, air_superpose_into, apply_group_update,
+    AirAggregationInput, AirAggregationScratch,
 };
 use air_fedga::wireless::power::{optimize_power, transmit_power, PowerControlConfig};
-use bench::reference::{logreg_loss_and_gradient, mlp_loss_and_gradient};
+use bench::reference::{air_aggregate, logreg_loss_and_gradient, mlp_loss_and_gradient};
 
 const CASES: usize = 24;
 
