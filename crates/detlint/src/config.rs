@@ -37,7 +37,7 @@ pub const RULES: &[(&str, &str)] = &[
     (
         DET_CLOCK,
         "Instant::now/SystemTime only in timing modules (experiments::watchdog, \
-         bench, jobserver, runstore, telemetry); simulation time is virtual",
+         jobserver, runstore, telemetry); simulation time is virtual",
     ),
     (
         DET_RNG,
@@ -93,14 +93,13 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
 
 /// Path prefixes (workspace-relative, `/`-separated) where DET-CLOCK does
 /// not apply: the watchdog monitor measures real elapsed time by design,
-/// the bench/runstore layers live outside simulated time, the telemetry
+/// the runstore layer lives outside simulated time, the telemetry
 /// crate's timing plane (spans, progress ETA) is wall-clock by definition —
 /// its logical plane never touches a clock, and none of its output feeds
 /// the bit-identity diffs — and the job server daemon's poll loops, socket
 /// timeouts and watch deadlines are wall-clock plumbing around the
 /// deterministic driver, never inputs to it.
 pub const CLOCK_ALLOW: &[&str] = &[
-    "crates/bench/",
     "crates/experiments/src/watchdog.rs",
     "crates/jobserver/",
     "crates/runstore/",
@@ -140,14 +139,11 @@ pub fn crate_of(rel: &str) -> &str {
     }
 }
 
-/// True when DET-RNG skips this whole file: integration tests, benches and
-/// examples use fixed per-case seed arithmetic by design (the proptest-style
-/// seeded harness).
+/// True when DET-RNG skips this whole file: integration tests and examples
+/// use fixed per-case seed arithmetic by design (the proptest-style seeded
+/// harness).
 pub fn rng_test_path(rel: &str) -> bool {
-    rel.starts_with("tests/")
-        || rel.contains("/tests/")
-        || rel.contains("/benches/")
-        || rel.starts_with("examples/")
+    rel.starts_with("tests/") || rel.contains("/tests/") || rel.starts_with("examples/")
 }
 
 #[cfg(test)]
@@ -171,7 +167,8 @@ mod tests {
     #[test]
     fn rng_test_paths_cover_test_dirs() {
         assert!(rng_test_path("tests/properties.rs"));
-        assert!(rng_test_path("crates/bench/benches/grid.rs"));
+        assert!(rng_test_path("tests/reference/mod.rs"));
+        assert!(rng_test_path("examples/quickstart.rs"));
         assert!(rng_test_path("crates/parallel/tests/chunks_x1.rs"));
         assert!(!rng_test_path("crates/fedml/src/model.rs"));
     }

@@ -2,7 +2,7 @@
 //!
 //! The paper's experiments use 100 workers and thousands of seconds of
 //! virtual training. Re-running everything at that scale takes minutes per
-//! figure on a laptop; CI and the Criterion benches need seconds. The
+//! figure on a laptop; CI and the test suites need seconds. The
 //! `AIRFEDGA_SCALE` environment variable switches between the two without
 //! touching the experiment code: `full` (default for the binaries) or
 //! `quick`. (Replication — `--seeds N`, `--system-seeds` — is parsed by the

@@ -30,9 +30,9 @@
 //!   [`model::Model::sgd_step`].
 //!
 //! The original per-sample implementation (matvec + rank-one update per
-//! sample) survives as the reference trainer in the `bench` crate, which the
-//! property tests compare against to 1e-10 and the criterion benches measure
-//! the batched engine's speedup against.
+//! sample) survives as the reference trainer in `tests/reference/`, which the
+//! property tests compare against to 1e-10 (per-batch gradients and whole
+//! multi-epoch local updates).
 //!
 //! ## Quick example
 //!

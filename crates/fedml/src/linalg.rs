@@ -30,7 +30,7 @@
 //! its 2×/4×-row variants): a 4-row × 4-k register tile whose inner loop is a
 //! run of element-wise `mul_add`s over [`LANES`]-wide `[f64; 8]` blocks.
 //! Three ingredients matter, each worth an integer factor (measured on the
-//! `local_step` bench):
+//! local training step, the repo benchmark's `fedml.local_step_us`):
 //!
 //! 1. **k-major traversal** — every access walks contiguous rows, so the
 //!    inner loop is element-wise (no reduction) and auto-vectorises.
@@ -43,12 +43,10 @@
 //! Note: **thin LTO defeats the SLP vectorisation** of these kernels
 //! (~4× slower local step); the workspace profile pins `lto = false`.
 //! Relatedly, on Skylake-X-class AVX-512 hosts LLVM's tuning prefers
-//! 256-bit vectors and halves the kernels' FMA width; the opt-in
-//! wide-vector perf profile in `.cargo/config.toml` (an unstable LLVM
-//! feature flag, hence not in the default warning-free rustflags) restores
-//! full 512-bit ops — worth ~1.2–1.5× on the GEMM entries and required for
-//! the batched-local-step ≥5× bench floor. Results are bit-identical under
-//! either profile.
+//! 256-bit vectors and halves the kernels' FMA width. The one supported
+//! build accepts that: the LLVM feature that restores 512-bit ops is
+//! unstable (every compile would warn), and vector width never changes
+//! results — they are bit-identical at any width.
 //!
 //! All kernels write into caller-provided output slices so the training loop
 //! can run with **zero steady-state heap allocations** (see
@@ -57,9 +55,8 @@
 //! deterministic.
 //!
 //! The per-sample primitives ([`Matrix::matvec`], [`Matrix::rank_one_update`])
-//! are retained: the bench harness keeps a per-sample reference trainer built
-//! on them to validate the batched engine (property tests, 1e-10) and to
-//! measure its speedup (`cargo bench --bench engine`).
+//! are retained: `tests/reference/` keeps a per-sample reference trainer
+//! built on them to validate the batched engine (property tests, 1e-10).
 
 use serde::{Deserialize, Serialize};
 
@@ -308,9 +305,9 @@ pub fn gemm_nt(a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, k: usize
 /// first transposed into the caller-provided `pack` panel (`k × n`, k-major),
 /// and the product then runs through the register-tiled [`gemm_nn`]
 /// micro-kernel. The packing pass is O(n·k) next to the GEMM's O(m·n·k), so
-/// for any batch of more than a few rows this erases the ~6× deficit of the
-/// dot-product-layout [`gemm_nt`] kernel (see the `gemm` bench group's
-/// `nt_packed` entries).
+/// for any batch of more than a few rows this recovers most of the deficit of
+/// the dot-product-layout [`gemm_nt`] kernel (1.6–3.1× faster than it at the
+/// layer shapes the workloads train).
 ///
 /// `pack` must have length `k * n`; it is fully overwritten (callers draw it
 /// from their `Workspace` scratch pool to keep the hot path allocation-free).

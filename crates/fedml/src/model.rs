@@ -22,7 +22,7 @@
 //! [`gemm_tn`] (`∇W = δᵀ · X`) and the backward data pass a [`gemm_nn`]
 //! (`δ_prev = δ · W`) — instead of the per-sample matvec + rank-one-update
 //! loop the first version of this crate used (kept as the reference
-//! implementation in the `bench` crate). All scratch memory comes from a
+//! implementation in `tests/reference/`). All scratch memory comes from a
 //! caller-provided [`Workspace`], so the steady-state training loop
 //! ([`crate::optimizer::local_update_ws`]) performs **zero heap
 //! allocations**. The workspace-threaded entry points are
@@ -218,7 +218,7 @@ impl LogisticRegression {
     }
 
     /// The `classes × features` weight matrix (read-only; used by the
-    /// per-sample reference implementation in the bench harness).
+    /// per-sample reference implementation in `tests/reference/`).
     pub fn weights(&self) -> &Matrix {
         &self.weights
     }
@@ -534,7 +534,7 @@ impl Mlp {
     }
 
     /// The `out × in` weight matrix of layer `l` (read-only; used by the
-    /// per-sample reference implementation in the bench harness).
+    /// per-sample reference implementation in `tests/reference/`).
     pub fn layer_weights(&self, l: usize) -> &Matrix {
         &self.layers[l].weights
     }

@@ -144,8 +144,8 @@ impl Rng64 {
     /// injection path of the AirComp engine, which perturbs all `q ≈ 10⁴`
     /// model coordinates every round — the most transcendental-heavy loop of
     /// a noisy simulation, and the reason it avoids the scalar Box–Muller
-    /// path (measured ~35 % off the per-round noise cost on the
-    /// `full_round` bench).
+    /// path (measured ~35 % off the per-round noise cost; rounds are timed
+    /// by the repo benchmark's `engine.*.round_us` layer metrics).
     pub fn add_gaussian_noise(&mut self, out: &mut [f64], std_dev: f64) {
         debug_assert!(std_dev >= 0.0, "standard deviation must be non-negative");
         let n = out.len();

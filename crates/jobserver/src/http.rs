@@ -8,14 +8,20 @@
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Largest accepted request body (a scenario spec is a few KB; this bounds a
 /// misbehaving client).
 pub const MAX_BODY: usize = 1 << 20;
 
-/// Socket read/write timeout: a stalled peer must not wedge the daemon's
-/// accept loop (requests are served inline).
+/// Largest accepted request line plus headers, in total (the protocol's own
+/// requests carry three short headers; this bounds a client that never
+/// sends a newline).
+pub const MAX_HEAD: usize = 16 << 10;
+
+/// Time allowed for one whole request to arrive, and for each write: a
+/// stalled or trickling peer must not wedge the daemon's accept loop
+/// (requests are served inline).
 pub const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// One parsed request.
@@ -29,14 +35,56 @@ pub struct Request {
     pub body: String,
 }
 
-/// Read one request off a stream. `Err` means a malformed or oversized
-/// request (the caller answers 400 and closes).
+/// Reads off the socket until `deadline`: before each read the socket's
+/// timeout is re-armed with the time that is left, so the deadline bounds
+/// the whole request rather than each gap between bytes.
+struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let timed_out = || io::Error::new(io::ErrorKind::TimedOut, "request timed out");
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(timed_out());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        // An expired socket timeout surfaces as `WouldBlock` on Unix.
+        self.stream.read(buf).map_err(|e| match e.kind() {
+            io::ErrorKind::WouldBlock => timed_out(),
+            _ => e,
+        })
+    }
+}
+
+/// Read one request off a stream. `Err` means a malformed, oversized or
+/// too-slow request (the caller answers 400 and closes).
 pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    read_request_within(stream, IO_TIMEOUT)
+}
+
+/// [`read_request`] with the whole-request time budget as an argument (the
+/// tests use a short one).
+fn read_request_within(stream: &mut TcpStream, budget: Duration) -> io::Result<Request> {
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    let mut reader = BufReader::new(DeadlineReader {
+        stream,
+        deadline: Instant::now() + budget,
+    });
+    // Request line and headers come through one `take`, so together they
+    // can never buffer more than `MAX_HEAD` bytes.
+    let mut head = (&mut reader).take(MAX_HEAD as u64);
+    let mut next_line = || -> io::Result<String> {
+        let mut line = String::new();
+        head.read_line(&mut line)?;
+        if head.limit() == 0 && !line.ends_with('\n') {
+            return Err(bad("request line and headers too large"));
+        }
+        Ok(line)
+    };
+    let line = next_line()?;
     let mut parts = line.split_whitespace();
     let (method, path) = match (parts.next(), parts.next()) {
         (Some(m), Some(p)) => (m.to_string(), p.to_string()),
@@ -44,8 +92,7 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
     };
     let mut content_length = 0usize;
     loop {
-        let mut header = String::new();
-        reader.read_line(&mut header)?;
+        let header = next_line()?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -200,5 +247,74 @@ mod tests {
         assert!(!resp.is_ok());
         assert_eq!(resp.body, "nope");
         server.join().unwrap();
+    }
+
+    /// A megabyte of header with no newline in it: the reader gives up at
+    /// `MAX_HEAD` — it neither buffers the line nor waits out the timeout
+    /// for its end — and the 400 goes out.
+    #[test]
+    fn an_endless_header_line_is_refused_at_the_cap() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let err = read_request(&mut stream).unwrap_err();
+            write_response(&mut stream, 400, "Bad Request", "text/plain", b"no").unwrap();
+            err
+        });
+        let mut client = TcpStream::connect(addr).unwrap();
+        client
+            .write_all(b"GET /healthz HTTP/1.1\r\nx-junk: ")
+            .unwrap();
+        // The server stops reading long before the end of this, so the tail
+        // of the write may fail once it has answered and closed.
+        let _ = client.write_all(&vec![b'a'; 1 << 20]);
+        let mut reply = Vec::new();
+        let _ = client.read_to_end(&mut reply);
+        let err = server.join().unwrap();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("too large"), "{err}");
+        assert!(reply.starts_with(b"HTTP/1.1 400 "), "no 400 came back");
+    }
+
+    /// A client that sends a request line and then one byte every 50 ms
+    /// never trips a per-read timeout; the whole-request deadline drops it,
+    /// and the request queued behind it is served.
+    #[test]
+    fn a_trickling_client_is_dropped_at_the_deadline() {
+        let budget = Duration::from_millis(300);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut slow, _) = listener.accept().unwrap();
+            let started = Instant::now();
+            let err = read_request_within(&mut slow, budget).unwrap_err();
+            let waited = started.elapsed();
+            drop(slow);
+            let (mut next, _) = listener.accept().unwrap();
+            let req = read_request_within(&mut next, budget).unwrap();
+            write_response(&mut next, 200, "OK", "application/json", b"{}").unwrap();
+            (err, waited, req.path)
+        });
+        let mut slow = TcpStream::connect(&addr).unwrap();
+        slow.write_all(b"POST /jobs HTTP/1.1\r\n").unwrap();
+        // Up to 4 s of trickle; writes start failing once the server has
+        // dropped the connection.
+        let trickle = std::thread::spawn(move || {
+            for _ in 0..80 {
+                if slow.write_all(b"x").is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        });
+        let resp = request(&addr, "GET", "/healthz", None).unwrap();
+        assert!(resp.is_ok());
+        let (err, waited, path) = server.join().unwrap();
+        trickle.join().unwrap();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+        assert!(waited >= budget, "dropped after {waited:?}");
+        assert!(waited < Duration::from_secs(2), "dropped after {waited:?}");
+        assert_eq!(path, "/healthz");
     }
 }

@@ -17,7 +17,8 @@
 //! the chunks other threads claimed from its own call have finished. The
 //! steady-state cost of a fan-out is a queue push, a condvar wake and a few
 //! atomic increments, which is what makes per-round parallelism profitable
-//! even for very small groups (see the `pool` bench group).
+//! even for very small groups (the repo benchmark's `parallel.fork_join_us`
+//! layer metric).
 //!
 //! ## Nesting rules
 //!

@@ -401,6 +401,18 @@ impl<'a> SpecReader<'a> {
         }
     }
 
+    /// Fail when `key` is present although only scenarios of kind `only`
+    /// read it — the driver for `kind` would silently ignore it.
+    fn only_for_kind(&self, key: &str, kind: &str, only: &str) -> Result<(), ScenarioError> {
+        match self.table.get(key) {
+            Some(Node::Value(e)) if kind != only => Err(ScenarioError::at(
+                e.line,
+                format!("{} applies only to {only} scenarios", self.ctx(key)),
+            )),
+            _ => Ok(()),
+        }
+    }
+
     /// Fail on any key no accessor consumed — typos never silently default.
     fn finish(&self) -> Result<(), ScenarioError> {
         let used = self.used.borrow();
@@ -614,7 +626,9 @@ impl ScenarioSpec {
             }
             None => Vec::new(),
         };
-        let speedup_target = run.f64_opt("speedup_target")?;
+        let speedup_target =
+            run.f64_checked_opt("speedup_target", "in (0, 1]", |x| x > 0.0 && x <= 1.0)?;
+        run.only_for_kind("speedup_target", &kind_key, "time_accuracy")?;
         let energy_targets = match run.f64_array_opt("energy_targets")? {
             Some((targets, line)) => {
                 for &t in &targets {
@@ -638,7 +652,7 @@ impl ScenarioSpec {
         let energy_label = run.str_opt("energy_label")?.map(|(s, _)| s);
         let rounds = run.positive_usize_opt("rounds")?;
         let eval_every = run.positive_usize_opt("eval_every")?;
-        let max_virtual_time = run.f64_opt("max_virtual_time")?;
+        let max_virtual_time = run.f64_checked_opt("max_virtual_time", "positive", |x| x > 0.0)?;
         let run_seed = run.u64_opt("seed")?.unwrap_or(4242);
         let num_seeds = run.positive_usize_opt("seeds")?.unwrap_or(1);
         let vary_system = run.bool_opt("system_seeds")?.unwrap_or(false);
@@ -679,6 +693,7 @@ impl ScenarioSpec {
         let per_worker_samples = sweep
             .positive_usize_opt("per_worker_samples")?
             .unwrap_or(30);
+        sweep.only_for_kind("per_worker_samples", &kind_key, "scalability")?;
         sweep.finish()?;
 
         // [limits] — per-cell retry/timeout policy. Optional: `None` keeps
@@ -1052,6 +1067,90 @@ xi = [0.2, 0.4]
                 err.msg
             );
         }
+    }
+
+    #[test]
+    fn speedup_target_is_range_checked_and_time_accuracy_only() {
+        let with_run = |kind: &str, run: &str, sweep: &str| {
+            ScenarioSpec::parse(&format!(
+                "[scenario]\nname = \"x\"\nkind = \"{kind}\"\ntitle = \"t\"\n\
+                 [run]\naccuracy_targets = [0.8]\n{run}\n{sweep}"
+            ))
+        };
+        let mechanisms = "mechanisms = [\"fedavg\"]";
+        for bad in ["0", "-0.5", "1.5", "nan"] {
+            let run = format!("speedup_target = {bad}\n{mechanisms}");
+            let err = with_run("time_accuracy", &run, "").unwrap_err();
+            assert_eq!(err.line, Some(7), "{bad}: {}", err.msg);
+            assert!(err.msg.contains("must be in (0, 1]"), "{bad}: {}", err.msg);
+        }
+        let run = format!("speedup_target = 1.0\n{mechanisms}");
+        let spec = with_run("time_accuracy", &run, "").unwrap();
+        assert_eq!(spec.speedup_target, Some(1.0));
+        for (kind, run, sweep) in [
+            ("xi_sweep", "speedup_target = 0.8".to_string(), ""),
+            (
+                "scalability",
+                format!("speedup_target = 0.8\n{mechanisms}"),
+                "",
+            ),
+            (
+                "grid",
+                format!("speedup_target = 0.8\n{mechanisms}"),
+                "[sweep]\nxi = [0.1]\n",
+            ),
+        ] {
+            let err = with_run(kind, &run, sweep).unwrap_err();
+            assert_eq!(err.line, Some(7), "{kind}: {}", err.msg);
+            assert!(
+                err.msg
+                    .contains("`run.speedup_target` applies only to time_accuracy scenarios"),
+                "{kind}: {}",
+                err.msg
+            );
+        }
+    }
+
+    #[test]
+    fn per_worker_samples_is_scalability_only() {
+        let err =
+            ScenarioSpec::parse(&format!("{MINIMAL_GRID}per_worker_samples = 40\n")).unwrap_err();
+        assert_eq!(err.line, Some(19), "{}", err.msg);
+        assert!(
+            err.msg
+                .contains("`sweep.per_worker_samples` applies only to scalability scenarios"),
+            "{}",
+            err.msg
+        );
+        let spec = ScenarioSpec::parse(
+            "[scenario]\nname = \"x\"\nkind = \"scalability\"\ntitle = \"t\"\n\
+             [run]\nmechanisms = [\"fedavg\"]\naccuracy_targets = [0.8]\n\
+             [sweep]\nper_worker_samples = 40\n",
+        )
+        .unwrap();
+        assert_eq!(spec.per_worker_samples, 40);
+    }
+
+    #[test]
+    fn max_virtual_time_must_be_finite_and_positive() {
+        for bad in ["0", "0.0", "-5", "inf", "nan"] {
+            let err = ScenarioSpec::parse(&MINIMAL_GRID.replace(
+                "rounds = 4",
+                &format!("rounds = 4\nmax_virtual_time = {bad}"),
+            ))
+            .unwrap_err();
+            assert_eq!(err.line, Some(14), "{bad}: {}", err.msg);
+            assert!(
+                err.msg.contains("`run.max_virtual_time` must be positive"),
+                "{bad}: {}",
+                err.msg
+            );
+        }
+        let spec = ScenarioSpec::parse(
+            &MINIMAL_GRID.replace("rounds = 4", "rounds = 4\nmax_virtual_time = 2500"),
+        )
+        .unwrap();
+        assert_eq!(spec.max_virtual_time, Some(2500.0));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A self-contained parser for the TOML subset scenario files use.
 //!
 //! The build container has no crates.io access, so — like the `serde` /
-//! `criterion` stand-ins under `crates/compat` — this is a small hand-rolled
+//! `serde_derive` stand-ins under `crates/compat` — this is a small hand-rolled
 //! implementation of exactly the slice of TOML the scenario format needs:
 //!
 //! * `[table]` / `[table.sub]` headers and dotted keys (`sweep.xi = [...]`),

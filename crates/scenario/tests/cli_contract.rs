@@ -142,6 +142,23 @@ fn usage_read_and_spec_errors_exit_2() {
     let out = run_in(&dir, &["bad.toml"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(!String::from_utf8(out.stderr).unwrap().is_empty());
+    // A zero time budget is one line-numbered spec error before anything
+    // runs, not a grid-full of replicates panicking in the engines' option
+    // asserts.
+    let zero_budget = GRID_SPEC.replace("rounds = 4", "rounds = 4\nmax_virtual_time = 0");
+    fs::write(dir.join("zero_budget.toml"), zero_budget).unwrap();
+    let out = run_in(&dir, &["zero_budget.toml"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("line 15") && stderr.contains("`run.max_virtual_time` must be positive"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "something ran");
+    assert!(
+        !dir.join("runstore").exists() && !dir.join("results").exists(),
+        "something ran"
+    );
     fs::remove_dir_all(&dir).ok();
 }
 

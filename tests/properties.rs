@@ -28,7 +28,11 @@ use air_fedga::wireless::aircomp::{
     AirAggregationInput, AirAggregationScratch,
 };
 use air_fedga::wireless::power::{optimize_power, transmit_power, PowerControlConfig};
-use bench::reference::{air_aggregate, logreg_loss_and_gradient, mlp_loss_and_gradient};
+use reference::{
+    air_aggregate, logreg_loss_and_gradient, mlp_local_update_reference, mlp_loss_and_gradient,
+};
+
+mod reference;
 
 const CASES: usize = 24;
 
@@ -290,6 +294,67 @@ fn batched_mlp_matches_per_sample_reference() {
     }
 }
 
+/// A whole local update — three epochs of shuffled mini-batches with a ragged
+/// last batch — through the batched engine (`local_update_ws`) lands on the
+/// same mean loss and the same parameters as the per-sample reference trainer
+/// run from the same model, shard, `SgdConfig` and `Rng64` seed, for a
+/// one-hidden-layer MLP and for `Mlp::paper_lr`.
+///
+/// Tolerance 1e-10: the two differentials above hold each step's gradient to
+/// 1e-10, and a step moves the parameters by γ = 0.1 times that, so nine
+/// steps stay inside 1e-10 unless the loss curvature amplifies the drift by
+/// more than 10× (observed: below 1e-14). One update is ~1e-2, so a skipped,
+/// repeated or mis-sized batch cannot hide under it.
+#[test]
+fn batched_local_step_matches_per_sample_reference() {
+    use air_fedga::fedml::optimizer::{local_update_ws, SgdConfig};
+    use air_fedga::fedml::workspace::Workspace;
+    const TOL: f64 = 1e-10;
+    let mut rng = Rng64::seed_from(7109);
+    let data = SyntheticSpec::mnist_like()
+        .with_samples_per_class(7)
+        .generate(&mut rng);
+    let cfg = SgdConfig {
+        learning_rate: 0.1,
+        batch_size: 32,
+        local_epochs: 3,
+    };
+    assert_eq!(data.len() % cfg.batch_size, 6, "last mini-batch is ragged");
+    let (features, classes) = (data.num_features(), data.num_classes());
+    let models = [
+        (
+            "one hidden layer",
+            Mlp::new(features, &[16], classes, &mut rng),
+        ),
+        ("paper_lr", Mlp::paper_lr(features, classes, &mut rng)),
+    ];
+    for (name, start) in models {
+        let mut batched = start.clone();
+        let mut reference = start;
+        let loss = local_update_ws(
+            &mut batched,
+            &data,
+            &cfg,
+            &mut Rng64::seed_from(7110),
+            &mut Workspace::new(),
+        );
+        let loss_ref =
+            mlp_local_update_reference(&mut reference, &data, &cfg, &mut Rng64::seed_from(7110));
+        assert!(
+            (loss - loss_ref).abs() < TOL,
+            "{name}: mean loss {loss} vs reference {loss_ref}"
+        );
+        let (got, want) = (batched.params(), reference.params());
+        assert_eq!(got.dim(), want.dim(), "{name}");
+        for (c, (a, b)) in got.0.iter().zip(want.0.iter()).enumerate() {
+            assert!(
+                (a - b).abs() < TOL,
+                "{name}: param {c}: {a} vs reference {b}"
+            );
+        }
+    }
+}
+
 /// Rayon-style parallel worker rounds produce bit-identical training traces
 /// to sequential execution for fixed seeds, across aggregation back-ends.
 #[test]
@@ -361,6 +426,87 @@ fn packed_gemm_nt_matches_naive() {
                 );
             }
         }
+    }
+}
+
+/// Every GEMM variant — `gemm_nn`, `gemm_tn`, `gemm_tn_acc`, `gemm_nt`,
+/// `gemm_nt_packed` — computes the same product as a naive triple loop on
+/// degenerate sizes (0 and 1), on sizes one below / at / one above the
+/// micro-kernel's register tile (4 rows × 4 k-steps × `LANES` = 8 columns),
+/// on three layer shapes the workloads train (32×64×64, 32×128×64,
+/// 256×64×128) and on a seeded ragged sweep. Outputs start as NaN, so a
+/// kernel that leaves an element unwritten (say at `k = 0`) fails too.
+///
+/// Tolerance per element: `4 (k + 2) ε · Σ|x||y|`, the standard forward
+/// error bound of a length-`k` dot product under any summation order (twice,
+/// for the two orders compared, with room for `gemm_tn_acc`'s alpha scaling
+/// and final add) — beyond it a difference is a wrong sum, not rounding.
+#[test]
+fn every_gemm_variant_matches_a_naive_triple_loop() {
+    use air_fedga::fedml::linalg::{gemm_nn, gemm_nt, gemm_nt_packed, gemm_tn, gemm_tn_acc};
+    let mut shapes = vec![(32, 64, 64), (32, 128, 64), (256, 64, 128)];
+    for m in [0, 1, 3, 4, 5] {
+        for n in [0, 1, 7, 8, 9] {
+            for k in [0, 1, 3, 4, 5] {
+                shapes.push((m, n, k));
+            }
+        }
+    }
+    let mut rng = Rng64::seed_from(7111);
+    for _ in 0..CASES {
+        shapes.push((rng.index(41), rng.index(41), rng.index(61)));
+    }
+    for (m, n, k) in shapes {
+        let mut fill =
+            |len: usize| -> Vec<f64> { (0..len).map(|_| rng.uniform_range(-1.0, 1.0)).collect() };
+        // One product C = X · Y (X is m×k, Y is k×n), each operand also in
+        // the transposed layout the `t` side of a kernel reads.
+        let (x, y, c0) = (fill(m * k), fill(k * n), fill(m * n));
+        let alpha = 2.0 * fill(1)[0];
+        let xt: Vec<f64> = (0..k * m).map(|i| x[(i % m) * k + i / m]).collect();
+        let yt: Vec<f64> = (0..n * k).map(|i| y[(i % k) * n + i / k]).collect();
+        let mut want = vec![0.0; m * n];
+        let mut bound = vec![0.0; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                for l in 0..k {
+                    want[i * n + j] += x[i * k + l] * y[l * n + j];
+                    bound[i * n + j] += (x[i * k + l] * y[l * n + j]).abs();
+                }
+            }
+        }
+        let check = |kernel: &str, got: &[f64], want: &[f64], bound: &[f64]| {
+            for (e, ((g, w), b)) in got.iter().zip(want).zip(bound).enumerate() {
+                let tol = 4.0 * (k as f64 + 2.0) * f64::EPSILON * b;
+                assert!(
+                    (g - w).abs() <= tol,
+                    "{kernel} {m}x{n}x{k}: element ({}, {}) is {g}, naive {w}",
+                    e / n,
+                    e % n
+                );
+            }
+        };
+        let mut c = vec![f64::NAN; m * n];
+        gemm_nn(&x, &y, &mut c, m, n, k);
+        check("gemm_nn", &c, &want, &bound);
+        c.fill(f64::NAN);
+        gemm_tn(&xt, &y, &mut c, m, n, k);
+        check("gemm_tn", &c, &want, &bound);
+        c.fill(f64::NAN);
+        gemm_nt(&x, &yt, &mut c, m, n, k);
+        check("gemm_nt", &c, &want, &bound);
+        c.fill(f64::NAN);
+        gemm_nt_packed(&x, &yt, &mut c, m, n, k, &mut vec![f64::NAN; k * n]);
+        check("gemm_nt_packed", &c, &want, &bound);
+        c.copy_from_slice(&c0);
+        gemm_tn_acc(&xt, &y, &mut c, m, n, k, alpha);
+        let want_acc: Vec<f64> = c0.iter().zip(&want).map(|(c, w)| c + alpha * w).collect();
+        let bound_acc: Vec<f64> = c0
+            .iter()
+            .zip(&bound)
+            .map(|(c, b)| c.abs() + alpha.abs() * b)
+            .collect();
+        check("gemm_tn_acc", &c, &want_acc, &bound_acc);
     }
 }
 

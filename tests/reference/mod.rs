@@ -1,6 +1,6 @@
-//! Reference implementations kept out of the library crates: the per-sample
-//! trainer, the spawn-per-call fork/join ([`fork_join_chunks_spawned`]) and
-//! the allocating over-the-air aggregation ([`air_aggregate`]).
+//! Reference implementations kept out of the library crates, as oracles for
+//! `tests/properties.rs`: the per-sample trainer and the allocating
+//! over-the-air aggregation ([`air_aggregate`]).
 //!
 //! ## The per-sample reference trainer
 //!
@@ -8,13 +8,10 @@
 //! mini-batch one sample at a time, computing a matvec per layer on the way
 //! forward and a rank-one update per layer on the way back, allocating fresh
 //! vectors for logits, softmax outputs, ReLU masks and activations at every
-//! step. It exists for two reasons:
-//!
-//! * **Correctness oracle** — the property tests assert that the batched GEMM
-//!   engine reproduces these gradients to 1e-10 on random models and batches.
-//! * **Perf baseline** — the `engine` bench measures the batched local
-//!   training step against [`mlp_local_update_reference`]; the committed
-//!   `BENCH_*.json` files track that speedup over time.
+//! step. It exists as a **correctness oracle**: the property tests assert
+//! that the batched GEMM engine reproduces these gradients to 1e-10 on random
+//! models and batches, and that a whole multi-epoch local update
+//! ([`mlp_local_update_reference`]) lands on the same parameters.
 //!
 //! It intentionally mirrors the mathematical definition rather than sharing
 //! code with the batched implementation.
@@ -145,9 +142,9 @@ pub fn mlp_loss_and_gradient(model: &Mlp, data: &Dataset, indices: &[usize]) -> 
     (total_loss * inv_n, FlatParams(flat))
 }
 
-/// The seed's per-sample local SGD step (reference for the `engine` bench):
-/// per mini-batch it runs [`mlp_loss_and_gradient`] and applies the update
-/// through the allocating params/axpy/set_params round-trip.
+/// The seed's per-sample local SGD step: per mini-batch it runs
+/// [`mlp_loss_and_gradient`] and applies the update through the allocating
+/// params/axpy/set_params round-trip.
 pub fn mlp_local_update_reference(
     model: &mut Mlp,
     shard: &Dataset,
@@ -172,25 +169,6 @@ pub fn mlp_local_update_reference(
         }
     }
     loss_sum / batches as f64
-}
-
-/// Spawn-per-call fork/join: one scoped OS thread per chunk, joined before
-/// returning — what `parallel::fork_join_chunks` did before the persistent
-/// pool. The baseline the `pool` bench group measures the pool's amortised
-/// overhead against.
-pub fn fork_join_chunks_spawned<F: Fn(usize) + Sync>(chunks: usize, run: &F) {
-    if chunks <= 1 {
-        for c in 0..chunks {
-            run(c);
-        }
-        return;
-    }
-    std::thread::scope(|s| {
-        for c in 1..chunks {
-            s.spawn(move || run(c));
-        }
-        run(0);
-    });
 }
 
 /// Result of one allocating over-the-air aggregation ([`air_aggregate`]).
@@ -221,10 +199,9 @@ impl AirAggregationResult {
 }
 
 /// One over-the-air aggregation (Eq. (9) + the denoising of Eq. (10)) into
-/// freshly allocated buffers: the allocating baseline of the
-/// `aircomp_aggregation` bench group and the fresh-buffer side of the
-/// bit-identity property tests. Same arguments, panics, accumulation order
-/// and RNG draws as [`air_aggregate_into`], which it wraps.
+/// freshly allocated buffers: the fresh-buffer side of the bit-identity
+/// property tests. Same arguments, panics, accumulation order and RNG draws
+/// as [`air_aggregate_into`], which it wraps.
 pub fn air_aggregate(
     inputs: &[AirAggregationInput<'_>],
     sigma: f64,
@@ -271,16 +248,6 @@ mod tests {
         assert!((res.mse() - res.error_norm_sq / 10.0).abs() < 1e-15);
         // p = d*sigma/h = 1 ; E = ||p w||^2 = 10.
         assert!((res.total_energy() - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn spawned_reference_runs_every_chunk() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let total = AtomicUsize::new(0);
-        fork_join_chunks_spawned(8, &|c| {
-            total.fetch_add(c + 1, Ordering::Relaxed);
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 36);
     }
 
     #[test]
