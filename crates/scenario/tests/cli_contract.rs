@@ -2,7 +2,8 @@
 //! the documented exit codes (0 clean / 1 unrecovered failures / 2 usage),
 //! and the `--store-root` / `--results-dir` relocation flags producing
 //! byte-identical outputs to a default-layout run (the equivalence the job
-//! server builds on).
+//! server builds on), and every byte of stdout and `results/` that the four
+//! scenario kinds print, replayed against `golden/pinned/`.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -315,4 +316,92 @@ fn store_root_and_results_dir_relocation_is_byte_identical() {
 
     fs::remove_dir_all(&default_cwd).ok();
     fs::remove_dir_all(&reloc_cwd).ok();
+}
+
+/// The runs pinned under `golden/pinned/<case>/`: the case, and its command
+/// line with the spec path relative to this crate. `stdout.txt` is the run's
+/// stdout; a `results/` directory beside it holds every file the run wrote
+/// (the three `golden/{xi_sweep,scalability,grid}.toml` specs pin stdout only
+/// — their CSV bytes are `golden_sweeps.rs`'s).
+///
+/// Written once by the `airfedga-run` of the commit *before* the kind drivers
+/// became one list/lay-out/render path (quick scale, a fresh working
+/// directory per run so the `-> wrote results/…` lines are relative), and
+/// never regenerated: a renderer change that moves a byte fails here.
+/// Between them they cover every layout rule the renderer owns: one seed vs
+/// many, `--system-seeds` banners, the faulty columns, the energy table, the
+/// speed-up lines, the ξ-sweep and scalability tables, `[n/N]` partial
+/// coverage and `n/a` cells.
+const PINNED: &[(&str, &str)] = &[
+    ("fig3_s1", "../../scenarios/fig3.toml"),
+    ("fig3_s3", "../../scenarios/fig3.toml --seeds 3"),
+    (
+        "fig3_s3sys",
+        "../../scenarios/fig3.toml --seeds 3 --system-seeds",
+    ),
+    ("fig9", "../../scenarios/fig9.toml"),
+    ("churn_mnist", "../../scenarios/churn_mnist.toml"),
+    ("fig8", "../../scenarios/fig8.toml"),
+    ("fig10", "../../scenarios/fig10.toml"),
+    ("outage_xi_grid", "../../scenarios/outage_xi_grid.toml"),
+    ("partial_s1", "tests/golden/partial.toml --seeds 1"),
+    ("partial_s3sys", "tests/golden/partial.toml --system-seeds"),
+    ("partial_grid", "tests/golden/partial_grid.toml"),
+    ("xi_sweep_s1", "tests/golden/xi_sweep.toml"),
+    ("xi_sweep_s2", "tests/golden/xi_sweep.toml --seeds 2"),
+    (
+        "xi_sweep_s2sys",
+        "tests/golden/xi_sweep.toml --seeds 2 --system-seeds",
+    ),
+    ("scalability_s1", "tests/golden/scalability.toml"),
+    ("scalability_s2", "tests/golden/scalability.toml --seeds 2"),
+    (
+        "scalability_s2sys",
+        "tests/golden/scalability.toml --seeds 2 --system-seeds",
+    ),
+    ("grid_s1", "tests/golden/grid.toml"),
+    ("grid_s2", "tests/golden/grid.toml --seeds 2"),
+    (
+        "grid_s2sys",
+        "tests/golden/grid.toml --seeds 2 --system-seeds",
+    ),
+];
+
+#[test]
+fn every_kind_reproduces_its_pinned_stdout_and_results() {
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+    for &(case, command_line) in PINNED {
+        let (spec, flags) = command_line.split_once(' ').unwrap_or((command_line, ""));
+        let spec = manifest.join(spec);
+        let mut args = vec![spec.to_str().unwrap()];
+        args.extend(flags.split(' ').filter(|flag| !flag.is_empty()));
+        let cwd = tmp_dir(&format!("pinned_{case}"));
+        let out = run_in(&cwd, &args);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{case}: stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let pinned = manifest.join("tests/golden/pinned").join(case);
+        assert_eq!(
+            String::from_utf8(out.stdout).unwrap(),
+            fs::read_to_string(pinned.join("stdout.txt")).unwrap(),
+            "{case}: stdout moved"
+        );
+        if pinned.join("results").is_dir() {
+            let text = |files: BTreeMap<String, Vec<u8>>| -> BTreeMap<String, String> {
+                files
+                    .into_iter()
+                    .map(|(name, bytes)| (name, String::from_utf8(bytes).unwrap()))
+                    .collect()
+            };
+            assert_eq!(
+                text(snapshot(&cwd.join("results"))),
+                text(snapshot(&pinned.join("results"))),
+                "{case}: results/ moved"
+            );
+        }
+        fs::remove_dir_all(&cwd).ok();
+    }
 }
