@@ -318,11 +318,13 @@ fn store_root_and_results_dir_relocation_is_byte_identical() {
     fs::remove_dir_all(&reloc_cwd).ok();
 }
 
-/// The runs pinned under `golden/pinned/<case>/`: the case, and its command
-/// line with the spec path relative to this crate. `stdout.txt` is the run's
-/// stdout; a `results/` directory beside it holds every file the run wrote
-/// (the three `golden/{xi_sweep,scalability,grid}.toml` specs pin stdout only
-/// — their CSV bytes are `golden_sweeps.rs`'s).
+/// The runs pinned under `golden/pinned/<case>/`: the case, its command line
+/// with the spec path relative to this crate, and whether the case pins the
+/// run's files as well. `stdout.txt` is the run's stdout; `files/` beside it
+/// holds every file the run wrote to `results/` (named `files` because the
+/// repo ignores every `results/`). The three
+/// `golden/{xi_sweep,scalability,grid}.toml` specs pin stdout only — their
+/// CSV bytes are `golden_sweeps.rs`'s.
 ///
 /// Written once by the `airfedga-run` of the commit *before* the kind drivers
 /// became one list/lay-out/render path (quick scale, a fresh working
@@ -332,49 +334,71 @@ fn store_root_and_results_dir_relocation_is_byte_identical() {
 /// many, `--system-seeds` banners, the faulty columns, the energy table, the
 /// speed-up lines, the ξ-sweep and scalability tables, `[n/N]` partial
 /// coverage and `n/a` cells.
-const PINNED: &[(&str, &str)] = &[
-    ("fig3_s1", "../../scenarios/fig3.toml"),
-    ("fig3_s3", "../../scenarios/fig3.toml --seeds 3"),
+const PINNED: &[(&str, &str, bool)] = &[
+    ("fig3_s1", "../../scenarios/fig3.toml", true),
+    ("fig3_s3", "../../scenarios/fig3.toml --seeds 3", true),
     (
         "fig3_s3sys",
         "../../scenarios/fig3.toml --seeds 3 --system-seeds",
+        true,
     ),
-    ("fig9", "../../scenarios/fig9.toml"),
-    ("churn_mnist", "../../scenarios/churn_mnist.toml"),
-    ("fig8", "../../scenarios/fig8.toml"),
-    ("fig10", "../../scenarios/fig10.toml"),
-    ("outage_xi_grid", "../../scenarios/outage_xi_grid.toml"),
-    ("partial_s1", "tests/golden/partial.toml --seeds 1"),
-    ("partial_s3sys", "tests/golden/partial.toml --system-seeds"),
-    ("partial_grid", "tests/golden/partial_grid.toml"),
-    ("xi_sweep_s1", "tests/golden/xi_sweep.toml"),
-    ("xi_sweep_s2", "tests/golden/xi_sweep.toml --seeds 2"),
+    ("fig9", "../../scenarios/fig9.toml", true),
+    ("churn_mnist", "../../scenarios/churn_mnist.toml", true),
+    ("fig8", "../../scenarios/fig8.toml", true),
+    ("fig10", "../../scenarios/fig10.toml", true),
+    (
+        "outage_xi_grid",
+        "../../scenarios/outage_xi_grid.toml",
+        true,
+    ),
+    ("partial_s1", "tests/golden/partial.toml --seeds 1", true),
+    (
+        "partial_s3sys",
+        "tests/golden/partial.toml --system-seeds",
+        true,
+    ),
+    ("partial_grid", "tests/golden/partial_grid.toml", true),
+    ("xi_sweep_s1", "tests/golden/xi_sweep.toml", false),
+    ("xi_sweep_s2", "tests/golden/xi_sweep.toml --seeds 2", false),
     (
         "xi_sweep_s2sys",
         "tests/golden/xi_sweep.toml --seeds 2 --system-seeds",
+        false,
     ),
-    ("scalability_s1", "tests/golden/scalability.toml"),
-    ("scalability_s2", "tests/golden/scalability.toml --seeds 2"),
+    ("scalability_s1", "tests/golden/scalability.toml", false),
+    (
+        "scalability_s2",
+        "tests/golden/scalability.toml --seeds 2",
+        false,
+    ),
     (
         "scalability_s2sys",
         "tests/golden/scalability.toml --seeds 2 --system-seeds",
+        false,
     ),
-    ("grid_s1", "tests/golden/grid.toml"),
-    ("grid_s2", "tests/golden/grid.toml --seeds 2"),
+    ("grid_s1", "tests/golden/grid.toml", false),
+    ("grid_s2", "tests/golden/grid.toml --seeds 2", false),
     (
         "grid_s2sys",
         "tests/golden/grid.toml --seeds 2 --system-seeds",
+        false,
     ),
 ];
 
 #[test]
 fn every_kind_reproduces_its_pinned_stdout_and_results() {
     let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
-    for &(case, command_line) in PINNED {
-        let (spec, flags) = command_line.split_once(' ').unwrap_or((command_line, ""));
-        let spec = manifest.join(spec);
+    let text = |files: BTreeMap<String, Vec<u8>>| -> BTreeMap<String, String> {
+        files
+            .into_iter()
+            .map(|(name, bytes)| (name, String::from_utf8(bytes).unwrap()))
+            .collect()
+    };
+    for &(case, command_line, pins_files) in PINNED {
+        let mut words = command_line.split_whitespace();
+        let spec = manifest.join(words.next().expect("a spec path"));
         let mut args = vec![spec.to_str().unwrap()];
-        args.extend(flags.split(' ').filter(|flag| !flag.is_empty()));
+        args.extend(words);
         let cwd = tmp_dir(&format!("pinned_{case}"));
         let out = run_in(&cwd, &args);
         assert_eq!(
@@ -389,16 +413,15 @@ fn every_kind_reproduces_its_pinned_stdout_and_results() {
             fs::read_to_string(pinned.join("stdout.txt")).unwrap(),
             "{case}: stdout moved"
         );
-        if pinned.join("results").is_dir() {
-            let text = |files: BTreeMap<String, Vec<u8>>| -> BTreeMap<String, String> {
-                files
-                    .into_iter()
-                    .map(|(name, bytes)| (name, String::from_utf8(bytes).unwrap()))
-                    .collect()
-            };
+        if pins_files {
+            let files = text(snapshot(&pinned.join("files")));
+            assert!(
+                !files.is_empty(),
+                "{case}: the pinned files are missing from this checkout"
+            );
             assert_eq!(
                 text(snapshot(&cwd.join("results"))),
-                text(snapshot(&pinned.join("results"))),
+                files,
                 "{case}: results/ moved"
             );
         }
