@@ -11,6 +11,9 @@
 //!   staleness `τ_t` of Eq. (5).
 //! * [`mechanism`] — Algorithm 1: grouping asynchronous federated learning
 //!   via over-the-air computation, driven in virtual time.
+//! * [`server`] — the parameter server's half of a round (over-the-air
+//!   aggregation into the global model, periodic evaluation), shared by the
+//!   engine and the Dynamic baseline's own loop.
 //! * [`worker_pool`] — per-worker training state (model, RNG stream, scratch
 //!   workspace); a round's members train in parallel on the persistent worker pool
 //!   with bit-identical-to-sequential results.
@@ -40,6 +43,7 @@
 
 pub mod convergence;
 pub mod mechanism;
+pub mod server;
 pub mod staleness;
 pub mod system;
 pub mod worker_pool;

@@ -18,6 +18,7 @@
 //! [`AirFedGa`] wires the engine to the worker-grouping Algorithm 3 and the
 //! paper's default hyper-parameters.
 
+use crate::server::Server;
 use crate::staleness::StalenessTracker;
 use crate::system::{FlMechanism, FlSystem};
 use crate::worker_pool::WorkerPool;
@@ -27,10 +28,7 @@ use grouping::greedy::{greedy_grouping, GreedyGroupingConfig};
 use grouping::objective::{GroupingObjective, ObjectiveConstants};
 use grouping::worker_info::Grouping;
 use simcore::events::EventQueue;
-use simcore::trace::{FaultEvent, FaultEventKind, TracePoint, TrainingTrace};
-use wireless::aircomp::{air_superpose_into, apply_group_update_in_place, AirAggregationInput};
-use wireless::energy::EnergyLedger;
-use wireless::power::{optimize_power, PowerControlConfig};
+use simcore::trace::{FaultEvent, FaultEventKind, TrainingTrace};
 use wireless::timing::OmaScheme;
 
 /// How a group's local models are combined into the group estimate.
@@ -134,11 +132,9 @@ fn faulty_participants(
 ///
 /// The local-training hot path is allocation-free in steady state: every
 /// worker owns a persistent [`WorkerPool`] slot (model, RNG stream, scratch
-/// workspace, local-parameter buffer and its cached `‖w_i‖²`), the per-group
-/// dispatch vectors, power-control buffers and the AirComp estimate/energy
-/// buffers ([`air_superpose_into`] gathering straight from them) are all
-/// reused across rounds, and evaluation runs through the batched
-/// `evaluate_ws` path. With
+/// workspace, local-parameter buffer and its cached `‖w_i‖²`), and the
+/// per-group dispatch vectors and the [`Server`]'s power-control, AirComp
+/// estimate/energy and evaluation buffers are all reused across rounds. With
 /// `opts.parallel` the members of the aggregating group train concurrently on
 /// the persistent worker pool — bit-identical to the sequential schedule.
 pub fn run_group_async(
@@ -155,26 +151,14 @@ pub fn run_group_async(
         "grouping does not match the system's worker count"
     );
     let mut trace = TrainingTrace::new(mechanism_name, &system.workload_label());
-    let mut template = system.fresh_model();
-    let mut global = template.params();
-    let total_data = system.total_data() as f64;
+    let mut server = Server::new(system);
     let model_dim = system.model_dim();
     let wireless = &system.config.wireless;
 
     let m = grouping.num_groups();
-    let mut dispatch_params: Vec<FlatParams> = vec![global.clone(); m];
+    let mut dispatch_params: Vec<FlatParams> = vec![server.global().clone(); m];
     let mut staleness = StalenessTracker::new(m);
-    let mut ledger = EnergyLedger::new(system.num_workers());
     let mut pool = WorkerPool::new(system, rng);
-    let mut eval_ws = fedml::workspace::Workspace::new();
-
-    // Reusable per-round buffers (cleared, never reallocated in steady
-    // state).
-    let mut data_sizes: Vec<f64> = Vec::new();
-    let mut gains: Vec<f64> = Vec::new();
-    let mut group_estimate = FlatParams::zeros(model_dim);
-    let mut energies: Vec<f64> = Vec::new();
-    let mut pc = PowerControlConfig::for_group(1.0, &[1.0], &[1.0]);
 
     // Fault bookkeeping. When the plan is disabled (the historical case) the
     // engine takes exactly the pre-fault code path — same calls, same float
@@ -195,15 +179,7 @@ pub fn run_group_async(
     }
 
     // Record the starting point (round 0).
-    template.set_params(&global);
-    let stats = template.evaluate_ws(&system.test, &mut eval_ws);
-    trace.record(TracePoint {
-        time: 0.0,
-        round: 0,
-        loss: stats.loss,
-        accuracy: stats.accuracy,
-        energy: 0.0,
-    });
+    server.evaluate(0.0, 0, &mut trace);
 
     for round in 1..=opts.total_rounds {
         let _round_span = telemetry::span!("round", round);
@@ -239,9 +215,7 @@ pub fn run_group_async(
             members
         };
 
-        data_sizes.clear();
-        data_sizes.extend(participants.iter().map(|&w| system.shards[w].len() as f64));
-        let group_data: f64 = data_sizes.iter().sum();
+        let group_data = server.weigh(participants);
 
         // Graceful degradation: when nothing can be aggregated — every member
         // dropped, deadlined or in outage, or the surviving members hold no
@@ -259,7 +233,7 @@ pub fn run_group_async(
                     break;
                 }
             }
-            dispatch_params[j].clone_from(&global);
+            dispatch_params[j].clone_from(server.global());
             let next_dispatch = ready_time + wireless.broadcast_latency;
             let latency = if fault_on {
                 dispatch_times[j] = next_dispatch;
@@ -301,90 +275,36 @@ pub fn run_group_async(
                 power_control,
                 noise,
             } => {
-                gains.clear();
-                gains.extend(
-                    participants
-                        .iter()
-                        .map(|&w| system.channel.draw_worker(w, rng)),
-                );
-                let norm_bound = participants
-                    .iter()
-                    .map(|&w| pool.local_norm_sq(w).sqrt())
-                    .fold(0.0_f64, f64::max)
-                    .max(1e-9);
-                assert!(
-                    norm_bound.is_finite(),
-                    "local model norms diverged at round {round}; \
-                     check the learning rate / channel-noise calibration"
-                );
-                let (sigma, eta) = if power_control {
-                    pc.set_group(norm_bound, &data_sizes, &gains, wireless.energy_budget);
-                    pc.noise_variance = wireless.noise_variance;
-                    let sol = optimize_power(&pc);
-                    (sol.sigma, sol.eta)
-                } else {
-                    (1.0, 1.0)
-                };
-                let noise_var = if noise { wireless.noise_variance } else { 0.0 };
-                // Gather straight from the round-persistent buffers (no
-                // per-round Vec<AirAggregationInput>), one pass over each
-                // local model: its norm² was cached by the local update.
-                air_superpose_into(
-                    participants.len(),
-                    |k| AirAggregationInput {
-                        data_size: data_sizes[k],
-                        channel_gain: gains[k],
-                        params: pool.local(participants[k]),
-                    },
-                    |k| pool.local_norm_sq(participants[k]),
-                    sigma,
-                    eta,
-                    noise_var,
+                server.aggregate_over_the_air(
+                    &pool,
+                    participants,
+                    |w, rng| system.channel.draw_worker(w, rng),
+                    power_control,
+                    noise,
+                    round,
                     rng,
-                    &mut group_estimate,
-                    &mut energies,
                 );
-                for (k, &w) in participants.iter().enumerate() {
-                    ledger.record(w, energies[k]);
-                }
-                ledger.finish_round();
             }
-            AggregationMode::OmaIdeal { .. } => {
-                // Exact weighted average of the participants' local models,
-                // accumulated into the reusable estimate buffer. Weights are
-                // re-normalised over the survivors (`group_data > 0` is
-                // guaranteed by the skip guard above).
-                group_estimate.as_mut_slice().fill(0.0);
-                for (k, &w) in participants.iter().enumerate() {
-                    group_estimate.axpy(data_sizes[k] / group_data, pool.local(w));
-                }
-                ledger.finish_round();
-            }
+            // Exact weighted average of the participants' local models.
+            // Weights are re-normalised over the survivors (`group_data > 0`
+            // is guaranteed by the skip guard above).
+            AggregationMode::OmaIdeal { .. } => server.aggregate_exact(&pool, participants),
         };
 
-        // Asynchronous global update (Eq. (10)) and staleness bookkeeping.
-        apply_group_update_in_place(&mut global, &group_estimate, group_data, total_data);
+        // Staleness bookkeeping of the global update (Eq. (10)) just applied.
         staleness.record_aggregation(j, round);
         drop(agg_span);
 
-        // Periodic evaluation (batched loss + accuracy in one pass).
+        // Periodic evaluation.
         if round % opts.eval_every == 0 || round == opts.total_rounds {
             let _eval_span = telemetry::span!("eval", round);
-            template.set_params(&global);
-            let stats = template.evaluate_ws(&system.test, &mut eval_ws);
-            trace.record(TracePoint {
-                time: aggregation_time,
-                round,
-                loss: stats.loss,
-                accuracy: stats.accuracy,
-                energy: ledger.total(),
-            });
+            server.evaluate(aggregation_time, round, &mut trace);
         }
 
         // Re-dispatch the fresh global model to the group and schedule its
         // next ready event.
         let _dispatch_span = telemetry::span!("dispatch", j);
-        dispatch_params[j].clone_from(&global);
+        dispatch_params[j].clone_from(server.global());
         let next_dispatch = aggregation_time + wireless.broadcast_latency;
         let latency = if fault_on {
             dispatch_times[j] = next_dispatch;

@@ -1,0 +1,201 @@
+//! The parameter server's half of a round: over-the-air aggregation of the
+//! participants' local models into the global model, and the periodic
+//! evaluation recorded in the trace.
+//!
+//! Both training loops — the event-driven engine
+//! ([`run_group_async`](crate::mechanism::run_group_async)) and the Dynamic
+//! baseline's synchronous one — do these two steps the same way, so they are
+//! written once here; *when* a round happens, who takes part and which channel
+//! gains they see is scheduling, and stays with the loops. [`Server`] carries
+//! the global model and every buffer the steps reuse across rounds, so the
+//! steady state allocates nothing.
+
+use crate::system::FlSystem;
+use crate::worker_pool::WorkerPool;
+use fedml::model::Model;
+use fedml::params::FlatParams;
+use fedml::rng::Rng64;
+use fedml::workspace::Workspace;
+use simcore::trace::{TracePoint, TrainingTrace};
+use wireless::aircomp::{air_superpose_into, apply_group_update_in_place, AirAggregationInput};
+use wireless::energy::EnergyLedger;
+use wireless::power::{optimize_power, PowerControlConfig};
+
+/// The global model, the energy ledger and the round-persistent buffers of
+/// one training run.
+pub struct Server<'a> {
+    system: &'a FlSystem,
+    global: FlatParams,
+    ledger: EnergyLedger,
+    /// The participants' data sizes `D_i` and their sum `D_j`, filled by
+    /// [`Server::weigh`].
+    data_sizes: Vec<f64>,
+    group_data: f64,
+    /// The participants' channel gains this round.
+    gains: Vec<f64>,
+    /// The aggregating group's model estimate.
+    estimate: FlatParams,
+    total_data: f64,
+    energies: Vec<f64>,
+    power: PowerControlConfig,
+    template: Box<dyn Model>,
+    eval_ws: Workspace,
+}
+
+impl<'a> Server<'a> {
+    /// A server for one run over `system`, holding its initial model `w_0`.
+    pub fn new(system: &'a FlSystem) -> Self {
+        let template = system.fresh_model();
+        Self {
+            system,
+            global: template.params(),
+            ledger: EnergyLedger::new(system.num_workers()),
+            data_sizes: Vec::new(),
+            gains: Vec::new(),
+            estimate: FlatParams::zeros(system.model_dim()),
+            group_data: 0.0,
+            total_data: system.total_data() as f64,
+            energies: Vec::new(),
+            power: PowerControlConfig::for_group(1.0, &[1.0], &[1.0]),
+            template,
+            eval_ws: Workspace::new(),
+        }
+    }
+
+    /// The global model `w_t`.
+    pub fn global(&self) -> &FlatParams {
+        &self.global
+    }
+
+    /// Record the round's participants: their data sizes, and the sum `D_j`,
+    /// which is returned (0 when there is nothing to aggregate).
+    pub fn weigh(&mut self, participants: &[usize]) -> f64 {
+        let shards = &self.system.shards;
+        self.data_sizes.clear();
+        self.data_sizes
+            .extend(participants.iter().map(|&w| shards[w].len() as f64));
+        self.group_data = self.data_sizes.iter().sum();
+        self.group_data
+    }
+
+    /// Evaluate the global model on the test set (batched loss + accuracy in
+    /// one pass) and record the point in `trace`.
+    pub fn evaluate(&mut self, time: f64, round: usize, trace: &mut TrainingTrace) {
+        self.template.set_params(&self.global);
+        let stats = self
+            .template
+            .evaluate_ws(&self.system.test, &mut self.eval_ws);
+        trace.record(TracePoint {
+            time,
+            round,
+            loss: stats.loss,
+            accuracy: stats.accuracy,
+            energy: self.ledger.total(),
+        });
+    }
+
+    /// Close the round in the ledger and apply the asynchronous global
+    /// update of Eq. (10): fold the estimate of the group last
+    /// [weighed](Self::weigh) into the global model.
+    fn apply_estimate(&mut self) {
+        self.ledger.finish_round();
+        apply_group_update_in_place(
+            &mut self.global,
+            &self.estimate,
+            self.group_data,
+            self.total_data,
+        );
+    }
+
+    /// Aggregate the participants' local models (in `pool`, after their local
+    /// update) exactly — the ideal OMA upload, which costs no transmit energy
+    /// here — and apply the result to the global model. The weights `D_i /
+    /// D_j` are over the participants last [weighed](Self::weigh), whose
+    /// `D_j` must be positive.
+    pub fn aggregate_exact(&mut self, pool: &WorkerPool, participants: &[usize]) {
+        self.estimate.as_mut_slice().fill(0.0);
+        for (k, &w) in participants.iter().enumerate() {
+            self.estimate
+                .axpy(self.data_sizes[k] / self.group_data, pool.local(w));
+        }
+        self.apply_estimate();
+    }
+
+    /// Aggregate the participants' local models (in `pool`, after their local
+    /// update) over the noisy fading MAC and apply the result to the global
+    /// model: take each participant's channel gain from `gain_of(worker,
+    /// rng)`, bound the local norms, run Algorithm 2 for `(σ_t, η_t)` when
+    /// `power_control` is on (both 1 otherwise), superpose with the AWGN of
+    /// Eq. (9) when `noise` is on, charge each participant's transmit energy
+    /// to the ledger, then apply Eq. (10). Expects `participants`
+    /// [weighed](Self::weigh).
+    ///
+    /// Panics, naming the round, when a local model's `‖w‖²` is not finite —
+    /// a diverged run must stop rather than trace `inf` / NaN. Each cached
+    /// norm is checked on its own: folding them first would lose a NaN
+    /// (`f64::max` drops it).
+    #[allow(clippy::too_many_arguments)]
+    pub fn aggregate_over_the_air(
+        &mut self,
+        pool: &WorkerPool,
+        participants: &[usize],
+        mut gain_of: impl FnMut(usize, &mut Rng64) -> f64,
+        power_control: bool,
+        noise: bool,
+        round: usize,
+        rng: &mut Rng64,
+    ) {
+        self.gains.clear();
+        self.gains
+            .extend(participants.iter().map(|&w| gain_of(w, rng)));
+        let wireless = &self.system.config.wireless;
+        let mut norm_bound = 0.0_f64;
+        for &w in participants {
+            let norm_sq = pool.local_norm_sq(w);
+            assert!(
+                norm_sq.is_finite(),
+                "local model norms diverged at round {round}; \
+                 check the learning rate / channel-noise calibration"
+            );
+            norm_bound = norm_bound.max(norm_sq.sqrt());
+        }
+        let norm_bound = norm_bound.max(1e-9);
+        let (sigma, eta) = if power_control {
+            self.power.set_group(
+                norm_bound,
+                &self.data_sizes,
+                &self.gains,
+                wireless.energy_budget,
+            );
+            self.power.noise_variance = wireless.noise_variance;
+            let sol = optimize_power(&self.power);
+            (sol.sigma, sol.eta)
+        } else {
+            (1.0, 1.0)
+        };
+        let noise_var = if noise { wireless.noise_variance } else { 0.0 };
+        // Gather straight from the round-persistent buffers (no per-round
+        // Vec<AirAggregationInput>), one pass over each local model: its
+        // norm² was cached by the local update.
+        let (data_sizes, gains) = (&self.data_sizes, &self.gains);
+        air_superpose_into(
+            participants.len(),
+            |k| AirAggregationInput {
+                data_size: data_sizes[k],
+                channel_gain: gains[k],
+                params: pool.local(participants[k]),
+            },
+            |k| pool.local_norm_sq(participants[k]),
+            sigma,
+            eta,
+            noise_var,
+            rng,
+            &mut self.estimate,
+            &mut self.energies,
+        );
+        for (k, &w) in participants.iter().enumerate() {
+            self.ledger.record(w, self.energies[k]);
+        }
+        self.apply_estimate();
+    }
+}

@@ -18,31 +18,13 @@ use simcore::trace::TrainingTrace;
 #[derive(Debug, Clone)]
 pub struct AirFedAvg {
     options: BaselineOptions,
-    power_control: bool,
-    channel_noise: bool,
 }
 
 impl AirFedAvg {
     /// Create an Air-FedAvg run with the given round budget.
     pub fn new(options: BaselineOptions) -> Self {
         options.validate();
-        Self {
-            options,
-            power_control: true,
-            channel_noise: true,
-        }
-    }
-
-    /// Disable the per-round power control (ablation).
-    pub fn without_power_control(mut self) -> Self {
-        self.power_control = false;
-        self
-    }
-
-    /// Disable channel noise (ablation / ideal-channel upper bound).
-    pub fn without_noise(mut self) -> Self {
-        self.channel_noise = false;
-        self
+        Self { options }
     }
 }
 
@@ -57,9 +39,10 @@ impl FlMechanism for AirFedAvg {
             total_rounds: self.options.total_rounds,
             eval_every: self.options.eval_every,
             max_virtual_time: self.options.max_virtual_time,
+            // Algorithm-2 power control over the real, noisy channel.
             aggregation: AggregationMode::AirComp {
-                power_control: self.power_control,
-                noise: self.channel_noise,
+                power_control: true,
+                noise: true,
             },
             parallel: self.options.parallel,
         };

@@ -12,15 +12,11 @@
 //! and consumes the most aggregation energy in Fig. 9.
 
 use crate::BaselineOptions;
+use airfedga::server::Server;
 use airfedga::system::{FlMechanism, FlSystem};
 use airfedga::worker_pool::WorkerPool;
-use fedml::params::FlatParams;
 use fedml::rng::Rng64;
-use fedml::workspace::Workspace;
-use simcore::trace::{FaultEvent, FaultEventKind, TracePoint, TrainingTrace};
-use wireless::aircomp::{air_superpose_into, apply_group_update_in_place, AirAggregationInput};
-use wireless::energy::EnergyLedger;
-use wireless::power::{optimize_power, PowerControlConfig};
+use simcore::trace::{FaultEvent, FaultEventKind, TrainingTrace};
 
 /// Configuration of the Dynamic baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,32 +102,13 @@ impl FlMechanism for Dynamic {
     fn run(&self, system: &FlSystem, rng: &mut Rng64) -> TrainingTrace {
         let cfg = &self.config;
         let mut trace = TrainingTrace::new(self.name(), &system.workload_label());
-        let mut template = system.fresh_model();
-        let mut global = template.params();
-        let total_data = system.total_data() as f64;
+        let mut server = Server::new(system);
         let wireless = &system.config.wireless;
         let aggregation_latency = system.aircomp_aggregation_time();
-        let mut ledger = EnergyLedger::new(system.num_workers());
         let k = ((system.num_workers() as f64 * cfg.select_fraction).ceil() as usize).max(1);
         let mut pool = WorkerPool::new(system, rng);
-        let mut eval_ws = Workspace::new();
 
-        // Reusable per-round buffers.
-        let mut data_sizes: Vec<f64> = Vec::new();
-        let mut sel_gains: Vec<f64> = Vec::new();
-        let mut group_estimate = FlatParams::zeros(system.model_dim());
-        let mut energies: Vec<f64> = Vec::new();
-        let mut pc = PowerControlConfig::for_group(1.0, &[1.0], &[1.0]);
-
-        template.set_params(&global);
-        let stats = template.evaluate_ws(&system.test, &mut eval_ws);
-        trace.record(TracePoint {
-            time: 0.0,
-            round: 0,
-            loss: stats.loss,
-            accuracy: stats.accuracy,
-            energy: 0.0,
-        });
+        server.evaluate(0.0, 0, &mut trace);
 
         // Fault bookkeeping (see `run_group_async`): a disabled plan takes
         // the historical code path bit-for-bit.
@@ -207,9 +184,7 @@ impl FlMechanism for Dynamic {
             };
             drop(dispatch_span);
 
-            data_sizes.clear();
-            data_sizes.extend(participants.iter().map(|&w| system.shards[w].len() as f64));
-            let group_data: f64 = data_sizes.iter().sum();
+            let group_data = server.weigh(participants);
 
             // Graceful degradation: nothing to aggregate this round.
             if participants.is_empty() || group_data <= 0.0 {
@@ -232,7 +207,7 @@ impl FlMechanism for Dynamic {
             // parallel when enabled).
             {
                 let _train_span = telemetry::span!("train", participants.len());
-                pool.train_members(participants, &global, system, cfg.options.parallel);
+                pool.train_members(participants, server.global(), system, cfg.options.parallel);
             }
             let agg_span = telemetry::span!("aggregate", participants.len());
             now += round_wait + aggregation_latency + wireless.broadcast_latency;
@@ -243,61 +218,20 @@ impl FlMechanism for Dynamic {
             }
 
             // Over-the-air aggregation of the participating subset.
-            sel_gains.clear();
-            sel_gains.extend(participants.iter().map(|&w| gains[w]));
-            let norm_bound = participants
-                .iter()
-                .map(|&w| pool.local_norm_sq(w).sqrt())
-                .fold(0.0_f64, f64::max)
-                .max(1e-9);
-            let (sigma, eta) = if cfg.power_control {
-                pc.set_group(norm_bound, &data_sizes, &sel_gains, wireless.energy_budget);
-                pc.noise_variance = wireless.noise_variance;
-                let sol = optimize_power(&pc);
-                (sol.sigma, sol.eta)
-            } else {
-                (1.0, 1.0)
-            };
-            let noise_var = if cfg.channel_noise {
-                wireless.noise_variance
-            } else {
-                0.0
-            };
-            // Gather straight from the round-persistent buffers: no per-round
-            // Vec<AirAggregationInput> allocation, one pass per local model.
-            air_superpose_into(
-                participants.len(),
-                |i| AirAggregationInput {
-                    data_size: data_sizes[i],
-                    channel_gain: sel_gains[i],
-                    params: pool.local(participants[i]),
-                },
-                |i| pool.local_norm_sq(participants[i]),
-                sigma,
-                eta,
-                noise_var,
+            server.aggregate_over_the_air(
+                &pool,
+                participants,
+                |w, _| gains[w],
+                cfg.power_control,
+                cfg.channel_noise,
+                round,
                 rng,
-                &mut group_estimate,
-                &mut energies,
             );
-            for (i, &w) in participants.iter().enumerate() {
-                ledger.record(w, energies[i]);
-            }
-            ledger.finish_round();
-            apply_group_update_in_place(&mut global, &group_estimate, group_data, total_data);
             drop(agg_span);
 
             if round % cfg.options.eval_every == 0 || round == cfg.options.total_rounds {
                 let _eval_span = telemetry::span!("eval", round);
-                template.set_params(&global);
-                let stats = template.evaluate_ws(&system.test, &mut eval_ws);
-                trace.record(TracePoint {
-                    time: now,
-                    round,
-                    loss: stats.loss,
-                    accuracy: stats.accuracy,
-                    energy: ledger.total(),
-                });
+                server.evaluate(now, round, &mut trace);
             }
         }
         trace
@@ -419,6 +353,42 @@ mod tests {
         for (pa, pb) in a.points().iter().zip(b.points()) {
             assert_eq!(pa.loss.to_bits(), pb.loss.to_bits());
             assert_eq!(pa.time.to_bits(), pb.time.to_bits());
+        }
+    }
+
+    /// A diverged run stops with the round-labelled message under Dynamic as
+    /// it does under the engine's mechanisms (both share the server's check):
+    /// a learning rate near 1e160 keeps every parameter finite while `‖w‖²`
+    /// overflows, which Dynamic's own copy of the step used to let through.
+    #[test]
+    fn diverged_local_models_stop_the_run_with_a_labelled_panic() {
+        let mut cfg = FlSystemConfig::mnist_lr_quick();
+        cfg.sgd.learning_rate = 1e160;
+        let system = cfg.build(&mut Rng64::seed_from(7));
+        let options = BaselineOptions {
+            total_rounds: 3,
+            eval_every: 1,
+            max_virtual_time: None,
+            parallel: true,
+        };
+        let mechanisms: [Box<dyn FlMechanism>; 2] = [
+            Box::new(crate::air_fedavg::AirFedAvg::new(options)),
+            Box::new(Dynamic::new(DynamicConfig {
+                options,
+                ..DynamicConfig::default()
+            })),
+        ];
+        for mechanism in mechanisms {
+            let run = std::panic::AssertUnwindSafe(|| {
+                mechanism.run(&system, &mut Rng64::seed_from(8));
+            });
+            let panic = std::panic::catch_unwind(run).expect_err("a diverged run must panic");
+            let message = panic.downcast_ref::<String>().expect("a formatted message");
+            assert!(
+                message.contains("local model norms diverged at round 1"),
+                "{}: {message}",
+                mechanism.name()
+            );
         }
     }
 

@@ -19,23 +19,13 @@ use wireless::timing::OmaScheme;
 #[derive(Debug, Clone)]
 pub struct FedAvg {
     options: BaselineOptions,
-    scheme: OmaScheme,
 }
 
 impl FedAvg {
     /// Create a FedAvg run with the given round budget.
     pub fn new(options: BaselineOptions) -> Self {
         options.validate();
-        Self {
-            options,
-            scheme: OmaScheme::Tdma,
-        }
-    }
-
-    /// Select the OMA flavour (TDMA by default).
-    pub fn with_scheme(mut self, scheme: OmaScheme) -> Self {
-        self.scheme = scheme;
-        self
+        Self { options }
     }
 }
 
@@ -51,7 +41,7 @@ impl FlMechanism for FedAvg {
             eval_every: self.options.eval_every,
             max_virtual_time: self.options.max_virtual_time,
             aggregation: AggregationMode::OmaIdeal {
-                scheme: self.scheme,
+                scheme: OmaScheme::Tdma,
             },
             parallel: self.options.parallel,
         };

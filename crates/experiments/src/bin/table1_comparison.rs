@@ -12,10 +12,10 @@
 
 use airfedga::mechanism::{AirFedGa, AirFedGaConfig};
 use airfedga::system::FlSystemConfig;
+use experiments::harness::scalability_cells;
 use experiments::harness::{run_mechanism_cells, MechanismChoice, NoCache, RunPolicy, SeedPlan};
 use experiments::report::Table;
 use experiments::scale::Scale;
-use experiments::sweeps::scalability_cells;
 use fedml::rng::Rng64;
 use grouping::emd::average_group_emd;
 use grouping::tifl::{default_tier_count, tifl_grouping};

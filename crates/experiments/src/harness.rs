@@ -15,11 +15,11 @@
 //!   the [`ReplicateCache`] apply to everything that goes through it.
 //! * [`run_mechanism_cells`] — the runner for cells that are "a mechanism on
 //!   one of these systems": it owns the decision to build each system once
-//!   (lazily, by the first replicate that needs it) and share it, or to
-//!   re-sample it per replicate (`--system-seeds`), and it tells the runner
-//!   which cells are the same computation (those that differ only in a ξ
-//!   their mechanism never reads). Every scenario kind and
-//!   `table1_comparison` call this.
+//!   (only when a replicate misses the cache, and then on the calling thread)
+//!   and share it, or to re-sample it per replicate (`--system-seeds`), and
+//!   it tells the runner which cells are the same computation (those that
+//!   differ only in a ξ their mechanism never reads). Every scenario kind
+//!   and `table1_comparison` call this.
 //!
 //! **Seed-stream contract** (see [`crate::stats::replication_seeds`]):
 //! replicate `r` of a cell runs with seed `seeds[r]`, and the figures use
@@ -31,7 +31,6 @@
 //! `PARALLEL_THREADS` / `PARALLEL_CHUNKS` setting, and to a resumed one.
 
 use crate::stats::CellStats;
-use crate::sweeps::{build_sweep_mechanism, effective_xi};
 use airfedga::mechanism::{AirFedGa, AirFedGaConfig};
 use airfedga::system::{FlMechanism, FlSystem, FlSystemConfig};
 use baselines::{AirFedAvg, BaselineOptions, Dynamic, DynamicConfig, FedAvg, TiFl};
@@ -471,7 +470,16 @@ where
     F: Fn(&T, u64) -> RunSummary + Sync,
     L: Fn(usize, &T) -> String,
 {
-    run_replicates(cells, plan, label, |ci, _| ci, policy, cache, run_cell)
+    run_replicates(
+        cells,
+        plan,
+        label,
+        |ci, _| ci,
+        policy,
+        cache,
+        |_, _| (),
+        run_cell,
+    )
 }
 
 /// The one body behind [`run_replicated_isolated_plan`] and
@@ -482,7 +490,7 @@ where
 /// seed, no I/O). `identity(ci, &cell)` names the computation a cell stands
 /// for: the caller promises that two cells of equal identity produce, for
 /// equal seeds, bit-identical summaries. The product is laid out cell-major
-/// — `(cell 0, seeds[0]), (cell 0, seeds[1]), …` — and executed in five
+/// — `(cell 0, seeds[0]), (cell 0, seeds[1]), …` — and executed in six
 /// steps:
 ///
 /// 1. **Cache pass**, sequential and in input order: replicates the
@@ -492,20 +500,25 @@ where
 /// 2. **Group** the misses by `(identity, run seed, system seed)`, in input
 ///    order. The first member of a group leads: it is the only one that
 ///    runs. Who leads depends on the input alone, never on the schedule.
-/// 3. **Parallel pass** over the leaders as one flat [`run_grid`], so a slow
+/// 3. **Prepare**, sequential and in input order: `prepare(&cell, seed)` for
+///    every leader, on the calling thread — where [`run_mechanism_cells`]
+///    builds the systems the leaders share, so that which thread allocates
+///    them never depends on the schedule. A panic in it is swallowed:
+///    `run_cell` meets the same panic inside its own isolated attempt.
+/// 4. **Parallel pass** over the leaders as one flat [`run_grid`], so a slow
 ///    replicate never serializes the others. Each attempt is panic-isolated
 ///    and runs under the [`RunPolicy`]'s watchdog; a success is stored at
 ///    once under every member's own key, so an interrupted grid loses only
 ///    the replicates in flight and the store holds one entry per replicate
 ///    whether or not it was shared.
-/// 4. **Retries**: failed leaders get up to `policy.max_retries` more
+/// 5. **Retries**: failed leaders get up to `policy.max_retries` more
 ///    attempts, sequentially and in input order. A group that never succeeds
 ///    is dropped from its cells' statistics (the error bars cover fewer
 ///    seeds) and reported as one [`CellFailure`] per member, labelled
 ///    `"<label(ci, &cell)> seed <seed>"`; its `index` is the member's flat
 ///    (cell × seed) coordinate whether or not the cache was warm — what a
 ///    runner that shared nothing would report.
-/// 5. **Fold** per cell over the surviving replicates, followers holding a
+/// 6. **Fold** per cell over the surviving replicates, followers holding a
 ///    clone of their leader's summary. With one seed the statistics
 ///    degenerate to that run (`CellStats::first()` is the plain single-seed
 ///    run, bit for bit).
@@ -515,19 +528,22 @@ where
 /// — as an uninterrupted one. `plan.system_seed_for(seed)` is part of each
 /// cache key, so `--system-seeds` replicates never collide with
 /// fixed-system ones.
-fn run_replicates<T, K, F, L, I>(
+#[allow(clippy::too_many_arguments)]
+fn run_replicates<T, K, F, P, L, I>(
     cells: Vec<T>,
     plan: &SeedPlan,
     label: L,
     identity: I,
     policy: &RunPolicy,
     cache: &dyn ReplicateCache,
+    prepare: P,
     run_cell: F,
 ) -> ReplicatedOutcome
 where
     T: Sync + Send,
     K: Ord,
     F: Fn(&T, u64) -> RunSummary + Sync,
+    P: Fn(&T, u64),
     L: Fn(usize, &T) -> String,
     I: Fn(usize, &T) -> K,
 {
@@ -573,7 +589,13 @@ where
         }
     };
 
-    // 3. Parallel pass over the leaders.
+    // 3. Prepare on the calling thread what the leaders share.
+    for group in &groups {
+        let (ci, seed) = pairs[group[0]];
+        attempt_cell(policy, || prepare(&cells[ci], seed)).ok();
+    }
+
+    // 4. Parallel pass over the leaders.
     let first_pass: Vec<Result<RunSummary, String>> = run_grid((0..groups.len()).collect(), |g| {
         let group = &groups[g];
         let (ci, seed) = pairs[group[0]];
@@ -589,7 +611,7 @@ where
         attempt
     });
 
-    // 4. Bounded sequential retries, input order.
+    // 5. Bounded sequential retries, input order.
     let mut failures: Vec<CellFailure> = Vec::new();
     let mut shared = 0usize;
     for (group, mut attempt) in groups.iter().zip(first_pass) {
@@ -637,7 +659,7 @@ where
     telemetry::metrics::HARNESS_SHARED_REPLICATES.add(shared as u64);
     progress.finish();
 
-    // 5. Fold per cell over the surviving replicates.
+    // 6. Fold per cell over the surviving replicates.
     let mut flat_iter = results.into_iter();
     let folded = (0..cells.len())
         .map(|_| {
@@ -731,30 +753,109 @@ impl MechanismCell {
     }
 }
 
+/// The cells of a worker-count sweep: one system config per entry of
+/// `worker_counts` (the already-scaled `base` with that many workers) and one
+/// cell per (worker count, mechanism), worker count outermost. The sweep
+/// keeps the per-worker shard size constant at `per_worker_samples`, as in a
+/// scalability experiment where adding workers adds data: this isolates how
+/// the *mechanisms* scale with N rather than how shrinking shards speed up
+/// local training.
+pub fn scalability_cells(
+    base: &FlSystemConfig,
+    worker_counts: &[usize],
+    per_worker_samples: usize,
+    mechanisms: &[MechanismChoice],
+) -> (Vec<FlSystemConfig>, Vec<MechanismCell>) {
+    let configs = worker_counts
+        .iter()
+        .map(|&n| {
+            let mut cfg = base.clone();
+            cfg.num_workers = n;
+            cfg.dataset.samples_per_class = per_worker_samples * n / cfg.dataset.num_classes.max(1);
+            cfg
+        })
+        .collect();
+    let cells = worker_counts
+        .iter()
+        .enumerate()
+        .flat_map(|(config, &n)| {
+            mechanisms.iter().map(move |&mechanism| MechanismCell {
+                config,
+                mechanism,
+                xi: None,
+                label: format!("N={n} {}", mechanism.label()),
+            })
+        })
+        .collect();
+    (configs, cells)
+}
+
+/// The ξ a sweep cell's mechanism is built with — the one place that knows
+/// which mechanisms read ξ. Only Air-FedGA has one (the grouping trade-off
+/// of Algorithm 3); for every other mechanism an override is dropped, so
+/// cells that differ only in it are the same computation.
+/// [`build_sweep_mechanism`] applies the override exactly when this returns
+/// it, and [`run_mechanism_cells`] keys the replicates it may share on the
+/// same value.
+fn effective_xi(choice: MechanismChoice, xi: Option<f64>) -> Option<f64> {
+    match choice {
+        MechanismChoice::AirFedGa => xi,
+        MechanismChoice::AirFedAvg
+        | MechanismChoice::Dynamic
+        | MechanismChoice::FedAvg
+        | MechanismChoice::TiFl => None,
+    }
+}
+
+/// A general mechanism constructor for sweep cells: the named mechanism at
+/// the given round budget, with the ξ override [`effective_xi`] lets through
+/// (Air-FedGA's; the other mechanisms have no ξ and ignore it).
+fn build_sweep_mechanism(
+    choice: MechanismChoice,
+    xi: Option<f64>,
+    total_rounds: usize,
+    eval_every: usize,
+    max_virtual_time: Option<f64>,
+) -> Box<dyn FlMechanism> {
+    match effective_xi(choice, xi) {
+        Some(xi) => Box::new(AirFedGa::new(AirFedGaConfig {
+            xi,
+            total_rounds,
+            eval_every,
+            max_virtual_time,
+            ..AirFedGaConfig::default()
+        })),
+        None => choice.build(total_rounds, eval_every, max_virtual_time),
+    }
+}
+
 /// The runner for cells that each run a mechanism on one of a few system
 /// variants — every scenario kind has this shape. Two decisions live here
 /// and nowhere else.
 ///
 /// **How systems are shared.** Under a fixed-system plan each of `configs`
-/// is built at most once from `plan.system_seed`, by the first replicate
-/// that needs it, and shared by every cell and replicate that names it; a
-/// config no cache miss names is never built, so an all-hits run builds
-/// nothing. Lazy is bit-safe because a build is a function of the config and
-/// the seed alone — whichever replicate gets there first builds the same
-/// system — and emits no telemetry, so nothing leaks into that replicate's
-/// spans. (A build must not fan out on the pool: a helping join inside the
-/// initialiser could pick up a replicate that waits on the same system.)
-/// Under `plan.vary_system` every replicate builds its own from
-/// `plan.system_seed_for(seed)`.
+/// is built at most once from `plan.system_seed` and shared by every cell
+/// and replicate that names it; a config no cache miss names is never built,
+/// so an all-hits run builds nothing. The build happens in the runner's
+/// prepare step — on the calling thread, before the parallel pass — and not
+/// in whichever replicate gets there first. The system is the same either
+/// way (a build is a function of the config and the seed alone, and emits no
+/// telemetry), but the allocator arena that holds it is the building
+/// thread's: a long-lived process (`airfedga-serve`) whose jobs build it now
+/// on one thread, now on another ends up with a system's worth of freed
+/// memory in each arena (+3 MB peak resident set from the first job on that
+/// the pool thread won). A config whose build panics is met again, isolated,
+/// by each replicate that names it. Under `plan.vary_system` every replicate
+/// builds its own from `plan.system_seed_for(seed)`.
 ///
 /// **Which cells are one computation.** A cell's identity is its config, its
-/// mechanism and the ξ that mechanism is built with — [`effective_xi`], the
-/// same function [`build_sweep_mechanism`] applies, compared by bit pattern
+/// mechanism and the ξ that mechanism is built with — `effective_xi`, the
+/// same function `build_sweep_mechanism` applies, compared by bit pattern
 /// — so grid cells that differ only in a ξ their mechanism never reads train
 /// once per seed and the rest take that result (see
 /// [`ReplicatedOutcome::shared`]).
 ///
-/// Mechanisms come from [`build_sweep_mechanism`] at the given round budget.
+/// Mechanisms come from `build_sweep_mechanism` at the given round budget.
 /// With one seed, [`NoCache`] and the default policy this is the plain "same
 /// system, same run seed, every mechanism" comparison of Figs. 3–6.
 #[allow(clippy::too_many_arguments)]
@@ -770,6 +871,16 @@ pub fn run_mechanism_cells(
 ) -> ReplicatedOutcome {
     let build = |config: usize, seed: u64| configs[config].build(&mut Rng64::seed_from(seed));
     let shared: Vec<OnceLock<FlSystem>> = configs.iter().map(|_| OnceLock::new()).collect();
+    let shared_system = |config: usize| {
+        shared[config].get_or_init(|| {
+            #[cfg(test)]
+            tests::SHARED_SYSTEM_BUILDERS
+                .lock()
+                .unwrap()
+                .push(std::thread::current().id());
+            build(config, plan.system_seed)
+        })
+    };
     run_replicates(
         cells,
         plan,
@@ -777,6 +888,11 @@ pub fn run_mechanism_cells(
         |_, cell| cell.identity(),
         policy,
         cache,
+        |cell, _| {
+            if !plan.vary_system {
+                shared_system(cell.config);
+            }
+        },
         |cell, seed| {
             let mech = build_sweep_mechanism(
                 cell.mechanism,
@@ -790,11 +906,7 @@ pub fn run_mechanism_cells(
                 own = build(cell.config, plan.system_seed_for(seed));
                 &own
             } else {
-                shared[cell.config].get_or_init(|| {
-                    #[cfg(test)]
-                    tests::SHARED_SYSTEM_BUILDS.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                    build(cell.config, plan.system_seed)
-                })
+                shared_system(cell.config)
             };
             RunSummary::from_trace(mech.run(system, &mut Rng64::seed_from(seed)))
         },
@@ -807,10 +919,12 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
-    /// Shared systems built by `run_mechanism_cells` in this test process.
-    /// Only the subprocess of `shared_systems_are_built_once_per_config_with_a_miss`
+    /// The thread of every shared-system build `run_mechanism_cells` made in
+    /// this test process. Only the subprocess of
+    /// `shared_systems_are_built_once_per_config_with_a_miss`
     /// reads it: there no other test runs beside it.
-    pub(super) static SHARED_SYSTEM_BUILDS: AtomicUsize = AtomicUsize::new(0);
+    pub(super) static SHARED_SYSTEM_BUILDERS: Mutex<Vec<std::thread::ThreadId>> =
+        Mutex::new(Vec::new());
 
     const DUO: [MechanismChoice; 2] = [MechanismChoice::AirFedAvg, MechanismChoice::AirFedGa];
 
@@ -940,6 +1054,7 @@ mod tests {
             |_, cell| cell.identity(),
             policy,
             cache,
+            |_, _| (),
             |cell, seed| {
                 body(cell, seed);
                 stub_summary(cell, seed)
@@ -1544,7 +1659,7 @@ mod tests {
     /// Child half of the test below: inert in a normal test run. Spawned
     /// alone with `HARNESS_LAZY_BUILD_CHILD` set and four pool threads, it
     /// trains 24 replicates on two buildable configs next to an all-hits
-    /// unbuildable one and counts the shared systems built.
+    /// unbuildable one and checks who built the shared systems.
     #[test]
     fn lazy_build_child_counts_system_builds() {
         if std::env::var_os("HARNESS_LAZY_BUILD_CHILD").is_none() {
@@ -1573,13 +1688,16 @@ mod tests {
             &WarmFor("config 2"),
         );
         assert!(outcome.failures.is_empty(), "{}", outcome.failure_report());
-        assert_eq!(SHARED_SYSTEM_BUILDS.load(Ordering::SeqCst), 2);
+        let me = std::thread::current().id();
+        assert_eq!(*SHARED_SYSTEM_BUILDERS.lock().unwrap(), [me, me]);
     }
 
-    /// Under four pool threads — replicates of one config racing for its
-    /// system — a shared system is built exactly once per config that has a
-    /// miss. A subprocess, because the pool reads `PARALLEL_THREADS` once
-    /// per process and the build counter is process-wide.
+    /// Under four pool threads — replicates of one config all needing its
+    /// system at once — a shared system is built exactly once per config
+    /// that has a miss, and by the calling thread whatever the schedule (the
+    /// replicates used to race for it, so a pool thread built the second
+    /// config's three times in four). A subprocess, because the pool reads
+    /// `PARALLEL_THREADS` once per process and the build log is process-wide.
     #[test]
     fn shared_systems_are_built_once_per_config_with_a_miss() {
         let out = std::process::Command::new(std::env::current_exe().unwrap())
@@ -1597,5 +1715,20 @@ mod tests {
             String::from_utf8_lossy(&out.stdout),
             String::from_utf8_lossy(&out.stderr)
         );
+    }
+
+    #[test]
+    fn sweep_mechanism_builder_applies_xi_to_airfedga_only() {
+        let ga = build_sweep_mechanism(MechanismChoice::AirFedGa, Some(0.7), 10, 2, None);
+        assert_eq!(ga.name(), "Air-FedGA");
+        let avg = build_sweep_mechanism(MechanismChoice::FedAvg, Some(0.7), 10, 2, None);
+        assert_eq!(avg.name(), "FedAvg");
+        let plain = build_sweep_mechanism(MechanismChoice::AirFedGa, None, 10, 2, None);
+        assert_eq!(plain.name(), "Air-FedGA");
+        for choice in MechanismChoice::all() {
+            let reads_xi = choice == MechanismChoice::AirFedGa;
+            assert_eq!(effective_xi(choice, Some(0.7)), reads_xi.then_some(0.7));
+            assert_eq!(effective_xi(choice, None), None);
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! # experiments — the replicate runner, figure drivers and analysis binaries
+//! # experiments — the replicate runner, the renderer and analysis binaries
 //!
 //! Every experiment of the paper's evaluation section (§VI) is a
 //! `(system variant × mechanism × seed)` product of independent replicates
@@ -6,24 +6,28 @@
 //!
 //! * [`harness`] — the one replicate runner
 //!   (`run_replicated_isolated_plan`: cache pass → group identical misses →
-//!   parallel pass over one leader per group → bounded retries → fold),
-//!   `run_mechanism_cells` (which owns the shared-system-or-per-replicate
-//!   decision, builds shared systems on first use, and lets grid cells that
-//!   differ only in a ξ their mechanism never reads train once) and the bare
-//!   `run_grid` pool fan-out, plus the [`RunSummary`] each replicate
-//!   produces.
-//! * [`figures`] / [`sweeps`] — the figure drivers (time-accuracy
-//!   comparisons, the ξ-sweep and the scalability sweep) parameterised by
-//!   [`figures::FigureParams`]: each lists its cells and system configs,
-//!   calls the runner and renders. The `scenario` crate's spec files are
-//!   their only caller: `airfedga-run scenarios/<fig>.toml` is how a figure
-//!   is run.
+//!   prepare on the calling thread → parallel pass over one leader per group
+//!   → bounded retries → fold), `run_mechanism_cells` (which owns the
+//!   shared-system-or-per-replicate decision, builds a shared system only
+//!   when a replicate misses the store — in the prepare step, so always on
+//!   the calling thread — and lets grid cells that differ only in a ξ their
+//!   mechanism never reads train once) and the bare `run_grid` pool fan-out,
+//!   plus the [`RunSummary`] each replicate produces.
+//! * [`render`] — the one renderer: a kind hands it a `Layout` (row keys
+//!   plus the `stats::Metric` columns it shows, each with its table header
+//!   and CSV stem) and the folded cells; how a metric prints, and the
+//!   one-seed-vs-many rule (the run itself vs `mean±std`, the `_mean` /
+//!   `_std` / `_n` CSV fields, the error-bar series), live there and nowhere
+//!   else. Which cells and which columns a kind has, and in which order
+//!   they print, is decided where the spec is, in the `scenario` crate.
 //! * [`report`] — plain-text table rendering, CSV output (including the
 //!   error-bar CSVs of replicated runs) and shaded-band gnuplot scripts.
 //! * [`scale`] — the `AIRFEDGA_SCALE` switch (`full` / `quick`) so the same
-//!   experiments can be exercised in CI seconds or run at paper scale.
+//!   experiments can be exercised in CI seconds or run at paper scale, and
+//!   [`FigureParams`], the scale plus a run's replication and overrides.
 //! * [`stats`] — Welford replication statistics behind the multi-seed
-//!   error bars.
+//!   error bars, and the one fold (`CellStats::stat`) over the `Metric`
+//!   vocabulary.
 //! * [`watchdog`] — per-cell wall-clock timeouts: a monitor thread cancels
 //!   the cooperative `simcore::cancel` token of a cell that overruns its
 //!   `[limits] cell_timeout_secs` budget, turning a hung cell into a
@@ -42,16 +46,14 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod figures;
 pub mod harness;
+pub mod render;
 pub mod report;
 pub mod scale;
 pub mod stats;
-pub mod sweeps;
 pub mod watchdog;
 
-pub use figures::FigureParams;
 pub use harness::{MechanismChoice, RunSummary, SeedPlan};
 pub use report::{write_csv, Table};
-pub use scale::Scale;
+pub use scale::{FigureParams, Scale};
 pub use stats::{replication_seeds, CellStats, SummaryStats, Welford};

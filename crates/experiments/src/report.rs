@@ -10,7 +10,7 @@
 use crate::stats::PointStats;
 use std::fs;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::RwLock;
 
 /// A simple fixed-column text table.
@@ -41,11 +41,6 @@ impl Table {
         let mut cells = cells;
         cells.resize(self.header.len(), String::new());
         self.rows.push(cells);
-    }
-
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
     }
 
     /// Render the table as aligned plain text.
@@ -250,10 +245,18 @@ pub fn fmt_opt_secs(s: Option<f64>) -> String {
     s.map(fmt_secs).unwrap_or_else(|| "n/a".to_string())
 }
 
-/// Check that a path is inside the results directory (sanity helper used by
-/// tests to avoid writing anywhere surprising).
-pub fn is_in_results_dir(path: &Path) -> bool {
-    path.starts_with(results_dir())
+/// Format a ξ value for tables and CSVs: one decimal when that is exact
+/// (the historical grids are 0.1-spaced, so `0.3` / `1.0` keep their
+/// byte-identical rendering), full precision otherwise — scenario files may
+/// sweep values like `0.25` and `0.21`, which must not collapse into
+/// indistinguishable `0.2` rows.
+pub fn fmt_xi(xi: f64) -> String {
+    let one = format!("{xi:.1}");
+    if one.parse::<f64>() == Ok(xi) {
+        one
+    } else {
+        format!("{xi}")
+    }
 }
 
 #[cfg(test)]
@@ -273,7 +276,6 @@ mod tests {
         let text = t.render();
         assert!(text.contains("== demo =="));
         assert!(text.contains("Air-FedGA"));
-        assert_eq!(t.num_rows(), 2);
         let csv = t.to_csv();
         assert!(csv.starts_with("mechanism,time\n"));
         assert_eq!(csv.lines().count(), 3);
@@ -358,7 +360,6 @@ mod tests {
         assert_eq!(results_dir(), PathBuf::from("results"));
         set_results_dir(Some(PathBuf::from("override_results_test")));
         assert_eq!(results_dir(), PathBuf::from("override_results_test"));
-        assert!(is_in_results_dir(Path::new("override_results_test/x.csv")));
         let path = write_csv("override_probe.csv", "a,b\n").unwrap();
         assert!(path.starts_with("override_results_test"));
         assert_eq!(fs::read_to_string(&path).unwrap(), "a,b\n");
@@ -395,6 +396,18 @@ mod tests {
         assert_eq!(fmt_secs(12.34), "12.3");
         assert_eq!(fmt_opt_secs(None), "n/a");
         assert_eq!(fmt_opt_secs(Some(50.0)), "50.0");
-        assert!(is_in_results_dir(&results_dir().join("x.csv")));
+    }
+
+    #[test]
+    fn xi_formatting_is_historical_for_coarse_grids_and_lossless_for_fine() {
+        // The historical 0.1-spaced grids keep their byte-identical one
+        // decimal rendering…
+        assert_eq!(fmt_xi(0.3), "0.3");
+        assert_eq!(fmt_xi(1.0), "1.0");
+        assert_eq!(fmt_xi(0.0), "0.0");
+        // …while scenario-supplied finer values stay distinguishable.
+        assert_eq!(fmt_xi(0.25), "0.25");
+        assert_eq!(fmt_xi(0.21), "0.21");
+        assert_ne!(fmt_xi(0.25), fmt_xi(0.21));
     }
 }

@@ -9,6 +9,8 @@
 //! `scenario` crate's `CliOverrides::parse`, the one place that reads the
 //! command line.)
 
+use crate::harness::SeedPlan;
+use crate::stats::replication_seeds;
 use airfedga::system::FlSystemConfig;
 
 /// How big an experiment to run.
@@ -67,6 +69,89 @@ impl Scale {
     }
 }
 
+/// The run-RNG seed every figure historically used; replicate `r`
+/// runs with `FIGURE_RUN_SEED + r`.
+const FIGURE_RUN_SEED: u64 = 4242;
+
+/// The system-construction seed shared by the figures.
+const FIGURE_SYSTEM_SEED: u64 = 42;
+
+/// Everything a run needs beyond the workload itself: scale, replication,
+/// seeds (including the `--system-seeds` axis: re-sample the system per
+/// replicate) and the run-shape overrides a scenario file may set. The
+/// `Default` value is the historical single-seed full-scale run.
+#[derive(Debug, Clone)]
+pub struct FigureParams {
+    /// Experiment scale (worker counts, round budgets, shard sizes).
+    pub scale: Scale,
+    /// Replication count; 1 reproduces the historical single-seed output
+    /// byte for byte.
+    pub num_seeds: usize,
+    /// Re-sample the system per replicate (the `--system-seeds` axis).
+    pub vary_system: bool,
+    /// Base run seed (replicate `r` runs with `run_seed + r`).
+    pub run_seed: u64,
+    /// Base system-construction seed.
+    pub system_seed: u64,
+    /// Override the scaled worker count (a scenario file's explicit
+    /// `num_workers` wins over the scale preset).
+    pub num_workers: Option<usize>,
+    /// Override the scale's round budget.
+    pub total_rounds: Option<usize>,
+    /// Override the scale's evaluation cadence.
+    pub eval_every: Option<usize>,
+    /// Optional virtual-time budget (seconds).
+    pub max_virtual_time: Option<f64>,
+}
+
+impl Default for FigureParams {
+    fn default() -> Self {
+        Self {
+            scale: Scale::Full,
+            num_seeds: 1,
+            vary_system: false,
+            run_seed: FIGURE_RUN_SEED,
+            system_seed: FIGURE_SYSTEM_SEED,
+            num_workers: None,
+            total_rounds: None,
+            eval_every: None,
+            max_virtual_time: None,
+        }
+    }
+}
+
+impl FigureParams {
+    /// The seed plan these parameters describe.
+    pub fn plan(&self) -> SeedPlan {
+        SeedPlan {
+            system_seed: self.system_seed,
+            run_seeds: replication_seeds(self.run_seed, self.num_seeds.max(1)),
+            vary_system: self.vary_system,
+        }
+    }
+
+    /// Effective round budget (explicit override or the scale default).
+    pub fn rounds(&self) -> usize {
+        self.total_rounds
+            .unwrap_or_else(|| self.scale.total_rounds())
+    }
+
+    /// Effective evaluation cadence.
+    pub fn eval(&self) -> usize {
+        self.eval_every.unwrap_or_else(|| self.scale.eval_every())
+    }
+
+    /// Scale a workload preset, then apply the explicit worker-count
+    /// override, if any.
+    pub fn apply(&self, workload: FlSystemConfig) -> FlSystemConfig {
+        let mut cfg = self.scale.apply(workload);
+        if let Some(n) = self.num_workers {
+            cfg.num_workers = n;
+        }
+        cfg
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,5 +172,22 @@ mod tests {
         // check the default path plus the accessors.
         assert!(Scale::Full.num_workers() >= Scale::Quick.num_workers());
         assert!(Scale::Full.eval_every() >= Scale::Quick.eval_every());
+    }
+
+    #[test]
+    fn figure_params_resolve_overrides() {
+        let p = FigureParams {
+            scale: Scale::Quick,
+            num_workers: Some(7),
+            total_rounds: Some(11),
+            ..FigureParams::default()
+        };
+        assert_eq!(p.rounds(), 11);
+        assert_eq!(p.eval(), Scale::Quick.eval_every());
+        assert_eq!(p.apply(FlSystemConfig::mnist_lr()).num_workers, 7);
+        let plan = p.plan();
+        assert_eq!(plan.run_seeds, vec![FIGURE_RUN_SEED]);
+        assert_eq!(plan.system_seed, FIGURE_SYSTEM_SEED);
+        assert!(!plan.vary_system);
     }
 }

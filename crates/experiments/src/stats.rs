@@ -254,75 +254,76 @@ impl CellStats {
         &self.per_seed[0]
     }
 
-    /// Statistics of `time_to_accuracy(target)` over the seeds that reach the
-    /// target (its `n` says how many did).
-    pub fn time_to_accuracy_stats(&self, target: f64) -> SummaryStats {
-        let mut acc = Welford::new();
-        for s in &self.per_seed {
-            if let Some(t) = s.time_to_accuracy(target) {
-                acc.push(t);
+    /// Statistics of one [`Metric`] over the seeds — the one fold behind
+    /// every replicated table cell and CSV field. For the two target metrics
+    /// only the seeds that reach the target count (the result's `n` says how
+    /// many did). Total time and energy are read off the last evaluation
+    /// point, so their `n` is the number of seeds whose trace ran that long
+    /// (a seed can hit `max_virtual_time` earlier).
+    pub fn stat(&self, metric: Metric) -> SummaryStats {
+        let last = || self.points.last().expect("a folded trace is non-empty");
+        match metric {
+            Metric::TotalTime => last().time,
+            Metric::Energy => last().energy,
+            _ => {
+                let mut acc = Welford::new();
+                for x in self.per_seed.iter().filter_map(|s| metric.of(s)) {
+                    acc.push(x);
+                }
+                acc.summary()
             }
         }
-        acc.summary()
+    }
+}
+
+/// The quantities a results table or CSV can report about a cell: the one
+/// vocabulary every scenario kind picks its columns from. [`Metric::of`]
+/// reads it off one run, [`CellStats::stat`] folds it over the seeds, and
+/// `render::Renderer` knows how each prints with one seed and with many.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Metric {
+    /// Accuracy at the end of the run.
+    FinalAccuracy,
+    /// Loss at the end of the run.
+    FinalLoss,
+    /// Average single-round duration (s).
+    AverageRound,
+    /// Total virtual training time (s).
+    TotalTime,
+    /// Total aggregation energy (J).
+    Energy,
+    /// Virtual time (s) at which the run first stably reaches this accuracy.
+    TimeTo(f64),
+    /// Aggregation energy (J) spent when it does.
+    EnergyTo(f64),
+    /// Fraction of scheduled member slots that participated (robustness
+    /// metric; exactly 1.0 for fault-free runs).
+    Participation,
+    /// Rounds that produced a global update under fault injection.
+    RoundsSurvived,
+}
+
+impl Metric {
+    /// The metric's value in one run; `None` only for a target the run never
+    /// reached.
+    pub fn of(self, run: &RunSummary) -> Option<f64> {
+        match self {
+            Metric::FinalAccuracy => Some(run.final_accuracy),
+            Metric::FinalLoss => Some(run.final_loss),
+            Metric::AverageRound => Some(run.average_round_time),
+            Metric::TotalTime => Some(run.total_time),
+            Metric::Energy => Some(run.total_energy),
+            Metric::TimeTo(target) => run.time_to_accuracy(target),
+            Metric::EnergyTo(target) => run.energy_to_accuracy(target),
+            Metric::Participation => Some(run.participation_rate),
+            Metric::RoundsSurvived => Some(run.rounds_survived as f64),
+        }
     }
 
-    /// Statistics of `energy_to_accuracy(target)` over the seeds that reach
-    /// the target.
-    pub fn energy_to_accuracy_stats(&self, target: f64) -> SummaryStats {
-        let mut acc = Welford::new();
-        for s in &self.per_seed {
-            if let Some(e) = s.energy_to_accuracy(target) {
-                acc.push(e);
-            }
-        }
-        acc.summary()
-    }
-
-    /// Statistics of the average round time over the seeds.
-    pub fn average_round_time_stats(&self) -> SummaryStats {
-        let mut acc = Welford::new();
-        for s in &self.per_seed {
-            acc.push(s.average_round_time);
-        }
-        acc.summary()
-    }
-
-    /// Statistics of the final accuracy over the seeds.
-    pub fn final_accuracy_stats(&self) -> SummaryStats {
-        let mut acc = Welford::new();
-        for s in &self.per_seed {
-            acc.push(s.final_accuracy);
-        }
-        acc.summary()
-    }
-
-    /// Statistics of the final loss over the seeds.
-    pub fn final_loss_stats(&self) -> SummaryStats {
-        let mut acc = Welford::new();
-        for s in &self.per_seed {
-            acc.push(s.final_loss);
-        }
-        acc.summary()
-    }
-
-    /// Statistics of the participation rate over the seeds (robustness
-    /// metric; exactly 1.0 everywhere for fault-free runs).
-    pub fn participation_rate_stats(&self) -> SummaryStats {
-        let mut acc = Welford::new();
-        for s in &self.per_seed {
-            acc.push(s.participation_rate);
-        }
-        acc.summary()
-    }
-
-    /// Statistics of the rounds-survived count over the seeds (robustness
-    /// metric: rounds that produced a global update under fault injection).
-    pub fn rounds_survived_stats(&self) -> SummaryStats {
-        let mut acc = Welford::new();
-        for s in &self.per_seed {
-            acc.push(s.rounds_survived as f64);
-        }
-        acc.summary()
+    /// True for the metrics only some seeds may produce: their replicated
+    /// cells carry a `[reached/total]` count and their CSV an `_n` field.
+    pub(crate) fn is_target(self) -> bool {
+        matches!(self, Metric::TimeTo(_) | Metric::EnergyTo(_))
     }
 }
 

@@ -195,17 +195,6 @@ impl SyntheticSpec {
         self
     }
 
-    /// Override the feature dimensionality (builder-style).
-    pub fn with_features(mut self, d: usize) -> Self {
-        self.num_features = d;
-        self
-    }
-
-    /// Total number of samples this spec will generate.
-    pub fn total_samples(&self) -> usize {
-        self.num_classes * self.samples_per_class
-    }
-
     /// Generate a dataset from this specification.
     pub fn generate(&self, rng: &mut Rng64) -> Dataset {
         self.generate_with_counts(&vec![self.samples_per_class; self.num_classes], rng)

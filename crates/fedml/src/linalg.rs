@@ -54,9 +54,11 @@
 //! wrapper) keeps the workspace dependency-free and the numerics fully
 //! deterministic.
 //!
-//! The per-sample primitives ([`Matrix::matvec`], [`Matrix::rank_one_update`])
-//! are retained: `tests/reference/` keeps a per-sample reference trainer
-//! built on them to validate the batched engine (property tests, 1e-10).
+//! The per-sample [`Matrix::matvec`] is retained for single-sample
+//! prediction; the other per-sample primitives (transposed matvec, rank-one
+//! update, masking ReLU) live beside their only user, the per-sample reference
+//! trainer in `tests/reference/` that validates the batched engine (property
+//! tests, 1e-10).
 
 use serde::{Deserialize, Serialize};
 
@@ -166,38 +168,6 @@ impl Matrix {
             *yv = acc;
         }
         y
-    }
-
-    /// `y = selfᵀ * x` (transposed matrix–vector product). `x.len()` must equal `rows`.
-    pub fn matvec_transposed(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.rows, "matvec_transposed dimension mismatch");
-        let mut y = vec![0.0; self.cols];
-        for (row, &xr) in self.data.chunks_exact(self.cols).zip(x.iter()) {
-            if xr == 0.0 {
-                continue;
-            }
-            for (yc, a) in y.iter_mut().zip(row.iter()) {
-                *yc += a * xr;
-            }
-        }
-        y
-    }
-
-    /// Rank-one update `self += alpha * u * vᵀ` where `u.len() == rows` and
-    /// `v.len() == cols`. This is the shape of every gradient contribution of
-    /// a dense layer, so it is the hot loop of local training.
-    pub fn rank_one_update(&mut self, alpha: f64, u: &[f64], v: &[f64]) {
-        assert_eq!(u.len(), self.rows, "rank_one_update row mismatch");
-        assert_eq!(v.len(), self.cols, "rank_one_update col mismatch");
-        for (row, &uv) in self.data.chunks_exact_mut(self.cols).zip(u.iter()) {
-            let ur = alpha * uv;
-            if ur == 0.0 {
-                continue;
-            }
-            for (m, vv) in row.iter_mut().zip(v.iter()) {
-                *m += ur * vv;
-            }
-        }
     }
 
     /// In-place scale of every element.
@@ -826,7 +796,7 @@ pub fn transpose(src: &[f64], dst: &mut [f64], rows: usize, cols: usize) {
 /// to saturate the FMA pipeline, and its summation order is fixed, keeping
 /// results bit-reproducible.
 #[inline]
-pub fn dot_unrolled(a: &[f64], b: &[f64]) -> f64 {
+fn dot_unrolled(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len(), "dot dimension mismatch");
     let k = a.len();
     let k4 = k - (k % 4);
@@ -905,21 +875,6 @@ pub fn softmax(logits: &[f64]) -> Vec<f64> {
     exps.into_iter().map(|e| e / sum).collect()
 }
 
-/// Element-wise ReLU applied in place; returns a mask of which entries were
-/// positive (needed by the backward pass).
-pub fn relu_in_place(x: &mut [f64]) -> Vec<bool> {
-    let mut mask = Vec::with_capacity(x.len());
-    for v in x.iter_mut() {
-        if *v > 0.0 {
-            mask.push(true);
-        } else {
-            *v = 0.0;
-            mask.push(false);
-        }
-    }
-    mask
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -939,20 +894,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_transposed_matches_manual() {
-        let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let y = m.matvec_transposed(&[2.0, -1.0]);
-        assert_eq!(y, vec![2.0 - 4.0, 4.0 - 5.0, 6.0 - 6.0]);
-    }
-
-    #[test]
-    fn rank_one_update_matches_outer_product() {
-        let mut m = Matrix::zeros(2, 2);
-        m.rank_one_update(2.0, &[1.0, 3.0], &[4.0, 5.0]);
-        assert_eq!(m.as_slice(), &[8.0, 10.0, 24.0, 30.0]);
-    }
-
-    #[test]
     fn softmax_sums_to_one_and_is_stable() {
         let p = softmax(&[1000.0, 1000.0, 999.0]);
         let sum: f64 = p.iter().sum();
@@ -967,14 +908,6 @@ mod tests {
         for v in p {
             assert!((v - 0.25).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn relu_masks_negatives() {
-        let mut x = vec![-1.0, 0.0, 2.0];
-        let mask = relu_in_place(&mut x);
-        assert_eq!(x, vec![0.0, 0.0, 2.0]);
-        assert_eq!(mask, vec![false, false, true]);
     }
 
     #[test]

@@ -29,24 +29,6 @@ pub fn confusion_matrix(model: &dyn Model, data: &Dataset) -> Vec<Vec<usize>> {
     m
 }
 
-/// Macro-averaged recall (mean of per-class recalls), a more informative
-/// metric than accuracy under heavy class imbalance.
-pub fn macro_recall(model: &dyn Model, data: &Dataset) -> f64 {
-    let cm = confusion_matrix(model, data);
-    let mut recalls = Vec::new();
-    for (c, row) in cm.iter().enumerate() {
-        let total: usize = row.iter().sum();
-        if total > 0 {
-            recalls.push(row[c] as f64 / total as f64);
-        }
-    }
-    if recalls.is_empty() {
-        0.0
-    } else {
-        recalls.iter().sum::<f64>() / recalls.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,9 +51,7 @@ mod tests {
             m.set_params(&p);
         }
         let acc = accuracy(&m, &data);
-        let rec = macro_recall(&m, &data);
         assert!(acc > 0.5);
-        assert!(rec > 0.5);
         assert!(loss(&m, &data) < (data.num_classes() as f64).ln());
 
         // Confusion matrix row sums equal per-class counts.

@@ -101,11 +101,6 @@ impl FlatParams {
         out
     }
 
-    /// Maximum absolute coordinate (useful for debugging divergence).
-    pub fn max_abs(&self) -> f64 {
-        self.0.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-    }
-
     /// True if every coordinate is finite.
     pub fn is_finite(&self) -> bool {
         self.0.iter().all(|v| v.is_finite())
@@ -166,7 +161,6 @@ mod tests {
     #[test]
     fn max_abs_and_finiteness() {
         let p = FlatParams(vec![-3.0, 2.0, 0.5]);
-        assert_eq!(p.max_abs(), 3.0);
         assert!(p.is_finite());
         let q = FlatParams(vec![f64::NAN]);
         assert!(!q.is_finite());

@@ -34,13 +34,6 @@ pub fn average_group_emd(grouping: &Grouping, workers: &[WorkerInfo]) -> f64 {
         / m as f64
 }
 
-/// EMD of a single worker's distribution against the global one (the
-/// "Original" column of Table III treats every worker as its own group).
-pub fn worker_emd(worker: &WorkerInfo, workers: &[WorkerInfo]) -> f64 {
-    let global = LabelDistribution::from_counts(&WorkerInfo::global_label_counts(workers));
-    worker.label_distribution().l1_distance(&global)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,15 +84,6 @@ mod tests {
         for j in 0..g.num_groups() {
             let e = group_emd(&g, j, &ws);
             assert!((0.0..=2.0).contains(&e), "EMD {e} out of [0,2]");
-        }
-    }
-
-    #[test]
-    fn worker_emd_matches_singleton_group_emd() {
-        let ws = single_label_workers();
-        let g = Grouping::singletons(10);
-        for (i, w) in ws.iter().enumerate() {
-            assert!((worker_emd(w, &ws) - group_emd(&g, i, &ws)).abs() < 1e-12);
         }
     }
 }

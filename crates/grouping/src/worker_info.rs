@@ -123,15 +123,6 @@ pub fn slice_max_latency(group: &[usize], workers: &[WorkerInfo]) -> f64 {
         .fold(f64::NEG_INFINITY, f64::max)
 }
 
-/// Fastest local-training time within an arbitrary set of worker indices.
-pub fn slice_min_latency(group: &[usize], workers: &[WorkerInfo]) -> f64 {
-    assert!(!group.is_empty(), "empty worker set");
-    group
-        .iter()
-        .map(|&w| workers[w].local_training_time)
-        .fold(f64::INFINITY, f64::min)
-}
-
 /// A partition of workers into groups (the paper's `V = {V_1, …, V_M}`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Grouping {
@@ -191,16 +182,6 @@ impl Grouping {
     /// All groups.
     pub fn groups(&self) -> &[Vec<usize>] {
         &self.groups
-    }
-
-    /// The group index of a worker.
-    pub fn group_of(&self, worker: usize) -> usize {
-        for (j, g) in self.groups.iter().enumerate() {
-            if g.contains(&worker) {
-                return j;
-            }
-        }
-        panic!("worker {worker} not present in the grouping");
     }
 
     /// Group data size `D_j`.
@@ -283,8 +264,6 @@ mod tests {
         let ws = workers();
         let g = Grouping::new(vec![vec![0, 1], vec![2]], 3);
         assert_eq!(g.num_groups(), 2);
-        assert_eq!(g.group_of(1), 0);
-        assert_eq!(g.group_of(2), 1);
         assert_eq!(g.group_data_size(0, &ws), 50);
         assert!((g.group_data_fraction(1, &ws) - 0.5).abs() < 1e-12);
         assert_eq!(g.group_max_latency(0, &ws), 20.0);

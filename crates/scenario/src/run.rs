@@ -1,12 +1,20 @@
 //! Executing a validated [`ScenarioSpec`].
 //!
-//! All four kinds run the same way: the kind's driver lists its cells and
-//! system configs — `experiments::figures` / `experiments::sweeps` for the
-//! figure shapes, [`expand_grid`] here for the generic `grid` — and hands
-//! them to the one replicate runner (`harness::run_mechanism_cells`) with
-//! the spec's `[limits]` policy and the run store as its cache, then renders
-//! its tables and CSVs from the folded cells. So panic isolation, retries,
-//! the watchdog and `--resume` / `--fresh` work for every kind; replicate
+//! A scenario kind is three small pieces, each a closed `match` on
+//! [`ScenarioKind`]: `list` says *which cells* — the headline text, the
+//! system configs, one `MechanismCell` per table cell and the round budget —
+//! `lay_out` says *which columns* — each row's key cells plus the
+//! `stats::Metric`s shown, with their table headers and CSV stems — and
+//! `render` says *in which order* the renderer prints them: the banner
+//! legend, one table or a pivot per metric, and a figure's traces, speed-up
+//! lines and energy table. The one per-kind switch inside the renderer is
+//! the layout's `grid_counts` flag.
+//! [`execute`] does the rest the same way for all four: it makes the one
+//! `harness::run_mechanism_cells` call, with the spec's `[limits]` policy and
+//! the run store as its cache, and hands the folded cells to the one
+//! renderer (`experiments::render::Renderer`), which alone knows how a metric
+//! prints with one seed and with many. So panic isolation, retries, the
+//! watchdog and `--resume` / `--fresh` work for every kind; replicate
 //! failures come back in the [`ExecutionReport`] for the binary to print to
 //! stderr and fold into its exit code. Cells that are the same computation —
 //! a `grid`'s mechanisms without a ξ, repeated per ξ value — train once per
@@ -28,19 +36,19 @@
 //! table is excluded from the canonical spec form so toggling it never
 //! re-keys the store.
 
-use crate::spec::{expand_grid, GridCell, ScenarioKind, ScenarioSpec};
+use crate::spec::{expand_grid, ScenarioKind, ScenarioSpec};
 use crate::ScenarioError;
-use experiments::figures::{print_speedups, run_time_accuracy_figure, FigureParams};
+use airfedga::mechanism::{AirFedGa, AirFedGaConfig};
+use airfedga::system::FlSystemConfig;
 use experiments::harness::{
-    self, run_mechanism_cells, CellFailure, MechanismCell, NoCache, ReplicateCache,
-    ReplicatedOutcome, RunPolicy,
+    self, run_grid, run_mechanism_cells, scalability_cells, CellFailure, MechanismCell,
+    MechanismChoice, NoCache, ReplicateCache, RunPolicy,
 };
-use experiments::report::{fmt_opt_secs, fmt_secs, try_write_csv, Table};
-use experiments::scale::Scale;
-use experiments::stats::CellStats;
-use experiments::sweeps::{
-    fmt_xi, run_scalability, run_xi_sweep, ScalabilityFigure, XiSweepFigure,
-};
+use experiments::render::{resampled_note, Column, Layout, Renderer};
+use experiments::report::fmt_xi;
+use experiments::scale::{FigureParams, Scale};
+use experiments::stats::{CellStats, Metric};
+use fedml::rng::Rng64;
 use runstore::{CacheStats, RunStore, StoreCache};
 use std::path::{Path, PathBuf};
 
@@ -312,11 +320,32 @@ impl Drop for ResultsDirGuard {
     }
 }
 
+/// RAII scope of the process-global telemetry switch: a clean slate and
+/// recording on for one [`execute`], off again on every way out of it — the
+/// error paths and a panic the job server catches included — so one run's
+/// counts and spans never reach the next run's artifacts.
+struct TelemetryGuard;
+
+impl TelemetryGuard {
+    fn install() -> Self {
+        telemetry::metrics::reset();
+        drop(telemetry::spans::take_sorted());
+        telemetry::enable();
+        Self
+    }
+}
+
+impl Drop for TelemetryGuard {
+    fn drop(&mut self) {
+        telemetry::disable();
+    }
+}
+
 /// Execute a validated scenario at the given scale with the given CLI
-/// overrides. Prints only what the kind's driver prints (no extra banners —
-/// output stays byte-comparable across runs); replicate failures come back
-/// in the [`ExecutionReport`] for the binary to print to stderr and turn
-/// into its exit code.
+/// overrides. Prints only the kind's headline, tables and `-> wrote` lines
+/// (no extra banners — output stays byte-comparable across runs and with the
+/// pinned outputs); replicate failures come back in the [`ExecutionReport`]
+/// for the binary to print to stderr and turn into its exit code.
 pub fn execute(
     spec: &ScenarioSpec,
     scale: Scale,
@@ -350,60 +379,24 @@ pub fn execute(
         }
     };
     telemetry::progress::set_mode(progress_mode);
-    if telemetry_dir.is_some() {
-        telemetry::enable();
-    }
+    let _telemetry = telemetry_dir.as_ref().map(|_| TelemetryGuard::install());
 
     let grid_span = telemetry::span!("grid");
-    let outcome = match spec.kind {
-        ScenarioKind::TimeAccuracy => {
-            let run = run_time_accuracy_figure(
-                &spec.title,
-                spec.base_config.clone(),
-                &spec.mechanisms,
-                &spec.accuracy_targets,
-                &spec.csv_prefix,
-                &params,
-                &policy,
-                cache,
-            );
-            if let Some(target) = spec.speedup_target {
-                print_speedups(&run.cells, target);
-            }
-            if !spec.energy_targets.is_empty() {
-                print_energy_table(spec, &params, &run.cells);
-            }
-            run
-        }
-        ScenarioKind::XiSweep => run_xi_sweep(
-            &XiSweepFigure {
-                title: spec.title.clone(),
-                workload: spec.base_config.clone(),
-                xis: spec.sweep_xi.clone(),
-                targets: spec.accuracy_targets.clone(),
-                csv_name: format!("{}_xi_sweep.csv", spec.csv_prefix),
-                rounds_factor: 2,
-            },
-            &params,
-            &policy,
-            cache,
-        ),
-        ScenarioKind::Scalability => run_scalability(
-            &ScalabilityFigure {
-                title: spec.title.clone(),
-                workload: spec.base_config.clone(),
-                worker_counts: spec.sweep_num_workers.clone(),
-                per_worker_samples: spec.per_worker_samples,
-                target: spec.accuracy_targets[0],
-                mechanisms: spec.mechanisms.clone(),
-                csv_name: format!("{}_scalability.csv", spec.csv_prefix),
-            },
-            &params,
-            &policy,
-            cache,
-        ),
-        ScenarioKind::Grid => run_grid_scenario(spec, &params, &policy, cache),
-    };
+    let listing = list(spec, &params);
+    print!("{}", listing.preamble);
+    let layout = lay_out(spec, &params, &listing);
+    let plan = params.plan();
+    let outcome = run_mechanism_cells(
+        &listing.configs,
+        listing.cells,
+        listing.rounds,
+        params.eval(),
+        params.max_virtual_time,
+        &plan,
+        &policy,
+        cache,
+    );
+    render(spec, &Renderer::new(&plan), &layout, &outcome.cells);
     drop(grid_span);
 
     // Cache statistics are collected even with telemetry off (the atomics
@@ -425,275 +418,384 @@ pub fn execute(
             ))
         })?;
         report.profile = Some(profile);
-        telemetry::disable();
     }
     Ok(report)
 }
 
-/// The Fig. 9 energy table: aggregation energy (J) each surviving mechanism
-/// spent to reach the spec's `run.energy_targets`. Byte-identical to the
-/// historical `fig9_energy` binary's table (single-seed cells print the
-/// canonical first-seed value, replicated cells mean±std [reached/total]).
-fn print_energy_table(spec: &ScenarioSpec, params: &FigureParams, cells: &[Option<CellStats>]) {
-    let num_seeds = params.num_seeds;
-    let title = match &spec.energy_label {
-        Some(label) => format!("Aggregation energy (J) to reach target accuracy — {label}"),
-        None => "Aggregation energy (J) to reach target accuracy".to_string(),
-    };
-    let header: Vec<String> = std::iter::once("mechanism".to_string())
-        .chain((1..=spec.energy_targets.len()).map(|i| format!("E@t{i}")))
-        .collect();
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-    let mut table = Table::new(&title, &header_refs);
-    for c in cells.iter().flatten() {
-        let mut row = vec![c.mechanism.clone()];
-        for &t in &spec.energy_targets {
-            row.push(if num_seeds == 1 {
-                c.first()
-                    .energy_to_accuracy(t)
-                    .map(|e| format!("{e:.0}"))
-                    .unwrap_or_else(|| "n/a".to_string())
-            } else {
-                c.energy_to_accuracy_stats(t).fmt_with_count(0, num_seeds)
-            });
-        }
-        table.add_row(row);
-    }
-    println!("{}", table.render());
+/// What a kind runs: everything the one `run_mechanism_cells` call needs,
+/// plus the text printed before it.
+struct Listing {
+    /// The headline, printed before anything runs (empty: no headline).
+    preamble: String,
+    /// The system variants the cells run on.
+    configs: Vec<FlSystemConfig>,
+    /// One cell per table cell, in table order.
+    cells: Vec<MechanismCell>,
+    /// Round budget of every cell.
+    rounds: usize,
 }
 
-/// Names a grid cell in failure reports and run-store keys:
-/// `"N=10 xi=0.3 Air-FedGA"`, minus the axes the spec does not sweep.
-fn cell_label(cell: &GridCell) -> String {
-    let mut parts: Vec<String> = Vec::new();
-    if let Some(n) = cell.num_workers {
-        parts.push(format!("N={n}"));
+/// The historical scale-dependent ξ grid of an `xi_sweep` without a
+/// `[sweep] xi` key.
+fn default_xis(scale: Scale) -> Vec<f64> {
+    match scale {
+        Scale::Full => (0..=10).map(|i| i as f64 / 10.0).collect(),
+        Scale::Quick => vec![0.0, 0.3, 0.7, 1.0],
     }
-    if let Some(xi) = cell.xi {
-        parts.push(format!("xi={}", fmt_xi(xi)));
-    }
-    parts.push(cell.mechanism.label().to_string());
-    parts.join(" ")
 }
 
-/// The generic cross-product sweep: one cell per [`GridCell`]. Only the
-/// worker-count axis affects the system build (xi and the mechanism act at
-/// run time), so the system variants are one per distinct worker count.
-/// Mechanisms without a xi repeat per xi value in the table but train once
-/// per `(N, seed)`: the runner shares that one result among the repeats.
-/// Returns the runner's outcome for the caller's [`ExecutionReport`].
-fn run_grid_scenario(
-    spec: &ScenarioSpec,
-    params: &FigureParams,
-    policy: &RunPolicy,
-    cache: &dyn ReplicateCache,
-) -> ReplicatedOutcome {
+/// The historical scale-dependent worker counts of a `scalability` sweep
+/// without a `[sweep] num_workers` key.
+fn default_worker_counts(scale: Scale) -> Vec<usize> {
+    match scale {
+        Scale::Full => vec![20, 40, 60, 80, 100],
+        Scale::Quick => vec![10, 20],
+    }
+}
+
+/// Which cells a scenario runs.
+fn list(spec: &ScenarioSpec, params: &FigureParams) -> Listing {
     let scale = params.scale;
-    let plan = params.plan();
-    let seeds = &plan.run_seeds;
     let base = params.apply(spec.base_config.clone());
-    let rounds = params.rounds();
-    let cells = expand_grid(spec);
-
-    println!(
-        "{}\n  workload: {} | {} cells | {} rounds | {} seed(s) (scale: {scale:?})",
-        spec.title,
-        base.dataset.name,
-        cells.len(),
-        rounds,
-        seeds.len()
-    );
-    if plan.vary_system {
-        println!(
-            "  system re-sampled per replicate (system seeds {}..{})",
-            plan.system_seed,
-            plan.system_seed + (seeds.len() as u64 - 1)
-        );
-    }
-
-    let mut distinct_ns: Vec<Option<usize>> = Vec::new();
-    for cell in &cells {
-        if !distinct_ns.contains(&cell.num_workers) {
-            distinct_ns.push(cell.num_workers);
-        }
-    }
-    let configs: Vec<_> = distinct_ns
-        .iter()
-        .map(|&n| {
-            let mut cfg = base.clone();
-            if let Some(n) = n {
-                cfg.num_workers = n;
-            }
-            cfg
-        })
-        .collect();
-    let mechanism_cells = cells
-        .iter()
-        .map(|cell| MechanismCell {
-            config: distinct_ns
+    let cell = |config, mechanism: MechanismChoice, xi, label| MechanismCell {
+        config,
+        mechanism,
+        xi,
+        label,
+    };
+    match spec.kind {
+        // One cell per mechanism, all on one system (Figs. 3–6 and 9).
+        ScenarioKind::TimeAccuracy => Listing {
+            preamble: format!(
+                "{}\n  workload: {} | {} workers | {} rounds (scale: {scale:?})\n",
+                spec.title,
+                base.dataset.name,
+                base.num_workers,
+                params.rounds()
+            ),
+            cells: spec
+                .mechanisms
                 .iter()
-                .position(|&n| n == cell.num_workers)
-                .expect("cell worker count is in distinct_ns by construction"),
-            mechanism: cell.mechanism,
-            xi: cell.xi,
-            label: cell_label(cell),
-        })
-        .collect();
-    let outcome = run_mechanism_cells(
-        &configs,
-        mechanism_cells,
-        rounds,
-        params.eval(),
-        params.max_virtual_time,
-        &plan,
-        policy,
-        cache,
-    );
-    let stats = &outcome.cells;
+                .map(|&m| cell(0, m, None, m.label().to_string()))
+                .collect(),
+            configs: vec![base],
+            rounds: params.rounds(),
+        },
+        // One Air-FedGA cell per ξ, all on one system (Fig. 8). The budget is
+        // twice the scale's so slow ξ extremes still reach the targets.
+        ScenarioKind::XiSweep => Listing {
+            preamble: format!(
+                "{} ({} workers, {scale:?} scale)\n\n",
+                spec.title, base.num_workers
+            ),
+            cells: spec
+                .sweep_xi
+                .clone()
+                .unwrap_or_else(|| default_xis(scale))
+                .into_iter()
+                .map(|xi| {
+                    let label = format!("xi={}", fmt_xi(xi));
+                    cell(0, MechanismChoice::AirFedGa, Some(xi), label)
+                })
+                .collect(),
+            configs: vec![base],
+            rounds: params
+                .total_rounds
+                .unwrap_or_else(|| scale.total_rounds() * 2),
+        },
+        // One system per worker count, one cell per (N, mechanism) (Fig. 10).
+        ScenarioKind::Scalability => {
+            let worker_counts = spec
+                .sweep_num_workers
+                .clone()
+                .unwrap_or_else(|| default_worker_counts(scale));
+            let (configs, cells) = scalability_cells(
+                &base,
+                &worker_counts,
+                spec.per_worker_samples,
+                &spec.mechanisms,
+            );
+            Listing {
+                preamble: String::new(),
+                configs,
+                cells,
+                rounds: params.rounds(),
+            }
+        }
+        // The generic cross product. Only the worker-count axis affects the
+        // system build (ξ and the mechanism act at run time), so there is one
+        // system variant per distinct worker count. Mechanisms without a ξ
+        // repeat per ξ value in the table but train once per `(N, seed)`: the
+        // runner shares that one result among the repeats.
+        ScenarioKind::Grid => {
+            let grid = expand_grid(spec);
+            let mut distinct_ns: Vec<Option<usize>> = Vec::new();
+            for cell in &grid {
+                if !distinct_ns.contains(&cell.num_workers) {
+                    distinct_ns.push(cell.num_workers);
+                }
+            }
+            let mut preamble = format!(
+                "{}\n  workload: {} | {} cells | {} rounds | {} seed(s) (scale: {scale:?})\n",
+                spec.title,
+                base.dataset.name,
+                grid.len(),
+                params.rounds(),
+                params.num_seeds.max(1)
+            );
+            if params.vary_system {
+                preamble.push_str(&resampled_note(&params.plan()));
+                preamble.push('\n');
+            }
+            Listing {
+                preamble,
+                cells: grid
+                    .iter()
+                    .map(|g| {
+                        // `"N=10 xi=0.3 Air-FedGA"`, minus the axes not swept.
+                        let n = g.num_workers.map(|n| format!("N={n} "));
+                        let xi = g.xi.map(|xi| format!("xi={} ", fmt_xi(xi)));
+                        let label = [n, xi].into_iter().flatten().collect::<String>();
+                        let config = distinct_ns.iter().position(|&n| n == g.num_workers);
+                        cell(
+                            config.expect("every worker count is in distinct_ns"),
+                            g.mechanism,
+                            g.xi,
+                            label + g.mechanism.label(),
+                        )
+                    })
+                    .collect(),
+                configs: distinct_ns
+                    .iter()
+                    .map(|&n| FlSystemConfig {
+                        num_workers: n.unwrap_or(base.num_workers),
+                        ..base.clone()
+                    })
+                    .collect(),
+                rounds: params.rounds(),
+            }
+        }
+    }
+}
 
-    let replicated = seeds.len() > 1;
-    let faulty = !spec.base_config.faults.is_none();
-    let has_n = spec.sweep_num_workers.is_some();
-    let has_xi = spec.sweep_xi.is_some();
-    let mut header: Vec<String> = Vec::new();
-    let mut csv_header: Vec<String> = Vec::new();
-    if has_n {
-        header.push("N".to_string());
-        csv_header.push("n".to_string());
-    }
-    if has_xi {
-        header.push("xi".to_string());
-        csv_header.push("xi".to_string());
-    }
-    header.push("mechanism".to_string());
-    csv_header.push("mechanism".to_string());
-    if replicated {
-        csv_header.push("seeds".to_string());
-    }
-    for label in ["final acc", "final loss", "avg round (s)", "total time (s)"] {
-        header.push(label.to_string());
-    }
-    if replicated {
-        for stem in ["final_acc", "final_loss", "avg_round_s", "total_time_s"] {
-            csv_header.push(format!("{stem}_mean"));
-            csv_header.push(format!("{stem}_std"));
-        }
-    } else {
-        for stem in ["final_acc", "final_loss", "avg_round_s", "total_time_s"] {
-            csv_header.push(stem.to_string());
-        }
-    }
-    for t in &spec.accuracy_targets {
-        header.push(format!("t@{:.0}% (s)", t * 100.0));
+/// One time-to-target column per accuracy target: `t@80%` plus `unit`.
+fn target_columns<'a>(targets: &'a [f64], unit: &'a str) -> impl Iterator<Item = Column> + 'a {
+    targets.iter().map(move |&t| {
         let pct = t * 100.0;
-        if replicated {
-            csv_header.push(format!("t{pct:.0}_mean"));
-            csv_header.push(format!("t{pct:.0}_std"));
-            csv_header.push(format!("t{pct:.0}_n"));
-        } else {
-            csv_header.push(format!("t{pct:.0}"));
-        }
-    }
-    // Robustness columns only appear on faulty workloads, so fault-free
-    // scenarios keep their historical byte-exact layout.
-    if faulty {
-        header.push("participation".to_string());
-        header.push("rounds survived".to_string());
-        if replicated {
-            for stem in ["participation", "rounds_survived"] {
-                csv_header.push(format!("{stem}_mean"));
-                csv_header.push(format!("{stem}_std"));
-            }
-        } else {
-            csv_header.push("participation".to_string());
-            csv_header.push("rounds_survived".to_string());
-        }
-    }
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-    let mut table = Table::new(&spec.title, &header_refs);
-    let mut csv = csv_header.join(",");
-    csv.push('\n');
+        Column::new(
+            Metric::TimeTo(t),
+            format!("t@{pct:.0}%{unit}"),
+            format!("t{pct:.0}"),
+        )
+    })
+}
 
-    for (cell, stat) in cells.iter().zip(stats) {
-        // A cell whose replicates all died even after the retry has no
-        // statistics; its row is omitted and the failure report names it.
-        let Some(stat) = stat else { continue };
-        let mut row: Vec<String> = Vec::new();
-        let mut csv_row: Vec<String> = Vec::new();
-        if has_n {
-            let n = cell.num_workers.expect("has_n implies a worker count");
-            row.push(n.to_string());
-            csv_row.push(n.to_string());
-        }
-        if has_xi {
-            let xi = cell.xi.expect("has_xi implies a xi value");
-            row.push(fmt_xi(xi));
-            csv_row.push(fmt_xi(xi));
-        }
-        row.push(stat.mechanism.clone());
-        csv_row.push(stat.mechanism.clone());
-        if replicated {
-            csv_row.push(stat.seeds.len().to_string());
-            let acc = stat.final_accuracy_stats();
-            let loss = stat.final_loss_stats();
-            let round = stat.average_round_time_stats();
-            let last = stat.points.last().expect("grid trace is non-empty");
-            row.push(acc.fmt_mean_std(3));
-            row.push(loss.fmt_mean_std(3));
-            row.push(round.fmt_mean_std(1));
-            row.push(last.time.fmt_mean_std(0));
-            for s in [&acc, &loss] {
-                csv_row.push(format!("{:.4}", s.mean));
-                csv_row.push(format!("{:.4}", s.std));
-            }
-            for s in [&round, &last.time] {
-                csv_row.push(format!("{:.2}", s.mean));
-                csv_row.push(format!("{:.2}", s.std));
-            }
-            for t in &spec.accuracy_targets {
-                let s = stat.time_to_accuracy_stats(*t);
-                row.push(s.fmt_with_count(0, stat.seeds.len()));
-                csv_row.push(s.csv_fields(1));
-            }
-            if faulty {
-                let part = stat.participation_rate_stats();
-                let survived = stat.rounds_survived_stats();
-                row.push(part.fmt_mean_std(3));
-                row.push(survived.fmt_mean_std(1));
-                csv_row.push(format!("{:.4}", part.mean));
-                csv_row.push(format!("{:.4}", part.std));
-                csv_row.push(format!("{:.2}", survived.mean));
-                csv_row.push(format!("{:.2}", survived.std));
-            }
-        } else {
-            let s = stat.first();
-            row.push(format!("{:.3}", s.final_accuracy));
-            row.push(format!("{:.3}", s.final_loss));
-            row.push(fmt_secs(s.average_round_time));
-            row.push(fmt_secs(s.total_time));
-            csv_row.push(format!("{:.4}", s.final_accuracy));
-            csv_row.push(format!("{:.4}", s.final_loss));
-            csv_row.push(format!("{:.2}", s.average_round_time));
-            csv_row.push(format!("{:.2}", s.total_time));
-            for t in &spec.accuracy_targets {
-                let tta = s.time_to_accuracy(*t);
-                row.push(fmt_opt_secs(tta));
-                csv_row.push(tta.map(|t| format!("{t:.1}")).unwrap_or_default());
-            }
-            if faulty {
-                row.push(format!("{:.3}", s.participation_rate));
-                row.push(format!("{}", s.rounds_survived));
-                csv_row.push(format!("{:.4}", s.participation_rate));
-                csv_row.push(s.rounds_survived.to_string());
-            }
-        }
-        table.add_row(row);
-        csv.push_str(&csv_row.join(","));
-        csv.push('\n');
+/// The columns a `time_accuracy` figure and a `grid` share: the four summary
+/// metrics (and, `with_energy`, the energy spent), the time to each target
+/// and — only on a faulty workload, so fault-free scenarios keep their
+/// historical layout — the two robustness metrics.
+fn summary_columns(spec: &ScenarioSpec, with_energy: bool) -> Vec<Column> {
+    let mut columns = vec![
+        Column::new(Metric::FinalAccuracy, "final acc", "final_acc"),
+        Column::new(Metric::FinalLoss, "final loss", "final_loss"),
+        Column::new(Metric::AverageRound, "avg round (s)", "avg_round_s"),
+        Column::new(Metric::TotalTime, "total time (s)", "total_time_s"),
+    ];
+    if with_energy {
+        columns.push(Column::new(Metric::Energy, "energy (J)", "energy_j"));
     }
-    println!("{}", table.render());
-    try_write_csv(&format!("{}_grid.csv", spec.csv_prefix), &csv);
-    outcome
+    columns.extend(target_columns(&spec.accuracy_targets, " (s)"));
+    if !spec.base_config.faults.is_none() {
+        columns.push(Column::new(
+            Metric::Participation,
+            "participation",
+            "participation",
+        ));
+        columns.push(Column::new(
+            Metric::RoundsSurvived,
+            "rounds survived",
+            "rounds_survived",
+        ));
+    }
+    columns
+}
+
+/// Which rows and columns a scenario's table shows: one row of key cells per
+/// listed cell, and the kind's metrics.
+fn lay_out(spec: &ScenarioSpec, params: &FigureParams, listing: &Listing) -> Layout {
+    let cells = || listing.cells.iter();
+    let workers = |cell: &MechanismCell| listing.configs[cell.config].num_workers.to_string();
+    let mechanism = |cell: &MechanismCell| cell.mechanism.label().to_string();
+    let xi = |cell: &MechanismCell| cell.xi.expect("a swept xi is on every cell");
+    match spec.kind {
+        ScenarioKind::TimeAccuracy => Layout {
+            title: spec.title.clone(),
+            keys: vec![("mechanism", "mechanism")],
+            rows: cells().map(|c| vec![mechanism(c)]).collect(),
+            columns: summary_columns(spec, true),
+            ..Layout::default()
+        },
+        ScenarioKind::XiSweep => {
+            // Group counts are seed-independent (Algorithm 3 is deterministic
+            // given the system), so they are computed once per ξ outside the
+            // replication, on the replicate-0 system.
+            let system = listing.configs[0].build(&mut Rng64::seed_from(params.system_seed));
+            let groups = |xi| {
+                let mechanism = AirFedGa::new(AirFedGaConfig {
+                    xi,
+                    ..AirFedGaConfig::default()
+                });
+                mechanism.grouping_for(&system).num_groups()
+            };
+            Layout {
+                title: "Training time (s) to reach target accuracy vs xi".to_string(),
+                keys: vec![("xi", "xi"), ("groups", "groups")],
+                rows: run_grid(cells().map(xi).collect(), |xi| {
+                    vec![fmt_xi(xi), groups(xi).to_string()]
+                }),
+                columns: target_columns(&spec.accuracy_targets, "").collect(),
+                csv_name: Some(format!("{}_xi_sweep.csv", spec.csv_prefix)),
+                ..Layout::default()
+            }
+        }
+        ScenarioKind::Scalability => {
+            let title = &spec.title;
+            let target = spec.accuracy_targets[0];
+            let pct = target * 100.0;
+            let round = Column::new(
+                Metric::AverageRound,
+                format!("{title} (left): average single-round time (s) vs number of workers"),
+                "avg_round_s",
+            );
+            let total = Column::new(
+                Metric::TimeTo(target),
+                format!(
+                    "{title} (right): total time (s) to stable {pct:.0}% accuracy \
+                     vs number of workers"
+                ),
+                format!("time_to_{pct:.0}_s"),
+            )
+            .counted_as(format!("time_to_{pct:.0}"));
+            Layout {
+                keys: vec![("N", "n"), ("mechanism", "mechanism")],
+                rows: cells().map(|c| vec![workers(c), mechanism(c)]).collect(),
+                columns: vec![round, total],
+                csv_name: Some(format!("{}_scalability.csv", spec.csv_prefix)),
+                seeds_column: true,
+                ..Layout::default()
+            }
+        }
+        ScenarioKind::Grid => {
+            // The swept axes are key columns; the others are not shown.
+            let has_n = spec.sweep_num_workers.is_some();
+            let has_xi = spec.sweep_xi.is_some();
+            let keys = [
+                has_n.then_some(("N", "n")),
+                has_xi.then_some(("xi", "xi")),
+                Some(("mechanism", "mechanism")),
+            ];
+            let row = |c: &MechanismCell| {
+                let row = [
+                    has_n.then(|| workers(c)),
+                    has_xi.then(|| fmt_xi(xi(c))),
+                    Some(mechanism(c)),
+                ];
+                row.into_iter().flatten().collect()
+            };
+            Layout {
+                title: spec.title.clone(),
+                keys: keys.into_iter().flatten().collect(),
+                rows: cells().map(row).collect(),
+                columns: summary_columns(spec, false),
+                csv_name: Some(format!("{}_grid.csv", spec.csv_prefix)),
+                seeds_column: true,
+                grid_counts: true,
+            }
+        }
+    }
+}
+
+/// Hand the folded cells to the renderer, in the order the kind prints.
+fn render(spec: &ScenarioSpec, renderer: &Renderer, layout: &Layout, cells: &[Option<CellStats>]) {
+    match spec.kind {
+        ScenarioKind::TimeAccuracy => {
+            renderer.banner("cells are mean±std", "\n");
+            renderer.table(layout, cells);
+            renderer.traces(&spec.title, &spec.csv_prefix, cells);
+            if let Some(target) = spec.speedup_target {
+                print_speedups(cells, target);
+            }
+            if !spec.energy_targets.is_empty() {
+                renderer.table(&energy_layout(spec, layout), cells);
+            }
+        }
+        ScenarioKind::XiSweep => {
+            renderer.banner("cells are mean±std [reached/total]", "\n\n");
+            renderer.table(layout, cells);
+        }
+        ScenarioKind::Scalability => {
+            let heads: Vec<&str> = spec.mechanisms.iter().map(|m| m.label()).collect();
+            renderer.pivot(layout, &heads, cells);
+        }
+        ScenarioKind::Grid => renderer.table(layout, cells),
+    }
+}
+
+/// The Fig. 9 energy table under a `time_accuracy` figure: aggregation
+/// energy (J) each mechanism spent to reach the spec's `run.energy_targets`,
+/// on the figure's rows.
+fn energy_layout(spec: &ScenarioSpec, figure: &Layout) -> Layout {
+    let title = "Aggregation energy (J) to reach target accuracy";
+    Layout {
+        title: match &spec.energy_label {
+            Some(label) => format!("{title} — {label}"),
+            None => title.to_string(),
+        },
+        keys: figure.keys.clone(),
+        rows: figure.rows.clone(),
+        columns: (spec.energy_targets.iter().zip(1..))
+            .map(|(&t, i)| Column::table_only(Metric::EnergyTo(t), format!("E@t{i}")))
+            .collect(),
+        ..Layout::default()
+    }
+}
+
+/// Print the paper's headline speed-up claim for a figure's surviving
+/// cells: how much faster Air-FedGA's canonical (first-seed) run reaches
+/// `target` accuracy than each other mechanism's.
+fn print_speedups(cells: &[Option<CellStats>], target: f64) {
+    let summaries = || cells.iter().flatten().map(CellStats::first);
+    let Some(ga) = summaries()
+        .find(|s| s.mechanism == "Air-FedGA")
+        .and_then(|s| s.time_to_accuracy(target))
+    else {
+        println!(
+            "Air-FedGA did not reach a stable {:.0}% accuracy in this run",
+            target * 100.0
+        );
+        return;
+    };
+    for s in summaries() {
+        if s.mechanism == "Air-FedGA" {
+            continue;
+        }
+        match s.time_to_accuracy(target) {
+            Some(t) => println!(
+                "  Air-FedGA reaches {:.0}% accuracy {:.1}% faster than {} ({:.0}s vs {:.0}s)",
+                target * 100.0,
+                (1.0 - ga / t) * 100.0,
+                s.mechanism,
+                ga,
+                t
+            ),
+            None => println!(
+                "  {} never stably reached {:.0}% accuracy (Air-FedGA: {:.0}s)",
+                s.mechanism,
+                target * 100.0,
+                ga
+            ),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -779,6 +881,57 @@ xi = [0.3, 1.0]
         assert!(execute(&spec, Scale::Quick, &CliOverrides::default())
             .unwrap()
             .is_clean());
+    }
+
+    #[test]
+    fn default_grids_match_the_historical_binaries() {
+        assert_eq!(default_xis(Scale::Quick), vec![0.0, 0.3, 0.7, 1.0]);
+        assert_eq!(default_xis(Scale::Full).len(), 11);
+        assert_eq!(default_worker_counts(Scale::Full), [20, 40, 60, 80, 100]);
+        assert_eq!(default_worker_counts(Scale::Quick), [10, 20]);
+    }
+
+    /// Replicate 0 of a multi-seed figure IS the single-seed figure: the
+    /// per-mechanism trace CSV keeps its name and bytes at any seed count,
+    /// and the error-bar series beside it covers every seed.
+    #[test]
+    fn replicated_figure_keeps_the_first_seed_canonical() {
+        let src = r#"
+[scenario]
+name = "test_scenario_canonical"
+kind = "time_accuracy"
+title = "test canonical first seed"
+
+[system]
+workload = "mnist_lr_quick"
+
+[run]
+mechanisms = ["air-fedga"]
+accuracy_targets = [0.5]
+rounds = 6
+eval_every = 2
+"#;
+        let spec = ScenarioSpec::parse(src).unwrap();
+        let trace = Path::new("results/test_scenario_canonical_air_fedga.csv");
+        let bars = Path::new("results/test_scenario_canonical_air_fedga_errorbars.csv");
+        let run = |seeds| {
+            let cli = CliOverrides {
+                seeds: Some(seeds),
+                ..CliOverrides::default()
+            };
+            assert!(execute(&spec, Scale::Quick, &cli).unwrap().is_clean());
+            std::fs::read_to_string(trace).unwrap()
+        };
+        let _ = std::fs::remove_file(bars);
+        let single = run(1);
+        assert!(!bars.exists(), "one seed has no error bars");
+        assert_eq!(run(3), single);
+        let bars = std::fs::read_to_string(bars).unwrap();
+        assert_eq!(bars.lines().count(), single.lines().count());
+        assert!(bars
+            .lines()
+            .skip(1)
+            .all(|l| l.split(',').nth(1) == Some("3")));
     }
 
     /// A time_accuracy scenario with registry components no figure binary

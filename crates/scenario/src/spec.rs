@@ -4,10 +4,10 @@
 //! validated spec: every component name is resolved through the
 //! [`Registry`], every key is type-checked with line-numbered errors, and
 //! **unknown keys are rejected** (a typo'd key fails loudly instead of
-//! silently running the default). The spec then maps onto the shared
-//! experiment drivers — `FlSystemConfig` + [`FigureParams`] for the figure
-//! shapes, and the flat [`GridCell`] list the generic `grid` driver hands to
-//! the replicate runner.
+//! silently running the default). `run` then maps the spec onto what the
+//! replicate runner takes — `FlSystemConfig`s, an `experiments::FigureParams`
+//! and one cell per table cell (the flat [`GridCell`] list for the generic
+//! `grid`).
 //!
 //! ## Sweep expansion order
 //!

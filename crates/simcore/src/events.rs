@@ -90,23 +90,12 @@ impl<E> EventQueue<E> {
         self.heap.push(Scheduled { time, seq, payload });
     }
 
-    /// Schedule `payload` after a delay relative to the current virtual time.
-    pub fn push_after(&mut self, delay: f64, payload: E) {
-        assert!(delay >= 0.0, "delay must be non-negative");
-        self.push(self.now + delay, payload);
-    }
-
     /// Pop the earliest event, advancing the virtual clock to its timestamp.
     pub fn pop(&mut self) -> Option<(f64, E)> {
         self.heap.pop().map(|s| {
             self.now = s.time;
             (s.time, s.payload)
         })
-    }
-
-    /// Timestamp of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|s| s.time)
     }
 
     /// Current virtual time (the timestamp of the last popped event).
@@ -157,7 +146,7 @@ mod tests {
         assert_eq!(q.now(), 0.0);
         q.pop();
         assert_eq!(q.now(), 2.5);
-        q.push_after(1.5, ());
+        q.push(q.now() + 1.5, ());
         assert_eq!(q.pop().unwrap().0, 4.0);
     }
 
@@ -168,7 +157,6 @@ mod tests {
         q.push(1.0, 1);
         q.push(0.5, 2);
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(0.5));
         q.pop();
         assert_eq!(q.len(), 1);
     }

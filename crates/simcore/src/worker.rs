@@ -109,16 +109,6 @@ impl WorkerProfile {
             .collect()
     }
 
-    /// Spread `Δl = max l_i − min l_i` of a set of profiles (the quantity the
-    /// ξ-constraint of Eq. (36d) is expressed against).
-    pub fn training_time_spread(profiles: &[WorkerProfile]) -> f64 {
-        assert!(!profiles.is_empty(), "no worker profiles");
-        let times: Vec<f64> = profiles.iter().map(|p| p.local_training_time()).collect();
-        let max = times.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
-        max - min
-    }
-
     /// Total data size `D` over a set of profiles.
     pub fn total_data(profiles: &[WorkerProfile]) -> usize {
         profiles.iter().map(|p| p.data_size).sum()
@@ -165,20 +155,6 @@ mod tests {
         assert_eq!(profiles[1].base_training_time, 10.0);
         assert_eq!(profiles[2].local_training_time(), 15.0);
         assert_eq!(WorkerProfile::total_data(&profiles), 60);
-    }
-
-    #[test]
-    fn spread_matches_min_max() {
-        let mut rng = Rng64::seed_from(5);
-        let profiles = WorkerProfile::generate(
-            &[10, 10, 10],
-            1.0,
-            &HeterogeneityModel::Explicit {
-                factors: vec![1.0, 4.0, 2.5],
-            },
-            &mut rng,
-        );
-        assert_eq!(WorkerProfile::training_time_spread(&profiles), 30.0);
     }
 
     #[test]

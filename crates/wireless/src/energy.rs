@@ -61,23 +61,9 @@ impl EnergyLedger {
         self.total
     }
 
-    /// Energy spent by a single worker so far.
-    pub fn worker_total(&self, worker: usize) -> f64 {
-        self.per_worker[worker]
-    }
-
     /// Number of aggregation rounds recorded.
     pub fn rounds(&self) -> usize {
         self.rounds_recorded
-    }
-
-    /// Average energy per recorded round.
-    pub fn average_per_round(&self) -> f64 {
-        if self.rounds_recorded == 0 {
-            0.0
-        } else {
-            self.total / self.rounds_recorded as f64
-        }
     }
 }
 
@@ -101,10 +87,7 @@ mod tests {
         ledger.record(0, 1.0);
         ledger.finish_round();
         assert_eq!(ledger.total(), 13.0);
-        assert_eq!(ledger.worker_total(0), 6.0);
-        assert_eq!(ledger.worker_total(1), 0.0);
         assert_eq!(ledger.rounds(), 2);
-        assert!((ledger.average_per_round() - 6.5).abs() < 1e-12);
     }
 
     #[test]
@@ -112,11 +95,5 @@ mod tests {
     fn ledger_rejects_bad_worker() {
         let mut ledger = EnergyLedger::new(1);
         ledger.record(5, 1.0);
-    }
-
-    #[test]
-    fn empty_ledger_has_zero_average() {
-        let ledger = EnergyLedger::new(2);
-        assert_eq!(ledger.average_per_round(), 0.0);
     }
 }

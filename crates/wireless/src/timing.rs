@@ -158,13 +158,6 @@ impl WirelessConfig {
             OmaScheme::Tdma | OmaScheme::Ofdma => single * num_uploaders as f64,
         }
     }
-
-    /// Ratio between one OMA round's upload latency and one AirComp
-    /// aggregation — the headline communication saving of AirComp.
-    pub fn aircomp_speedup(&self, model_dim: usize, num_uploaders: usize) -> f64 {
-        self.oma_round_upload_time(OmaScheme::Tdma, model_dim, num_uploaders)
-            / self.aircomp_aggregation_time(model_dim)
-    }
 }
 
 #[cfg(test)]
@@ -223,13 +216,6 @@ mod tests {
             c.oma_round_upload_time(OmaScheme::Tdma, 5_000, 10),
             c.oma_round_upload_time(OmaScheme::Ofdma, 5_000, 10)
         );
-    }
-
-    #[test]
-    fn aircomp_speedup_grows_with_population() {
-        let c = WirelessConfig::default();
-        assert!(c.aircomp_speedup(10_000, 100) > c.aircomp_speedup(10_000, 10));
-        assert!(c.aircomp_speedup(10_000, 100) > 100.0);
     }
 
     #[test]

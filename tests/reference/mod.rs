@@ -17,13 +17,61 @@
 //! code with the batched implementation.
 
 use fedml::dataset::Dataset;
-use fedml::linalg::{relu_in_place, Matrix};
+use fedml::linalg::Matrix;
 use fedml::loss::cross_entropy_with_grad;
 use fedml::model::{LogisticRegression, Mlp, Model};
 use fedml::optimizer::SgdConfig;
 use fedml::params::FlatParams;
 use fedml::rng::Rng64;
 use wireless::aircomp::{air_aggregate_into, AirAggregationInput, AirAggregationScratch};
+
+/// `y = mᵀ x`, the transposed matrix–vector product (`x.len() == m.rows()`).
+fn matvec_transposed(m: &Matrix, x: &[f64]) -> Vec<f64> {
+    assert_eq!(x.len(), m.rows(), "matvec_transposed dimension mismatch");
+    let mut y = vec![0.0; m.cols()];
+    for (row, &xr) in m.as_slice().chunks_exact(m.cols()).zip(x.iter()) {
+        if xr == 0.0 {
+            continue;
+        }
+        for (yc, a) in y.iter_mut().zip(row.iter()) {
+            *yc += a * xr;
+        }
+    }
+    y
+}
+
+/// Rank-one update `m += alpha * u * vᵀ` (`u.len() == m.rows()`,
+/// `v.len() == m.cols()`): the shape of every per-sample gradient
+/// contribution of a dense layer.
+fn rank_one_update(m: &mut Matrix, alpha: f64, u: &[f64], v: &[f64]) {
+    assert_eq!(u.len(), m.rows(), "rank_one_update row mismatch");
+    assert_eq!(v.len(), m.cols(), "rank_one_update col mismatch");
+    let cols = m.cols();
+    for (row, &uv) in m.as_mut_slice().chunks_exact_mut(cols).zip(u.iter()) {
+        let ur = alpha * uv;
+        if ur == 0.0 {
+            continue;
+        }
+        for (mv, vv) in row.iter_mut().zip(v.iter()) {
+            *mv += ur * vv;
+        }
+    }
+}
+
+/// Element-wise ReLU applied in place; returns a mask of which entries were
+/// positive (needed by the backward pass).
+fn relu_in_place(x: &mut [f64]) -> Vec<bool> {
+    let mut mask = Vec::with_capacity(x.len());
+    for v in x.iter_mut() {
+        if *v > 0.0 {
+            mask.push(true);
+        } else {
+            *v = 0.0;
+            mask.push(false);
+        }
+    }
+    mask
+}
 
 /// Per-sample loss and averaged gradient of a [`LogisticRegression`] model —
 /// the reference implementation of `Model::loss_and_gradient`.
@@ -48,7 +96,7 @@ pub fn logreg_loss_and_gradient(
         }
         let (loss, dlogits) = cross_entropy_with_grad(&logits, data.label(i));
         total_loss += loss;
-        grad_w.rank_one_update(inv_n, &dlogits, x);
+        rank_one_update(&mut grad_w, inv_n, &dlogits, x);
         for (gb, dl) in grad_b.iter_mut().zip(dlogits.iter()) {
             *gb += inv_n * dl;
         }
@@ -119,12 +167,12 @@ pub fn mlp_loss_and_gradient(model: &Mlp, data: &Dataset, indices: &[usize]) -> 
         for l in (0..depth).rev() {
             let input = &activations[l];
             let (gw, gb) = &mut grads[l];
-            gw.rank_one_update(inv_n, &delta, input);
+            rank_one_update(gw, inv_n, &delta, input);
             for (b, dv) in gb.iter_mut().zip(delta.iter()) {
                 *b += inv_n * dv;
             }
             if l > 0 {
-                let mut prev = model.layer_weights(l).matvec_transposed(&delta);
+                let mut prev = matvec_transposed(model.layer_weights(l), &delta);
                 for (p, &m) in prev.iter_mut().zip(masks[l - 1].iter()) {
                     if !m {
                         *p = 0.0;
@@ -234,6 +282,28 @@ pub fn air_aggregate(
 mod tests {
     use super::*;
     use fedml::dataset::SyntheticSpec;
+
+    #[test]
+    fn matvec_transposed_matches_manual() {
+        let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let y = matvec_transposed(&m, &[2.0, -1.0]);
+        assert_eq!(y, vec![2.0 - 4.0, 4.0 - 5.0, 6.0 - 6.0]);
+    }
+
+    #[test]
+    fn rank_one_update_matches_outer_product() {
+        let mut m = Matrix::zeros(2, 2);
+        rank_one_update(&mut m, 2.0, &[1.0, 3.0], &[4.0, 5.0]);
+        assert_eq!(m.as_slice(), &[8.0, 10.0, 24.0, 30.0]);
+    }
+
+    #[test]
+    fn relu_masks_negatives() {
+        let mut x = vec![-1.0, 0.0, 2.0];
+        let mask = relu_in_place(&mut x);
+        assert_eq!(x, vec![0.0, 0.0, 2.0]);
+        assert_eq!(mask, vec![false, false, true]);
+    }
 
     #[test]
     fn mse_is_error_over_dimension() {
