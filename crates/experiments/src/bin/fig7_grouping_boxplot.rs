@@ -27,7 +27,7 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env_or_exit("fig7_grouping_boxplot");
     let cfg = scale.apply(FlSystemConfig::mnist_cnn());
     let system = cfg.build(&mut Rng64::seed_from(42));
     let mech = AirFedGa::new(AirFedGaConfig {

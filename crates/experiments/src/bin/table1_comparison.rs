@@ -22,7 +22,7 @@ use grouping::tifl::{default_tier_count, tifl_grouping};
 use grouping::worker_info::Grouping;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env_or_exit("table1_comparison");
     let (n_small, n_large, rounds) = match scale {
         Scale::Full => (20, 60, 120),
         Scale::Quick => (10, 20, 30),

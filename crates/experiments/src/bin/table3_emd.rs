@@ -15,7 +15,7 @@ use grouping::tifl::{default_tier_count, tifl_grouping};
 use grouping::worker_info::Grouping;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env_or_exit("table3_emd");
     let cfg = scale.apply(FlSystemConfig::mnist_cnn());
     let system = cfg.build(&mut Rng64::seed_from(42));
     let workers = &system.worker_infos;

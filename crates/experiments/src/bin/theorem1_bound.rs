@@ -30,7 +30,7 @@ fn terms_for(grouping: &Grouping, system: &airfedga::system::FlSystem) -> Vec<Gr
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env_or_exit("theorem1_bound");
     let cfg = scale.apply(FlSystemConfig::mnist_lr());
     let system = cfg.build(&mut Rng64::seed_from(42));
     let airfedga_grouping = AirFedGa::new(AirFedGaConfig::default()).grouping_for(&system);

@@ -4,10 +4,11 @@
 //! virtual training. Re-running everything at that scale takes minutes per
 //! figure on a laptop; CI and the test suites need seconds. The
 //! `AIRFEDGA_SCALE` environment variable switches between the two without
-//! touching the experiment code: `full` (default for the binaries) or
-//! `quick`. (Replication — `--seeds N`, `--system-seeds` — is parsed by the
-//! `scenario` crate's `CliOverrides::parse`, the one place that reads the
-//! command line.)
+//! touching the experiment code: `full` (the default when unset) or
+//! `quick`; any other value is a usage error, so a misspelt `quick` cannot
+//! turn a seconds-long run into a paper-scale one. (Replication —
+//! `--seeds N`, `--system-seeds` — is parsed by the `scenario` crate's
+//! `CliOverrides::parse`, the one place that reads the command line.)
 
 use crate::harness::SeedPlan;
 use crate::stats::replication_seeds;
@@ -23,14 +24,30 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Read the scale from the `AIRFEDGA_SCALE` environment variable
-    /// (`"quick"` selects [`Scale::Quick`]; anything else, or unset, selects
-    /// [`Scale::Full`]).
-    pub fn from_env() -> Self {
-        match std::env::var("AIRFEDGA_SCALE") {
-            Ok(v) if v.eq_ignore_ascii_case("quick") => Scale::Quick,
-            _ => Scale::Full,
+    /// The scale a value of `AIRFEDGA_SCALE` names: `quick` or `full`, in
+    /// any case; unset is [`Scale::Full`]. Anything else is an error naming
+    /// the accepted values.
+    fn parse(value: Option<&str>) -> Result<Self, String> {
+        match value {
+            None => Ok(Scale::Full),
+            Some(v) if v.eq_ignore_ascii_case("full") => Ok(Scale::Full),
+            Some(v) if v.eq_ignore_ascii_case("quick") => Ok(Scale::Quick),
+            Some(v) => Err(format!(
+                "AIRFEDGA_SCALE must be `full` or `quick` (unset means `full`), got {v:?}"
+            )),
         }
+    }
+
+    /// Read the scale from the `AIRFEDGA_SCALE` environment variable for a
+    /// binary's `main`. A value that names no scale is a usage error: the
+    /// accepted values go to stderr under `program`'s name and the process
+    /// exits with status 2 before anything runs.
+    pub fn from_env_or_exit(program: &str) -> Self {
+        let value = std::env::var_os("AIRFEDGA_SCALE").map(|v| v.to_string_lossy().into_owned());
+        Self::parse(value.as_deref()).unwrap_or_else(|e| {
+            eprintln!("{program}: {e}");
+            std::process::exit(2);
+        })
     }
 
     /// Number of workers for standard comparisons.
@@ -168,8 +185,17 @@ mod tests {
 
     #[test]
     fn env_parsing_defaults_to_full() {
-        // Cannot mutate the environment safely in parallel tests, so only
-        // check the default path plus the accessors.
+        // Cannot mutate the environment safely in parallel tests, so check
+        // the value parser (`cli_contract.rs` and `service.rs` drive the
+        // variable through the real binaries) plus the accessors.
+        assert_eq!(Scale::parse(None), Ok(Scale::Full));
+        assert_eq!(Scale::parse(Some("full")), Ok(Scale::Full));
+        assert_eq!(Scale::parse(Some("quick")), Ok(Scale::Quick));
+        assert_eq!(Scale::parse(Some("QUICK")), Ok(Scale::Quick));
+        for typo in ["quik", "", "quick "] {
+            let e = Scale::parse(Some(typo)).unwrap_err();
+            assert!(e.contains("`full` or `quick`") && e.contains(&format!("{typo:?}")));
+        }
         assert!(Scale::Full.num_workers() >= Scale::Quick.num_workers());
         assert!(Scale::Full.eval_every() >= Scale::Quick.eval_every());
     }

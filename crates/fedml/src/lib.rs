@@ -14,20 +14,25 @@
 //!
 //! ## The batched training engine
 //!
-//! Local training is the hot path of every experiment binary, so the numerical
-//! core is organised around **whole-mini-batch execution**:
+//! Local training is the hot path of every run, so the numerical core is
+//! organised around **whole-mini-batch execution**, and holds what a run
+//! executes and nothing else:
 //!
-//! * [`linalg`] provides three register-tiled GEMM kernels — [`linalg::gemm_nt`]
-//!   (`Z = X · Wᵀ`, forward), [`linalg::gemm_tn`] (`∇W = δᵀ · X`, weight
-//!   gradient) and [`linalg::gemm_nn`] (`δ_prev = δ · W`, backward data pass) —
-//!   that write into caller-provided buffers.
+//! * [`linalg`] provides two register-tiled GEMM kernels that write into
+//!   caller-provided buffers — [`linalg::gemm_nn`] (`Z = X · Wᵀ` over the
+//!   once-transposed weights, forward; `δ_prev = δ · W`, backward data pass)
+//!   and [`linalg::gemm_tn_acc`] (`W += −γ · δᵀ · X`, the weight gradient
+//!   accumulated straight into the weights).
+//! * [`model::Mlp`] is the one model: a ReLU network of any depth, logistic
+//!   regression being the zero-hidden-layer case, with one layer-forward walk
+//!   (training and evaluation) and one backward walk (the fused SGD step and
+//!   the gradient oracle).
 //! * [`workspace::Workspace`] is a checkout/checkin pool of scratch buffers;
 //!   each simulated worker owns one, so after the first mini-batch the
 //!   training loop performs **zero heap allocations**.
-//! * [`model::Model::loss_and_gradient_ws`] / [`model::Model::evaluate_ws`]
-//!   are the workspace-threaded entry points; [`optimizer::local_update_ws`]
-//!   drives them, applying updates with the in-place
-//!   [`model::Model::sgd_step`].
+//! * [`model::Model::sgd_batch_ws`] / [`model::Model::evaluate_ws`] are the
+//!   workspace-threaded entry points; [`optimizer::local_update_ws`] drives
+//!   the first over the shuffled mini-batches of a worker's shard.
 //!
 //! The original per-sample implementation (matvec + rank-one update per
 //! sample) survives as the reference trainer in `tests/reference/`, which the
@@ -39,16 +44,18 @@
 //! ```
 //! use fedml::dataset::SyntheticSpec;
 //! use fedml::model::{Mlp, Model};
-//! use fedml::optimizer::SgdConfig;
+//! use fedml::optimizer::{local_update_ws, SgdConfig};
 //! use fedml::rng::Rng64;
+//! use fedml::workspace::Workspace;
 //!
 //! let mut rng = Rng64::seed_from(7);
+//! let mut ws = Workspace::new();
 //! let data = SyntheticSpec::mnist_like().with_samples_per_class(30).generate(&mut rng);
 //! let mut model = Mlp::new(data.num_features(), &[32], data.num_classes(), &mut rng);
 //! let cfg = SgdConfig { learning_rate: 0.1, batch_size: 16, local_epochs: 1 };
-//! let before = model.loss(&data);
-//! fedml::optimizer::local_update(&mut model, &data, &cfg, &mut rng);
-//! assert!(model.loss(&data) < before);
+//! let before = model.evaluate_ws(&data, &mut ws).loss;
+//! local_update_ws(&mut model, &data, &cfg, &mut rng, &mut ws);
+//! assert!(model.evaluate_ws(&data, &mut ws).loss < before);
 //! ```
 
 #![warn(missing_docs)]
@@ -56,8 +63,7 @@
 
 pub mod dataset;
 pub mod linalg;
-pub mod loss;
-pub mod metrics;
+mod loss;
 pub mod model;
 pub mod optimizer;
 pub mod params;
@@ -66,8 +72,8 @@ pub mod rng;
 pub mod workspace;
 
 pub use dataset::{Dataset, SyntheticSpec};
-pub use model::{EvalStats, LogisticRegression, Mlp, Model};
-pub use optimizer::{local_update, local_update_ws, SgdConfig};
+pub use model::{EvalStats, Mlp, Model};
+pub use optimizer::{local_update_ws, SgdConfig};
 pub use params::FlatParams;
 pub use partition::{LabelDistribution, Partitioner};
 pub use rng::Rng64;

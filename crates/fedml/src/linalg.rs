@@ -1,34 +1,30 @@
 //! Minimal dense linear algebra, including the batched GEMM kernels behind
 //! the training engine.
 //!
-//! The models in this reproduction are multinomial logistic regression and
-//! multi-layer perceptrons. Training them one sample at a time (matvec +
-//! rank-one update per sample) wastes both cache locality and allocation: the
-//! hot path of every experiment binary is the mini-batch loss/gradient, so
-//! this module provides **matrix–matrix kernels** that process a whole
-//! `B × d` batch per layer:
+//! The model in this reproduction is a multi-layer perceptron (logistic
+//! regression being its zero-hidden-layer case). Training it one sample at a
+//! time (matvec + rank-one update per sample) wastes both cache locality and
+//! allocation: the hot path of every run is the mini-batch training step, so
+//! this module provides the two **matrix–matrix kernels** that process a whole
+//! `B × d` batch per layer — the only two any run calls:
 //!
 //! * [`gemm_nn`] — `C = A · B` with `B` in k-major (contraction-major)
 //!   layout. This is the workhorse: the backward data pass (`δ_prev = δ · W`)
 //!   uses it directly, and the forward pass uses it after a cheap one-off
 //!   weight [`transpose`] (`Z = X · Wᵀ = X · transpose(W)`), which is
 //!   O(parameters) next to the GEMM's O(batch · parameters).
-//! * [`gemm_tn`] — `C = Aᵀ · B`, the weight-gradient pass (`∇W = δᵀ · X`),
-//!   and its fused-update sibling [`gemm_tn_acc`] (`W += −γ · δᵀ · X`), which
-//!   lets a whole SGD step run without materialising the gradient.
-//! * [`gemm_nt`] — `C = A · Bᵀ`, a register-tiled dot-product kernel kept for
-//!   single-row forwards and as an API convenience. Its dot-product layout
-//!   cannot use the k-major micro-kernel, which left it ~6× behind the other
-//!   kernels; [`gemm_nt_packed`] closes that gap by **packing** `B` into a
-//!   caller-provided k-major panel (one O(n·k) transpose) and running the
-//!   [`gemm_nn`] micro-kernel over the panel — the standard pack-and-compute
-//!   GEMM decomposition, profitable whenever `m` is more than a few rows.
+//! * [`gemm_tn_acc`] — `C += α · Aᵀ · B`, the weight-gradient pass
+//!   (`δᵀ · X`). At `α = −γ` it accumulates straight into the weights, which
+//!   lets a whole SGD step run without materialising the gradient; at `α = 1`
+//!   over a zero fill it is the plain product `∇W = δᵀ · X` the gradient
+//!   oracle asks for (`1.0 * x` is exact, so no separate kernel is needed).
+//!   [`col_sums_acc`] is its bias-gradient companion, likewise.
 //!
 //! ## Micro-kernel design
 //!
-//! `gemm_nn` / `gemm_tn` share one micro-kernel family ([`axpy4_into`] and
-//! its 2×/4×-row variants): a 4-row × 4-k register tile whose inner loop is a
-//! run of element-wise `mul_add`s over [`LANES`]-wide `[f64; 8]` blocks.
+//! `gemm_nn` / `gemm_tn_acc` share one micro-kernel family ([`axpy4_into`]
+//! and its 2×/4×-row variants): a 4-row × 4-k register tile whose inner loop
+//! is a run of element-wise `mul_add`s over [`LANES`]-wide `[f64; 8]` blocks.
 //! Three ingredients matter, each worth an integer factor (measured on the
 //! local training step, the repo benchmark's `fedml.local_step_us`):
 //!
@@ -54,11 +50,10 @@
 //! wrapper) keeps the workspace dependency-free and the numerics fully
 //! deterministic.
 //!
-//! The per-sample [`Matrix::matvec`] is retained for single-sample
-//! prediction; the other per-sample primitives (transposed matvec, rank-one
-//! update, masking ReLU) live beside their only user, the per-sample reference
-//! trainer in `tests/reference/` that validates the batched engine (property
-//! tests, 1e-10).
+//! The per-sample primitives (matvec and its transpose, rank-one update,
+//! masking ReLU, softmax) live beside their only user, the per-sample
+//! reference trainer in `tests/reference/` that validates the batched engine
+//! (property tests, 1e-10).
 
 use serde::{Deserialize, Serialize};
 
@@ -156,20 +151,6 @@ impl Matrix {
         self.data[r * self.cols + c] = v;
     }
 
-    /// `y = self * x` (matrix–vector product). `x.len()` must equal `cols`.
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
-        let mut y = vec![0.0; self.rows];
-        for (yv, row) in y.iter_mut().zip(self.data.chunks_exact(self.cols)) {
-            let mut acc = 0.0;
-            for (a, b) in row.iter().zip(x.iter()) {
-                acc += a * b;
-            }
-            *yv = acc;
-        }
-        y
-    }
-
     /// In-place scale of every element.
     pub fn scale(&mut self, alpha: f64) {
         for v in &mut self.data {
@@ -219,85 +200,6 @@ fn tally_gemm(counter: &'static telemetry::metrics::Counter, m: usize, n: usize,
         counter.add(1);
         telemetry::metrics::GEMM_MNK.record((m as u64) * (n as u64) * (k as u64));
     }
-}
-
-/// `C = A · Bᵀ` where `a` is `m × k`, `b` is `n × k` and `c` is `m × n`, all
-/// row-major. This is the forward-pass kernel (`Z = X · Wᵀ`): both operands
-/// are traversed along contiguous rows.
-///
-/// The kernel computes a 2×2 register tile of `C` per inner loop with four
-/// independent accumulator chains, which is enough instruction-level
-/// parallelism for the compiler to keep the FMA units busy at the layer
-/// sizes this workspace trains (k ≤ a few hundred).
-pub fn gemm_nt(a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, k: usize) {
-    assert_eq!(a.len(), m * k, "gemm_nt: A must be {m}x{k}");
-    assert_eq!(b.len(), n * k, "gemm_nt: B must be {n}x{k}");
-    assert_eq!(c.len(), m * n, "gemm_nt: C must be {m}x{n}");
-    tally_gemm(&telemetry::metrics::GEMM_NT, m, n, k);
-    let mut i = 0;
-    while i + 2 <= m {
-        let a0 = &a[i * k..(i + 1) * k];
-        let a1 = &a[(i + 1) * k..(i + 2) * k];
-        let mut j = 0;
-        while j + 2 <= n {
-            let b0 = &b[j * k..(j + 1) * k];
-            let b1 = &b[(j + 1) * k..(j + 2) * k];
-            let (mut c00, mut c01, mut c10, mut c11) = (0.0, 0.0, 0.0, 0.0);
-            for l in 0..k {
-                let (x0, x1, y0, y1) = (a0[l], a1[l], b0[l], b1[l]);
-                c00 += x0 * y0;
-                c01 += x0 * y1;
-                c10 += x1 * y0;
-                c11 += x1 * y1;
-            }
-            c[i * n + j] = c00;
-            c[i * n + j + 1] = c01;
-            c[(i + 1) * n + j] = c10;
-            c[(i + 1) * n + j + 1] = c11;
-            j += 2;
-        }
-        if j < n {
-            let bj = &b[j * k..(j + 1) * k];
-            c[i * n + j] = dot_unrolled(a0, bj);
-            c[(i + 1) * n + j] = dot_unrolled(a1, bj);
-        }
-        i += 2;
-    }
-    if i < m {
-        let ai = &a[i * k..(i + 1) * k];
-        for j in 0..n {
-            c[i * n + j] = dot_unrolled(ai, &b[j * k..(j + 1) * k]);
-        }
-    }
-}
-
-/// `C = A · Bᵀ` like [`gemm_nt`], but **packed**: `b` (`n × k`, row-major) is
-/// first transposed into the caller-provided `pack` panel (`k × n`, k-major),
-/// and the product then runs through the register-tiled [`gemm_nn`]
-/// micro-kernel. The packing pass is O(n·k) next to the GEMM's O(m·n·k), so
-/// for any batch of more than a few rows this recovers most of the deficit of
-/// the dot-product-layout [`gemm_nt`] kernel (1.6–3.1× faster than it at the
-/// layer shapes the workloads train).
-///
-/// `pack` must have length `k * n`; it is fully overwritten (callers draw it
-/// from their `Workspace` scratch pool to keep the hot path allocation-free).
-/// Results are bit-identical to [`gemm_nn`] on a pre-transposed `B` and agree
-/// with [`gemm_nt`] to floating-point reassociation (≤ 1e-12 on the
-/// workloads' magnitudes; the summation orders differ).
-pub fn gemm_nt_packed(
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-    m: usize,
-    n: usize,
-    k: usize,
-    pack: &mut [f64],
-) {
-    assert_eq!(b.len(), n * k, "gemm_nt_packed: B must be {n}x{k}");
-    tally_gemm(&telemetry::metrics::GEMM_NT_PACKED, m, n, k);
-    assert_eq!(pack.len(), k * n, "gemm_nt_packed: pack must be {k}x{n}");
-    transpose(b, pack, n, k);
-    gemm_nn(a, pack, c, m, n, k);
 }
 
 /// `C = A · B` where `a` is `m × k`, `b` is `k × n` and `c` is `m × n`, all
@@ -412,72 +314,6 @@ pub fn gemm_nn(a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, k: usize
     }
 }
 
-/// `C = Aᵀ · B` where `a` is `k × m`, `b` is `k × n` and `c` is `m × n`, all
-/// row-major. This is the weight-gradient kernel (`∇W = δᵀ · X`): rank-one
-/// accumulations over the `k` batch rows, four at a time so every `C` row is
-/// streamed once per four batch samples.
-pub fn gemm_tn(a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, k: usize) {
-    assert_eq!(a.len(), k * m, "gemm_tn: A must be {k}x{m}");
-    assert_eq!(b.len(), k * n, "gemm_tn: B must be {k}x{n}");
-    assert_eq!(c.len(), m * n, "gemm_tn: C must be {m}x{n}");
-    tally_gemm(&telemetry::metrics::GEMM_TN, m, n, k);
-    c.fill(0.0);
-    let k4 = k - (k % 4);
-    let mut l = 0;
-    while l < k4 {
-        let b4 = &b[l * n..(l + 4) * n];
-        let (a0, a1, a2, a3) = (
-            &a[l * m..(l + 1) * m],
-            &a[(l + 1) * m..(l + 2) * m],
-            &a[(l + 2) * m..(l + 3) * m],
-            &a[(l + 3) * m..(l + 4) * m],
-        );
-        let mut i = 0;
-        while i + 4 <= m {
-            let alpha = [
-                [a0[i], a1[i], a2[i], a3[i]],
-                [a0[i + 1], a1[i + 1], a2[i + 1], a3[i + 1]],
-                [a0[i + 2], a1[i + 2], a2[i + 2], a3[i + 2]],
-                [a0[i + 3], a1[i + 3], a2[i + 3], a3[i + 3]],
-            ];
-            axpy4x4_into(alpha, b4, &mut c[i * n..(i + 4) * n], n);
-            i += 4;
-        }
-        while i + 2 <= m {
-            let (head, tail) = c.split_at_mut((i + 1) * n);
-            axpy4x2_into(
-                [a0[i], a1[i], a2[i], a3[i]],
-                [a0[i + 1], a1[i + 1], a2[i + 1], a3[i + 1]],
-                b4,
-                &mut head[i * n..],
-                &mut tail[..n],
-                n,
-            );
-            i += 2;
-        }
-        if i < m {
-            axpy4_into(
-                [a0[i], a1[i], a2[i], a3[i]],
-                b4,
-                &mut c[i * n..(i + 1) * n],
-                n,
-            );
-        }
-        l += 4;
-    }
-    while l < k {
-        let arow = &a[l * m..(l + 1) * m];
-        let brow = &b[l * n..(l + 1) * n];
-        for (i, &alpha) in arow.iter().enumerate() {
-            if alpha == 0.0 {
-                continue;
-            }
-            axpy(alpha, brow, &mut c[i * n..(i + 1) * n]);
-        }
-        l += 1;
-    }
-}
-
 /// `y += alpha[0]·b₀ + alpha[1]·b₁ + alpha[2]·b₂ + alpha[3]·b₃` where `b4`
 /// holds the four rows `b₀..b₃` contiguously (each of length `n`). The
 /// four-term FMA per output element is what lets one pass over `y` retire
@@ -522,13 +358,15 @@ fn axpy4_into(alpha: [f64; 4], b4: &[f64], y: &mut [f64], n: usize) {
 
 /// SIMD block width of the GEMM micro-kernels (f64 lanes of one AVX-512
 /// register; on narrower targets LLVM splits each block into several ops).
-pub const LANES: usize = 8;
+pub(crate) const LANES: usize = 8;
 
 /// `C += alpha · Aᵀ · B` where `a` is `k × m`, `b` is `k × n` and `c` is
-/// `m × n`, all row-major. This is the **fused weight-update** kernel
-/// (`W += (−γ) · δᵀ · X`): the scale factor folds into the per-tile alpha
-/// scalars, so a training step updates the weights in place without ever
-/// materialising the gradient matrix.
+/// `m × n`, all row-major. This is the weight-gradient kernel (`δᵀ · X`):
+/// rank-one accumulations over the `k` batch rows, four at a time so every
+/// `C` row is streamed once per four batch samples. As the **fused
+/// weight-update** (`W += (−γ) · δᵀ · X`) the scale factor folds into the
+/// per-tile alpha scalars, so a training step updates the weights in place
+/// without ever materialising the gradient matrix.
 pub fn gemm_tn_acc(a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, k: usize, alpha: f64) {
     assert_eq!(a.len(), k * m, "gemm_tn_acc: A must be {k}x{m}");
     assert_eq!(b.len(), k * n, "gemm_tn_acc: B must be {k}x{n}");
@@ -611,9 +449,10 @@ pub fn gemm_tn_acc(a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, k: u
     }
 }
 
-/// `out += alpha ·` column sums of the `rows × n` row-major matrix `a`. The
-/// fused bias update (`b += (−γ) · Σ_s δ_s`).
-pub fn col_sums_acc(a: &[f64], rows: usize, out: &mut [f64], alpha: f64) {
+/// `out += alpha ·` column sums of the `rows × n` row-major matrix `a`: the
+/// bias-gradient reduction over a batch, as the fused bias update
+/// (`b += (−γ) · Σ_s δ_s`).
+pub(crate) fn col_sums_acc(a: &[f64], rows: usize, out: &mut [f64], alpha: f64) {
     let n = out.len();
     assert_eq!(a.len(), rows * n, "col_sums_acc dimension mismatch");
     for r in 0..rows {
@@ -772,7 +611,7 @@ fn axpy4x2_into(
 /// matrix once per call (O(parameters), trivial next to the GEMM's
 /// O(batch · parameters)) so that `Z = X · Wᵀ` can run through the
 /// vectorised [`gemm_nn`] kernel.
-pub fn transpose(src: &[f64], dst: &mut [f64], rows: usize, cols: usize) {
+pub(crate) fn transpose(src: &[f64], dst: &mut [f64], rows: usize, cols: usize) {
     assert_eq!(
         src.len(),
         rows * cols,
@@ -791,34 +630,9 @@ pub fn transpose(src: &[f64], dst: &mut [f64], rows: usize, cols: usize) {
     }
 }
 
-/// Dot product with four independent accumulator chains (the scalar tail
-/// folds into the first chain). Unlike the naive fold this exposes enough ILP
-/// to saturate the FMA pipeline, and its summation order is fixed, keeping
-/// results bit-reproducible.
-#[inline]
-fn dot_unrolled(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len(), "dot dimension mismatch");
-    let k = a.len();
-    let k4 = k - (k % 4);
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
-    let mut l = 0;
-    while l < k4 {
-        s0 += a[l] * b[l];
-        s1 += a[l + 1] * b[l + 1];
-        s2 += a[l + 2] * b[l + 2];
-        s3 += a[l + 3] * b[l + 3];
-        l += 4;
-    }
-    while l < k {
-        s0 += a[l] * b[l];
-        l += 1;
-    }
-    (s0 + s1) + (s2 + s3)
-}
-
 /// Add `bias` (length `n`) to every row of the `rows × n` row-major matrix
 /// `z`. Used to apply a layer's bias to a whole batch of pre-activations.
-pub fn add_row_bias(z: &mut [f64], bias: &[f64], rows: usize) {
+pub(crate) fn add_row_bias(z: &mut [f64], bias: &[f64], rows: usize) {
     let n = bias.len();
     assert_eq!(z.len(), rows * n, "add_row_bias dimension mismatch");
     for r in 0..rows {
@@ -828,23 +642,10 @@ pub fn add_row_bias(z: &mut [f64], bias: &[f64], rows: usize) {
     }
 }
 
-/// Column sums of the `rows × n` row-major matrix `a`, written into `out`
-/// (length `n`). This is the bias-gradient reduction over a batch.
-pub fn col_sums(a: &[f64], rows: usize, out: &mut [f64]) {
-    let n = out.len();
-    assert_eq!(a.len(), rows * n, "col_sums dimension mismatch");
-    out.fill(0.0);
-    for r in 0..rows {
-        for (o, v) in out.iter_mut().zip(a[r * n..(r + 1) * n].iter()) {
-            *o += v;
-        }
-    }
-}
-
 /// Element-wise ReLU over a whole batch, in place. The backward pass does not
 /// need a separate mask: an entry is propagated iff its activation stayed
 /// positive, which [`relu_backward_batch`] reads off the activations.
-pub fn relu_batch_in_place(z: &mut [f64]) {
+pub(crate) fn relu_batch_in_place(z: &mut [f64]) {
     for v in z.iter_mut() {
         if *v < 0.0 {
             *v = 0.0;
@@ -854,7 +655,7 @@ pub fn relu_batch_in_place(z: &mut [f64]) {
 
 /// Zero every entry of `delta` whose corresponding post-ReLU `activation` is
 /// not positive (the batched backward ReLU).
-pub fn relu_backward_batch(delta: &mut [f64], activations: &[f64]) {
+pub(crate) fn relu_backward_batch(delta: &mut [f64], activations: &[f64]) {
     assert_eq!(
         delta.len(),
         activations.len(),
@@ -867,48 +668,9 @@ pub fn relu_backward_batch(delta: &mut [f64], activations: &[f64]) {
     }
 }
 
-/// Numerically stable softmax over a slice of logits.
-pub fn softmax(logits: &[f64]) -> Vec<f64> {
-    let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = logits.iter().map(|&v| (v - max).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn matvec_identity() {
-        let eye = Matrix::from_fn(3, 3, |r, c| if r == c { 1.0 } else { 0.0 });
-        let x = vec![1.0, -2.0, 3.5];
-        assert_eq!(eye.matvec(&x), x);
-    }
-
-    #[test]
-    fn matvec_known_values() {
-        let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let y = m.matvec(&[1.0, 0.0, -1.0]);
-        assert_eq!(y, vec![-2.0, -2.0]);
-    }
-
-    #[test]
-    fn softmax_sums_to_one_and_is_stable() {
-        let p = softmax(&[1000.0, 1000.0, 999.0]);
-        let sum: f64 = p.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-12);
-        assert!(p.iter().all(|&v| v.is_finite() && v >= 0.0));
-        assert!(p[0] > p[2]);
-    }
-
-    #[test]
-    fn softmax_uniform_for_equal_logits() {
-        let p = softmax(&[0.5; 4]);
-        for v in p {
-            assert!((v - 0.25).abs() < 1e-12);
-        }
-    }
 
     #[test]
     fn axpy_and_dot_are_consistent() {
@@ -920,31 +682,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn matvec_rejects_bad_dims() {
-        let m = Matrix::zeros(2, 3);
-        let _ = m.matvec(&[1.0, 2.0]);
-    }
-
-    #[test]
     fn frobenius_and_scale() {
         let mut m = Matrix::from_vec(1, 3, vec![1.0, 2.0, 2.0]);
         assert_eq!(m.frobenius_sq(), 9.0);
         m.scale(2.0);
         assert_eq!(m.frobenius_sq(), 36.0);
-    }
-
-    /// Reference matmul used to validate the tiled kernels.
-    fn naive_nt(a: &[f64], b: &[f64], m: usize, n: usize, k: usize) -> Vec<f64> {
-        let mut c = vec![0.0; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                for l in 0..k {
-                    c[i * n + j] += a[i * k + l] * b[j * k + l];
-                }
-            }
-        }
-        c
     }
 
     fn pseudo_random_buf(len: usize, salt: u64) -> Vec<f64> {
@@ -955,56 +697,6 @@ mod tests {
                 ((x >> 11) as f64 / (1u64 << 53) as f64) - 0.5
             })
             .collect()
-    }
-
-    #[test]
-    fn gemm_nt_matches_naive_over_shapes() {
-        for &(m, n, k) in &[(1, 1, 1), (2, 3, 4), (5, 7, 9), (8, 8, 8), (13, 11, 17)] {
-            let a = pseudo_random_buf(m * k, 1);
-            let b = pseudo_random_buf(n * k, 2);
-            let mut c = vec![f64::NAN; m * n];
-            gemm_nt(&a, &b, &mut c, m, n, k);
-            let expect = naive_nt(&a, &b, m, n, k);
-            for (x, y) in c.iter().zip(expect.iter()) {
-                assert!((x - y).abs() < 1e-12, "gemm_nt mismatch at {m}x{n}x{k}");
-            }
-        }
-    }
-
-    #[test]
-    fn gemm_nt_packed_matches_naive_over_shapes() {
-        for &(m, n, k) in &[
-            (1usize, 1usize, 1usize),
-            (2, 3, 4),
-            (5, 7, 9),
-            (8, 8, 8),
-            (13, 11, 17),
-            (32, 10, 25),
-        ] {
-            let a = pseudo_random_buf(m * k, 31);
-            let b = pseudo_random_buf(n * k, 32);
-            let mut pack = vec![f64::NAN; k * n];
-            let mut c = vec![f64::NAN; m * n];
-            gemm_nt_packed(&a, &b, &mut c, m, n, k, &mut pack);
-            let expect = naive_nt(&a, &b, m, n, k);
-            for (x, y) in c.iter().zip(expect.iter()) {
-                assert!(
-                    (x - y).abs() < 1e-12,
-                    "gemm_nt_packed mismatch at {m}x{n}x{k}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "pack must be")]
-    fn gemm_nt_packed_rejects_short_pack_buffer() {
-        let (m, n, k) = (2usize, 3usize, 4usize);
-        let a = vec![0.0; m * k];
-        let b = vec![0.0; n * k];
-        let mut c = vec![0.0; m * n];
-        let mut pack = vec![0.0; k * n - 1];
-        gemm_nt_packed(&a, &b, &mut c, m, n, k, &mut pack);
     }
 
     #[test]
@@ -1023,19 +715,25 @@ mod tests {
         assert_eq!(back, src);
     }
 
+    /// The forward pass's route to `Z = X · Wᵀ` (the "NT" product, which has
+    /// no kernel of its own): transpose `W` once, then `gemm_nn`.
     #[test]
     fn gemm_nn_after_transpose_matches_gemm_nt() {
         let (m, n, k) = (9, 6, 14);
         let a = pseudo_random_buf(m * k, 12);
         let b_nk = pseudo_random_buf(n * k, 13);
-        let mut via_nt = vec![0.0; m * n];
-        gemm_nt(&a, &b_nk, &mut via_nt, m, n, k);
         let mut bt = vec![0.0; n * k];
         transpose(&b_nk, &mut bt, n, k);
-        let mut via_nn = vec![0.0; m * n];
+        let mut via_nn = vec![f64::NAN; m * n];
         gemm_nn(&a, &bt, &mut via_nn, m, n, k);
-        for (x, y) in via_nt.iter().zip(via_nn.iter()) {
-            assert!((x - y).abs() < 1e-12);
+        for i in 0..m {
+            for j in 0..n {
+                let mut s = 0.0;
+                for l in 0..k {
+                    s += a[i * k + l] * b_nk[j * k + l];
+                }
+                assert!((via_nn[i * n + j] - s).abs() < 1e-12);
+            }
         }
     }
 
@@ -1062,8 +760,10 @@ mod tests {
         let (m, n, k) = (4, 6, 9);
         let a = pseudo_random_buf(k * m, 5);
         let b = pseudo_random_buf(k * n, 6);
-        let mut c = vec![f64::NAN; m * n];
-        gemm_tn(&a, &b, &mut c, m, n, k);
+        // The plain product, as the gradient oracle asks for it: the
+        // accumulating kernel at α = 1 over a zero fill.
+        let mut c = vec![0.0; m * n];
+        gemm_tn_acc(&a, &b, &mut c, m, n, k, 1.0);
         for i in 0..m {
             for j in 0..n {
                 let mut s = 0.0;
@@ -1083,7 +783,7 @@ mod tests {
         let mut base = pseudo_random_buf(m * n, 23);
         let mut fused = base.clone();
         let mut g = vec![0.0; m * n];
-        gemm_tn(&a, &b, &mut g, m, n, k);
+        gemm_tn_acc(&a, &b, &mut g, m, n, k, 1.0);
         for (c, gv) in base.iter_mut().zip(g.iter()) {
             *c += -0.3 * gv;
         }
@@ -1102,24 +802,6 @@ mod tests {
     }
 
     #[test]
-    fn gemm_nt_single_row_matches_matvec() {
-        let w = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let x = [1.0, 0.0, -1.0];
-        let mut z = vec![0.0; 2];
-        gemm_nt(&x, w.as_slice(), &mut z, 1, 2, 3);
-        assert_eq!(z, w.matvec(&x));
-    }
-
-    #[test]
-    fn dot_unrolled_matches_dot() {
-        for len in [0usize, 1, 3, 4, 5, 8, 17] {
-            let a = pseudo_random_buf(len, 7);
-            let b = pseudo_random_buf(len, 8);
-            assert!((dot_unrolled(&a, &b) - dot(&a, &b)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn batched_helpers_behave() {
         let mut z = vec![1.0, -2.0, 3.0, -4.0];
         relu_batch_in_place(&mut z);
@@ -1134,7 +816,7 @@ mod tests {
         assert_eq!(m, vec![1.0, 2.0, 1.0, 2.0]);
 
         let mut sums = vec![0.0; 2];
-        col_sums(&[1.0, 2.0, 3.0, 4.0], 2, &mut sums);
+        col_sums_acc(&[1.0, 2.0, 3.0, 4.0], 2, &mut sums, 1.0);
         assert_eq!(sums, vec![4.0, 6.0]);
     }
 }

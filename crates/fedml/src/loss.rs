@@ -1,38 +1,11 @@
 //! Cross-entropy loss for multi-class classification.
 //!
 //! The paper uses the standard softmax cross-entropy loss (Eq. (1)–(2)). This
-//! module provides the per-sample loss and its gradient with respect to the
-//! logits, which every model's backward pass starts from.
-
-use crate::linalg::softmax;
-
-/// Softmax cross-entropy loss of a single sample.
-///
-/// Returns `-log p_label(x)` where `p` is the softmax of `logits`. The result
-/// is clamped away from infinity for numerical robustness.
-pub fn cross_entropy(logits: &[f64], label: usize) -> f64 {
-    assert!(label < logits.len(), "label out of range");
-    let p = softmax(logits);
-    -(p[label].max(1e-15)).ln()
-}
-
-/// Gradient of the softmax cross-entropy loss with respect to the logits:
-/// `softmax(logits) - onehot(label)`.
-pub fn cross_entropy_grad(logits: &[f64], label: usize) -> Vec<f64> {
-    assert!(label < logits.len(), "label out of range");
-    let mut g = softmax(logits);
-    g[label] -= 1.0;
-    g
-}
-
-/// Loss and gradient in one pass (avoids computing the softmax twice).
-pub fn cross_entropy_with_grad(logits: &[f64], label: usize) -> (f64, Vec<f64>) {
-    assert!(label < logits.len(), "label out of range");
-    let mut p = softmax(logits);
-    let loss = -(p[label].max(1e-15)).ln();
-    p[label] -= 1.0;
-    (loss, p)
-}
+//! module provides its two batched heads: [`softmax_cross_entropy_batch`]
+//! (loss plus the gradient with respect to the logits, which every backward
+//! pass starts from) and [`eval_logits_batch`] (loss plus argmax hits, for
+//! evaluation). The per-sample form lives beside the per-sample reference
+//! trainer in `tests/reference/`.
 
 /// Batched softmax cross-entropy: transform a `rows × classes` row-major
 /// logits matrix **in place** into the scaled loss gradient
@@ -43,7 +16,7 @@ pub fn cross_entropy_with_grad(logits: &[f64], label: usize) -> (f64, Vec<f64>) 
 /// feeds straight into the `∇W = δᵀ · X` GEMM, with the `1/B` batch
 /// normalisation folded into `scale` so no separate rescaling pass is
 /// needed.
-pub fn softmax_cross_entropy_batch(
+pub(crate) fn softmax_cross_entropy_batch(
     logits: &mut [f64],
     labels: &[usize],
     classes: usize,
@@ -79,7 +52,7 @@ pub fn softmax_cross_entropy_batch(
 /// per-sample cross-entropy loss and the number of rows whose argmax matches
 /// the label. One pass, no scratch memory — this is the evaluation-path
 /// counterpart of [`softmax_cross_entropy_batch`].
-pub fn eval_logits_batch(logits: &[f64], labels: &[usize], classes: usize) -> (f64, usize) {
+pub(crate) fn eval_logits_batch(logits: &[f64], labels: &[usize], classes: usize) -> (f64, usize) {
     let rows = labels.len();
     assert_eq!(
         logits.len(),
@@ -113,42 +86,57 @@ pub fn eval_logits_batch(logits: &[f64], labels: &[usize], classes: usize) -> (f
 mod tests {
     use super::*;
 
+    /// Summed loss of the evaluation head over a batch.
+    fn loss(logits: &[f64], labels: &[usize], classes: usize) -> f64 {
+        eval_logits_batch(logits, labels, classes).0
+    }
+
+    /// `(softmax(z) − onehot(label))` and the summed loss, from the training
+    /// head at scale 1.
+    fn loss_and_grad(logits: &[f64], labels: &[usize], classes: usize) -> (f64, Vec<f64>) {
+        let mut delta = logits.to_vec();
+        let loss = softmax_cross_entropy_batch(&mut delta, labels, classes, 1.0);
+        (loss, delta)
+    }
+
     #[test]
     fn loss_is_ln_k_for_uniform_logits() {
         let logits = [0.0; 10];
-        let l = cross_entropy(&logits, 3);
-        assert!((l - (10.0f64).ln()).abs() < 1e-12);
+        assert!((loss(&logits, &[3], 10) - (10.0f64).ln()).abs() < 1e-12);
+        assert!((loss_and_grad(&logits, &[3], 10).0 - (10.0f64).ln()).abs() < 1e-12);
     }
 
     #[test]
     fn loss_decreases_when_correct_logit_grows() {
         let mut logits = [0.0; 5];
-        let l0 = cross_entropy(&logits, 2);
+        let l0 = loss(&logits, &[2], 5);
         logits[2] = 3.0;
-        let l1 = cross_entropy(&logits, 2);
+        let l1 = loss(&logits, &[2], 5);
         assert!(l1 < l0);
     }
 
     #[test]
     fn gradient_sums_to_zero() {
         let logits = [0.3, -1.2, 2.0, 0.0];
-        let g = cross_entropy_grad(&logits, 1);
+        let (_, g) = loss_and_grad(&logits, &[1], 4);
         let sum: f64 = g.iter().sum();
         assert!(sum.abs() < 1e-12);
     }
 
+    /// The training head's gradient against central differences of the
+    /// evaluation head's loss: two formulas, two passes over two rows.
     #[test]
     fn gradient_matches_finite_difference() {
-        let logits = vec![0.5, -0.2, 1.3];
-        let label = 2;
-        let g = cross_entropy_grad(&logits, label);
+        let logits = vec![0.5, -0.2, 1.3, /* row 2 */ -1.0, 0.0, 2.5];
+        let labels = [2usize, 0];
+        let (_, g) = loss_and_grad(&logits, &labels, 3);
         let eps = 1e-6;
         for i in 0..logits.len() {
             let mut plus = logits.clone();
             plus[i] += eps;
             let mut minus = logits.clone();
             minus[i] -= eps;
-            let fd = (cross_entropy(&plus, label) - cross_entropy(&minus, label)) / (2.0 * eps);
+            let fd = (loss(&plus, &labels, 3) - loss(&minus, &labels, 3)) / (2.0 * eps);
             assert!(
                 (fd - g[i]).abs() < 1e-6,
                 "finite difference {fd} != analytic {g:?}[{i}]"
@@ -156,23 +144,23 @@ mod tests {
         }
     }
 
+    /// The head that also produces the gradient (`−ln max(p, 1e-15)`) and the
+    /// evaluation-only head (log-sum-exp) report the same loss.
     #[test]
     fn combined_matches_separate_calls() {
-        let logits = [1.0, 2.0, -0.5];
-        let (l, g) = cross_entropy_with_grad(&logits, 0);
-        assert!((l - cross_entropy(&logits, 0)).abs() < 1e-12);
-        let g2 = cross_entropy_grad(&logits, 0);
-        for (a, b) in g.iter().zip(g2.iter()) {
-            assert!((a - b).abs() < 1e-12);
-        }
+        let logits = [1.0, 2.0, -0.5, /* row 2 */ 3.0, 1.0, -1.0];
+        let labels = [0usize, 2];
+        let (combined, _) = loss_and_grad(&logits, &labels, 3);
+        assert!((combined - loss(&logits, &labels, 3)).abs() < 1e-12);
     }
 
     #[test]
     #[should_panic(expected = "label out of range")]
     fn rejects_out_of_range_label() {
-        let _ = cross_entropy(&[0.0, 0.0], 2);
+        let _ = loss(&[0.0, 0.0], &[2], 2);
     }
 
+    /// Hand-rolled per-sample softmax, `scale` folded into the delta.
     #[test]
     fn batched_head_matches_per_sample() {
         let logits = vec![0.5, -0.2, 1.3, /* row 2 */ -1.0, 0.0, 2.5];
@@ -183,11 +171,12 @@ mod tests {
         let mut expect_loss = 0.0;
         for (r, &label) in labels.iter().enumerate() {
             let row = &logits[r * 3..(r + 1) * 3];
-            let (l, g) = cross_entropy_with_grad(row, label);
-            expect_loss += l;
-            for (c, gv) in g.iter().enumerate() {
+            let sum: f64 = row.iter().map(|v| v.exp()).sum();
+            expect_loss -= (row[label].exp() / sum).ln();
+            for (c, v) in row.iter().enumerate() {
+                let onehot = if c == label { 1.0 } else { 0.0 };
                 assert!(
-                    (batch[r * 3 + c] - gv * scale).abs() < 1e-12,
+                    (batch[r * 3 + c] - (v.exp() / sum - onehot) * scale).abs() < 1e-12,
                     "delta mismatch at ({r},{c})"
                 );
             }
@@ -203,7 +192,10 @@ mod tests {
         let expect: f64 = labels
             .iter()
             .enumerate()
-            .map(|(r, &l)| cross_entropy(&logits[r * 3..(r + 1) * 3], l))
+            .map(|(r, &l)| {
+                let row = &logits[r * 3..(r + 1) * 3];
+                -(row[l].exp() / row.iter().map(|v| v.exp()).sum::<f64>()).ln()
+            })
             .sum();
         assert!((loss_sum - expect).abs() < 1e-12);
         assert_eq!(correct, 1); // row 0 correct, row 1 predicts class 1

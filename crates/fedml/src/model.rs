@@ -3,43 +3,45 @@
 //! The paper trains three architectures (logistic regression, plain CNNs and
 //! VGG-16). The mechanisms under study never look inside the architecture —
 //! they only exchange the flattened parameter vector — so this module provides
-//! two pure-Rust model families that reproduce the relevant training dynamics:
+//! one pure-Rust model family that reproduces the relevant training dynamics:
+//! [`Mlp`], a fully-connected ReLU network of arbitrary depth with a softmax
+//! cross-entropy head and optional L2 regularisation.
 //!
-//! * [`LogisticRegression`]: multinomial logistic regression with optional L2
-//!   regularisation. Its loss is smooth and (with regularisation) strongly
-//!   convex, i.e. it satisfies Assumptions 1–2 of the paper exactly, which
-//!   makes it the right model for validating Theorem 1 numerically.
-//! * [`Mlp`]: a fully-connected ReLU network of arbitrary depth. The paper's
-//!   "LR" on MNIST is itself a 2×512-unit MLP; the CNN and VGG-16 workloads
-//!   are represented by deeper/wider MLP surrogates (constructors
+//! * The paper's "LR" on MNIST is itself a 2×512-unit MLP; the CNN and VGG-16
+//!   workloads are represented by deeper/wider MLP surrogates (constructors
 //!   [`Mlp::paper_lr`], [`Mlp::cnn_mnist_surrogate`],
 //!   [`Mlp::cnn_cifar_surrogate`], [`Mlp::vgg16_surrogate`]).
+//! * With no hidden layer the network *is* multinomial logistic regression
+//!   ([`Mlp::logistic_regression`]). Its loss is smooth and (with `l2 > 0`)
+//!   strongly convex, i.e. it satisfies Assumptions 1–2 of the paper exactly,
+//!   which makes it the right model for validating Theorem 1 numerically.
 //!
 //! # Batched execution
 //!
-//! Both models process a mini-batch as one `B × d` matrix per layer: the
-//! forward pass is a [`gemm_nt`] (`Z = X · Wᵀ`), the weight gradient a
-//! [`gemm_tn`] (`∇W = δᵀ · X`) and the backward data pass a [`gemm_nn`]
-//! (`δ_prev = δ · W`) — instead of the per-sample matvec + rank-one-update
+//! A mini-batch is one `B × d` matrix per layer: the forward pass is a
+//! [`gemm_nn`] over the once-transposed weights (`Z = X · Wᵀ`), the backward
+//! data pass another (`δ_prev = δ · W`), and the weight gradient a
+//! [`gemm_tn_acc`] (`δᵀ · X`, accumulated at `−γ` straight into the weights by
+//! the training step) — instead of the per-sample matvec + rank-one-update
 //! loop the first version of this crate used (kept as the reference
-//! implementation in `tests/reference/`). All scratch memory comes from a
-//! caller-provided [`Workspace`], so the steady-state training loop
-//! ([`crate::optimizer::local_update_ws`]) performs **zero heap
-//! allocations**. The workspace-threaded entry points are
-//! [`Model::loss_and_gradient_ws`] (training) and [`Model::evaluate_ws`]
-//! (batched loss + accuracy in one pass); the allocation-per-call
-//! conveniences ([`Model::loss_and_gradient`], [`Model::loss`],
-//! [`Model::accuracy`]) wrap them.
+//! implementation in `tests/reference/`). The layer-forward walk and the
+//! backward walk are each written once: training and evaluation share the
+//! first, the fused SGD step ([`Model::sgd_batch_ws`]) and the gradient
+//! oracle ([`Model::loss_and_gradient_ws`]) the second. All scratch memory
+//! comes from a caller-provided [`Workspace`], so the steady-state training
+//! loop ([`crate::optimizer::local_update_ws`]) performs **zero heap
+//! allocations**.
 
 use crate::dataset::Dataset;
 use crate::linalg::{
-    add_row_bias, col_sums, col_sums_acc, gemm_nn, gemm_nt, gemm_tn, gemm_tn_acc,
-    relu_backward_batch, relu_batch_in_place, transpose, Matrix,
+    add_row_bias, axpy, col_sums_acc, gemm_nn, gemm_tn_acc, relu_backward_batch,
+    relu_batch_in_place, transpose, Matrix,
 };
 use crate::loss::{eval_logits_batch, softmax_cross_entropy_batch};
 use crate::params::FlatParams;
 use crate::rng::Rng64;
 use crate::workspace::Workspace;
+use std::ops::Deref;
 
 /// Number of evaluation rows processed per GEMM in [`Model::evaluate_ws`].
 /// Large enough to amortise the kernel, small enough that the logits buffer
@@ -87,36 +89,23 @@ pub trait Model: Send + Sync {
         grad: &mut FlatParams,
     ) -> f64;
 
-    /// In-place SGD step `w ← w − γ · grad`, avoiding the
-    /// params/axpy/set_params round-trip (two full parameter copies).
-    fn sgd_step(&mut self, learning_rate: f64, grad: &FlatParams);
-
-    /// One fused mini-batch SGD step: forward + backward + parameter update
-    /// in a single pass, returning the batch loss. The default implementation
-    /// materialises the gradient and calls [`Model::sgd_step`]; the batched
-    /// models override it to accumulate `−γ · δᵀ · X` directly into the
-    /// weights ([`gemm_tn_acc`]), never touching a gradient buffer.
+    /// One fused mini-batch SGD step `w ← w − γ · ∇f(w)`: the forward pass,
+    /// the backward pass and the parameter update in a single pass that
+    /// accumulates `−γ · δᵀ · X` directly into the weights ([`gemm_tn_acc`]),
+    /// never touching a gradient buffer. Returns the batch loss at the
+    /// parameters the step started from. Panics if `indices` is empty.
     fn sgd_batch_ws(
         &mut self,
         data: &Dataset,
         indices: &[usize],
         learning_rate: f64,
         ws: &mut Workspace,
-    ) -> f64 {
-        let mut grad = FlatParams(ws.take(self.num_params()));
-        let loss = self.loss_and_gradient_ws(data, indices, ws, &mut grad);
-        self.sgd_step(learning_rate, &grad);
-        ws.give(grad.0);
-        loss
-    }
+    ) -> f64;
 
     /// Mean loss and accuracy over an entire dataset in one batched forward
     /// pass over the dataset's contiguous feature matrix (no per-sample
-    /// gather, no gradient work).
+    /// gather, no gradient work). Both are 0 for an empty dataset.
     fn evaluate_ws(&self, data: &Dataset, ws: &mut Workspace) -> EvalStats;
-
-    /// Predicted class of a single feature vector.
-    fn predict(&self, x: &[f64]) -> usize;
 
     /// Clone into a boxed trait object (mechanisms keep one model instance
     /// per worker).
@@ -137,300 +126,11 @@ pub trait Model: Send + Sync {
         let loss = self.loss_and_gradient_ws(data, indices, &mut ws, &mut grad);
         (loss, grad)
     }
-
-    /// Average loss over an entire dataset (provided method).
-    fn loss(&self, data: &Dataset) -> f64 {
-        assert!(!data.is_empty(), "loss over an empty dataset");
-        self.evaluate_ws(data, &mut Workspace::new()).loss
-    }
-
-    /// Average gradient over the given indices (provided method).
-    fn gradient(&self, data: &Dataset, indices: &[usize]) -> FlatParams {
-        self.loss_and_gradient(data, indices).1
-    }
-
-    /// Full-batch gradient over the entire dataset (the `∇f_i(w)` of Eq. (4)).
-    fn full_gradient(&self, data: &Dataset) -> FlatParams {
-        let indices: Vec<usize> = (0..data.len()).collect();
-        self.gradient(data, &indices)
-    }
-
-    /// Classification accuracy on a dataset (provided method).
-    fn accuracy(&self, data: &Dataset) -> f64 {
-        if data.is_empty() {
-            return 0.0;
-        }
-        self.evaluate_ws(data, &mut Workspace::new()).accuracy
-    }
 }
 
 impl Clone for Box<dyn Model> {
     fn clone(&self) -> Self {
         self.clone_model()
-    }
-}
-
-/// Gather the feature rows and labels of `indices` into workspace buffers.
-/// Returns `(features B × d, labels)`.
-fn gather_batch(data: &Dataset, indices: &[usize], ws: &mut Workspace) -> (Vec<f64>, Vec<usize>) {
-    let d = data.num_features();
-    let mut x = ws.take(indices.len() * d);
-    let mut labels = ws.take_indices(indices.len());
-    for (row, &i) in indices.iter().enumerate() {
-        x[row * d..(row + 1) * d].copy_from_slice(data.sample(i));
-        labels.push(data.label(i));
-    }
-    (x, labels)
-}
-
-/// Multinomial logistic regression with optional L2 (ridge) regularisation.
-///
-/// With `l2 > 0` the loss is `l2`-strongly convex and `(L_max + l2)`-smooth,
-/// satisfying Assumptions 1–2 of the paper, so Theorem 1 applies exactly.
-#[derive(Debug, Clone)]
-pub struct LogisticRegression {
-    weights: Matrix, // classes x features
-    bias: Vec<f64>,
-    l2: f64,
-}
-
-impl LogisticRegression {
-    /// Create a zero-initialised model (zero initialisation is the global
-    /// optimum basin for convex losses, and matches the paper's `w_0`).
-    pub fn new(num_features: usize, num_classes: usize) -> Self {
-        Self {
-            weights: Matrix::zeros(num_classes, num_features),
-            bias: vec![0.0; num_classes],
-            l2: 0.0,
-        }
-    }
-
-    /// Set the L2 regularisation strength (builder-style).
-    pub fn with_l2(mut self, l2: f64) -> Self {
-        assert!(l2 >= 0.0, "l2 must be non-negative");
-        self.l2 = l2;
-        self
-    }
-
-    /// The L2 regularisation strength.
-    pub fn l2(&self) -> f64 {
-        self.l2
-    }
-
-    /// The `classes × features` weight matrix (read-only; used by the
-    /// per-sample reference implementation in `tests/reference/`).
-    pub fn weights(&self) -> &Matrix {
-        &self.weights
-    }
-
-    /// The per-class bias vector (read-only).
-    pub fn bias(&self) -> &[f64] {
-        &self.bias
-    }
-
-    /// Batched forward + loss head shared by the gradient and fused-update
-    /// paths: gathers the batch, computes `Z = X · Wᵀ + b` through the
-    /// k-major kernel, and transforms `Z` in place into the scaled head
-    /// delta. Returns `(x, labels, delta, summed unscaled loss)`; the three
-    /// buffers come from `ws` and must be given back.
-    fn forward_head(
-        &self,
-        data: &Dataset,
-        indices: &[usize],
-        ws: &mut Workspace,
-    ) -> (Vec<f64>, Vec<usize>, Vec<f64>, f64) {
-        assert!(!indices.is_empty(), "gradient over an empty batch");
-        assert_eq!(
-            data.num_features(),
-            self.num_features(),
-            "dataset feature dimension mismatch"
-        );
-        let k = self.num_classes();
-        let d = self.num_features();
-        let bsz = indices.len();
-        let (x, labels) = gather_batch(data, indices, ws);
-        let mut wt = ws.take(k * d);
-        transpose(self.weights.as_slice(), &mut wt, k, d);
-        let mut z = ws.take(bsz * k);
-        gemm_nn(&x, &wt, &mut z, bsz, k, d);
-        ws.give(wt);
-        add_row_bias(&mut z, &self.bias, bsz);
-        // Head: Z becomes delta = (softmax − onehot) / B in place.
-        let loss_sum = softmax_cross_entropy_batch(&mut z, &labels, k, 1.0 / bsz as f64);
-        (x, labels, z, loss_sum)
-    }
-
-    fn logits(&self, x: &[f64]) -> Vec<f64> {
-        let mut z = self.weights.matvec(x);
-        for (zi, b) in z.iter_mut().zip(self.bias.iter()) {
-            *zi += b;
-        }
-        z
-    }
-
-    fn num_classes(&self) -> usize {
-        self.bias.len()
-    }
-
-    fn num_features(&self) -> usize {
-        self.weights.cols()
-    }
-}
-
-impl Model for LogisticRegression {
-    fn num_params(&self) -> usize {
-        self.weights.rows() * self.weights.cols() + self.bias.len()
-    }
-
-    fn params_into(&self, out: &mut FlatParams) {
-        assert_eq!(out.dim(), self.num_params(), "parameter size mismatch");
-        let wlen = self.weights.rows() * self.weights.cols();
-        out.0[..wlen].copy_from_slice(self.weights.as_slice());
-        out.0[wlen..].copy_from_slice(&self.bias);
-    }
-
-    fn set_params(&mut self, params: &FlatParams) {
-        assert_eq!(params.dim(), self.num_params(), "parameter size mismatch");
-        let wlen = self.weights.rows() * self.weights.cols();
-        self.weights
-            .as_mut_slice()
-            .copy_from_slice(&params.0[..wlen]);
-        self.bias.copy_from_slice(&params.0[wlen..]);
-    }
-
-    fn loss_and_gradient_ws(
-        &self,
-        data: &Dataset,
-        indices: &[usize],
-        ws: &mut Workspace,
-        grad: &mut FlatParams,
-    ) -> f64 {
-        assert_eq!(grad.dim(), self.num_params(), "gradient size mismatch");
-        let k = self.num_classes();
-        let d = self.num_features();
-        let bsz = indices.len();
-
-        let (x, labels, z, loss_sum) = self.forward_head(data, indices, ws);
-
-        // Backward: ∇W = δᵀ · X, ∇b = column sums of δ, written straight into
-        // the flat gradient.
-        let (gw, gb) = grad.0.split_at_mut(k * d);
-        gemm_tn(&z, &x, gw, k, d, bsz);
-        col_sums(&z, bsz, gb);
-
-        let mut loss = loss_sum / bsz as f64;
-        // L2 regularisation on the weight matrix (not the bias).
-        if self.l2 > 0.0 {
-            loss += 0.5 * self.l2 * self.weights.frobenius_sq();
-            for (g, w) in gw.iter_mut().zip(self.weights.as_slice().iter()) {
-                *g += self.l2 * w;
-            }
-        }
-        ws.give(x);
-        ws.give(z);
-        ws.give_indices(labels);
-        loss
-    }
-
-    fn sgd_step(&mut self, learning_rate: f64, grad: &FlatParams) {
-        assert_eq!(grad.dim(), self.num_params(), "gradient size mismatch");
-        let wlen = self.weights.rows() * self.weights.cols();
-        crate::linalg::axpy(-learning_rate, &grad.0[..wlen], self.weights.as_mut_slice());
-        crate::linalg::axpy(-learning_rate, &grad.0[wlen..], &mut self.bias);
-    }
-
-    fn sgd_batch_ws(
-        &mut self,
-        data: &Dataset,
-        indices: &[usize],
-        learning_rate: f64,
-        ws: &mut Workspace,
-    ) -> f64 {
-        let k = self.num_classes();
-        let d = self.num_features();
-        let bsz = indices.len();
-
-        let (x, labels, z, loss_sum) = self.forward_head(data, indices, ws);
-
-        let mut loss = loss_sum / bsz as f64;
-        if self.l2 > 0.0 {
-            loss += 0.5 * self.l2 * self.weights.frobenius_sq();
-            // The −γ · l2 · W part of the step, applied to the old weights.
-            self.weights.scale(1.0 - learning_rate * self.l2);
-        }
-        // Fused update: W += −γ · δᵀ · X, b += −γ · Σ δ.
-        gemm_tn_acc(
-            &z,
-            &x,
-            self.weights.as_mut_slice(),
-            k,
-            d,
-            bsz,
-            -learning_rate,
-        );
-        col_sums_acc(&z, bsz, &mut self.bias, -learning_rate);
-        ws.give(x);
-        ws.give(z);
-        ws.give_indices(labels);
-        loss
-    }
-
-    fn evaluate_ws(&self, data: &Dataset, ws: &mut Workspace) -> EvalStats {
-        if data.is_empty() {
-            return EvalStats {
-                loss: 0.0,
-                accuracy: 0.0,
-            };
-        }
-        assert_eq!(
-            data.num_features(),
-            self.num_features(),
-            "dataset feature dimension mismatch"
-        );
-        let k = self.num_classes();
-        let d = self.num_features();
-        let n = data.len();
-        let mut wt = ws.take(k * d);
-        transpose(self.weights.as_slice(), &mut wt, k, d);
-        let mut z = ws.take(EVAL_CHUNK.min(n) * k);
-        let mut labels = ws.take_indices(EVAL_CHUNK.min(n));
-        let mut loss_sum = 0.0;
-        let mut correct = 0usize;
-        let features = data.features().as_slice();
-        let mut r0 = 0;
-        while r0 < n {
-            let rows = (n - r0).min(EVAL_CHUNK);
-            let x = &features[r0 * d..(r0 + rows) * d];
-            let zc = &mut z[..rows * k];
-            gemm_nn(x, &wt, zc, rows, k, d);
-            add_row_bias(zc, &self.bias, rows);
-            labels.clear();
-            labels.extend((r0..r0 + rows).map(|r| data.label(r)));
-            let (l, c) = eval_logits_batch(zc, &labels, k);
-            loss_sum += l;
-            correct += c;
-            r0 += rows;
-        }
-        ws.give(wt);
-        ws.give(z);
-        ws.give_indices(labels);
-        let mut loss = loss_sum / n as f64;
-        if self.l2 > 0.0 {
-            loss += 0.5 * self.l2 * self.weights.frobenius_sq();
-        }
-        EvalStats {
-            loss,
-            accuracy: correct as f64 / n as f64,
-        }
-    }
-
-    fn predict(&self, x: &[f64]) -> usize {
-        let z = self.logits(x);
-        argmax(&z)
-    }
-
-    fn clone_model(&self) -> Box<dyn Model> {
-        Box::new(self.clone())
     }
 }
 
@@ -442,8 +142,8 @@ struct DenseLayer {
 }
 
 impl DenseLayer {
-    fn new(input: usize, output: usize, rng: &mut Rng64) -> Self {
-        // He initialisation, appropriate for ReLU activations.
+    /// He initialisation, appropriate for ReLU activations.
+    fn he(input: usize, output: usize, rng: &mut Rng64) -> Self {
         let std = (2.0 / input as f64).sqrt();
         Self {
             weights: Matrix::from_fn(output, input, |_, _| rng.gaussian_with(0.0, std)),
@@ -464,18 +164,19 @@ impl DenseLayer {
     }
 }
 
-/// A fully-connected ReLU network with a softmax cross-entropy head.
+/// A fully-connected ReLU network with a softmax cross-entropy head and an
+/// optional L2 (ridge) term `½ · l2 · Σ_l ‖W_l‖²` on the weight matrices (not
+/// the biases).
 #[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<DenseLayer>,
-    num_features: usize,
-    num_classes: usize,
+    l2: f64,
 }
 
 impl Mlp {
-    /// Create an MLP with the given hidden-layer widths. `hidden` may be
-    /// empty, in which case the model degenerates to (unregularised)
-    /// multinomial logistic regression.
+    /// Create a He-initialised MLP with the given hidden-layer widths and no
+    /// regularisation. `hidden` may be empty, in which case the model is
+    /// multinomial logistic regression from a random start.
     pub fn new(num_features: usize, hidden: &[usize], num_classes: usize, rng: &mut Rng64) -> Self {
         assert!(
             num_features > 0 && num_classes > 1,
@@ -487,13 +188,33 @@ impl Mlp {
         sizes.push(num_classes);
         let layers = sizes
             .windows(2)
-            .map(|w| DenseLayer::new(w[0], w[1], rng))
+            .map(|w| DenseLayer::he(w[0], w[1], rng))
             .collect();
+        Self { layers, l2: 0.0 }
+    }
+
+    /// Multinomial logistic regression: no hidden layer, zero-initialised
+    /// (the global optimum basin for convex losses, and the paper's `w_0`).
+    /// Draws nothing from any RNG, so building one leaves the caller's seed
+    /// stream where it was. With [`Mlp::with_l2`] `> 0` the loss is
+    /// `l2`-strongly convex and `(L_max + l2)`-smooth, satisfying
+    /// Assumptions 1–2 of the paper, so Theorem 1 applies exactly.
+    pub fn logistic_regression(num_features: usize, num_classes: usize) -> Self {
+        let layer = DenseLayer {
+            weights: Matrix::zeros(num_classes, num_features),
+            bias: vec![0.0; num_classes],
+        };
         Self {
-            layers,
-            num_features,
-            num_classes,
+            layers: vec![layer],
+            l2: 0.0,
         }
+    }
+
+    /// Set the L2 regularisation strength (builder-style).
+    pub fn with_l2(mut self, l2: f64) -> Self {
+        assert!(l2 >= 0.0, "l2 must be non-negative");
+        self.l2 = l2;
+        self
     }
 
     /// The paper's "LR" workload for MNIST: a fully-connected network with
@@ -523,14 +244,9 @@ impl Mlp {
         self.layers.len()
     }
 
-    /// Input feature dimensionality the network expects.
-    pub fn num_features(&self) -> usize {
-        self.num_features
-    }
-
-    /// Number of output classes.
-    pub fn num_classes(&self) -> usize {
-        self.num_classes
+    /// The L2 regularisation strength.
+    pub fn l2(&self) -> f64 {
+        self.l2
     }
 
     /// The `out × in` weight matrix of layer `l` (read-only; used by the
@@ -544,34 +260,35 @@ impl Mlp {
         &self.layers[l].bias
     }
 
-    /// Widest activation any batch row produces (used to size the ping-pong
-    /// delta buffers).
-    fn max_width(&self) -> usize {
-        self.layers
+    /// Widest activation any batch row produces (sizes the ping-pong buffers
+    /// of the backward walk and of evaluation).
+    fn max_width(layers: &[DenseLayer]) -> usize {
+        layers
             .iter()
             .map(|l| l.out_width())
             .max()
             .expect("an Mlp always has at least one layer")
     }
 
-    /// Flat-gradient offset of layer `l`'s weight block.
-    fn grad_offset(&self, l: usize) -> usize {
-        self.layers[..l].iter().map(|x| x.num_params()).sum()
+    /// The regularisation term of the loss, `½ · l2 · Σ_l ‖W_l‖²`. Without
+    /// regularisation it is 0 and costs no O(q) pass.
+    fn l2_penalty(layers: &[DenseLayer], l2: f64) -> f64 {
+        if l2 > 0.0 {
+            0.5 * l2 * layers.iter().map(|l| l.weights.frobenius_sq()).sum::<f64>()
+        } else {
+            0.0
+        }
     }
 
     /// Transpose every layer's weights into one workspace buffer (O(q)) so
     /// the forward GEMMs run through the vectorised k-major kernel. Layer
     /// `l`'s block starts at the running sum of the preceding
-    /// `in_width · out_width` lengths — the same walk the forward passes do.
-    fn transpose_weights(&self, ws: &mut Workspace) -> Vec<f64> {
-        let wlen_total: usize = self
-            .layers
-            .iter()
-            .map(|l| l.in_width() * l.out_width())
-            .sum();
+    /// `in_width · out_width` lengths — the same walk [`Mlp::forward`] does.
+    fn transpose_weights(layers: &[DenseLayer], ws: &mut Workspace) -> Vec<f64> {
+        let wlen_total: usize = layers.iter().map(|l| l.in_width() * l.out_width()).sum();
         let mut wts = ws.take(wlen_total);
         let mut off = 0;
-        for layer in &self.layers {
+        for layer in layers {
             let len = layer.in_width() * layer.out_width();
             transpose(
                 layer.weights.as_slice(),
@@ -584,65 +301,144 @@ impl Mlp {
         wts
     }
 
-    /// Batched forward pass shared by the gradient and fused-update paths.
-    ///
-    /// Gathers the batch, transposes every layer's weights once, and runs one
-    /// GEMM per layer; on return `acts` holds every layer's activations in
-    /// one contiguous buffer (`bounds` marks the segments; the last segment
-    /// carries the logits) and `wts` the transposed weights. All four
-    /// returned buffers come from `ws` and must be given back.
-    #[allow(clippy::type_complexity)]
-    fn batch_forward(
-        &self,
-        data: &Dataset,
-        indices: &[usize],
-        ws: &mut Workspace,
-    ) -> (Vec<f64>, Vec<usize>, Vec<usize>, Vec<f64>) {
-        let bsz = indices.len();
-        let depth = self.layers.len();
-        let mut bounds = ws.take_indices(depth + 2);
-        bounds.push(0);
-        let mut total = bsz * self.num_features;
-        bounds.push(total);
-        for layer in &self.layers {
-            total += bsz * layer.out_width();
-            bounds.push(total);
-        }
-        let mut acts = ws.take(total);
-        let mut labels = ws.take_indices(bsz);
-        {
-            let d = self.num_features;
-            let x = &mut acts[..bsz * d];
-            for (row, &i) in indices.iter().enumerate() {
-                x[row * d..(row + 1) * d].copy_from_slice(data.sample(i));
-                labels.push(data.label(i));
-            }
-        }
-
-        let wts = self.transpose_weights(ws);
-
-        // Forward pass, one GEMM per layer over the whole batch.
+    /// The layer-forward walk: `rows` samples, read in place from `x`,
+    /// through every layer, one GEMM per layer over the transposed weights
+    /// `wts` ([`Mlp::transpose_weights`]). Layer `l` leaves its
+    /// `rows × out_width` output (post-ReLU for a hidden layer, the logits
+    /// for the last) at `acts[starts[l]..]` and reads layer `l − 1`'s from
+    /// where that left it, so the caller picks the storage: consecutive
+    /// segments keep every activation for a backward walk, two alternating
+    /// ones ping-pong an evaluation chunk.
+    fn forward(
+        layers: &[DenseLayer],
+        wts: &[f64],
+        x: &[f64],
+        rows: usize,
+        acts: &mut [f64],
+        starts: &[usize],
+    ) {
         let mut woff = 0;
-        for (l, layer) in self.layers.iter().enumerate() {
-            let (head, tail) = acts.split_at_mut(bounds[l + 1]);
-            let input = &head[bounds[l]..];
-            let out = &mut tail[..bsz * layer.out_width()];
-            let wlen = layer.in_width() * layer.out_width();
+        for (l, layer) in layers.iter().enumerate() {
+            let (in_w, out_w) = (layer.in_width(), layer.out_width());
+            let (input, out) = if l == 0 {
+                (x, &mut acts[starts[0]..starts[0] + rows * out_w])
+            } else {
+                // Two disjoint regions of `acts`, in either order.
+                let (read, write) = (starts[l - 1], starts[l]);
+                if read < write {
+                    let (head, tail) = acts.split_at_mut(write);
+                    (&head[read..read + rows * in_w], &mut tail[..rows * out_w])
+                } else {
+                    let (head, tail) = acts.split_at_mut(read);
+                    (&tail[..rows * in_w], &mut head[write..write + rows * out_w])
+                }
+            };
             gemm_nn(
                 input,
-                &wts[woff..woff + wlen],
+                &wts[woff..woff + in_w * out_w],
                 out,
-                bsz,
-                layer.out_width(),
-                layer.in_width(),
+                rows,
+                out_w,
+                in_w,
             );
-            woff += wlen;
-            add_row_bias(out, &layer.bias, bsz);
-            if l + 1 < depth {
+            woff += in_w * out_w;
+            add_row_bias(out, &layer.bias, rows);
+            if l + 1 < layers.len() {
                 relu_batch_in_place(out);
             }
         }
-        (acts, bounds, labels, wts)
+    }
+
+    /// The training pass over one mini-batch, shared by the gradient oracle
+    /// and the fused SGD step: gather, [`Mlp::forward`] keeping every
+    /// activation, the softmax cross-entropy head, then the backward walk.
+    ///
+    /// Per layer, last to first, the walk sends `δ` through the layer's
+    /// weights *as they were on entry* (`δ_prev = δ · W`, masked by the
+    /// previous layer's ReLU) and only then calls `land(layers, l, δ, input)`,
+    /// which puts the layer's `δᵀ · input` and `Σ δ` wherever its caller
+    /// wants them — a gradient block, or the layer's own parameters. The two
+    /// callers differ in nothing else; `L` is `&[DenseLayer]` for the one
+    /// that only reads the model and `&mut [DenseLayer]` for the one that
+    /// steps it, handed back to `land` between the walk's own reads.
+    ///
+    /// Returns the mean batch loss, [`Mlp::l2_penalty`] of the entry weights
+    /// included. Every buffer comes from `ws` and is back in it on return.
+    fn batch_pass<L: Deref<Target = [DenseLayer]>>(
+        mut layers: L,
+        l2: f64,
+        data: &Dataset,
+        indices: &[usize],
+        ws: &mut Workspace,
+        mut land: impl FnMut(&mut L, usize, &[f64], &[f64]),
+    ) -> f64 {
+        assert!(!indices.is_empty(), "gradient over an empty batch");
+        let d = layers[0].in_width();
+        assert_eq!(data.num_features(), d, "dataset feature dimension mismatch");
+        let bsz = indices.len();
+        let inv_n = 1.0 / bsz as f64;
+        let depth = layers.len();
+        let k = layers[depth - 1].out_width();
+
+        let mut x = ws.take(bsz * d);
+        let mut labels = ws.take_indices(bsz);
+        for (row, &i) in indices.iter().enumerate() {
+            x[row * d..(row + 1) * d].copy_from_slice(data.sample(i));
+            labels.push(data.label(i));
+        }
+        let mut starts = ws.take_indices(depth);
+        let mut total = 0;
+        for layer in layers.iter() {
+            starts.push(total);
+            total += bsz * layer.out_width();
+        }
+        let mut acts = ws.take(total);
+        let wts = Self::transpose_weights(&layers, ws);
+        Self::forward(&layers, &wts, &x, bsz, &mut acts, &starts);
+
+        // Head: logits → δ = (softmax − onehot) / B, in place.
+        let logits = &mut acts[starts[depth - 1]..];
+        let loss_sum = softmax_cross_entropy_batch(logits, &labels, k, inv_n);
+        let loss = loss_sum * inv_n + Self::l2_penalty(&layers, l2);
+
+        // Backward walk with two ping-pong delta buffers.
+        let maxw = Self::max_width(&layers);
+        let mut cur = ws.take(bsz * maxw);
+        let mut nxt = ws.take(bsz * maxw);
+        cur[..bsz * k].copy_from_slice(&acts[starts[depth - 1]..]);
+        for l in (0..depth).rev() {
+            let (in_w, out_w) = (layers[l].in_width(), layers[l].out_width());
+            let input = if l == 0 {
+                &x[..]
+            } else {
+                &acts[starts[l - 1]..starts[l]]
+            };
+            let delta = &cur[..bsz * out_w];
+            if l > 0 {
+                gemm_nn(
+                    delta,
+                    layers[l].weights.as_slice(),
+                    &mut nxt[..bsz * in_w],
+                    bsz,
+                    in_w,
+                    out_w,
+                );
+                relu_backward_batch(&mut nxt[..bsz * in_w], input);
+            }
+            land(&mut layers, l, delta, input);
+            if l > 0 {
+                std::mem::swap(&mut cur, &mut nxt);
+            }
+        }
+
+        ws.give(x);
+        ws.give(acts);
+        ws.give(wts);
+        ws.give(cur);
+        ws.give(nxt);
+        ws.give_indices(labels);
+        ws.give_indices(starts);
+        loss
     }
 }
 
@@ -687,82 +483,32 @@ impl Model for Mlp {
         ws: &mut Workspace,
         grad: &mut FlatParams,
     ) -> f64 {
-        assert!(!indices.is_empty(), "gradient over an empty batch");
-        assert_eq!(
-            data.num_features(),
-            self.num_features,
-            "dataset feature dimension mismatch"
-        );
         assert_eq!(grad.dim(), self.num_params(), "gradient size mismatch");
-        let bsz = indices.len();
-        let inv_n = 1.0 / bsz as f64;
-        let depth = self.layers.len();
-        let k = self.num_classes;
-
-        let (mut acts, bounds, labels, wts) = self.batch_forward(data, indices, ws);
-
-        // Head: logits → delta = (softmax − onehot) / B, in place.
-        let loss_sum = {
-            let logits = &mut acts[bounds[depth]..];
-            softmax_cross_entropy_batch(logits, &labels, k, inv_n)
-        };
-
-        // Backward pass with two ping-pong delta buffers.
-        let maxw = self.max_width();
-        let mut cur = ws.take(bsz * maxw);
-        let mut nxt = ws.take(bsz * maxw);
-        cur[..bsz * k].copy_from_slice(&acts[bounds[depth]..]);
-        for l in (0..depth).rev() {
-            let layer = &self.layers[l];
-            let (in_w, out_w) = (layer.in_width(), layer.out_width());
-            let input = &acts[bounds[l]..bounds[l + 1]];
-            let offset = self.grad_offset(l);
-            let wlen = out_w * in_w;
-            let (gw, gb) = grad.0[offset..offset + wlen + out_w].split_at_mut(wlen);
-            gemm_tn(&cur[..bsz * out_w], input, gw, out_w, in_w, bsz);
-            col_sums(&cur[..bsz * out_w], bsz, gb);
-            if l > 0 {
-                // δ_prev = δ · W, masked by the previous post-ReLU activation.
-                gemm_nn(
-                    &cur[..bsz * out_w],
-                    layer.weights.as_slice(),
-                    &mut nxt[..bsz * in_w],
-                    bsz,
-                    in_w,
-                    out_w,
-                );
-                relu_backward_batch(&mut nxt[..bsz * in_w], input);
-                std::mem::swap(&mut cur, &mut nxt);
+        let (l2, bsz) = (self.l2, indices.len());
+        let land = |layers: &mut &[DenseLayer], l: usize, delta: &[f64], input: &[f64]| {
+            // ∇W = δᵀ · X + l2 · W and ∇b = Σ δ into the layer's block of
+            // the flat gradient: the accumulating kernels at α = 1 over a
+            // zero fill (`1.0 * x` is exact, so this is the plain product).
+            let layer = &layers[l];
+            let offset: usize = layers[..l].iter().map(|x| x.num_params()).sum();
+            let block = &mut grad.0[offset..offset + layer.num_params()];
+            block.fill(0.0);
+            let (gw, gb) = block.split_at_mut(layer.out_width() * layer.in_width());
+            gemm_tn_acc(
+                delta,
+                input,
+                gw,
+                layer.out_width(),
+                layer.in_width(),
+                bsz,
+                1.0,
+            );
+            col_sums_acc(delta, bsz, gb, 1.0);
+            if l2 > 0.0 {
+                axpy(l2, layer.weights.as_slice(), gw);
             }
-        }
-
-        ws.give(acts);
-        ws.give(wts);
-        ws.give(cur);
-        ws.give(nxt);
-        ws.give_indices(labels);
-        ws.give_indices(bounds);
-        loss_sum * inv_n
-    }
-
-    fn sgd_step(&mut self, learning_rate: f64, grad: &FlatParams) {
-        assert_eq!(grad.dim(), self.num_params(), "gradient size mismatch");
-        let mut offset = 0;
-        for l in &mut self.layers {
-            let wlen = l.weights.rows() * l.weights.cols();
-            crate::linalg::axpy(
-                -learning_rate,
-                &grad.0[offset..offset + wlen],
-                l.weights.as_mut_slice(),
-            );
-            offset += wlen;
-            crate::linalg::axpy(
-                -learning_rate,
-                &grad.0[offset..offset + l.bias.len()],
-                &mut l.bias,
-            );
-            offset += l.bias.len();
-        }
+        };
+        Self::batch_pass(&self.layers[..], l2, data, indices, ws, land)
     }
 
     fn sgd_batch_ws(
@@ -772,47 +518,17 @@ impl Model for Mlp {
         learning_rate: f64,
         ws: &mut Workspace,
     ) -> f64 {
-        assert!(!indices.is_empty(), "gradient over an empty batch");
-        assert_eq!(
-            data.num_features(),
-            self.num_features,
-            "dataset feature dimension mismatch"
-        );
-        let bsz = indices.len();
-        let inv_n = 1.0 / bsz as f64;
-        let depth = self.layers.len();
-        let k = self.num_classes;
-
-        let (mut acts, bounds, labels, wts) = self.batch_forward(data, indices, ws);
-        let loss_sum = {
-            let logits = &mut acts[bounds[depth]..];
-            softmax_cross_entropy_batch(logits, &labels, k, inv_n)
-        };
-
-        // Fused backward: per layer, propagate the delta through the *old*
-        // weights first, then accumulate −γ · δᵀ · A straight into the
-        // weights and −γ · Σ δ into the bias — no gradient buffer.
-        let maxw = self.max_width();
-        let mut cur = ws.take(bsz * maxw);
-        let mut nxt = ws.take(bsz * maxw);
-        cur[..bsz * k].copy_from_slice(&acts[bounds[depth]..]);
-        for l in (0..depth).rev() {
-            let (in_w, out_w) = (self.layers[l].in_width(), self.layers[l].out_width());
-            let input = &acts[bounds[l]..bounds[l + 1]];
-            if l > 0 {
-                gemm_nn(
-                    &cur[..bsz * out_w],
-                    self.layers[l].weights.as_slice(),
-                    &mut nxt[..bsz * in_w],
-                    bsz,
-                    in_w,
-                    out_w,
-                );
-                relu_backward_batch(&mut nxt[..bsz * in_w], input);
+        let (l2, bsz) = (self.l2, indices.len());
+        let land = |layers: &mut &mut [DenseLayer], l: usize, delta: &[f64], input: &[f64]| {
+            let layer = &mut layers[l];
+            let (in_w, out_w) = (layer.in_width(), layer.out_width());
+            // The −γ · l2 · W part of the step, applied to the old weights.
+            if l2 > 0.0 {
+                layer.weights.scale(1.0 - learning_rate * l2);
             }
-            let layer = &mut self.layers[l];
+            // Fused update: W += −γ · δᵀ · X, b += −γ · Σ δ.
             gemm_tn_acc(
-                &cur[..bsz * out_w],
+                delta,
                 input,
                 layer.weights.as_mut_slice(),
                 out_w,
@@ -820,19 +536,9 @@ impl Model for Mlp {
                 bsz,
                 -learning_rate,
             );
-            col_sums_acc(&cur[..bsz * out_w], bsz, &mut layer.bias, -learning_rate);
-            if l > 0 {
-                std::mem::swap(&mut cur, &mut nxt);
-            }
-        }
-
-        ws.give(acts);
-        ws.give(wts);
-        ws.give(cur);
-        ws.give(nxt);
-        ws.give_indices(labels);
-        ws.give_indices(bounds);
-        loss_sum * inv_n
+            col_sums_acc(delta, bsz, &mut layer.bias, -learning_rate);
+        };
+        Self::batch_pass(&mut self.layers[..], l2, data, indices, ws, land)
     }
 
     fn evaluate_ws(&self, data: &Dataset, ws: &mut Workspace) -> EvalStats {
@@ -842,116 +548,46 @@ impl Model for Mlp {
                 accuracy: 0.0,
             };
         }
-        assert_eq!(
-            data.num_features(),
-            self.num_features,
-            "dataset feature dimension mismatch"
-        );
+        let d = self.layers[0].in_width();
+        assert_eq!(data.num_features(), d, "dataset feature dimension mismatch");
         let n = data.len();
-        let k = self.num_classes;
         let depth = self.layers.len();
-        let chunk = EVAL_CHUNK.min(n);
-        let maxw = self.max_width();
-        let mut cur = ws.take(chunk * maxw);
-        let mut nxt = ws.take(chunk * maxw);
-        let mut labels = ws.take_indices(chunk);
+        let k = self.layers[depth - 1].out_width();
+        // Two alternating segments: layer `l` overwrites layer `l − 2`'s
+        // output, which nothing reads any more.
+        let half = EVAL_CHUNK.min(n) * Self::max_width(&self.layers);
+        let mut starts = ws.take_indices(depth);
+        starts.extend((0..depth).map(|l| (l % 2) * half));
+        let mut acts = ws.take(2 * half);
         // Transpose every layer's weights once for the whole evaluation.
-        let wts = self.transpose_weights(ws);
+        let wts = Self::transpose_weights(&self.layers, ws);
+        // Every chunk reads the dataset's feature matrix in place.
         let features = data.features().as_slice();
-        let d = self.num_features;
         let mut loss_sum = 0.0;
         let mut correct = 0usize;
         let mut r0 = 0;
         while r0 < n {
             let rows = (n - r0).min(EVAL_CHUNK);
-            let mut woff = 0;
-            // First layer reads the dataset's feature matrix directly.
-            {
-                let layer = &self.layers[0];
-                let x = &features[r0 * d..(r0 + rows) * d];
-                let out = &mut cur[..rows * layer.out_width()];
-                let wlen = layer.in_width() * layer.out_width();
-                gemm_nn(x, &wts[..wlen], out, rows, layer.out_width(), d);
-                woff += wlen;
-                add_row_bias(out, &layer.bias, rows);
-                if depth > 1 {
-                    relu_batch_in_place(out);
-                }
-            }
-            for (l, layer) in self.layers.iter().enumerate().skip(1) {
-                let input = &cur[..rows * layer.in_width()];
-                let out = &mut nxt[..rows * layer.out_width()];
-                let wlen = layer.in_width() * layer.out_width();
-                gemm_nn(
-                    input,
-                    &wts[woff..woff + wlen],
-                    out,
-                    rows,
-                    layer.out_width(),
-                    layer.in_width(),
-                );
-                woff += wlen;
-                add_row_bias(out, &layer.bias, rows);
-                if l + 1 < depth {
-                    relu_batch_in_place(out);
-                }
-                std::mem::swap(&mut cur, &mut nxt);
-            }
-            labels.clear();
-            labels.extend((r0..r0 + rows).map(|r| data.label(r)));
-            let (l, c) = eval_logits_batch(&cur[..rows * k], &labels, k);
+            let x = &features[r0 * d..(r0 + rows) * d];
+            Self::forward(&self.layers, &wts, x, rows, &mut acts, &starts);
+            let logits = &acts[starts[depth - 1]..starts[depth - 1] + rows * k];
+            let (l, c) = eval_logits_batch(logits, &data.labels()[r0..r0 + rows], k);
             loss_sum += l;
             correct += c;
             r0 += rows;
         }
-        ws.give(cur);
-        ws.give(nxt);
+        ws.give(acts);
         ws.give(wts);
-        ws.give_indices(labels);
+        ws.give_indices(starts);
         EvalStats {
-            loss: loss_sum / n as f64,
+            loss: loss_sum / n as f64 + Self::l2_penalty(&self.layers, self.l2),
             accuracy: correct as f64 / n as f64,
         }
-    }
-
-    fn predict(&self, x: &[f64]) -> usize {
-        assert_eq!(x.len(), self.num_features, "feature dimension mismatch");
-        let depth = self.layers.len();
-        let mut cur = x.to_vec();
-        for (l, layer) in self.layers.iter().enumerate() {
-            let mut z = vec![0.0; layer.out_width()];
-            gemm_nt(
-                &cur,
-                layer.weights.as_slice(),
-                &mut z,
-                1,
-                layer.out_width(),
-                layer.in_width(),
-            );
-            for (zv, b) in z.iter_mut().zip(layer.bias.iter()) {
-                *zv += b;
-            }
-            if l + 1 < depth {
-                relu_batch_in_place(&mut z);
-            }
-            cur = z;
-        }
-        argmax(&cur)
     }
 
     fn clone_model(&self) -> Box<dyn Model> {
         Box::new(self.clone())
     }
-}
-
-fn argmax(xs: &[f64]) -> usize {
-    let mut best = 0;
-    for (i, &v) in xs.iter().enumerate() {
-        if v > xs[best] {
-            best = i;
-        }
-    }
-    best
 }
 
 /// Which model family an experiment uses. This mirrors the paper's
@@ -985,7 +621,7 @@ impl ModelKind {
             }
             ModelKind::Vgg16 => Box::new(Mlp::vgg16_surrogate(num_features, num_classes, rng)),
             ModelKind::ConvexLr => {
-                Box::new(LogisticRegression::new(num_features, num_classes).with_l2(1e-3))
+                Box::new(Mlp::logistic_regression(num_features, num_classes).with_l2(1e-3))
             }
         }
     }
@@ -1014,12 +650,35 @@ mod tests {
             .generate(&mut rng)
     }
 
+    /// Overwrite every parameter with a small Gaussian draw, so that a
+    /// zero-initialised model has non-trivial gradients and a non-zero L2 term.
+    fn randomise(m: &mut Mlp, std: f64, rng: &mut Rng64) {
+        let mut p = m.params();
+        for v in p.0.iter_mut() {
+            *v = rng.gaussian_with(0.0, std);
+        }
+        m.set_params(&p);
+    }
+
+    /// `w ← w − γ · g` through the allocating params/axpy/set_params
+    /// round-trip: the unfused step the fused one is compared with.
+    fn step(m: &mut Mlp, learning_rate: f64, grad: &FlatParams) {
+        let mut p = m.params();
+        p.axpy(-learning_rate, grad);
+        m.set_params(&p);
+    }
+
+    fn evaluate(m: &Mlp, data: &Dataset) -> EvalStats {
+        m.evaluate_ws(data, &mut Workspace::new())
+    }
+
     #[test]
     fn logreg_param_roundtrip() {
         let data = toy_data();
-        let mut m = LogisticRegression::new(data.num_features(), data.num_classes());
+        let mut m = Mlp::logistic_regression(data.num_features(), data.num_classes());
         let mut p = m.params();
         assert_eq!(p.dim(), m.num_params());
+        assert_eq!(p.dim(), (data.num_features() + 1) * data.num_classes());
         let last = p.dim() - 1;
         p.0[0] = 3.5;
         p.0[last] = -1.25;
@@ -1040,40 +699,52 @@ mod tests {
         assert_eq!(m.params(), q);
     }
 
-    #[test]
-    fn logreg_gradient_matches_finite_difference() {
-        let data = toy_data();
-        let mut rng = Rng64::seed_from(2);
-        let mut m = LogisticRegression::new(data.num_features(), data.num_classes()).with_l2(0.01);
-        // Random starting point so gradients are non-trivial.
-        let mut p = m.params();
-        for v in p.0.iter_mut() {
-            *v = rng.gaussian_with(0.0, 0.1);
-        }
-        m.set_params(&p);
-        let indices: Vec<usize> = (0..10).collect();
-        let (_, g) = m.loss_and_gradient(&data, &indices);
+    /// Central differences of the batch loss (through `loss_and_gradient`:
+    /// evaluation would average the whole dataset) against the analytic
+    /// gradient, at a handful of coordinates.
+    fn assert_gradient_matches_finite_difference(
+        m: &Mlp,
+        data: &Dataset,
+        indices: &[usize],
+        coords: &[usize],
+        tol: f64,
+    ) {
+        let p = m.params();
+        let (_, g) = m.loss_and_gradient(data, indices);
         let eps = 1e-5;
-        // Spot-check a handful of coordinates. Finite differences use the
-        // batch loss, so compute it through loss_and_gradient (the loss()
-        // shortcut evaluates the whole dataset).
-        let batch_loss = |model: &LogisticRegression| model.loss_and_gradient(&data, &indices).0;
-        for &coord in &[0usize, 7, 63, 100, p.dim() - 1] {
-            let mut plus = p.clone();
-            plus.0[coord] += eps;
-            let mut minus = p.clone();
-            minus.0[coord] -= eps;
-            let mut mp = m.clone();
-            mp.set_params(&plus);
-            let mut mm = m.clone();
-            mm.set_params(&minus);
-            let fd = (batch_loss(&mp) - batch_loss(&mm)) / (2.0 * eps);
+        let batch_loss = |shift: f64, coord: usize| {
+            let mut q = p.clone();
+            q.0[coord] += shift;
+            let mut moved = m.clone();
+            moved.set_params(&q);
+            moved.loss_and_gradient(data, indices).0
+        };
+        for &coord in coords {
+            let fd = (batch_loss(eps, coord) - batch_loss(-eps, coord)) / (2.0 * eps);
             assert!(
-                (fd - g.0[coord]).abs() < 1e-5,
+                (fd - g.0[coord]).abs() < tol,
                 "coord {coord}: fd {fd} vs analytic {}",
                 g.0[coord]
             );
         }
+    }
+
+    #[test]
+    fn logreg_gradient_matches_finite_difference() {
+        let data = toy_data();
+        let mut rng = Rng64::seed_from(2);
+        let mut m = Mlp::logistic_regression(data.num_features(), data.num_classes()).with_l2(0.01);
+        // Random starting point so gradients are non-trivial.
+        randomise(&mut m, 0.1, &mut rng);
+        let indices: Vec<usize> = (0..10).collect();
+        let last = m.num_params() - 1;
+        assert_gradient_matches_finite_difference(
+            &m,
+            &data,
+            &indices,
+            &[0, 7, 63, 100, last],
+            1e-5,
+        );
     }
 
     #[test]
@@ -1081,41 +752,36 @@ mod tests {
         let data = toy_data();
         let mut rng = Rng64::seed_from(3);
         let m = Mlp::new(data.num_features(), &[6], data.num_classes(), &mut rng);
-        let p = m.params();
         let indices: Vec<usize> = (0..6).collect();
-        let (_, g) = m.loss_and_gradient(&data, &indices);
-        let eps = 1e-5;
-        let batch_loss = |model: &Mlp| model.loss_and_gradient(&data, &indices).0;
-        for &coord in &[0usize, 11, 101, p.dim() - 1] {
-            let mut plus = p.clone();
-            plus.0[coord] += eps;
-            let mut minus = p.clone();
-            minus.0[coord] -= eps;
-            let mut mp = m.clone();
-            mp.set_params(&plus);
-            let mut mm = m.clone();
-            mm.set_params(&minus);
-            let fd = (batch_loss(&mp) - batch_loss(&mm)) / (2.0 * eps);
-            assert!(
-                (fd - g.0[coord]).abs() < 1e-4,
-                "coord {coord}: fd {fd} vs analytic {}",
-                g.0[coord]
-            );
-        }
+        let coords = [0, 11, 101, m.num_params() - 1];
+        assert_gradient_matches_finite_difference(&m, &data, &indices, &coords, 1e-4);
+        // L2 reaches every layer's weights (coords 0, 11, 101 are first-layer
+        // weights; the last coordinate is a bias, which it must not touch).
+        let m = m.with_l2(0.3);
+        assert_gradient_matches_finite_difference(&m, &data, &indices, &coords, 1e-4);
+        let second_layer_weight = 6 * data.num_features() + 6 + 2;
+        assert_gradient_matches_finite_difference(
+            &m,
+            &data,
+            &indices,
+            &[second_layer_weight],
+            1e-4,
+        );
     }
 
     #[test]
     fn gradient_descent_reduces_loss_and_beats_chance() {
         let data = toy_data();
-        let mut m = LogisticRegression::new(data.num_features(), data.num_classes());
-        let initial_loss = m.loss(&data);
+        let mut m = Mlp::logistic_regression(data.num_features(), data.num_classes());
+        let initial_loss = evaluate(&m, &data).loss;
         let indices: Vec<usize> = (0..data.len()).collect();
+        let mut ws = Workspace::new();
         for _ in 0..60 {
-            let g = m.gradient(&data, &indices);
-            m.sgd_step(0.5, &g);
+            m.sgd_batch_ws(&data, &indices, 0.5, &mut ws);
         }
-        assert!(m.loss(&data) < initial_loss * 0.5);
-        assert!(m.accuracy(&data) > 0.5, "accuracy {}", m.accuracy(&data));
+        let stats = evaluate(&m, &data);
+        assert!(stats.loss < initial_loss * 0.5);
+        assert!(stats.accuracy > 0.5, "accuracy {}", stats.accuracy);
     }
 
     #[test]
@@ -1124,11 +790,12 @@ mod tests {
         let mut rng = Rng64::seed_from(4);
         let mut m = Mlp::new(data.num_features(), &[32], data.num_classes(), &mut rng);
         let indices: Vec<usize> = (0..data.len()).collect();
+        let mut ws = Workspace::new();
         for _ in 0..80 {
-            let g = m.gradient(&data, &indices);
-            m.sgd_step(0.2, &g);
+            m.sgd_batch_ws(&data, &indices, 0.2, &mut ws);
         }
-        assert!(m.accuracy(&data) > 0.5, "accuracy {}", m.accuracy(&data));
+        let accuracy = evaluate(&m, &data).accuracy;
+        assert!(accuracy > 0.5, "accuracy {accuracy}");
     }
 
     #[test]
@@ -1138,88 +805,89 @@ mod tests {
         let mut ws = Workspace::new();
         let indices: Vec<usize> = (0..24).collect();
         let lr = 0.21;
+        let (features, classes) = (data.num_features(), data.num_classes());
 
-        // MLP: fused path vs materialised gradient + step.
-        let mut fused = Mlp::new(data.num_features(), &[11, 7], data.num_classes(), &mut rng);
-        let mut split = fused.clone();
-        let loss_f = fused.sgd_batch_ws(&data, &indices, lr, &mut ws);
-        let (loss_s, g) = split.loss_and_gradient(&data, &indices);
-        split.sgd_step(lr, &g);
-        assert!((loss_f - loss_s).abs() < 1e-12);
-        for (a, b) in fused.params().0.iter().zip(split.params().0.iter()) {
-            assert!((a - b).abs() < 1e-12, "fused {a} vs split {b}");
-        }
-
+        let plain = Mlp::new(features, &[11, 7], classes, &mut rng);
         // Logistic regression with L2 (exercises the scale-then-accumulate
-        // order of the fused regulariser).
-        let mut lr_fused =
-            LogisticRegression::new(data.num_features(), data.num_classes()).with_l2(0.03);
-        let mut p = lr_fused.params();
-        for v in p.0.iter_mut() {
-            *v = rng.gaussian_with(0.0, 0.2);
-        }
-        lr_fused.set_params(&p);
-        let mut lr_split = lr_fused.clone();
-        let loss_f = lr_fused.sgd_batch_ws(&data, &indices, lr, &mut ws);
-        let (loss_s, g) = lr_split.loss_and_gradient(&data, &indices);
-        lr_split.sgd_step(lr, &g);
-        assert!((loss_f - loss_s).abs() < 1e-12);
-        for (a, b) in lr_fused.params().0.iter().zip(lr_split.params().0.iter()) {
-            assert!((a - b).abs() < 1e-12, "fused {a} vs split {b}");
-        }
-    }
+        // order of the fused regulariser), and the same on a hidden-layer
+        // net, where every layer's weights shrink.
+        let mut logreg = Mlp::logistic_regression(features, classes).with_l2(0.03);
+        randomise(&mut logreg, 0.2, &mut rng);
+        let ridge = Mlp::new(features, &[11, 7], classes, &mut rng).with_l2(0.03);
 
-    #[test]
-    fn sgd_step_matches_manual_axpy_roundtrip() {
-        let data = toy_data();
-        let mut rng = Rng64::seed_from(12);
-        let mut a = Mlp::new(data.num_features(), &[9, 7], data.num_classes(), &mut rng);
-        let mut b = a.clone();
-        let indices: Vec<usize> = (0..16).collect();
-        let g = a.gradient(&data, &indices);
-        a.sgd_step(0.37, &g);
-        let mut p = b.params();
-        p.axpy(-0.37, &g);
-        b.set_params(&p);
-        assert_eq!(a.params(), b.params());
+        // Fused path vs materialised gradient + step.
+        for (name, start) in [("mlp", plain), ("logreg + l2", logreg), ("mlp + l2", ridge)] {
+            let mut fused = start.clone();
+            let mut split = start;
+            let loss_f = fused.sgd_batch_ws(&data, &indices, lr, &mut ws);
+            let (loss_s, g) = split.loss_and_gradient(&data, &indices);
+            step(&mut split, lr, &g);
+            assert!((loss_f - loss_s).abs() < 1e-12, "{name}");
+            for (a, b) in fused.params().0.iter().zip(split.params().0.iter()) {
+                assert!((a - b).abs() < 1e-12, "{name}: fused {a} vs split {b}");
+            }
+        }
     }
 
     #[test]
     fn zero_initialised_logreg_has_uniform_loss() {
         let data = toy_data();
-        let m = LogisticRegression::new(data.num_features(), data.num_classes());
-        let expected = (data.num_classes() as f64).ln();
-        assert!((m.loss(&data) - expected).abs() < 1e-9);
+        let m = Mlp::logistic_regression(data.num_features(), data.num_classes());
+        let stats = evaluate(&m, &data);
+        assert!((stats.loss - (data.num_classes() as f64).ln()).abs() < 1e-9);
+        // All logits tie, and a tie goes to class 0: exactly chance on the
+        // balanced ten-class data.
+        assert!((stats.accuracy - 0.1).abs() < 1e-9);
     }
 
+    /// One evaluation over a dataset longer than a chunk (a ragged last
+    /// chunk) agrees with the same model over the same samples taken one
+    /// batch at a time: the un-chunked training-pass loss, and the sum of
+    /// single-sample evaluations.
     #[test]
     fn evaluate_matches_loss_and_accuracy() {
-        let data = toy_data();
         let mut rng = Rng64::seed_from(21);
-        let m = Mlp::new(data.num_features(), &[12], data.num_classes(), &mut rng);
-        let stats = m.evaluate_ws(&data, &mut Workspace::new());
-        assert!((stats.loss - m.loss(&data)).abs() < 1e-12);
-        assert!((stats.accuracy - m.accuracy(&data)).abs() < 1e-12);
-        // Per-sample predictions agree with the batched accuracy.
-        let correct = (0..data.len())
-            .filter(|&i| m.predict(data.sample(i)) == data.label(i))
-            .count();
-        assert!((stats.accuracy - correct as f64 / data.len() as f64).abs() < 1e-12);
+        let data = SyntheticSpec::mnist_like()
+            .with_samples_per_class(30)
+            .generate(&mut rng);
+        assert!(EVAL_CHUNK < data.len() && data.len() < 2 * EVAL_CHUNK);
+        let m = Mlp::new(data.num_features(), &[12, 9], data.num_classes(), &mut rng);
+        let stats = evaluate(&m, &data);
+        let all: Vec<usize> = (0..data.len()).collect();
+        let (batch_loss, _) = m.loss_and_gradient(&data, &all);
+        assert!((stats.loss - batch_loss).abs() < 1e-12);
+        let mut ws = Workspace::new();
+        let (mut loss_sum, mut correct) = (0.0, 0.0);
+        for i in 0..data.len() {
+            let one = m.evaluate_ws(&data.subset(&[i]), &mut ws);
+            loss_sum += one.loss;
+            correct += one.accuracy;
+        }
+        assert!((stats.loss - loss_sum / data.len() as f64).abs() < 1e-12);
+        assert!((stats.accuracy - correct / data.len() as f64).abs() < 1e-12);
     }
 
     #[test]
     fn evaluation_includes_l2_term_like_training_loss() {
         let data = toy_data();
         let mut rng = Rng64::seed_from(22);
-        let mut m = LogisticRegression::new(data.num_features(), data.num_classes()).with_l2(0.05);
-        let mut p = m.params();
-        for v in p.0.iter_mut() {
-            *v = rng.gaussian_with(0.0, 0.2);
-        }
-        m.set_params(&p);
+        let (features, classes) = (data.num_features(), data.num_classes());
+        let mut logreg = Mlp::logistic_regression(features, classes).with_l2(0.05);
+        randomise(&mut logreg, 0.2, &mut rng);
+        let hidden = Mlp::new(features, &[10], classes, &mut rng).with_l2(0.05);
         let all: Vec<usize> = (0..data.len()).collect();
-        let (train_loss, _) = m.loss_and_gradient(&data, &all);
-        assert!((m.loss(&data) - train_loss).abs() < 1e-10);
+        for m in [logreg, hidden] {
+            let (train_loss, _) = m.loss_and_gradient(&data, &all);
+            let eval_loss = evaluate(&m, &data).loss;
+            assert!((eval_loss - train_loss).abs() < 1e-10);
+            // … and the term is there at all: it is what `with_l2` adds.
+            let bare = evaluate(&m.clone().with_l2(0.0), &data).loss;
+            let norm_sq: f64 = (0..m.depth())
+                .map(|l| m.layer_weights(l).frobenius_sq())
+                .sum();
+            assert!(norm_sq > 1.0);
+            assert!((eval_loss - bare - 0.5 * 0.05 * norm_sq).abs() < 1e-10);
+        }
     }
 
     #[test]
@@ -1256,6 +924,11 @@ mod tests {
         let big = ModelKind::Vgg16.build(64, 10, &mut rng);
         assert!(big.num_params() > small.num_params());
         assert!(!ModelKind::CnnCifar.label().is_empty());
+        // The seed-stream contract: the zero-initialised model draws nothing.
+        let mut untouched = rng.clone();
+        let convex = ModelKind::ConvexLr.build(64, 10, &mut rng);
+        assert_eq!(convex.params(), FlatParams::zeros(64 * 10 + 10));
+        assert_eq!(rng.next_u64(), untouched.next_u64());
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! In the paper every participating worker performs one local update
 //! `w_t^i = w_{t-1} − γ ∇f_i(w_{t-1})` per round; in practice (and in the
 //! authors' PyTorch simulation) the local update is implemented as one or more
-//! epochs of mini-batch SGD over the worker's shard. [`local_update`] provides
-//! that general form, while [`full_gradient_step`] is the literal Eq. (4) used
-//! by the convergence-bound validation.
+//! epochs of mini-batch SGD over the worker's shard. [`local_update_ws`]
+//! provides that general form; the literal Eq. (4) is its special case of one
+//! epoch at a batch size no smaller than the shard.
 
 use crate::dataset::Dataset;
 use crate::model::Model;
@@ -49,24 +49,10 @@ impl SgdConfig {
     }
 }
 
-/// Perform the local update of Eq. (4) generalised to `local_epochs` epochs of
-/// mini-batch SGD, mutating `model` in place. Returns the average training
-/// loss observed over the processed batches.
-///
-/// Convenience wrapper over [`local_update_ws`] that allocates a throwaway
-/// [`Workspace`]; the mechanism simulators call the workspace-threaded
-/// version with each worker's persistent scratch pool instead.
-pub fn local_update(
-    model: &mut dyn Model,
-    shard: &Dataset,
-    cfg: &SgdConfig,
-    rng: &mut Rng64,
-) -> f64 {
-    local_update_ws(model, shard, cfg, rng, &mut Workspace::new())
-}
-
-/// Workspace-threaded local SGD: the zero-steady-state-allocation hot loop of
-/// every mechanism simulation.
+/// The local update of Eq. (4) generalised to `local_epochs` epochs of
+/// mini-batch SGD, mutating `model` in place: the zero-steady-state-allocation
+/// hot loop of every mechanism simulation. Returns the average training loss
+/// observed over the processed batches.
 ///
 /// Per mini-batch this performs one fused forward/backward/update pass
 /// ([`Model::sgd_batch_ws`], all scratch from `ws`); the shuffle order and
@@ -97,48 +83,12 @@ pub fn local_update_ws(
     loss_sum / batches as f64
 }
 
-/// The literal single full-batch gradient step of Eq. (4):
-/// `w ← w − γ ∇f_i(w)`. Returns the loss evaluated *before* the step.
-pub fn full_gradient_step(model: &mut dyn Model, shard: &Dataset, learning_rate: f64) -> f64 {
-    assert!(
-        learning_rate > 0.0 && learning_rate.is_finite(),
-        "learning rate must be a positive finite number"
-    );
-    assert!(!shard.is_empty(), "cannot train on an empty shard");
-    let indices: Vec<usize> = (0..shard.len()).collect();
-    let (loss, grad) = model.loss_and_gradient(shard, &indices);
-    model.sgd_step(learning_rate, &grad);
-    loss
-}
-
 /// Starting from `global`, compute the parameters a worker would hold after
-/// its local update without mutating the caller's model instance. This is the
-/// form used by the mechanism simulators, which keep per-worker parameter
-/// vectors but share a single model object for gradient evaluation.
-pub fn local_update_from(
-    template: &mut dyn Model,
-    global: &FlatParams,
-    shard: &Dataset,
-    cfg: &SgdConfig,
-    rng: &mut Rng64,
-) -> (FlatParams, f64) {
-    let mut out = FlatParams::zeros(template.num_params());
-    let loss = local_update_from_ws(
-        template,
-        global,
-        shard,
-        cfg,
-        rng,
-        &mut Workspace::new(),
-        &mut out,
-    );
-    (out, loss)
-}
-
-/// Workspace-threaded variant of [`local_update_from`]: the resulting local
-/// parameters are written into `out` (pre-sized to the model dimension) and
-/// all scratch comes from `ws`, so the per-round worker loop of the
-/// mechanism engines allocates nothing in steady state.
+/// its local update. This is the form used by the mechanism simulators, which
+/// keep per-worker parameter vectors and load them into a model object only
+/// to train: the resulting local parameters are written into `out` (pre-sized
+/// to the model dimension) and all scratch comes from `ws`, so the per-round
+/// worker loop of the mechanism engines allocates nothing in steady state.
 #[allow(clippy::too_many_arguments)]
 pub fn local_update_from_ws(
     template: &mut dyn Model,
@@ -159,7 +109,7 @@ pub fn local_update_from_ws(
 mod tests {
     use super::*;
     use crate::dataset::SyntheticSpec;
-    use crate::model::LogisticRegression;
+    use crate::model::Mlp;
 
     fn toy() -> Dataset {
         let mut rng = Rng64::seed_from(77);
@@ -168,60 +118,61 @@ mod tests {
             .generate(&mut rng)
     }
 
+    fn logreg(data: &Dataset) -> Mlp {
+        Mlp::logistic_regression(data.num_features(), data.num_classes())
+    }
+
     #[test]
     fn local_update_reduces_loss() {
         let data = toy();
         let mut rng = Rng64::seed_from(1);
-        let mut m = LogisticRegression::new(data.num_features(), data.num_classes());
-        let before = m.loss(&data);
+        let mut ws = Workspace::new();
+        let mut m = logreg(&data);
+        let before = m.evaluate_ws(&data, &mut ws).loss;
         let cfg = SgdConfig {
             learning_rate: 0.3,
             batch_size: 16,
             local_epochs: 3,
         };
-        local_update(&mut m, &data, &cfg, &mut rng);
-        assert!(m.loss(&data) < before);
-    }
-
-    #[test]
-    fn full_gradient_step_matches_manual_update() {
-        let data = toy();
-        let mut m = LogisticRegression::new(data.num_features(), data.num_classes());
-        let p0 = m.params();
-        let g = m.full_gradient(&data);
-        let loss_before = m.loss(&data);
-        let reported = full_gradient_step(&mut m, &data, 0.1);
-        assert!((reported - loss_before).abs() < 1e-12);
-        let mut expected = p0;
-        expected.axpy(-0.1, &g);
-        assert!(m.params().dist_sq(&expected) < 1e-20);
+        local_update_ws(&mut m, &data, &cfg, &mut rng, &mut ws);
+        assert!(m.evaluate_ws(&data, &mut ws).loss < before);
     }
 
     #[test]
     fn local_update_from_does_not_corrupt_global() {
         let data = toy();
         let mut rng = Rng64::seed_from(2);
-        let mut m = LogisticRegression::new(data.num_features(), data.num_classes());
+        let mut m = logreg(&data);
         let global = FlatParams::zeros(m.num_params());
+        let mut local = FlatParams::zeros(m.num_params());
         let cfg = SgdConfig::default();
-        let (local, _) = local_update_from(&mut m, &global, &data, &cfg, &mut rng);
+        let mut ws = Workspace::new();
+        local_update_from_ws(&mut m, &global, &data, &cfg, &mut rng, &mut ws, &mut local);
         assert_eq!(global, FlatParams::zeros(local.dim()));
         assert!(local.norm_sq() > 0.0, "local update should move parameters");
+        assert_eq!(m.params(), local);
     }
 
+    /// Eq. (4) to the letter: a batch size beyond the shard is one
+    /// full-batch step `w ← w − γ ∇f_i(w)` per epoch, and the reported loss
+    /// is the loss before it.
     #[test]
     fn batch_size_larger_than_shard_is_clamped() {
         let data = toy();
         let mut rng = Rng64::seed_from(3);
-        let mut m = LogisticRegression::new(data.num_features(), data.num_classes());
+        let mut m = logreg(&data);
         let cfg = SgdConfig {
             learning_rate: 0.1,
             batch_size: 10_000,
             local_epochs: 1,
         };
-        // Should not panic and should behave like one full-batch step.
-        let loss = local_update(&mut m, &data, &cfg, &mut rng);
-        assert!(loss.is_finite());
+        let all: Vec<usize> = (0..data.len()).collect();
+        let (loss_before, g) = m.loss_and_gradient(&data, &all);
+        let mut expected = m.params();
+        expected.axpy(-0.1, &g);
+        let loss = local_update_ws(&mut m, &data, &cfg, &mut rng, &mut Workspace::new());
+        assert!((loss - loss_before).abs() < 1e-12);
+        assert!(m.params().dist_sq(&expected) < 1e-20);
     }
 
     #[test]
@@ -241,7 +192,8 @@ mod tests {
         let data = toy();
         let empty = data.subset(&[]);
         let mut rng = Rng64::seed_from(4);
-        let mut m = LogisticRegression::new(data.num_features(), data.num_classes());
-        local_update(&mut m, &empty, &SgdConfig::default(), &mut rng);
+        let mut m = logreg(&data);
+        let cfg = SgdConfig::default();
+        local_update_ws(&mut m, &empty, &cfg, &mut rng, &mut Workspace::new());
     }
 }

@@ -8,9 +8,9 @@
 //! bound address in `<root>/serve.addr`, recovers any queue a previous
 //! incarnation left under `<root>/jobs/`, and serves until `POST /shutdown`.
 //! Specs dropped into `<root>/spool/*.toml` are ingested as submissions.
-//! Scale comes from `AIRFEDGA_SCALE`, resolved once at startup; all daemon
-//! logging goes to stderr (job tables print to stdout, exactly as the batch
-//! driver would).
+//! Scale comes from `AIRFEDGA_SCALE` (`full` / `quick`; any other value exits
+//! 2), resolved once at startup; all daemon logging goes to stderr (job
+//! tables print to stdout, exactly as the batch driver would).
 
 use experiments::Scale;
 use jobserver::server::bind_and_record;
@@ -67,7 +67,7 @@ fn main() {
             exit(2);
         }
     };
-    let scale = Scale::from_env();
+    let scale = Scale::from_env_or_exit("airfedga-serve");
     let config = ServerConfig {
         root: args.root.clone(),
         scale,

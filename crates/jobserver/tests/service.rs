@@ -254,6 +254,58 @@ fn cancel_while_running_drains_cooperatively() {
     fs::remove_dir_all(&root).ok();
 }
 
+/// The daemon's second ingest path: one scan of `<root>/spool` turns a valid
+/// spec into a queued job named after the file, sets a broken one aside with
+/// the parse error beside it, and leaves nothing for the next scan. No
+/// executor runs, so the job stays queued and the test needs no [`LOCK`].
+#[test]
+fn spool_scan_ingests_valid_specs_and_sets_broken_ones_aside() {
+    let root = tmp_root("spool");
+    let server = open(&root);
+    assert_eq!(
+        server.spool_scan_once().unwrap(),
+        0,
+        "no spool directory yet"
+    );
+    let spool = root.join("spool");
+    fs::create_dir_all(&spool).unwrap();
+    fs::write(spool.join("nightly_grid.toml"), TINY_SPEC).unwrap();
+    fs::write(spool.join("broken.toml"), "[scenario]\nname = 3\n").unwrap();
+    fs::write(spool.join("notes.txt"), "not a spec").unwrap();
+
+    assert_eq!(server.spool_scan_once().unwrap(), 1);
+    let jobs = server.list();
+    assert_eq!(jobs.len(), 1);
+    assert_eq!(jobs[0].name, "nightly_grid");
+    assert_eq!(jobs[0].state, JobState::Queued);
+    assert_eq!(jobs[0].priority, 0);
+
+    // Both specs moved, byte for byte; the bystander did not.
+    assert!(!spool.join("nightly_grid.toml").exists() && !spool.join("broken.toml").exists());
+    let ingested = fs::read_to_string(spool.join("ingested/nightly_grid.toml")).unwrap();
+    assert_eq!(ingested, TINY_SPEC);
+    assert!(spool.join("rejected/broken.toml").is_file());
+    assert!(spool.join("notes.txt").is_file());
+    // The sidecar carries the parser's own message.
+    let refused = server
+        .submit("broken", 0, "[scenario]\nname = 3\n")
+        .unwrap_err();
+    let sidecar = fs::read_to_string(spool.join("rejected/broken.toml.error")).unwrap();
+    assert_eq!(sidecar, format!("{refused}\n"));
+    assert!(
+        sidecar.contains("line 2") && sidecar.contains("`scenario.name`"),
+        "sidecar was: {sidecar}"
+    );
+
+    assert_eq!(
+        server.spool_scan_once().unwrap(),
+        0,
+        "a second scan re-ingested"
+    );
+    assert_eq!(server.list().len(), 1);
+    fs::remove_dir_all(&root).ok();
+}
+
 // ----------------------------------------------------------------------
 // Kill/restart: the real daemon binary, SIGKILLed mid-job.
 // ----------------------------------------------------------------------
@@ -266,6 +318,25 @@ fn spawn_daemon(root: &Path) -> std::process::Child {
         .stderr(std::process::Stdio::null())
         .spawn()
         .unwrap()
+}
+
+/// A misspelt `AIRFEDGA_SCALE` stops the daemon at startup (it used to serve
+/// every job at paper scale): exit 2, the two values on stderr, no root.
+#[test]
+fn daemon_rejects_an_unrecognised_scale() {
+    let root = tmp_root("badscale");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_airfedga-serve"))
+        .args(["--root", root.to_str().unwrap()])
+        .env("AIRFEDGA_SCALE", "quik")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("airfedga-serve: AIRFEDGA_SCALE must be `full` or `quick`"),
+        "{stderr}"
+    );
+    assert!(!root.exists(), "the daemon opened its root");
 }
 
 fn wait_addr(root: &Path) -> String {

@@ -21,11 +21,11 @@
 //! * `--results-dir DIR` — relocate CSV output away from `results/`.
 //! * `--list-components` — print the registry catalogue and exit.
 //!
-//! Scale comes from `AIRFEDGA_SCALE` (`full` / `quick`). The driver prints
-//! nothing beyond what the scenario's driver prints, so output stays
-//! byte-comparable across schedules, resumes and the job service (CI diffs
-//! them). Exit status: 0 on a clean run, 1 when the grid
-//! finished but lost replicates for good (the failure report goes to
+//! Scale comes from `AIRFEDGA_SCALE` (`full` / `quick`; any other value is a
+//! usage error). The driver prints nothing beyond what the scenario's driver
+//! prints, so output stays byte-comparable across schedules, resumes and the
+//! job service (CI diffs them). Exit status: 0 on a clean run, 1 when the
+//! grid finished but lost replicates for good (the failure report goes to
 //! stderr), 2 on usage/parse errors.
 
 use experiments::scale::Scale;
@@ -56,6 +56,7 @@ fn main() {
             std::process::exit(EXIT_USAGE);
         }
     };
+    let scale = Scale::from_env_or_exit("airfedga-run");
     let text = match std::fs::read_to_string(&path) {
         Ok(text) => text,
         Err(e) => {
@@ -64,7 +65,7 @@ fn main() {
         }
     };
     let path = path.display();
-    match ScenarioSpec::parse(&text).and_then(|spec| execute(&spec, Scale::from_env(), &cli)) {
+    match ScenarioSpec::parse(&text).and_then(|spec| execute(&spec, scale, &cli)) {
         Ok(report) => {
             // Failures (recovered ones included) go to stderr so stdout
             // stays byte-comparable; unrecovered losses make the run fail.

@@ -136,6 +136,22 @@ fn usage_read_and_spec_errors_exit_2() {
         assert!(stderr.contains("--seeds"), "{args:?}: {stderr}");
         assert!(stderr.contains("usage: airfedga-run"), "{args:?}: {stderr}");
     }
+    // A misspelt `AIRFEDGA_SCALE` is a usage error naming the two values,
+    // before anything runs (it used to select paper scale silently).
+    fs::write(dir.join("grid.toml"), GRID_SPEC).unwrap();
+    let out = Command::new(RUN_BIN)
+        .arg("grid.toml")
+        .current_dir(&dir)
+        .env("AIRFEDGA_SCALE", "quik")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("AIRFEDGA_SCALE must be `full` or `quick`") && stderr.contains("\"quik\""),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty() && !dir.join("results").exists());
     // Unreadable file.
     assert_eq!(run_in(&dir, &["no_such_spec.toml"]).status.code(), Some(2));
     // Spec that fails validation.
@@ -333,7 +349,10 @@ fn store_root_and_results_dir_relocation_is_byte_identical() {
 /// Between them they cover every layout rule the renderer owns: one seed vs
 /// many, `--system-seeds` banners, the faulty columns, the energy table, the
 /// speed-up lines, the ξ-sweep and scalability tables, `[n/N]` partial
-/// coverage and `n/a` cells.
+/// coverage and `n/a` cells. `convex_lr` is the exception in age and purpose:
+/// written by the `airfedga-run` of the commit before `LogisticRegression`
+/// became a zero-hidden-layer `Mlp`, it pins the only tier-1 run of
+/// `model = "convex_lr"` (all five mechanisms, evaluated every round).
 const PINNED: &[(&str, &str, bool)] = &[
     ("fig3_s1", "../../scenarios/fig3.toml", true),
     ("fig3_s3", "../../scenarios/fig3.toml --seeds 3", true),
@@ -383,6 +402,7 @@ const PINNED: &[(&str, &str, bool)] = &[
         "tests/golden/grid.toml --seeds 2 --system-seeds",
         false,
     ),
+    ("convex_lr", "tests/golden/convex_lr.toml", true),
 ];
 
 #[test]

@@ -14,11 +14,12 @@ use air_fedga::airfedga::mechanism::{AirFedGa, AirFedGaConfig};
 use air_fedga::airfedga::system::{FlMechanism, FlSystemConfig};
 use air_fedga::airfedga::worker_pool::WorkerPool;
 use air_fedga::baselines::{AirFedAvg, BaselineOptions, Dynamic, DynamicConfig};
-use air_fedga::fedml::dataset::SyntheticSpec;
-use air_fedga::fedml::model::{LogisticRegression, Mlp, Model};
+use air_fedga::fedml::dataset::{Dataset, SyntheticSpec};
+use air_fedga::fedml::model::{Mlp, Model};
 use air_fedga::fedml::params::FlatParams;
 use air_fedga::fedml::partition::{LabelDistribution, Partitioner};
 use air_fedga::fedml::rng::Rng64;
+use air_fedga::fedml::workspace::Workspace;
 use air_fedga::grouping::emd::average_group_emd;
 use air_fedga::grouping::greedy::{greedy_grouping, GreedyGroupingConfig};
 use air_fedga::grouping::objective::{GroupingObjective, ObjectiveConstants};
@@ -28,9 +29,7 @@ use air_fedga::wireless::aircomp::{
     AirAggregationInput, AirAggregationScratch,
 };
 use air_fedga::wireless::power::{optimize_power, transmit_power, PowerControlConfig};
-use reference::{
-    air_aggregate, logreg_loss_and_gradient, mlp_local_update_reference, mlp_loss_and_gradient,
-};
+use reference::{air_aggregate, mlp_evaluate, mlp_local_update_reference, mlp_loss_and_gradient};
 
 mod reference;
 
@@ -227,8 +226,48 @@ fn label_distribution_merge_is_consistent() {
     }
 }
 
-/// The batched GEMM engine reproduces the per-sample reference gradients of
-/// logistic regression to 1e-10 on random models, batches and batch sizes.
+/// The batched engine against the per-sample reference on one model and one
+/// random batch: the mean loss and every gradient coordinate to 1e-10, then
+/// an evaluation of the whole dataset (loss to 1e-10, accuracy exactly — the
+/// reference's argmax prediction per sample).
+fn assert_matches_per_sample_reference(case: usize, model: &Mlp, data: &Dataset, rng: &mut Rng64) {
+    let bsz = 1 + rng.index(data.len());
+    let indices = rng.sample_indices(data.len(), bsz);
+    let (loss_ref, grad_ref) = mlp_loss_and_gradient(model, data, &indices);
+    let (loss, grad) = model.loss_and_gradient(data, &indices);
+    assert!(
+        (loss - loss_ref).abs() < 1e-10,
+        "case {case}: loss {loss} vs reference {loss_ref}"
+    );
+    for (c, (a, b)) in grad.0.iter().zip(grad_ref.0.iter()).enumerate() {
+        assert!(
+            (a - b).abs() < 1e-10,
+            "case {case}: grad coord {c}: {a} vs reference {b}"
+        );
+    }
+    let stats = model.evaluate_ws(data, &mut Workspace::new());
+    let (eval_loss_ref, accuracy_ref) = mlp_evaluate(model, data);
+    assert!(
+        (stats.loss - eval_loss_ref).abs() < 1e-10,
+        "case {case}: evaluated loss {} vs reference {eval_loss_ref}",
+        stats.loss
+    );
+    assert_eq!(stats.accuracy, accuracy_ref, "case {case}");
+}
+
+/// Either no regularisation or a random strength: both sides of the `l2 > 0`
+/// branches.
+fn random_l2(rng: &mut Rng64) -> f64 {
+    if rng.uniform() < 0.5 {
+        0.0
+    } else {
+        rng.uniform_range(1e-4, 0.1)
+    }
+}
+
+/// The batched GEMM engine reproduces the per-sample reference on logistic
+/// regression (the zero-hidden-layer `Mlp`, with and without L2) from random
+/// parameters, on random batches and batch sizes.
 #[test]
 fn batched_logreg_matches_per_sample_reference() {
     for case in 0..CASES {
@@ -236,37 +275,21 @@ fn batched_logreg_matches_per_sample_reference() {
         let data = SyntheticSpec::mnist_like()
             .with_samples_per_class(4 + rng.index(6))
             .generate(&mut rng);
-        let l2 = if rng.uniform() < 0.5 {
-            0.0
-        } else {
-            rng.uniform_range(1e-4, 0.1)
-        };
+        let l2 = random_l2(&mut rng);
         let mut model =
-            LogisticRegression::new(data.num_features(), data.num_classes()).with_l2(l2);
+            Mlp::logistic_regression(data.num_features(), data.num_classes()).with_l2(l2);
         let mut p = model.params();
         for v in p.0.iter_mut() {
             *v = rng.gaussian_with(0.0, 0.3);
         }
         model.set_params(&p);
-        let bsz = 1 + rng.index(data.len());
-        let indices = rng.sample_indices(data.len(), bsz);
-        let (loss_ref, grad_ref) = logreg_loss_and_gradient(&model, &data, &indices);
-        let (loss, grad) = model.loss_and_gradient(&data, &indices);
-        assert!(
-            (loss - loss_ref).abs() < 1e-10,
-            "case {case}: loss {loss} vs reference {loss_ref}"
-        );
-        for (c, (a, b)) in grad.0.iter().zip(grad_ref.0.iter()).enumerate() {
-            assert!(
-                (a - b).abs() < 1e-10,
-                "case {case}: grad coord {c}: {a} vs reference {b}"
-            );
-        }
+        assert_matches_per_sample_reference(case, &model, &data, &mut rng);
     }
 }
 
-/// The batched GEMM engine reproduces the per-sample reference gradients of
-/// random-depth MLPs to 1e-10 on random batches.
+/// The batched GEMM engine reproduces the per-sample reference on
+/// random-depth MLPs, with and without L2 on every layer's weights, on random
+/// batches.
 #[test]
 fn batched_mlp_matches_per_sample_reference() {
     for case in 0..CASES {
@@ -276,21 +299,9 @@ fn batched_mlp_matches_per_sample_reference() {
             .generate(&mut rng);
         let depth = rng.index(3);
         let hidden: Vec<usize> = (0..depth).map(|_| 3 + rng.index(20)).collect();
-        let model = Mlp::new(data.num_features(), &hidden, data.num_classes(), &mut rng);
-        let bsz = 1 + rng.index(data.len());
-        let indices = rng.sample_indices(data.len(), bsz);
-        let (loss_ref, grad_ref) = mlp_loss_and_gradient(&model, &data, &indices);
-        let (loss, grad) = model.loss_and_gradient(&data, &indices);
-        assert!(
-            (loss - loss_ref).abs() < 1e-10,
-            "case {case}: loss {loss} vs reference {loss_ref}"
-        );
-        for (c, (a, b)) in grad.0.iter().zip(grad_ref.0.iter()).enumerate() {
-            assert!(
-                (a - b).abs() < 1e-10,
-                "case {case}: grad coord {c}: {a} vs reference {b}"
-            );
-        }
+        let model = Mlp::new(data.num_features(), &hidden, data.num_classes(), &mut rng)
+            .with_l2(random_l2(&mut rng));
+        assert_matches_per_sample_reference(case, &model, &data, &mut rng);
     }
 }
 
@@ -308,7 +319,6 @@ fn batched_mlp_matches_per_sample_reference() {
 #[test]
 fn batched_local_step_matches_per_sample_reference() {
     use air_fedga::fedml::optimizer::{local_update_ws, SgdConfig};
-    use air_fedga::fedml::workspace::Workspace;
     const TOL: f64 = 1e-10;
     let mut rng = Rng64::seed_from(7109);
     let data = SyntheticSpec::mnist_like()
@@ -399,43 +409,14 @@ fn parallel_rounds_are_bit_identical_to_sequential() {
     }
 }
 
-/// The packed `gemm_nt` agrees with the naive triple loop to 1e-12 on random
-/// shapes and data — same tolerance the unpacked kernel is held to.
-#[test]
-fn packed_gemm_nt_matches_naive() {
-    use air_fedga::fedml::linalg::gemm_nt_packed;
-    let mut rng = Rng64::seed_from(7101);
-    for case in 0..CASES {
-        let m = 1 + rng.index(40);
-        let n = 1 + rng.index(40);
-        let k = 1 + rng.index(60);
-        let a: Vec<f64> = (0..m * k).map(|_| rng.uniform_range(-1.0, 1.0)).collect();
-        let b: Vec<f64> = (0..n * k).map(|_| rng.uniform_range(-1.0, 1.0)).collect();
-        let mut pack = vec![f64::NAN; k * n];
-        let mut c = vec![f64::NAN; m * n];
-        gemm_nt_packed(&a, &b, &mut c, m, n, k, &mut pack);
-        for i in 0..m {
-            for j in 0..n {
-                let mut s = 0.0;
-                for l in 0..k {
-                    s += a[i * k + l] * b[j * k + l];
-                }
-                assert!(
-                    (c[i * n + j] - s).abs() < 1e-12,
-                    "case {case}: packed gemm_nt mismatch at ({i},{j}) of {m}x{n}x{k}"
-                );
-            }
-        }
-    }
-}
-
-/// Every GEMM variant — `gemm_nn`, `gemm_tn`, `gemm_tn_acc`, `gemm_nt`,
-/// `gemm_nt_packed` — computes the same product as a naive triple loop on
-/// degenerate sizes (0 and 1), on sizes one below / at / one above the
-/// micro-kernel's register tile (4 rows × 4 k-steps × `LANES` = 8 columns),
-/// on three layer shapes the workloads train (32×64×64, 32×128×64,
-/// 256×64×128) and on a seeded ragged sweep. Outputs start as NaN, so a
-/// kernel that leaves an element unwritten (say at `k = 0`) fails too.
+/// Every GEMM variant — `gemm_nn` and `gemm_tn_acc`, the latter both as the
+/// plain product (α = 1 over a zero fill) and accumulating at a random α —
+/// computes the same product as a naive triple loop on degenerate sizes
+/// (0 and 1), on sizes one below / at / one above the micro-kernel's register
+/// tile (4 rows × 4 k-steps × `LANES` = 8 columns), on three layer shapes the
+/// workloads train (32×64×64, 32×128×64, 256×64×128) and on a seeded ragged
+/// sweep. `gemm_nn`'s output starts as NaN, so leaving an element unwritten
+/// (say at `k = 0`) fails too.
 ///
 /// Tolerance per element: `4 (k + 2) ε · Σ|x||y|`, the standard forward
 /// error bound of a length-`k` dot product under any summation order (twice,
@@ -443,7 +424,7 @@ fn packed_gemm_nt_matches_naive() {
 /// and final add) — beyond it a difference is a wrong sum, not rounding.
 #[test]
 fn every_gemm_variant_matches_a_naive_triple_loop() {
-    use air_fedga::fedml::linalg::{gemm_nn, gemm_nt, gemm_nt_packed, gemm_tn, gemm_tn_acc};
+    use air_fedga::fedml::linalg::{gemm_nn, gemm_tn_acc};
     let mut shapes = vec![(32, 64, 64), (32, 128, 64), (256, 64, 128)];
     for m in [0, 1, 3, 4, 5] {
         for n in [0, 1, 7, 8, 9] {
@@ -459,12 +440,11 @@ fn every_gemm_variant_matches_a_naive_triple_loop() {
     for (m, n, k) in shapes {
         let mut fill =
             |len: usize| -> Vec<f64> { (0..len).map(|_| rng.uniform_range(-1.0, 1.0)).collect() };
-        // One product C = X · Y (X is m×k, Y is k×n), each operand also in
-        // the transposed layout the `t` side of a kernel reads.
+        // One product C = X · Y (X is m×k, Y is k×n), X also in the
+        // transposed layout the `t` side of a kernel reads.
         let (x, y, c0) = (fill(m * k), fill(k * n), fill(m * n));
         let alpha = 2.0 * fill(1)[0];
         let xt: Vec<f64> = (0..k * m).map(|i| x[(i % m) * k + i / m]).collect();
-        let yt: Vec<f64> = (0..n * k).map(|i| y[(i % k) * n + i / k]).collect();
         let mut want = vec![0.0; m * n];
         let mut bound = vec![0.0; m * n];
         for i in 0..m {
@@ -489,15 +469,9 @@ fn every_gemm_variant_matches_a_naive_triple_loop() {
         let mut c = vec![f64::NAN; m * n];
         gemm_nn(&x, &y, &mut c, m, n, k);
         check("gemm_nn", &c, &want, &bound);
-        c.fill(f64::NAN);
-        gemm_tn(&xt, &y, &mut c, m, n, k);
-        check("gemm_tn", &c, &want, &bound);
-        c.fill(f64::NAN);
-        gemm_nt(&x, &yt, &mut c, m, n, k);
-        check("gemm_nt", &c, &want, &bound);
-        c.fill(f64::NAN);
-        gemm_nt_packed(&x, &yt, &mut c, m, n, k, &mut vec![f64::NAN; k * n]);
-        check("gemm_nt_packed", &c, &want, &bound);
+        c.fill(0.0);
+        gemm_tn_acc(&xt, &y, &mut c, m, n, k, 1.0);
+        check("gemm_tn_acc at 1", &c, &want, &bound);
         c.copy_from_slice(&c0);
         gemm_tn_acc(&xt, &y, &mut c, m, n, k, alpha);
         let want_acc: Vec<f64> = c0.iter().zip(&want).map(|(c, w)| c + alpha * w).collect();

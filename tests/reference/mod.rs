@@ -10,20 +10,34 @@
 //! vectors for logits, softmax outputs, ReLU masks and activations at every
 //! step. It exists as a **correctness oracle**: the property tests assert
 //! that the batched GEMM engine reproduces these gradients to 1e-10 on random
-//! models and batches, and that a whole multi-epoch local update
-//! ([`mlp_local_update_reference`]) lands on the same parameters.
+//! models and batches, that a whole multi-epoch local update
+//! ([`mlp_local_update_reference`]) lands on the same parameters, and that an
+//! evaluation ([`mlp_evaluate`]) reports the same loss and accuracy.
 //!
 //! It intentionally mirrors the mathematical definition rather than sharing
 //! code with the batched implementation.
 
 use fedml::dataset::Dataset;
 use fedml::linalg::Matrix;
-use fedml::loss::cross_entropy_with_grad;
-use fedml::model::{LogisticRegression, Mlp, Model};
+use fedml::model::{Mlp, Model};
 use fedml::optimizer::SgdConfig;
 use fedml::params::FlatParams;
 use fedml::rng::Rng64;
 use wireless::aircomp::{air_aggregate_into, AirAggregationInput, AirAggregationScratch};
+
+/// `y = m x`, the matrix–vector product (`x.len() == m.cols()`).
+fn matvec(m: &Matrix, x: &[f64]) -> Vec<f64> {
+    assert_eq!(x.len(), m.cols(), "matvec dimension mismatch");
+    let mut y = vec![0.0; m.rows()];
+    for (yv, row) in y.iter_mut().zip(m.as_slice().chunks_exact(m.cols())) {
+        let mut acc = 0.0;
+        for (a, b) in row.iter().zip(x.iter()) {
+            acc += a * b;
+        }
+        *yv = acc;
+    }
+    y
+}
 
 /// `y = mᵀ x`, the transposed matrix–vector product (`x.len() == m.rows()`).
 fn matvec_transposed(m: &Matrix, x: &[f64]) -> Vec<f64> {
@@ -73,49 +87,23 @@ fn relu_in_place(x: &mut [f64]) -> Vec<bool> {
     mask
 }
 
-/// Per-sample loss and averaged gradient of a [`LogisticRegression`] model —
-/// the reference implementation of `Model::loss_and_gradient`.
-pub fn logreg_loss_and_gradient(
-    model: &LogisticRegression,
-    data: &Dataset,
-    indices: &[usize],
-) -> (f64, FlatParams) {
-    assert!(!indices.is_empty(), "gradient over an empty batch");
-    let weights = model.weights();
-    let bias = model.bias();
-    let (k, d) = (weights.rows(), weights.cols());
-    let mut grad_w = Matrix::zeros(k, d);
-    let mut grad_b = vec![0.0; k];
-    let mut total_loss = 0.0;
-    let inv_n = 1.0 / indices.len() as f64;
-    for &i in indices {
-        let x = data.sample(i);
-        let mut logits = weights.matvec(x);
-        for (z, b) in logits.iter_mut().zip(bias.iter()) {
-            *z += b;
-        }
-        let (loss, dlogits) = cross_entropy_with_grad(&logits, data.label(i));
-        total_loss += loss;
-        rank_one_update(&mut grad_w, inv_n, &dlogits, x);
-        for (gb, dl) in grad_b.iter_mut().zip(dlogits.iter()) {
-            *gb += inv_n * dl;
-        }
-    }
-    let mut loss = total_loss * inv_n;
-    if model.l2() > 0.0 {
-        loss += 0.5 * model.l2() * weights.frobenius_sq();
-        for (g, w) in grad_w
-            .as_mut_slice()
-            .iter_mut()
-            .zip(weights.as_slice().iter())
-        {
-            *g += model.l2() * w;
-        }
-    }
-    let mut flat = Vec::with_capacity(model.num_params());
-    flat.extend_from_slice(grad_w.as_slice());
-    flat.extend_from_slice(&grad_b);
-    (loss, FlatParams(flat))
+/// Numerically stable softmax over a slice of logits.
+fn softmax(logits: &[f64]) -> Vec<f64> {
+    let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let exps: Vec<f64> = logits.iter().map(|&v| (v - max).exp()).collect();
+    let sum: f64 = exps.iter().sum();
+    exps.into_iter().map(|e| e / sum).collect()
+}
+
+/// Softmax cross-entropy loss of a single sample, `-log p_label(x)` (clamped
+/// away from infinity), and its gradient with respect to the logits,
+/// `softmax(logits) - onehot(label)`.
+fn cross_entropy_with_grad(logits: &[f64], label: usize) -> (f64, Vec<f64>) {
+    assert!(label < logits.len(), "label out of range");
+    let mut p = softmax(logits);
+    let loss = -(p[label].max(1e-15)).ln();
+    p[label] -= 1.0;
+    (loss, p)
 }
 
 /// Forward pass of one sample through an [`Mlp`], returning every layer
@@ -126,7 +114,7 @@ fn mlp_forward_trace(model: &Mlp, x: &[f64]) -> (Vec<Vec<f64>>, Vec<Vec<bool>>, 
     let mut masks: Vec<Vec<bool>> = Vec::with_capacity(depth.saturating_sub(1));
     let mut current = x.to_vec();
     for l in 0..depth {
-        let mut z = model.layer_weights(l).matvec(&current);
+        let mut z = matvec(model.layer_weights(l), &current);
         for (zi, b) in z.iter_mut().zip(model.layer_bias(l).iter()) {
             *zi += b;
         }
@@ -142,9 +130,19 @@ fn mlp_forward_trace(model: &Mlp, x: &[f64]) -> (Vec<Vec<f64>>, Vec<Vec<bool>>, 
     unreachable!("an Mlp always has at least one layer");
 }
 
+/// The regularisation term of the loss, `½ · l2 · Σ_l ‖W_l‖²` (weight
+/// matrices only, not biases).
+fn l2_penalty(model: &Mlp) -> f64 {
+    let norm_sq: f64 = (0..model.depth())
+        .map(|l| model.layer_weights(l).frobenius_sq())
+        .sum();
+    0.5 * model.l2() * norm_sq
+}
+
 /// Per-sample loss and averaged gradient of an [`Mlp`] — the reference
 /// implementation of `Model::loss_and_gradient` (per-sample backprop with
-/// rank-one weight updates).
+/// rank-one weight updates, then the L2 term `l2 · W` on every weight
+/// matrix).
 pub fn mlp_loss_and_gradient(model: &Mlp, data: &Dataset, indices: &[usize]) -> (f64, FlatParams) {
     assert!(!indices.is_empty(), "gradient over an empty batch");
     let depth = model.depth();
@@ -183,11 +181,38 @@ pub fn mlp_loss_and_gradient(model: &Mlp, data: &Dataset, indices: &[usize]) -> 
         }
     }
     let mut flat = Vec::with_capacity(model.num_params());
-    for (gw, gb) in &grads {
+    for (l, (gw, gb)) in grads.iter_mut().enumerate() {
+        let weights = model.layer_weights(l).as_slice();
+        for (g, w) in gw.as_mut_slice().iter_mut().zip(weights) {
+            *g += model.l2() * w;
+        }
         flat.extend_from_slice(gw.as_slice());
         flat.extend_from_slice(gb);
     }
-    (total_loss * inv_n, FlatParams(flat))
+    (total_loss * inv_n + l2_penalty(model), FlatParams(flat))
+}
+
+/// Per-sample mean loss and accuracy of an [`Mlp`] over a whole dataset —
+/// the reference implementation of `Model::evaluate_ws` (one forward trace
+/// per sample; the first of several maximal logits is the prediction).
+pub fn mlp_evaluate(model: &Mlp, data: &Dataset) -> (f64, f64) {
+    let mut total_loss = 0.0;
+    let mut correct = 0usize;
+    for i in 0..data.len() {
+        let (_, _, logits) = mlp_forward_trace(model, data.sample(i));
+        total_loss += cross_entropy_with_grad(&logits, data.label(i)).0;
+        let mut best = 0;
+        for (c, &v) in logits.iter().enumerate() {
+            if v > logits[best] {
+                best = c;
+            }
+        }
+        if best == data.label(i) {
+            correct += 1;
+        }
+    }
+    let n = data.len() as f64;
+    (total_loss / n + l2_penalty(model), correct as f64 / n)
 }
 
 /// The seed's per-sample local SGD step: per mini-batch it runs
@@ -284,6 +309,44 @@ mod tests {
     use fedml::dataset::SyntheticSpec;
 
     #[test]
+    fn matvec_identity() {
+        let eye = Matrix::from_fn(3, 3, |r, c| if r == c { 1.0 } else { 0.0 });
+        let x = vec![1.0, -2.0, 3.5];
+        assert_eq!(matvec(&eye, &x), x);
+    }
+
+    #[test]
+    fn matvec_known_values() {
+        let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let y = matvec(&m, &[1.0, 0.0, -1.0]);
+        assert_eq!(y, vec![-2.0, -2.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn matvec_rejects_bad_dims() {
+        let m = Matrix::zeros(2, 3);
+        let _ = matvec(&m, &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn softmax_sums_to_one_and_is_stable() {
+        let p = softmax(&[1000.0, 1000.0, 999.0]);
+        let sum: f64 = p.iter().sum();
+        assert!((sum - 1.0).abs() < 1e-12);
+        assert!(p.iter().all(|&v| v.is_finite() && v >= 0.0));
+        assert!(p[0] > p[2]);
+    }
+
+    #[test]
+    fn softmax_uniform_for_equal_logits() {
+        let p = softmax(&[0.5; 4]);
+        for v in p {
+            assert!((v - 0.25).abs() < 1e-12);
+        }
+    }
+
+    #[test]
     fn matvec_transposed_matches_manual() {
         let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let y = matvec_transposed(&m, &[2.0, -1.0]);
@@ -328,20 +391,17 @@ mod tests {
             .generate(&mut rng);
         let indices: Vec<usize> = (0..24).collect();
 
-        let lr = LogisticRegression::new(data.num_features(), data.num_classes()).with_l2(0.01);
-        let (l_ref, g_ref) = logreg_loss_and_gradient(&lr, &data, &indices);
-        let (l_new, g_new) = lr.loss_and_gradient(&data, &indices);
-        assert!((l_ref - l_new).abs() < 1e-12);
-        for (a, b) in g_ref.0.iter().zip(g_new.0.iter()) {
-            assert!((a - b).abs() < 1e-12);
-        }
-
-        let mlp = Mlp::new(data.num_features(), &[9, 5], data.num_classes(), &mut rng);
-        let (l_ref, g_ref) = mlp_loss_and_gradient(&mlp, &data, &indices);
-        let (l_new, g_new) = mlp.loss_and_gradient(&data, &indices);
-        assert!((l_ref - l_new).abs() < 1e-12);
-        for (a, b) in g_ref.0.iter().zip(g_new.0.iter()) {
-            assert!((a - b).abs() < 1e-11);
+        let (features, classes) = (data.num_features(), data.num_classes());
+        let lr = Mlp::logistic_regression(features, classes).with_l2(0.01);
+        let mlp = Mlp::new(features, &[9, 5], classes, &mut rng);
+        let ridge = mlp.clone().with_l2(0.01);
+        for model in [lr, mlp, ridge] {
+            let (l_ref, g_ref) = mlp_loss_and_gradient(&model, &data, &indices);
+            let (l_new, g_new) = model.loss_and_gradient(&data, &indices);
+            assert!((l_ref - l_new).abs() < 1e-12);
+            for (a, b) in g_ref.0.iter().zip(g_new.0.iter()) {
+                assert!((a - b).abs() < 1e-11);
+            }
         }
     }
 
@@ -352,13 +412,13 @@ mod tests {
             .with_samples_per_class(8)
             .generate(&mut rng);
         let mut m = Mlp::new(data.num_features(), &[16], data.num_classes(), &mut rng);
-        let before = m.loss(&data);
+        let before = mlp_evaluate(&m, &data).0;
         let cfg = SgdConfig {
             learning_rate: 0.2,
             batch_size: 16,
             local_epochs: 3,
         };
         mlp_local_update_reference(&mut m, &data, &cfg, &mut rng);
-        assert!(m.loss(&data) < before);
+        assert!(mlp_evaluate(&m, &data).0 < before);
     }
 }
