@@ -5,12 +5,14 @@
 //! * [`system`] — the simulated federated-learning system shared by
 //!   Air-FedGA and every baseline: synthetic dataset + Non-IID partition,
 //!   per-worker shards, heterogeneous worker profiles (`κ_i ~ U[1,10]`),
-//!   the wireless configuration of §VI.A.2 and the [`system::FlMechanism`]
-//!   trait every mechanism implements.
+//!   and the wireless configuration of §VI.A.2.
 //! * [`staleness`] — bookkeeping of the per-group model versions and the
 //!   staleness `τ_t` of Eq. (5).
 //! * [`mechanism`] — Algorithm 1: grouping asynchronous federated learning
-//!   via over-the-air computation, driven in virtual time.
+//!   via over-the-air computation, driven in virtual time. One engine,
+//!   parameterised by a grouping and an aggregation back-end; Air-FedGA is
+//!   Algorithm 3's grouping with AirComp, and the `baselines` crate's table
+//!   lists the other pairs.
 //! * [`server`] — the parameter server's half of a round (over-the-air
 //!   aggregation into the global model, periodic evaluation), shared by the
 //!   engine and the Dynamic baseline's own loop.
@@ -24,7 +26,7 @@
 //!
 //! ```
 //! use airfedga::mechanism::{AirFedGa, AirFedGaConfig};
-//! use airfedga::system::{FlMechanism, FlSystemConfig};
+//! use airfedga::system::FlSystemConfig;
 //! use fedml::rng::Rng64;
 //!
 //! let mut cfg = FlSystemConfig::mnist_lr_quick();
@@ -47,6 +49,3 @@ pub mod server;
 pub mod staleness;
 pub mod system;
 pub mod worker_pool;
-
-pub use mechanism::{AirFedGa, AirFedGaConfig};
-pub use system::{FlMechanism, FlSystem, FlSystemConfig};

@@ -5,8 +5,9 @@
 //! train locally, a group aggregates as soon as all of its members are ready
 //! (the intra-group alignment of Algorithm 1, lines 17–29), the global model
 //! is updated with that group's contribution only (Eq. (10)), and the group
-//! immediately receives the new model and starts its next local round. The
-//! engine is parameterised by the aggregation back-end:
+//! immediately receives the new model and starts its next local round. A
+//! mechanism is two choices on top of it — how the workers are grouped, and
+//! how a group's models are combined:
 //!
 //! * [`AggregationMode::AirComp`] — analog over-the-air aggregation over the
 //!   noisy fading MAC, with per-round power control (Algorithm 2). Used by
@@ -15,12 +16,14 @@
 //!   is exact but the upload latency grows linearly with the group size.
 //!   Used by the FedAvg and TiFL baselines.
 //!
-//! [`AirFedGa`] wires the engine to the worker-grouping Algorithm 3 and the
-//! paper's default hyper-parameters.
+//! [`AirFedGa`] is the paper's pair of choices — the worker-grouping
+//! Algorithm 3 at ξ, and AirComp — with the paper's default hyper-parameters.
+//! The comparators' pairs are the rows of the `baselines` crate's mechanism
+//! table.
 
 use crate::server::Server;
 use crate::staleness::StalenessTracker;
-use crate::system::{FlMechanism, FlSystem};
+use crate::system::FlSystem;
 use crate::worker_pool::WorkerPool;
 use fedml::params::FlatParams;
 use fedml::rng::Rng64;
@@ -29,27 +32,22 @@ use grouping::objective::{GroupingObjective, ObjectiveConstants};
 use grouping::worker_info::Grouping;
 use simcore::events::EventQueue;
 use simcore::trace::{FaultEvent, FaultEventKind, TrainingTrace};
-use wireless::timing::OmaScheme;
 
 /// How a group's local models are combined into the group estimate.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggregationMode {
-    /// Analog over-the-air aggregation (Eq. (9)/(10)).
-    AirComp {
-        /// Run Algorithm 2 each round; if false, `σ_t = η_t = 1`.
-        power_control: bool,
-        /// Add the AWGN of Eq. (9); if false the channel is noiseless.
-        noise: bool,
-    },
+    /// Analog over-the-air aggregation (Eq. (9)/(10)): Algorithm 2's power
+    /// control each round, over the AWGN of the system's
+    /// `wireless.noise_variance`.
+    AirComp,
     /// Ideal digital aggregation over orthogonal channels: exact weighted
     /// average, upload latency linear in the group size.
-    OmaIdeal {
-        /// Which OMA flavour provides the latency model.
-        scheme: OmaScheme,
-    },
+    OmaIdeal,
 }
 
-/// Engine options shared by Air-FedGA and the group-structured baselines.
+/// The round budget of one training run — the one struct that carries it
+/// from the experiment runner to the round loops (this engine and the Dynamic
+/// baseline's), whatever the mechanism.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineOptions {
     /// Number of global aggregation rounds `T` to simulate.
@@ -58,17 +56,19 @@ pub struct EngineOptions {
     pub eval_every: usize,
     /// Stop early once the virtual clock passes this time (seconds).
     pub max_virtual_time: Option<f64>,
-    /// Aggregation back-end.
-    pub aggregation: AggregationMode,
     /// Run each round's per-member local updates on the persistent worker pool.
     /// Traces are bit-identical either way (each worker owns its RNG stream
-    /// and scratch state, and the reduction order is fixed); `false` is only
-    /// useful for profiling the sequential engine.
+    /// and scratch state, and the reduction order is fixed); `false` is the
+    /// tests' in-process sequential reference.
     pub parallel: bool,
 }
 
 impl EngineOptions {
-    fn validate(&self) {
+    /// Panic on a budget no loop can run. Each round loop calls this before
+    /// anything else: the one place inside the program that checks the
+    /// budget (the scenario parser rejects the same values, with a line
+    /// number, where they arrive from outside).
+    pub fn validate(&self) {
         assert!(self.total_rounds > 0, "need at least one round");
         assert!(self.eval_every > 0, "eval_every must be positive");
         if let Some(t) = self.max_virtual_time {
@@ -77,12 +77,14 @@ impl EngineOptions {
     }
 }
 
-/// Effective latency of group `members` dispatched at `dispatch` under the
-/// system's fault plan: the slowest *up-at-dispatch* member, slowdown-scaled,
-/// capped at the straggler deadline. When nobody is up at dispatch the group
-/// still waits a full (slowdown-scaled) round — it only discovers it has
-/// nothing to aggregate when its ready event fires.
-fn faulty_group_latency(system: &FlSystem, members: &[usize], dispatch: f64) -> f64 {
+/// How long the group `members` dispatched at `dispatch` stays open under the
+/// system's fault plan: until its slowest *up-at-dispatch* member finishes,
+/// slowdown-scaled, capped at the straggler deadline. When nobody is up at
+/// dispatch the group still waits a full (slowdown-scaled) round — it only
+/// discovers it has nothing to aggregate when its ready event fires. Under
+/// the empty plan (everyone up, slowdown exactly 1.0, no deadline) this is
+/// the slowest member's training time, bit for bit.
+fn group_latency(system: &FlSystem, members: &[usize], dispatch: f64) -> f64 {
     let faults = &system.faults;
     let scaled = |w: usize| system.local_training_time(w) * faults.slowdown(w);
     let mut raw = members
@@ -102,8 +104,9 @@ fn faulty_group_latency(system: &FlSystem, members: &[usize], dispatch: f64) -> 
 
 /// Members of the group dispatched at `dispatch` that actually deliver an
 /// update at `ready`: up at dispatch, up and outage-free at the aggregation
-/// instant, and finished (slowdown included) before the group closed.
-fn faulty_participants(
+/// instant, and finished (slowdown included) before the group closed. Under
+/// the empty plan that is every member.
+fn delivering_members(
     system: &FlSystem,
     members: &[usize],
     dispatch: f64,
@@ -121,7 +124,7 @@ fn faulty_participants(
 }
 
 /// Simulate group-asynchronous federated learning over `system` with the
-/// given `grouping`, returning the training trace.
+/// given `grouping` and aggregation back-end, returning the training trace.
 ///
 /// The simulation is event-driven in virtual time: each group's "ready" event
 /// fires when its slowest member finishes local training; aggregation then
@@ -129,6 +132,11 @@ fn faulty_participants(
 /// the group is re-dispatched. With a single group the schedule degenerates to
 /// synchronous FL, so the same engine also powers the FedAvg / Air-FedAvg
 /// baselines.
+///
+/// There is one schedule: a round's wait and its participants always come
+/// from the system's fault plan, whose empty form answers every query with
+/// the neutral value. Only the fault log's participation counters depend on
+/// the plan being enabled — a fault-free run carries an empty log.
 ///
 /// The local-training hot path is allocation-free in steady state: every
 /// worker owns a persistent [`WorkerPool`] slot (model, RNG stream, scratch
@@ -140,6 +148,7 @@ fn faulty_participants(
 pub fn run_group_async(
     system: &FlSystem,
     grouping: &Grouping,
+    aggregation: AggregationMode,
     opts: &EngineOptions,
     mechanism_name: &str,
     rng: &mut Rng64,
@@ -157,25 +166,15 @@ pub fn run_group_async(
 
     let m = grouping.num_groups();
     let mut dispatch_params: Vec<FlatParams> = vec![server.global().clone(); m];
+    let mut dispatch_times: Vec<f64> = vec![0.0; m];
     let mut staleness = StalenessTracker::new(m);
     let mut pool = WorkerPool::new(system, rng);
-
-    // Fault bookkeeping. When the plan is disabled (the historical case) the
-    // engine takes exactly the pre-fault code path — same calls, same float
-    // ops — so zero-fault traces stay bit-identical.
-    let fault_on = system.faults.enabled();
-    let mut dispatch_times: Vec<f64> = vec![0.0; m];
-    let mut participants_buf: Vec<usize> = Vec::new();
+    let mut participants: Vec<usize> = Vec::new();
 
     // Initial dispatch: every group starts local training on w_0 at time 0.
     let mut queue: EventQueue<usize> = EventQueue::new();
     for j in 0..m {
-        let latency = if fault_on {
-            faulty_group_latency(system, grouping.group(j), 0.0)
-        } else {
-            grouping.group_max_latency(j, &system.worker_infos)
-        };
-        queue.push(latency, j);
+        queue.push(group_latency(system, grouping.group(j), 0.0), j);
     }
 
     // Record the starting point (round 0).
@@ -187,35 +186,27 @@ pub fn run_group_async(
         // installed token) and any injected test fault. Neither touches
         // floats or RNG state, so instrumented runs stay bit-identical.
         simcore::cancel::checkpoint(round);
-        if fault_on {
-            system.faults.injected_fault(round);
-        }
+        system.faults.injected_fault(round);
         let Some((ready_time, j)) = queue.pop() else {
             break;
         };
         let members = grouping.group(j);
 
-        // Who actually delivers an update this round. Fault-free runs use the
-        // full member list (no filtering, no extra work); faulty runs keep the
-        // members that were up at dispatch, finished before the group closed
-        // (deadline and slowdown included) and can upload at aggregation time.
-        let participants: &[usize] = if fault_on {
-            faulty_participants(
-                system,
-                members,
-                dispatch_times[j],
-                ready_time,
-                &mut participants_buf,
-            );
-            trace
-                .faults
-                .record_round(participants_buf.len(), members.len());
-            &participants_buf
-        } else {
-            members
-        };
+        // Who actually delivers an update this round: the members that were
+        // up at dispatch, finished before the group closed (deadline and
+        // slowdown included) and can upload at aggregation time.
+        delivering_members(
+            system,
+            members,
+            dispatch_times[j],
+            ready_time,
+            &mut participants,
+        );
+        if system.faults.enabled() {
+            trace.faults.record_round(participants.len(), members.len());
+        }
 
-        let group_data = server.weigh(participants);
+        let group_data = server.weigh(&participants);
 
         // Graceful degradation: when nothing can be aggregated — every member
         // dropped, deadlined or in outage, or the surviving members hold no
@@ -235,22 +226,20 @@ pub fn run_group_async(
             }
             dispatch_params[j].clone_from(server.global());
             let next_dispatch = ready_time + wireless.broadcast_latency;
-            let latency = if fault_on {
-                dispatch_times[j] = next_dispatch;
-                faulty_group_latency(system, members, next_dispatch)
-            } else {
-                grouping.group_max_latency(j, &system.worker_infos)
-            };
-            queue.push(next_dispatch + latency, j);
+            dispatch_times[j] = next_dispatch;
+            queue.push(
+                next_dispatch + group_latency(system, members, next_dispatch),
+                j,
+            );
             continue;
         }
 
         // Upload latency depends on the aggregation back-end (and, for OMA,
         // on how many members actually upload).
-        let upload_latency = match opts.aggregation {
-            AggregationMode::AirComp { .. } => wireless.aircomp_aggregation_time(model_dim),
-            AggregationMode::OmaIdeal { scheme } => {
-                wireless.oma_round_upload_time(scheme, model_dim, participants.len())
+        let upload_latency = match aggregation {
+            AggregationMode::AirComp => wireless.aircomp_aggregation_time(model_dim),
+            AggregationMode::OmaIdeal => {
+                wireless.oma_round_upload_time(model_dim, participants.len())
             }
         };
         let aggregation_time = ready_time + upload_latency;
@@ -265,30 +254,23 @@ pub fn run_group_async(
         // group's members when enabled.
         {
             let _train_span = telemetry::span!("train", participants.len());
-            pool.train_members(participants, &dispatch_params[j], system, opts.parallel);
+            pool.train_members(&participants, &dispatch_params[j], system, opts.parallel);
         }
 
         // Aggregate the group's local models into the group estimate.
         let agg_span = telemetry::span!("aggregate", participants.len());
-        match opts.aggregation {
-            AggregationMode::AirComp {
-                power_control,
-                noise,
-            } => {
-                server.aggregate_over_the_air(
-                    &pool,
-                    participants,
-                    |w, rng| system.channel.draw_worker(w, rng),
-                    power_control,
-                    noise,
-                    round,
-                    rng,
-                );
-            }
+        match aggregation {
+            AggregationMode::AirComp => server.aggregate_over_the_air(
+                &pool,
+                &participants,
+                |w, rng| system.channel.draw_worker(w, rng),
+                round,
+                rng,
+            ),
             // Exact weighted average of the participants' local models.
             // Weights are re-normalised over the survivors (`group_data > 0`
             // is guaranteed by the skip guard above).
-            AggregationMode::OmaIdeal { .. } => server.aggregate_exact(&pool, participants),
+            AggregationMode::OmaIdeal => server.aggregate_exact(&pool, &participants),
         };
 
         // Staleness bookkeeping of the global update (Eq. (10)) just applied.
@@ -306,13 +288,11 @@ pub fn run_group_async(
         let _dispatch_span = telemetry::span!("dispatch", j);
         dispatch_params[j].clone_from(server.global());
         let next_dispatch = aggregation_time + wireless.broadcast_latency;
-        let latency = if fault_on {
-            dispatch_times[j] = next_dispatch;
-            faulty_group_latency(system, members, next_dispatch)
-        } else {
-            grouping.group_max_latency(j, &system.worker_infos)
-        };
-        queue.push(next_dispatch + latency, j);
+        dispatch_times[j] = next_dispatch;
+        queue.push(
+            next_dispatch + group_latency(system, members, next_dispatch),
+            j,
+        );
     }
     trace
 }
@@ -327,19 +307,8 @@ pub struct AirFedGaConfig {
     /// The ξ parameter of constraint (36d) controlling intra-group latency
     /// similarity (the paper finds ξ ≈ 0.3 optimal, Fig. 8).
     pub xi: f64,
-    /// Convergence constants used inside the grouping objective.
-    pub objective: ObjectiveConstants,
-    /// Run Algorithm 2 power control each round.
-    pub power_control: bool,
-    /// Simulate channel noise (σ₀² from the wireless config).
-    pub channel_noise: bool,
     /// Optional virtual-time budget (seconds).
     pub max_virtual_time: Option<f64>,
-    /// Use this grouping instead of running Algorithm 3 (for ablations).
-    pub grouping_override: Option<Grouping>,
-    /// Train each round's group members on the persistent worker pool
-    /// (bit-identical to sequential execution; see [`EngineOptions`]).
-    pub parallel: bool,
 }
 
 impl Default for AirFedGaConfig {
@@ -348,12 +317,7 @@ impl Default for AirFedGaConfig {
             total_rounds: 300,
             eval_every: 5,
             xi: 0.3,
-            objective: ObjectiveConstants::default(),
-            power_control: true,
-            channel_noise: true,
             max_virtual_time: None,
-            grouping_override: None,
-            parallel: true,
         }
     }
 }
@@ -365,37 +329,27 @@ pub struct AirFedGa {
 }
 
 impl AirFedGa {
+    /// The mechanism's name in traces, figures and tables.
+    pub const NAME: &'static str = "Air-FedGA";
+
     /// Create the mechanism with the given configuration.
     pub fn new(config: AirFedGaConfig) -> Self {
         assert!((0.0..=1.0).contains(&config.xi), "xi must lie in [0,1]");
         Self { config }
     }
 
-    /// Access the configuration.
-    pub fn config(&self) -> &AirFedGaConfig {
-        &self.config
-    }
-
-    /// The grouping Algorithm 3 produces for this system (or the override).
+    /// The grouping Algorithm 3 produces for this system at the configured ξ.
     pub fn grouping_for(&self, system: &FlSystem) -> Grouping {
-        if let Some(g) = &self.config.grouping_override {
-            assert_eq!(
-                g.num_workers(),
-                system.num_workers(),
-                "grouping override does not match the system"
-            );
-            return g.clone();
-        }
         let objective = GroupingObjective::new(
             system.aircomp_aggregation_time(),
             self.config.xi,
-            self.config.objective,
+            ObjectiveConstants::default(),
         );
         greedy_grouping(&system.worker_infos, &GreedyGroupingConfig::new(objective))
     }
 
-    /// Run Air-FedGA with an explicit grouping (used by the ξ-sweep of
-    /// Fig. 8 and by ablations).
+    /// Run Air-FedGA's engine (AirComp under Algorithm 2) with an explicit
+    /// grouping instead of Algorithm 3's — the ablations' entry point.
     pub fn run_with_grouping(
         &self,
         system: &FlSystem,
@@ -406,22 +360,16 @@ impl AirFedGa {
             total_rounds: self.config.total_rounds,
             eval_every: self.config.eval_every,
             max_virtual_time: self.config.max_virtual_time,
-            aggregation: AggregationMode::AirComp {
-                power_control: self.config.power_control,
-                noise: self.config.channel_noise,
-            },
-            parallel: self.config.parallel,
+            parallel: true,
         };
-        run_group_async(system, grouping, &opts, self.name(), rng)
-    }
-}
-
-impl FlMechanism for AirFedGa {
-    fn name(&self) -> &'static str {
-        "Air-FedGA"
+        let aggregation = AggregationMode::AirComp;
+        run_group_async(system, grouping, aggregation, &opts, Self::NAME, rng)
     }
 
-    fn run(&self, system: &FlSystem, rng: &mut Rng64) -> TrainingTrace {
+    /// Simulate one full training run over the given system and return its
+    /// trace. All run-specific randomness comes from `rng`, so runs are
+    /// reproducible.
+    pub fn run(&self, system: &FlSystem, rng: &mut Rng64) -> TrainingTrace {
         let grouping = self.grouping_for(system);
         self.run_with_grouping(system, &grouping, rng)
     }
@@ -429,6 +377,7 @@ impl FlMechanism for AirFedGa {
 
 #[cfg(test)]
 mod tests {
+    use super::AggregationMode::{AirComp, OmaIdeal};
     use super::*;
     use crate::system::FlSystemConfig;
 
@@ -442,6 +391,16 @@ mod tests {
             total_rounds: rounds,
             eval_every: 2,
             ..AirFedGaConfig::default()
+        }
+    }
+
+    /// A budget of `rounds` rounds, evaluated after each.
+    fn engine_options(rounds: usize, parallel: bool) -> EngineOptions {
+        EngineOptions {
+            total_rounds: rounds,
+            eval_every: 1,
+            max_virtual_time: None,
+            parallel,
         }
     }
 
@@ -471,22 +430,18 @@ mod tests {
         assert_eq!(grouping.num_workers(), system.num_workers());
         let objective = GroupingObjective::new(
             system.aircomp_aggregation_time(),
-            mech.config().xi,
-            mech.config().objective,
+            AirFedGaConfig::default().xi,
+            ObjectiveConstants::default(),
         );
         assert!(objective.satisfies_xi(&grouping, &system.worker_infos));
     }
 
     #[test]
-    fn single_group_override_behaves_synchronously() {
+    fn single_group_behaves_synchronously() {
         let system = quick_system(4);
-        let cfg = AirFedGaConfig {
-            grouping_override: Some(Grouping::single_group(system.num_workers())),
-            ..quick_config(10)
-        };
-        let mech = AirFedGa::new(cfg);
-        let mut rng = Rng64::seed_from(5);
-        let trace = mech.run(&system, &mut rng);
+        let mech = AirFedGa::new(quick_config(10));
+        let grouping = Grouping::single_group(system.num_workers());
+        let trace = mech.run_with_grouping(&system, &grouping, &mut Rng64::seed_from(5));
         // Synchronous: every round takes at least the slowest worker's time.
         let slowest = (0..system.num_workers())
             .map(|i| system.local_training_time(i))
@@ -496,13 +451,14 @@ mod tests {
 
     #[test]
     fn noiseless_run_outperforms_or_matches_noisy_run() {
-        let system = quick_system(6);
-        let mut noisy_cfg = quick_config(40);
-        noisy_cfg.channel_noise = true;
-        let mut clean_cfg = quick_config(40);
-        clean_cfg.channel_noise = false;
-        let noisy = AirFedGa::new(noisy_cfg).run(&system, &mut Rng64::seed_from(7));
-        let clean = AirFedGa::new(clean_cfg).run(&system, &mut Rng64::seed_from(7));
+        // The same system twice, the second over a noiseless channel.
+        let noisy_system = quick_system(6);
+        let mut clean_cfg = FlSystemConfig::mnist_lr_quick();
+        clean_cfg.wireless.noise_variance = 0.0;
+        let clean_system = clean_cfg.build(&mut Rng64::seed_from(6));
+        let mech = AirFedGa::new(quick_config(40));
+        let noisy = mech.run(&noisy_system, &mut Rng64::seed_from(7));
+        let clean = mech.run(&clean_system, &mut Rng64::seed_from(7));
         assert!(clean.final_loss() <= noisy.final_loss() * 1.15);
     }
 
@@ -523,26 +479,11 @@ mod tests {
     fn parallel_and_sequential_engines_produce_identical_traces() {
         let system = quick_system(20);
         let grouping = AirFedGa::new(quick_config(1)).grouping_for(&system);
-        let base = EngineOptions {
-            total_rounds: 25,
-            eval_every: 1,
-            max_virtual_time: None,
-            aggregation: AggregationMode::AirComp {
-                power_control: true,
-                noise: true,
-            },
-            parallel: true,
-        };
-        let mut seq_opts = base.clone();
-        seq_opts.parallel = false;
-        let par = run_group_async(&system, &grouping, &base, "par", &mut Rng64::seed_from(21));
-        let seq = run_group_async(
-            &system,
-            &grouping,
-            &seq_opts,
-            "seq",
-            &mut Rng64::seed_from(21),
-        );
+        let [par, seq] = [true, false].map(|parallel| {
+            let opts = engine_options(25, parallel);
+            let rng = &mut Rng64::seed_from(21);
+            run_group_async(&system, &grouping, AirComp, &opts, "run", rng)
+        });
         assert_eq!(par.points().len(), seq.points().len());
         for (a, b) in par.points().iter().zip(seq.points()) {
             assert_eq!(a.round, b.round);
@@ -572,26 +513,11 @@ mod tests {
     fn churn_run_is_bit_identical_parallel_vs_sequential() {
         let system = churn_system(30);
         let grouping = AirFedGa::new(quick_config(1)).grouping_for(&system);
-        let base = EngineOptions {
-            total_rounds: 30,
-            eval_every: 1,
-            max_virtual_time: None,
-            aggregation: AggregationMode::AirComp {
-                power_control: true,
-                noise: true,
-            },
-            parallel: true,
-        };
-        let mut seq_opts = base.clone();
-        seq_opts.parallel = false;
-        let par = run_group_async(&system, &grouping, &base, "par", &mut Rng64::seed_from(31));
-        let seq = run_group_async(
-            &system,
-            &grouping,
-            &seq_opts,
-            "seq",
-            &mut Rng64::seed_from(31),
-        );
+        let [par, seq] = [true, false].map(|parallel| {
+            let opts = engine_options(30, parallel);
+            let rng = &mut Rng64::seed_from(31);
+            run_group_async(&system, &grouping, AirComp, &opts, "run", rng)
+        });
         assert_eq!(par.points().len(), seq.points().len());
         for (a, b) in par.points().iter().zip(seq.points()) {
             assert_eq!(a.loss.to_bits(), b.loss.to_bits());
@@ -639,16 +565,9 @@ mod tests {
         let n = system.num_workers();
         // Grouping that isolates the empty worker in its own group.
         let grouping = Grouping::new(vec![vec![0], (1..n).collect()], n);
-        let opts = EngineOptions {
-            total_rounds: 8,
-            eval_every: 1,
-            max_virtual_time: None,
-            aggregation: AggregationMode::OmaIdeal {
-                scheme: OmaScheme::Tdma,
-            },
-            parallel: false,
-        };
-        let trace = run_group_async(&system, &grouping, &opts, "oma", &mut Rng64::seed_from(37));
+        let opts = engine_options(8, false);
+        let rng = &mut Rng64::seed_from(37);
+        let trace = run_group_async(&system, &grouping, OmaIdeal, &opts, "oma", rng);
         assert!(
             trace
                 .faults
@@ -676,22 +595,11 @@ mod tests {
     fn oma_engine_single_group_is_slower_per_round_than_aircomp() {
         let system = quick_system(12);
         let grouping = Grouping::single_group(system.num_workers());
-        let base = EngineOptions {
-            total_rounds: 5,
-            eval_every: 1,
-            max_virtual_time: None,
-            aggregation: AggregationMode::AirComp {
-                power_control: true,
-                noise: true,
-            },
-            parallel: true,
-        };
-        let mut oma = base.clone();
-        oma.aggregation = AggregationMode::OmaIdeal {
-            scheme: OmaScheme::Tdma,
-        };
-        let air = run_group_async(&system, &grouping, &base, "air", &mut Rng64::seed_from(13));
-        let dig = run_group_async(&system, &grouping, &oma, "oma", &mut Rng64::seed_from(13));
+        let opts = engine_options(5, true);
+        let [air, dig] = [AirComp, OmaIdeal].map(|aggregation| {
+            let rng = &mut Rng64::seed_from(13);
+            run_group_async(&system, &grouping, aggregation, &opts, "run", rng)
+        });
         assert!(dig.average_round_time() > air.average_round_time());
     }
 }

@@ -49,7 +49,7 @@ impl<'a> Server<'a> {
         Self {
             system,
             global: template.params(),
-            ledger: EnergyLedger::new(system.num_workers()),
+            ledger: EnergyLedger::default(),
             data_sizes: Vec::new(),
             gains: Vec::new(),
             estimate: FlatParams::zeros(system.model_dim()),
@@ -94,11 +94,9 @@ impl<'a> Server<'a> {
         });
     }
 
-    /// Close the round in the ledger and apply the asynchronous global
-    /// update of Eq. (10): fold the estimate of the group last
-    /// [weighed](Self::weigh) into the global model.
+    /// Apply the asynchronous global update of Eq. (10): fold the estimate of
+    /// the group last [weighed](Self::weigh) into the global model.
     fn apply_estimate(&mut self) {
-        self.ledger.finish_round();
         apply_group_update_in_place(
             &mut self.global,
             &self.estimate,
@@ -112,7 +110,7 @@ impl<'a> Server<'a> {
     /// here — and apply the result to the global model. The weights `D_i /
     /// D_j` are over the participants last [weighed](Self::weigh), whose
     /// `D_j` must be positive.
-    pub fn aggregate_exact(&mut self, pool: &WorkerPool, participants: &[usize]) {
+    pub(crate) fn aggregate_exact(&mut self, pool: &WorkerPool, participants: &[usize]) {
         self.estimate.as_mut_slice().fill(0.0);
         for (k, &w) in participants.iter().enumerate() {
             self.estimate
@@ -124,9 +122,9 @@ impl<'a> Server<'a> {
     /// Aggregate the participants' local models (in `pool`, after their local
     /// update) over the noisy fading MAC and apply the result to the global
     /// model: take each participant's channel gain from `gain_of(worker,
-    /// rng)`, bound the local norms, run Algorithm 2 for `(σ_t, η_t)` when
-    /// `power_control` is on (both 1 otherwise), superpose with the AWGN of
-    /// Eq. (9) when `noise` is on, charge each participant's transmit energy
+    /// rng)`, bound the local norms, run Algorithm 2 for `(σ_t, η_t)`,
+    /// superpose with the AWGN of Eq. (9) at the system's
+    /// `wireless.noise_variance`, charge each participant's transmit energy
     /// to the ledger, then apply Eq. (10). Expects `participants`
     /// [weighed](Self::weigh).
     ///
@@ -134,14 +132,11 @@ impl<'a> Server<'a> {
     /// a diverged run must stop rather than trace `inf` / NaN. Each cached
     /// norm is checked on its own: folding them first would lose a NaN
     /// (`f64::max` drops it).
-    #[allow(clippy::too_many_arguments)]
     pub fn aggregate_over_the_air(
         &mut self,
         pool: &WorkerPool,
         participants: &[usize],
         mut gain_of: impl FnMut(usize, &mut Rng64) -> f64,
-        power_control: bool,
-        noise: bool,
         round: usize,
         rng: &mut Rng64,
     ) {
@@ -160,20 +155,14 @@ impl<'a> Server<'a> {
             norm_bound = norm_bound.max(norm_sq.sqrt());
         }
         let norm_bound = norm_bound.max(1e-9);
-        let (sigma, eta) = if power_control {
-            self.power.set_group(
-                norm_bound,
-                &self.data_sizes,
-                &self.gains,
-                wireless.energy_budget,
-            );
-            self.power.noise_variance = wireless.noise_variance;
-            let sol = optimize_power(&self.power);
-            (sol.sigma, sol.eta)
-        } else {
-            (1.0, 1.0)
-        };
-        let noise_var = if noise { wireless.noise_variance } else { 0.0 };
+        self.power.set_group(
+            norm_bound,
+            &self.data_sizes,
+            &self.gains,
+            wireless.energy_budget,
+        );
+        self.power.noise_variance = wireless.noise_variance;
+        let power = optimize_power(&self.power);
         // Gather straight from the round-persistent buffers (no per-round
         // Vec<AirAggregationInput>), one pass over each local model: its
         // norm² was cached by the local update.
@@ -186,15 +175,15 @@ impl<'a> Server<'a> {
                 params: pool.local(participants[k]),
             },
             |k| pool.local_norm_sq(participants[k]),
-            sigma,
-            eta,
-            noise_var,
+            power.sigma,
+            power.eta,
+            wireless.noise_variance,
             rng,
             &mut self.estimate,
             &mut self.energies,
         );
-        for (k, &w) in participants.iter().enumerate() {
-            self.ledger.record(w, self.energies[k]);
+        for &energy in &self.energies {
+            self.ledger.record(energy);
         }
         self.apply_estimate();
     }

@@ -1,12 +1,12 @@
-//! The simulated federated-learning system and the mechanism interface.
+//! The simulated federated-learning system.
 //!
 //! Everything the paper's evaluation varies — dataset, model, worker count,
 //! Non-IID partition, heterogeneity, wireless constants — is captured by
 //! [`FlSystemConfig`]; [`FlSystemConfig::build`] materialises it into an
 //! [`FlSystem`] (shards, worker profiles, channel model, evaluation set)
-//! that every mechanism consumes through the [`FlMechanism`] trait. Keeping
-//! the system identical across mechanisms is what makes the comparisons of
-//! Figs. 3–6 and Fig. 10 fair: only the aggregation strategy differs.
+//! that every mechanism runs over, immutably. Keeping the system identical
+//! across mechanisms is what makes the comparisons of Figs. 3–6 and Fig. 10
+//! fair: only the grouping and the aggregation strategy differ.
 
 use faults::{FaultPlan, FaultSpec};
 use fedml::dataset::{Dataset, SyntheticSpec};
@@ -15,7 +15,6 @@ use fedml::optimizer::SgdConfig;
 use fedml::partition::Partitioner;
 use fedml::rng::Rng64;
 use grouping::worker_info::WorkerInfo;
-use simcore::trace::TrainingTrace;
 use simcore::worker::{HeterogeneityModel, WorkerProfile};
 use wireless::channel::ChannelModel;
 use wireless::timing::WirelessConfig;
@@ -45,8 +44,8 @@ pub struct FlSystemConfig {
     pub wireless: WirelessConfig,
     /// Local SGD configuration (learning rate `γ`, batch size, epochs).
     pub sgd: SgdConfig,
-    /// Injected fault statistics ([`FaultSpec::none`] by default — the
-    /// historical fault-free system).
+    /// Injected fault statistics ([`FaultSpec::none`] by default: a
+    /// fault-free system).
     pub faults: FaultSpec,
 }
 
@@ -201,15 +200,15 @@ pub struct FlSystem {
     /// Per-worker local shards.
     pub shards: Vec<Dataset>,
     /// Per-worker latency/heterogeneity profiles.
-    pub profiles: Vec<WorkerProfile>,
+    pub(crate) profiles: Vec<WorkerProfile>,
     /// Per-worker summaries consumed by the grouping algorithms.
     pub worker_infos: Vec<WorkerInfo>,
     /// The wireless channel model (per-round fading gains).
     pub channel: ChannelModel,
     /// The initial model (also serves as the gradient-evaluation template).
     pub template: Box<dyn Model>,
-    /// Compiled per-worker fault traces ([`FaultPlan::none`] when the config
-    /// injects no faults — the common case, with zero overhead).
+    /// Compiled per-worker fault traces ([`FaultPlan::none`], whose every
+    /// answer is the neutral one, when the config injects no faults).
     pub faults: FaultPlan,
 }
 
@@ -250,17 +249,6 @@ impl FlSystem {
     pub fn workload_label(&self) -> String {
         format!("{} on {}", self.config.model.label(), self.train.name())
     }
-}
-
-/// Interface implemented by Air-FedGA and by every baseline mechanism.
-pub trait FlMechanism {
-    /// Human-readable mechanism name (used in traces, figures and tables).
-    fn name(&self) -> &'static str;
-
-    /// Simulate one full training run over the given system and return its
-    /// trace. Implementations must not mutate the system; all run-specific
-    /// randomness comes from `rng` so runs are reproducible.
-    fn run(&self, system: &FlSystem, rng: &mut Rng64) -> TrainingTrace;
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@ use parallel::prelude::*;
 use crate::system::FlSystem;
 
 /// One simulated worker's private training state.
-pub struct WorkerSlot {
+struct WorkerSlot {
     /// The worker's model instance (used as the gradient-evaluation
     /// template; its parameters are overwritten from the dispatched global
     /// model at the start of every local update).
@@ -38,8 +38,6 @@ pub struct WorkerSlot {
     /// `local.norm_sq()`, computed once at the end of the update (inside the
     /// parallel fan-out) for the power-control bound and the transmit energy.
     local_norm_sq: f64,
-    /// Mean training loss of the most recent update.
-    last_loss: f64,
 }
 
 /// One slot per worker, plus the scratch needed to hand a round's members to
@@ -62,7 +60,6 @@ impl WorkerPool {
                 ws: Workspace::new(),
                 local: FlatParams::zeros(q),
                 local_norm_sq: 0.0,
-                last_loss: 0.0,
             })
             .collect();
         Self {
@@ -89,7 +86,7 @@ impl WorkerPool {
         self.sorted_members.sort_unstable();
         let sgd = &system.config.sgd;
         let train_one = |w: usize, slot: &mut WorkerSlot| {
-            slot.last_loss = local_update_from_ws(
+            local_update_from_ws(
                 slot.model.as_mut(),
                 dispatch,
                 &system.shards[w],
@@ -131,11 +128,6 @@ impl WorkerPool {
     pub fn local_norm_sq(&self, w: usize) -> f64 {
         self.slots[w].local_norm_sq
     }
-
-    /// Mean training loss of worker `w`'s most recent update.
-    pub fn last_loss(&self, w: usize) -> f64 {
-        self.slots[w].last_loss
-    }
 }
 
 #[cfg(test)]
@@ -155,7 +147,6 @@ mod tests {
         seq.train_members(&members, &dispatch, &system, false);
 
         for &w in &members {
-            assert_eq!(par.last_loss(w).to_bits(), seq.last_loss(w).to_bits());
             for (a, b) in par.local(w).0.iter().zip(seq.local(w).0.iter()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "worker {w} diverged");
             }

@@ -1,99 +1,40 @@
 //! TiFL — tier-based asynchronous federated learning over OMA.
 //!
-//! Chai et al. (reference [26] of the paper) group workers into latency tiers
+//! Chai et al. (reference \[26\] of the paper) group workers into latency tiers
 //! and let tiers update the global model asynchronously, which removes the
 //! straggler problem without AirComp. Two differences from Air-FedGA explain
 //! why it loses in the paper's evaluation: uploads are digital OMA (latency
 //! grows with the tier size), and tiering ignores the data distribution, so
 //! the inter-tier EMD stays high (Table III: 0.69 vs Air-FedGA's 0.21) and
 //! Non-IID drift slows convergence.
-
-use crate::BaselineOptions;
-use airfedga::mechanism::{run_group_async, AggregationMode, EngineOptions};
-use airfedga::system::{FlMechanism, FlSystem};
-use fedml::rng::Rng64;
-use grouping::tifl::{default_tier_count, tifl_grouping};
-use grouping::worker_info::Grouping;
-use simcore::trace::TrainingTrace;
-use wireless::timing::OmaScheme;
-
-/// The TiFL baseline.
-#[derive(Debug, Clone)]
-pub struct TiFl {
-    options: BaselineOptions,
-    /// Number of latency tiers; `None` selects `default_tier_count(N)`.
-    tiers: Option<usize>,
-    scheme: OmaScheme,
-}
-
-impl TiFl {
-    /// Create a TiFL run with the given round budget and the default tier
-    /// count (≈ one tier per latency decile).
-    pub fn new(options: BaselineOptions) -> Self {
-        options.validate();
-        Self {
-            options,
-            tiers: None,
-            scheme: OmaScheme::Tdma,
-        }
-    }
-
-    /// Use an explicit number of tiers.
-    pub fn with_tiers(mut self, tiers: usize) -> Self {
-        assert!(tiers > 0, "need at least one tier");
-        self.tiers = Some(tiers);
-        self
-    }
-
-    /// The grouping TiFL would use for a system.
-    pub fn grouping_for(&self, system: &FlSystem) -> Grouping {
-        let tiers = self
-            .tiers
-            .unwrap_or_else(|| default_tier_count(system.num_workers()));
-        tifl_grouping(&system.worker_infos, tiers)
-    }
-}
-
-impl FlMechanism for TiFl {
-    fn name(&self) -> &'static str {
-        "TiFL"
-    }
-
-    fn run(&self, system: &FlSystem, rng: &mut Rng64) -> TrainingTrace {
-        let grouping = self.grouping_for(system);
-        let opts = EngineOptions {
-            total_rounds: self.options.total_rounds,
-            eval_every: self.options.eval_every,
-            max_virtual_time: self.options.max_virtual_time,
-            aggregation: AggregationMode::OmaIdeal {
-                scheme: self.scheme,
-            },
-            parallel: self.options.parallel,
-        };
-        run_group_async(system, &grouping, &opts, self.name(), rng)
-    }
-}
+//!
+//! In the mechanism table: latency tiers (`grouping::tifl::tifl_grouping` at
+//! `default_tier_count(N)`, about one tier per latency decile) × OMA.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use airfedga::system::FlSystemConfig;
+    use crate::MechanismChoice::{FedAvg, TiFl};
+    use airfedga::system::{FlSystem, FlSystemConfig};
+    use fedml::rng::Rng64;
+    use grouping::tifl::{default_tier_count, tifl_grouping};
+    use grouping::worker_info::Grouping;
 
     fn quick_system(seed: u64) -> FlSystem {
         FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(seed))
     }
 
+    /// The tiers the TiFL row runs on: two, for the quick system's ten
+    /// workers.
+    fn tiers_of(system: &FlSystem) -> Grouping {
+        let tiers = default_tier_count(system.num_workers());
+        tifl_grouping(&system.worker_infos, tiers)
+    }
+
     #[test]
     fn tifl_converges_and_uses_multiple_tiers() {
         let system = quick_system(1);
-        let mech = TiFl::new(BaselineOptions {
-            total_rounds: 60,
-            eval_every: 10,
-            max_virtual_time: None,
-            parallel: true,
-        })
-        .with_tiers(3);
-        assert_eq!(mech.grouping_for(&system).num_groups(), 3);
+        assert_eq!(tiers_of(&system).num_groups(), 2);
+        let mech = TiFl.build(60, 10, None);
         let trace = mech.run(&system, &mut Rng64::seed_from(2));
         assert!(
             trace.final_accuracy() > 0.6,
@@ -131,8 +72,7 @@ mod tests {
     #[test]
     fn tiers_are_latency_homogeneous() {
         let system = quick_system(3);
-        let mech = TiFl::new(BaselineOptions::default()).with_tiers(3);
-        let grouping = mech.grouping_for(&system);
+        let grouping = tiers_of(&system);
         // Fast tier's slowest member is no slower than slow tier's fastest.
         let tier_ranges = tier_latency_ranges(&grouping, |w| system.local_training_time(w));
         for pair in tier_ranges.windows(2) {
@@ -147,8 +87,7 @@ mod tests {
         // PR 3 fixed in `grouping::tifl`. With `total_cmp` a poisoned
         // tier lands deterministically in the slowest position.
         let system = quick_system(3);
-        let mech = TiFl::new(BaselineOptions::default()).with_tiers(3);
-        let grouping = mech.grouping_for(&system);
+        let grouping = tiers_of(&system);
         let poisoned = grouping.group(0)[0];
         let ranges = tier_latency_ranges(&grouping, |w| {
             if w == poisoned {
@@ -157,26 +96,20 @@ mod tests {
                 system.local_training_time(w)
             }
         });
-        assert_eq!(ranges.len(), 3);
-        assert!(ranges.last().unwrap().0.is_nan());
-        assert!(ranges[..2]
-            .iter()
-            .all(|r| r.0.is_finite() && r.1.is_finite()));
+        assert_eq!(ranges.len(), 2);
+        assert!(ranges[1].0.is_nan());
+        assert!(ranges[0].0.is_finite() && ranges[0].1.is_finite());
     }
 
     #[test]
     fn tifl_average_round_is_shorter_than_fedavg() {
         let system = quick_system(4);
-        let opts = BaselineOptions {
-            total_rounds: 8,
-            eval_every: 1,
-            max_virtual_time: None,
-            parallel: true,
-        };
-        let tifl = TiFl::new(opts)
-            .with_tiers(3)
+        let tifl = TiFl
+            .build(8, 1, None)
             .run(&system, &mut Rng64::seed_from(5));
-        let fedavg = crate::fedavg::FedAvg::new(opts).run(&system, &mut Rng64::seed_from(5));
+        let fedavg = FedAvg
+            .build(8, 1, None)
+            .run(&system, &mut Rng64::seed_from(5));
         assert!(tifl.average_round_time() < fedavg.average_round_time());
     }
 }

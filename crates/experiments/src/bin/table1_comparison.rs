@@ -10,7 +10,7 @@
 //! * *Scalability* — ratio of the average round time at N = 60 vs N = 20
 //!   (greater than 1 means rounds get slower as the system grows).
 
-use airfedga::mechanism::{AirFedGa, AirFedGaConfig};
+use airfedga::mechanism::{AirFedGa, AirFedGaConfig, EngineOptions};
 use airfedga::system::FlSystemConfig;
 use experiments::harness::scalability_cells;
 use experiments::harness::{run_mechanism_cells, MechanismChoice, NoCache, RunPolicy, SeedPlan};
@@ -41,9 +41,12 @@ fn main() {
     let outcome = run_mechanism_cells(
         &configs,
         cells,
-        rounds,
-        scale.eval_every(),
-        None,
+        &EngineOptions {
+            total_rounds: rounds,
+            eval_every: scale.eval_every(),
+            max_virtual_time: None,
+            parallel: true,
+        },
         &SeedPlan::fixed_system(42, vec![4242]),
         &RunPolicy::default(),
         &NoCache,
@@ -78,12 +81,8 @@ fn main() {
     // Upload air-time per round (communication consumption proxy).
     let dim = system.model_dim();
     let w = &system.config.wireless;
-    let oma_full = w.oma_round_upload_time(wireless::timing::OmaScheme::Tdma, dim, n_large);
-    let oma_tier = w.oma_round_upload_time(
-        wireless::timing::OmaScheme::Tdma,
-        dim,
-        n_large / default_tier_count(n_large).max(1),
-    );
+    let oma_full = w.oma_round_upload_time(dim, n_large);
+    let oma_tier = w.oma_round_upload_time(dim, n_large / default_tier_count(n_large).max(1));
     let aircomp = w.aircomp_aggregation_time(dim);
 
     // Straggler idle time: median worker latency vs group max latency.

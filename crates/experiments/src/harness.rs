@@ -19,7 +19,10 @@
 //!   and share it, or to re-sample it per replicate (`--system-seeds`), and
 //!   it tells the runner which cells are the same computation (those that
 //!   differ only in a ξ their mechanism never reads). Every scenario kind
-//!   and `table1_comparison` call this.
+//!   and `table1_comparison` call this. What a mechanism is — its name, its
+//!   grouping rule, its aggregation back-end, whether it reads ξ — is the
+//!   `baselines` crate's table ([`MechanismChoice`], re-exported here); the
+//!   round budget travels in one `airfedga::mechanism::EngineOptions`.
 //!
 //! **Seed-stream contract** (see [`crate::stats::replication_seeds`]):
 //! replicate `r` of a cell runs with seed `seeds[r]`, and the figures use
@@ -31,93 +34,16 @@
 //! `PARALLEL_THREADS` / `PARALLEL_CHUNKS` setting, and to a resumed one.
 
 use crate::stats::CellStats;
-use airfedga::mechanism::{AirFedGa, AirFedGaConfig};
-use airfedga::system::{FlMechanism, FlSystem, FlSystemConfig};
-use baselines::{AirFedAvg, BaselineOptions, Dynamic, DynamicConfig, FedAvg, TiFl};
+use airfedga::mechanism::EngineOptions;
+use airfedga::system::{FlSystem, FlSystemConfig};
+use baselines::Mechanism;
+pub use baselines::MechanismChoice;
 use fedml::rng::Rng64;
 use parallel::prelude::*;
 use simcore::trace::TrainingTrace;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
-
-/// Which mechanism to include in a comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum MechanismChoice {
-    /// The paper's contribution.
-    AirFedGa,
-    /// AirComp synchronous baseline.
-    AirFedAvg,
-    /// AirComp synchronous with per-round worker scheduling.
-    Dynamic,
-    /// OMA synchronous baseline.
-    FedAvg,
-    /// OMA tier-asynchronous baseline.
-    TiFl,
-}
-
-impl MechanismChoice {
-    /// All five mechanisms, in the order the paper lists them.
-    pub fn all() -> Vec<MechanismChoice> {
-        vec![
-            MechanismChoice::FedAvg,
-            MechanismChoice::TiFl,
-            MechanismChoice::Dynamic,
-            MechanismChoice::AirFedAvg,
-            MechanismChoice::AirFedGa,
-        ]
-    }
-
-    /// The three AirComp-based mechanisms compared in Figs. 3–6 and Fig. 9.
-    pub fn aircomp_trio() -> Vec<MechanismChoice> {
-        vec![
-            MechanismChoice::Dynamic,
-            MechanismChoice::AirFedAvg,
-            MechanismChoice::AirFedGa,
-        ]
-    }
-
-    /// Display name (matches the paper's legends).
-    pub fn label(self) -> &'static str {
-        match self {
-            MechanismChoice::AirFedGa => "Air-FedGA",
-            MechanismChoice::AirFedAvg => "Air-FedAvg",
-            MechanismChoice::Dynamic => "Dynamic",
-            MechanismChoice::FedAvg => "FedAvg",
-            MechanismChoice::TiFl => "TiFL",
-        }
-    }
-
-    /// Instantiate the mechanism with a given round budget.
-    pub fn build(
-        self,
-        total_rounds: usize,
-        eval_every: usize,
-        max_virtual_time: Option<f64>,
-    ) -> Box<dyn FlMechanism> {
-        let opts = BaselineOptions {
-            total_rounds,
-            eval_every,
-            max_virtual_time,
-            parallel: true,
-        };
-        match self {
-            MechanismChoice::AirFedGa => Box::new(AirFedGa::new(AirFedGaConfig {
-                total_rounds,
-                eval_every,
-                max_virtual_time,
-                ..AirFedGaConfig::default()
-            })),
-            MechanismChoice::AirFedAvg => Box::new(AirFedAvg::new(opts)),
-            MechanismChoice::Dynamic => Box::new(Dynamic::new(DynamicConfig {
-                options: opts,
-                ..DynamicConfig::default()
-            })),
-            MechanismChoice::FedAvg => Box::new(FedAvg::new(opts)),
-            MechanismChoice::TiFl => Box::new(TiFl::new(opts)),
-        }
-    }
-}
 
 /// Summary of one mechanism's run, as reported in the paper's text.
 #[derive(Debug, Clone)]
@@ -454,9 +380,9 @@ impl ReplicatedOutcome {
 
 /// Run the full (cell × seed) replication product and fold each cell's
 /// replicates into [`CellStats`], every cell its own computation. This is
-/// [`run_replicates`] — the only code that runs replicates; see it for the
-/// steps — with the cell index as the cell's identity, so no two replicates
-/// share a run.
+/// the private `run_replicates` — the only code that runs replicates; its
+/// docs list the steps — with the cell index as the cell's identity, so no
+/// two replicates share a run.
 pub fn run_replicated_isolated_plan<T, F, L>(
     cells: Vec<T>,
     plan: &SeedPlan,
@@ -744,11 +670,12 @@ pub struct MechanismCell {
 
 impl MechanismCell {
     /// The computation this cell stands for on a given seed: its system
-    /// variant, its mechanism and the ξ that mechanism is actually built
-    /// with ([`effective_xi`], by bit pattern). Cells of equal identity
-    /// differ at most in a ξ nothing reads, and in their label.
+    /// variant, its mechanism and — by bit pattern, and only when the
+    /// mechanism [reads](MechanismChoice::reads_xi) it — its ξ. Cells of
+    /// equal identity differ at most in a ξ nothing reads, and in their
+    /// label.
     fn identity(&self) -> (usize, MechanismChoice, Option<u64>) {
-        let xi = effective_xi(self.mechanism, self.xi);
+        let xi = self.xi.filter(|_| self.mechanism.reads_xi());
         (self.config, self.mechanism, xi.map(f64::to_bits))
     }
 }
@@ -790,45 +717,6 @@ pub fn scalability_cells(
     (configs, cells)
 }
 
-/// The ξ a sweep cell's mechanism is built with — the one place that knows
-/// which mechanisms read ξ. Only Air-FedGA has one (the grouping trade-off
-/// of Algorithm 3); for every other mechanism an override is dropped, so
-/// cells that differ only in it are the same computation.
-/// [`build_sweep_mechanism`] applies the override exactly when this returns
-/// it, and [`run_mechanism_cells`] keys the replicates it may share on the
-/// same value.
-fn effective_xi(choice: MechanismChoice, xi: Option<f64>) -> Option<f64> {
-    match choice {
-        MechanismChoice::AirFedGa => xi,
-        MechanismChoice::AirFedAvg
-        | MechanismChoice::Dynamic
-        | MechanismChoice::FedAvg
-        | MechanismChoice::TiFl => None,
-    }
-}
-
-/// A general mechanism constructor for sweep cells: the named mechanism at
-/// the given round budget, with the ξ override [`effective_xi`] lets through
-/// (Air-FedGA's; the other mechanisms have no ξ and ignore it).
-fn build_sweep_mechanism(
-    choice: MechanismChoice,
-    xi: Option<f64>,
-    total_rounds: usize,
-    eval_every: usize,
-    max_virtual_time: Option<f64>,
-) -> Box<dyn FlMechanism> {
-    match effective_xi(choice, xi) {
-        Some(xi) => Box::new(AirFedGa::new(AirFedGaConfig {
-            xi,
-            total_rounds,
-            eval_every,
-            max_virtual_time,
-            ..AirFedGaConfig::default()
-        })),
-        None => choice.build(total_rounds, eval_every, max_virtual_time),
-    }
-}
-
 /// The runner for cells that each run a mechanism on one of a few system
 /// variants — every scenario kind has this shape. Two decisions live here
 /// and nowhere else.
@@ -849,22 +737,19 @@ fn build_sweep_mechanism(
 /// builds its own from `plan.system_seed_for(seed)`.
 ///
 /// **Which cells are one computation.** A cell's identity is its config, its
-/// mechanism and the ξ that mechanism is built with — `effective_xi`, the
-/// same function `build_sweep_mechanism` applies, compared by bit pattern
-/// — so grid cells that differ only in a ξ their mechanism never reads train
-/// once per seed and the rest take that result (see
-/// [`ReplicatedOutcome::shared`]).
+/// mechanism and, if the mechanism table says the mechanism reads one, its ξ
+/// compared by bit pattern — so grid cells that differ only in a ξ their
+/// mechanism never reads train once per seed and the rest take that result
+/// (see [`ReplicatedOutcome::shared`]).
 ///
-/// Mechanisms come from `build_sweep_mechanism` at the given round budget.
-/// With one seed, [`NoCache`] and the default policy this is the plain "same
-/// system, same run seed, every mechanism" comparison of Figs. 3–6.
-#[allow(clippy::too_many_arguments)]
+/// Every cell runs its row of the mechanism table at the round budget
+/// `options`. With one seed, [`NoCache`] and the default policy this is the
+/// plain "same system, same run seed, every mechanism" comparison of
+/// Figs. 3–6.
 pub fn run_mechanism_cells(
     configs: &[FlSystemConfig],
     cells: Vec<MechanismCell>,
-    total_rounds: usize,
-    eval_every: usize,
-    max_virtual_time: Option<f64>,
+    options: &EngineOptions,
     plan: &SeedPlan,
     policy: &RunPolicy,
     cache: &dyn ReplicateCache,
@@ -894,13 +779,11 @@ pub fn run_mechanism_cells(
             }
         },
         |cell, seed| {
-            let mech = build_sweep_mechanism(
-                cell.mechanism,
-                cell.xi,
-                total_rounds,
-                eval_every,
-                max_virtual_time,
-            );
+            let mech = Mechanism {
+                choice: cell.mechanism,
+                xi: cell.xi,
+                options: options.clone(),
+            };
             let own;
             let system = if plan.vary_system {
                 own = build(cell.config, plan.system_seed_for(seed));
@@ -932,6 +815,16 @@ mod tests {
         FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(seed))
     }
 
+    /// A budget of `total_rounds` rounds, evaluated every `eval_every`.
+    fn budget(total_rounds: usize, eval_every: usize) -> EngineOptions {
+        EngineOptions {
+            total_rounds,
+            eval_every,
+            max_virtual_time: None,
+            parallel: true,
+        }
+    }
+
     /// The plain single run every replicate must reproduce bit for bit.
     fn plain_run(system: &FlSystem, m: MechanismChoice, rounds: usize, seed: u64) -> RunSummary {
         let mech = m.build(rounds, 2, None);
@@ -954,9 +847,7 @@ mod tests {
         run_mechanism_cells(
             std::slice::from_ref(cfg),
             mechanisms.iter().map(cell).collect(),
-            rounds,
-            2,
-            None,
+            &budget(rounds, 2),
             plan,
             &RunPolicy::default(),
             &NoCache,
@@ -1081,11 +972,13 @@ mod tests {
         )
     }
 
+    /// Every row builds and runs, and its trace — hence its [`RunSummary`],
+    /// its table row and its store entry — carries the row's label.
     #[test]
     fn mechanism_choice_builds_every_variant() {
+        let system = quick_system(5);
         for choice in MechanismChoice::all() {
-            let mech = choice.build(5, 1, None);
-            assert_eq!(mech.name(), choice.label());
+            assert_eq!(plain_run(&system, choice, 2, 9).mechanism, choice.label());
         }
         assert_eq!(MechanismChoice::aircomp_trio().len(), 3);
     }
@@ -1426,23 +1319,23 @@ mod tests {
     }
 
     /// The fact the mechanism-cell identity rests on, asserted rather than
-    /// assumed: run unshared, only Air-FedGA's trace depends on ξ.
+    /// assumed: run unshared, a mechanism's trace depends on ξ exactly when
+    /// the table says it reads ξ — and only Air-FedGA does.
     #[test]
     fn only_air_fedga_reads_xi() {
         let system = quick_system(5);
         let run = |choice: MechanismChoice, xi: f64| {
-            let mech = build_sweep_mechanism(choice, Some(xi), 3, 1, None);
+            let mech = Mechanism {
+                xi: Some(xi),
+                ..choice.build(3, 1, None)
+            };
             let trace = mech.run(&system, &mut Rng64::seed_from(4242));
             format!("{:?}", RunSummary::from_trace(trace))
         };
         for choice in MechanismChoice::all() {
-            let same = run(choice, 0.1) == run(choice, 0.9);
-            assert_eq!(
-                same,
-                choice != MechanismChoice::AirFedGa,
-                "{}: xi = 0.1 vs 0.9",
-                choice.label()
-            );
+            let differs = run(choice, 0.1) != run(choice, 0.9);
+            assert_eq!(differs, choice.reads_xi(), "{}", choice.label());
+            assert_eq!(choice.reads_xi(), choice == MechanismChoice::AirFedGa);
         }
     }
 
@@ -1465,9 +1358,7 @@ mod tests {
             let shared = run_mechanism_cells(
                 std::slice::from_ref(&cfg),
                 cells.clone(),
-                2,
-                1,
-                None,
+                &budget(2, 1),
                 &plan,
                 &RunPolicy::default(),
                 &shared_store,
@@ -1486,7 +1377,10 @@ mod tests {
                 |cell, seed| {
                     calls.fetch_add(1, Ordering::SeqCst);
                     let system = &systems[plan.replicate_of(seed)];
-                    let mech = build_sweep_mechanism(cell.mechanism, cell.xi, 2, 1, None);
+                    let mech = Mechanism {
+                        xi: cell.xi,
+                        ..cell.mechanism.build(2, 1, None)
+                    };
                     RunSummary::from_trace(mech.run(system, &mut Rng64::seed_from(seed)))
                 },
             );
@@ -1645,9 +1539,7 @@ mod tests {
         let outcome = run_mechanism_cells(
             &[unbuildable()],
             xi_grid(&[0.3, 0.8]),
-            3,
-            1,
-            None,
+            &budget(3, 1),
             &SeedPlan::fixed_system(5, vec![4242, 4243]),
             &RunPolicy::default(),
             &WarmFor(""),
@@ -1680,9 +1572,7 @@ mod tests {
         let outcome = run_mechanism_cells(
             &[quick.clone(), quick, unbuildable()],
             cells,
-            1,
-            1,
-            None,
+            &budget(1, 1),
             &SeedPlan::fixed_system(5, vec![4242, 4243]),
             &RunPolicy::default(),
             &WarmFor("config 2"),
@@ -1715,20 +1605,5 @@ mod tests {
             String::from_utf8_lossy(&out.stdout),
             String::from_utf8_lossy(&out.stderr)
         );
-    }
-
-    #[test]
-    fn sweep_mechanism_builder_applies_xi_to_airfedga_only() {
-        let ga = build_sweep_mechanism(MechanismChoice::AirFedGa, Some(0.7), 10, 2, None);
-        assert_eq!(ga.name(), "Air-FedGA");
-        let avg = build_sweep_mechanism(MechanismChoice::FedAvg, Some(0.7), 10, 2, None);
-        assert_eq!(avg.name(), "FedAvg");
-        let plain = build_sweep_mechanism(MechanismChoice::AirFedGa, None, 10, 2, None);
-        assert_eq!(plain.name(), "Air-FedGA");
-        for choice in MechanismChoice::all() {
-            let reads_xi = choice == MechanismChoice::AirFedGa;
-            assert_eq!(effective_xi(choice, Some(0.7)), reads_xi.then_some(0.7));
-            assert_eq!(effective_xi(choice, None), None);
-        }
     }
 }

@@ -10,6 +10,7 @@ use experiments::harness::{
 use experiments::report::write_csv;
 use fedml::rng::Rng64;
 
+use airfedga::mechanism::EngineOptions;
 use airfedga::system::FlSystemConfig;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -214,7 +215,13 @@ fn a_dead_shared_group_reports_every_member() {
         ..RunPolicy::default()
     };
     let plan = SeedPlan::fixed_system(5, vec![4242, 4243]);
-    let outcome = run_mechanism_cells(&[cfg], cells, 3, 1, None, &plan, &policy, &NoCache);
+    let options = EngineOptions {
+        total_rounds: 3,
+        eval_every: 1,
+        max_virtual_time: None,
+        parallel: true,
+    };
+    let outcome = run_mechanism_cells(&[cfg], cells, &options, &plan, &policy, &NoCache);
 
     assert!(outcome.cells.iter().all(Option::is_none));
     assert_eq!(outcome.shared, 0, "nobody was handed a result");

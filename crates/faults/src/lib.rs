@@ -12,8 +12,13 @@
 //! system-build time, so fault queries during a run are pure lookups:
 //! traces stay bit-identical at any thread count or chunk factor, and a
 //! trivial spec ([`FaultSpec::none`]) compiles to an empty plan without
-//! touching the RNG at all — the zero-fault path is byte-identical to a
-//! build that has never heard of faults.
+//! touching the RNG at all. The round loops have no fault-free path of their
+//! own: they always schedule through the plan, and the empty plan answers
+//! every query with the neutral value (slowdown exactly 1.0, available, no
+//! outage, no deadline), so a zero-fault run is byte-identical to a build
+//! that has never heard of faults. The one thing [`FaultPlan::enabled`]
+//! still decides is whether a run keeps participation counters in its fault
+//! log.
 //!
 //! ## The fault model
 //!
@@ -41,7 +46,7 @@ use serde::{Deserialize, Serialize};
 /// Default virtual-time horizon (seconds) fault traces are compiled up to.
 /// Past the horizon every worker is reported healthy; the committed
 /// scenarios run well inside it.
-pub const DEFAULT_HORIZON: f64 = 200_000.0;
+const DEFAULT_HORIZON: f64 = 200_000.0;
 
 /// Statistical description of the injected faults (the `[faults]` table of
 /// a scenario file). [`FaultSpec::none`] — the default — injects nothing.
@@ -97,8 +102,8 @@ impl FaultSpec {
         }
     }
 
-    /// True when this spec injects nothing — the engines take their
-    /// historical fault-free path and the RNG is never touched.
+    /// True when this spec injects nothing: the plan it compiles to is empty
+    /// and the RNG is never touched.
     pub fn is_none(&self) -> bool {
         self.dropout_rate == 0.0
             && self.straggler_fraction == 0.0
@@ -155,13 +160,13 @@ impl FaultSpec {
 /// intervals (`[start, end)` in virtual seconds) plus its latency
 /// multiplier.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WorkerFaults {
+struct WorkerFaults {
     /// Latency multiplier (exactly 1.0 for non-stragglers).
-    pub slowdown: f64,
+    slowdown: f64,
     /// Dropout intervals, sorted by start, disjoint.
-    pub down: Vec<(f64, f64)>,
+    down: Vec<(f64, f64)>,
     /// Channel-outage intervals, sorted by start, disjoint.
-    pub outages: Vec<(f64, f64)>,
+    outages: Vec<(f64, f64)>,
 }
 
 /// Compiled per-worker fault traces. All engine-side queries are pure
@@ -206,8 +211,8 @@ fn sample_intervals(
 }
 
 impl FaultPlan {
-    /// The empty plan: every worker healthy forever. Allocation-free and
-    /// RNG-free — the zero-fault fast path.
+    /// The empty plan: every worker healthy forever — slowdown 1.0,
+    /// available, no outage, no deadline. Allocation-free and RNG-free.
     pub fn none() -> Self {
         Self {
             spec: FaultSpec::none(),
@@ -253,13 +258,9 @@ impl FaultPlan {
         }
     }
 
-    /// The spec this plan was compiled from.
-    pub fn spec(&self) -> &FaultSpec {
-        &self.spec
-    }
-
-    /// True when this plan can ever alter a run — the engines branch to
-    /// their fault-aware paths only then.
+    /// True when this plan can ever alter a run. The round loops schedule
+    /// through the plan either way; they only log a round's participation
+    /// when this is true, so a fault-free run carries an empty fault log.
     pub fn enabled(&self) -> bool {
         !self.spec.is_none()
     }
@@ -289,16 +290,11 @@ impl FaultPlan {
         self.workers.get(w).is_some_and(|f| covered(&f.outages, t))
     }
 
-    /// Access worker `w`'s raw compiled trace (tests, reports).
-    pub fn worker(&self, w: usize) -> Option<&WorkerFaults> {
-        self.workers.get(w)
-    }
-
     /// Fire any injected *test* fault scheduled for `round`: a configured
     /// panic round panics here, a configured hang round spins until a
     /// watchdog cancellation breaks it (see [`simcore::cancel`]). The
-    /// engines call this at every round boundary when faults are enabled;
-    /// a plan without injected rounds returns immediately.
+    /// round loops call this at every round boundary; a plan without
+    /// injected rounds returns immediately.
     pub fn injected_fault(&self, round: usize) {
         if self.spec.inject_panic_round == Some(round) {
             panic!("injected fault: panic at round {round}");
@@ -363,7 +359,7 @@ mod tests {
         let plan = FaultPlan::compile(&spec, 40, &mut Rng64::seed_from(3));
         let mut saw_down = false;
         for w in 0..40 {
-            let f = plan.worker(w).unwrap();
+            let f = &plan.workers[w];
             for ivs in [&f.down, &f.outages] {
                 for pair in ivs.windows(2) {
                     assert!(pair[0].1 <= pair[1].0, "overlapping intervals: {pair:?}");
@@ -404,9 +400,9 @@ mod tests {
         };
         let plan = FaultPlan::compile(&spec, 8, &mut Rng64::seed_from(5));
         let w = (0..8)
-            .find(|&w| !plan.worker(w).unwrap().down.is_empty())
+            .find(|&w| !plan.workers[w].down.is_empty())
             .expect("some worker drops at rate 0.05");
-        let (start, end) = plan.worker(w).unwrap().down[0];
+        let (start, end) = plan.workers[w].down[0];
         assert!(plan.available(w, start - 1e-6));
         assert!(!plan.available(w, start));
         assert!(!plan.available(w, (start + end) / 2.0));
@@ -426,7 +422,7 @@ mod tests {
         let plan = FaultPlan::compile(&spec, 6, &mut Rng64::seed_from(6));
         let mut seen = 0;
         for w in 0..6 {
-            for &(s, e) in &plan.worker(w).unwrap().outages {
+            for &(s, e) in &plan.workers[w].outages {
                 assert!((e - s - 12.5).abs() < 1e-9);
                 assert!(plan.in_outage(w, s + 1.0));
                 assert!(!plan.in_outage(w, e + 1e-6));

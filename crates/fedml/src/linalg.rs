@@ -11,20 +11,20 @@
 //! * [`gemm_nn`] — `C = A · B` with `B` in k-major (contraction-major)
 //!   layout. This is the workhorse: the backward data pass (`δ_prev = δ · W`)
 //!   uses it directly, and the forward pass uses it after a cheap one-off
-//!   weight [`transpose`] (`Z = X · Wᵀ = X · transpose(W)`), which is
+//!   weight `transpose` (`Z = X · Wᵀ = X · transpose(W)`), which is
 //!   O(parameters) next to the GEMM's O(batch · parameters).
 //! * [`gemm_tn_acc`] — `C += α · Aᵀ · B`, the weight-gradient pass
 //!   (`δᵀ · X`). At `α = −γ` it accumulates straight into the weights, which
 //!   lets a whole SGD step run without materialising the gradient; at `α = 1`
 //!   over a zero fill it is the plain product `∇W = δᵀ · X` the gradient
 //!   oracle asks for (`1.0 * x` is exact, so no separate kernel is needed).
-//!   [`col_sums_acc`] is its bias-gradient companion, likewise.
+//!   `col_sums_acc` is its bias-gradient companion, likewise.
 //!
 //! ## Micro-kernel design
 //!
-//! `gemm_nn` / `gemm_tn_acc` share one micro-kernel family ([`axpy4_into`]
+//! `gemm_nn` / `gemm_tn_acc` share one micro-kernel family (`axpy4_into`
 //! and its 2×/4×-row variants): a 4-row × 4-k register tile whose inner loop
-//! is a run of element-wise `mul_add`s over [`LANES`]-wide `[f64; 8]` blocks.
+//! is a run of element-wise `mul_add`s over `LANES`-wide `[f64; 8]` blocks.
 //! Three ingredients matter, each worth an integer factor (measured on the
 //! local training step, the repo benchmark's `fedml.local_step_us`):
 //!
@@ -205,10 +205,10 @@ fn tally_gemm(counter: &'static telemetry::metrics::Counter, m: usize, n: usize,
 /// `C = A · B` where `a` is `m × k`, `b` is `k × n` and `c` is `m × n`, all
 /// row-major. This is the workhorse kernel: the backward data pass
 /// (`δ_prev = δ · W`) uses it directly, and the forward pass uses it after a
-/// cheap one-off weight [`transpose`] (`Z = X · Wᵀ = X · transpose(W)`).
+/// cheap one-off weight `transpose` (`Z = X · Wᵀ = X · transpose(W)`).
 ///
 /// Each output row is accumulated from four `B` rows at a time
-/// ([`axpy4_into`]), so the inner loop is a run of independent element-wise
+/// (`axpy4_into`), so the inner loop is a run of independent element-wise
 /// FMAs over contiguous memory — exactly the shape the auto-vectoriser turns
 /// into packed SIMD — and each `C` row is streamed once per four `k` steps
 /// instead of once per step.

@@ -17,10 +17,10 @@ use serde::{Deserialize, Serialize};
 pub struct GreedyGroupingConfig {
     /// The objective/constraint evaluator (carries `L_u`, ξ and the
     /// convergence constants).
-    pub objective: GroupingObjective,
+    pub(crate) objective: GroupingObjective,
     /// If true (the paper's choice), workers are processed in descending
     /// order of data size; if false, in index order (useful for ablation).
-    pub sort_by_data_size: bool,
+    pub(crate) sort_by_data_size: bool,
 }
 
 impl GreedyGroupingConfig {

@@ -13,9 +13,9 @@
 //!   current objective, opening a new group when that is better.
 //! * [`tifl`] — the TiFL-style latency-tier grouping used as a baseline.
 //!
-//! The central data types are [`WorkerInfo`] (what the grouping algorithms
-//! know about a worker: latency, data size, label counts) and [`Grouping`]
-//! (a validated partition of workers into groups).
+//! The central data types are [`worker_info::WorkerInfo`] (what the grouping
+//! algorithms know about a worker: latency, data size, label counts) and
+//! [`worker_info::Grouping`] (a validated partition of workers into groups).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -25,9 +25,3 @@ pub mod greedy;
 pub mod objective;
 pub mod tifl;
 pub mod worker_info;
-
-pub use emd::{average_group_emd, group_emd};
-pub use greedy::{greedy_grouping, GreedyGroupingConfig};
-pub use objective::{GroupingObjective, ObjectiveConstants};
-pub use tifl::tifl_grouping;
-pub use worker_info::{Grouping, WorkerInfo};

@@ -34,20 +34,20 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ObjectiveConstants {
     /// Strong-convexity constant `µ` (Assumption 2).
-    pub mu: f64,
+    pub(crate) mu: f64,
     /// Smoothness constant `L` (Assumption 1). Named `smoothness` to avoid
     /// clashing with the latency symbol `L`.
-    pub smoothness: f64,
+    pub(crate) smoothness: f64,
     /// Learning rate `γ`; Theorem 1 requires `1/(2L) < γ < 1/L`.
-    pub gamma: f64,
+    pub(crate) gamma: f64,
     /// Gradient bound `G²` (Assumption 3).
-    pub gradient_bound_sq: f64,
+    pub(crate) gradient_bound_sq: f64,
     /// Worst-case aggregation error `max_t C_t` (Eq. 30) after power control.
-    pub aggregation_error: f64,
+    pub(crate) aggregation_error: f64,
     /// Target optimality gap `ε` of constraint (36b).
-    pub epsilon: f64,
+    pub(crate) epsilon: f64,
     /// Initial optimality gap `F(w_0) − F(w*)`.
-    pub initial_gap: f64,
+    pub(crate) initial_gap: f64,
 }
 
 impl Default for ObjectiveConstants {
@@ -71,7 +71,7 @@ impl Default for ObjectiveConstants {
 
 impl ObjectiveConstants {
     /// Check Theorem 1's preconditions (`1/(2L) < γ < 1/L`, `µ > 0`, …).
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.mu > 0.0, "mu must be positive");
         assert!(self.smoothness > 0.0, "smoothness must be positive");
         assert!(
@@ -93,29 +93,29 @@ impl ObjectiveConstants {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GroupingObjective {
     /// AirComp aggregation latency `L_u` (Eq. 33), in seconds.
-    pub aggregation_time: f64,
+    pub(crate) aggregation_time: f64,
     /// The ξ parameter of constraint (36d) (0 = fully asynchronous,
     /// 1 = a single group is always feasible latency-wise).
-    pub xi: f64,
+    pub(crate) xi: f64,
     /// Convergence constants.
-    pub constants: ObjectiveConstants,
+    pub(crate) constants: ObjectiveConstants,
 }
 
 /// Breakdown of the objective evaluation, useful for reports and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ObjectiveBreakdown {
+pub(crate) struct ObjectiveBreakdown {
     /// Average single-round latency `L` (Eq. 35).
-    pub average_round_time: f64,
+    pub(crate) average_round_time: f64,
     /// Estimated maximum staleness `τ̂_max` (Eq. 39).
-    pub estimated_staleness: f64,
+    pub(crate) estimated_staleness: f64,
     /// Estimated number of rounds `T = (1 + τ̂_max) log_B A` (Eq. 38).
-    pub estimated_rounds: f64,
+    pub(crate) estimated_rounds: f64,
     /// The contraction base `B`.
-    pub contraction: f64,
+    pub(crate) contraction: f64,
     /// The residual error `δ` of Theorem 1 under this grouping.
-    pub residual: f64,
+    pub(crate) residual: f64,
     /// The full objective `L · T` (estimated total training time, seconds).
-    pub total_time: f64,
+    pub(crate) total_time: f64,
 }
 
 impl GroupingObjective {
@@ -136,7 +136,7 @@ impl GroupingObjective {
     /// `L_j − L_u − l_i ≤ ξ·Δl` for every member — equivalently the latency
     /// gap between the slowest member and any member is at most `ξ·Δl`,
     /// where `Δl` is the latency spread of the *whole* population.
-    pub fn slice_satisfies_xi(&self, group: &[usize], workers: &[WorkerInfo]) -> bool {
+    pub(crate) fn slice_satisfies_xi(&self, group: &[usize], workers: &[WorkerInfo]) -> bool {
         let spread = WorkerInfo::latency_spread(workers);
         let max_latency = slice_max_latency(group, workers);
         group
@@ -145,7 +145,7 @@ impl GroupingObjective {
     }
 
     /// Does group `j` of `grouping` satisfy the ξ-constraint of Eq. (36d)?
-    pub fn group_satisfies_xi(
+    pub(crate) fn group_satisfies_xi(
         &self,
         grouping: &Grouping,
         group: usize,
@@ -170,7 +170,7 @@ impl GroupingObjective {
     /// Evaluate the objective for an arbitrary (possibly partial) list of
     /// groups, returning `+∞` when infeasible. The greedy Algorithm 3 calls
     /// this on incrementally-built assignments.
-    pub fn evaluate_groups(&self, groups: &[Vec<usize>], workers: &[WorkerInfo]) -> f64 {
+    pub(crate) fn evaluate_groups(&self, groups: &[Vec<usize>], workers: &[WorkerInfo]) -> f64 {
         self.breakdown_groups(groups, workers)
             .map(|b| b.total_time)
             .unwrap_or(f64::INFINITY)
@@ -178,7 +178,7 @@ impl GroupingObjective {
 
     /// Evaluate the objective together with its intermediate quantities.
     /// Returns `None` when the grouping makes the bound infeasible.
-    pub fn breakdown(
+    pub(crate) fn breakdown(
         &self,
         grouping: &Grouping,
         workers: &[WorkerInfo],
@@ -198,7 +198,7 @@ impl GroupingObjective {
     /// residual (Corollary 1) and the round-frequency term on the same scale
     /// as they will be weighed in the final, complete grouping. For a
     /// complete grouping the two normalisations coincide.
-    pub fn breakdown_groups(
+    pub(crate) fn breakdown_groups(
         &self,
         groups: &[Vec<usize>],
         workers: &[WorkerInfo],

@@ -1,6 +1,6 @@
 //! TiFL-style latency-tier grouping (baseline).
 //!
-//! TiFL (Chai et al., HPDC 2020 — reference [26] of the paper) organises
+//! TiFL (Chai et al., HPDC 2020 — reference \[26\] of the paper) organises
 //! workers into tiers by their observed response latency and lets tiers
 //! participate in training asynchronously. Unlike Air-FedGA's Algorithm 3 it
 //! ignores the data distribution entirely, which is why Table III shows its

@@ -14,14 +14,14 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkerInfo {
     /// Worker index.
-    pub id: usize,
+    pub(crate) id: usize,
     /// Estimated local training time `l_i` (seconds), assumed known from
     /// historical measurements (§V.A).
     pub local_training_time: f64,
     /// Local data size `d_i`.
     pub data_size: usize,
     /// Per-class sample counts `d_i^k`.
-    pub label_counts: Vec<usize>,
+    pub(crate) label_counts: Vec<usize>,
 }
 
 impl WorkerInfo {
@@ -52,13 +52,8 @@ impl WorkerInfo {
     }
 
     /// Number of classes.
-    pub fn num_classes(&self) -> usize {
+    pub(crate) fn num_classes(&self) -> usize {
         self.label_counts.len()
-    }
-
-    /// The worker's label distribution `α_i^k`.
-    pub fn label_distribution(&self) -> LabelDistribution {
-        LabelDistribution::from_counts(&self.label_counts)
     }
 
     /// Spread `Δl = max_i l_i − min_i l_i` across a worker population
@@ -77,12 +72,12 @@ impl WorkerInfo {
     }
 
     /// Total data size `D` of a worker population.
-    pub fn total_data(workers: &[WorkerInfo]) -> usize {
+    pub(crate) fn total_data(workers: &[WorkerInfo]) -> usize {
         workers.iter().map(|w| w.data_size).sum()
     }
 
     /// Global label counts `Σ_i d_i^k` of a worker population.
-    pub fn global_label_counts(workers: &[WorkerInfo]) -> Vec<usize> {
+    pub(crate) fn global_label_counts(workers: &[WorkerInfo]) -> Vec<usize> {
         assert!(!workers.is_empty(), "no workers");
         let k = workers[0].num_classes();
         let mut counts = vec![0usize; k];
@@ -97,12 +92,15 @@ impl WorkerInfo {
 }
 
 /// Total data size of an arbitrary set of worker indices.
-pub fn slice_data_size(group: &[usize], workers: &[WorkerInfo]) -> usize {
+pub(crate) fn slice_data_size(group: &[usize], workers: &[WorkerInfo]) -> usize {
     group.iter().map(|&w| workers[w].data_size).sum()
 }
 
 /// Label distribution of the union of an arbitrary set of worker indices.
-pub fn slice_label_distribution(group: &[usize], workers: &[WorkerInfo]) -> LabelDistribution {
+pub(crate) fn slice_label_distribution(
+    group: &[usize],
+    workers: &[WorkerInfo],
+) -> LabelDistribution {
     assert!(!group.is_empty(), "empty worker set");
     let k = workers[group[0]].num_classes();
     let mut counts = vec![0usize; k];
@@ -115,7 +113,7 @@ pub fn slice_label_distribution(group: &[usize], workers: &[WorkerInfo]) -> Labe
 }
 
 /// Slowest local-training time within an arbitrary set of worker indices.
-pub fn slice_max_latency(group: &[usize], workers: &[WorkerInfo]) -> f64 {
+pub(crate) fn slice_max_latency(group: &[usize], workers: &[WorkerInfo]) -> f64 {
     assert!(!group.is_empty(), "empty worker set");
     group
         .iter()
@@ -185,7 +183,7 @@ impl Grouping {
     }
 
     /// Group data size `D_j`.
-    pub fn group_data_size(&self, j: usize, workers: &[WorkerInfo]) -> usize {
+    pub(crate) fn group_data_size(&self, j: usize, workers: &[WorkerInfo]) -> usize {
         self.groups[j].iter().map(|&w| workers[w].data_size).sum()
     }
 
@@ -195,7 +193,11 @@ impl Grouping {
     }
 
     /// Group label distribution `β_j^k`.
-    pub fn group_label_distribution(&self, j: usize, workers: &[WorkerInfo]) -> LabelDistribution {
+    pub(crate) fn group_label_distribution(
+        &self,
+        j: usize,
+        workers: &[WorkerInfo],
+    ) -> LabelDistribution {
         let k = workers[self.groups[j][0]].num_classes();
         let mut counts = vec![0usize; k];
         for &w in &self.groups[j] {
@@ -242,7 +244,6 @@ mod tests {
     fn worker_info_invariants() {
         let w = WorkerInfo::new(0, 5.0, 10, vec![4, 6]);
         assert_eq!(w.num_classes(), 2);
-        assert_eq!(w.label_distribution().proportions, vec![0.4, 0.6]);
     }
 
     #[test]

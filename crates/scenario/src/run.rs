@@ -38,7 +38,7 @@
 
 use crate::spec::{expand_grid, ScenarioKind, ScenarioSpec};
 use crate::ScenarioError;
-use airfedga::mechanism::{AirFedGa, AirFedGaConfig};
+use airfedga::mechanism::{AirFedGa, AirFedGaConfig, EngineOptions};
 use airfedga::system::FlSystemConfig;
 use experiments::harness::{
     self, run_grid, run_mechanism_cells, scalability_cells, CellFailure, MechanismCell,
@@ -389,9 +389,12 @@ pub fn execute(
     let outcome = run_mechanism_cells(
         &listing.configs,
         listing.cells,
-        listing.rounds,
-        params.eval(),
-        params.max_virtual_time,
+        &EngineOptions {
+            total_rounds: listing.rounds,
+            eval_every: params.eval(),
+            max_virtual_time: params.max_virtual_time,
+            parallel: true,
+        },
         &plan,
         &policy,
         cache,
@@ -764,24 +767,25 @@ fn energy_layout(spec: &ScenarioSpec, figure: &Layout) -> Layout {
 /// cells: how much faster Air-FedGA's canonical (first-seed) run reaches
 /// `target` accuracy than each other mechanism's.
 fn print_speedups(cells: &[Option<CellStats>], target: f64) {
+    let ours = MechanismChoice::AirFedGa.label();
     let summaries = || cells.iter().flatten().map(CellStats::first);
     let Some(ga) = summaries()
-        .find(|s| s.mechanism == "Air-FedGA")
+        .find(|s| s.mechanism == ours)
         .and_then(|s| s.time_to_accuracy(target))
     else {
         println!(
-            "Air-FedGA did not reach a stable {:.0}% accuracy in this run",
+            "{ours} did not reach a stable {:.0}% accuracy in this run",
             target * 100.0
         );
         return;
     };
     for s in summaries() {
-        if s.mechanism == "Air-FedGA" {
+        if s.mechanism == ours {
             continue;
         }
         match s.time_to_accuracy(target) {
             Some(t) => println!(
-                "  Air-FedGA reaches {:.0}% accuracy {:.1}% faster than {} ({:.0}s vs {:.0}s)",
+                "  {ours} reaches {:.0}% accuracy {:.1}% faster than {} ({:.0}s vs {:.0}s)",
                 target * 100.0,
                 (1.0 - ga / t) * 100.0,
                 s.mechanism,
@@ -789,7 +793,7 @@ fn print_speedups(cells: &[Option<CellStats>], target: f64) {
                 t
             ),
             None => println!(
-                "  {} never stably reached {:.0}% accuracy (Air-FedGA: {:.0}s)",
+                "  {} never stably reached {:.0}% accuracy ({ours}: {:.0}s)",
                 s.mechanism,
                 target * 100.0,
                 ga

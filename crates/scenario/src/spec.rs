@@ -291,17 +291,8 @@ impl<'a> SpecReader<'a> {
         }
     }
 
-    fn f64_opt(&self, key: &str) -> Result<Option<f64>, ScenarioError> {
-        match self.entry(key)? {
-            None => Ok(None),
-            Some((Value::Float(f), _)) => Ok(Some(*f)),
-            Some((Value::Int(i), _)) => Ok(Some(*i as f64)),
-            Some((v, line)) => Err(self.mismatch(key, "a number", v, line)),
-        }
-    }
-
-    /// An `f64` key that must satisfy `check` when present; `expect`
-    /// describes the requirement in the error message.
+    /// An `f64` key that must be finite and satisfy `check` when present;
+    /// `expect` describes the requirement in the error message.
     fn f64_checked_opt(
         &self,
         key: &str,
@@ -496,13 +487,15 @@ impl ScenarioSpec {
         if let Some((key, line)) = system.str_opt("channel")? {
             base_config.wireless = at_line(registry.channel(&key), line)?;
         }
-        if let Some(v) = system.f64_opt("noise_variance")? {
+        // Range-checked here, with a line number: `FlSystemConfig::build`
+        // asserts the same conditions, but only inside every replicate.
+        if let Some(v) = system.f64_checked_opt("noise_variance", "non-negative", |x| x >= 0.0)? {
             base_config.wireless.noise_variance = v;
         }
-        if let Some(v) = system.f64_opt("base_time_per_sample")? {
+        if let Some(v) = system.f64_checked_opt("base_time_per_sample", "positive", |x| x > 0.0)? {
             base_config.base_time_per_sample = v;
         }
-        if let Some(v) = system.f64_opt("learning_rate")? {
+        if let Some(v) = system.f64_checked_opt("learning_rate", "positive", |x| x > 0.0)? {
             base_config.sgd.learning_rate = v;
         }
         if let Some(n) = system.positive_usize_opt("batch_size")? {
@@ -1151,6 +1144,38 @@ xi = [0.2, 0.4]
         )
         .unwrap();
         assert_eq!(spec.max_virtual_time, Some(2500.0));
+    }
+
+    /// `[system]` numbers the system build would reject are rejected where
+    /// they are read, not by a panic in every replicate.
+    #[test]
+    fn system_physics_keys_are_range_checked() {
+        let cases = [
+            (
+                "noise_variance",
+                "non-negative",
+                &["-1.0", "inf", "nan"][..],
+            ),
+            ("base_time_per_sample", "positive", &["0.0", "-0.35", "nan"]),
+            ("learning_rate", "positive", &["0", "-0.5", "nan", "inf"]),
+        ];
+        for (key, expect, bads) in cases {
+            for bad in bads {
+                let with_key = format!("workload = \"mnist_lr_quick\"\n{key} = {bad}");
+                let err = ScenarioSpec::parse(
+                    &MINIMAL_GRID.replace("workload = \"mnist_lr_quick\"", &with_key),
+                )
+                .unwrap_err();
+                assert_eq!(err.line, Some(9), "{key} = {bad}: {}", err.msg);
+                let wanted = format!("`system.{key}` must be {expect}");
+                assert!(err.msg.contains(&wanted), "{key} = {bad}: {}", err.msg);
+            }
+        }
+        let noiseless = "workload = \"mnist_lr_quick\"\nnoise_variance = 0";
+        let spec =
+            ScenarioSpec::parse(&MINIMAL_GRID.replace("workload = \"mnist_lr_quick\"", noiseless))
+                .unwrap();
+        assert_eq!(spec.base_config.wireless.noise_variance, 0.0);
     }
 
     #[test]

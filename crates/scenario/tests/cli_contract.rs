@@ -176,6 +176,31 @@ fn usage_read_and_spec_errors_exit_2() {
         !dir.join("runstore").exists() && !dir.join("results").exists(),
         "something ran"
     );
+    // Likewise the three `[system]` numbers the system build asserts on:
+    // they used to pass the parser, panic in every replicate's build (twice,
+    // with the retry) and exit 1 under an empty table.
+    for (key, bad, expect) in [
+        ("noise_variance", "-1.0", "non-negative"),
+        ("base_time_per_sample", "0.0", "positive"),
+        ("learning_rate", "nan", "positive"),
+    ] {
+        let workload = "workload = \"mnist_lr_quick\"";
+        let spec = GRID_SPEC.replace(workload, &format!("{workload}\n{key} = {bad}"));
+        fs::write(dir.join("bad_system.toml"), spec).unwrap();
+        let out = run_in(&dir, &["bad_system.toml"]);
+        assert_eq!(out.status.code(), Some(2), "{key} = {bad}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        let wanted = format!("`system.{key}` must be {expect}");
+        assert!(
+            stderr.contains("line 10") && stderr.contains(&wanted),
+            "{key} = {bad}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{key} = {bad}: something ran");
+        assert!(
+            !dir.join("runstore").exists() && !dir.join("results").exists(),
+            "{key} = {bad}: something ran"
+        );
+    }
     fs::remove_dir_all(&dir).ok();
 }
 

@@ -42,7 +42,7 @@ impl<E> PartialOrd for Scheduled<E> {
 /// A deterministic min-heap of timestamped events.
 ///
 /// ```
-/// use simcore::EventQueue;
+/// use simcore::events::EventQueue;
 /// let mut q = EventQueue::new();
 /// q.push(2.0, "later");
 /// q.push(1.0, "sooner");

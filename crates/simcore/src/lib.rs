@@ -25,8 +25,3 @@ pub mod cancel;
 pub mod events;
 pub mod trace;
 pub mod worker;
-
-pub use cancel::CancelToken;
-pub use events::EventQueue;
-pub use trace::{TracePoint, TrainingTrace};
-pub use worker::{HeterogeneityModel, WorkerProfile};

@@ -168,7 +168,7 @@ impl TrainingTrace {
     }
 
     /// The last recorded point, if any.
-    pub fn last(&self) -> Option<&TracePoint> {
+    pub(crate) fn last(&self) -> Option<&TracePoint> {
         self.points.last()
     }
 

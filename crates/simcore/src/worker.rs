@@ -37,7 +37,7 @@ impl Default for HeterogeneityModel {
 
 impl HeterogeneityModel {
     /// Draw the factor `κ_i` for worker `i`.
-    pub fn factor(&self, worker: usize, rng: &mut Rng64) -> f64 {
+    pub(crate) fn factor(&self, worker: usize, rng: &mut Rng64) -> f64 {
         match self {
             HeterogeneityModel::Uniform { lo, hi } => {
                 assert!(hi >= lo && *lo > 0.0, "invalid uniform bounds");
@@ -61,13 +61,13 @@ pub struct WorkerProfile {
     /// Worker index (`v_{id+1}` in the paper's 1-based notation).
     pub id: usize,
     /// Local data size `d_i` (number of samples).
-    pub data_size: usize,
+    pub(crate) data_size: usize,
     /// Un-scaled local training time `l̂_i` (seconds).
-    pub base_training_time: f64,
+    pub(crate) base_training_time: f64,
     /// Heterogeneity factor `κ_i`.
-    pub heterogeneity: f64,
+    pub(crate) heterogeneity: f64,
     /// Average channel power gain (feeds the fading model).
-    pub mean_channel_gain: f64,
+    pub(crate) mean_channel_gain: f64,
 }
 
 impl WorkerProfile {
@@ -107,11 +107,6 @@ impl WorkerProfile {
                 }
             })
             .collect()
-    }
-
-    /// Total data size `D` over a set of profiles.
-    pub fn total_data(profiles: &[WorkerProfile]) -> usize {
-        profiles.iter().map(|p| p.data_size).sum()
     }
 }
 
@@ -154,7 +149,6 @@ mod tests {
         assert_eq!(profiles.len(), 3);
         assert_eq!(profiles[1].base_training_time, 10.0);
         assert_eq!(profiles[2].local_training_time(), 15.0);
-        assert_eq!(WorkerProfile::total_data(&profiles), 60);
     }
 
     #[test]

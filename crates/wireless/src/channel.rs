@@ -48,21 +48,6 @@ impl ChannelModel {
         }
     }
 
-    /// A unit-gain noiseless-friendly static channel for `n` workers.
-    pub fn unit(n: usize) -> Self {
-        ChannelModel::Static {
-            gains: vec![1.0; n],
-        }
-    }
-
-    /// Number of workers the model was configured for.
-    pub fn num_workers(&self) -> usize {
-        match self {
-            ChannelModel::Rayleigh { mean_gains, .. } => mean_gains.len(),
-            ChannelModel::Static { gains } => gains.len(),
-        }
-    }
-
     /// Draw the channel gains `h_i^t` of every worker for one round.
     pub fn draw_round(&self, rng: &mut Rng64) -> Vec<f64> {
         match self {
@@ -143,7 +128,6 @@ mod tests {
     #[test]
     fn default_rayleigh_covers_all_workers() {
         let m = ChannelModel::default_rayleigh(7);
-        assert_eq!(m.num_workers(), 7);
         let mut rng = Rng64::seed_from(4);
         assert_eq!(m.draw_round(&mut rng).len(), 7);
     }

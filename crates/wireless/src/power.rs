@@ -23,21 +23,21 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PowerControlConfig {
     /// Upper bound `W_t` on the model norm `‖w_i^t‖` (Assumption 4).
-    pub model_norm_bound: f64,
+    pub(crate) model_norm_bound: f64,
     /// Noise variance `σ₀²` of the AWGN at the parameter server.
     pub noise_variance: f64,
     /// Total data size `D_{j_t}` of the participating group.
-    pub group_data_size: f64,
+    pub(crate) group_data_size: f64,
     /// Per-worker data sizes `d_i` of the participating workers.
-    pub data_sizes: Vec<f64>,
+    pub(crate) data_sizes: Vec<f64>,
     /// Per-worker channel gains `h_i^t` for this round.
-    pub channel_gains: Vec<f64>,
+    pub(crate) channel_gains: Vec<f64>,
     /// Per-worker energy budgets `Ê_i` (Joules per round).
     pub energy_budgets: Vec<f64>,
     /// Relative convergence threshold `θ` of Algorithm 2.
-    pub tolerance: f64,
+    pub(crate) tolerance: f64,
     /// Safety cap on alternating-optimisation iterations.
-    pub max_iterations: usize,
+    pub(crate) max_iterations: usize,
 }
 
 impl PowerControlConfig {
@@ -91,7 +91,7 @@ impl PowerControlConfig {
     }
 
     /// Panic with a descriptive message if the configuration is inconsistent.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(
             self.model_norm_bound > 0.0 && self.model_norm_bound.is_finite(),
             "model norm bound must be positive"
@@ -127,7 +127,7 @@ impl PowerControlConfig {
 
     /// The tightest energy-imposed upper bound on σ_t (the second member of
     /// the min in Eq. (47)).
-    pub fn sigma_energy_cap(&self) -> f64 {
+    pub(crate) fn sigma_energy_cap(&self) -> f64 {
         self.data_sizes
             .iter()
             .zip(self.channel_gains.iter())
@@ -149,11 +149,11 @@ pub struct PowerSolution {
     /// Number of alternating-optimisation iterations performed.
     pub iterations: usize,
     /// Whether the tolerance was reached before `max_iterations`.
-    pub converged: bool,
+    pub(crate) converged: bool,
 }
 
 /// The aggregation-error term `C_t` of Eq. (30).
-pub fn aggregation_error_term(
+pub(crate) fn aggregation_error_term(
     sigma: f64,
     eta: f64,
     model_norm_bound: f64,
@@ -167,7 +167,7 @@ pub fn aggregation_error_term(
 }
 
 /// Closed-form optimal denoising factor for a fixed σ (Eq. (44)).
-pub fn optimal_eta_for_sigma(
+pub(crate) fn optimal_eta_for_sigma(
     sigma: f64,
     model_norm_bound: f64,
     noise_variance: f64,
@@ -181,7 +181,7 @@ pub fn optimal_eta_for_sigma(
 }
 
 /// Closed-form optimal power-scaling factor for a fixed η (Eq. (47)).
-pub fn optimal_sigma_for_eta(eta: f64, cfg: &PowerControlConfig) -> f64 {
+pub(crate) fn optimal_sigma_for_eta(eta: f64, cfg: &PowerControlConfig) -> f64 {
     eta.sqrt().min(cfg.sigma_energy_cap())
 }
 

@@ -14,17 +14,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Orthogonal multiple-access flavours used by the non-AirComp baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum OmaScheme {
-    /// Time-division: uploads are serialised, each at the full link rate.
-    Tdma,
-    /// Frequency-division: uploads are concurrent but each gets `1/n` of the
-    /// band, so the completion time of the round is the same as TDMA while
-    /// individual uploads finish together.
-    Ofdma,
-}
-
 /// Physical-layer constants shared by all mechanisms. Defaults follow
 /// §VI.A.2 of the paper: bandwidth `B = 1 MHz`, noise variance `σ₀² = 1 W`,
 /// per-round energy budget `Ê_i = 10 J`.
@@ -135,28 +124,18 @@ impl WirelessConfig {
         symbols * self.symbol_duration
     }
 
-    /// Time for a single worker to upload `model_dim` parameters digitally at
-    /// the full link rate.
-    pub fn oma_single_upload_time(&self, model_dim: usize) -> f64 {
+    /// Total upload latency of one OMA round in which `num_uploaders` workers
+    /// each upload `model_dim` parameters digitally. TDMA serialises the
+    /// uploads at the full link rate and OFDMA runs them side by side on
+    /// `1/n` of the band each: either way the aggregate air-time is the same,
+    /// so the round completion time scales linearly with the number of
+    /// uploaders.
+    pub fn oma_round_upload_time(&self, model_dim: usize, num_uploaders: usize) -> f64 {
         assert!(model_dim > 0, "model dimension must be positive");
-        let bits = model_dim as f64 * self.bits_per_param;
-        bits / (self.bandwidth_hz * self.spectral_efficiency)
-    }
-
-    /// Total upload latency of one OMA round with `num_uploaders` workers.
-    /// Both TDMA and OFDMA serialise the aggregate air-time, so the round
-    /// completion time scales linearly with the number of uploaders.
-    pub fn oma_round_upload_time(
-        &self,
-        scheme: OmaScheme,
-        model_dim: usize,
-        num_uploaders: usize,
-    ) -> f64 {
         assert!(num_uploaders > 0, "need at least one uploader");
-        let single = self.oma_single_upload_time(model_dim);
-        match scheme {
-            OmaScheme::Tdma | OmaScheme::Ofdma => single * num_uploaders as f64,
-        }
+        let bits = model_dim as f64 * self.bits_per_param;
+        let single = bits / (self.bandwidth_hz * self.spectral_efficiency);
+        single * num_uploaders as f64
     }
 }
 
@@ -202,20 +181,11 @@ mod tests {
     #[test]
     fn oma_time_scales_linearly_with_workers() {
         let c = WirelessConfig::default();
-        let one = c.oma_round_upload_time(OmaScheme::Tdma, 10_000, 1);
-        let hundred = c.oma_round_upload_time(OmaScheme::Tdma, 10_000, 100);
+        let one = c.oma_round_upload_time(10_000, 1);
+        let hundred = c.oma_round_upload_time(10_000, 100);
         assert!((hundred / one - 100.0).abs() < 1e-9);
         // 10k params * 32 bits / 1 Mbit/s = 0.32 s.
         assert!((one - 0.32).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ofdma_and_tdma_round_times_match() {
-        let c = WirelessConfig::default();
-        assert_eq!(
-            c.oma_round_upload_time(OmaScheme::Tdma, 5_000, 10),
-            c.oma_round_upload_time(OmaScheme::Ofdma, 5_000, 10)
-        );
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! cargo run --release --example heterogeneous_edge
 //! ```
 
-use air_fedga::airfedga::mechanism::{AirFedGa, AirFedGaConfig};
-use air_fedga::airfedga::system::{FlMechanism, FlSystemConfig};
-use air_fedga::baselines::{AirFedAvg, BaselineOptions};
+use air_fedga::airfedga::system::FlSystemConfig;
+use air_fedga::baselines::MechanismChoice;
 use air_fedga::fedml::rng::Rng64;
 use air_fedga::simcore::worker::HeterogeneityModel;
 
@@ -32,25 +31,13 @@ fn main() {
         config.heterogeneity = heterogeneity;
         let system = config.build(&mut Rng64::seed_from(11));
 
-        let air_fedga = AirFedGa::new(AirFedGaConfig {
-            total_rounds: rounds,
-            eval_every: 10,
-            ..AirFedGaConfig::default()
-        });
-        let air_fedavg = AirFedAvg::new(BaselineOptions {
-            total_rounds: rounds,
-            eval_every: 10,
-            max_virtual_time: None,
-            parallel: true,
-        });
-
-        let ga = air_fedga.run(&system, &mut Rng64::seed_from(5));
-        let avg = air_fedavg.run(&system, &mut Rng64::seed_from(5));
-
         println!("== {label} ==");
-        for (name, trace) in [("Air-FedGA", &ga), ("Air-FedAvg", &avg)] {
+        for choice in [MechanismChoice::AirFedGa, MechanismChoice::AirFedAvg] {
+            let mechanism = choice.build(rounds, 10, None);
+            let trace = mechanism.run(&system, &mut Rng64::seed_from(5));
             println!(
-                "  {name:<11} avg round {:7.1}s | final accuracy {:.3} | time to 80%: {}",
+                "  {:<11} avg round {:7.1}s | final accuracy {:.3} | time to 80%: {}",
+                choice.label(),
                 trace.average_round_time(),
                 trace.final_accuracy(),
                 trace

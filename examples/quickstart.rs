@@ -6,7 +6,7 @@
 //! ```
 
 use air_fedga::airfedga::mechanism::{AirFedGa, AirFedGaConfig};
-use air_fedga::airfedga::system::{FlMechanism, FlSystemConfig};
+use air_fedga::airfedga::system::FlSystemConfig;
 use air_fedga::fedml::rng::Rng64;
 
 fn main() {

@@ -2,7 +2,7 @@
 //!
 //! Re-exports the whole Air-FedGA reproduction workspace behind a single
 //! dependency, so downstream users (and the `examples/` directory) can write
-//! `use air_fedga::airfedga::AirFedGaRunner;` without naming each internal
+//! `use air_fedga::baselines::MechanismChoice;` without naming each internal
 //! crate. See the individual crates for detailed documentation:
 //!
 //! * [`fedml`] — ML substrate (models, datasets, Non-IID partitioning, SGD).
@@ -10,7 +10,8 @@
 //! * [`simcore`] — discrete-event simulation engine and trace recording.
 //! * [`grouping`] — EMD, the grouping objective and Algorithm 3.
 //! * [`airfedga`] — the Air-FedGA mechanism (Algorithm 1) and Theorem-1 bound.
-//! * [`baselines`] — FedAvg, TiFL, Air-FedAvg and Dynamic comparators.
+//! * [`baselines`] — the mechanism table (FedAvg, TiFL, Air-FedAvg, Dynamic
+//!   and Air-FedGA as grouping rule × aggregation back-end) and Dynamic's loop.
 //! * [`faults`] — deterministic fault injection (churn, stragglers, outages).
 //! * [`experiments`] — the shared figure/sweep drivers and replication stats.
 //! * [`scenario`] — declarative scenario specs (TOML subset + component

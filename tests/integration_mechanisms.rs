@@ -3,9 +3,9 @@
 //! hold (who converges, whose rounds are shorter, who wins time-to-accuracy
 //! under heterogeneity).
 
-use air_fedga::airfedga::mechanism::{AirFedGa, AirFedGaConfig};
-use air_fedga::airfedga::system::{FlMechanism, FlSystem, FlSystemConfig};
-use air_fedga::baselines::{AirFedAvg, BaselineOptions, Dynamic, DynamicConfig, FedAvg, TiFl};
+use air_fedga::airfedga::system::{FlSystem, FlSystemConfig};
+use air_fedga::baselines::MechanismChoice::{AirFedAvg, AirFedGa, Dynamic, FedAvg, TiFl};
+use air_fedga::baselines::{Mechanism, MechanismChoice};
 use air_fedga::fedml::rng::Rng64;
 
 fn small_system(seed: u64) -> FlSystem {
@@ -16,44 +16,33 @@ fn small_system(seed: u64) -> FlSystem {
     cfg.build(&mut Rng64::seed_from(seed))
 }
 
-fn opts(rounds: usize) -> BaselineOptions {
-    BaselineOptions {
-        total_rounds: rounds,
-        eval_every: 5,
-        max_virtual_time: None,
-        parallel: true,
-    }
+/// `choice` at a budget of `rounds` rounds, evaluated every five.
+fn mech(choice: MechanismChoice, rounds: usize) -> Mechanism {
+    choice.build(rounds, 5, None)
 }
 
 #[test]
 fn all_five_mechanisms_learn_above_chance() {
     let system = small_system(1);
-    let mechanisms: Vec<Box<dyn FlMechanism>> = vec![
-        Box::new(FedAvg::new(opts(30))),
-        Box::new(TiFl::new(opts(80))),
-        Box::new(AirFedAvg::new(opts(30))),
-        Box::new(Dynamic::new(DynamicConfig {
-            options: opts(80),
-            ..DynamicConfig::default()
-        })),
-        Box::new(AirFedGa::new(AirFedGaConfig {
-            total_rounds: 80,
-            eval_every: 5,
-            ..AirFedGaConfig::default()
-        })),
+    let budgets = [
+        (FedAvg, 30),
+        (TiFl, 80),
+        (AirFedAvg, 30),
+        (Dynamic, 80),
+        (AirFedGa, 80),
     ];
-    for mech in mechanisms {
-        let trace = mech.run(&system, &mut Rng64::seed_from(7));
+    for (choice, rounds) in budgets {
+        let trace = mech(choice, rounds).run(&system, &mut Rng64::seed_from(7));
         assert!(
             trace.final_accuracy() > 0.5,
             "{} only reached accuracy {}",
-            mech.name(),
+            choice.label(),
             trace.final_accuracy()
         );
         assert!(
             trace.final_loss() < trace.points()[0].loss,
             "{} did not reduce the loss",
-            mech.name()
+            choice.label()
         );
         assert!(trace.total_time() > 0.0);
     }
@@ -64,8 +53,8 @@ fn aircomp_rounds_are_shorter_than_oma_rounds() {
     // Fig. 10 (left): with synchronous participation, the OMA upload time
     // grows with N while AirComp's does not.
     let system = small_system(2);
-    let fedavg = FedAvg::new(opts(5)).run(&system, &mut Rng64::seed_from(3));
-    let air_fedavg = AirFedAvg::new(opts(5)).run(&system, &mut Rng64::seed_from(3));
+    let fedavg = mech(FedAvg, 5).run(&system, &mut Rng64::seed_from(3));
+    let air_fedavg = mech(AirFedAvg, 5).run(&system, &mut Rng64::seed_from(3));
     assert!(air_fedavg.average_round_time() < fedavg.average_round_time());
 }
 
@@ -73,13 +62,8 @@ fn aircomp_rounds_are_shorter_than_oma_rounds() {
 fn airfedga_rounds_are_much_shorter_than_synchronous_aircomp() {
     // The grouping means a round waits only for one group's slowest worker.
     let system = small_system(3);
-    let ga = AirFedGa::new(AirFedGaConfig {
-        total_rounds: 30,
-        eval_every: 5,
-        ..AirFedGaConfig::default()
-    })
-    .run(&system, &mut Rng64::seed_from(4));
-    let avg = AirFedAvg::new(opts(30)).run(&system, &mut Rng64::seed_from(4));
+    let ga = mech(AirFedGa, 30).run(&system, &mut Rng64::seed_from(4));
+    let avg = mech(AirFedAvg, 30).run(&system, &mut Rng64::seed_from(4));
     assert!(
         ga.average_round_time() < 0.8 * avg.average_round_time(),
         "Air-FedGA round {} not shorter than Air-FedAvg round {}",
@@ -94,17 +78,8 @@ fn airfedga_beats_dynamic_in_time_to_accuracy() {
     // the Dynamic scheduling baseline on a heterogeneous Non-IID system.
     let system = small_system(4);
     let rounds = 250;
-    let ga = AirFedGa::new(AirFedGaConfig {
-        total_rounds: rounds,
-        eval_every: 5,
-        ..AirFedGaConfig::default()
-    })
-    .run(&system, &mut Rng64::seed_from(5));
-    let dynamic = Dynamic::new(DynamicConfig {
-        options: opts(rounds),
-        ..DynamicConfig::default()
-    })
-    .run(&system, &mut Rng64::seed_from(5));
+    let ga = mech(AirFedGa, rounds).run(&system, &mut Rng64::seed_from(5));
+    let dynamic = mech(Dynamic, rounds).run(&system, &mut Rng64::seed_from(5));
     let target = 0.75;
     let t_ga = ga.time_to_accuracy(target);
     let t_dyn = dynamic.time_to_accuracy(target);
@@ -122,13 +97,9 @@ fn airfedga_beats_dynamic_in_time_to_accuracy() {
 #[test]
 fn traces_are_reproducible_across_runs() {
     let system = small_system(6);
-    let mech = AirFedGa::new(AirFedGaConfig {
-        total_rounds: 20,
-        eval_every: 4,
-        ..AirFedGaConfig::default()
-    });
-    let a = mech.run(&system, &mut Rng64::seed_from(9));
-    let b = mech.run(&system, &mut Rng64::seed_from(9));
+    let mechanism = AirFedGa.build(20, 4, None);
+    let a = mechanism.run(&system, &mut Rng64::seed_from(9));
+    let b = mechanism.run(&system, &mut Rng64::seed_from(9));
     assert_eq!(a.len(), b.len());
     for (x, y) in a.points().iter().zip(b.points()) {
         assert_eq!(x.loss.to_bits(), y.loss.to_bits());
@@ -140,9 +111,9 @@ fn traces_are_reproducible_across_runs() {
 #[test]
 fn energy_is_only_spent_by_aircomp_mechanisms() {
     let system = small_system(7);
-    let fedavg = FedAvg::new(opts(5)).run(&system, &mut Rng64::seed_from(1));
-    let tifl = TiFl::new(opts(5)).run(&system, &mut Rng64::seed_from(1));
-    let air = AirFedAvg::new(opts(5)).run(&system, &mut Rng64::seed_from(1));
+    let fedavg = mech(FedAvg, 5).run(&system, &mut Rng64::seed_from(1));
+    let tifl = mech(TiFl, 5).run(&system, &mut Rng64::seed_from(1));
+    let air = mech(AirFedAvg, 5).run(&system, &mut Rng64::seed_from(1));
     assert_eq!(fedavg.total_energy(), 0.0);
     assert_eq!(tifl.total_energy(), 0.0);
     assert!(air.total_energy() > 0.0);

@@ -11,9 +11,9 @@
 use air_fedga::airfedga::convergence::{lemma1_envelope, lemma1_recursion};
 use air_fedga::airfedga::mechanism::{run_group_async, AggregationMode, EngineOptions};
 use air_fedga::airfedga::mechanism::{AirFedGa, AirFedGaConfig};
-use air_fedga::airfedga::system::{FlMechanism, FlSystemConfig};
+use air_fedga::airfedga::system::FlSystemConfig;
 use air_fedga::airfedga::worker_pool::WorkerPool;
-use air_fedga::baselines::{AirFedAvg, BaselineOptions, Dynamic, DynamicConfig};
+use air_fedga::baselines::MechanismChoice;
 use air_fedga::fedml::dataset::{Dataset, SyntheticSpec};
 use air_fedga::fedml::model::{Mlp, Model};
 use air_fedga::fedml::params::FlatParams;
@@ -376,28 +376,18 @@ fn parallel_rounds_are_bit_identical_to_sequential() {
         Grouping::single_group(system.num_workers()),
         Grouping::new(vec![vec![0, 2, 4, 6], vec![1, 3, 5, 7]], 8),
     ];
-    let modes = [
-        AggregationMode::AirComp {
-            power_control: true,
-            noise: true,
-        },
-        AggregationMode::OmaIdeal {
-            scheme: air_fedga::wireless::timing::OmaScheme::Tdma,
-        },
-    ];
     for grouping in &groupings {
-        for &aggregation in &modes {
-            let base = EngineOptions {
-                total_rounds: 12,
-                eval_every: 1,
-                max_virtual_time: None,
-                aggregation,
-                parallel: true,
-            };
-            let mut seq = base.clone();
-            seq.parallel = false;
-            let a = run_group_async(&system, grouping, &base, "par", &mut Rng64::seed_from(9));
-            let b = run_group_async(&system, grouping, &seq, "seq", &mut Rng64::seed_from(9));
+        for aggregation in [AggregationMode::AirComp, AggregationMode::OmaIdeal] {
+            let [a, b] = [true, false].map(|parallel| {
+                let opts = EngineOptions {
+                    total_rounds: 12,
+                    eval_every: 1,
+                    max_virtual_time: None,
+                    parallel,
+                };
+                let rng = &mut Rng64::seed_from(9);
+                run_group_async(&system, grouping, aggregation, &opts, "run", rng)
+            });
             assert_eq!(a.points().len(), b.points().len());
             for (pa, pb) in a.points().iter().zip(b.points()) {
                 assert_eq!(pa.loss.to_bits(), pb.loss.to_bits());
@@ -675,24 +665,12 @@ fn render_engine_traces() -> String {
         deadline: Some(400.0),
         ..air_fedga::faults::FaultSpec::none()
     };
-    let options = BaselineOptions {
-        total_rounds: 25,
-        eval_every: 1,
-        max_virtual_time: None,
-        parallel: true,
-    };
-    let mechanisms: [Box<dyn FlMechanism>; 3] = [
-        Box::new(AirFedGa::new(AirFedGaConfig {
-            total_rounds: 25,
-            eval_every: 1,
-            ..AirFedGaConfig::default()
-        })),
-        Box::new(AirFedAvg::new(options)),
-        Box::new(Dynamic::new(DynamicConfig {
-            options,
-            ..DynamicConfig::default()
-        })),
-    ];
+    let mechanisms = [
+        MechanismChoice::AirFedGa,
+        MechanismChoice::AirFedAvg,
+        MechanismChoice::Dynamic,
+    ]
+    .map(|choice| choice.build(25, 1, None));
     let mut out = String::new();
     for faults in [air_fedga::faults::FaultSpec::none(), churn] {
         let mut cfg = FlSystemConfig::mnist_lr_quick();
@@ -721,15 +699,12 @@ fn run_grid_with_nested_rounds_matches_sequential_loop() {
             total_rounds: 6,
             eval_every: 2,
             max_virtual_time: None,
-            aggregation: AggregationMode::AirComp {
-                power_control: true,
-                noise: true,
-            },
             parallel: true,
         };
         run_group_async(
             &system,
             &grouping,
+            AggregationMode::AirComp,
             &opts,
             "cell",
             &mut Rng64::seed_from(seed),
@@ -750,4 +725,195 @@ fn run_grid_with_nested_rounds_matches_sequential_loop() {
     let grid = experiments::harness::run_grid(cells.clone(), run_cell);
     let seq: Vec<Vec<u64>> = cells.into_iter().map(run_cell).collect();
     assert_eq!(grid, seq);
+}
+
+/// A fault plan that is enabled yet can never bite — no churn, no straggler,
+/// no outage, and a deadline no round reaches — must leave every mechanism's
+/// trace exactly as the empty plan leaves it: a round's wait and participants
+/// are computed one way, through the plan, and only the fault log tells the
+/// two runs apart. Fails if a second, fault-free schedule ever comes back and
+/// drifts from the first.
+#[test]
+fn a_harmless_fault_plan_changes_no_bit_of_any_mechanism() {
+    use air_fedga::faults::FaultSpec;
+    let harmless = FaultSpec {
+        deadline: Some(1e9),
+        ..FaultSpec::none()
+    };
+    let [clean, armed] = [FaultSpec::none(), harmless].map(|faults| {
+        let mut cfg = FlSystemConfig::mnist_lr_quick();
+        cfg.faults = faults;
+        cfg.build(&mut Rng64::seed_from(7112))
+    });
+    assert!(!clean.faults.enabled() && armed.faults.enabled());
+    for choice in MechanismChoice::all() {
+        let mechanism = choice.build(20, 1, None);
+        let a = mechanism.run(&clean, &mut Rng64::seed_from(7113));
+        let b = mechanism.run(&armed, &mut Rng64::seed_from(7113));
+        let name = choice.label();
+        assert_eq!(a.points().len(), 21, "{name}");
+        assert_eq!(b.points().len(), 21, "{name}");
+        for (pa, pb) in a.points().iter().zip(b.points()) {
+            assert_eq!(pa.round, pb.round, "{name}");
+            assert_eq!(pa.time.to_bits(), pb.time.to_bits(), "{name}");
+            assert_eq!(pa.loss.to_bits(), pb.loss.to_bits(), "{name}");
+            assert_eq!(pa.accuracy.to_bits(), pb.accuracy.to_bits(), "{name}");
+            assert_eq!(pa.energy.to_bits(), pb.energy.to_bits(), "{name}");
+        }
+        assert!(a.faults.is_empty(), "{name}: a fault-free run logged");
+        assert_eq!(b.faults.rounds_attempted, 20, "{name}");
+        assert_eq!(b.faults.participation_rate(), 1.0, "{name}");
+        assert!(b.faults.events.is_empty(), "{name}");
+    }
+}
+
+/// One round of [`replay_group_async`]: which group aggregated, when it was
+/// dispatched and closed, and who delivered an update.
+struct ReplayedRound {
+    group: usize,
+    dispatch: f64,
+    ready: f64,
+    participants: Vec<usize>,
+}
+
+/// The group-asynchronous schedule under the system's fault plan, worked out
+/// from the public plan queries alone — an oracle for the engine's scheduling
+/// with the AirComp back-end (upload latency independent of the group). Every
+/// shard of the quick system holds data, so a round is skipped exactly when
+/// nobody delivers.
+fn replay_group_async(
+    system: &air_fedga::airfedga::system::FlSystem,
+    grouping: &Grouping,
+    rounds: usize,
+) -> Vec<ReplayedRound> {
+    let faults = &system.faults;
+    let upload = system.aircomp_aggregation_time();
+    let broadcast = system.config.wireless.broadcast_latency;
+    let work = |w: usize| system.local_training_time(w) * faults.slowdown(w);
+    // How long a group dispatched at `t` stays open: until its slowest member
+    // that is up at `t` finishes (all members when nobody is up), or the
+    // deadline.
+    let wait = |j: usize, t: f64| {
+        let slowest = |up_only: bool| {
+            let members = grouping.group(j).iter().copied();
+            members
+                .filter(|&w| !up_only || faults.available(w, t))
+                .map(work)
+                .fold(0.0, f64::max)
+        };
+        let up = slowest(true);
+        let open = if up > 0.0 { up } else { slowest(false) };
+        faults.deadline().map_or(open, |d| open.min(d))
+    };
+    let mut queue = air_fedga::simcore::events::EventQueue::new();
+    for j in 0..grouping.num_groups() {
+        queue.push(wait(j, 0.0), (j, 0.0));
+    }
+    let mut replayed = Vec::new();
+    for _ in 0..rounds {
+        let (ready, (group, dispatch)) = queue.pop().expect("every group is always pending");
+        let members = grouping.group(group).iter().copied();
+        let participants: Vec<usize> = members
+            .filter(|&w| {
+                faults.available(w, dispatch)
+                    && faults.available(w, ready)
+                    && !faults.in_outage(w, ready)
+                    && dispatch + work(w) <= ready + 1e-9
+            })
+            .collect();
+        let closed = if participants.is_empty() {
+            ready
+        } else {
+            ready + upload
+        };
+        let next = closed + broadcast;
+        queue.push(next + wait(group, next), (group, next));
+        replayed.push(ReplayedRound {
+            group,
+            dispatch,
+            ready,
+            participants,
+        });
+    }
+    replayed
+}
+
+/// Fault-path invariants of the engine on a churned system, against the
+/// replayed schedule: no round consumes a worker the plan marks down when its
+/// group is dispatched or when it aggregates (or whose channel is out then),
+/// the `FaultLog` totals are the sums over the rounds, every skipped round is
+/// logged at the instant it closed, and every aggregation lands at the
+/// replayed time, bit for bit.
+#[test]
+fn churned_rounds_never_consume_a_down_worker_and_the_fault_log_adds_up() {
+    const ROUNDS: usize = 60;
+    let mut cfg = FlSystemConfig::mnist_lr_quick();
+    cfg.faults = air_fedga::faults::FaultSpec {
+        dropout_rate: 0.004,
+        mean_downtime: 150.0,
+        straggler_fraction: 0.3,
+        straggler_slowdown: 3.0,
+        outage_rate: 0.002,
+        outage_duration: 30.0,
+        deadline: Some(120.0),
+        ..air_fedga::faults::FaultSpec::none()
+    };
+    let system = cfg.build(&mut Rng64::seed_from(7114));
+    let mechanism = AirFedGa::new(AirFedGaConfig {
+        total_rounds: ROUNDS,
+        eval_every: 1,
+        ..AirFedGaConfig::default()
+    });
+    let groupings = [
+        mechanism.grouping_for(&system),
+        Grouping::single_group(system.num_workers()),
+    ];
+    let upload = system.aircomp_aggregation_time();
+    for grouping in &groupings {
+        let rounds = replay_group_async(&system, grouping, ROUNDS);
+        for (r, round) in rounds.iter().enumerate() {
+            for &w in &round.participants {
+                for t in [round.dispatch, round.ready] {
+                    assert!(system.faults.available(w, t), "round {r}: {w} down at {t}");
+                }
+                assert!(!system.faults.in_outage(w, round.ready), "round {r}: {w}");
+            }
+        }
+        let trace = mechanism.run_with_grouping(&system, grouping, &mut Rng64::seed_from(7115));
+        let log = &trace.faults;
+        let delivered = |r: &&ReplayedRound| !r.participants.is_empty();
+        let members = |r: &ReplayedRound| grouping.group(r.group).len();
+        assert_eq!(log.rounds_attempted, ROUNDS);
+        assert_eq!(
+            log.rounds_aggregated,
+            rounds.iter().filter(delivered).count()
+        );
+        assert_eq!(
+            log.participants_total,
+            rounds.iter().map(|r| r.participants.len()).sum::<usize>()
+        );
+        assert_eq!(log.members_total, rounds.iter().map(members).sum::<usize>());
+        assert!(
+            log.participants_total < log.members_total,
+            "the churn never bit: the property checked nothing"
+        );
+        let skipped: Vec<(u64, usize, usize)> = (rounds.iter().zip(1..))
+            .filter(|(r, _)| r.participants.is_empty())
+            .map(|(r, number)| (r.ready.to_bits(), number, r.group))
+            .collect();
+        let logged: Vec<(u64, usize, usize)> = (log.events.iter())
+            .map(|e| (e.time.to_bits(), e.round, e.group))
+            .collect();
+        assert_eq!(logged, skipped);
+        // Round 0 is the initial model; with `eval_every = 1` every round
+        // that aggregated has a point, and a skipped one has none.
+        let aggregated: Vec<(usize, u64)> = (rounds.iter().zip(1..))
+            .filter(|(r, _)| !r.participants.is_empty())
+            .map(|(r, number)| (number, (r.ready + upload).to_bits()))
+            .collect();
+        let traced: Vec<(usize, u64)> = (trace.points()[1..].iter())
+            .map(|p| (p.round, p.time.to_bits()))
+            .collect();
+        assert_eq!(traced, aggregated);
+    }
 }
