@@ -16,9 +16,10 @@
 //! * [`server`] — the parameter server's half of a round (over-the-air
 //!   aggregation into the global model, periodic evaluation), shared by the
 //!   engine and the Dynamic baseline's own loop.
-//! * [`worker_pool`] — per-worker training state (model, RNG stream, scratch
-//!   workspace); a round's members train in parallel on the persistent worker pool
-//!   with bit-identical-to-sequential results.
+//! * [`worker_pool`] — per-worker training state (RNG stream, local
+//!   parameters) and per-lane training scratch (model, workspace); a round's
+//!   members train in parallel, one run per lane, on the persistent worker
+//!   pool with bit-identical-to-sequential results.
 //! * [`convergence`] — numerical evaluation of the Theorem-1 bound
 //!   (`ρ`, `δ`, the Lemma-1 recursion) and of Corollaries 1–2.
 //!

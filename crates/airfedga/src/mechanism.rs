@@ -58,8 +58,9 @@ pub struct EngineOptions {
     pub max_virtual_time: Option<f64>,
     /// Run each round's per-member local updates on the persistent worker pool.
     /// Traces are bit-identical either way (each worker owns its RNG stream
-    /// and scratch state, and the reduction order is fixed); `false` is the
-    /// tests' in-process sequential reference.
+    /// and parameter buffer, training scratch is fully overwritten by every
+    /// update, and the reduction order is fixed); `false` is the tests'
+    /// in-process sequential reference.
     pub parallel: bool,
 }
 
@@ -138,13 +139,14 @@ fn delivering_members(
 /// the neutral value. Only the fault log's participation counters depend on
 /// the plan being enabled — a fault-free run carries an empty log.
 ///
-/// The local-training hot path is allocation-free in steady state: every
-/// worker owns a persistent [`WorkerPool`] slot (model, RNG stream, scratch
-/// workspace, local-parameter buffer and its cached `‖w_i‖²`), and the
-/// per-group dispatch vectors and the [`Server`]'s power-control, AirComp
-/// estimate/energy and evaluation buffers are all reused across rounds. With
-/// `opts.parallel` the members of the aggregating group train concurrently on
-/// the persistent worker pool — bit-identical to the sequential schedule.
+/// The local-training hot path allocates nothing per member in steady state:
+/// every worker owns a persistent [`WorkerPool`] slot (RNG stream,
+/// local-parameter buffer and its cached `‖w_i‖²`), each training lane one
+/// scratch model and workspace, and the per-group dispatch vectors and the
+/// [`Server`]'s power-control, AirComp estimate/energy and evaluation buffers
+/// are all reused across rounds. With `opts.parallel` the members of the
+/// aggregating group train concurrently, one contiguous run per lane on the
+/// persistent worker pool — bit-identical to the sequential schedule.
 pub fn run_group_async(
     system: &FlSystem,
     grouping: &Grouping,

@@ -1,18 +1,29 @@
 //! Per-worker training state and the (optionally parallel) local-training
 //! round.
 //!
-//! Every mechanism simulation owns a [`WorkerPool`]: one slot per simulated
-//! worker holding that worker's model instance, its private deterministic RNG
-//! stream, its scratch [`Workspace`] and the buffer its local parameters are
-//! written into. Keeping the state per-worker has two payoffs:
+//! Every mechanism simulation owns a [`WorkerPool`]. Per simulated worker it
+//! keeps only what outlives an update: the worker's private deterministic RNG
+//! stream, the buffer its local parameters are written into and that buffer's
+//! cached `‖w_i‖²`. The model instance and the scratch [`Workspace`] an update
+//! runs on are *training scratch*, and there is one of each per **lane** —
+//! `min(`[`parallel::max_threads`]`, N)` of them, built once with the pool —
+//! not one per worker: a round's sorted members are split into contiguous
+//! runs, one per lane, and each lane trains its run member after member on
+//! its own model and workspace.
 //!
-//! * **Zero steady-state allocation** — model, workspace and parameter buffer
-//!   are reused across every round the worker participates in.
-//! * **Deterministic parallelism** — a round's members touch only their own
-//!   slots, so the per-member local updates can run on the persistent worker pool
-//!   ([`parallel`]) and still produce traces **bit-identical** to sequential
-//!   execution: each member draws from its own pre-forked RNG stream, and the
-//!   aggregation that follows reads the slots in fixed member order.
+//! * **Zero steady-state allocation** — per member nothing: lane scratch,
+//!   RNG streams and parameter buffers are reused across every round. Per
+//!   round the parallel fan-out allocates its O(lanes) bookkeeping (the lane
+//!   list and the pool's per-chunk slots).
+//! * **Deterministic parallelism** — results are **bit-identical** to
+//!   sequential execution, at any lane count, because nothing a member
+//!   computes depends on which lane ran it or what that lane ran before:
+//!   each member draws from its own pre-forked RNG stream and writes only its
+//!   own slot; an update starts with `set_params`, which overwrites every
+//!   weight and bias of the lane's model; and [`Workspace`] checkouts are
+//!   overwritten by every caller. Lane boundaries are a pure function of
+//!   (members, lanes), and the aggregation that follows reads the slots in
+//!   fixed member order.
 
 use fedml::model::Model;
 use fedml::optimizer::local_update_from_ws;
@@ -23,16 +34,10 @@ use parallel::prelude::*;
 
 use crate::system::FlSystem;
 
-/// One simulated worker's private training state.
+/// What one simulated worker keeps between rounds.
 struct WorkerSlot {
-    /// The worker's model instance (used as the gradient-evaluation
-    /// template; its parameters are overwritten from the dispatched global
-    /// model at the start of every local update).
-    model: Box<dyn Model>,
     /// The worker's private RNG stream (mini-batch shuffling).
     rng: Rng64,
-    /// The worker's scratch buffer pool.
-    ws: Workspace,
     /// The local parameters produced by the worker's most recent update.
     local: FlatParams,
     /// `local.norm_sq()`, computed once at the end of the update (inside the
@@ -40,40 +45,65 @@ struct WorkerSlot {
     local_norm_sq: f64,
 }
 
-/// One slot per worker, plus the scratch needed to hand a round's members to
-/// the thread pool.
+/// One lane's training scratch: a model instance (its parameters are
+/// overwritten from the dispatched global model at the start of every local
+/// update) and a scratch buffer pool.
+struct Trainer {
+    model: Box<dyn Model>,
+    ws: Workspace,
+}
+
+/// One contiguous run of a round's sorted members, the trainer it runs on and
+/// the window of slots it spans (`slots[0]` is worker `first`).
+struct Lane<'a> {
+    run: &'a [usize],
+    trainer: &'a mut Trainer,
+    first: usize,
+    slots: &'a mut [WorkerSlot],
+}
+
+/// One slot per worker, one trainer per lane, plus the scratch needed to
+/// hand a round's members to the thread pool.
 pub struct WorkerPool {
     slots: Vec<WorkerSlot>,
+    trainers: Vec<Trainer>,
     sorted_members: Vec<usize>,
 }
 
 impl WorkerPool {
-    /// Create one slot per worker of `system`. Forks one child RNG stream per
-    /// worker from `rng` (in worker order, so the construction itself is
-    /// deterministic).
+    /// Create one slot per worker of `system` and one trainer per lane.
+    /// Forks one child RNG stream per worker from `rng` (in worker order, so
+    /// the construction itself is deterministic).
     pub fn new(system: &FlSystem, rng: &mut Rng64) -> Self {
+        let n = system.num_workers();
         let q = system.model_dim();
-        let slots = (0..system.num_workers())
+        let slots = (0..n)
             .map(|w| WorkerSlot {
-                model: system.fresh_model(),
                 rng: rng.fork(w as u64),
-                ws: Workspace::new(),
                 local: FlatParams::zeros(q),
                 local_norm_sq: 0.0,
             })
             .collect();
+        let trainers = (0..parallel::max_threads().min(n))
+            .map(|_| Trainer {
+                model: system.fresh_model(),
+                ws: Workspace::new(),
+            })
+            .collect();
         Self {
             slots,
+            trainers,
             sorted_members: Vec::new(),
         }
     }
 
-    /// Run one local update for every worker in `members`, each starting from
-    /// `dispatch`, writing the results into the members' slots.
+    /// Run one local update for every worker in `members` (distinct), each
+    /// starting from `dispatch`, writing the results into the members' slots.
     ///
-    /// With `parallel` the members are mapped over the persistent worker pool;
-    /// the result is bit-identical to the sequential path because every
-    /// member only touches its own slot and RNG stream.
+    /// With `parallel` the sorted members are split into one contiguous run
+    /// per lane and the runs are mapped over the persistent worker pool;
+    /// without, every member trains on lane 0. Both give the same bits (see
+    /// the module docs).
     pub fn train_members(
         &mut self,
         members: &[usize],
@@ -84,39 +114,48 @@ impl WorkerPool {
         self.sorted_members.clear();
         self.sorted_members.extend_from_slice(members);
         self.sorted_members.sort_unstable();
+        assert!(
+            self.sorted_members.windows(2).all(|p| p[0] < p[1]),
+            "a round's members must be distinct"
+        );
         let sgd = &system.config.sgd;
-        let train_one = |w: usize, slot: &mut WorkerSlot| {
-            local_update_from_ws(
-                slot.model.as_mut(),
-                dispatch,
-                &system.shards[w],
-                sgd,
-                &mut slot.rng,
-                &mut slot.ws,
-                &mut slot.local,
-            );
-            slot.local_norm_sq = slot.local.norm_sq();
-        };
-        let muts = parallel::disjoint_muts(&mut self.slots, &self.sorted_members);
-        let jobs: Vec<(usize, &mut WorkerSlot)> =
-            self.sorted_members.iter().copied().zip(muts).collect();
-        if parallel {
-            // A round's member updates are a uniform micro fan-out (similar
-            // shard sizes, identical model work), so one contiguous chunk per
-            // thread minimises queue overhead — every thread with nothing
-            // else to do, joining callers included, takes one. The hint is
-            // scheduling-only and keeps the trace bit-identical (see the
-            // parallel crate).
-            let _: Vec<()> = jobs
-                .into_par_iter()
-                .map(|(w, slot)| train_one(w, slot))
-                .with_chunk_hint(ChunkHint::Coarse)
-                .collect();
-        } else {
-            for (w, slot) in jobs {
-                train_one(w, slot);
+        let train_lane = |lane: Lane| {
+            for &w in lane.run {
+                let slot = &mut lane.slots[w - lane.first];
+                local_update_from_ws(
+                    lane.trainer.model.as_mut(),
+                    dispatch,
+                    &system.shards[w],
+                    sgd,
+                    &mut slot.rng,
+                    &mut lane.trainer.ws,
+                    &mut slot.local,
+                );
+                slot.local_norm_sq = slot.local.norm_sq();
             }
+        };
+        // Runs of ⌈n / lanes⌉ members: at most `lanes` of them, each paired
+        // with its own trainer and the (disjoint) window of slots it spans.
+        let lanes = if parallel { self.trainers.len() } else { 1 };
+        let run_len = self.sorted_members.len().div_ceil(lanes).max(1);
+        let mut rest: &mut [WorkerSlot] = &mut self.slots;
+        let mut first = 0;
+        let mut work: Vec<Lane> = Vec::with_capacity(lanes);
+        for (run, trainer) in self.sorted_members.chunks(run_len).zip(&mut self.trainers) {
+            let end = run[run.len() - 1] + 1;
+            let (slots, tail) = std::mem::take(&mut rest).split_at_mut(end - first);
+            work.push(Lane {
+                run,
+                trainer,
+                first,
+                slots,
+            });
+            (rest, first) = (tail, end);
         }
+        // One pool item per lane (a map targets at least `max_threads()`
+        // chunks, and there are no more lanes than that); a single lane runs
+        // in-line.
+        let _: Vec<()> = work.into_par_iter().map(train_lane).collect();
     }
 
     /// The local parameters worker `w` produced in its most recent update.
@@ -127,6 +166,12 @@ impl WorkerPool {
     /// `‖local(w)‖²`, bit-identical to `local(w).norm_sq()`.
     pub fn local_norm_sq(&self, w: usize) -> f64 {
         self.slots[w].local_norm_sq
+    }
+
+    /// Model instances this pool holds: one per lane.
+    #[cfg(test)]
+    fn model_instances(&self) -> usize {
+        self.trainers.len()
     }
 }
 
@@ -164,5 +209,23 @@ mod tests {
         assert!(pool.local(5).norm_sq() > 0.0);
         // Untouched worker keeps its zeroed buffer.
         assert_eq!(pool.local(0).norm_sq(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be distinct")]
+    fn repeated_members_are_rejected() {
+        let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(4));
+        let dispatch = system.template.params();
+        let mut pool = WorkerPool::new(&system, &mut Rng64::seed_from(8));
+        pool.train_members(&[2, 6, 2], &dispatch, &system, true);
+    }
+
+    #[test]
+    fn a_pool_holds_one_model_per_lane_not_per_worker() {
+        let mut cfg = FlSystemConfig::mnist_lr_quick();
+        cfg.num_workers = 100;
+        let system = cfg.build(&mut Rng64::seed_from(5));
+        let pool = WorkerPool::new(&system, &mut Rng64::seed_from(9));
+        assert_eq!(pool.model_instances(), parallel::max_threads().min(100));
     }
 }

@@ -63,7 +63,8 @@ pub struct EvalStats {
 ///
 /// `Send + Sync` is part of the contract: mechanism engines hand shared
 /// references to the system (which holds a boxed template model) across the
-/// persistent worker pool while each worker mutates only its own model instance.
+/// persistent worker pool while each training lane mutates only its own model
+/// instance.
 pub trait Model: Send + Sync {
     /// Total number of scalar parameters `q` (the transmitted dimension).
     fn num_params(&self) -> usize;
@@ -108,7 +109,7 @@ pub trait Model: Send + Sync {
     fn evaluate_ws(&self, data: &Dataset, ws: &mut Workspace) -> EvalStats;
 
     /// Clone into a boxed trait object (mechanisms keep one model instance
-    /// per worker).
+    /// per training lane).
     fn clone_model(&self) -> Box<dyn Model>;
 
     /// Flatten the current parameters (provided method; allocates).

@@ -17,8 +17,8 @@
 
 /// A pool of reusable scratch buffers.
 ///
-/// Each simulated worker owns one workspace (they train in parallel), and the
-/// evaluation path of each mechanism owns another.
+/// Each training lane owns one (lanes train in parallel); so does each run's
+/// evaluation.
 #[derive(Debug, Default)]
 pub struct Workspace {
     free_f64: Vec<Vec<f64>>,
@@ -42,7 +42,7 @@ impl Workspace {
     /// Picks the smallest pooled buffer whose capacity fits, so repeated
     /// passes with the same layer shapes stabilise onto the same buffers and
     /// stop allocating (and stop touching lengths at all).
-    pub fn take(&mut self, len: usize) -> Vec<f64> {
+    pub(crate) fn take(&mut self, len: usize) -> Vec<f64> {
         let mut best: Option<usize> = None;
         for (i, buf) in self.free_f64.iter().enumerate() {
             if buf.capacity() >= len
@@ -67,7 +67,7 @@ impl Workspace {
     }
 
     /// Return an `f64` buffer to the pool.
-    pub fn give(&mut self, buf: Vec<f64>) {
+    pub(crate) fn give(&mut self, buf: Vec<f64>) {
         if buf.capacity() > 0 {
             self.free_f64.push(buf);
         }
@@ -75,7 +75,7 @@ impl Workspace {
 
     /// Check out an empty `usize` buffer with capacity for at least `len`
     /// elements (length 0; callers push into it).
-    pub fn take_indices(&mut self, len: usize) -> Vec<usize> {
+    pub(crate) fn take_indices(&mut self, len: usize) -> Vec<usize> {
         let mut best: Option<usize> = None;
         for (i, buf) in self.free_usize.iter().enumerate() {
             if buf.capacity() >= len
@@ -93,7 +93,7 @@ impl Workspace {
     }
 
     /// Return a `usize` buffer to the pool.
-    pub fn give_indices(&mut self, buf: Vec<usize>) {
+    pub(crate) fn give_indices(&mut self, buf: Vec<usize>) {
         if buf.capacity() > 0 {
             self.free_usize.push(buf);
         }
@@ -101,7 +101,8 @@ impl Workspace {
 
     /// Number of pooled (idle) `f64` buffers — used by the zero-allocation
     /// tests.
-    pub fn pooled_buffers(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pooled_buffers(&self) -> usize {
         self.free_f64.len()
     }
 }

@@ -62,9 +62,8 @@
 //! chunk while giving large experiment grids room to balance. Callers that
 //! know their cost profile can override the factor per call with a
 //! [`ChunkHint`] (`.map(..).with_chunk_hint(..)`): fine splits for uneven
-//! experiment grids, coarse splits for uniform micro fan-outs. An explicit
-//! `PARALLEL_CHUNKS` pin beats every hint; hints are scheduling-only and
-//! never change results.
+//! experiment grids. An explicit `PARALLEL_CHUNKS` pin beats every hint;
+//! hints are scheduling-only and never change results.
 //!
 //! ## Determinism
 //!
@@ -82,7 +81,8 @@
 //! * **No shared mutable state**: the `map` closure receives each item by
 //!   value / shared reference; any per-item RNG or scratch state must travel
 //!   inside the item itself, which is exactly how the training engine hands
-//!   each worker its own `Rng64` stream and scratch workspace.
+//!   each lane its own scratch model and workspace and the slots (RNG stream,
+//!   parameter buffer) of the workers it trains.
 //!
 //! Thread count defaults to [`std::thread::available_parallelism`] and can be
 //! pinned with the `PARALLEL_THREADS` environment variable, read once at
@@ -153,8 +153,7 @@ pub fn chunk_factor() -> usize {
 /// Per-call hint for how finely a parallel map should over-decompose its
 /// input, for callers that know their cost profile: experiment grids with
 /// wildly uneven cells want fine splits so the work-claiming scheduler can
-/// rebalance, while uniform micro fan-outs (e.g. a round's per-member local
-/// updates) want coarse splits to shave queue overhead.
+/// rebalance.
 ///
 /// Hints are **scheduling-only**: the chunk → output mapping stays fixed, so
 /// any hint is bit-identical to any other (and to sequential execution). An
@@ -167,10 +166,6 @@ pub enum ChunkHint {
     Default,
     /// Known-uneven workloads: split 4× finer than the default (factor 16).
     Fine,
-    /// Uniform micro fan-outs: one contiguous chunk per thread (factor 1).
-    Coarse,
-    /// An explicit factor (clamped to at least 1).
-    Factor(usize),
 }
 
 impl ChunkHint {
@@ -183,8 +178,6 @@ impl ChunkHint {
         match self {
             ChunkHint::Default => DEFAULT_CHUNK_FACTOR,
             ChunkHint::Fine => 4 * DEFAULT_CHUNK_FACTOR,
-            ChunkHint::Coarse => 1,
-            ChunkHint::Factor(n) => n.max(1),
         }
     }
 }
@@ -697,32 +690,6 @@ impl<R> FromOrdered<R> for Vec<R> {
     }
 }
 
-/// Borrow multiple distinct elements of a slice mutably at once.
-///
-/// `indices` must be strictly increasing (the caller's group member lists are
-/// already sorted and duplicate-free). This is how the training engine hands
-/// disjoint `&mut WorkerState`s of one group to a parallel map without
-/// cloning the pool. Panics on out-of-order or out-of-range indices.
-pub fn disjoint_muts<'a, T>(slice: &'a mut [T], indices: &[usize]) -> Vec<&'a mut T> {
-    let mut out = Vec::with_capacity(indices.len());
-    let mut rest = slice;
-    let mut consumed = 0usize;
-    for &i in indices {
-        assert!(
-            i >= consumed,
-            "disjoint_muts requires strictly increasing indices"
-        );
-        let (_, tail) = rest.split_at_mut(i - consumed);
-        let (item, tail) = tail
-            .split_first_mut()
-            .expect("disjoint_muts index out of range");
-        out.push(item);
-        rest = tail;
-        consumed = i + 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
@@ -767,24 +734,6 @@ mod tests {
     }
 
     #[test]
-    fn disjoint_muts_yields_every_requested_element() {
-        let mut xs = vec![0, 10, 20, 30, 40, 50];
-        let muts = disjoint_muts(&mut xs, &[1, 3, 4]);
-        assert_eq!(muts.len(), 3);
-        for m in muts {
-            *m += 1;
-        }
-        assert_eq!(xs, vec![0, 11, 20, 31, 41, 50]);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn disjoint_muts_rejects_unsorted_indices() {
-        let mut xs = vec![1, 2, 3];
-        let _ = disjoint_muts(&mut xs, &[2, 0]);
-    }
-
-    #[test]
     fn parallel_matches_sequential_float_reduction() {
         // Order preservation means the caller's fold order is fixed, so the
         // floating-point sum is bit-identical however many threads ran.
@@ -800,12 +749,7 @@ mod tests {
     fn chunk_hints_never_change_results() {
         let xs: Vec<f64> = (0..3_001).map(|i| (i as f64 * 0.37).cos()).collect();
         let seq: Vec<f64> = xs.iter().map(|&x| x * 1.5 - 0.25).collect();
-        for hint in [
-            ChunkHint::Default,
-            ChunkHint::Fine,
-            ChunkHint::Coarse,
-            ChunkHint::Factor(7),
-        ] {
+        for hint in [ChunkHint::Default, ChunkHint::Fine] {
             let par: Vec<f64> = xs
                 .par_iter()
                 .map(|&x| x * 1.5 - 0.25)
@@ -834,12 +778,9 @@ mod tests {
         if std::env::var("PARALLEL_CHUNKS").is_err() {
             assert_eq!(ChunkHint::Default.factor(), DEFAULT_CHUNK_FACTOR);
             assert_eq!(ChunkHint::Fine.factor(), 4 * DEFAULT_CHUNK_FACTOR);
-            assert_eq!(ChunkHint::Coarse.factor(), 1);
-            assert_eq!(ChunkHint::Factor(7).factor(), 7);
-            assert_eq!(ChunkHint::Factor(0).factor(), 1);
         } else {
             let pinned = chunk_factor();
-            for hint in [ChunkHint::Default, ChunkHint::Fine, ChunkHint::Coarse] {
+            for hint in [ChunkHint::Default, ChunkHint::Fine] {
                 assert_eq!(hint.factor(), pinned);
             }
         }

@@ -96,10 +96,15 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 fn run_in(cwd: &Path, args: &[&str]) -> Output {
+    run_with_env(cwd, args, &[])
+}
+
+fn run_with_env(cwd: &Path, args: &[&str], env: &[(&str, &str)]) -> Output {
     Command::new(RUN_BIN)
         .args(args)
         .current_dir(cwd)
         .env("AIRFEDGA_SCALE", "quick")
+        .envs(env.iter().copied())
         .output()
         .unwrap()
 }
@@ -430,6 +435,17 @@ const PINNED: &[(&str, &str, bool)] = &[
     ("convex_lr", "tests/golden/convex_lr.toml", true),
 ];
 
+/// The cases replayed under every `PARALLEL_THREADS` × `PARALLEL_CHUNKS`
+/// schedule of [`SCHEDULES`] as well, against the same pinned bytes: one
+/// per shape the training lanes see — fig3's three fat cells, a churned
+/// run, and a two-seed grid with shared replicates.
+const SCHEDULE_AXIS: &[&str] = &["fig3_s1", "churn_mnist", "grid_s2"];
+
+/// `PARALLEL_THREADS` × `PARALLEL_CHUNKS`: one lane (fully sequential), and
+/// four lanes over-decomposed 16-fold. The plain replay runs at the host's
+/// default schedule.
+const SCHEDULES: &[(&str, &str)] = &[("1", "1"), ("4", "16")];
+
 #[test]
 fn every_kind_reproduces_its_pinned_stdout_and_results() {
     let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -440,36 +456,51 @@ fn every_kind_reproduces_its_pinned_stdout_and_results() {
             .collect()
     };
     for &(case, command_line, pins_files) in PINNED {
-        let mut words = command_line.split_whitespace();
-        let spec = manifest.join(words.next().expect("a spec path"));
-        let mut args = vec![spec.to_str().unwrap()];
-        args.extend(words);
-        let cwd = tmp_dir(&format!("pinned_{case}"));
-        let out = run_in(&cwd, &args);
-        assert_eq!(
-            out.status.code(),
-            Some(0),
-            "{case}: stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let pinned = manifest.join("tests/golden/pinned").join(case);
-        assert_eq!(
-            String::from_utf8(out.stdout).unwrap(),
-            fs::read_to_string(pinned.join("stdout.txt")).unwrap(),
-            "{case}: stdout moved"
-        );
-        if pins_files {
-            let files = text(snapshot(&pinned.join("files")));
-            assert!(
-                !files.is_empty(),
-                "{case}: the pinned files are missing from this checkout"
-            );
+        let axis = if SCHEDULE_AXIS.contains(&case) {
+            SCHEDULES
+        } else {
+            &[]
+        };
+        // `None` is the host's default schedule.
+        for schedule in std::iter::once(None).chain(axis.iter().map(Some)) {
+            let (tag, env) = match schedule {
+                None => (case.to_string(), vec![]),
+                Some(&(threads, chunks)) => (
+                    format!("{case}_{threads}x{chunks}"),
+                    vec![("PARALLEL_THREADS", threads), ("PARALLEL_CHUNKS", chunks)],
+                ),
+            };
+            let mut words = command_line.split_whitespace();
+            let spec = manifest.join(words.next().expect("a spec path"));
+            let mut args = vec![spec.to_str().unwrap()];
+            args.extend(words);
+            let cwd = tmp_dir(&format!("pinned_{tag}"));
+            let out = run_with_env(&cwd, &args, &env);
             assert_eq!(
-                text(snapshot(&cwd.join("results"))),
-                files,
-                "{case}: results/ moved"
+                out.status.code(),
+                Some(0),
+                "{tag}: stderr: {}",
+                String::from_utf8_lossy(&out.stderr)
             );
+            let pinned = manifest.join("tests/golden/pinned").join(case);
+            assert_eq!(
+                String::from_utf8(out.stdout).unwrap(),
+                fs::read_to_string(pinned.join("stdout.txt")).unwrap(),
+                "{tag}: stdout moved"
+            );
+            if pins_files {
+                let files = text(snapshot(&pinned.join("files")));
+                assert!(
+                    !files.is_empty(),
+                    "{tag}: the pinned files are missing from this checkout"
+                );
+                assert_eq!(
+                    text(snapshot(&cwd.join("results"))),
+                    files,
+                    "{tag}: results/ moved"
+                );
+            }
+            fs::remove_dir_all(&cwd).ok();
         }
-        fs::remove_dir_all(&cwd).ok();
     }
 }

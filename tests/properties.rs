@@ -640,6 +640,66 @@ fn worker_pool_norm_cache_matches_recomputation() {
     }
 }
 
+/// A model instance and a `Workspace` are pure training scratch: the update
+/// starts with `set_params`, which overwrites every weight and bias, and every
+/// `Workspace` caller overwrites what it checks out. So scratch that just
+/// trained worker `a` and evaluated the test set trains worker `b` to the
+/// bits fresh scratch gives — for every model kind, and across shards of
+/// different lengths (the stale buffers have other shapes). `WorkerPool`
+/// shares one model and workspace per training lane on this invariant.
+#[test]
+fn reused_training_scratch_gives_the_bits_of_fresh_scratch() {
+    use air_fedga::fedml::model::ModelKind;
+    use air_fedga::fedml::optimizer::local_update_from_ws;
+    for kind in [
+        ModelKind::PaperLr,
+        ModelKind::CnnMnist,
+        ModelKind::CnnCifar,
+        ModelKind::Vgg16,
+        ModelKind::ConvexLr,
+    ] {
+        let mut cfg = FlSystemConfig::mnist_lr_quick();
+        cfg.model = kind;
+        cfg.partitioner = Partitioner::Dirichlet { alpha: 0.5 };
+        let system = cfg.build(&mut Rng64::seed_from(7120));
+        let sgd = &system.config.sgd;
+        // `a` trains from another start than `b`, so `b`'s `set_params` has
+        // something to overwrite.
+        let start_b = system.template.params();
+        let start_a = FlatParams(start_b.0.iter().map(|x| 0.5 * x + 0.01).collect());
+        // Worker `w`'s update from `start`, drawing from `w`'s own stream.
+        let train = |model: &mut dyn Model, start: &FlatParams, w: usize, ws: &mut Workspace| {
+            let mut local = FlatParams::zeros(system.model_dim());
+            let rng = &mut Rng64::seed_from(7121 + w as u64);
+            let loss =
+                local_update_from_ws(model, start, &system.shards[w], sgd, rng, ws, &mut local);
+            (loss, local)
+        };
+        let pairs: Vec<(usize, usize)> = (0..4)
+            .flat_map(|a| (0..4).map(move |b| (a, b)))
+            .filter(|&(a, b)| system.shards[a].len() != system.shards[b].len())
+            .collect();
+        assert!(pairs.len() >= 6, "{kind:?}: too few uneven pairs");
+        for (a, b) in pairs {
+            let (mut reused, mut ws) = (system.fresh_model(), Workspace::new());
+            train(reused.as_mut(), &start_a, a, &mut ws);
+            reused.evaluate_ws(&system.test, &mut ws);
+            let (loss, local) = train(reused.as_mut(), &start_b, b, &mut ws);
+            let (want_loss, want) = train(
+                system.fresh_model().as_mut(),
+                &start_b,
+                b,
+                &mut Workspace::new(),
+            );
+            let tag = format!("{kind:?}: worker {b} after worker {a}");
+            assert_eq!(loss.to_bits(), want_loss.to_bits(), "{tag}: loss");
+            for (c, (x, y)) in local.0.iter().zip(want.0.iter()).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "{tag}: param {c}");
+            }
+        }
+    }
+}
+
 /// 25 rounds of Air-FedGA, Air-FedAvg and Dynamic, fault-free and churned,
 /// in the run store's bit-exact text encoding, against the traces the engines
 /// produced before the aggregation was split into core + ideal layer and the
