@@ -42,7 +42,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod convergence;
 pub mod mechanism;

@@ -82,7 +82,7 @@ mod tests {
 
     #[test]
     fn nan_latency_sorts_last_instead_of_panicking() {
-        // Regression for the DET-FLOATCMP class: the tier-range sort used
+        // Regression for the NaN-sort bug class: the tier-range sort used
         // `partial_cmp(..).unwrap()`, the exact pattern whose NaN panic
         // PR 3 fixed in `grouping::tifl`. With `total_cmp` a poisoned
         // tier lands deterministically in the slowest position.

@@ -8,8 +8,6 @@
 //! empty markers. Swap the `serde`/`serde_derive` path entries in the root
 //! `Cargo.toml` for the real crates to turn serialization on.
 
-#![forbid(unsafe_code)]
-
 pub use serde_derive::{Deserialize, Serialize};
 
 /// Marker stand-in for `serde::Serialize`.

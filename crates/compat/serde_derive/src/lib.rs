@@ -7,8 +7,6 @@
 //! needed, replace the two `crates/compat/serde*` path entries in the root
 //! `Cargo.toml` with the crates.io versions — no call-site changes required.
 
-#![forbid(unsafe_code)]
-
 use proc_macro::TokenStream;
 
 /// No-op stand-in for `serde_derive::Serialize`.

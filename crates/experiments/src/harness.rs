@@ -454,7 +454,10 @@ where
 /// — as an uninterrupted one. `plan.system_seed_for(seed)` is part of each
 /// cache key, so `--system-seeds` replicates never collide with
 /// fixed-system ones.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the one runner: each argument is a distinct axis every kind supplies"
+)]
 fn run_replicates<T, K, F, P, L, I>(
     cells: Vec<T>,
     plan: &SeedPlan,

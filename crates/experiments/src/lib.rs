@@ -44,7 +44,6 @@
 //! | `theorem1_bound`    | Theorem 1 / Corollaries 1–2 — numeric bound evaluation |
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod harness;
 pub mod render;

@@ -14,6 +14,11 @@
 //! polling); a cell wedged *inside* one round body is only reaped at the
 //! next boundary it reaches.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a timeout is real elapsed time by design; no simulated result reads it"
+)]
+
 use simcore::cancel::{self, CancelToken};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};

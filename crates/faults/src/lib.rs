@@ -38,8 +38,6 @@
 //!   group's aggregation instant cannot upload and is excluded from that
 //!   round like a dropped member.
 
-#![forbid(unsafe_code)]
-
 use fedml::rng::Rng64;
 use serde::{Deserialize, Serialize};
 

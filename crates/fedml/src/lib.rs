@@ -59,7 +59,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod dataset;
 pub mod linalg;

@@ -89,7 +89,6 @@ pub fn local_update_ws(
 /// to train: the resulting local parameters are written into `out` (pre-sized
 /// to the model dimension) and all scratch comes from `ws`, so the per-round
 /// worker loop of the mechanism engines allocates nothing in steady state.
-#[allow(clippy::too_many_arguments)]
 pub fn local_update_from_ws(
     template: &mut dyn Model,
     global: &FlatParams,

@@ -18,7 +18,6 @@
 //! [`worker_info::Grouping`] (a validated partition of workers into groups).
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod emd;
 pub mod greedy;

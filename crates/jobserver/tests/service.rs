@@ -6,6 +6,11 @@
 //! serialize on [`LOCK`]. The kill/restart test drives the real
 //! `airfedga-serve` binary in child processes and needs no lock.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "polling a live daemon needs real deadlines"
+)]
+
 use jobserver::client;
 use jobserver::{JobState, Server, ServerConfig};
 use std::fs;

@@ -96,7 +96,6 @@
 //! fork/join protocol stays balanced), and the first panic payload is
 //! re-thrown on the calling thread once the call completes.
 
-#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::sync::{Mutex, OnceLock};
@@ -217,7 +216,7 @@ pub fn fork_join_chunks<F: Fn(usize) + Sync>(chunks: usize, run: &F) {
 /// The persistent pool internals: the one module that needs `unsafe` (the
 /// fork/join protocol sends a lifetime-erased pointer to the stack-allocated
 /// call descriptor to the worker threads).
-#[allow(unsafe_code)]
+#[expect(unsafe_code, reason = "the fork/join protocol; see the module docs")]
 mod pool {
     use super::max_threads;
     use std::any::Any;

@@ -29,7 +29,6 @@
 //! isolated runners.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 use experiments::harness::{ReplicateCache, RunSummary};
 use simcore::trace::{FaultEvent, FaultEventKind, TracePoint, TrainingTrace};

@@ -987,7 +987,23 @@ xi = [0.2, 0.4]
         )
         .unwrap_err();
         assert_eq!(err.line, Some(6));
-        assert!(err.msg.contains("unknown workload"), "{}", err.msg);
+        assert!(
+            err.msg.contains("unknown workload \"bogus\""),
+            "{}",
+            err.msg
+        );
+        let err = ScenarioSpec::parse(
+            "[scenario]\nname = \"x\"\nkind = \"grid\"\ntitle = \"t\"\n\
+             [run]\nmechanisms = [\"warp-drive\"]\naccuracy_targets = [0.5]\n\
+             [sweep]\nxi = [1.0]\n",
+        )
+        .unwrap_err();
+        assert_eq!(err.line, Some(6));
+        assert!(
+            err.msg.contains("unknown mechanism \"warp-drive\""),
+            "{}",
+            err.msg
+        );
     }
 
     #[test]

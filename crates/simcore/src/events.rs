@@ -24,6 +24,11 @@ impl<E> PartialEq for Scheduled<E> {
 impl<E> Eq for Scheduled<E> {}
 
 impl<E> Ord for Scheduled<E> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the NaN case is handled (`unwrap_or(Equal)`, then insertion order), \
+                  and `total_cmp` would reorder -0.0 and 0.0 timestamps"
+    )]
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest event pops first.
         other

@@ -19,7 +19,6 @@
 //! populations that the paper needed a GPU workstation for.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod cancel;
 pub mod events;

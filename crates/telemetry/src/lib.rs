@@ -2,7 +2,7 @@
 //!
 //! A dependency-free instrumentation layer for the Air-FedGA workspace. It is
 //! the *only* crate outside the timing modules allowed to read wall clocks
-//! (detlint's DET-CLOCK scope names it explicitly), and it is built around one
+//! (the crate-level `expect` below), and it is built around one
 //! hard invariant: **turning telemetry on or off must not change a single
 //! byte of stdout, CSVs, or runstore contents** — everything this crate emits
 //! goes to stderr or to the `--telemetry <dir>` sidecar files.
@@ -32,7 +32,11 @@
 //! profile text for the report path.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the timing plane (spans, progress ETA) is wall-clock by definition; \
+              the logical plane never reads a clock"
+)]
 
 pub mod metrics;
 pub mod profile;

@@ -134,9 +134,10 @@ impl Gauge {
 /// `u64` range.
 pub const HISTOGRAM_BUCKETS: usize = 64;
 
-// Interior-mutable const used only as an array-repeat initialiser; each array
-// element becomes its own distinct atomic.
-#[allow(clippy::declare_interior_mutable_const)]
+#[expect(
+    clippy::declare_interior_mutable_const,
+    reason = "used only as an array-repeat initialiser: each element becomes its own atomic"
+)]
 const ZERO: AtomicU64 = AtomicU64::new(0);
 
 /// A fixed log₂-bucket histogram (no allocation, relaxed updates).

@@ -103,7 +103,10 @@ pub fn air_aggregate_into(
 ///
 /// The engine loops call the core, [`air_superpose_into`], directly; this
 /// function adds the ideal model and error norm on top of it.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the scalars of Eqs. (9)–(10) plus caller-owned output buffers"
+)]
 pub fn air_aggregate_indexed_into<'p>(
     count: usize,
     input: impl Fn(usize) -> AirAggregationInput<'p>,
@@ -149,7 +152,10 @@ pub fn air_aggregate_indexed_into<'p>(
 /// [`air_aggregate_indexed_into`] is this plus the ideal model and the error
 /// norm of Eq. (15)/(17), which no engine reads; estimate, energies and RNG
 /// draws are bit-identical between the two.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the scalars of Eqs. (9)–(10) plus caller-owned output buffers"
+)]
 pub fn air_superpose_into<'p>(
     count: usize,
     input: impl Fn(usize) -> AirAggregationInput<'p>,

@@ -18,7 +18,6 @@
 //! budget Ê_i = 10 J) are the defaults of [`timing::WirelessConfig`].
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod aircomp;
 pub mod channel;

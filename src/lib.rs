@@ -17,8 +17,6 @@
 //! * [`scenario`] — declarative scenario specs (TOML subset + component
 //!   registry) behind the `airfedga-run` driver binary.
 
-#![forbid(unsafe_code)]
-
 pub use airfedga;
 pub use baselines;
 pub use experiments;
