@@ -992,6 +992,10 @@ xi = [0.2, 0.4]
             "{}",
             err.msg
         );
+    }
+
+    #[test]
+    fn unknown_registry_component_is_rejected() {
         let err = ScenarioSpec::parse(
             "[scenario]\nname = \"x\"\nkind = \"grid\"\ntitle = \"t\"\n\
              [run]\nmechanisms = [\"warp-drive\"]\naccuracy_targets = [0.5]\n\
