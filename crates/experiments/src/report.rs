@@ -9,7 +9,6 @@
 
 use crate::stats::PointStats;
 use std::fs;
-use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::RwLock;
 
@@ -112,20 +111,14 @@ pub fn results_dir() -> PathBuf {
 /// Write `contents` to `results/<name>`, creating the directory if needed.
 /// Returns the written path.
 ///
-/// The write is atomic: contents go to `results/<name>.tmp` first and the
-/// finished file is renamed into place, so a crash mid-write can leave a
-/// stale `.tmp` behind but never a torn file at the final path.
+/// The write goes through [`telemetry::write_atomic`], the one way a durable
+/// file is written: a crash mid-write can leave a stale `results/<name>.tmp`
+/// behind but never a torn file at the final path.
 pub fn write_csv(name: &str, contents: &str) -> std::io::Result<PathBuf> {
     let dir = results_dir();
     fs::create_dir_all(&dir)?;
     let path = dir.join(name);
-    let tmp = dir.join(format!("{name}.tmp"));
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(contents.as_bytes())?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, &path)?;
+    telemetry::write_atomic(&path, contents.as_bytes())?;
     Ok(path)
 }
 

@@ -7,7 +7,6 @@
 //! Binds a localhost listener (an OS-assigned port by default), records the
 //! bound address in `<root>/serve.addr`, recovers any queue a previous
 //! incarnation left under `<root>/jobs/`, and serves until `POST /shutdown`.
-//! Specs dropped into `<root>/spool/*.toml` are ingested as submissions.
 //! Scale comes from `AIRFEDGA_SCALE` (`full` / `quick`; any other value exits
 //! 2), resolved once at startup; all daemon logging goes to stderr (job
 //! tables print to stdout, exactly as the batch driver would).
@@ -19,7 +18,7 @@ use std::path::PathBuf;
 use std::process::exit;
 
 const USAGE: &str = "usage: airfedga-serve [--root DIR] [--addr HOST:PORT]\n\
-                     \u{20} --root DIR        server root (queue, shared runstore, spool); default .\n\
+                     \u{20} --root DIR        server root (queue, shared runstore); default .\n\
                      \u{20} --addr HOST:PORT  bind address; default 127.0.0.1:0 (OS-assigned port,\n\
                      \u{20}                   recorded in <root>/serve.addr)\n\
                      exit status: 0 clean shutdown; 1 startup or serve errors; 2 usage errors";
@@ -91,10 +90,8 @@ fn main() {
         args.root.display(),
     );
     let executor = server.start_executor();
-    let spool = server.start_spool();
     server.serve_http(listener);
     executor.join().ok();
-    spool.join().ok();
     std::fs::remove_file(args.root.join("serve.addr")).ok();
     eprintln!("airfedga-serve: shut down");
 }

@@ -11,9 +11,10 @@
 //! ```
 //!
 //! `meta` is a small line-based `key value` file in the runstore style
-//! (hand-rolled, offline `serde` derives nothing) written atomically
-//! (tmp → fsync → rename), so a killed daemon never leaves a torn record —
-//! it reopens the directory and resumes the queue.
+//! (hand-rolled, offline `serde` derives nothing). It and `spec.toml` are
+//! written by [`telemetry::write_atomic`], the one way a durable file is
+//! written, so a killed daemon never leaves a torn record — it reopens the
+//! directory and resumes the queue.
 //!
 //! State machine:
 //!
@@ -28,7 +29,7 @@
 
 use runstore::CacheStats;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Version tag at the head of every `meta` file.
@@ -211,16 +212,10 @@ impl JobRecord {
         })
     }
 
-    /// Persist the record to `dir/meta`, atomically (tmp → fsync → rename).
+    /// Persist the record to `dir/meta`, atomically.
     pub fn save(&self, dir: &Path) -> io::Result<()> {
         fs::create_dir_all(dir)?;
-        let tmp = dir.join("meta.tmp");
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(self.encode().as_bytes())?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, dir.join("meta"))
+        telemetry::write_atomic(&dir.join("meta"), self.encode().as_bytes())
     }
 
     /// Load the record from `dir/meta`, `None` when absent or malformed.
@@ -291,9 +286,21 @@ mod tests {
         let good = sample().encode();
         assert!(JobRecord::decode("").is_none());
         assert!(JobRecord::decode("wrong header\nend\n").is_none());
-        // Truncations lose the end marker or a required field.
-        let cut = good.rsplit_once("end").unwrap().0;
-        assert!(JobRecord::decode(cut).is_none());
+        // Every strict prefix loses the end marker or a required field, except
+        // the one that drops only the final newline.
+        for cut in 0..good.len() - 1 {
+            assert!(JobRecord::decode(&good[..cut]).is_none(), "prefix {cut}");
+        }
+        assert_eq!(JobRecord::decode(&good[..good.len() - 1]), Some(sample()));
+        // Any single byte turned into any other ASCII byte decodes or is
+        // refused; it never panics.
+        for at in 0..good.len() {
+            for b in (0..128u8).filter(|&b| b != good.as_bytes()[at]) {
+                let mut flipped = good.as_bytes().to_vec();
+                flipped[at] = b;
+                JobRecord::decode(std::str::from_utf8(&flipped).unwrap());
+            }
+        }
         assert!(JobRecord::decode(&good.replace("state failed", "state exploded")).is_none());
         assert!(JobRecord::decode(&good.replace("id 7", "mystery 7")).is_none());
         assert!(JobRecord::decode(&format!("{good}trailing\n")).is_none());

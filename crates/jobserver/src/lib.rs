@@ -12,15 +12,13 @@
 //!
 //! * **No crates.io** — the wire protocol is hand-rolled HTTP/1.1 + JSON on
 //!   a localhost `std::net::TcpListener` ([`http`], [`json`]), the same
-//!   discipline as `crates/compat`. A spool directory
-//!   (`<root>/spool/*.toml`) is the headless fallback: drop a spec file in,
-//!   the daemon ingests it as a submission.
+//!   discipline as `crates/compat`.
 //! * **Crash-safe queue** — every job persists under `<root>/jobs/<id>/`
-//!   (`spec.toml` + a `meta` state file written tmp→fsync→rename, runstore
-//!   style). A killed daemon reopens its root and resumes: jobs that were
-//!   mid-run revert to the queue and re-execute against the shared runstore,
-//!   where every replicate the previous incarnation completed is a cache
-//!   hit.
+//!   (`spec.toml` + a `meta` state file, both written by
+//!   [`telemetry::write_atomic`]). A killed daemon reopens its root and
+//!   resumes: jobs that were mid-run revert to the queue and re-execute
+//!   against the shared runstore, where every replicate the previous
+//!   incarnation completed is a cache hit.
 //! * **Cross-job dedup** — all jobs run `--resume` against one shared store
 //!   root (`<root>/runstore`, guarded by a `runstore::StoreLock`).
 //!   Re-submitting an identical spec re-runs zero replicates; editing one

@@ -82,9 +82,7 @@ impl JobQueue {
         fs::create_dir_all(&dir)?;
         // Spec first, record second: a record without a spec would be
         // runnable garbage, a spec without a record is invisible.
-        let tmp = dir.join("spec.toml.tmp");
-        fs::write(&tmp, spec_text)?;
-        fs::rename(&tmp, dir.join("spec.toml"))?;
+        telemetry::write_atomic(&dir.join("spec.toml"), spec_text.as_bytes())?;
         let rec = JobRecord::new(id, name.to_string(), priority);
         rec.save(&dir)?;
         self.jobs.insert(id, rec);
@@ -209,6 +207,41 @@ mod tests {
         // And the requeue was persisted, not just in memory.
         let q2 = JobQueue::open(&root).unwrap();
         assert_eq!(q2.get(running).unwrap().requeues, 1);
+        fs::remove_dir_all(&root).ok();
+    }
+
+    /// A crash inside `write_atomic` leaves no staging file, a partial or a
+    /// complete `<name>.tmp` beside the old file, or the new file. Each is
+    /// built by hand: job 1's record update and job 2's submission both die
+    /// at every prefix length of their new bytes.
+    #[test]
+    fn every_crash_state_of_a_record_or_spec_write_reopens_the_previous_queue() {
+        let root = tmp_root("crash");
+        let mut q = JobQueue::open(&root).unwrap();
+        let id = q.submit("a", 0, "x").unwrap();
+        let old = [q.get(id).cloned().unwrap()];
+        let (dir, next) = (q.job_dir(id), q.job_dir(id + 1));
+        fs::create_dir_all(&next).unwrap();
+        let mut done = old[0].clone();
+        done.state = JobState::Done;
+        let (meta, spec) = (done.encode(), "[scenario]\nname = \"b\"\n");
+        let reopened = || Vec::from_iter(JobQueue::open(&root).unwrap().list().cloned());
+        assert_eq!(reopened(), old);
+        for cut in 0..=meta.len() {
+            fs::write(dir.join("meta.tmp"), &meta[..cut]).unwrap();
+            fs::write(next.join("spec.toml.tmp"), &spec[..cut.min(spec.len())]).unwrap();
+            assert_eq!(reopened(), old, "cut at {cut}");
+        }
+        // A spec renamed into place without its record is invisible too.
+        fs::write(next.join("spec.toml"), "stale").unwrap();
+        assert_eq!(reopened(), old);
+        // The next writes consume both staging files.
+        let mut q = JobQueue::open(&root).unwrap();
+        q.mutate(id, |r| r.state = JobState::Done).unwrap();
+        assert_eq!(q.submit("b", 0, spec).unwrap(), id + 1);
+        assert!(!dir.join("meta.tmp").exists() && !next.join("spec.toml.tmp").exists());
+        assert_eq!(q.spec_text(id + 1).unwrap(), spec);
+        assert_eq!(reopened()[0], done);
         fs::remove_dir_all(&root).ok();
     }
 

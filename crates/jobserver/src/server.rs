@@ -1,4 +1,4 @@
-//! The daemon: queue + executor + wire protocol + spool ingest.
+//! The daemon: queue + executor + wire protocol.
 //!
 //! ## Endpoints
 //!
@@ -40,19 +40,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 use telemetry::progress::ProgressSnapshot;
+use telemetry::write_atomic;
 
 /// How the executor waits for work (also bounds shutdown latency while
 /// idle).
 const EXECUTOR_POLL: Duration = Duration::from_millis(200);
 
-/// Spool scan cadence.
-pub const SPOOL_POLL: Duration = Duration::from_millis(200);
-
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// The server root: queue, shared runstore, spool and address file all
-    /// live under it.
+    /// The server root: queue, shared runstore and address file all live
+    /// under it.
     pub root: PathBuf,
     /// Scale every job runs at (the daemon's `AIRFEDGA_SCALE`, resolved
     /// once at startup).
@@ -202,19 +200,6 @@ impl Server {
     pub fn start_executor(&self) -> std::thread::JoinHandle<()> {
         let server = self.clone();
         std::thread::spawn(move || server.run_executor())
-    }
-
-    /// Spawn the spool-ingest thread (`<root>/spool/*.toml` → submissions).
-    pub fn start_spool(&self) -> std::thread::JoinHandle<()> {
-        let server = self.clone();
-        std::thread::spawn(move || {
-            while !server.shutdown_requested() {
-                if let Err(e) = server.spool_scan_once() {
-                    eprintln!("airfedga-serve: spool scan failed: {e}");
-                }
-                std::thread::sleep(SPOOL_POLL);
-            }
-        })
     }
 
     /// Poll a job until it reaches a terminal state (test/CI helper).
@@ -419,61 +404,6 @@ impl Server {
             ..CliOverrides::default()
         };
         scenario::run::execute(&spec, self.shared.config.scale, &cli)
-    }
-
-    // ------------------------------------------------------------------
-    // Spool ingest
-    // ------------------------------------------------------------------
-
-    /// Scan `<root>/spool` once: every `*.toml` becomes a submission (name =
-    /// file stem, default priority) and moves to `spool/ingested/`; a spec
-    /// that fails validation moves to `spool/rejected/` with a `.error`
-    /// sidecar. Returns how many files were ingested.
-    pub fn spool_scan_once(&self) -> io::Result<usize> {
-        let spool = self.shared.config.root.join("spool");
-        if !spool.is_dir() {
-            return Ok(0);
-        }
-        let mut files: Vec<PathBuf> = fs::read_dir(&spool)?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.is_file() && p.extension().is_some_and(|x| x == "toml"))
-            .collect();
-        files.sort(); // deterministic ingest (and therefore id) order
-        let mut ingested = 0;
-        for path in files {
-            let file_name = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .unwrap_or("spec.toml")
-                .to_string();
-            let stem = path
-                .file_stem()
-                .and_then(|n| n.to_str())
-                .unwrap_or("spool")
-                .to_string();
-            let text = fs::read_to_string(&path)?;
-            match self.submit(&stem, 0, &text) {
-                Ok(id) => {
-                    let dest = spool.join("ingested");
-                    fs::create_dir_all(&dest)?;
-                    fs::rename(&path, dest.join(&file_name))?;
-                    eprintln!("airfedga-serve: spool ingested {file_name} as job {id}");
-                    ingested += 1;
-                }
-                Err(e) => {
-                    let dest = spool.join("rejected");
-                    fs::create_dir_all(&dest)?;
-                    fs::rename(&path, dest.join(&file_name))?;
-                    write_atomic(
-                        &dest.join(format!("{file_name}.error")),
-                        format!("{e}\n").as_bytes(),
-                    )?;
-                    eprintln!("airfedga-serve: spool rejected {file_name}: {e}");
-                }
-            }
-        }
-        Ok(ingested)
     }
 
     // ------------------------------------------------------------------
@@ -689,18 +619,6 @@ fn cache_json(cache: &Option<CacheStats>) -> Json {
             ("corrupt", Json::num(c.corrupt_degraded)),
         ]),
     }
-}
-
-/// Atomic small-file write, runstore style.
-fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    use std::io::Write as _;
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)
 }
 
 /// Bind the daemon's listener and record the bound address in

@@ -133,9 +133,14 @@ fn http_submit_execute_fetch_and_dedup_round_trip() {
     let addr = serve(&server);
 
     assert!(client::healthz(&addr).is_ok());
-    // A spec that does not parse is refused at the door.
-    let refused = client::submit(&addr, "broken", 0, "[scenario]\nname = 3\n");
-    assert!(refused.is_err(), "daemon accepted a broken spec");
+    // A spec that does not parse is refused at the door, and the refusal
+    // names the offending line and key.
+    let refused = client::submit(&addr, "broken", 0, "[scenario]\nname = 3\n")
+        .expect_err("daemon accepted a broken spec");
+    assert!(
+        refused.contains("line 2") && refused.contains("`scenario.name`"),
+        "refusal was: {refused}"
+    );
 
     let id = client::submit(&addr, "tiny", 0, TINY_SPEC).unwrap();
     assert_eq!(
@@ -256,58 +261,6 @@ fn cancel_while_running_drains_cooperatively() {
     );
     server.request_shutdown();
     executor.join().unwrap();
-    fs::remove_dir_all(&root).ok();
-}
-
-/// The daemon's second ingest path: one scan of `<root>/spool` turns a valid
-/// spec into a queued job named after the file, sets a broken one aside with
-/// the parse error beside it, and leaves nothing for the next scan. No
-/// executor runs, so the job stays queued and the test needs no [`LOCK`].
-#[test]
-fn spool_scan_ingests_valid_specs_and_sets_broken_ones_aside() {
-    let root = tmp_root("spool");
-    let server = open(&root);
-    assert_eq!(
-        server.spool_scan_once().unwrap(),
-        0,
-        "no spool directory yet"
-    );
-    let spool = root.join("spool");
-    fs::create_dir_all(&spool).unwrap();
-    fs::write(spool.join("nightly_grid.toml"), TINY_SPEC).unwrap();
-    fs::write(spool.join("broken.toml"), "[scenario]\nname = 3\n").unwrap();
-    fs::write(spool.join("notes.txt"), "not a spec").unwrap();
-
-    assert_eq!(server.spool_scan_once().unwrap(), 1);
-    let jobs = server.list();
-    assert_eq!(jobs.len(), 1);
-    assert_eq!(jobs[0].name, "nightly_grid");
-    assert_eq!(jobs[0].state, JobState::Queued);
-    assert_eq!(jobs[0].priority, 0);
-
-    // Both specs moved, byte for byte; the bystander did not.
-    assert!(!spool.join("nightly_grid.toml").exists() && !spool.join("broken.toml").exists());
-    let ingested = fs::read_to_string(spool.join("ingested/nightly_grid.toml")).unwrap();
-    assert_eq!(ingested, TINY_SPEC);
-    assert!(spool.join("rejected/broken.toml").is_file());
-    assert!(spool.join("notes.txt").is_file());
-    // The sidecar carries the parser's own message.
-    let refused = server
-        .submit("broken", 0, "[scenario]\nname = 3\n")
-        .unwrap_err();
-    let sidecar = fs::read_to_string(spool.join("rejected/broken.toml.error")).unwrap();
-    assert_eq!(sidecar, format!("{refused}\n"));
-    assert!(
-        sidecar.contains("line 2") && sidecar.contains("`scenario.name`"),
-        "sidecar was: {sidecar}"
-    );
-
-    assert_eq!(
-        server.spool_scan_once().unwrap(),
-        0,
-        "a second scan re-ingested"
-    );
-    assert_eq!(server.list().len(), 1);
     fs::remove_dir_all(&root).ok();
 }
 

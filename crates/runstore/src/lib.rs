@@ -13,9 +13,11 @@
 //!   named by the hash of its `(cell index, cell label, run seed, system
 //!   seed)` coordinates. Any change to the experiment changes the spec hash,
 //!   so stale results can never be served to a different experiment.
-//! * **Crash safety** — replicate files are written to a `.tmp` staging name
-//!   and renamed into place, so a torn write is never loadable; loads treat
-//!   unparseable or truncated files as misses (the replicate just re-runs).
+//! * **Crash safety** — replicate files are written by
+//!   [`telemetry::write_atomic`], the one way a durable file is written
+//!   (staged to `<name>.tmp`, fsynced, renamed into place), so a torn write
+//!   is never loadable; loads treat unparseable or truncated files as misses
+//!   (the replicate just re-runs).
 //!   An append-only `journal` records every store in completion order for
 //!   post-mortems; the files themselves are the source of truth.
 //! * **Bit-exactness** — every `f64` is stored as its IEEE-754 bit pattern
@@ -252,11 +254,12 @@ impl RunStore {
     pub fn open(root: &Path, canonical_spec: &str) -> io::Result<Self> {
         let spec_dir = root.join(format!("{:032x}", spec_hash(canonical_spec)));
         fs::create_dir_all(&spec_dir)?;
-        // Record the canonical form for humans; same atomic discipline as
-        // the replicate files.
-        let tmp = spec_dir.join("spec.txt.tmp");
-        fs::write(&tmp, canonical_spec)?;
-        fs::rename(&tmp, spec_dir.join("spec.txt"))?;
+        // Record the canonical form for humans. The directory is named by
+        // its hash, so a file already there holds these very bytes.
+        let spec_txt = spec_dir.join("spec.txt");
+        if !spec_txt.exists() {
+            telemetry::write_atomic(&spec_txt, canonical_spec.as_bytes())?;
+        }
         Ok(Self { spec_dir })
     }
 
@@ -316,9 +319,9 @@ impl RunStore {
         }
     }
 
-    /// Persist a completed replicate's trace: staged to `<key>.tmp`, fsynced,
-    /// renamed to `<key>.run`, then journalled. A crash at any point leaves
-    /// either no entry or a complete one — never a loadable torn file.
+    /// Persist a completed replicate's trace: written to `<key>.run` by
+    /// [`telemetry::write_atomic`], then journalled. A crash at any point
+    /// leaves either no entry or a complete one — never a loadable torn file.
     pub fn store_trace(
         &self,
         cell_index: usize,
@@ -328,14 +331,8 @@ impl RunStore {
         trace: &TrainingTrace,
     ) -> io::Result<PathBuf> {
         let key = replicate_key(cell_index, cell_label, run_seed, system_seed);
-        let tmp = self.spec_dir.join(format!("{key:032x}.tmp"));
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(encode_trace(trace).as_bytes())?;
-            f.sync_all()?;
-        }
         let path = self.run_path(key);
-        fs::rename(&tmp, &path)?;
+        telemetry::write_atomic(&path, encode_trace(trace).as_bytes())?;
         // Advisory completion log; appended *after* the rename so a
         // journal line always refers to a fully stored replicate. One
         // `write` per line: `writeln!` on a `File` issues one per format
@@ -693,12 +690,25 @@ mod tests {
         let full = encode_trace(&sample_trace());
         assert!(decode_trace("").is_none());
         assert!(decode_trace("not a runstore file\n").is_none());
-        // Every strict prefix (a torn write) is rejected.
-        for cut in [10, full.len() / 2, full.len() - 2] {
+        // Every strict prefix (a torn write) is rejected, except the one that
+        // drops only the final newline: it is the complete trace.
+        for cut in 0..full.len() - 1 {
             assert!(
                 decode_trace(&full[..cut]).is_none(),
                 "prefix of {cut} bytes must not decode"
             );
+        }
+        let unterminated = decode_trace(&full[..full.len() - 1]).unwrap();
+        assert_eq!(encode_trace(&unterminated), full);
+        // Any single byte turned into any other ASCII byte decodes or is
+        // refused; it never panics. (Without a checksum, a flipped hex digit
+        // decodes to a different trace.)
+        for at in 0..full.len() {
+            for b in (0..128u8).filter(|&b| b != full.as_bytes()[at]) {
+                let mut flipped = full.as_bytes().to_vec();
+                flipped[at] = b;
+                decode_trace(std::str::from_utf8(&flipped).unwrap());
+            }
         }
         // Flipping bits hex into non-finite/garbage is rejected, not panicked.
         let garbled = full.replacen("p ", "p zzzzzzzzzzzzzzzz", 1);
@@ -807,12 +817,49 @@ mod tests {
             fs::remove_file(&p).unwrap();
             p
         };
-        fs::write(key_path.with_extension("tmp"), &text[..text.len() / 2]).unwrap();
+        fs::write(key_path.with_extension("run.tmp"), &text[..text.len() / 2]).unwrap();
         assert!(
             store.load_trace(0, "cell", 1, 2).is_none(),
             "a staged tmp file must read as a miss"
         );
         assert_eq!(store.completed(), 0);
+        fs::remove_dir_all(&root).ok();
+    }
+
+    /// A crash inside `write_atomic` leaves no staging file, a partial or a
+    /// complete `<key>.run.tmp` beside the old file, or the new file. Each is
+    /// built by hand, over a stored trace and over a miss.
+    #[test]
+    fn every_crash_state_of_a_store_loads_the_old_trace_or_a_miss() {
+        let root = tmp_root("crash");
+        let store = RunStore::open(&root, "spec").unwrap();
+        let old = sample_trace();
+        let mut next = sample_trace();
+        next.faults.rounds_attempted += 1;
+        let new = encode_trace(&next);
+        store.store_trace(0, "old", 1, 2, &old).unwrap();
+        let loaded = |label: &str| store.load_trace(0, label, 1, 2).map(|t| encode_trace(&t));
+        for (label, before) in [("old", Some(encode_trace(&old))), ("none", None)] {
+            let tmp = store
+                .run_path(replicate_key(0, label, 1, 2))
+                .with_extension("run.tmp");
+            let check = |state: &str| {
+                assert_eq!(loaded(label), before, "{label}: {state}");
+                assert_eq!(store.completed(), 1, "{label}: {state}");
+            };
+            check("no staging file");
+            for cut in 0..=new.len() {
+                fs::write(&tmp, &new[..cut]).unwrap();
+                check(&format!("{cut} bytes staged"));
+            }
+            store.store_trace(0, label, 1, 2, &next).unwrap();
+            assert!(
+                !tmp.exists(),
+                "the next store must consume the staging file"
+            );
+            assert_eq!(loaded(label), Some(new.clone()));
+        }
+        assert_eq!(store.completed(), 2);
         fs::remove_dir_all(&root).ok();
     }
 

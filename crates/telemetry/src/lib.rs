@@ -98,19 +98,24 @@ pub fn disable() {
 pub fn flush_to_dir(dir: &Path) -> std::io::Result<String> {
     let events = spans::take_sorted();
     std::fs::create_dir_all(dir)?;
-    write_atomic(&dir.join("spans.jsonl"), &spans::to_jsonl(&events))?;
-    write_atomic(&dir.join("metrics.json"), &metrics::logical_json())?;
-    write_atomic(&dir.join("profile.json"), &profile::to_json(&events))?;
+    for (name, text) in [
+        ("spans.jsonl", spans::to_jsonl(&events)),
+        ("metrics.json", metrics::logical_json()),
+        ("profile.json", profile::to_json(&events)),
+    ] {
+        write_atomic(&dir.join(name), text.as_bytes())?;
+    }
     Ok(profile::render(&events))
 }
 
-/// Write `text` to `path` via tmp + rename so a crash mid-flush never leaves
-/// a truncated artifact.
-fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
+/// The workspace's one durable write: `bytes` are staged to `<file name>.tmp`,
+/// fsynced and renamed over `path`, so a crash leaves the old or the new file.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
     {
         let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(text.as_bytes())?;
+        f.write_all(bytes)?;
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)
@@ -143,5 +148,22 @@ mod tests {
         assert!(dir.join("profile.json").exists());
         assert!(text.contains("run profile"));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn write_atomic_overwrites_consumes_a_stale_staging_file_and_creates_no_parent() {
+        let dir = std::env::temp_dir().join(format!("telemetry_atomic_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (path, tmp) = (dir.join("x.csv"), dir.join("x.csv.tmp"));
+        write_atomic(&path, b"old").unwrap();
+        std::fs::write(&tmp, b"torn by a crash").unwrap();
+        write_atomic(&path, b"new").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"new");
+        assert!(!tmp.exists(), "the rename must consume the staging file");
+        let orphan = dir.join("missing").join("y.txt");
+        assert!(write_atomic(&orphan, b"z").is_err());
+        assert!(!dir.join("missing").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

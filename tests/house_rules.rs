@@ -1,5 +1,6 @@
 //! House rules rustc and clippy cannot state: every member opts into the
-//! workspace lints, and every RNG seed or fork salt is a named stream.
+//! workspace lints, every RNG seed or fork salt is a named stream, and every
+//! durable write goes through one function.
 
 use std::{collections::BTreeSet, fs, path::Path};
 
@@ -22,11 +23,32 @@ fn every_member_inherits_the_workspace_lints() {
     assert!(read("crates/parallel").contains(&own), "want:\n{own}");
 }
 
+/// Every source file below a `src/` directory of `crates/`, as its path
+/// relative to `crates/` and its text.
+fn library_sources() -> Vec<(String, String)> {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let (mut paths, mut files) = (vec![crates.clone()], Vec::new());
+    while let Some(path) = paths.pop() {
+        let rel = path.strip_prefix(&crates).unwrap().to_string_lossy();
+        if path.is_dir() {
+            paths.extend(fs::read_dir(&path).unwrap().map(|e| e.unwrap().path()));
+        } else if rel.contains("/src/") {
+            files.push((rel.into_owned(), fs::read_to_string(&path).unwrap()));
+        }
+    }
+    files
+}
+
+/// A source file up to its test module.
+fn before_tests(src: &str) -> &str {
+    &src[..src.find("#[cfg(test)]\nmod ").unwrap_or(src.len())]
+}
+
 /// Lines (1-based) where a `seed_from(..)` or `.fork(..)` argument does
 /// arithmetic. Test modules are skipped: per-case seeds are the test idiom.
 fn raw_seed_lines(src: &str) -> BTreeSet<usize> {
     let arithmetic = ["+", "-", "*", "/", "%", "^", "wrapping_", "rotate_"];
-    let src = &src[..src.find("#[cfg(test)]\nmod ").unwrap_or(src.len())];
+    let src = before_tests(src);
     let (forks, mut lines) = (src.match_indices(".fork("), BTreeSet::new());
     for (at, call) in src.match_indices("seed_from(").chain(forks) {
         let (rest, mut depth) = (&src[at + call.len()..], 0);
@@ -47,19 +69,34 @@ fn seeds_and_fork_salts_are_named_streams() {
     assert_eq!(raw_seed_lines(RAW_SEED_FIXTURE), BTreeSet::from([11, 12]));
     // Where seeds are derived by design: faults, the `SeedPlan`, the generator.
     let exempt = ["experiments/src/harness.rs", "faults/", "fedml/src/rng.rs"];
-    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
-    let (mut paths, mut sites) = (vec![crates.clone()], 0);
-    while let Some(path) = paths.pop() {
-        let rel = path.strip_prefix(&crates).unwrap().to_string_lossy();
-        if path.is_dir() {
-            paths.extend(fs::read_dir(&path).unwrap().map(|e| e.unwrap().path()));
-        } else if rel.contains("/src/") && !exempt.iter().any(|e| rel.starts_with(e)) {
-            let src = fs::read_to_string(&path).unwrap();
+    let mut sites = 0;
+    for (rel, src) in library_sources() {
+        if !exempt.iter().any(|e| rel.starts_with(e)) {
             sites += src.matches("seed_from(").count() + src.matches(".fork(").count();
             assert_eq!(raw_seed_lines(&src), BTreeSet::new(), "in {rel}");
         }
     }
     assert!(sites > 0, "the scan saw no seed at all");
+}
+
+/// Only `telemetry::write_atomic` renames and fsyncs; the one other fsync is
+/// the lock file of `runstore::StoreLock::acquire`.
+#[test]
+fn durable_writes_go_through_telemetry_write_atomic() {
+    let mut sites = Vec::new();
+    for (rel, src) in library_sources() {
+        for call in ["rename(", "sync_all("] {
+            let found = before_tests(&src).matches(call);
+            sites.extend(found.map(|_| (rel.clone(), call)));
+        }
+    }
+    sites.sort();
+    let want = [
+        ("runstore/src/lib.rs", "sync_all("),
+        ("telemetry/src/lib.rs", "rename("),
+        ("telemetry/src/lib.rs", "sync_all("),
+    ];
+    assert_eq!(sites, want.map(|(file, call)| (file.to_string(), call)));
 }
 
 const RAW_SEED_FIXTURE: &str = "// A library file: raw seed arithmetic in Rng64
