@@ -640,6 +640,59 @@ fn worker_pool_norm_cache_matches_recomputation() {
     }
 }
 
+/// Whatever buffers `WorkerPool` keeps a round's locals in, each member's
+/// `local(w)` and `local_norm_sq(w)` are the bits of a direct
+/// `local_update_from_ws` from the dispatched model on the worker's own
+/// stream — forked as `WorkerPool::new` forks it (`fork(w)` in worker order)
+/// and advanced only by the rounds the worker trained in — over random member
+/// subsets, parallel and sequential.
+#[test]
+fn worker_pool_locals_match_direct_updates_on_own_streams() {
+    use air_fedga::fedml::optimizer::local_update_from_ws;
+    let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(7130));
+    let n = system.num_workers();
+    let sgd = &system.config.sgd;
+    for parallel in [false, true] {
+        let mut pool = WorkerPool::new(&system, &mut Rng64::seed_from(7131));
+        let mut fork_rng = Rng64::seed_from(7131);
+        let mut streams: Vec<Rng64> = (0..n).map(|w| fork_rng.fork(w as u64)).collect();
+        let (mut model, mut ws) = (system.fresh_model(), Workspace::new());
+        let mut want = FlatParams::zeros(system.model_dim());
+        let mut dispatch = system.template.params();
+        let mut rng = Rng64::seed_from(7132);
+        for round in 0..5 {
+            let mut members: Vec<usize> = (0..n).filter(|_| rng.uniform() < 0.5).collect();
+            rng.shuffle(&mut members);
+            pool.train_members(&members, &dispatch, &system, parallel);
+            for &w in &members {
+                let shard = &system.shards[w];
+                let stream = &mut streams[w];
+                local_update_from_ws(
+                    model.as_mut(),
+                    &dispatch,
+                    shard,
+                    sgd,
+                    stream,
+                    &mut ws,
+                    &mut want,
+                );
+                let tag = format!("parallel {parallel}, round {round}, worker {w}");
+                assert_eq!(
+                    pool.local_norm_sq(w).to_bits(),
+                    want.norm_sq().to_bits(),
+                    "{tag}: norm²"
+                );
+                for (c, (x, y)) in pool.local(w).0.iter().zip(want.0.iter()).enumerate() {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{tag}: param {c}");
+                }
+            }
+            if let Some(&w) = members.last() {
+                dispatch.clone_from(pool.local(w));
+            }
+        }
+    }
+}
+
 /// A model instance and a `Workspace` are pure training scratch: the update
 /// starts with `set_params`, which overwrites every weight and bias, and every
 /// `Workspace` caller overwrites what it checks out. So scratch that just
