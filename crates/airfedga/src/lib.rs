@@ -16,10 +16,11 @@
 //! * [`server`] — the parameter server's half of a round (over-the-air
 //!   aggregation into the global model, periodic evaluation), shared by the
 //!   engine and the Dynamic baseline's own loop.
-//! * [`worker_pool`] — per-worker training state (RNG stream, local
-//!   parameters) and per-lane training scratch (model, workspace); a round's
-//!   members train in parallel, one run per lane, on the persistent worker
-//!   pool with bit-identical-to-sequential results.
+//! * [`worker_pool`] — per-worker RNG streams, one reused buffer of the
+//!   latest round's local parameters (one row per member) and per-lane
+//!   training scratch (model, workspace); a round's members train in
+//!   parallel, one run per lane, on the persistent worker pool with
+//!   bit-identical-to-sequential results.
 //! * [`convergence`] — numerical evaluation of the Theorem-1 bound
 //!   (`ρ`, `δ`, the Lemma-1 recursion) and of Corollaries 1–2.
 //!

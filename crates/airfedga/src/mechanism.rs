@@ -140,11 +140,12 @@ fn delivering_members(
 /// the plan being enabled — a fault-free run carries an empty log.
 ///
 /// The local-training hot path allocates nothing per member in steady state:
-/// every worker owns a persistent [`WorkerPool`] slot (RNG stream,
-/// local-parameter buffer and its cached `‖w_i‖²`), each training lane one
-/// scratch model and workspace, and the per-group dispatch vectors and the
-/// [`Server`]'s power-control, AirComp estimate/energy and evaluation buffers
-/// are all reused across rounds. With `opts.parallel` the members of the
+/// every worker owns a persistent [`WorkerPool`] RNG stream, the round's
+/// members write their local parameters and cached `‖w_i‖²` into the pool's
+/// rows (grown to the largest round, then reused), each training lane owns
+/// one scratch model and workspace, and the per-group dispatch vectors and
+/// the [`Server`]'s power-control, AirComp estimate/energy and evaluation
+/// buffers are all reused across rounds. With `opts.parallel` the members of the
 /// aggregating group train concurrently, one contiguous run per lane on the
 /// persistent worker pool — bit-identical to the sequential schedule.
 pub fn run_group_async(

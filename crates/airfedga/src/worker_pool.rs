@@ -2,27 +2,33 @@
 //! round.
 //!
 //! Every mechanism simulation owns a [`WorkerPool`]. Per simulated worker it
-//! keeps only what outlives an update: the worker's private deterministic RNG
-//! stream, the buffer its local parameters are written into and that buffer's
-//! cached `‖w_i‖²`. The model instance and the scratch [`Workspace`] an update
-//! runs on are *training scratch*, and there is one of each per **lane** —
-//! `min(`[`parallel::max_threads`]`, N)` of them, built once with the pool —
-//! not one per worker: a round's sorted members are split into contiguous
-//! runs, one per lane, and each lane trains its run member after member on
-//! its own model and workspace.
+//! keeps only what outlives a round: the worker's private deterministic RNG
+//! stream. A round's local parameters and their cached `‖w_i‖²` are read only
+//! by the aggregation that immediately follows the round (Algorithm 1 trains
+//! and aggregates a group in the same round), so they live in one pool-owned
+//! buffer of *rows*, row `k` holding the k-th sorted member of the latest
+//! [`WorkerPool::train_members`] call. The buffer grows to the largest round
+//! seen and is reused after that. The model instance and the scratch
+//! [`Workspace`] an update runs on are *training scratch*, and there is one of
+//! each per **lane** — `min(`[`parallel::max_threads`]`, N)` of them, built
+//! once with the pool — not one per worker: a round's sorted members are
+//! split into contiguous runs, one per lane, and each lane trains its run
+//! member after member on its own model and workspace, writing its own
+//! contiguous window of rows.
 //!
 //! * **Zero steady-state allocation** — per member nothing: lane scratch,
-//!   RNG streams and parameter buffers are reused across every round. Per
-//!   round the parallel fan-out allocates its O(lanes) bookkeeping (the lane
-//!   list and the pool's per-chunk slots).
+//!   RNG streams and rows are reused across every round (the rows grow only
+//!   while rounds keep getting larger). Per round the parallel fan-out
+//!   allocates its O(lanes) bookkeeping (the lane list and the pool's
+//!   per-chunk slots).
 //! * **Deterministic parallelism** — results are **bit-identical** to
 //!   sequential execution, at any lane count, because nothing a member
 //!   computes depends on which lane ran it or what that lane ran before:
 //!   each member draws from its own pre-forked RNG stream and writes only its
-//!   own slot; an update starts with `set_params`, which overwrites every
+//!   own row; an update starts with `set_params`, which overwrites every
 //!   weight and bias of the lane's model; and [`Workspace`] checkouts are
 //!   overwritten by every caller. Lane boundaries are a pure function of
-//!   (members, lanes), and the aggregation that follows reads the slots in
+//!   (members, lanes), and the aggregation that follows reads the rows in
 //!   fixed member order.
 
 use fedml::model::Model;
@@ -38,11 +44,15 @@ use crate::system::FlSystem;
 struct WorkerSlot {
     /// The worker's private RNG stream (mini-batch shuffling).
     rng: Rng64,
-    /// The local parameters produced by the worker's most recent update.
-    local: FlatParams,
-    /// `local.norm_sq()`, computed once at the end of the update (inside the
+}
+
+/// One member's result of the latest round.
+struct LocalRow {
+    /// The local parameters the member's update produced.
+    params: FlatParams,
+    /// `params.norm_sq()`, computed once at the end of the update (inside the
     /// parallel fan-out) for the power-control bound and the transmit energy.
-    local_norm_sq: f64,
+    norm_sq: f64,
 }
 
 /// One lane's training scratch: a model instance (its parameters are
@@ -53,35 +63,38 @@ struct Trainer {
     ws: Workspace,
 }
 
-/// One contiguous run of a round's sorted members, the trainer it runs on and
-/// the window of slots it spans (`slots[0]` is worker `first`).
+/// One contiguous run of a round's sorted members, the trainer it runs on,
+/// the window of slots it spans (`slots[0]` is worker `first`) and the rows
+/// its members write (`rows[i]` is `run[i]`'s).
 struct Lane<'a> {
     run: &'a [usize],
     trainer: &'a mut Trainer,
     first: usize,
     slots: &'a mut [WorkerSlot],
+    rows: &'a mut [LocalRow],
 }
 
-/// One slot per worker, one trainer per lane, plus the scratch needed to
-/// hand a round's members to the thread pool.
+/// One slot per worker, one trainer per lane, one row per member of the
+/// largest round so far, plus the scratch needed to hand a round's members to
+/// the thread pool.
 pub struct WorkerPool {
     slots: Vec<WorkerSlot>,
     trainers: Vec<Trainer>,
+    /// The latest round's members, sorted; row `k` is `sorted_members[k]`'s.
     sorted_members: Vec<usize>,
+    rows: Vec<LocalRow>,
 }
 
 impl WorkerPool {
     /// Create one slot per worker of `system` and one trainer per lane.
     /// Forks one child RNG stream per worker from `rng` (in worker order, so
-    /// the construction itself is deterministic).
+    /// the construction itself is deterministic). Rows are allocated by the
+    /// first rounds, not here.
     pub fn new(system: &FlSystem, rng: &mut Rng64) -> Self {
         let n = system.num_workers();
-        let q = system.model_dim();
         let slots = (0..n)
             .map(|w| WorkerSlot {
                 rng: rng.fork(w as u64),
-                local: FlatParams::zeros(q),
-                local_norm_sq: 0.0,
             })
             .collect();
         let trainers = (0..parallel::max_threads().min(n))
@@ -94,11 +107,13 @@ impl WorkerPool {
             slots,
             trainers,
             sorted_members: Vec::new(),
+            rows: Vec::new(),
         }
     }
 
     /// Run one local update for every worker in `members` (distinct), each
-    /// starting from `dispatch`, writing the results into the members' slots.
+    /// starting from `dispatch`, writing the results into this round's rows.
+    /// The previous round's results are no longer readable afterwards.
     ///
     /// With `parallel` the sorted members are split into one contiguous run
     /// per lane and the runs are mapped over the persistent worker pool;
@@ -118,30 +133,40 @@ impl WorkerPool {
             self.sorted_members.windows(2).all(|p| p[0] < p[1]),
             "a round's members must be distinct"
         );
+        let m = self.sorted_members.len();
+        if self.rows.len() < m {
+            let q = system.model_dim();
+            self.rows.resize_with(m, || LocalRow {
+                params: FlatParams::zeros(q),
+                norm_sq: 0.0,
+            });
+        }
         let sgd = &system.config.sgd;
         let train_lane = |lane: Lane| {
-            for &w in lane.run {
-                let slot = &mut lane.slots[w - lane.first];
+            for (&w, row) in lane.run.iter().zip(lane.rows) {
                 local_update_from_ws(
                     lane.trainer.model.as_mut(),
                     dispatch,
                     &system.shards[w],
                     sgd,
-                    &mut slot.rng,
+                    &mut lane.slots[w - lane.first].rng,
                     &mut lane.trainer.ws,
-                    &mut slot.local,
+                    &mut row.params,
                 );
-                slot.local_norm_sq = slot.local.norm_sq();
+                row.norm_sq = row.params.norm_sq();
             }
         };
-        // Runs of ⌈n / lanes⌉ members: at most `lanes` of them, each paired
-        // with its own trainer and the (disjoint) window of slots it spans.
+        // Runs of ⌈m / lanes⌉ members: at most `lanes` of them, each paired
+        // with its own trainer, the (disjoint) window of slots it spans and
+        // the (disjoint) window of rows its members own.
         let lanes = if parallel { self.trainers.len() } else { 1 };
-        let run_len = self.sorted_members.len().div_ceil(lanes).max(1);
+        let run_len = m.div_ceil(lanes).max(1);
         let mut rest: &mut [WorkerSlot] = &mut self.slots;
         let mut first = 0;
         let mut work: Vec<Lane> = Vec::with_capacity(lanes);
-        for (run, trainer) in self.sorted_members.chunks(run_len).zip(&mut self.trainers) {
+        let runs = self.sorted_members.chunks(run_len);
+        let row_windows = self.rows[..m].chunks_mut(run_len);
+        for ((run, rows), trainer) in runs.zip(row_windows).zip(&mut self.trainers) {
             let end = run[run.len() - 1] + 1;
             let (slots, tail) = std::mem::take(&mut rest).split_at_mut(end - first);
             work.push(Lane {
@@ -149,6 +174,7 @@ impl WorkerPool {
                 trainer,
                 first,
                 slots,
+                rows,
             });
             (rest, first) = (tail, end);
         }
@@ -158,20 +184,38 @@ impl WorkerPool {
         let _: Vec<()> = work.into_par_iter().map(train_lane).collect();
     }
 
-    /// The local parameters worker `w` produced in its most recent update.
-    pub fn local(&self, w: usize) -> &FlatParams {
-        &self.slots[w].local
+    /// Worker `w`'s row of the latest round. Panics if `w` did not train in
+    /// the latest [`train_members`](Self::train_members) call.
+    fn row(&self, w: usize) -> &LocalRow {
+        match self.sorted_members.binary_search(&w) {
+            Ok(k) => &self.rows[k],
+            Err(_) => panic!("worker {w} did not train in the latest round"),
+        }
     }
 
-    /// `‖local(w)‖²`, bit-identical to `local(w).norm_sq()`.
+    /// The local parameters worker `w` produced in the latest round. Panics
+    /// if `w` was not a member of it.
+    pub fn local(&self, w: usize) -> &FlatParams {
+        &self.row(w).params
+    }
+
+    /// `‖local(w)‖²`, bit-identical to `local(w).norm_sq()`. Panics if `w`
+    /// was not a member of the latest round.
     pub fn local_norm_sq(&self, w: usize) -> f64 {
-        self.slots[w].local_norm_sq
+        self.row(w).norm_sq
     }
 
     /// Model instances this pool holds: one per lane.
     #[cfg(test)]
     fn model_instances(&self) -> usize {
         self.trainers.len()
+    }
+
+    /// Local-parameter rows this pool holds: one per member of its largest
+    /// round so far.
+    #[cfg(test)]
+    fn rows_held(&self) -> usize {
+        self.rows.len()
     }
 }
 
@@ -207,8 +251,30 @@ mod tests {
         assert!(pool.local(1).norm_sq() > 0.0);
         assert!(pool.local(3).norm_sq() > 0.0);
         assert!(pool.local(5).norm_sq() > 0.0);
-        // Untouched worker keeps its zeroed buffer.
-        assert_eq!(pool.local(0).norm_sq(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "worker 2 did not train in the latest round")]
+    fn a_worker_absent_from_the_latest_round_is_unreadable() {
+        let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(4));
+        let dispatch = system.template.params();
+        let mut pool = WorkerPool::new(&system, &mut Rng64::seed_from(8));
+        pool.train_members(&[2, 6], &dispatch, &system, true);
+        pool.train_members(&[6, 1], &dispatch, &system, true);
+        pool.local(2);
+    }
+
+    #[test]
+    fn rows_grow_to_the_largest_round_and_no_further() {
+        let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(4));
+        let dispatch = system.template.params();
+        let mut pool = WorkerPool::new(&system, &mut Rng64::seed_from(8));
+        assert_eq!(pool.rows_held(), 0);
+        for size in [3, 7, 5] {
+            let members: Vec<usize> = (0..size).rev().collect();
+            pool.train_members(&members, &dispatch, &system, true);
+        }
+        assert_eq!(pool.rows_held(), 7);
     }
 
     #[test]

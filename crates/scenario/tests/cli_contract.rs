@@ -441,10 +441,11 @@ const PINNED: &[(&str, &str, bool)] = &[
 /// run, and a two-seed grid with shared replicates.
 const SCHEDULE_AXIS: &[&str] = &["fig3_s1", "churn_mnist", "grid_s2"];
 
-/// `PARALLEL_THREADS` × `PARALLEL_CHUNKS`: one lane (fully sequential), and
-/// four lanes over-decomposed 16-fold. The plain replay runs at the host's
-/// default schedule.
-const SCHEDULES: &[(&str, &str)] = &[("1", "1"), ("4", "16")];
+/// `PARALLEL_THREADS` × `PARALLEL_CHUNKS`: one lane (fully sequential),
+/// three lanes (uneven runs: N = 100 splits 34/34/32), and four lanes
+/// over-decomposed 16-fold. The plain replay runs at the host's default
+/// schedule.
+const SCHEDULES: &[(&str, &str)] = &[("1", "1"), ("3", "4"), ("4", "16")];
 
 #[test]
 fn every_kind_reproduces_its_pinned_stdout_and_results() {

@@ -198,28 +198,8 @@ pub fn air_superpose_into<'p>(
     group_data_size
 }
 
-/// Apply the asynchronous global update of Eq. (10)/(16):
-/// `w_t = (1 − β_j) w_{t−1} + β_j w̃_j^t` where `β_j = D_j / D`.
-pub fn apply_group_update(
-    global: &FlatParams,
-    group_estimate: &FlatParams,
-    group_data_size: f64,
-    total_data_size: f64,
-) -> FlatParams {
-    assert!(total_data_size > 0.0, "total data size must be positive");
-    assert!(
-        group_data_size > 0.0 && group_data_size <= total_data_size + 1e-9,
-        "group data size must lie in (0, D]"
-    );
-    let beta = group_data_size / total_data_size;
-    let mut out = global.clone();
-    out.scale(1.0 - beta);
-    out.axpy(beta, group_estimate);
-    out
-}
-
-/// In-place variant of [`apply_group_update`]: updates `global` directly so
-/// the per-round engine loop does not allocate a fresh `q`-length vector.
+/// Apply the asynchronous global update of Eq. (10)/(16) to `global` in
+/// place: `w_t = (1 − β_j) w_{t−1} + β_j w̃_j^t` where `β_j = D_j / D`.
 pub fn apply_group_update_in_place(
     global: &mut FlatParams,
     group_estimate: &FlatParams,
@@ -369,10 +349,12 @@ mod tests {
     fn apply_group_update_is_convex_combination() {
         let global = params(vec![0.0, 0.0]);
         let estimate = params(vec![1.0, 2.0]);
-        let updated = apply_group_update(&global, &estimate, 25.0, 100.0);
+        let mut updated = global.clone();
+        apply_group_update_in_place(&mut updated, &estimate, 25.0, 100.0);
         assert_eq!(updated.0, vec![0.25, 0.5]);
         // Full participation replaces the global model entirely.
-        let replaced = apply_group_update(&global, &estimate, 100.0, 100.0);
+        let mut replaced = global.clone();
+        apply_group_update_in_place(&mut replaced, &estimate, 100.0, 100.0);
         assert_eq!(replaced.0, estimate.0);
     }
 

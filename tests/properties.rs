@@ -25,8 +25,8 @@ use air_fedga::grouping::greedy::{greedy_grouping, GreedyGroupingConfig};
 use air_fedga::grouping::objective::{GroupingObjective, ObjectiveConstants};
 use air_fedga::grouping::worker_info::{Grouping, WorkerInfo};
 use air_fedga::wireless::aircomp::{
-    air_aggregate_indexed_into, air_aggregate_into, air_superpose_into, apply_group_update,
-    AirAggregationInput, AirAggregationScratch,
+    air_aggregate_indexed_into, air_aggregate_into, air_superpose_into,
+    apply_group_update_in_place, AirAggregationInput, AirAggregationScratch,
 };
 use air_fedga::wireless::power::{optimize_power, transmit_power, PowerControlConfig};
 use reference::{air_aggregate, mlp_evaluate, mlp_local_update_reference, mlp_loss_and_gradient};
@@ -101,8 +101,8 @@ fn noiseless_aircomp_is_exact() {
         let res = air_aggregate(&inputs, scale, scale * scale, 0.0, &mut rng);
         assert!(res.error_norm_sq < 1e-16, "case {case}");
         let total: f64 = sizes.iter().sum();
-        let global = FlatParams::zeros(dims);
-        let updated = apply_group_update(&global, &res.group_estimate, total, total * 2.0);
+        let mut updated = FlatParams::zeros(dims);
+        apply_group_update_in_place(&mut updated, &res.group_estimate, total, total * 2.0);
         // Half weight: every coordinate equals half the ideal average.
         for (u, i) in updated.0.iter().zip(res.ideal_group_model.0.iter()) {
             assert!((u - 0.5 * i).abs() < 1e-12, "case {case}");
@@ -613,8 +613,8 @@ fn engine_core_is_bit_identical_to_the_public_aggregate() {
 }
 
 /// `WorkerPool` caches each member's `‖w_i‖²` inside the (parallel or
-/// sequential) local update; the cache is the same bits as recomputing it,
-/// round after round, and untouched workers keep the norm of their zeros.
+/// sequential) local update; the cache is the same bits as recomputing it
+/// for every member, round after round.
 #[test]
 fn worker_pool_norm_cache_matches_recomputation() {
     let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(7104));
@@ -626,7 +626,7 @@ fn worker_pool_norm_cache_matches_recomputation() {
         for round in 0..4 {
             let members: Vec<usize> = (0..n).filter(|_| rng.uniform() < 0.6).collect();
             pool.train_members(&members, &dispatch, &system, parallel);
-            for w in 0..n {
+            for &w in &members {
                 assert_eq!(
                     pool.local_norm_sq(w).to_bits(),
                     pool.local(w).norm_sq().to_bits(),
