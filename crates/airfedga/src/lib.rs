@@ -6,8 +6,6 @@
 //!   Air-FedGA and every baseline: synthetic dataset + Non-IID partition,
 //!   per-worker shards, heterogeneous worker profiles (`κ_i ~ U[1,10]`),
 //!   and the wireless configuration of §VI.A.2.
-//! * [`staleness`] — bookkeeping of the per-group model versions and the
-//!   staleness `τ_t` of Eq. (5).
 //! * [`mechanism`] — Algorithm 1: grouping asynchronous federated learning
 //!   via over-the-air computation, driven in virtual time. One engine,
 //!   parameterised by a grouping and an aggregation back-end; Air-FedGA is
@@ -47,6 +45,5 @@
 pub mod convergence;
 pub mod mechanism;
 pub mod server;
-pub mod staleness;
 pub mod system;
 pub mod worker_pool;

@@ -22,7 +22,6 @@
 //! table.
 
 use crate::server::Server;
-use crate::staleness::StalenessTracker;
 use crate::system::FlSystem;
 use crate::worker_pool::WorkerPool;
 use fedml::params::FlatParams;
@@ -170,7 +169,6 @@ pub fn run_group_async(
     let m = grouping.num_groups();
     let mut dispatch_params: Vec<FlatParams> = vec![server.global().clone(); m];
     let mut dispatch_times: Vec<f64> = vec![0.0; m];
-    let mut staleness = StalenessTracker::new(m);
     let mut pool = WorkerPool::new(system, rng);
     let mut participants: Vec<usize> = Vec::new();
 
@@ -213,8 +211,8 @@ pub fn run_group_async(
 
         // Graceful degradation: when nothing can be aggregated — every member
         // dropped, deadlined or in outage, or the surviving members hold no
-        // data — skip the global update (no zero-division, no staleness
-        // entry), log the event and re-dispatch the group.
+        // data — skip the global update (no zero-division, no new model
+        // version), log the event and re-dispatch the group.
         if participants.is_empty() || group_data <= 0.0 {
             trace.faults.record_event(FaultEvent {
                 time: ready_time,
@@ -275,9 +273,6 @@ pub fn run_group_async(
             // is guaranteed by the skip guard above).
             AggregationMode::OmaIdeal => server.aggregate_exact(&pool, &participants),
         };
-
-        // Staleness bookkeeping of the global update (Eq. (10)) just applied.
-        staleness.record_aggregation(j, round);
         drop(agg_span);
 
         // Periodic evaluation.

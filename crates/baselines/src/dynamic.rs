@@ -16,6 +16,18 @@
 //! which no fixed grouping expresses. The loop shares the parameter server's
 //! round steps ([`airfedga::server::Server`]) and the round budget
 //! ([`EngineOptions`]) with the group-asynchronous engine.
+//!
+//! It cannot become a grouping rule of that engine (one group re-selected
+//! each round) at equal bytes, for three reasons:
+//!
+//! * it draws all `N` channel gains from the run stream at dispatch
+//!   (`draw_round`), while the engine draws one gain per participant inside
+//!   the aggregation, so every later draw of the run stream would move;
+//! * it evaluates at aggregation + broadcast, while the engine evaluates at
+//!   the aggregation instant, so every trace time would move by one
+//!   `broadcast_latency`;
+//! * its `max_virtual_time` check counts the broadcast too, so a budgeted
+//!   run would stop at a different round.
 
 use airfedga::mechanism::EngineOptions;
 use airfedga::server::Server;

@@ -19,10 +19,11 @@
 //!   and share it, or to re-sample it per replicate (`--system-seeds`), and
 //!   it tells the runner which cells are the same computation (those that
 //!   differ only in a ξ their mechanism never reads). Every scenario kind
-//!   and `table1_comparison` call this. What a mechanism is — its name, its
-//!   grouping rule, its aggregation back-end, whether it reads ξ — is the
-//!   `baselines` crate's table ([`MechanismChoice`], re-exported here); the
-//!   round budget travels in one `airfedga::mechanism::EngineOptions`.
+//!   and the `table1_comparison` example call this. What a mechanism is —
+//!   its name, its grouping rule, its aggregation back-end, whether it
+//!   reads ξ — is the `baselines` crate's table ([`MechanismChoice`],
+//!   re-exported here); the round budget travels in one
+//!   `airfedga::mechanism::EngineOptions`.
 //!
 //! **Seed-stream contract** (see [`crate::stats::replication_seeds`]):
 //! replicate `r` of a cell runs with seed `seeds[r]`, and the figures use

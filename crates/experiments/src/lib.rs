@@ -1,4 +1,4 @@
-//! # experiments — the replicate runner, the renderer and analysis binaries
+//! # experiments — the replicate runner and the renderer
 //!
 //! Every experiment of the paper's evaluation section (§VI) is a
 //! `(system variant × mechanism × seed)` product of independent replicates
@@ -33,15 +33,16 @@
 //!   `[limits] cell_timeout_secs` budget, turning a hung cell into a
 //!   labelled `CellFailure` instead of a stalled grid.
 //!
-//! Figs. 3–6 and 8–10 are committed specs (`scenarios/fig*.toml`). The
-//! binaries under `src/bin/` are the analyses no scenario kind expresses:
+//! Figs. 3–6 and 8–10 are committed specs (`scenarios/fig*.toml`) run by
+//! the `scenario` crate's `airfedga-run`. The analyses no scenario kind
+//! expresses are examples of the umbrella crate:
 //!
-//! | Binary | Reproduces |
-//! |--------|------------|
-//! | `fig7_grouping_boxplot` | Fig. 7 — per-group latency ranges at ξ = 0.3 |
+//! | Example | Reproduces |
+//! |---------|------------|
+//! | `fig7_grouping` | Fig. 7 — per-group latency ranges at ξ = 0.3 |
 //! | `table1_comparison` | Table I — qualitative mechanism comparison, measured proxies |
-//! | `table3_emd`        | Table III — average inter-group EMD per grouping method |
-//! | `theorem1_bound`    | Theorem 1 / Corollaries 1–2 — numeric bound evaluation |
+//! | `noniid_grouping` | Table III — average inter-group EMD per grouping method |
+//! | `convergence_bound` | Theorem 1 / Corollaries 1–2 — numeric bound evaluation |
 
 #![warn(missing_docs)]
 

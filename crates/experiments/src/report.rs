@@ -1,11 +1,12 @@
 //! Plain-text tables and CSV output.
 //!
-//! The experiment binaries print paper-style tables to stdout and optionally
-//! dump CSV files (one per figure series) under `results/` so the curves can
-//! be re-plotted with any external tool. Replicated (`--seeds N`) runs
-//! additionally emit **error-bar CSVs** ([`error_bar_csv`]): one row per
-//! evaluation point with `*_mean` / `*_std` / `*_min` / `*_max` columns over
-//! the seeds, ready for shaded-band or error-bar plotting.
+//! The scenario driver and the examples print paper-style tables to stdout
+//! and optionally dump CSV files (one per figure series) under `results/` so
+//! the curves can be re-plotted with any external tool. Replicated
+//! (`--seeds N`) runs additionally emit **error-bar CSVs**
+//! ([`error_bar_csv`]): one row per evaluation point with `*_mean` /
+//! `*_std` / `*_min` / `*_max` columns over the seeds, ready for
+//! shaded-band or error-bar plotting.
 
 use crate::stats::PointStats;
 use std::fs;
@@ -70,18 +71,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as CSV (header + rows).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.header.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Process-wide override for [`results_dir`]. `None` (the default) keeps the
@@ -99,7 +88,7 @@ pub fn set_results_dir(dir: Option<PathBuf>) {
         .unwrap_or_else(|e| e.into_inner()) = dir;
 }
 
-/// Directory where experiment binaries drop their CSV outputs.
+/// Directory where the CSV writers drop their outputs.
 pub fn results_dir() -> PathBuf {
     RESULTS_DIR_OVERRIDE
         .read()
@@ -122,7 +111,7 @@ pub fn write_csv(name: &str, contents: &str) -> std::io::Result<PathBuf> {
     Ok(path)
 }
 
-/// Helper for binaries: write a CSV and print where it went; swallow (but
+/// Helper for examples: write a CSV and print where it went; swallow (but
 /// report) I/O errors so a read-only filesystem does not kill an experiment.
 pub fn try_write_csv(name: &str, contents: &str) {
     match write_csv(name, contents) {
@@ -267,11 +256,17 @@ mod tests {
         t.add_row(vec!["Air-FedGA".into(), "1077".into()]);
         t.add_row(vec!["FedAvg".into(), "13755".into()]);
         let text = t.render();
-        assert!(text.contains("== demo =="));
-        assert!(text.contains("Air-FedGA"));
-        let csv = t.to_csv();
-        assert!(csv.starts_with("mechanism,time\n"));
-        assert_eq!(csv.lines().count(), 3);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                "== demo ==",
+                "mechanism  time ",
+                "----------------",
+                "Air-FedGA  1077 ",
+                "FedAvg     13755",
+            ]
+        );
     }
 
     #[test]

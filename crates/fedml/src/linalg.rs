@@ -137,20 +137,6 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Element access.
-    #[inline]
-    pub fn get(&self, r: usize, c: usize) -> f64 {
-        debug_assert!(r < self.rows && c < self.cols);
-        self.data[r * self.cols + c]
-    }
-
-    /// Element assignment.
-    #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: f64) {
-        debug_assert!(r < self.rows && c < self.cols);
-        self.data[r * self.cols + c] = v;
-    }
-
     /// In-place scale of every element.
     pub fn scale(&mut self, alpha: f64) {
         for v in &mut self.data {

@@ -63,18 +63,6 @@ impl FlatParams {
         }
     }
 
-    /// Return `self - other`.
-    pub fn sub(&self, other: &FlatParams) -> FlatParams {
-        assert_eq!(self.dim(), other.dim(), "FlatParams dimension mismatch");
-        FlatParams(
-            self.0
-                .iter()
-                .zip(other.0.iter())
-                .map(|(a, b)| a - b)
-                .collect(),
-        )
-    }
-
     /// Squared L2 distance to another vector.
     pub fn dist_sq(&self, other: &FlatParams) -> f64 {
         assert_eq!(self.dim(), other.dim(), "FlatParams dimension mismatch");
@@ -99,11 +87,6 @@ impl FlatParams {
             out.axpy(*w, p);
         }
         out
-    }
-
-    /// True if every coordinate is finite.
-    pub fn is_finite(&self) -> bool {
-        self.0.iter().all(|v| v.is_finite())
     }
 }
 
@@ -149,21 +132,6 @@ mod tests {
         assert_eq!(a.dist_sq(&a), 0.0);
         assert_eq!(a.dist_sq(&b), b.dist_sq(&a));
         assert_eq!(a.dist_sq(&b), 1.0 + 0.0 + 4.0);
-    }
-
-    #[test]
-    fn sub_then_norm_matches_dist() {
-        let a = FlatParams(vec![1.0, -1.0]);
-        let b = FlatParams(vec![4.0, 3.0]);
-        assert_eq!(a.sub(&b).norm_sq(), a.dist_sq(&b));
-    }
-
-    #[test]
-    fn max_abs_and_finiteness() {
-        let p = FlatParams(vec![-3.0, 2.0, 0.5]);
-        assert!(p.is_finite());
-        let q = FlatParams(vec![f64::NAN]);
-        assert!(!q.is_finite());
     }
 
     #[test]

@@ -102,21 +102,6 @@ impl<E> EventQueue<E> {
             (s.time, s.payload)
         })
     }
-
-    /// Current virtual time (the timestamp of the last popped event).
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -148,22 +133,13 @@ mod tests {
     fn clock_advances_with_pops() {
         let mut q = EventQueue::new();
         q.push(2.5, ());
-        assert_eq!(q.now(), 0.0);
-        q.pop();
-        assert_eq!(q.now(), 2.5);
-        q.push(q.now() + 1.5, ());
+        let (now, ()) = q.pop().unwrap();
+        assert_eq!(now, 2.5);
+        // Scheduling at the current time is allowed; only the past is not.
+        q.push(now, ());
+        q.push(now + 1.5, ());
+        assert_eq!(q.pop().unwrap().0, 2.5);
         assert_eq!(q.pop().unwrap().0, 4.0);
-    }
-
-    #[test]
-    fn len_and_peek_track_contents() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        q.push(1.0, 1);
-        q.push(0.5, 2);
-        assert_eq!(q.len(), 2);
-        q.pop();
-        assert_eq!(q.len(), 1);
     }
 
     #[test]

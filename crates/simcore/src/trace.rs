@@ -27,8 +27,8 @@ pub struct TracePoint {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultEventKind {
     /// Every member of the group was dropped, deadlined or in outage: the
-    /// round was skipped without a global update (no zero-division, no
-    /// staleness entry).
+    /// round was skipped without a global update (no zero-division, no new
+    /// model version).
     GroupSkipped,
 }
 

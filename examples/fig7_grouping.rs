@@ -2,15 +2,21 @@
 //!
 //! The paper shows a box plot of the local-training times inside each group:
 //! workers with similar latency land in the same group (e.g. group 7 spans
-//! 49.1–61.6 s while the population spans 8.1–61.6 s). This binary prints the
-//! per-group latency quartiles — the same data the box plot encodes — plus a
-//! small ASCII rendition.
+//! 49.1–61.6 s while the population spans 8.1–61.6 s). This example prints
+//! the per-group latency quartiles — the same data the box plot encodes —
+//! plus a small ASCII rendition, and writes them to
+//! `results/fig7_grouping.csv`.
+//!
+//! ```bash
+//! cargo run --release --example fig7_grouping
+//! AIRFEDGA_SCALE=quick cargo run --release --example fig7_grouping
+//! ```
 
-use airfedga::mechanism::{AirFedGa, AirFedGaConfig};
-use airfedga::system::FlSystemConfig;
-use experiments::report::{try_write_csv, Table};
-use experiments::scale::Scale;
-use fedml::rng::Rng64;
+use air_fedga::airfedga::mechanism::{AirFedGa, AirFedGaConfig};
+use air_fedga::airfedga::system::FlSystemConfig;
+use air_fedga::experiments::report::{try_write_csv, Table};
+use air_fedga::experiments::scale::Scale;
+use air_fedga::fedml::rng::Rng64;
 
 fn quantile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
@@ -27,7 +33,7 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
 }
 
 fn main() {
-    let scale = Scale::from_env_or_exit("fig7_grouping_boxplot");
+    let scale = Scale::from_env_or_exit("fig7_grouping");
     let cfg = scale.apply(FlSystemConfig::mnist_cnn());
     let system = cfg.build(&mut Rng64::seed_from(42));
     let mech = AirFedGa::new(AirFedGaConfig {

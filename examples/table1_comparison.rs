@@ -9,17 +9,22 @@
 //!   participate in one global update (lower is better).
 //! * *Scalability* — ratio of the average round time at N = 60 vs N = 20
 //!   (greater than 1 means rounds get slower as the system grows).
+//!
+//! ```bash
+//! AIRFEDGA_SCALE=quick cargo run --release --example table1_comparison
+//! ```
 
-use airfedga::mechanism::{AirFedGa, AirFedGaConfig, EngineOptions};
-use airfedga::system::FlSystemConfig;
-use experiments::harness::scalability_cells;
-use experiments::harness::{run_mechanism_cells, MechanismChoice, NoCache, RunPolicy, SeedPlan};
-use experiments::report::Table;
-use experiments::scale::Scale;
-use fedml::rng::Rng64;
-use grouping::emd::average_group_emd;
-use grouping::tifl::{default_tier_count, tifl_grouping};
-use grouping::worker_info::Grouping;
+use air_fedga::airfedga::mechanism::{AirFedGa, AirFedGaConfig, EngineOptions};
+use air_fedga::airfedga::system::FlSystemConfig;
+use air_fedga::experiments::harness::{
+    run_mechanism_cells, scalability_cells, MechanismChoice, NoCache, RunPolicy, SeedPlan,
+};
+use air_fedga::experiments::report::Table;
+use air_fedga::experiments::scale::Scale;
+use air_fedga::fedml::rng::Rng64;
+use air_fedga::grouping::emd::average_group_emd;
+use air_fedga::grouping::tifl::{default_tier_count, tifl_grouping};
+use air_fedga::grouping::worker_info::Grouping;
 
 fn main() {
     let scale = Scale::from_env_or_exit("table1_comparison");

@@ -1,6 +1,7 @@
-//! Integration tests for the grouping pipeline: Table III's EMD ordering and
-//! Fig. 7's latency-clustering property, exercised through the public API
-//! exactly the way the experiment binaries use it.
+//! Integration tests for the grouping pipeline: Table III's EMD ordering,
+//! Fig. 7's latency-clustering property and Table I's training-free
+//! proxies, exercised through the public API exactly the way the examples
+//! use it.
 
 use air_fedga::airfedga::mechanism::{AirFedGa, AirFedGaConfig};
 use air_fedga::airfedga::system::{FlSystem, FlSystemConfig};
@@ -72,6 +73,48 @@ fn fig7_groups_cluster_similar_latencies_at_xi_03() {
         ObjectiveConstants::default(),
     );
     assert!(objective.satisfies_xi(&grouping, &system.worker_infos));
+}
+
+/// The two Table I columns that need no training, computed as the
+/// `table1_comparison` example computes them: AirComp's upload air-time
+/// beats OMA's per tier, which beats OMA's with everyone uploading; and the
+/// median worker idles less inside its Air-FedGA group than in a
+/// synchronous round that waits for the slowest worker.
+#[test]
+fn table1_aircomp_uploads_fastest_and_grouping_cuts_idle_time() {
+    let n = 60;
+    let system = paper_like_system(n, 42);
+    let workers = &system.worker_infos;
+
+    let dim = system.model_dim();
+    let wireless = &system.config.wireless;
+    let aircomp = wireless.aircomp_aggregation_time(dim);
+    let oma_tier = wireless.oma_round_upload_time(dim, n / default_tier_count(n).max(1));
+    let oma_full = wireless.oma_round_upload_time(dim, n);
+    assert!(
+        aircomp < oma_tier && oma_tier < oma_full,
+        "upload air-time: AirComp {aircomp:.3}s, OMA tier {oma_tier:.3}s, OMA full {oma_full:.3}s"
+    );
+
+    let mut latencies: Vec<f64> = (0..n).map(|i| system.local_training_time(i)).collect();
+    latencies.sort_by(|a, b| a.total_cmp(b));
+    let idle_sync = 1.0 - latencies[n / 2] / latencies[n - 1];
+    let grouping = AirFedGa::new(AirFedGaConfig::default()).grouping_for(&system);
+    let mut fractions: Vec<f64> = (0..grouping.num_groups())
+        .flat_map(|j| {
+            let slowest = grouping.group_max_latency(j, workers);
+            grouping
+                .group(j)
+                .iter()
+                .map(move |&w| 1.0 - workers[w].local_training_time / slowest)
+        })
+        .collect();
+    fractions.sort_by(|a, b| a.total_cmp(b));
+    let idle_airfedga = fractions[fractions.len() / 2];
+    assert!(
+        idle_airfedga < idle_sync,
+        "median idle fraction: Air-FedGA {idle_airfedga:.3}, synchronous {idle_sync:.3}"
+    );
 }
 
 #[test]
