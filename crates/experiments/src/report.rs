@@ -102,7 +102,9 @@ pub fn results_dir() -> PathBuf {
 ///
 /// The write goes through [`telemetry::write_atomic`], the one way a durable
 /// file is written: a crash mid-write can leave a stale `results/<name>.tmp`
-/// behind but never a torn file at the final path.
+/// behind but never a torn file at the final path. A CSV that already holds
+/// `contents` (a resumed run renders the same bytes) is left in place, only
+/// fsynced; its mtime does not advance.
 pub fn write_csv(name: &str, contents: &str) -> std::io::Result<PathBuf> {
     let dir = results_dir();
     fs::create_dir_all(&dir)?;

@@ -197,7 +197,7 @@ fn cmd_results(addr: &str, args: &[String]) -> Result<i32, String> {
             for f in &files {
                 let body = client::fetch_file(addr, id, f)?;
                 let dest = dir.join(f);
-                std::fs::write(&dest, body)
+                telemetry::write_atomic(&dest, body.as_bytes())
                     .map_err(|e| format!("cannot write {}: {e}", dest.display()))?;
                 println!("{}", dest.display());
             }

@@ -15,7 +15,8 @@
 //!   discipline as `crates/compat`.
 //! * **Crash-safe queue** — every job persists under `<root>/jobs/<id>/`
 //!   (`spec.toml` + a `meta` state file, both written by
-//!   [`telemetry::write_atomic`]). A killed daemon reopens its root and
+//!   [`telemetry::write_atomic`], which leaves a file that already holds its
+//!   bytes in place). A killed daemon reopens its root and
 //!   resumes: jobs that were mid-run revert to the queue and re-execute
 //!   against the shared runstore, where every replicate the previous
 //!   incarnation completed is a cache hit.

@@ -15,9 +15,10 @@
 //!   so stale results can never be served to a different experiment.
 //! * **Crash safety** — replicate files are written by
 //!   [`telemetry::write_atomic`], the one way a durable file is written
-//!   (staged to `<name>.tmp`, fsynced, renamed into place), so a torn write
-//!   is never loadable; loads treat unparseable or truncated files as misses
-//!   (the replicate just re-runs).
+//!   (staged to `<name>.tmp`, fsynced, renamed into place; a file that
+//!   already holds the bytes is only fsynced), so a torn write is never
+//!   loadable; loads treat unparseable or truncated files as misses (the
+//!   replicate just re-runs).
 //!   An append-only `journal` records every store in completion order for
 //!   post-mortems; the files themselves are the source of truth.
 //! * **Bit-exactness** — every `f64` is stored as its IEEE-754 bit pattern
@@ -255,11 +256,9 @@ impl RunStore {
         let spec_dir = root.join(format!("{:032x}", spec_hash(canonical_spec)));
         fs::create_dir_all(&spec_dir)?;
         // Record the canonical form for humans. The directory is named by
-        // its hash, so a file already there holds these very bytes.
-        let spec_txt = spec_dir.join("spec.txt");
-        if !spec_txt.exists() {
-            telemetry::write_atomic(&spec_txt, canonical_spec.as_bytes())?;
-        }
+        // its hash, so a file already there holds these very bytes and is
+        // left in place.
+        telemetry::write_atomic(&spec_dir.join("spec.txt"), canonical_spec.as_bytes())?;
         Ok(Self { spec_dir })
     }
 

@@ -806,6 +806,17 @@ fn print_speedups(cells: &[Option<CellStats>], target: f64) {
 mod tests {
     use super::*;
 
+    /// Overrides whose run store lives under a temp dir of the test's own, so
+    /// no test shares a store slot or leaves one in the source tree.
+    fn hermetic(tag: &str) -> CliOverrides {
+        let root = std::env::temp_dir().join(format!("scenario_run_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        CliOverrides {
+            store_root: Some(root),
+            ..CliOverrides::default()
+        }
+    }
+
     /// End-to-end smoke: a tiny grid scenario runs green from the spec text
     /// alone, exercising parse → validate → expand → replicated run → report.
     #[test]
@@ -829,7 +840,8 @@ eval_every = 2
 xi = [0.3, 1.0]
 "#;
         let spec = ScenarioSpec::parse(src).unwrap();
-        let report = execute(&spec, Scale::Quick, &CliOverrides::default()).unwrap();
+        let cli = hermetic("tiny_grid");
+        let report = execute(&spec, Scale::Quick, &cli).unwrap();
         assert!(report.is_clean());
         assert!(report.failure_report().is_empty());
         // Air-FedAvg has no xi: its xi=1.0 cell reuses the xi=0.3 training.
@@ -844,7 +856,7 @@ xi = [0.3, 1.0]
             &CliOverrides {
                 seeds: Some(2),
                 system_seeds: true,
-                ..CliOverrides::default()
+                ..cli
             },
         )
         .unwrap();
@@ -882,7 +894,7 @@ xi = [0.3, 1.0]
 "#;
         let spec = ScenarioSpec::parse(src).unwrap();
         assert!(!spec.base_config.faults.is_none());
-        assert!(execute(&spec, Scale::Quick, &CliOverrides::default())
+        assert!(execute(&spec, Scale::Quick, &hermetic("faulty_grid"))
             .unwrap()
             .is_clean());
     }
@@ -960,7 +972,7 @@ eval_every = 2
 speedup_target = 0.5
 "#;
         let spec = ScenarioSpec::parse(src).unwrap();
-        let report = execute(&spec, Scale::Quick, &CliOverrides::default()).unwrap();
+        let report = execute(&spec, Scale::Quick, &hermetic("novel")).unwrap();
         assert!(report.is_clean());
         // Two mechanisms, two computations: nothing to share, nothing said.
         assert_eq!(report.sharing_summary(), None);
@@ -997,7 +1009,7 @@ xi = [1.0]
 max_retries = 0
 "#;
         let spec = ScenarioSpec::parse(src).unwrap();
-        let report = execute(&spec, Scale::Quick, &CliOverrides::default()).unwrap();
+        let report = execute(&spec, Scale::Quick, &hermetic("panic")).unwrap();
         assert!(!report.is_clean());
         assert_eq!(report.failures.len(), 1);
         assert!(!report.failures[0].recovered);
@@ -1035,7 +1047,7 @@ xi = [0.3, 1.0]
         let spec = ScenarioSpec::parse(src).unwrap();
         let fresh = CliOverrides {
             store: StoreMode::Fresh,
-            ..CliOverrides::default()
+            ..hermetic("resume")
         };
         let populate = execute(&spec, Scale::Quick, &fresh).unwrap();
         assert!(populate.is_clean());
@@ -1049,7 +1061,8 @@ xi = [0.3, 1.0]
 
         // 2 cells × 2 seeds, all persisted by the fresh run.
         let params = figure_params(&spec, Scale::Quick, &fresh);
-        let store = open_store(&spec, Scale::Quick, &params, StoreMode::Resume, None)
+        let root = fresh.store_root.as_deref();
+        let store = open_store(&spec, Scale::Quick, &params, StoreMode::Resume, root)
             .unwrap()
             .unwrap();
         assert_eq!(store.completed(), 4);
@@ -1057,7 +1070,7 @@ xi = [0.3, 1.0]
 
         let resume = CliOverrides {
             store: StoreMode::Resume,
-            ..CliOverrides::default()
+            ..fresh.clone()
         };
         let replay = execute(&spec, Scale::Quick, &resume).unwrap();
         assert!(replay.is_clean());
@@ -1075,6 +1088,7 @@ xi = [0.3, 1.0]
             }
         );
         assert!(stats.summary().contains("4 hit(s)"));
+        std::fs::remove_dir_all(root.unwrap()).unwrap();
     }
 
     /// A `[telemetry]` table must not re-key the run store: a resumed run
@@ -1105,7 +1119,7 @@ xi = [1.0]
         let plain = ScenarioSpec::parse(base).unwrap();
         let telem = ScenarioSpec::parse(&with_telemetry).unwrap();
         assert_ne!(plain.telemetry, telem.telemetry);
-        let cli = CliOverrides::default();
+        let cli = hermetic("rekey");
         let params = figure_params(&plain, Scale::Quick, &cli);
         assert_eq!(
             canonical_spec_form(&plain, Scale::Quick, &params),
@@ -1141,7 +1155,7 @@ xi = [0.3, 1.0]
         let spec = ScenarioSpec::parse(src).unwrap();
         let csv = Path::new("results/test_scenario_telemetry_grid.csv");
 
-        let off = execute(&spec, Scale::Quick, &CliOverrides::default()).unwrap();
+        let off = execute(&spec, Scale::Quick, &hermetic("telemetry")).unwrap();
         assert!(off.is_clean());
         assert!(off.profile.is_none());
         let off_bytes = std::fs::read(csv).unwrap();
@@ -1151,7 +1165,7 @@ xi = [0.3, 1.0]
         let _ = std::fs::remove_dir_all(&dir);
         let cli = CliOverrides {
             telemetry: Some(dir.display().to_string()),
-            ..CliOverrides::default()
+            ..hermetic("telemetry")
         };
         let on = execute(&spec, Scale::Quick, &cli).unwrap();
         assert!(on.is_clean());
@@ -1294,6 +1308,7 @@ workload = "mnist_lr_quick"
     /// replicate, `--resume` replays all of them to identical CSV bytes.
     #[test]
     fn sweep_kinds_resume_to_identical_csv_bytes() {
+        let hermetic = hermetic("sweep_store");
         for (src, csv, replicates) in [
             (TINY_XI_SWEEP, "results/test_scenario_store_xi_sweep.csv", 4),
             (
@@ -1306,7 +1321,7 @@ workload = "mnist_lr_quick"
             let run = |store: StoreMode| {
                 let cli = CliOverrides {
                     store,
-                    ..CliOverrides::default()
+                    ..hermetic.clone()
                 };
                 let report = execute(&spec, Scale::Quick, &cli).unwrap();
                 assert!(report.is_clean());
@@ -1322,6 +1337,7 @@ workload = "mnist_lr_quick"
             assert_eq!(resume_stats.hits, replicates);
             assert_eq!(fresh_bytes, resume_bytes, "{csv} changed on resume");
         }
+        std::fs::remove_dir_all(hermetic.store_root.unwrap()).unwrap();
     }
 
     /// `[limits]` and panic isolation apply to the sweep kinds too: an

@@ -2,8 +2,9 @@
 //! the documented exit codes (0 clean / 1 unrecovered failures / 2 usage),
 //! and the `--store-root` / `--results-dir` relocation flags producing
 //! byte-identical outputs to a default-layout run (the equivalence the job
-//! server builds on), and every byte of stdout and `results/` that the four
-//! scenario kinds print, replayed against `golden/pinned/`.
+//! server builds on), an all-hits `--resume` that rewrites no file, and every
+//! byte of stdout and `results/` that the four scenario kinds print, replayed
+//! against `golden/pinned/`.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -240,6 +241,13 @@ fn clean_run_exits_0_and_unrecovered_failures_exit_1() {
 /// bookkeeping whose ordering is timing-dependent (`journal`) and transient
 /// (`lock`).
 fn snapshot(root: &Path) -> BTreeMap<String, Vec<u8>> {
+    let mut out = snapshot_all(root);
+    out.retain(|rel, _| !rel.ends_with("journal") && !rel.ends_with("lock"));
+    out
+}
+
+/// Every file under `root` (relative path → bytes).
+fn snapshot_all(root: &Path) -> BTreeMap<String, Vec<u8>> {
     fn walk(dir: &Path, base: &Path, out: &mut BTreeMap<String, Vec<u8>>) {
         let Ok(entries) = fs::read_dir(dir) else {
             return;
@@ -254,9 +262,6 @@ fn snapshot(root: &Path) -> BTreeMap<String, Vec<u8>> {
                     .unwrap()
                     .to_string_lossy()
                     .to_string();
-                if rel.ends_with("journal") || rel.ends_with("lock") {
-                    continue;
-                }
                 out.insert(rel, fs::read(&path).unwrap());
             }
         }
@@ -362,6 +367,46 @@ fn store_root_and_results_dir_relocation_is_byte_identical() {
 
     fs::remove_dir_all(&default_cwd).ok();
     fs::remove_dir_all(&reloc_cwd).ok();
+}
+
+/// An all-hits `--resume` renders every CSV and opens every store slot again,
+/// but writes nothing: each file under `results/` and `runstore/` keeps its
+/// bytes and its inode (no staged rename), and stdout is the `--fresh` run's.
+#[test]
+fn a_warm_resume_rewrites_no_file() {
+    use std::os::unix::fs::MetadataExt as _;
+    let cwd = tmp_dir("warm_resume");
+    fs::write(cwd.join("grid.toml"), GRID_SPEC).unwrap();
+    let files = || -> BTreeMap<String, (Vec<u8>, u64)> {
+        let mut out = BTreeMap::new();
+        for dir in ["results", "runstore"] {
+            for (rel, bytes) in snapshot_all(&cwd.join(dir)) {
+                let ino = fs::metadata(cwd.join(dir).join(&rel)).unwrap().ino();
+                out.insert(format!("{dir}/{rel}"), (bytes, ino));
+            }
+        }
+        out
+    };
+
+    let fresh = run_in(&cwd, &["grid.toml", "--fresh"]);
+    assert_eq!(fresh.status.code(), Some(0));
+    let before = files();
+    assert!(before.keys().any(|f| f.starts_with("results/")));
+    assert!(before.keys().any(|f| f.ends_with("spec.txt")));
+    let resume = run_in(&cwd, &["grid.toml", "--resume"]);
+    assert_eq!(resume.status.code(), Some(0));
+    assert!(
+        String::from_utf8_lossy(&resume.stderr)
+            .lines()
+            .any(|l| l
+                == "runstore: 8 hit(s), 0 recomputed, 0 corrupt file(s) degraded to recompute"),
+        "stderr: {}",
+        String::from_utf8_lossy(&resume.stderr)
+    );
+    assert_eq!(resume.stdout, fresh.stdout);
+    assert_eq!(files(), before);
+
+    fs::remove_dir_all(&cwd).ok();
 }
 
 /// The runs pinned under `golden/pinned/<case>/`: the case, its command line

@@ -43,7 +43,7 @@ pub mod profile;
 pub mod progress;
 pub mod spans;
 
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -110,15 +110,30 @@ pub fn flush_to_dir(dir: &Path) -> std::io::Result<String> {
 
 /// The workspace's one durable write: `bytes` are staged to `<file name>.tmp`,
 /// fsynced and renamed over `path`, so a crash leaves the old or the new file.
+/// A `path` already holding `bytes` (same length, then contents) stays in place and is only
+/// fsynced, in case its writer did not; a stale `.tmp` is removed, best effort. A crash then
+/// leaves old = new, on return `path` durably holds `bytes`, and its mtime does not advance.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
+    let holds = |mut old: &std::fs::File| {
+        let mut buf = Vec::new();
+        old.metadata().is_ok_and(|m| m.len() == bytes.len() as u64)
+            && old.read_to_end(&mut buf).is_ok_and(|_| buf == bytes)
+    };
+    let (mut file, staged) = match std::fs::File::open(path) {
+        Ok(old) if holds(&old) => (old, false),
+        _ => (std::fs::File::create(&tmp)?, true),
+    };
+    if staged {
+        file.write_all(bytes)?;
     }
-    std::fs::rename(&tmp, path)
+    file.sync_all()?;
+    if staged {
+        std::fs::rename(&tmp, path)
+    } else {
+        std::fs::remove_file(&tmp).or(Ok(()))
+    }
 }
 
 #[cfg(test)]
@@ -164,6 +179,33 @@ mod tests {
         let orphan = dir.join("missing").join("y.txt");
         assert!(write_atomic(&orphan, b"z").is_err());
         assert!(!dir.join("missing").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn write_atomic_leaves_identical_bytes_in_place_and_replaces_any_other_bytes() {
+        use std::os::unix::fs::MetadataExt as _;
+        let dir = std::env::temp_dir().join(format!("telemetry_same_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (path, tmp) = (dir.join("x.csv"), dir.join("x.csv.tmp"));
+        let ino = |p: &Path| std::fs::metadata(p).unwrap().ino();
+        write_atomic(&path, b"a,b\n1,2\n").unwrap();
+        let first = ino(&path);
+        std::fs::write(&tmp, b"torn by a crash").unwrap();
+        write_atomic(&path, b"a,b\n1,2\n").unwrap();
+        assert_eq!(ino(&path), first, "identical bytes must not be rewritten");
+        assert!(!tmp.exists(), "the skip must consume the staging file");
+        assert_eq!(std::fs::read(&path).unwrap(), b"a,b\n1,2\n");
+        // Same length, different contents: the length check alone must not skip.
+        write_atomic(&path, b"a,b\n1,3\n").unwrap();
+        assert_ne!(
+            ino(&path),
+            first,
+            "different bytes must be renamed into place"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), b"a,b\n1,3\n");
+        assert!(!tmp.exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

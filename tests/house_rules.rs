@@ -79,13 +79,14 @@ fn seeds_and_fork_salts_are_named_streams() {
     assert!(sites > 0, "the scan saw no seed at all");
 }
 
-/// Only `telemetry::write_atomic` renames and fsyncs; the one other fsync is
-/// the lock file of `runstore::StoreLock::acquire`.
+/// Only `telemetry::write_atomic` creates, renames and fsyncs a file, and no
+/// library code writes one with a bare `fs::write`; the one other fsync is the
+/// lock file of `runstore::StoreLock::acquire`.
 #[test]
 fn durable_writes_go_through_telemetry_write_atomic() {
     let mut sites = Vec::new();
     for (rel, src) in library_sources() {
-        for call in ["rename(", "sync_all("] {
+        for call in ["rename(", "sync_all(", "fs::write(", "File::create("] {
             let found = before_tests(&src).matches(call);
             sites.extend(found.map(|_| (rel.clone(), call)));
         }
@@ -93,6 +94,7 @@ fn durable_writes_go_through_telemetry_write_atomic() {
     sites.sort();
     let want = [
         ("runstore/src/lib.rs", "sync_all("),
+        ("telemetry/src/lib.rs", "File::create("),
         ("telemetry/src/lib.rs", "rename("),
         ("telemetry/src/lib.rs", "sync_all("),
     ];
