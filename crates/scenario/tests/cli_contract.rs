@@ -550,3 +550,18 @@ fn every_kind_reproduces_its_pinned_stdout_and_results() {
         }
     }
 }
+
+/// `--list-components` prints the registry catalogue byte for byte as
+/// pinned: every axis, key and summary, in table order.
+#[test]
+fn list_components_matches_its_pinned_bytes() {
+    let dir = tmp_dir("list_components");
+    let out = run_in(&dir, &["--list-components"]);
+    assert_eq!(out.status.code(), Some(0));
+    let pinned = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/list_components.txt");
+    assert_eq!(
+        String::from_utf8(out.stdout).unwrap(),
+        fs::read_to_string(pinned).unwrap()
+    );
+    fs::remove_dir_all(&dir).ok();
+}
