@@ -9,7 +9,7 @@
 //! gains its error-bar series. No caller asks how many seeds there were.
 //!
 //! The formats are byte-frozen (`crates/scenario/tests/golden/pinned/`), odd
-//! corners included: `avg round` is [`fmt_secs`](crate::report::fmt_secs)
+//! corners included: `avg round` is `report::fmt_secs`
 //! with one seed but one decimal with many; `rounds survived` is an integer
 //! with one seed and `mean±std` (CSV two decimals) with many; a target's
 //! `_n` CSV field carries no `_s` unit suffix.

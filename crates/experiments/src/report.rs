@@ -4,7 +4,7 @@
 //! and optionally dump CSV files (one per figure series) under `results/` so
 //! the curves can be re-plotted with any external tool. Replicated
 //! (`--seeds N`) runs additionally emit **error-bar CSVs**
-//! ([`error_bar_csv`]): one row per evaluation point with `*_mean` /
+//! (`error_bar_csv`): one row per evaluation point with `*_mean` /
 //! `*_std` / `*_min` / `*_max` columns over the seeds, ready for
 //! shaded-band or error-bar plotting.
 
@@ -129,7 +129,7 @@ pub fn try_write_csv(name: &str, contents: &str) {
 /// `TrainingTrace::to_csv` (same precision per quantity, so a one-seed
 /// error-bar file carries exactly the single trace's values in its `_mean`
 /// columns).
-pub fn error_bar_csv(points: &[PointStats]) -> String {
+pub(crate) fn error_bar_csv(points: &[PointStats]) -> String {
     let mut out = String::from(
         "round,seeds,time_mean,time_std,time_min,time_max,\
          loss_mean,loss_std,loss_min,loss_max,\
@@ -174,7 +174,7 @@ pub fn error_bar_csv(points: &[PointStats]) -> String {
 /// accuracy mean/std 11/12.
 ///
 /// Usage: `gnuplot <name>.gp` from the directory holding the CSVs.
-pub fn gnuplot_script(title: &str, output_png: &str, series: &[(String, String)]) -> String {
+pub(crate) fn gnuplot_script(title: &str, output_png: &str, series: &[(String, String)]) -> String {
     let esc = |s: &str| s.replace('\'', "''");
     let mut out = String::new();
     out.push_str("# Shaded-band mean±std plot over replication seeds.\n");
@@ -214,7 +214,7 @@ pub fn gnuplot_script(title: &str, output_png: &str, series: &[(String, String)]
 }
 
 /// Format seconds with a sensible precision for report tables.
-pub fn fmt_secs(s: f64) -> String {
+pub(crate) fn fmt_secs(s: f64) -> String {
     if s.is_infinite() {
         "n/a".to_string()
     } else if s >= 100.0 {
@@ -225,7 +225,7 @@ pub fn fmt_secs(s: f64) -> String {
 }
 
 /// Format an `Option<f64>` time, printing `n/a` for `None`.
-pub fn fmt_opt_secs(s: Option<f64>) -> String {
+pub(crate) fn fmt_opt_secs(s: Option<f64>) -> String {
     s.map(fmt_secs).unwrap_or_else(|| "n/a".to_string())
 }
 

@@ -135,7 +135,7 @@ pub struct SummaryStats {
 
 impl SummaryStats {
     /// `mean ± std` rendered for report tables.
-    pub fn fmt_mean_std(&self, precision: usize) -> String {
+    pub(crate) fn fmt_mean_std(&self, precision: usize) -> String {
         format!("{:.p$}±{:.p$}", self.mean, self.std, p = precision)
     }
 
@@ -143,7 +143,7 @@ impl SummaryStats {
     /// (e.g. time-to-accuracy, which a seed may never reach): the bracket
     /// shows how many of the `total` replicates contributed. `"n/a"` when
     /// none did.
-    pub fn fmt_with_count(&self, precision: usize, total: usize) -> String {
+    pub(crate) fn fmt_with_count(&self, precision: usize, total: usize) -> String {
         if self.n == 0 {
             "n/a".to_string()
         } else {
@@ -154,7 +154,7 @@ impl SummaryStats {
     /// `mean,std,n` as CSV fields (no leading separator). When no replicate
     /// produced a value the mean/std fields are left blank — an empty cell
     /// parses as missing data, where a literal 0 would read as a measurement.
-    pub fn csv_fields(&self, precision: usize) -> String {
+    pub(crate) fn csv_fields(&self, precision: usize) -> String {
         if self.n == 0 {
             ",,0".to_string()
         } else {

@@ -26,21 +26,24 @@ pub fn resolve_addr(explicit: Option<&str>, root: &Path) -> Result<String, Strin
     }
 }
 
-/// One JSON round trip; protocol-level errors become `Err`.
-fn call(addr: &str, method: &str, path: &str, body: Option<&str>) -> Result<Json, String> {
+/// One round trip: the body of a 2xx reply; otherwise `Err` with the text of
+/// the daemon's `{"error": "..."}` reply.
+fn send(addr: &str, method: &str, path: &str, body: Option<&str>) -> Result<String, String> {
     let resp = http::request(addr, method, path, body)
         .map_err(|e| format!("cannot reach the daemon at {addr}: {e}"))?;
-    let json =
-        Json::parse(&resp.body).map_err(|e| format!("malformed response from {addr}: {e}"))?;
     if resp.is_ok() {
-        Ok(json)
-    } else {
-        Err(json
-            .get("error")
-            .and_then(Json::as_str)
-            .unwrap_or("request refused")
-            .to_string())
+        return Ok(resp.body);
     }
+    Err(Json::parse(&resp.body)
+        .ok()
+        .and_then(|j| j.get("error").and_then(Json::as_str).map(str::to_string))
+        .unwrap_or_else(|| "request refused".to_string()))
+}
+
+/// One JSON round trip; protocol-level errors become `Err`.
+fn call(addr: &str, method: &str, path: &str, body: Option<&str>) -> Result<Json, String> {
+    let body = send(addr, method, path, body)?;
+    Json::parse(&body).map_err(|e| format!("malformed response from {addr}: {e}"))
 }
 
 /// Submit a spec; returns the assigned job id.
@@ -96,16 +99,7 @@ pub fn result_files(addr: &str, id: u64) -> Result<Vec<String>, String> {
 
 /// One result file's raw contents.
 pub fn fetch_file(addr: &str, id: u64, name: &str) -> Result<String, String> {
-    let resp = http::request(addr, "GET", &format!("/jobs/{id}/files/{name}"), None)
-        .map_err(|e| format!("cannot reach the daemon at {addr}: {e}"))?;
-    if resp.is_ok() {
-        Ok(resp.body)
-    } else {
-        Err(Json::parse(&resp.body)
-            .ok()
-            .and_then(|j| j.get("error").and_then(Json::as_str).map(str::to_string))
-            .unwrap_or_else(|| format!("cannot fetch {name}")))
-    }
+    send(addr, "GET", &format!("/jobs/{id}/files/{name}"), None)
 }
 
 /// Ask the daemon to shut down after the current job.

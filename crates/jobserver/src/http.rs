@@ -11,22 +11,23 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 /// Largest accepted request body (a scenario spec is a few KB; this bounds a
-/// misbehaving client).
-pub const MAX_BODY: usize = 1 << 20;
+/// misbehaving client). Responses have no cap: `GET /jobs` and a result file
+/// grow with what the daemon holds.
+const MAX_BODY: usize = 1 << 20;
 
-/// Largest accepted request line plus headers, in total (the protocol's own
-/// requests carry three short headers; this bounds a client that never
-/// sends a newline).
-pub const MAX_HEAD: usize = 16 << 10;
+/// Largest accepted start line plus headers, in total (the protocol's own
+/// messages carry three short headers; this bounds a peer that never sends
+/// a newline).
+const MAX_HEAD: usize = 16 << 10;
 
-/// Time allowed for one whole request to arrive, and for each write: a
-/// stalled or trickling peer must not wedge the daemon's accept loop
-/// (requests are served inline).
-pub const IO_TIMEOUT: Duration = Duration::from_secs(10);
+/// Time allowed for one whole request to arrive, for each read of a
+/// response, and for each write: a stalled or trickling peer must not wedge
+/// the daemon's accept loop (requests are served inline), nor a client.
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// One parsed request.
 #[derive(Debug, Clone)]
-pub struct Request {
+pub(crate) struct Request {
     /// The HTTP method, upper-cased as received (`GET`, `POST`, ...).
     pub method: String,
     /// The request path, e.g. `/jobs/3/cancel` (query strings unused).
@@ -37,7 +38,7 @@ pub struct Request {
 
 /// Reads off the socket until `deadline`: before each read the socket's
 /// timeout is re-armed with the time that is left, so the deadline bounds
-/// the whole request rather than each gap between bytes.
+/// the whole message rather than each gap between bytes.
 struct DeadlineReader<'a> {
     stream: &'a TcpStream,
     deadline: Instant,
@@ -45,7 +46,7 @@ struct DeadlineReader<'a> {
 
 impl Read for DeadlineReader<'_> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let timed_out = || io::Error::new(io::ErrorKind::TimedOut, "request timed out");
+        let timed_out = || io::Error::new(io::ErrorKind::TimedOut, "message timed out");
         let left = self.deadline.saturating_duration_since(Instant::now());
         if left.is_zero() {
             return Err(timed_out());
@@ -61,7 +62,7 @@ impl Read for DeadlineReader<'_> {
 
 /// Read one request off a stream. `Err` means a malformed, oversized or
 /// too-slow request (the caller answers 400 and closes).
-pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
+pub(crate) fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
     read_request_within(stream, IO_TIMEOUT)
 }
 
@@ -69,27 +70,45 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
 /// tests use a short one).
 fn read_request_within(stream: &mut TcpStream, budget: Duration) -> io::Result<Request> {
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let mut reader = BufReader::new(DeadlineReader {
+    let reader = DeadlineReader {
         stream,
         deadline: Instant::now() + budget,
-    });
-    // Request line and headers come through one `take`, so together they
-    // can never buffer more than `MAX_HEAD` bytes.
+    };
+    let (line, body) = read_message(reader, MAX_BODY)?;
+    let mut parts = line.split_whitespace();
+    match (parts.next(), parts.next()) {
+        (Some(method), Some(path)) => Ok(Request {
+            method: method.to_string(),
+            path: path.to_string(),
+            body,
+        }),
+        _ => Err(bad("malformed request line")),
+    }
+}
+
+/// Read one message — start line, headers and a `Content-Length` body (none
+/// means empty) — and return its start line and body. Both ends read through
+/// this: the start line plus headers are capped at `MAX_HEAD`, a claimed body
+/// over `max_body` is refused, and the body buffer grows only as bytes
+/// arrive, so no claimed length is allocated up front. A message cut short
+/// is an error.
+fn read_message(reader: impl Read, max_body: usize) -> io::Result<(String, String)> {
+    let mut reader = BufReader::new(reader);
+    // Start line and headers come through one `take`, so together they can
+    // never buffer more than `MAX_HEAD` bytes.
     let mut head = (&mut reader).take(MAX_HEAD as u64);
     let mut next_line = || -> io::Result<String> {
         let mut line = String::new();
         head.read_line(&mut line)?;
-        if head.limit() == 0 && !line.ends_with('\n') {
-            return Err(bad("request line and headers too large"));
+        if line.ends_with('\n') {
+            Ok(line)
+        } else if head.limit() == 0 {
+            Err(bad("start line and headers too large"))
+        } else {
+            Err(cut_short("message ends inside its head"))
         }
-        Ok(line)
     };
-    let line = next_line()?;
-    let mut parts = line.split_whitespace();
-    let (method, path) = match (parts.next(), parts.next()) {
-        (Some(m), Some(p)) => (m.to_string(), p.to_string()),
-        _ => return Err(bad("malformed request line")),
-    };
+    let start = next_line()?;
     let mut content_length = 0usize;
     loop {
         let header = next_line()?;
@@ -106,19 +125,22 @@ fn read_request_within(stream: &mut TcpStream, budget: Duration) -> io::Result<R
             }
         }
     }
-    if content_length > MAX_BODY {
-        return Err(bad("request body too large"));
+    if content_length > max_body {
+        return Err(bad("body too large"));
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    let body = String::from_utf8(body).map_err(|_| bad("request body is not UTF-8"))?;
-    Ok(Request { method, path, body })
+    let mut body = Vec::with_capacity(content_length.min(64 << 10));
+    reader.take(content_length as u64).read_to_end(&mut body)?;
+    if body.len() < content_length {
+        return Err(cut_short("message ends inside its body"));
+    }
+    let body = String::from_utf8(body).map_err(|_| bad("body is not UTF-8"))?;
+    Ok((start, body))
 }
 
 /// Write a response and flush. The body's content type is the caller's
 /// business (`application/json` for protocol replies, `text/plain` for
 /// downloaded result files).
-pub fn write_response(
+pub(crate) fn write_response(
     stream: &mut TcpStream,
     status: u16,
     reason: &str,
@@ -152,7 +174,8 @@ impl Response {
 }
 
 /// Perform one request against `addr` (e.g. `127.0.0.1:7171`) and read the
-/// response to EOF (the server closes after each response).
+/// response through the daemon's reader, with `IO_TIMEOUT` per read and no
+/// cap on the body (the server closes after each response).
 pub fn request(addr: &str, method: &str, path: &str, body: Option<&str>) -> io::Result<Response> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
@@ -166,45 +189,21 @@ pub fn request(addr: &str, method: &str, path: &str, body: Option<&str>) -> io::
     stream.write_all(head.as_bytes())?;
     stream.write_all(body.as_bytes())?;
     stream.flush()?;
-
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line)?;
-    let status: u16 = status_line
+    let (status_line, body) = read_message(&stream, usize::MAX)?;
+    let status = status_line
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| bad("malformed status line"))?;
-    let mut content_length: Option<usize> = None;
-    loop {
-        let mut header = String::new();
-        reader.read_line(&mut header)?;
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().ok();
-            }
-        }
-    }
-    let mut body = Vec::new();
-    match content_length {
-        Some(n) => {
-            body.resize(n, 0);
-            reader.read_exact(&mut body)?;
-        }
-        None => {
-            reader.read_to_end(&mut body)?;
-        }
-    }
-    let body = String::from_utf8(body).map_err(|_| bad("response body is not UTF-8"))?;
     Ok(Response { status, body })
 }
 
 fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+fn cut_short(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, msg)
 }
 
 #[cfg(test)]
@@ -316,5 +315,94 @@ mod tests {
         assert!(waited >= budget, "dropped after {waited:?}");
         assert!(waited < Duration::from_secs(2), "dropped after {waited:?}");
         assert_eq!(path, "/healthz");
+    }
+
+    /// A peer on `--addr` that claims a body no allocator could meet and
+    /// then closes: the client reads what came and reports the message cut
+    /// short, instead of sizing a buffer by the claim.
+    #[test]
+    fn the_client_never_allocates_a_claimed_body_up_front() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            read_request(&mut stream).unwrap();
+            let head = format!(
+                "HTTP/1.1 200 OK\r\ncontent-length: {}\r\n\r\n{{}}",
+                usize::MAX
+            );
+            stream.write_all(head.as_bytes()).unwrap();
+        });
+        let err = request(&addr, "GET", "/healthz", None).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        assert!(err.to_string().contains("inside its body"), "{err}");
+        server.join().unwrap();
+    }
+
+    /// A response body past the request cap — a long job list or a large
+    /// result file — reaches the client whole; only requests are capped.
+    #[test]
+    fn the_client_reads_a_response_body_larger_than_the_request_cap() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let csv: String = (0..MAX_BODY / 8).map(|r| format!("{r},0.5\n")).collect();
+        assert!(csv.len() > MAX_BODY);
+        let sent = csv.clone();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let req = read_request(&mut stream).unwrap();
+            assert_eq!(req.path, "/jobs/1/files/fig3.csv");
+            write_response(&mut stream, 200, "OK", "text/plain", sent.as_bytes()).unwrap();
+        });
+        let resp = request(&addr, "GET", "/jobs/1/files/fig3.csv", None).unwrap();
+        assert!(resp.is_ok());
+        assert_eq!(resp.body, csv);
+        server.join().unwrap();
+    }
+
+    /// A request that claims a body past `MAX_BODY` is refused before any
+    /// of it is read.
+    #[test]
+    fn the_daemon_refuses_a_request_body_past_the_cap() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut client = TcpStream::connect(addr).unwrap();
+        let head = format!(
+            "POST /jobs HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+            MAX_BODY + 1
+        );
+        client.write_all(head.as_bytes()).unwrap();
+        let (mut stream, _) = listener.accept().unwrap();
+        let err = read_request_within(&mut stream, Duration::from_secs(5)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("body too large"), "{err}");
+    }
+
+    /// Every strict prefix of a whole `POST /jobs` request, followed by the
+    /// end of the stream, is an error that comes at once: the reader neither
+    /// accepts a cut message nor waits out its deadline for the rest.
+    #[test]
+    fn every_strict_prefix_of_a_request_is_refused_without_waiting() {
+        let body =
+            "{\"name\":\"fig3\",\"priority\":0,\"spec\":\"[scenario]\\nname = \\\"fig3\\\"\\n\"}";
+        let whole = format!(
+            "POST /jobs HTTP/1.1\r\nhost: 127.0.0.1:7171\r\ncontent-length: {}\r\n\
+             connection: close\r\n\r\n{body}",
+            body.len()
+        );
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let read = |bytes: &[u8]| {
+            let mut client = TcpStream::connect(addr).unwrap();
+            client.write_all(bytes).unwrap();
+            client.shutdown(std::net::Shutdown::Write).unwrap();
+            let (mut stream, _) = listener.accept().unwrap();
+            read_request_within(&mut stream, Duration::from_secs(5))
+        };
+        assert_eq!(read(whole.as_bytes()).unwrap().body, body);
+        for n in 0..whole.len() {
+            let err = read(&whole.as_bytes()[..n]).unwrap_err();
+            assert_ne!(err.kind(), io::ErrorKind::TimedOut, "prefix {n}: {err}");
+        }
     }
 }

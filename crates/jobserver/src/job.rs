@@ -213,7 +213,7 @@ impl JobRecord {
     }
 
     /// Persist the record to `dir/meta`, atomically.
-    pub fn save(&self, dir: &Path) -> io::Result<()> {
+    pub(crate) fn save(&self, dir: &Path) -> io::Result<()> {
         fs::create_dir_all(dir)?;
         telemetry::write_atomic(&dir.join("meta"), self.encode().as_bytes())
     }

@@ -132,7 +132,7 @@ impl Json {
     /// garbage, unterminated strings, and malformed literals.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut chars: VecDeque<char> = text.chars().collect();
-        let value = parse_value(&mut chars)?;
+        let value = parse_value(&mut chars, 0)?;
         skip_ws(&mut chars);
         if let Some(c) = chars.front() {
             return Err(format!("trailing character {c:?} after JSON value"));
@@ -173,10 +173,19 @@ fn expect(chars: &mut VecDeque<char>, want: char) -> Result<(), String> {
     }
 }
 
-fn parse_value(chars: &mut VecDeque<char>) -> Result<Json, String> {
+/// The deepest container nesting a document may have. The protocol nests at
+/// most 4 levels; the cap keeps the recursive descent off the end of the
+/// stack.
+const MAX_DEPTH: usize = 32;
+
+/// `depth` counts the arrays and objects this value sits in.
+fn parse_value(chars: &mut VecDeque<char>, depth: usize) -> Result<Json, String> {
     skip_ws(chars);
     match chars.front().copied() {
         None => Err("unexpected end of input".to_string()),
+        Some('{' | '[') if depth == MAX_DEPTH => {
+            Err(format!("containers nested deeper than {MAX_DEPTH} levels"))
+        }
         Some('{') => {
             chars.pop_front();
             let mut pairs = Vec::new();
@@ -190,7 +199,7 @@ fn parse_value(chars: &mut VecDeque<char>) -> Result<Json, String> {
                 let key = parse_string(chars)?;
                 skip_ws(chars);
                 expect(chars, ':')?;
-                let value = parse_value(chars)?;
+                let value = parse_value(chars, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(chars);
                 match chars.pop_front() {
@@ -209,7 +218,7 @@ fn parse_value(chars: &mut VecDeque<char>) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(chars)?);
+                items.push(parse_value(chars, depth + 1)?);
                 skip_ws(chars);
                 match chars.pop_front() {
                     Some(',') => continue,
@@ -338,6 +347,20 @@ mod tests {
             "{\"a\": 1} {}",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted malformed {bad:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        for deep in [
+            nested(MAX_DEPTH + 1),
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "[".repeat(100_000),
+        ] {
+            let err = Json::parse(&deep).unwrap_err();
+            assert!(err.contains("nested deeper"), "{err}");
         }
     }
 

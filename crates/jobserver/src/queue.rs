@@ -62,13 +62,8 @@ impl JobQueue {
         Ok(queue)
     }
 
-    /// This queue's `jobs/` directory.
-    pub fn jobs_root(&self) -> &Path {
-        &self.jobs_root
-    }
-
     /// A job's directory.
-    pub fn job_dir(&self, id: u64) -> PathBuf {
+    pub(crate) fn job_dir(&self, id: u64) -> PathBuf {
         JobRecord::dir(&self.jobs_root, id)
     }
 
@@ -96,7 +91,7 @@ impl JobQueue {
 
     /// Next job to run: highest priority, then lowest id. `None` when no
     /// job is queued.
-    pub fn next_runnable(&self) -> Option<u64> {
+    pub(crate) fn next_runnable(&self) -> Option<u64> {
         self.jobs
             .values()
             .filter(|r| r.state == JobState::Queued)

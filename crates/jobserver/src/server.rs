@@ -192,7 +192,7 @@ impl Server {
     }
 
     /// Whether shutdown was requested.
-    pub fn shutdown_requested(&self) -> bool {
+    fn shutdown_requested(&self) -> bool {
         self.shared.shutdown.load(Ordering::SeqCst)
     }
 
@@ -222,7 +222,7 @@ impl Server {
     // ------------------------------------------------------------------
 
     /// The executor loop: run queued jobs until shutdown.
-    pub fn run_executor(&self) {
+    fn run_executor(&self) {
         while let Some(id) = self.next_job() {
             self.run_one(id);
         }
@@ -630,4 +630,71 @@ pub fn bind_and_record(root: &Path, addr: &str) -> io::Result<(TcpListener, Stri
     fs::create_dir_all(root)?;
     write_atomic(root.join("serve.addr").as_path(), bound.as_bytes())?;
     Ok((listener, bound))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The JSON decoder is total on the protocol's own documents: every
+    /// strict prefix, and every single-byte substitution from a set of
+    /// JSON-significant bytes (plus 0xFF, read lossily as U+FFFD), of a submit
+    /// body and of a status document returns `Ok` or `Err` — never a panic.
+    #[test]
+    fn the_json_decoder_never_panics_on_truncated_or_corrupted_documents() {
+        const SUBSTITUTES: &[u8] = b"\"{}[]:,\\0-ent\xFF";
+        let submit = Json::obj(vec![
+            ("name", Json::str("fig3")),
+            ("priority", Json::Num(-2.0)),
+            (
+                "spec",
+                Json::str("[scenario]\nname = \"fig3\"\n\n[run]\nxi = [0.5, 1e-3]\n"),
+            ),
+        ]);
+        let mut rec = JobRecord::new(7, "fig3 \"quick\"".to_string(), 1);
+        rec.state = JobState::Failed;
+        rec.cache = Some(CacheStats {
+            hits: 3,
+            misses: 1,
+            corrupt_degraded: 0,
+        });
+        rec.error = Some("cell 2: panicked\n".to_string());
+        let progress = ProgressSnapshot {
+            label: "cells",
+            total: 4,
+            done: 3,
+            cached: 3,
+            failed: 1,
+            retried: 2,
+            finished: true,
+        };
+        let (mut inputs, mut panics) = (0, Vec::new());
+        for doc in [submit, job_json(&rec, Some(progress))] {
+            let src = doc.encode().into_bytes();
+            assert_eq!(Json::parse(std::str::from_utf8(&src).unwrap()), Ok(doc));
+            let prefixes = (0..src.len()).map(|n| src[..n].to_vec());
+            let substitutions = (0..src.len()).flat_map(|at| {
+                let src = &src;
+                SUBSTITUTES.iter().map(move |&b| {
+                    let mut bytes = src.clone();
+                    bytes[at] = b;
+                    bytes
+                })
+            });
+            for bytes in prefixes.chain(substitutions) {
+                inputs += 1;
+                let text = String::from_utf8_lossy(&bytes);
+                if std::panic::catch_unwind(|| Json::parse(&text)).is_err() {
+                    panics.push(text.into_owned());
+                }
+            }
+        }
+        assert!(inputs > 3_000, "only {inputs} inputs");
+        assert!(
+            panics.is_empty(),
+            "{} of {inputs} panicked, first: {:?}",
+            panics.len(),
+            panics[0]
+        );
+    }
 }

@@ -11,7 +11,8 @@
     reason = "polling a live daemon needs real deadlines"
 )]
 
-use jobserver::client;
+use jobserver::json::Json;
+use jobserver::{client, http};
 use jobserver::{JobState, Server, ServerConfig};
 use std::fs;
 use std::net::TcpListener;
@@ -164,6 +165,19 @@ fn http_submit_execute_fetch_and_dedup_round_trip() {
     );
     let csv = client::fetch_file(&addr, id, "jobsvc_tiny_grid.csv").unwrap();
     assert!(csv.contains("mechanism"), "csv was: {csv}");
+    // A result file past the 1 MiB request cap still downloads whole:
+    // responses are not capped.
+    let big: String = csv
+        .lines()
+        .cycle()
+        .take(200_000)
+        .collect::<Vec<_>>()
+        .join("\n");
+    assert!(big.len() > 1 << 20);
+    let results = root.join("jobs").join(id.to_string()).join("results");
+    fs::write(results.join("big.csv"), &big).unwrap();
+    assert_eq!(client::fetch_file(&addr, id, "big.csv").unwrap(), big);
+    fs::remove_file(results.join("big.csv")).unwrap();
 
     // Duplicate submission: identical spec, zero recomputation.
     let dup = client::submit(&addr, "tiny-again", 0, TINY_SPEC).unwrap();
@@ -193,6 +207,35 @@ fn http_submit_execute_fetch_and_dedup_round_trip() {
     client::shutdown(&addr).unwrap();
     poke(&addr);
     executor.join().unwrap();
+    fs::remove_dir_all(&root).ok();
+}
+
+/// A JSON body of 100,000 `[`, and a valid body whose spec is `name = `
+/// followed by 100,000 `[`: each decoder refuses the nesting instead of
+/// recursing off the end of the stack, the request gets a 400, and the
+/// daemon goes on serving.
+#[test]
+fn deeply_nested_bodies_get_a_400_and_the_daemon_keeps_serving() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let root = tmp_root("nesting");
+    let server = open(&root);
+    let addr = serve(&server);
+    let deep = "[".repeat(100_000);
+    let deep_spec = Json::obj(vec![
+        ("name", Json::str("deep")),
+        ("spec", Json::str(format!("name = {deep}"))),
+    ])
+    .encode();
+    for body in [&deep, &deep_spec] {
+        let resp = http::request(&addr, "POST", "/jobs", Some(body)).unwrap();
+        assert_eq!(resp.status, 400, "{}", resp.body);
+        assert!(resp.body.contains("nested deeper"), "{}", resp.body);
+    }
+    let health = http::request(&addr, "GET", "/healthz", None).unwrap();
+    assert_eq!(health.status, 200);
+    assert!(server.list().is_empty());
+    server.request_shutdown();
+    poke(&addr);
     fs::remove_dir_all(&root).ok();
 }
 

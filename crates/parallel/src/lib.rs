@@ -124,7 +124,7 @@ pub fn max_threads() -> usize {
 /// The built-in over-decomposition factor used when neither the
 /// `PARALLEL_CHUNKS` environment variable nor a per-call [`ChunkHint`]
 /// overrides it.
-pub const DEFAULT_CHUNK_FACTOR: usize = 4;
+pub(crate) const DEFAULT_CHUNK_FACTOR: usize = 4;
 
 /// The explicitly-pinned over-decomposition factor, if any: the
 /// `PARALLEL_CHUNKS` environment variable, read once at first use. An
@@ -209,7 +209,6 @@ pub fn fork_join_chunks<F: Fn(usize) + Sync>(chunks: usize, run: &F) {
     // (like the chunk claims counted inside the pool) describes the
     // schedule, not the program.
     telemetry::metrics::POOL_FORK_JOINS.add(1);
-    telemetry::metrics::POOL_THREADS.set_max(max_threads() as u64);
     pool::fork_join(chunks, run)
 }
 

@@ -9,7 +9,7 @@
 //!
 //! * **Addressing** — a store *spec directory* is named by the FNV-1a-128
 //!   hash of the scenario's canonical form (the fully resolved spec, scale
-//!   and CLI overrides, see [`spec_hash`]); inside it each replicate file is
+//!   and CLI overrides, see `spec_hash`); inside it each replicate file is
 //!   named by the hash of its `(cell index, cell label, run seed, system
 //!   seed)` coordinates. Any change to the experiment changes the spec hash,
 //!   so stale results can never be served to a different experiment.
@@ -80,7 +80,7 @@ impl Default for Fnv128 {
 }
 
 /// Hash a scenario's canonical form into its store-directory name.
-pub fn spec_hash(canonical_spec: &str) -> u128 {
+pub(crate) fn spec_hash(canonical_spec: &str) -> u128 {
     let mut h = Fnv128::new();
     h.update(b"airfedga-spec-v1\0");
     h.update(canonical_spec.as_bytes());
@@ -281,23 +281,8 @@ impl RunStore {
         self.spec_dir.join(format!("{key:032x}.run"))
     }
 
-    /// Load a previously completed replicate's trace, or `None` if it is
-    /// missing or unreadable (either way the caller just re-runs it).
-    pub fn load_trace(
-        &self,
-        cell_index: usize,
-        cell_label: &str,
-        run_seed: u64,
-        system_seed: u64,
-    ) -> Option<TrainingTrace> {
-        match self.load_trace_checked(cell_index, cell_label, run_seed, system_seed) {
-            TraceLoad::Hit(trace) => Some(trace),
-            TraceLoad::Miss | TraceLoad::Corrupt => None,
-        }
-    }
-
-    /// Like [`load_trace`](Self::load_trace), but distinguishes the two
-    /// degradation causes so callers can report cache effectiveness: an
+    /// Load a previously completed replicate's trace. The two degradation
+    /// causes are told apart so callers can report cache effectiveness: an
     /// absent (or unreadable) file is a [`TraceLoad::Miss`], a file that is
     /// present but fails to decode — a torn write survivor or manual edit —
     /// is [`TraceLoad::Corrupt`]. Both degrade to recompute.
@@ -584,6 +569,14 @@ impl ReplicateCache for StoreCache<'_> {
 mod tests {
     use super::*;
 
+    /// The trace a load hit; `None` for a miss or a corrupt file.
+    fn hit(load: TraceLoad) -> Option<TrainingTrace> {
+        match load {
+            TraceLoad::Hit(trace) => Some(trace),
+            TraceLoad::Miss | TraceLoad::Corrupt => None,
+        }
+    }
+
     fn sample_trace() -> TrainingTrace {
         let mut t = TrainingTrace::new("Air-FedGA", "mnist-like");
         t.faults.rounds_attempted = 5;
@@ -727,15 +720,15 @@ mod tests {
         let store = RunStore::open(&root, "spec A").unwrap();
         let t = sample_trace();
         store.store_trace(2, "Air-FedGA", 4242, 42, &t).unwrap();
-        assert!(store.load_trace(2, "Air-FedGA", 4242, 42).is_some());
+        assert!(hit(store.load_trace_checked(2, "Air-FedGA", 4242, 42)).is_some());
         // Any changed coordinate is a different replicate.
-        assert!(store.load_trace(1, "Air-FedGA", 4242, 42).is_none());
-        assert!(store.load_trace(2, "Dynamic", 4242, 42).is_none());
-        assert!(store.load_trace(2, "Air-FedGA", 4243, 42).is_none());
-        assert!(store.load_trace(2, "Air-FedGA", 4242, 43).is_none());
+        assert!(hit(store.load_trace_checked(1, "Air-FedGA", 4242, 42)).is_none());
+        assert!(hit(store.load_trace_checked(2, "Dynamic", 4242, 42)).is_none());
+        assert!(hit(store.load_trace_checked(2, "Air-FedGA", 4243, 42)).is_none());
+        assert!(hit(store.load_trace_checked(2, "Air-FedGA", 4242, 43)).is_none());
         // A different canonical spec lands in a different directory.
         let other = RunStore::open(&root, "spec B").unwrap();
-        assert!(other.load_trace(2, "Air-FedGA", 4242, 42).is_none());
+        assert!(hit(other.load_trace_checked(2, "Air-FedGA", 4242, 42)).is_none());
         assert_ne!(store.spec_dir(), other.spec_dir());
         fs::remove_dir_all(&root).ok();
     }
@@ -750,11 +743,11 @@ mod tests {
 
         let reopened = RunStore::open(&root, "spec").unwrap();
         assert_eq!(reopened.completed(), 1);
-        assert!(reopened.load_trace(0, "cell", 1, 2).is_some());
+        assert!(hit(reopened.load_trace_checked(0, "cell", 1, 2)).is_some());
 
         let fresh = RunStore::fresh(&root, "spec").unwrap();
         assert_eq!(fresh.completed(), 0);
-        assert!(fresh.load_trace(0, "cell", 1, 2).is_none());
+        assert!(hit(fresh.load_trace_checked(0, "cell", 1, 2)).is_none());
         assert_eq!(fresh.journal_len(), 0);
         fs::remove_dir_all(&root).ok();
     }
@@ -818,7 +811,7 @@ mod tests {
         };
         fs::write(key_path.with_extension("run.tmp"), &text[..text.len() / 2]).unwrap();
         assert!(
-            store.load_trace(0, "cell", 1, 2).is_none(),
+            hit(store.load_trace_checked(0, "cell", 1, 2)).is_none(),
             "a staged tmp file must read as a miss"
         );
         assert_eq!(store.completed(), 0);
@@ -837,7 +830,8 @@ mod tests {
         next.faults.rounds_attempted += 1;
         let new = encode_trace(&next);
         store.store_trace(0, "old", 1, 2, &old).unwrap();
-        let loaded = |label: &str| store.load_trace(0, label, 1, 2).map(|t| encode_trace(&t));
+        let loaded =
+            |label: &str| hit(store.load_trace_checked(0, label, 1, 2)).map(|t| encode_trace(&t));
         for (label, before) in [("old", Some(encode_trace(&old))), ("none", None)] {
             let tmp = store
                 .run_path(replicate_key(0, label, 1, 2))

@@ -30,7 +30,7 @@
 
 use experiments::scale::Scale;
 use scenario::run::{execute, EXIT_CLEAN, EXIT_FAILURES, EXIT_USAGE};
-use scenario::{CliOverrides, Registry, ScenarioSpec};
+use scenario::{registry, CliOverrides, ScenarioSpec};
 
 const USAGE: &str = "usage: airfedga-run <scenario.toml> [--seeds N] [--system-seeds] \
                      [--resume | --fresh] [--telemetry DIR] [--progress]\n\
@@ -42,7 +42,7 @@ const USAGE: &str = "usage: airfedga-run <scenario.toml> [--seeds N] [--system-s
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--list-components") {
-        print!("{}", Registry::builtin().describe());
+        print!("{}", registry::describe());
         return;
     }
     if args.iter().any(|a| a == "--help" || a == "-h") {

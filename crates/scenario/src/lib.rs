@@ -32,7 +32,6 @@ pub mod run;
 pub mod spec;
 pub mod toml;
 
-pub use registry::Registry;
 pub use run::{CliOverrides, ExecutionReport, StoreMode};
 pub use spec::{RunLimits, ScenarioKind, ScenarioSpec};
 

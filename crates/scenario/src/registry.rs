@@ -5,12 +5,15 @@
 //! preset — is registered here under a stable name, so a scenario file can
 //! compose combinations the hardcoded figure binaries never exposed (e.g. a
 //! Dirichlet partition of the CIFAR-10-like dataset compared across all five
-//! mechanisms). Unknown names fail with an error listing the available keys,
-//! and `airfedga-run --list-components` prints the whole catalogue.
+//! mechanisms).
 //!
-//! Parameterised components embed their parameters in the key:
-//! `dirichlet:0.5` (Dirichlet partitioner with α = 0.5) and
-//! `uniform:1:10` (heterogeneity `κ_i ~ U[1, 10]`).
+//! Each axis is one `(key, summary, value)` table, read by its lookup, by the
+//! "available: …" list of an unknown-key error and by [`describe`]
+//! (`airfedga-run --list-components`). Channel presets live with the
+//! physical-layer constants instead ([`WirelessConfig::preset`]).
+//! Parameterised keys embed their parameters: the row `dirichlet:<alpha>`
+//! parses `dirichlet:0.5` (α = 0.5), and `uniform:<lo>:<hi>` parses
+//! `uniform:1:10` (`κ_i ~ U[1, 10]`).
 
 use crate::ScenarioError;
 use airfedga::system::FlSystemConfig;
@@ -22,61 +25,61 @@ use fedml::partition::Partitioner;
 use simcore::worker::HeterogeneityModel;
 use wireless::timing::WirelessConfig;
 
-/// One registered component: a stable name, a one-line summary for
-/// `--list-components`, and its constructor.
-struct Component<T> {
-    name: &'static str,
-    summary: &'static str,
-    build: fn() -> T,
-}
+/// One registry axis: `(key, summary, value)` rows in `--list-components`
+/// order.
+type Table<T> = [(&'static str, &'static str, T)];
 
-const WORKLOADS: &[Component<FlSystemConfig>] = &[
-    Component {
-        name: "mnist_lr",
-        summary: "the paper's headline workload: LR (2x hidden FC) on MNIST-like, 100 workers",
-        build: FlSystemConfig::mnist_lr,
-    },
-    Component {
-        name: "mnist_lr_quick",
-        summary: "small/fast mnist_lr variant (10 workers, small shards) for tests",
-        build: FlSystemConfig::mnist_lr_quick,
-    },
-    Component {
-        name: "mnist_cnn",
-        summary: "CNN surrogate on MNIST-like (Figs. 4, 8, 9, 10)",
-        build: FlSystemConfig::mnist_cnn,
-    },
-    Component {
-        name: "cifar_cnn",
-        summary: "CNN surrogate on CIFAR-10-like (Figs. 5, 9)",
-        build: FlSystemConfig::cifar_cnn,
-    },
-    Component {
-        name: "imagenet_vgg",
-        summary: "VGG-16 surrogate on ImageNet-100-like (Fig. 6)",
-        build: FlSystemConfig::imagenet_vgg,
-    },
+/// A parameterised row's parser: of the parameters (the text after the key's
+/// first `:`, or empty), with the whole key for error messages.
+type Parse<T> = fn(&str, &str) -> Result<T, ScenarioError>;
+
+const WORKLOADS: &Table<fn() -> FlSystemConfig> = &[
+    (
+        "mnist_lr",
+        "the paper's headline workload: LR (2x hidden FC) on MNIST-like, 100 workers",
+        FlSystemConfig::mnist_lr,
+    ),
+    (
+        "mnist_lr_quick",
+        "small/fast mnist_lr variant (10 workers, small shards) for tests",
+        FlSystemConfig::mnist_lr_quick,
+    ),
+    (
+        "mnist_cnn",
+        "CNN surrogate on MNIST-like (Figs. 4, 8, 9, 10)",
+        FlSystemConfig::mnist_cnn,
+    ),
+    (
+        "cifar_cnn",
+        "CNN surrogate on CIFAR-10-like (Figs. 5, 9)",
+        FlSystemConfig::cifar_cnn,
+    ),
+    (
+        "imagenet_vgg",
+        "VGG-16 surrogate on ImageNet-100-like (Fig. 6)",
+        FlSystemConfig::imagenet_vgg,
+    ),
 ];
 
-const DATASETS: &[Component<SyntheticSpec>] = &[
-    Component {
-        name: "mnist_like",
-        summary: "10-class MNIST-like synthetic mixture",
-        build: SyntheticSpec::mnist_like,
-    },
-    Component {
-        name: "cifar10_like",
-        summary: "10-class CIFAR-10-like synthetic mixture (harder)",
-        build: SyntheticSpec::cifar10_like,
-    },
-    Component {
-        name: "imagenet100_like",
-        summary: "100-class ImageNet-100-like synthetic mixture",
-        build: SyntheticSpec::imagenet100_like,
-    },
+const DATASETS: &Table<fn() -> SyntheticSpec> = &[
+    (
+        "mnist_like",
+        "10-class MNIST-like synthetic mixture",
+        SyntheticSpec::mnist_like,
+    ),
+    (
+        "cifar10_like",
+        "10-class CIFAR-10-like synthetic mixture (harder)",
+        SyntheticSpec::cifar10_like,
+    ),
+    (
+        "imagenet100_like",
+        "100-class ImageNet-100-like synthetic mixture",
+        SyntheticSpec::imagenet100_like,
+    ),
 ];
 
-const MODELS: &[(&str, &str, ModelKind)] = &[
+const MODELS: &Table<ModelKind> = &[
     (
         "paper_lr",
         "the paper's \"LR\": 2-hidden-layer fully-connected net",
@@ -96,7 +99,130 @@ const MODELS: &[(&str, &str, ModelKind)] = &[
     ),
 ];
 
-const MECHANISMS: &[(&str, &str, MechanismChoice)] = &[
+const PARTITIONERS: &Table<Parse<Partitioner>> = &[
+    (
+        "label_skew",
+        "the paper's single-label shards (§VI.A.1)",
+        |_, _| Ok(Partitioner::LabelSkew),
+    ),
+    ("iid", "shuffled, evenly dealt shards", |_, _| {
+        Ok(Partitioner::Iid)
+    }),
+    (
+        "dirichlet:<alpha>",
+        "Dirichlet label proportions; smaller alpha = more skew",
+        |param, key| match param.parse::<f64>() {
+            Ok(alpha) if alpha > 0.0 && alpha.is_finite() => Ok(Partitioner::Dirichlet { alpha }),
+            Ok(alpha) => Err(ScenarioError::new(format!(
+                "dirichlet alpha must be a positive finite number, got {alpha}"
+            ))),
+            Err(_) => Err(ScenarioError::new(format!(
+                "invalid dirichlet alpha {param:?} in partitioner {key:?}"
+            ))),
+        },
+    ),
+];
+
+const HETEROGENEITY: &Table<Parse<HeterogeneityModel>> = &[
+    (
+        "uniform",
+        "the paper's k_i ~ U[1, 10] latency scaling",
+        |_, _| Ok(HeterogeneityModel::default()),
+    ),
+    (
+        "uniform:<lo>:<hi>",
+        "custom uniform latency-scaling bounds",
+        // `f64` never parses a `:`, so a third bound fails like a bad one.
+        |bounds, key| match bounds
+            .split_once(':')
+            .map(|(lo, hi)| (lo.parse(), hi.parse()))
+        {
+            Some((Ok(lo), Ok(hi))) if lo > 0.0 && hi >= lo => {
+                Ok(HeterogeneityModel::Uniform { lo, hi })
+            }
+            _ => Err(ScenarioError::new(format!(
+                "invalid uniform heterogeneity bounds in {key:?} \
+                 (expected uniform:<lo>:<hi> with 0 < lo <= hi)"
+            ))),
+        },
+    ),
+    (
+        "homogeneous",
+        "identical workers (isolates Non-IID effects)",
+        |_, _| Ok(HeterogeneityModel::Homogeneous),
+    ),
+];
+
+/// Explicit `[faults]` keys override the fields a preset sets.
+const FAULT_PRESETS: &Table<Parse<FaultSpec>> = &[
+    ("none", "the zero-fault plan (default)", |_, _| {
+        Ok(FaultSpec::none())
+    }),
+    (
+        "churn:<rate>",
+        "Poisson worker dropout at <rate>/s, 60 s mean downtime",
+        |rate, key| match fault_number(rate, key)? {
+            rate if rate < 0.0 => Err(ScenarioError::new(format!(
+                "churn rate must be non-negative, got {rate}"
+            ))),
+            dropout_rate => Ok(FaultSpec {
+                dropout_rate,
+                mean_downtime: 60.0,
+                ..FaultSpec::none()
+            }),
+        },
+    ),
+    (
+        "stragglers:<frac>:<slow>",
+        "that fraction of workers slowed by up to <slow>x",
+        |params, key| match fault_pair(params, key)? {
+            (frac, slow) if (0.0..=1.0).contains(&frac) && slow >= 1.0 => Ok(FaultSpec {
+                straggler_fraction: frac,
+                straggler_slowdown: slow,
+                ..FaultSpec::none()
+            }),
+            _ => Err(ScenarioError::new(format!(
+                "stragglers preset needs a fraction in [0, 1] and a slowdown \
+                 of at least 1, got {key:?}"
+            ))),
+        },
+    ),
+    (
+        "outage:<rate>:<duration>",
+        "channel-outage bursts (Poisson starts, fixed length)",
+        |params, key| match fault_pair(params, key)? {
+            (rate, dur) if rate >= 0.0 && dur > 0.0 => Ok(FaultSpec {
+                outage_rate: rate,
+                outage_duration: dur,
+                ..FaultSpec::none()
+            }),
+            _ => Err(ScenarioError::new(format!(
+                "outage preset needs a non-negative rate and a positive \
+                 duration, got {key:?}"
+            ))),
+        },
+    ),
+];
+
+fn fault_number(part: &str, key: &str) -> Result<f64, ScenarioError> {
+    part.parse::<f64>()
+        .ok()
+        .filter(|x| x.is_finite())
+        .ok_or_else(|| {
+            ScenarioError::new(format!("invalid number {part:?} in fault preset {key:?}"))
+        })
+}
+
+/// The two numbers of a `<name>:<a>:<b>` preset; any other parameter count
+/// is an unknown preset.
+fn fault_pair(params: &str, key: &str) -> Result<(f64, f64), ScenarioError> {
+    match params.split(':').collect::<Vec<_>>().as_slice() {
+        [a, b] => Ok((fault_number(a, key)?, fault_number(b, key)?)),
+        _ => Err(unknown("fault preset", key, FAULT_PRESETS)),
+    }
+}
+
+const MECHANISMS: &Table<MechanismChoice> = &[
     (
         "air-fedga",
         "the paper's contribution (Algorithms 1-3)",
@@ -124,332 +250,120 @@ const MECHANISMS: &[(&str, &str, MechanismChoice)] = &[
     ),
 ];
 
-/// The built-in component registry. A zero-sized handle today (the catalogue
-/// is static), but every lookup goes through it so a future PR can layer
-/// user-registered components on top without touching call sites.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Registry;
+fn unknown<T>(kind: &str, key: &str, table: &Table<T>) -> ScenarioError {
+    let keys: Vec<&str> = table.iter().map(|(k, _, _)| *k).collect();
+    ScenarioError::new(format!(
+        "unknown {kind} {key:?}; available: {}",
+        keys.join(", ")
+    ))
+}
 
-impl Registry {
-    /// The built-in catalogue.
-    pub fn builtin() -> Self {
-        Registry
+/// The value of the first row `is` accepts, or the unknown-key error.
+fn find<'t, T>(
+    kind: &str,
+    key: &str,
+    table: &'t Table<T>,
+    is: impl Fn(&str, &T) -> bool,
+) -> Result<&'t T, ScenarioError> {
+    table
+        .iter()
+        .find(|(k, _, v)| is(k, v))
+        .map(|(_, _, v)| v)
+        .ok_or_else(|| unknown(kind, key, table))
+}
+
+/// Look `key` up in a parameterised axis: it matches the row with the same
+/// name (the text before any `:`) that, like it, does or does not have
+/// parameters.
+fn parameterised<T>(kind: &str, key: &str, table: &Table<Parse<T>>) -> Result<T, ScenarioError> {
+    fn name(key: &str) -> (&str, bool) {
+        key.split_once(':')
+            .map_or((key, false), |(name, _)| (name, true))
     }
+    let parse = find(kind, key, table, |pattern, _| name(pattern) == name(key))?;
+    parse(key.split_once(':').map_or("", |(_, params)| params), key)
+}
 
-    fn lookup<T>(kind: &str, key: &str, table: &[Component<T>]) -> Result<T, ScenarioError> {
-        table
-            .iter()
-            .find(|c| c.name == key)
-            .map(|c| (c.build)())
-            .ok_or_else(|| {
-                ScenarioError::new(format!(
-                    "unknown {kind} {key:?}; available: {}",
-                    table.iter().map(|c| c.name).collect::<Vec<_>>().join(", ")
-                ))
-            })
-    }
+/// A whole-workload preset (`[system] workload = "..."`).
+pub(crate) fn workload(key: &str) -> Result<FlSystemConfig, ScenarioError> {
+    find("workload", key, WORKLOADS, |k, _| k == key).map(|build| build())
+}
 
-    /// A whole-workload preset (`[system] workload = "..."`).
-    pub fn workload(&self, key: &str) -> Result<FlSystemConfig, ScenarioError> {
-        Self::lookup("workload", key, WORKLOADS)
-    }
+/// A dataset family (`[system] dataset = "..."`).
+pub(crate) fn dataset(key: &str) -> Result<SyntheticSpec, ScenarioError> {
+    find("dataset", key, DATASETS, |k, _| k == key).map(|build| build())
+}
 
-    /// A dataset family (`[system] dataset = "..."`).
-    pub fn dataset(&self, key: &str) -> Result<SyntheticSpec, ScenarioError> {
-        Self::lookup("dataset", key, DATASETS)
-    }
+/// A model family (`[system] model = "..."`).
+pub(crate) fn model(key: &str) -> Result<ModelKind, ScenarioError> {
+    find("model", key, MODELS, |k, _| k == key).copied()
+}
 
-    /// A model family (`[system] model = "..."`).
-    pub fn model(&self, key: &str) -> Result<ModelKind, ScenarioError> {
-        MODELS
-            .iter()
-            .find(|(n, _, _)| *n == key)
-            .map(|(_, _, kind)| *kind)
-            .ok_or_else(|| {
-                ScenarioError::new(format!(
-                    "unknown model {key:?}; available: {}",
-                    MODELS
-                        .iter()
-                        .map(|(n, _, _)| *n)
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ))
-            })
-    }
+/// A mechanism (`[run] mechanisms = [...]`). Accepts the registry key or the
+/// paper-legend label, case-insensitively and ignoring `-`/`_`/space (so
+/// `"Air-FedGA"`, `"air_fedga"` and `"airfedga"` all resolve).
+pub(crate) fn mechanism(key: &str) -> Result<MechanismChoice, ScenarioError> {
+    let norm = |s: &str| {
+        s.chars()
+            .filter(|c| !matches!(c, '-' | '_' | ' '))
+            .collect::<String>()
+            .to_ascii_lowercase()
+    };
+    let wanted = norm(key);
+    find("mechanism", key, MECHANISMS, |k, choice| {
+        norm(k) == wanted || norm(choice.label()) == wanted
+    })
+    .copied()
+}
 
-    /// A mechanism (`[run] mechanisms = [...]`). Accepts the registry key or
-    /// the paper-legend label, case-insensitively and ignoring `-`/`_`/space
-    /// (so `"Air-FedGA"`, `"air_fedga"` and `"airfedga"` all resolve).
-    pub fn mechanism(&self, key: &str) -> Result<MechanismChoice, ScenarioError> {
-        let norm = |s: &str| {
-            s.chars()
-                .filter(|c| !matches!(c, '-' | '_' | ' '))
-                .collect::<String>()
-                .to_ascii_lowercase()
-        };
-        let wanted = norm(key);
-        MECHANISMS
-            .iter()
-            .find(|(n, _, choice)| norm(n) == wanted || norm(choice.label()) == wanted)
-            .map(|(_, _, choice)| *choice)
-            .ok_or_else(|| {
-                ScenarioError::new(format!(
-                    "unknown mechanism {key:?}; available: {}",
-                    MECHANISMS
-                        .iter()
-                        .map(|(n, _, _)| *n)
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ))
-            })
-    }
+/// A partitioner (`[system] partitioner = "..."`).
+pub(crate) fn partitioner(key: &str) -> Result<Partitioner, ScenarioError> {
+    parameterised("partitioner", key, PARTITIONERS)
+}
 
-    /// A partitioner (`[system] partitioner = "..."`): `label_skew`, `iid`,
-    /// or `dirichlet:<alpha>`.
-    pub fn partitioner(&self, key: &str) -> Result<Partitioner, ScenarioError> {
-        match key {
-            "label_skew" => Ok(Partitioner::LabelSkew),
-            "iid" => Ok(Partitioner::Iid),
-            _ => {
-                if let Some(alpha) = key.strip_prefix("dirichlet:") {
-                    let alpha: f64 = alpha.parse().map_err(|_| {
-                        ScenarioError::new(format!(
-                            "invalid dirichlet alpha {alpha:?} in partitioner {key:?}"
-                        ))
-                    })?;
-                    if alpha <= 0.0 || !alpha.is_finite() {
-                        return Err(ScenarioError::new(format!(
-                            "dirichlet alpha must be a positive finite number, got {alpha}"
-                        )));
-                    }
-                    Ok(Partitioner::Dirichlet { alpha })
-                } else {
-                    Err(ScenarioError::new(format!(
-                        "unknown partitioner {key:?}; available: label_skew, iid, \
-                         dirichlet:<alpha>"
-                    )))
-                }
-            }
+/// A heterogeneity model (`[system] heterogeneity = "..."`).
+pub(crate) fn heterogeneity(key: &str) -> Result<HeterogeneityModel, ScenarioError> {
+    parameterised("heterogeneity", key, HETEROGENEITY)
+}
+
+/// A fault-injection preset (`[faults] preset = "..."`).
+pub(crate) fn fault_preset(key: &str) -> Result<FaultSpec, ScenarioError> {
+    parameterised("fault preset", key, FAULT_PRESETS)
+}
+
+/// A wireless channel preset (`[system] channel = "..."`).
+pub(crate) fn channel(key: &str) -> Result<WirelessConfig, ScenarioError> {
+    WirelessConfig::preset(key).ok_or_else(|| {
+        ScenarioError::new(format!(
+            "unknown channel preset {key:?}; available: {}",
+            WirelessConfig::preset_names().join(", ")
+        ))
+    })
+}
+
+/// Human-readable catalogue for `airfedga-run --list-components`.
+pub fn describe() -> String {
+    fn section<T>(out: &mut String, title: &str, table: &Table<T>) {
+        out.push_str(&format!("\n{title}\n"));
+        let width = table.iter().map(|(k, _, _)| k.len()).max().unwrap_or(0);
+        for (key, summary, _) in table {
+            out.push_str(&format!("  {key:<width$}  {summary}\n"));
         }
     }
-
-    /// A heterogeneity model (`[system] heterogeneity = "..."`):
-    /// `homogeneous`, `uniform` (the paper's `U[1, 10]`), or
-    /// `uniform:<lo>:<hi>`.
-    pub fn heterogeneity(&self, key: &str) -> Result<HeterogeneityModel, ScenarioError> {
-        match key {
-            "homogeneous" => Ok(HeterogeneityModel::Homogeneous),
-            "uniform" => Ok(HeterogeneityModel::default()),
-            _ => {
-                if let Some(rest) = key.strip_prefix("uniform:") {
-                    let parts: Vec<&str> = rest.split(':').collect();
-                    let bounds: Option<(f64, f64)> = match parts.as_slice() {
-                        [lo, hi] => lo.parse().ok().zip(hi.parse().ok()),
-                        _ => None,
-                    };
-                    match bounds {
-                        Some((lo, hi)) if lo > 0.0 && hi >= lo => {
-                            Ok(HeterogeneityModel::Uniform { lo, hi })
-                        }
-                        _ => Err(ScenarioError::new(format!(
-                            "invalid uniform heterogeneity bounds in {key:?} \
-                             (expected uniform:<lo>:<hi> with 0 < lo <= hi)"
-                        ))),
-                    }
-                } else {
-                    Err(ScenarioError::new(format!(
-                        "unknown heterogeneity {key:?}; available: homogeneous, uniform, \
-                         uniform:<lo>:<hi>"
-                    )))
-                }
-            }
-        }
-    }
-
-    /// A fault-injection preset (`[faults] preset = "..."`): `none`,
-    /// `churn:<rate>` (Poisson dropout at `<rate>`/s with 60 s mean
-    /// downtime), `stragglers:<frac>:<slow>` (that fraction of workers
-    /// slowed by up to `<slow>`×), or `outage:<rate>:<duration>` (channel
-    /// outage bursts). Explicit `[faults]` keys override preset fields.
-    pub fn fault_preset(&self, key: &str) -> Result<FaultSpec, ScenarioError> {
-        fn num(part: &str, key: &str) -> Result<f64, ScenarioError> {
-            part.parse::<f64>()
-                .ok()
-                .filter(|x| x.is_finite())
-                .ok_or_else(|| {
-                    ScenarioError::new(format!("invalid number {part:?} in fault preset {key:?}"))
-                })
-        }
-        let mut spec = FaultSpec::none();
-        if key == "none" {
-            return Ok(spec);
-        }
-        if let Some(rate) = key.strip_prefix("churn:") {
-            let rate = num(rate, key)?;
-            if rate < 0.0 {
-                return Err(ScenarioError::new(format!(
-                    "churn rate must be non-negative, got {rate}"
-                )));
-            }
-            spec.dropout_rate = rate;
-            spec.mean_downtime = 60.0;
-            return Ok(spec);
-        }
-        if let Some(rest) = key.strip_prefix("stragglers:") {
-            if let [frac, slow] = rest.split(':').collect::<Vec<_>>().as_slice() {
-                let frac = num(frac, key)?;
-                let slow = num(slow, key)?;
-                if !(0.0..=1.0).contains(&frac) || slow < 1.0 {
-                    return Err(ScenarioError::new(format!(
-                        "stragglers preset needs a fraction in [0, 1] and a slowdown \
-                         of at least 1, got {key:?}"
-                    )));
-                }
-                spec.straggler_fraction = frac;
-                spec.straggler_slowdown = slow;
-                return Ok(spec);
-            }
-        }
-        if let Some(rest) = key.strip_prefix("outage:") {
-            if let [rate, dur] = rest.split(':').collect::<Vec<_>>().as_slice() {
-                let rate = num(rate, key)?;
-                let dur = num(dur, key)?;
-                if rate < 0.0 || dur <= 0.0 {
-                    return Err(ScenarioError::new(format!(
-                        "outage preset needs a non-negative rate and a positive \
-                         duration, got {key:?}"
-                    )));
-                }
-                spec.outage_rate = rate;
-                spec.outage_duration = dur;
-                return Ok(spec);
-            }
-        }
-        Err(ScenarioError::new(format!(
-            "unknown fault preset {key:?}; available: none, churn:<rate>, \
-             stragglers:<frac>:<slow>, outage:<rate>:<duration>"
-        )))
-    }
-
-    /// A wireless channel preset (`[system] channel = "..."`); the presets
-    /// live with the physical-layer constants in
-    /// [`wireless::timing::WirelessConfig::preset`].
-    pub fn channel(&self, key: &str) -> Result<WirelessConfig, ScenarioError> {
-        WirelessConfig::preset(key).ok_or_else(|| {
-            ScenarioError::new(format!(
-                "unknown channel preset {key:?}; available: {}",
-                WirelessConfig::preset_names().join(", ")
-            ))
-        })
-    }
-
-    /// Human-readable catalogue for `airfedga-run --list-components`.
-    pub fn describe(&self) -> String {
-        let mut out = String::from("Scenario registry components\n");
-        let mut section = |title: &str, rows: Vec<(String, String)>| {
-            out.push_str(&format!("\n{title}\n"));
-            let width = rows.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-            for (name, summary) in rows {
-                out.push_str(&format!("  {name:<width$}  {summary}\n"));
-            }
-        };
-        section(
-            "[system] workload =",
-            WORKLOADS
-                .iter()
-                .map(|c| (c.name.to_string(), c.summary.to_string()))
-                .collect(),
-        );
-        section(
-            "[system] dataset =",
-            DATASETS
-                .iter()
-                .map(|c| (c.name.to_string(), c.summary.to_string()))
-                .collect(),
-        );
-        section(
-            "[system] model =",
-            MODELS
-                .iter()
-                .map(|(n, s, _)| (n.to_string(), s.to_string()))
-                .collect(),
-        );
-        section(
-            "[system] partitioner =",
-            vec![
-                (
-                    "label_skew".to_string(),
-                    "the paper's single-label shards (§VI.A.1)".to_string(),
-                ),
-                (
-                    "iid".to_string(),
-                    "shuffled, evenly dealt shards".to_string(),
-                ),
-                (
-                    "dirichlet:<alpha>".to_string(),
-                    "Dirichlet label proportions; smaller alpha = more skew".to_string(),
-                ),
-            ],
-        );
-        section(
-            "[system] heterogeneity =",
-            vec![
-                (
-                    "uniform".to_string(),
-                    "the paper's k_i ~ U[1, 10] latency scaling".to_string(),
-                ),
-                (
-                    "uniform:<lo>:<hi>".to_string(),
-                    "custom uniform latency-scaling bounds".to_string(),
-                ),
-                (
-                    "homogeneous".to_string(),
-                    "identical workers (isolates Non-IID effects)".to_string(),
-                ),
-            ],
-        );
-        section(
-            "[system] channel =",
-            WirelessConfig::preset_names()
-                .iter()
-                .map(|n| {
-                    (
-                        n.to_string(),
-                        "wireless preset (see wireless::timing docs)".to_string(),
-                    )
-                })
-                .collect(),
-        );
-        section(
-            "[faults] preset =",
-            vec![
-                (
-                    "none".to_string(),
-                    "the zero-fault plan (default)".to_string(),
-                ),
-                (
-                    "churn:<rate>".to_string(),
-                    "Poisson worker dropout at <rate>/s, 60 s mean downtime".to_string(),
-                ),
-                (
-                    "stragglers:<frac>:<slow>".to_string(),
-                    "that fraction of workers slowed by up to <slow>x".to_string(),
-                ),
-                (
-                    "outage:<rate>:<duration>".to_string(),
-                    "channel-outage bursts (Poisson starts, fixed length)".to_string(),
-                ),
-            ],
-        );
-        section(
-            "[run] mechanisms =",
-            MECHANISMS
-                .iter()
-                .map(|(n, s, _)| (n.to_string(), s.to_string()))
-                .collect(),
-        );
-        out
-    }
+    let channels: Vec<_> = WirelessConfig::preset_names()
+        .iter()
+        .map(|&n| (n, "wireless preset (see wireless::timing docs)", ()))
+        .collect();
+    let mut out = String::from("Scenario registry components\n");
+    section(&mut out, "[system] workload =", WORKLOADS);
+    section(&mut out, "[system] dataset =", DATASETS);
+    section(&mut out, "[system] model =", MODELS);
+    section(&mut out, "[system] partitioner =", PARTITIONERS);
+    section(&mut out, "[system] heterogeneity =", HETEROGENEITY);
+    section(&mut out, "[system] channel =", &channels);
+    section(&mut out, "[faults] preset =", FAULT_PRESETS);
+    section(&mut out, "[run] mechanisms =", MECHANISMS);
+    out
 }
 
 #[cfg(test)]
@@ -458,67 +372,60 @@ mod tests {
 
     #[test]
     fn every_catalogue_entry_builds() {
-        let r = Registry::builtin();
-        for c in WORKLOADS {
-            assert_eq!(
-                r.workload(c.name).unwrap().dataset.name,
-                (c.build)().dataset.name
-            );
+        for (name, _, build) in WORKLOADS {
+            assert_eq!(workload(name).unwrap().dataset.name, build().dataset.name);
         }
-        for c in DATASETS {
-            assert_eq!(r.dataset(c.name).unwrap().name, (c.build)().name);
+        for (name, _, build) in DATASETS {
+            assert_eq!(dataset(name).unwrap().name, build().name);
         }
         for (name, _, kind) in MODELS {
-            assert_eq!(r.model(name).unwrap(), *kind);
+            assert_eq!(model(name).unwrap(), *kind);
         }
         for (name, _, choice) in MECHANISMS {
-            assert_eq!(r.mechanism(name).unwrap(), *choice);
+            assert_eq!(mechanism(name).unwrap(), *choice);
         }
         for name in WirelessConfig::preset_names() {
-            r.channel(name).unwrap();
+            channel(name).unwrap();
         }
     }
 
     #[test]
     fn mechanism_names_match_labels_and_spellings() {
-        let r = Registry::builtin();
         for key in ["Air-FedGA", "air_fedga", "airfedga", "AIR-FEDGA"] {
-            assert_eq!(r.mechanism(key).unwrap(), MechanismChoice::AirFedGa);
+            assert_eq!(mechanism(key).unwrap(), MechanismChoice::AirFedGa);
         }
-        assert_eq!(r.mechanism("TiFL").unwrap(), MechanismChoice::TiFl);
+        assert_eq!(mechanism("TiFL").unwrap(), MechanismChoice::TiFl);
     }
 
     #[test]
     fn parameterised_keys_parse() {
-        let r = Registry::builtin();
         assert_eq!(
-            r.partitioner("dirichlet:0.5").unwrap(),
+            partitioner("dirichlet:0.5").unwrap(),
             Partitioner::Dirichlet { alpha: 0.5 }
         );
-        assert_eq!(r.partitioner("iid").unwrap(), Partitioner::Iid);
+        assert_eq!(partitioner("iid").unwrap(), Partitioner::Iid);
         assert_eq!(
-            r.heterogeneity("uniform:2:4").unwrap(),
+            heterogeneity("uniform:2:4").unwrap(),
             HeterogeneityModel::Uniform { lo: 2.0, hi: 4.0 }
         );
         assert_eq!(
-            r.heterogeneity("homogeneous").unwrap(),
+            heterogeneity("homogeneous").unwrap(),
             HeterogeneityModel::Homogeneous
         );
     }
 
     #[test]
     fn fault_presets_parse() {
-        let r = Registry::builtin();
-        assert!(r.fault_preset("none").unwrap().is_none());
-        let churn = r.fault_preset("churn:0.002").unwrap();
+        assert!(fault_preset("none").unwrap().is_none());
+        let churn = fault_preset("churn:0.002").unwrap();
         assert_eq!(churn.dropout_rate, 0.002);
         assert_eq!(churn.mean_downtime, 60.0);
         churn.validate();
-        let strag = r.fault_preset("stragglers:0.3:3").unwrap();
+        let strag = fault_preset("stragglers:0.3:3").unwrap();
         assert_eq!(strag.straggler_fraction, 0.3);
         assert_eq!(strag.straggler_slowdown, 3.0);
         strag.validate();
-        let outage = r.fault_preset("outage:0.001:20").unwrap();
+        let outage = fault_preset("outage:0.001:20").unwrap();
         assert_eq!(outage.outage_rate, 0.001);
         assert_eq!(outage.outage_duration, 20.0);
         outage.validate();
@@ -526,35 +433,61 @@ mod tests {
 
     #[test]
     fn bad_fault_presets_are_rejected() {
-        let r = Registry::builtin();
-        assert!(r.fault_preset("churn:x").is_err());
-        assert!(r.fault_preset("churn:-1").is_err());
-        assert!(r.fault_preset("stragglers:1.5:3").is_err());
-        assert!(r.fault_preset("stragglers:0.3:0.5").is_err());
-        assert!(r.fault_preset("outage:0.01:0").is_err());
-        let err = r.fault_preset("blackout").unwrap_err();
+        assert!(fault_preset("churn:x").is_err());
+        assert!(fault_preset("churn:-1").is_err());
+        assert!(fault_preset("stragglers:1.5:3").is_err());
+        assert!(fault_preset("stragglers:0.3:0.5").is_err());
+        assert!(fault_preset("outage:0.01:0").is_err());
+        let err = fault_preset("blackout").unwrap_err();
         assert!(err.msg.contains("churn:<rate>"), "{}", err.msg);
     }
 
     #[test]
     fn unknown_keys_list_the_alternatives() {
-        let r = Registry::builtin();
-        let err = r.workload("mnist").unwrap_err();
+        let err = workload("mnist").unwrap_err();
         assert!(err.msg.contains("mnist_lr"), "{}", err.msg);
         assert!(err.msg.contains("cifar_cnn"), "{}", err.msg);
-        assert!(r.partitioner("dirichlet:x").is_err());
-        assert!(r.partitioner("dirichlet:-1").is_err());
-        assert!(r.heterogeneity("uniform:5:1").is_err());
-        assert!(r
-            .mechanism("fedprox")
-            .unwrap_err()
-            .msg
-            .contains("air-fedga"));
+        assert!(partitioner("dirichlet:x").is_err());
+        assert!(partitioner("dirichlet:-1").is_err());
+        assert!(heterogeneity("uniform:5:1").is_err());
+        assert!(mechanism("fedprox").unwrap_err().msg.contains("air-fedga"));
+    }
+
+    /// A key that names a row but not its parameter shape keeps the error
+    /// that row's parser gives it.
+    #[test]
+    fn malformed_parameters_name_what_is_wrong() {
+        let msg = |r: Result<(), ScenarioError>| r.unwrap_err().msg;
+        assert_eq!(
+            msg(partitioner("dirichlet:1:2").map(drop)),
+            "invalid dirichlet alpha \"1:2\" in partitioner \"dirichlet:1:2\""
+        );
+        assert_eq!(
+            msg(heterogeneity("uniform:3").map(drop)),
+            "invalid uniform heterogeneity bounds in \"uniform:3\" \
+             (expected uniform:<lo>:<hi> with 0 < lo <= hi)"
+        );
+        assert_eq!(
+            msg(heterogeneity("uniform_ish").map(drop)),
+            "unknown heterogeneity \"uniform_ish\"; available: uniform, \
+             uniform:<lo>:<hi>, homogeneous"
+        );
+        assert_eq!(
+            msg(fault_preset("churn:1:2").map(drop)),
+            "invalid number \"1:2\" in fault preset \"churn:1:2\""
+        );
+        assert_eq!(
+            msg(fault_preset("stragglers:0.3").map(drop)),
+            "unknown fault preset \"stragglers:0.3\"; available: none, churn:<rate>, \
+             stragglers:<frac>:<slow>, outage:<rate>:<duration>"
+        );
+        assert!(partitioner("iid:2").is_err());
+        assert!(fault_preset("none:0").is_err());
     }
 
     #[test]
     fn describe_lists_every_section() {
-        let text = Registry::builtin().describe();
+        let text = describe();
         for needle in [
             "workload",
             "mnist_lr",

@@ -2,7 +2,7 @@
 //!
 //! [`ScenarioSpec::parse`] turns a scenario document into a fully-resolved,
 //! validated spec: every component name is resolved through the
-//! [`Registry`], every key is type-checked with line-numbered errors, and
+//! [`registry`], every key is type-checked with line-numbered errors, and
 //! **unknown keys are rejected** (a typo'd key fails loudly instead of
 //! silently running the default). `run` then maps the spec onto what the
 //! replicate runner takes — `FlSystemConfig`s, an `experiments::FigureParams`
@@ -20,7 +20,7 @@
 //! (20, 0.3, air-fedga)` — the row order of the printed table and CSV, and
 //! the cell order handed to the deterministic parallel grid.
 
-use crate::registry::Registry;
+use crate::registry;
 use crate::toml::{self, Node, TomlTable, Value};
 use crate::ScenarioError;
 use airfedga::system::FlSystemConfig;
@@ -327,68 +327,48 @@ impl<'a> SpecReader<'a> {
         }
     }
 
-    fn f64_array_opt(&self, key: &str) -> Result<Option<(Vec<f64>, usize)>, ScenarioError> {
+    /// An array key whose every item `item` accepts; `what` names the
+    /// expected type in the error message.
+    fn array_opt<T>(
+        &self,
+        key: &str,
+        what: &str,
+        item: impl Fn(&Value) -> Option<T>,
+    ) -> Result<Option<(Vec<T>, usize)>, ScenarioError> {
         match self.entry(key)? {
             None => Ok(None),
-            Some((Value::Array(items), line)) => {
-                let mut out = Vec::with_capacity(items.len());
-                for v in items {
-                    match v {
-                        Value::Float(f) => out.push(*f),
-                        Value::Int(i) => out.push(*i as f64),
-                        other => {
-                            return Err(self.mismatch(key, "an array of numbers", other, line))
-                        }
-                    }
-                }
-                Ok(Some((out, line)))
-            }
-            Some((v, line)) => Err(self.mismatch(key, "an array of numbers", v, line)),
+            Some((Value::Array(items), line)) => items
+                .iter()
+                .map(|v| item(v).ok_or_else(|| self.mismatch(key, what, v, line)))
+                .collect::<Result<_, _>>()
+                .map(|out| Some((out, line))),
+            Some((v, line)) => Err(self.mismatch(key, what, v, line)),
         }
     }
 
-    fn usize_array_opt(&self, key: &str) -> Result<Option<(Vec<usize>, usize)>, ScenarioError> {
-        match self.entry(key)? {
-            None => Ok(None),
-            Some((Value::Array(items), line)) => {
-                let mut out = Vec::with_capacity(items.len());
-                for v in items {
-                    match v {
-                        Value::Int(i) if *i >= 0 => out.push(*i as usize),
-                        other => {
-                            return Err(self.mismatch(
-                                key,
-                                "an array of non-negative integers",
-                                other,
-                                line,
-                            ))
-                        }
-                    }
-                }
-                Ok(Some((out, line)))
-            }
-            Some((v, line)) => {
-                Err(self.mismatch(key, "an array of non-negative integers", v, line))
-            }
-        }
-    }
-
-    fn str_array_opt(&self, key: &str) -> Result<Option<(Vec<String>, usize)>, ScenarioError> {
-        match self.entry(key)? {
-            None => Ok(None),
-            Some((Value::Array(items), line)) => {
-                let mut out = Vec::with_capacity(items.len());
-                for v in items {
-                    match v {
-                        Value::Str(s) => out.push(s.clone()),
-                        other => {
-                            return Err(self.mismatch(key, "an array of strings", other, line))
-                        }
-                    }
-                }
-                Ok(Some((out, line)))
-            }
-            Some((v, line)) => Err(self.mismatch(key, "an array of strings", v, line)),
+    /// An array of numbers that each pass `check`; the first that fails is
+    /// reported as "`name` <x> must lie in `range`".
+    fn numbers_opt(
+        &self,
+        key: &str,
+        name: &str,
+        range: &str,
+        check: impl Fn(f64) -> bool,
+    ) -> Result<Option<(Vec<f64>, usize)>, ScenarioError> {
+        let Some((xs, line)) = self.array_opt(key, "an array of numbers", |v| match v {
+            Value::Float(f) => Some(*f),
+            Value::Int(i) => Some(*i as f64),
+            _ => None,
+        })?
+        else {
+            return Ok(None);
+        };
+        match xs.iter().find(|&&x| !check(x)) {
+            Some(x) => Err(ScenarioError::at(
+                line,
+                format!("{name} {x} must lie in {range}"),
+            )),
+            None => Ok(Some((xs, line))),
         }
     }
 
@@ -435,13 +415,8 @@ fn at_line<T>(r: Result<T, ScenarioError>, line: usize) -> Result<T, ScenarioErr
 }
 
 impl ScenarioSpec {
-    /// Parse and validate a scenario document against the built-in registry.
+    /// Parse and validate a scenario document against the [`registry`].
     pub fn parse(src: &str) -> Result<Self, ScenarioError> {
-        Self::parse_with(src, &Registry::builtin())
-    }
-
-    /// Parse and validate against a specific registry.
-    pub fn parse_with(src: &str, registry: &Registry) -> Result<Self, ScenarioError> {
         let doc = toml::parse(src)?;
         let root = SpecReader::new(&doc, "");
 
@@ -463,11 +438,11 @@ impl ScenarioSpec {
         let system_tbl = root.table_opt("system")?.unwrap_or(&empty);
         let system = SpecReader::new(system_tbl, "system");
         let mut base_config = match system.str_opt("workload")? {
-            Some((key, line)) => at_line(registry.workload(&key), line)?,
+            Some((key, line)) => at_line(registry::workload(&key), line)?,
             None => FlSystemConfig::mnist_lr(),
         };
         if let Some((key, line)) = system.str_opt("dataset")? {
-            base_config.dataset = at_line(registry.dataset(&key), line)?;
+            base_config.dataset = at_line(registry::dataset(&key), line)?;
         }
         if let Some(n) = system.positive_usize_opt("samples_per_class")? {
             base_config.dataset.samples_per_class = n;
@@ -476,16 +451,16 @@ impl ScenarioSpec {
             base_config.test_per_class = n;
         }
         if let Some((key, line)) = system.str_opt("model")? {
-            base_config.model = at_line(registry.model(&key), line)?;
+            base_config.model = at_line(registry::model(&key), line)?;
         }
         if let Some((key, line)) = system.str_opt("partitioner")? {
-            base_config.partitioner = at_line(registry.partitioner(&key), line)?;
+            base_config.partitioner = at_line(registry::partitioner(&key), line)?;
         }
         if let Some((key, line)) = system.str_opt("heterogeneity")? {
-            base_config.heterogeneity = at_line(registry.heterogeneity(&key), line)?;
+            base_config.heterogeneity = at_line(registry::heterogeneity(&key), line)?;
         }
         if let Some((key, line)) = system.str_opt("channel")? {
-            base_config.wireless = at_line(registry.channel(&key), line)?;
+            base_config.wireless = at_line(registry::channel(&key), line)?;
         }
         // Range-checked here, with a line number: `FlSystemConfig::build`
         // asserts the same conditions, but only inside every replicate.
@@ -532,7 +507,7 @@ impl ScenarioSpec {
         let faults_tbl = root.table_opt("faults")?.unwrap_or(&empty);
         let faults = SpecReader::new(faults_tbl, "faults");
         if let Some((key, line)) = faults.str_opt("preset")? {
-            base_config.faults = at_line(registry.fault_preset(&key), line)?;
+            base_config.faults = at_line(registry::fault_preset(&key), line)?;
         }
         if let Some(v) =
             faults.f64_checked_opt("dropout_rate", "a non-negative rate", |x| x >= 0.0)?
@@ -595,53 +570,34 @@ impl ScenarioSpec {
         // [run] — mechanisms, targets, seeds and budgets.
         let run_tbl = root.table_opt("run")?.unwrap_or(&empty);
         let run = SpecReader::new(run_tbl, "run");
-        let mechanisms = match run.str_array_opt("mechanisms")? {
-            Some((keys, line)) => {
-                let mut out = Vec::with_capacity(keys.len());
-                for key in &keys {
-                    out.push(at_line(registry.mechanism(key), line)?);
-                }
-                out
-            }
-            None => Vec::new(),
-        };
-        let accuracy_targets = match run.f64_array_opt("accuracy_targets")? {
-            Some((targets, line)) => {
-                for &t in &targets {
-                    if !(t > 0.0 && t <= 1.0) {
-                        return Err(ScenarioError::at(
-                            line,
-                            format!("accuracy target {t} must lie in (0, 1]"),
-                        ));
-                    }
-                }
-                targets
-            }
-            None => Vec::new(),
-        };
+        let (keys, line) = run
+            .array_opt("mechanisms", "an array of strings", |v| match v {
+                Value::Str(s) => Some(s.clone()),
+                _ => None,
+            })?
+            .unwrap_or_default();
+        let mechanisms = keys
+            .iter()
+            .map(|key| at_line(registry::mechanism(key), line))
+            .collect::<Result<_, _>>()?;
+        let fraction = |t: f64| t > 0.0 && t <= 1.0;
+        let accuracy_targets = run
+            .numbers_opt("accuracy_targets", "accuracy target", "(0, 1]", fraction)?
+            .map_or(Vec::new(), |(targets, _)| targets);
         let speedup_target =
             run.f64_checked_opt("speedup_target", "in (0, 1]", |x| x > 0.0 && x <= 1.0)?;
         run.only_for_kind("speedup_target", &kind_key, "time_accuracy")?;
-        let energy_targets = match run.f64_array_opt("energy_targets")? {
-            Some((targets, line)) => {
-                for &t in &targets {
-                    if !(t > 0.0 && t <= 1.0) {
-                        return Err(ScenarioError::at(
-                            line,
-                            format!("energy target {t} must lie in (0, 1]"),
-                        ));
-                    }
-                }
-                if targets.is_empty() {
+        let energy_targets =
+            match run.numbers_opt("energy_targets", "energy target", "(0, 1]", fraction)? {
+                Some((targets, line)) if targets.is_empty() => {
                     return Err(ScenarioError::at(
                         line,
                         "run.energy_targets must not be empty".into(),
-                    ));
+                    ))
                 }
-                targets
-            }
-            None => Vec::new(),
-        };
+                Some((targets, _)) => targets,
+                None => Vec::new(),
+            };
         let energy_label = run.str_opt("energy_label")?.map(|(s, _)| s);
         let rounds = run.positive_usize_opt("rounds")?;
         let eval_every = run.positive_usize_opt("eval_every")?;
@@ -654,24 +610,22 @@ impl ScenarioSpec {
         // [sweep] — the cross-product axes.
         let sweep_tbl = root.table_opt("sweep")?.unwrap_or(&empty);
         let sweep = SpecReader::new(sweep_tbl, "sweep");
-        let sweep_xi = match sweep.f64_array_opt("xi")? {
-            Some((xis, line)) => {
-                for &xi in &xis {
-                    if !(0.0..=1.0).contains(&xi) {
-                        return Err(ScenarioError::at(
-                            line,
-                            format!("sweep xi value {xi} must lie in [0, 1]"),
-                        ));
-                    }
-                }
-                if xis.is_empty() {
-                    return Err(ScenarioError::at(line, "sweep.xi must not be empty".into()));
-                }
-                Some(xis)
+        let sweep_xi = match sweep.numbers_opt("xi", "sweep xi value", "[0, 1]", |xi| {
+            (0.0..=1.0).contains(&xi)
+        })? {
+            Some((xis, line)) if xis.is_empty() => {
+                return Err(ScenarioError::at(line, "sweep.xi must not be empty".into()))
             }
-            None => None,
+            xis => xis.map(|(xis, _)| xis),
         };
-        let sweep_num_workers = match sweep.usize_array_opt("num_workers")? {
+        let sweep_num_workers = match sweep.array_opt(
+            "num_workers",
+            "an array of non-negative integers",
+            |v| match v {
+                Value::Int(i) if *i >= 0 => Some(*i as usize),
+                _ => None,
+            },
+        )? {
             Some((ns, line)) => {
                 if ns.is_empty() || ns.contains(&0) {
                     return Err(ScenarioError::at(
@@ -1356,5 +1310,29 @@ system_seeds = true
         ))
         .unwrap_err();
         assert!(err.msg.contains("at least 1"), "{}", err.msg);
+    }
+
+    /// Every array key keeps its messages, each at the key's line: an item of
+    /// the wrong type, an item out of range, an empty list.
+    #[test]
+    fn array_keys_report_bad_items_at_their_line() {
+        let mechanisms = "[\"fedavg\", \"air-fedga\"]";
+        let accuracy = "accuracy_targets = [0.5]";
+        for (from, to, line, msg) in [
+            (mechanisms, "[\"fedavg\", 3]", 11, "`run.mechanisms`: expected an array of strings, found integer"),
+            (mechanisms, "[\"fedprox\"]", 11, "unknown mechanism \"fedprox\"; available: air-fedga, air-fedavg, dynamic, fedavg, tifl"),
+            (accuracy, "accuracy_targets = [0.5, 1.5]", 12, "accuracy target 1.5 must lie in (0, 1]"),
+            (accuracy, "accuracy_targets = 0.5", 12, "`run.accuracy_targets`: expected an array of numbers, found float"),
+            (accuracy, "energy_targets = [0, 1]", 12, "energy target 0 must lie in (0, 1]"),
+            (accuracy, "energy_targets = []", 12, "run.energy_targets must not be empty"),
+            ("xi = [0.1, 0.3]", "xi = [0.1, -1]", 17, "sweep xi value -1 must lie in [0, 1]"),
+            ("xi = [0.1, 0.3]", "xi = [\"a\"]", 17, "`sweep.xi`: expected an array of numbers, found string"),
+            ("xi = [0.1, 0.3]", "xi = []", 17, "sweep.xi must not be empty"),
+            ("num_workers = [5, 8]", "num_workers = [5, -8]", 18, "`sweep.num_workers`: expected an array of non-negative integers, found integer"),
+            ("num_workers = [5, 8]", "num_workers = [5, 0]", 18, "sweep.num_workers must be a non-empty list of positive counts"),
+        ] {
+            let err = ScenarioSpec::parse(&MINIMAL_GRID.replacen(from, to, 1)).unwrap_err();
+            assert_eq!((err.line, err.msg.as_str()), (Some(line), msg), "{to}");
+        }
     }
 }

@@ -35,7 +35,7 @@ pub enum Value {
 
 impl Value {
     /// Human-readable type name for error messages.
-    pub fn type_name(&self) -> &'static str {
+    pub(crate) fn type_name(&self) -> &'static str {
         match self {
             Value::Str(_) => "string",
             Value::Int(_) => "integer",
@@ -217,7 +217,7 @@ pub fn parse(src: &str) -> Result<TomlTable, ScenarioError> {
         })?;
         let key_path = parse_dotted_key(line[..eq].trim(), line_no)?;
         let mut cursor = Cursor::new(&line[eq + 1..], line_no);
-        let value = cursor.parse_value()?;
+        let value = cursor.parse_value(0)?;
         cursor.expect_end()?;
         let (leaf, parents) = key_path.split_last().expect("key path is non-empty");
         let mut full_parent = current_path.clone();
@@ -254,6 +254,10 @@ fn parse_dotted_key(s: &str, line: usize) -> Result<Vec<String>, ScenarioError> 
         })
         .collect()
 }
+
+/// The deepest array nesting a value may have. No spec key accepts an array
+/// of arrays; the cap keeps the recursive descent off the end of the stack.
+const MAX_DEPTH: usize = 32;
 
 /// Character cursor over the value part of one line.
 struct Cursor<'a> {
@@ -308,12 +312,16 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value, ScenarioError> {
+    /// `depth` counts the arrays this value sits in.
+    fn parse_value(&mut self, depth: usize) -> Result<Value, ScenarioError> {
         self.skip_ws();
         match self.peek() {
             None => Err(self.err("missing value after `=`".to_string())),
             Some('"') => self.parse_string(),
-            Some('[') => self.parse_array(),
+            Some('[') if depth == MAX_DEPTH => {
+                Err(self.err(format!("arrays nested deeper than {MAX_DEPTH} levels")))
+            }
+            Some('[') => self.parse_array(depth),
             Some('\'') => Err(self.err(
                 "literal strings (`'...'`) are not part of the scenario TOML subset; \
                  use a double-quoted string"
@@ -356,7 +364,7 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn parse_array(&mut self) -> Result<Value, ScenarioError> {
+    fn parse_array(&mut self, depth: usize) -> Result<Value, ScenarioError> {
         self.bump(); // '['
         let mut items = Vec::new();
         loop {
@@ -373,7 +381,7 @@ impl<'a> Cursor<'a> {
                 }
                 _ => {}
             }
-            items.push(self.parse_value()?);
+            items.push(self.parse_value(depth + 1)?);
             self.skip_ws();
             match self.peek() {
                 Some(',') => {
@@ -567,6 +575,20 @@ mod tests {
             let err = parse(src).unwrap_err();
             assert_eq!(err.line, Some(line), "{src:?}");
             assert!(err.msg.contains(needle), "{src:?} -> {}", err.msg);
+        }
+    }
+
+    #[test]
+    fn array_nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nested = |n: usize| format!("x = {}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        for deep in [
+            nested(MAX_DEPTH + 1),
+            format!("name = {}", "[".repeat(100_000)),
+        ] {
+            let err = parse(&deep).unwrap_err();
+            assert_eq!(err.line, Some(1));
+            assert!(err.msg.contains("nested deeper"), "{}", err.msg);
         }
     }
 

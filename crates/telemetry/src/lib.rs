@@ -7,7 +7,7 @@
 //! byte of stdout, CSVs, or runstore contents** — everything this crate emits
 //! goes to stderr or to the `--telemetry <dir>` sidecar files.
 //!
-//! Three planes of data, with different determinism guarantees:
+//! Two planes of counts, and one timing record:
 //!
 //! * **Logical plane** ([`metrics`], [`Plane::Logical`]) — pure counts of
 //!   semantic events (rounds run, participants filtered, GEMM calls, runstore
@@ -15,11 +15,12 @@
 //!   PARALLEL_CHUNKS` schedule, because each counter increments exactly once
 //!   per semantic event and addition commutes. Exported as `metrics.json`.
 //! * **Scheduling plane** ([`Plane::Sched`]) — counts that *describe* the
-//!   schedule (chunks claimed, pool width). Deterministic per configuration
-//!   but not across thread/chunk matrices; excluded from `metrics.json`.
-//! * **Timing plane** ([`Plane::Timing`], [`spans`]) — wall-clock spans and
-//!   duration histograms. Never deterministic; only ever written to the
-//!   sidecar files (`spans.jsonl`, `profile.json`).
+//!   schedule (fan-outs issued, chunks claimed). Deterministic per
+//!   configuration but not across thread/chunk matrices; excluded from
+//!   `metrics.json`.
+//! * **Spans** ([`spans`]) — the one record of wall-clock durations. Never
+//!   deterministic; only ever written to the sidecar files (`spans.jsonl`,
+//!   and their per-name aggregates in `profile.json`).
 //!
 //! The whole layer is gated on a single relaxed [`enabled`] flag: when off,
 //! every instrumentation point is one atomic load and a branch, so the
@@ -34,12 +35,12 @@
 #![warn(missing_docs)]
 #![expect(
     clippy::disallowed_methods,
-    reason = "the timing plane (spans, progress ETA) is wall-clock by definition; \
-              the logical plane never reads a clock"
+    reason = "spans and the progress ETA are wall-clock by definition; \
+              the metric planes never read a clock"
 )]
 
 pub mod metrics;
-pub mod profile;
+mod profile;
 pub mod progress;
 pub mod spans;
 
@@ -92,7 +93,7 @@ pub fn disable() {
 /// * `metrics.json` — the logical plane only: bit-identical across
 ///   thread/chunk schedules for a deterministic run.
 /// * `profile.json` — machine-readable run profile (span aggregates, all
-///   counters including sched/timing planes, histogram percentiles).
+///   counters of both planes, histogram percentiles).
 ///
 /// Returns the rendered human-readable profile table for the report path.
 pub fn flush_to_dir(dir: &Path) -> std::io::Result<String> {

@@ -1,4 +1,4 @@
-//! Metrics registry: named counters, gauges and log₂-bucket histograms.
+//! Metrics registry: named counters and log₂-bucket histograms.
 //!
 //! Every metric is a `static` in this module, so the catalogue below *is* the
 //! registry — there is no dynamic registration, no locking, and call sites
@@ -8,10 +8,12 @@
 //! * [`Plane::Logical`] — increments once per *semantic* event, so the total
 //!   is bit-identical across any worker/chunk schedule. These make up the
 //!   `metrics.json` export and the determinism fingerprint.
-//! * [`Plane::Sched`] — describes the schedule itself (chunks claimed, pool
-//!   width); deterministic for a fixed `PARALLEL_THREADS × PARALLEL_CHUNKS`
-//!   but not across the matrix.
-//! * [`Plane::Timing`] — wall-clock durations recorded by the span layer.
+//! * [`Plane::Sched`] — describes the schedule itself (fan-outs issued,
+//!   chunks claimed); deterministic for a fixed `PARALLEL_THREADS ×
+//!   PARALLEL_CHUNKS` but not across the matrix.
+//!
+//! Durations are not metrics: the span layer ([`crate::spans`]) records
+//! every one, and `profile.json` aggregates them.
 //!
 //! All updates are relaxed atomics: counters are commutative sums, so no
 //! ordering is needed, and when telemetry is disabled every operation is a
@@ -26,8 +28,6 @@ pub enum Plane {
     Logical,
     /// Properties of the parallel schedule; fixed per configuration only.
     Sched,
-    /// Wall-clock measurements; never deterministic.
-    Timing,
 }
 
 impl Plane {
@@ -36,7 +36,6 @@ impl Plane {
         match self {
             Plane::Logical => "logical",
             Plane::Sched => "sched",
-            Plane::Timing => "timing",
         }
     }
 }
@@ -76,50 +75,6 @@ impl Counter {
     }
 
     /// Current total.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A high-water-mark gauge (records the maximum value ever set).
-pub struct Gauge {
-    name: &'static str,
-    plane: Plane,
-    value: AtomicU64,
-}
-
-impl Gauge {
-    const fn new(name: &'static str, plane: Plane) -> Self {
-        Gauge {
-            name,
-            plane,
-            value: AtomicU64::new(0),
-        }
-    }
-
-    /// Registry name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Determinism plane.
-    pub fn plane(&self) -> Plane {
-        self.plane
-    }
-
-    /// Raise the gauge to at least `v`. No-op unless telemetry is enabled.
-    #[inline(always)]
-    pub fn set_max(&self, v: u64) {
-        if crate::enabled() {
-            self.value.fetch_max(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Current high-water mark.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
@@ -171,7 +126,7 @@ impl Histogram {
     }
 
     /// Bucket index for value `v`.
-    pub fn bucket_of(v: u64) -> usize {
+    fn bucket_of(v: u64) -> usize {
         if v == 0 {
             0
         } else {
@@ -180,7 +135,7 @@ impl Histogram {
     }
 
     /// Lower bound of bucket `i` (`2^i`, with bucket 0 starting at 0).
-    pub fn bucket_floor(i: usize) -> u64 {
+    fn bucket_floor(i: usize) -> u64 {
         if i == 0 {
             0
         } else {
@@ -267,8 +222,6 @@ pub static POOL_FORK_JOINS: Counter = Counter::new("pool.fork_joins", Plane::Sch
 /// `min(items, threads × chunk_factor)` — a property of the schedule — so
 /// this lives in the sched plane and is excluded from `metrics.json`.
 pub static POOL_CHUNKS_CLAIMED: Counter = Counter::new("pool.chunks_claimed", Plane::Sched);
-/// Worker-pool width (threads available to fan-outs), high-water mark.
-pub static POOL_THREADS: Gauge = Gauge::new("pool.threads", Plane::Sched);
 
 /// Runstore replicate loads that hit a decodable cached trace.
 pub static RUNSTORE_HITS: Counter = Counter::new("runstore.hits", Plane::Logical);
@@ -299,18 +252,14 @@ pub static GEMM_TN_ACC: Counter = Counter::new("gemm.tn_acc", Plane::Logical);
 /// kernels existed, because the repo benchmark reads all five `gemm.*` keys
 /// of `metrics.json` by name and a program PR may not edit it. They go with
 /// a benchmark-side companion PR (ROADMAP item 5's pruning list).
-pub static GEMM_TN: Counter = Counter::new("gemm.tn", Plane::Logical);
+static GEMM_TN: Counter = Counter::new("gemm.tn", Plane::Logical);
 /// See [`GEMM_TN`].
-pub static GEMM_NT: Counter = Counter::new("gemm.nt", Plane::Logical);
+static GEMM_NT: Counter = Counter::new("gemm.nt", Plane::Logical);
 /// See [`GEMM_TN`].
-pub static GEMM_NT_PACKED: Counter = Counter::new("gemm.nt_packed", Plane::Logical);
+static GEMM_NT_PACKED: Counter = Counter::new("gemm.nt_packed", Plane::Logical);
 
 /// Distribution of GEMM problem volumes (`m·n·k`) across all kernels.
 pub static GEMM_MNK: Histogram = Histogram::new("gemm.mnk", Plane::Logical);
-/// Wall-clock duration of `replicate` spans, microseconds.
-pub static REPLICATE_US: Histogram = Histogram::new("span.replicate_us", Plane::Timing);
-/// Wall-clock duration of `round` spans, microseconds.
-pub static ROUND_US: Histogram = Histogram::new("span.round_us", Plane::Timing);
 
 static ALL_COUNTERS: [&Counter; 17] = [
     &ENGINE_ROUNDS,
@@ -332,18 +281,11 @@ static ALL_COUNTERS: [&Counter; 17] = [
     &GEMM_NT_PACKED,
 ];
 
-static ALL_GAUGES: [&Gauge; 1] = [&POOL_THREADS];
-
-static ALL_HISTOGRAMS: [&Histogram; 3] = [&GEMM_MNK, &REPLICATE_US, &ROUND_US];
+static ALL_HISTOGRAMS: [&Histogram; 1] = [&GEMM_MNK];
 
 /// Every counter in the registry, in stable export order.
 pub fn counters() -> &'static [&'static Counter] {
     &ALL_COUNTERS
-}
-
-/// Every gauge in the registry, in stable export order.
-pub fn gauges() -> &'static [&'static Gauge] {
-    &ALL_GAUGES
 }
 
 /// Every histogram in the registry, in stable export order.
@@ -356,9 +298,6 @@ pub fn reset() {
     for c in counters() {
         c.reset();
     }
-    for g in gauges() {
-        g.reset();
-    }
     for h in histograms() {
         h.reset();
     }
@@ -366,8 +305,8 @@ pub fn reset() {
 
 /// The logical plane as canonical JSON: counters and histograms whose values
 /// are bit-identical across `PARALLEL_THREADS × PARALLEL_CHUNKS` schedules
-/// for a deterministic run. Sched and timing metrics are deliberately absent.
-pub fn logical_json() -> String {
+/// for a deterministic run. Sched-plane metrics are deliberately absent.
+pub(crate) fn logical_json() -> String {
     let mut s = String::new();
     s.push_str("{\n  \"version\": 1,\n  \"plane\": \"logical\",\n  \"counters\": {\n");
     let logical: Vec<&&Counter> = counters()
@@ -416,7 +355,6 @@ mod tests {
         let before = GEMM_NN.get();
         GEMM_NN.add(5);
         GEMM_MNK.record(100);
-        POOL_THREADS.set_max(99);
         assert_eq!(GEMM_NN.get(), before);
     }
 
@@ -435,7 +373,6 @@ mod tests {
     #[test]
     fn registry_names_are_unique() {
         let mut names: Vec<&str> = counters().iter().map(|c| c.name()).collect();
-        names.extend(gauges().iter().map(|g| g.name()));
         names.extend(histograms().iter().map(|h| h.name()));
         let mut dedup = names.clone();
         dedup.sort_unstable();
@@ -448,6 +385,5 @@ mod tests {
         let json = logical_json();
         assert!(json.contains("\"engine.rounds\""));
         assert!(!json.contains("pool.chunks_claimed"));
-        assert!(!json.contains("span.round_us"));
     }
 }

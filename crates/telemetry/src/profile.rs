@@ -2,8 +2,8 @@
 //!
 //! [`render`] produces the human-readable table appended to the execution
 //! report (stderr), and [`to_json`] the machine-readable `profile.json`.
-//! Unlike `metrics.json`, the profile includes *every* plane — it is a timing
-//! artifact and makes no determinism claims.
+//! Unlike `metrics.json`, the profile includes both planes and the span
+//! durations — it is a timing artifact and makes no determinism claims.
 
 use std::collections::BTreeMap;
 
@@ -12,7 +12,7 @@ use crate::spans::SpanEvent;
 
 /// Aggregate statistics for one span name.
 #[derive(Debug, Clone)]
-pub struct SpanAgg {
+pub(crate) struct SpanAgg {
     /// Span name.
     pub name: &'static str,
     /// Number of occurrences.
@@ -25,7 +25,7 @@ pub struct SpanAgg {
 
 /// Aggregate span events by name, ordered by descending total time (name as
 /// tiebreak, so the order is stable).
-pub fn aggregate(events: &[SpanEvent]) -> Vec<SpanAgg> {
+pub(crate) fn aggregate(events: &[SpanEvent]) -> Vec<SpanAgg> {
     let mut by_name: BTreeMap<&'static str, SpanAgg> = BTreeMap::new();
     for e in events {
         let agg = by_name.entry(e.name).or_insert(SpanAgg {
@@ -54,7 +54,7 @@ fn fmt_us(us: u64) -> String {
 }
 
 /// Render the profile table (goes to stderr via the execution report).
-pub fn render(events: &[SpanEvent]) -> String {
+pub(crate) fn render(events: &[SpanEvent]) -> String {
     let mut s = String::new();
     s.push_str("-- run profile ------------------------------------------------\n");
     let aggs = aggregate(events);
@@ -89,14 +89,6 @@ pub fn render(events: &[SpanEvent]) -> String {
             c.plane().name()
         ));
     }
-    for g in metrics::gauges() {
-        s.push_str(&format!(
-            "{:<32} {:>14} {:>8}\n",
-            g.name(),
-            g.get(),
-            g.plane().name()
-        ));
-    }
     s.push_str(&format!(
         "{:<20} {:>10} {:>10} {:>10} {:>10}\n",
         "histogram", "count", "p50", "p90", "p99"
@@ -115,9 +107,9 @@ pub fn render(events: &[SpanEvent]) -> String {
     s
 }
 
-/// Machine-readable profile (all planes). Names are static identifiers, so
+/// Machine-readable profile (both planes). Names are static identifiers, so
 /// no JSON string escaping is required.
-pub fn to_json(events: &[SpanEvent]) -> String {
+pub(crate) fn to_json(events: &[SpanEvent]) -> String {
     let mut s = String::new();
     s.push_str("{\n  \"version\": 1,\n  \"spans\": [\n");
     let aggs = aggregate(events);
@@ -137,18 +129,6 @@ pub fn to_json(events: &[SpanEvent]) -> String {
             c.name(),
             c.plane().name(),
             c.get(),
-            sep
-        ));
-    }
-    s.push_str("  ],\n  \"gauges\": [\n");
-    let n = metrics::gauges().len();
-    for (i, g) in metrics::gauges().iter().enumerate() {
-        let sep = if i + 1 == n { "" } else { "," };
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"plane\": \"{}\", \"value\": {}}}{}\n",
-            g.name(),
-            g.plane().name(),
-            g.get(),
             sep
         ));
     }

@@ -20,8 +20,6 @@ use std::cell::RefCell;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::metrics;
-
 /// One completed span occurrence.
 #[derive(Debug, Clone)]
 pub struct SpanEvent {
@@ -139,11 +137,6 @@ impl Drop for Span {
             };
             t.buf.push(ev);
         });
-        match self.name {
-            "replicate" => metrics::REPLICATE_US.record(dur_us),
-            "round" => metrics::ROUND_US.record(dur_us),
-            _ => {}
-        }
     }
 }
 
