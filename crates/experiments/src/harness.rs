@@ -365,6 +365,10 @@ pub struct ReplicatedOutcome {
     /// [`run_replicated_isolated_plan`], where every cell is its own
     /// computation).
     pub shared: usize,
+    /// Cache misses that were not run but took a clone of an identical
+    /// replicate the cache held under another cell's key (always 0 through
+    /// [`run_replicated_isolated_plan`]). Each is stored under its own key.
+    pub copied: usize,
 }
 
 impl ReplicatedOutcome {
@@ -424,9 +428,15 @@ where
 ///    [`ReplicateCache`] holds under their own key are loaded, the rest
 ///    queued. A fully warmed cache replays the grid without touching the
 ///    worker pool.
-/// 2. **Group** the misses by `(identity, run seed, system seed)`, in input
-///    order. The first member of a group leads: it is the only one that
-///    runs. Who leads depends on the input alone, never on the schedule.
+/// 2. **Copy, then group** the misses by `(identity, run seed, system
+///    seed)`, in input order. A miss whose key a hit shares takes a clone of
+///    the first such hit and is stored under its own key on the calling
+///    thread: it runs nothing, and its file is the bytes a recomputation
+///    would write. (The store has no checksum, so a corrupt file that still
+///    decodes is copied into its twins' files as well as served for its
+///    own key.) The other misses group; the first member of a group leads:
+///    it is the only one that runs. Who leads depends on the input alone,
+///    never on the schedule.
 /// 3. **Prepare**, sequential and in input order: `prepare(&cell, seed)` for
 ///    every leader, on the calling thread — where [`run_mechanism_cells`]
 ///    builds the systems the leaders share, so that which thread allocates
@@ -446,9 +456,9 @@ where
 ///    (cell × seed) coordinate whether or not the cache was warm — what a
 ///    runner that shared nothing would report.
 /// 6. **Fold** per cell over the surviving replicates, followers holding a
-///    clone of their leader's summary. With one seed the statistics
-///    degenerate to that run (`CellStats::first()` is the plain single-seed
-///    run, bit for bit).
+///    clone of their leader's summary and copies one of their twin's. With
+///    one seed the statistics degenerate to that run (`CellStats::first()`
+///    is the plain single-seed run, bit for bit).
 ///
 /// Every replicate is bit-identical wherever and whenever it runs, so a
 /// resumed grid folds to the same [`CellStats`] — and renders the same bytes
@@ -501,13 +511,30 @@ where
         results.push(hit);
     }
 
-    // 2. Group the misses that are one computation, groups in the input
-    // order of their first member; `group[0]` leads.
+    // 2. Copy the misses whose computation a hit holds; group the rest,
+    // groups in the input order of their first member; `group[0]` leads.
+    let key_of = |flat: usize| {
+        let (ci, seed) = pairs[flat];
+        (identity(ci, &cells[ci]), seed, plan.system_seed_for(seed))
+    };
+    let mut stored: BTreeMap<(K, u64, u64), usize> = BTreeMap::new();
+    for flat in (0..pairs.len()).filter(|&flat| results[flat].is_some()) {
+        stored.entry(key_of(flat)).or_insert(flat);
+    }
+    let mut copied = 0usize;
     let mut by_key: BTreeMap<(K, u64, u64), Vec<usize>> = BTreeMap::new();
     for flat in todo {
-        let (ci, seed) = pairs[flat];
-        let key = (identity(ci, &cells[ci]), seed, plan.system_seed_for(seed));
-        by_key.entry(key).or_default().push(flat);
+        let key = key_of(flat);
+        match stored.get(&key).and_then(|&twin| results[twin].clone()) {
+            Some(summary) => {
+                let (ci, seed) = pairs[flat];
+                cache.store(ci, &labels[ci], seed, plan.system_seed_for(seed), &summary);
+                progress.cached();
+                results[flat] = Some(summary);
+                copied += 1;
+            }
+            None => by_key.entry(key).or_default().push(flat),
+        }
     }
     let mut groups: Vec<Vec<usize>> = by_key.into_values().collect();
     groups.sort_by_key(|group| group[0]);
@@ -605,6 +632,7 @@ where
         cells: folded,
         failures,
         shared,
+        copied,
     }
 }
 
@@ -744,7 +772,10 @@ pub fn scalability_cells(
 /// mechanism and, if the mechanism table says the mechanism reads one, its ξ
 /// compared by bit pattern — so grid cells that differ only in a ξ their
 /// mechanism never reads train once per seed and the rest take that result
-/// (see [`ReplicatedOutcome::shared`]).
+/// (see [`ReplicatedOutcome::shared`]). A cell whose replicate the cache
+/// lost while an identical cell's is stored copies that one instead of
+/// training (see [`ReplicatedOutcome::copied`]), so a `--resume` trains
+/// only computations the store holds under no key.
 ///
 /// Every cell runs its row of the mechanism table at the round budget
 /// `options`. With one seed, [`NoCache`] and the default policy this is the
@@ -1438,13 +1469,14 @@ mod tests {
         }
     }
 
-    /// Groups form among the misses only. With one member of FedAvg's group
-    /// (cells 0, 5, 10) already stored — a follower, then the would-be
-    /// leader — the other two still cost one run, led by the first of them,
-    /// and hits and misses are counted per own key.
+    /// The store is checked before anything trains. With one member of
+    /// FedAvg's group (cells 0, 5, 10) already stored — a follower, then the
+    /// would-be leader — the other two copy it and FedAvg does not run;
+    /// hits and misses are still counted per own key, and every replicate
+    /// ends up stored under its own label.
     #[test]
-    fn a_partially_warm_group_recomputes_once() {
-        for (warm, leader) in [(5, "xi=0.1 FedAvg"), (0, "xi=0.3 FedAvg")] {
+    fn a_partially_warm_group_runs_nothing() {
+        for warm in [5, 0] {
             let cells = xi_grid(&[0.1, 0.3, 0.8]);
             let cache = MapCache::default();
             cache.store(
@@ -1456,22 +1488,31 @@ mod tests {
             );
             let ran = Mutex::new(Vec::new());
             let outcome = run_shared_stubs(
-                cells,
+                cells.clone(),
                 &SeedPlan::fixed_system(0, vec![7]),
                 &RunPolicy::default(),
                 &cache,
                 |cell, _| ran.lock().unwrap().push(cell.label.clone()),
             );
             let ran = ran.into_inner().unwrap();
-            // Seven computations as on a cold cache; FedAvg's has one
-            // follower fewer.
-            assert_eq!(ran.len(), 7);
-            assert!(ran.iter().any(|label| label == leader), "{ran:?}");
-            assert_eq!(ran.iter().filter(|l| l.ends_with(" FedAvg")).count(), 1);
-            assert_eq!(outcome.shared, 7);
+            // TiFL, Dynamic, Air-FedAvg once each, Air-FedGA per xi.
+            assert_eq!(ran.len(), 6, "{ran:?}");
+            assert!(
+                !ran.iter().any(|label| label.ends_with(" FedAvg")),
+                "{ran:?}"
+            );
+            assert_eq!((outcome.copied, outcome.shared), (2, 6));
             assert_eq!(cache.hits.load(Ordering::SeqCst), 1);
             assert_eq!(cache.misses.load(Ordering::SeqCst), 14);
-            assert_eq!(cache.stored.lock().unwrap().len(), 15);
+            let stored = cache.stored.lock().unwrap();
+            assert_eq!(stored.len(), 15);
+            for ((ci, label, seed, _), summary) in stored.iter() {
+                assert_eq!(label, &cells[*ci].label);
+                assert_eq!(
+                    format!("{summary:?}"),
+                    format!("{:?}", stub_summary(&cells[*ci], *seed))
+                );
+            }
             assert!(outcome.cells.iter().all(Option::is_some));
         }
     }

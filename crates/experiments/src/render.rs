@@ -17,6 +17,7 @@
 use crate::harness::SeedPlan;
 use crate::report::{error_bar_csv, fmt_opt_secs, gnuplot_script, try_write_csv, Table};
 use crate::stats::{CellStats, Metric};
+use std::path::Path;
 
 /// One metric column of a [`Layout`].
 #[derive(Debug, Clone)]
@@ -86,10 +87,11 @@ pub struct Layout {
 }
 
 /// Renders [`Layout`]s for one run; knows the run's replication from its
-/// [`SeedPlan`].
+/// [`SeedPlan`] and writes its CSVs into one directory.
 #[derive(Debug, Clone, Copy)]
 pub struct Renderer<'a> {
     plan: &'a SeedPlan,
+    dir: &'a Path,
 }
 
 /// `  system re-sampled per replicate (system seeds a..b)`, the line that
@@ -103,9 +105,9 @@ pub fn resampled_note(plan: &SeedPlan) -> String {
 }
 
 impl<'a> Renderer<'a> {
-    /// A renderer for the run `plan` describes.
-    pub fn new(plan: &'a SeedPlan) -> Self {
-        Self { plan }
+    /// A renderer for the run `plan` describes, writing CSVs into `dir`.
+    pub fn new(plan: &'a SeedPlan, dir: &'a Path) -> Self {
+        Self { plan, dir }
     }
 
     fn replicated(&self) -> bool {
@@ -233,7 +235,7 @@ impl<'a> Renderer<'a> {
     /// Write [`Self::csv`] to the layout's `csv_name` (nothing without one).
     fn write_csv(&self, layout: &Layout, cells: &[Option<CellStats>]) {
         if let Some(name) = &layout.csv_name {
-            try_write_csv(name, &self.csv(layout, cells));
+            try_write_csv(self.dir, name, &self.csv(layout, cells));
         }
     }
 
@@ -315,17 +317,19 @@ impl<'a> Renderer<'a> {
         for c in cells.iter().flatten() {
             let stem = c.mechanism.to_lowercase().replace(['-', ' '], "_");
             try_write_csv(
+                self.dir,
                 &format!("{csv_prefix}_{stem}.csv"),
                 &c.first().trace.to_csv(),
             );
             if self.replicated() {
                 let name = format!("{csv_prefix}_{stem}_errorbars.csv");
-                try_write_csv(&name, &error_bar_csv(&c.points));
+                try_write_csv(self.dir, &name, &error_bar_csv(&c.points));
                 series.push((c.mechanism.clone(), name));
             }
         }
         if self.replicated() {
             try_write_csv(
+                self.dir,
                 &format!("{csv_prefix}_errorbars.gp"),
                 &gnuplot_script(title, &format!("{csv_prefix}_errorbars.png"), &series),
             );
@@ -404,7 +408,7 @@ mod tests {
     #[test]
     fn one_seed_prints_the_run_itself() {
         let plan = plan(1);
-        let renderer = Renderer::new(&plan);
+        let renderer = Renderer::new(&plan, Path::new("unused"));
         let layout = layout(all_metrics());
         let cell = cell(&[&[0.25, 0.5, 0.75]]);
         assert_eq!(
@@ -422,7 +426,7 @@ mod tests {
     #[test]
     fn many_seeds_print_mean_std_and_count_the_seeds_that_got_there() {
         let plan = plan(3);
-        let renderer = Renderer::new(&plan);
+        let renderer = Renderer::new(&plan, Path::new("unused"));
         let mut layout = layout(all_metrics());
         layout.seeds_column = true;
         // The third seed stops one evaluation early and never reaches 50 %.
@@ -460,7 +464,7 @@ mod tests {
     #[test]
     fn grid_counts_are_over_the_cell_s_survivors() {
         let plan = plan(3);
-        let renderer = Renderer::new(&plan);
+        let renderer = Renderer::new(&plan, Path::new("unused"));
         let columns = || {
             vec![
                 Column::new(Metric::TotalTime, "total time (s)", "total_time_s"),
@@ -491,7 +495,7 @@ mod tests {
     #[test]
     fn a_cell_without_survivors_has_no_row_and_pivots_to_n_a() {
         let plan = plan(1);
-        let renderer = Renderer::new(&plan);
+        let renderer = Renderer::new(&plan, Path::new("unused"));
         let layout = Layout {
             keys: vec![("N", "n"), ("mechanism", "mechanism")],
             rows: [

@@ -10,7 +10,7 @@
 
 use crate::stats::PointStats;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::RwLock;
 
 /// A simple fixed-column text table.
@@ -73,23 +73,23 @@ impl Table {
     }
 }
 
-/// Process-wide override for [`results_dir`]. `None` (the default) keeps the
-/// historical CWD-relative `results/` directory, so batch binaries are
-/// byte-identical with or without this hook; the job server points it at a
-/// per-job results store before driving a grid.
+/// Where [`write_csv`] writes: the cwd-relative `results/` unless
+/// [`set_results_dir`] redirected it. Process-wide, so the scenario driver
+/// and the examples name their directory through [`write_csv_in`] instead;
+/// the two functions stay for `benchmark/`'s CSV-write probe, which calls
+/// them.
 static RESULTS_DIR_OVERRIDE: RwLock<Option<PathBuf>> = RwLock::new(None);
 
-/// Redirect [`results_dir`] (and therefore every CSV writer) to `dir`, or
-/// restore the default with `None`. Affects the whole process; callers that
-/// drive grids one at a time (the job executor) set it around each run.
+/// Redirect [`write_csv`] to `dir`, or restore `results/` with `None`.
+/// Affects the whole process.
 pub fn set_results_dir(dir: Option<PathBuf>) {
     *RESULTS_DIR_OVERRIDE
         .write()
         .unwrap_or_else(|e| e.into_inner()) = dir;
 }
 
-/// Directory where the CSV writers drop their outputs.
-pub fn results_dir() -> PathBuf {
+/// The directory [`write_csv`] writes into.
+fn results_dir() -> PathBuf {
     RESULTS_DIR_OVERRIDE
         .read()
         .unwrap_or_else(|e| e.into_inner())
@@ -97,26 +97,30 @@ pub fn results_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("results"))
 }
 
-/// Write `contents` to `results/<name>`, creating the directory if needed.
+/// Write `contents` to `<dir>/<name>`, creating the directory if needed.
 /// Returns the written path.
 ///
 /// The write goes through [`telemetry::write_atomic`], the one way a durable
-/// file is written: a crash mid-write can leave a stale `results/<name>.tmp`
-/// behind but never a torn file at the final path. A CSV that already holds
+/// file is written: a crash mid-write can leave a stale `<name>.tmp` behind
+/// but never a torn file at the final path. A CSV that already holds
 /// `contents` (a resumed run renders the same bytes) is left in place, only
 /// fsynced; its mtime does not advance.
-pub fn write_csv(name: &str, contents: &str) -> std::io::Result<PathBuf> {
-    let dir = results_dir();
-    fs::create_dir_all(&dir)?;
+pub fn write_csv_in(dir: &Path, name: &str, contents: &str) -> std::io::Result<PathBuf> {
+    fs::create_dir_all(dir)?;
     let path = dir.join(name);
     telemetry::write_atomic(&path, contents.as_bytes())?;
     Ok(path)
 }
 
-/// Helper for examples: write a CSV and print where it went; swallow (but
-/// report) I/O errors so a read-only filesystem does not kill an experiment.
-pub fn try_write_csv(name: &str, contents: &str) {
-    match write_csv(name, contents) {
+/// [`write_csv_in`] the directory [`set_results_dir`] chose.
+pub fn write_csv(name: &str, contents: &str) -> std::io::Result<PathBuf> {
+    write_csv_in(&results_dir(), name, contents)
+}
+
+/// Write a CSV into `dir` and print where it went; swallow (but report) I/O
+/// errors so a read-only filesystem does not kill an experiment.
+pub fn try_write_csv(dir: &Path, name: &str, contents: &str) {
+    match write_csv_in(dir, name, contents) {
         Ok(path) => println!("  -> wrote {}", path.display()),
         Err(e) => eprintln!("  (could not write {name}: {e})"),
     }
@@ -360,12 +364,12 @@ mod tests {
 
     #[test]
     fn write_csv_is_atomic_via_tmp_rename() {
-        let _lock = DIR_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let dir = std::env::temp_dir().join(format!("report_atomic_{}", std::process::id()));
         let name = "atomic_write_test.csv";
-        let final_path = results_dir().join(name);
-        let tmp_path = results_dir().join(format!("{name}.tmp"));
+        let final_path = dir.join(name);
+        let tmp_path = dir.join(format!("{name}.tmp"));
         // Establish known contents at the final path.
-        write_csv(name, "old,complete\n").unwrap();
+        write_csv_in(&dir, name, "old,complete\n").unwrap();
         assert_eq!(fs::read_to_string(&final_path).unwrap(), "old,complete\n");
         // Simulate a crash mid-write: a torn partial lands at the tmp path
         // (exactly where write_csv stages its bytes) and the process dies
@@ -373,10 +377,10 @@ mod tests {
         fs::write(&tmp_path, "new,tor").unwrap();
         assert_eq!(fs::read_to_string(&final_path).unwrap(), "old,complete\n");
         // A completed write replaces the file and consumes the staging file.
-        write_csv(name, "new,complete\n").unwrap();
+        write_csv_in(&dir, name, "new,complete\n").unwrap();
         assert_eq!(fs::read_to_string(&final_path).unwrap(), "new,complete\n");
         assert!(!tmp_path.exists(), "rename must consume the staging file");
-        fs::remove_file(&final_path).ok();
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -7,7 +7,7 @@ use experiments::harness::{
     run_mechanism_cells, run_replicated_isolated_plan, MechanismCell, MechanismChoice, NoCache,
     ReplicatedOutcome, RunPolicy, RunSummary, SeedPlan,
 };
-use experiments::report::write_csv;
+use experiments::report::write_csv_in;
 use fedml::rng::Rng64;
 
 use airfedga::mechanism::EngineOptions;
@@ -183,8 +183,10 @@ fn mixed_success_and_failure_yields_a_partial_csv() {
             stat.first().final_accuracy
         ));
     }
-    let path = write_csv("test_partial_fault_grid.csv", &csv).unwrap();
+    let dir = std::env::temp_dir().join(format!("fault_isolation_{}", std::process::id()));
+    let path = write_csv_in(&dir, "test_partial_fault_grid.csv", &csv).unwrap();
     let text = std::fs::read_to_string(path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
     assert_eq!(text.lines().count(), 3, "header + two survivors:\n{text}");
     assert!(text.contains("Dynamic"));
     assert!(text.contains("Air-FedGA"));

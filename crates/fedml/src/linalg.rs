@@ -10,9 +10,10 @@
 //!
 //! * [`gemm_nn`] — `C = A · B` with `B` in k-major (contraction-major)
 //!   layout. This is the workhorse: the backward data pass (`δ_prev = δ · W`)
-//!   uses it directly, and the forward pass uses it after a cheap one-off
-//!   weight `transpose` (`Z = X · Wᵀ = X · transpose(W)`), which is
-//!   O(parameters) next to the GEMM's O(batch · parameters).
+//!   uses it directly, and the forward pass uses it after a weight
+//!   `transpose` per batch (`Z = X · Wᵀ = X · transpose(W)`). That is
+//!   O(parameters) next to the GEMM's O(batch · parameters), but not cheap
+//!   at the modal 16-row batch: ≈ 17 % of a 64→64→64→10 SGD step.
 //! * [`gemm_tn_acc`] — `C += α · Aᵀ · B`, the weight-gradient pass
 //!   (`δᵀ · X`). At `α = −γ` it accumulates straight into the weights, which
 //!   lets a whole SGD step run without materialising the gradient; at `α = 1`
@@ -184,7 +185,7 @@ fn tally_gemm(counter: &'static telemetry::metrics::Counter, m: usize, n: usize,
 /// `C = A · B` where `a` is `m × k`, `b` is `k × n` and `c` is `m × n`, all
 /// row-major. This is the workhorse kernel: the backward data pass
 /// (`δ_prev = δ · W`) uses it directly, and the forward pass uses it after a
-/// cheap one-off weight `transpose` (`Z = X · Wᵀ = X · transpose(W)`).
+/// weight `transpose` per batch (`Z = X · Wᵀ = X · transpose(W)`).
 ///
 /// Each output row is accumulated from four `B` rows at a time
 /// (`axpy4_into`), so the inner loop is a run of independent element-wise
@@ -587,9 +588,10 @@ fn axpy4x2_into(
 
 /// Transpose the row-major `rows × cols` matrix `src` into `dst`
 /// (`cols × rows`). The batched forward pass transposes each layer's weight
-/// matrix once per call (O(parameters), trivial next to the GEMM's
-/// O(batch · parameters)) so that `Z = X · Wᵀ` can run through the
-/// vectorised [`gemm_nn`] kernel.
+/// matrix once per call so that `Z = X · Wᵀ` can run through the vectorised
+/// [`gemm_nn`] kernel. The cost is O(parameters) against the GEMM's
+/// O(batch · parameters), which at a 16-row batch is no rounding error:
+/// 6.8–7.9 µs of a 40–46 µs SGD step on a 64→64→64→10 `Mlp` (≈ 17 %).
 pub(crate) fn transpose(src: &[f64], dst: &mut [f64], rows: usize, cols: usize) {
     assert_eq!(
         src.len(),

@@ -7,7 +7,8 @@
 //!   spec.toml     the submitted scenario text, verbatim
 //!   meta          the state record (this module's codec)
 //!   results/      the job's CSV output (`--results-dir`)
-//!   report.txt    failure report + cache summary, written at completion
+//!   report.txt    state, cache summary, `harness:` lines, failure report,
+//!                 written at completion
 //! ```
 //!
 //! `meta` is a small line-based `key value` file in the runstore style

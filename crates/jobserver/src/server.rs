@@ -308,7 +308,7 @@ impl Server {
         };
         simcore::cancel::reset_cancel_all();
 
-        let (state, unrecovered, cache, error) = match outcome {
+        let (state, unrecovered, cache, harness, error) = match outcome {
             Ok(Ok(Ok(report))) => {
                 let unrecovered = report.failures.iter().filter(|f| !f.recovered).count() as u64;
                 let failure_text = report.failure_report();
@@ -326,7 +326,8 @@ impl Server {
                 } else {
                     Some(failure_text)
                 };
-                (state, unrecovered, report.cache, error)
+                let harness: String = report.harness_summary().map(|l| l + "\n").collect();
+                (state, unrecovered, report.cache, harness, error)
             }
             Ok(Ok(Err(spec_err))) => {
                 let state = if cancel_requested {
@@ -334,7 +335,7 @@ impl Server {
                 } else {
                     JobState::Failed
                 };
-                (state, 0, None, Some(spec_err.to_string()))
+                (state, 0, None, String::new(), Some(spec_err.to_string()))
             }
             Ok(Err(panic)) => {
                 let msg = panic
@@ -346,6 +347,7 @@ impl Server {
                     JobState::Failed,
                     0,
                     None,
+                    String::new(),
                     Some(format!("driver panicked: {msg}")),
                 )
             }
@@ -353,6 +355,7 @@ impl Server {
                 JobState::Failed,
                 0,
                 None,
+                String::new(),
                 Some(format!("cannot read the stored spec: {io_err}")),
             ),
         };
@@ -369,6 +372,7 @@ impl Server {
             report_text.push_str(&stats.summary());
             report_text.push('\n');
         }
+        report_text.push_str(&harness);
         if let Some(error) = &error {
             report_text.push_str(error);
             if !error.ends_with('\n') {

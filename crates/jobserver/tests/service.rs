@@ -1,9 +1,8 @@
 //! End-to-end service tests: wire round trips, queue/cancel semantics over a
 //! live executor, and the kill-the-daemon crash-recovery story.
 //!
-//! The in-process tests share one executor-global surface (the results-dir
-//! override, the progress sink, the process-wide cancel flag), so they
-//! serialize on [`LOCK`]. The kill/restart test drives the real
+//! The in-process tests share one executor-global surface (the progress
+//! sink, the process-wide cancel flag), so they serialize on [`LOCK`]. The kill/restart test drives the real
 //! `airfedga-serve` binary in child processes and needs no lock.
 
 #![expect(
@@ -156,6 +155,18 @@ fn http_submit_execute_fetch_and_dedup_round_trip() {
         .and_then(jobserver::json::Json::as_u64)
         .unwrap();
     assert!(misses > 0, "first run must compute replicates");
+    // Air-FedAvg reads no xi: per seed its xi=1.0 cell reuses the xi=0.3
+    // training, and the job's report says so as `airfedga-run` would.
+    let harness_lines = |id: u64| -> Vec<String> {
+        let report = root.join("jobs").join(id.to_string()).join("report.txt");
+        let report = fs::read_to_string(report).unwrap();
+        let lines = report.lines().filter(|l| l.starts_with("harness: "));
+        lines.map(str::to_string).collect()
+    };
+    assert_eq!(
+        harness_lines(id),
+        ["harness: 2 of 8 replicate(s) reused an identical replicate computed in this run"]
+    );
 
     // The job's CSVs are in its own results store and fetchable.
     let files = client::result_files(&addr, id).unwrap();
@@ -192,6 +203,8 @@ fn http_submit_execute_fetch_and_dedup_round_trip() {
         "duplicate submission recomputed: {}",
         dup_cache.summary()
     );
+    // All hits: nothing ran, so nothing was shared or copied.
+    assert!(harness_lines(dup).is_empty(), "{:?}", harness_lines(dup));
     // The duplicate's CSV is byte-identical to the first job's.
     let dup_csv = client::fetch_file(&addr, dup, "jobsvc_tiny_grid.csv").unwrap();
     assert_eq!(csv, dup_csv);

@@ -79,8 +79,9 @@ fn main() {
                 eprintln!("{}", cache.summary());
             }
             // "Recomputed" counts store misses, not trainings: say so when
-            // some of them were served by one shared training.
-            if let Some(line) = report.sharing_summary() {
+            // some of them were served by one shared training or copied
+            // from a stored twin.
+            for line in report.harness_summary() {
                 eprintln!("{line}");
             }
             if let Some(profile) = &report.profile {

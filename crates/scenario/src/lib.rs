@@ -17,9 +17,10 @@
 //!   drivers, and the CLI glue ([`CliOverrides::parse`]: `--seeds` /
 //!   `--system-seeds` override the spec's keys; `--resume` / `--fresh`
 //!   select the crash-safe run store). The [`ExecutionReport`] says what
-//!   failed, what the store did, and how many replicates reused an identical
+//!   failed, what the store did, how many replicates reused an identical
 //!   one trained in the same run (a `grid`'s ξ-less mechanisms, repeated per
-//!   ξ value).
+//!   ξ value), and how many store misses were copied from an identical
+//!   replicate the store still held.
 //!
 //! One binary: `airfedga-run <scenario.toml>` runs any spec file, and the
 //! committed `scenarios/fig{3,4,5,6,8,9,9_cifar,10}.toml` are how the

@@ -102,7 +102,8 @@ pub struct CliOverrides {
     /// identical replicates dedup across jobs.
     pub store_root: Option<PathBuf>,
     /// `--results-dir <dir>`, relocating CSV output away from the default
-    /// `results/`. The job server gives each job its own results store.
+    /// cwd-relative `results/`. The job server gives each job its own
+    /// results store.
     pub results_dir: Option<PathBuf>,
 }
 
@@ -186,8 +187,12 @@ pub struct ExecutionReport {
     pub replicates: usize,
     /// Replicates that took the result of an identical replicate computed in
     /// this run instead of running (`ReplicatedOutcome::shared`): the store's
-    /// "recomputed" count minus this is the number of trainings run.
+    /// "recomputed" count minus this and [`Self::copied_replicates`] is the
+    /// number of trainings run.
     pub shared_replicates: usize,
+    /// Store misses that took a clone of an identical stored replicate
+    /// instead of running (`ReplicatedOutcome::copied`).
+    pub copied_replicates: usize,
     /// Run-store cache statistics (hits / recomputes / corrupt degrades)
     /// when the run used `--resume` / `--fresh`; `None` with the store
     /// disabled. Collected even with telemetry off.
@@ -219,6 +224,18 @@ impl ExecutionReport {
                 self.shared_replicates, self.replicates
             )
         })
+    }
+
+    /// The `harness:` stderr lines: [`Self::sharing_summary`], then how many
+    /// replicates were copied from a stored twin; each only when non-zero.
+    pub fn harness_summary(&self) -> impl Iterator<Item = String> {
+        let copied = (self.copied_replicates > 0).then(|| {
+            format!(
+                "harness: {} of {} replicate(s) copied from an identical stored replicate",
+                self.copied_replicates, self.replicates
+            )
+        });
+        self.sharing_summary().into_iter().chain(copied)
     }
 }
 
@@ -295,31 +312,6 @@ fn open_store(
     })
 }
 
-/// RAII redirect of `experiments::report`'s results directory; restores the
-/// default on drop (including the error paths out of [`execute`]).
-struct ResultsDirGuard {
-    redirected: bool,
-}
-
-impl ResultsDirGuard {
-    fn install(dir: Option<&Path>) -> Self {
-        if let Some(dir) = dir {
-            experiments::report::set_results_dir(Some(dir.to_path_buf()));
-        }
-        Self {
-            redirected: dir.is_some(),
-        }
-    }
-}
-
-impl Drop for ResultsDirGuard {
-    fn drop(&mut self) {
-        if self.redirected {
-            experiments::report::set_results_dir(None);
-        }
-    }
-}
-
 /// RAII scope of the process-global telemetry switch: a clean slate and
 /// recording on for one [`execute`], off again on every way out of it — the
 /// error paths and a panic the job server catches included — so one run's
@@ -355,7 +347,7 @@ pub fn execute(
     let policy = run_policy(spec);
     let store = open_store(spec, scale, &params, cli.store, cli.store_root.as_deref())?;
     let store_cache = store.as_ref().map(StoreCache::new);
-    let _results_guard = ResultsDirGuard::install(cli.results_dir.as_deref());
+    let results_dir = cli.results_dir.as_deref().unwrap_or(Path::new("results"));
     let cache: &dyn ReplicateCache = match &store_cache {
         Some(c) => c,
         None => &NoCache,
@@ -399,7 +391,8 @@ pub fn execute(
         &policy,
         cache,
     );
-    render(spec, &Renderer::new(&plan), &layout, &outcome.cells);
+    let renderer = Renderer::new(&plan, results_dir);
+    render(spec, &renderer, &layout, &outcome.cells);
     drop(grid_span);
 
     // Cache statistics are collected even with telemetry off (the atomics
@@ -408,6 +401,7 @@ pub fn execute(
         replicates: outcome.cells.len() * params.num_seeds.max(1),
         failures: outcome.failures,
         shared_replicates: outcome.shared,
+        copied_replicates: outcome.copied,
         cache: store_cache.as_ref().map(StoreCache::stats),
         profile: None,
     };
@@ -806,12 +800,14 @@ fn print_speedups(cells: &[Option<CellStats>], target: f64) {
 mod tests {
     use super::*;
 
-    /// Overrides whose run store lives under a temp dir of the test's own, so
-    /// no test shares a store slot or leaves one in the source tree.
+    /// Overrides whose run store and results directory live under a temp
+    /// dir of the test's own, so no test shares a store slot or a CSV, or
+    /// leaves one in the source tree.
     fn hermetic(tag: &str) -> CliOverrides {
         let root = std::env::temp_dir().join(format!("scenario_run_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         CliOverrides {
+            results_dir: Some(root.join("results")),
             store_root: Some(root),
             ..CliOverrides::default()
         }
@@ -928,17 +924,18 @@ rounds = 6
 eval_every = 2
 "#;
         let spec = ScenarioSpec::parse(src).unwrap();
-        let trace = Path::new("results/test_scenario_canonical_air_fedga.csv");
-        let bars = Path::new("results/test_scenario_canonical_air_fedga_errorbars.csv");
+        let hermetic = hermetic("canonical");
+        let results = hermetic.results_dir.clone().unwrap();
+        let trace = results.join("test_scenario_canonical_air_fedga.csv");
+        let bars = results.join("test_scenario_canonical_air_fedga_errorbars.csv");
         let run = |seeds| {
             let cli = CliOverrides {
                 seeds: Some(seeds),
-                ..CliOverrides::default()
+                ..hermetic.clone()
             };
             assert!(execute(&spec, Scale::Quick, &cli).unwrap().is_clean());
-            std::fs::read_to_string(trace).unwrap()
+            std::fs::read_to_string(&trace).unwrap()
         };
-        let _ = std::fs::remove_file(bars);
         let single = run(1);
         assert!(!bars.exists(), "one seed has no error bars");
         assert_eq!(run(3), single);
@@ -1055,9 +1052,10 @@ xi = [0.3, 1.0]
         let stats = populate.cache.expect("store was active");
         assert_eq!(stats.hits, 0);
         assert_eq!(stats.misses, 4);
-        let csv = Path::new("results/test_scenario_resume_grid.csv");
-        let first = std::fs::read(csv).unwrap();
-        std::fs::remove_file(csv).unwrap();
+        let csv = fresh.results_dir.clone().unwrap();
+        let csv = csv.join("test_scenario_resume_grid.csv");
+        let first = std::fs::read(&csv).unwrap();
+        std::fs::remove_file(&csv).unwrap();
 
         // 2 cells × 2 seeds, all persisted by the fresh run.
         let params = figure_params(&spec, Scale::Quick, &fresh);
@@ -1153,19 +1151,21 @@ seeds = 2
 xi = [0.3, 1.0]
 "#;
         let spec = ScenarioSpec::parse(src).unwrap();
-        let csv = Path::new("results/test_scenario_telemetry_grid.csv");
+        let hermetic = hermetic("telemetry");
+        let csv = hermetic.results_dir.clone().unwrap();
+        let csv = csv.join("test_scenario_telemetry_grid.csv");
 
-        let off = execute(&spec, Scale::Quick, &hermetic("telemetry")).unwrap();
+        let off = execute(&spec, Scale::Quick, &hermetic).unwrap();
         assert!(off.is_clean());
         assert!(off.profile.is_none());
-        let off_bytes = std::fs::read(csv).unwrap();
-        std::fs::remove_file(csv).unwrap();
+        let off_bytes = std::fs::read(&csv).unwrap();
+        std::fs::remove_file(&csv).unwrap();
 
         let dir = std::env::temp_dir().join("scenario_telemetry_on_off_test");
         let _ = std::fs::remove_dir_all(&dir);
         let cli = CliOverrides {
             telemetry: Some(dir.display().to_string()),
-            ..hermetic("telemetry")
+            ..hermetic
         };
         let on = execute(&spec, Scale::Quick, &cli).unwrap();
         assert!(on.is_clean());
@@ -1216,7 +1216,7 @@ xi = [0.3, 1.0]
         let spec = ScenarioSpec::parse(src).unwrap();
         let cli = CliOverrides {
             telemetry: Some(dir),
-            ..CliOverrides::default()
+            ..hermetic("matrix")
         };
         assert!(execute(&spec, Scale::Quick, &cli).unwrap().is_clean());
     }
@@ -1310,12 +1310,8 @@ workload = "mnist_lr_quick"
     fn sweep_kinds_resume_to_identical_csv_bytes() {
         let hermetic = hermetic("sweep_store");
         for (src, csv, replicates) in [
-            (TINY_XI_SWEEP, "results/test_scenario_store_xi_sweep.csv", 4),
-            (
-                TINY_SCALABILITY,
-                "results/test_scenario_store_scalability.csv",
-                8,
-            ),
+            (TINY_XI_SWEEP, "test_scenario_store_xi_sweep.csv", 4),
+            (TINY_SCALABILITY, "test_scenario_store_scalability.csv", 8),
         ] {
             let spec = ScenarioSpec::parse(&src.replace("NAME", "test_scenario_store")).unwrap();
             let run = |store: StoreMode| {
@@ -1325,8 +1321,9 @@ workload = "mnist_lr_quick"
                 };
                 let report = execute(&spec, Scale::Quick, &cli).unwrap();
                 assert!(report.is_clean());
-                let bytes = std::fs::read(csv).unwrap();
-                std::fs::remove_file(csv).unwrap();
+                let csv = cli.results_dir.unwrap().join(csv);
+                let bytes = std::fs::read(&csv).unwrap();
+                std::fs::remove_file(&csv).unwrap();
                 (report.cache.expect("store was active"), bytes)
             };
             let (fresh_stats, fresh_bytes) = run(StoreMode::Fresh);
@@ -1352,7 +1349,7 @@ workload = "mnist_lr_quick"
         ] {
             let src = format!("{src}{broken}").replace("NAME", "test_scenario_sweep_panic");
             let spec = ScenarioSpec::parse(&src).unwrap();
-            let report = execute(&spec, Scale::Quick, &CliOverrides::default()).unwrap();
+            let report = execute(&spec, Scale::Quick, &hermetic("sweep_panic")).unwrap();
             assert!(!report.is_clean());
             let first = &report.failures[0];
             assert_eq!((first.index, first.label.as_str()), (0, first_label));

@@ -369,6 +369,73 @@ fn store_root_and_results_dir_relocation_is_byte_identical() {
     fs::remove_dir_all(&reloc_cwd).ok();
 }
 
+/// A `--resume` after a partial loss repairs the store without a trace of
+/// the loss, on every schedule: `joint_xi_workers` at quick scale runs
+/// `--fresh`, loses every second `.run` file (sorted by name), and resumes
+/// from a copy of that half-deleted store under each of [`SCHEDULES`].
+/// Stdout, `results/` and every store file equal the fresh run's, and the
+/// store and harness report lines are exact: two of the six lost replicates
+/// are Air-FedAvg's with a surviving twin and are copied; four train.
+#[test]
+fn a_partial_loss_resume_is_byte_identical_on_every_schedule() {
+    let spec = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/joint_xi_workers.toml");
+    let spec = spec.to_str().unwrap();
+    let fresh_cwd = tmp_dir("partial_loss_fresh");
+    let fresh = run_in(&fresh_cwd, &[spec, "--fresh"]);
+    assert_eq!(fresh.status.code(), Some(0));
+    let fresh_results = snapshot(&fresh_cwd.join("results"));
+    let fresh_store = snapshot(&fresh_cwd.join("runstore"));
+    let runs: Vec<&String> = fresh_store.keys().filter(|f| f.ends_with(".run")).collect();
+    assert_eq!(runs.len(), 12);
+    for rel in runs.into_iter().skip(1).step_by(2) {
+        fs::remove_file(fresh_cwd.join("runstore").join(rel)).unwrap();
+    }
+    let mut half = snapshot_all(&fresh_cwd.join("runstore"));
+    half.retain(|rel, _| !rel.ends_with("lock"));
+
+    for &(threads, chunks) in SCHEDULES {
+        let cwd = tmp_dir(&format!("partial_loss_{threads}x{chunks}"));
+        for (rel, bytes) in &half {
+            let path = cwd.join("runstore").join(rel);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, bytes).unwrap();
+        }
+        let env = [("PARALLEL_THREADS", threads), ("PARALLEL_CHUNKS", chunks)];
+        let resume = run_with_env(&cwd, &[spec, "--resume"], &env);
+        let stderr = String::from_utf8_lossy(&resume.stderr);
+        assert_eq!(
+            resume.status.code(),
+            Some(0),
+            "{threads}x{chunks}: {stderr}"
+        );
+        let report: Vec<&str> = stderr
+            .lines()
+            .filter(|l| l.starts_with("runstore: ") || l.starts_with("harness: "))
+            .collect();
+        assert_eq!(
+            report,
+            [
+                "runstore: 6 hit(s), 6 recomputed, 0 corrupt file(s) degraded to recompute",
+                "harness: 2 of 12 replicate(s) copied from an identical stored replicate",
+            ],
+            "{threads}x{chunks}"
+        );
+        assert_eq!(resume.stdout, fresh.stdout, "{threads}x{chunks}");
+        assert_eq!(
+            snapshot(&cwd.join("results")),
+            fresh_results,
+            "{threads}x{chunks}"
+        );
+        assert_eq!(
+            snapshot(&cwd.join("runstore")),
+            fresh_store,
+            "{threads}x{chunks}"
+        );
+        fs::remove_dir_all(&cwd).ok();
+    }
+    fs::remove_dir_all(&fresh_cwd).ok();
+}
+
 /// An all-hits `--resume` renders every CSV and opens every store slot again,
 /// but writes nothing: each file under `results/` and `runstore/` keeps its
 /// bytes and its inode (no staged rename), and stdout is the `--fresh` run's.

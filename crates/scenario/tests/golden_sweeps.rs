@@ -8,8 +8,6 @@
 //! before the runner began training each distinct replicate once. So this
 //! test is what says those changes — and any later one to the runner, the
 //! drivers or the flattened cell layout — left the output alone.
-//!
-//! One `#[test]` on purpose: `--results-dir` is a process-wide redirect.
 
 use experiments::scale::Scale;
 use scenario::run::execute;
@@ -36,9 +34,9 @@ fn run_files(store_root: &Path) -> Vec<std::path::PathBuf> {
     files
 }
 
-/// Delete the stored replicate of `(cell, run_seed)`, found through the
+/// The file of the stored replicate of `(cell, run_seed)`, found through the
 /// journal's `<key> cell=<ci> run_seed=<seed> …` line.
-fn delete_replicate(store_root: &Path, cell: usize, run_seed: u64) {
+fn replicate_file(store_root: &Path, cell: usize, run_seed: u64) -> std::path::PathBuf {
     let spec_dir = run_files(store_root)[0].parent().unwrap().to_path_buf();
     let journal = std::fs::read_to_string(spec_dir.join("journal")).unwrap();
     let needle = format!(" cell={cell} run_seed={run_seed} ");
@@ -47,7 +45,7 @@ fn delete_replicate(store_root: &Path, cell: usize, run_seed: u64) {
         .find(|l| l.contains(&needle))
         .expect("replicate was journalled");
     let key = line.split(' ').next().unwrap();
-    std::fs::remove_file(spec_dir.join(format!("{key}.run"))).unwrap();
+    spec_dir.join(format!("{key}.run"))
 }
 
 #[test]
@@ -110,18 +108,39 @@ fn sweep_kinds_reproduce_the_pinned_csv_bytes() {
             "grid ({store:?}) no longer matches grid_s2.csv"
         );
         let stats = report.cache.expect("store was active");
-        (stats.hits, stats.misses, report.shared_replicates)
+        (
+            (stats.hits, stats.misses, report.shared_replicates),
+            stats.corrupt_degraded,
+            report.copied_replicates,
+        )
     };
-    assert_eq!(run(StoreMode::Fresh), (0, 12, 4));
-    assert_eq!(run_files(&store_root).len(), 12);
+    // Every `.run` file's path and bytes.
+    let files = || -> Vec<(std::path::PathBuf, Vec<u8>)> {
+        let files = run_files(&store_root).into_iter();
+        files
+            .map(|f| (f.clone(), std::fs::read(f).unwrap()))
+            .collect()
+    };
+    assert_eq!(run(StoreMode::Fresh), ((0, 12, 4), 0, 0));
+    let fresh = files();
+    assert_eq!(fresh.len(), 12);
     // Lose one follower (FedAvg at xi=0.8, first seed) and one leader
-    // (Air-FedAvg at xi=0.3, second seed): each is recomputed for itself.
-    delete_replicate(&store_root, 3, 4242);
-    delete_replicate(&store_root, 1, 4243);
+    // (Air-FedAvg at xi=0.3, second seed): each is copied from its stored
+    // twin, and nothing trains.
+    std::fs::remove_file(replicate_file(&store_root, 3, 4242)).unwrap();
+    std::fs::remove_file(replicate_file(&store_root, 1, 4243)).unwrap();
     assert_eq!(run_files(&store_root).len(), 10);
-    assert_eq!(run(StoreMode::Resume), (10, 2, 0));
-    assert_eq!(run_files(&store_root).len(), 12);
-    assert_eq!(run(StoreMode::Resume), (12, 0, 0));
+    assert_eq!(run(StoreMode::Resume), ((10, 2, 0), 0, 2));
+    assert_eq!(files(), fresh);
+    assert_eq!(run(StoreMode::Resume), ((12, 0, 0), 0, 0));
+    // A corrupt file with an intact twin heals the same way: truncate
+    // FedAvg at xi=0.8, first seed; the store degrades it to a miss, the
+    // runner copies its twin over it, and nothing trains.
+    let truncated = replicate_file(&store_root, 3, 4242);
+    let bytes = std::fs::read(&truncated).unwrap();
+    std::fs::write(&truncated, &bytes[..bytes.len() / 2]).unwrap();
+    assert_eq!(run(StoreMode::Resume), ((11, 0, 0), 1, 1));
+    assert_eq!(files(), fresh);
 
     std::fs::remove_dir_all(&out).ok();
 }

@@ -17,6 +17,7 @@ use air_fedga::airfedga::system::FlSystemConfig;
 use air_fedga::experiments::report::{try_write_csv, Table};
 use air_fedga::experiments::scale::Scale;
 use air_fedga::fedml::rng::Rng64;
+use std::path::Path;
 
 fn quantile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
@@ -114,5 +115,5 @@ fn main() {
         );
     }
 
-    try_write_csv("fig7_grouping.csv", &csv);
+    try_write_csv(Path::new("results"), "fig7_grouping.csv", &csv);
 }

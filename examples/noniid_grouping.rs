@@ -16,6 +16,7 @@ use air_fedga::fedml::rng::Rng64;
 use air_fedga::grouping::emd::{average_group_emd, group_emd};
 use air_fedga::grouping::tifl::{default_tier_count, tifl_grouping};
 use air_fedga::grouping::worker_info::Grouping;
+use std::path::Path;
 
 /// Table III: average inter-group EMD of the per-worker, TiFL and Air-FedGA
 /// groupings on the paper's setup. Paper values: 1.8 → 0.69 → 0.21; the
@@ -54,7 +55,7 @@ fn print_table3() {
     );
     println!("{}", table.render());
     println!("Paper reference values: Original 1.8, TiFL 0.69, Air-FedGA 0.21");
-    try_write_csv("table3_emd.csv", &csv);
+    try_write_csv(Path::new("results"), "table3_emd.csv", &csv);
 }
 
 fn main() {
