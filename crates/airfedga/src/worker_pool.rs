@@ -36,7 +36,6 @@ use fedml::optimizer::local_update_from_ws;
 use fedml::params::FlatParams;
 use fedml::rng::Rng64;
 use fedml::workspace::Workspace;
-use parallel::prelude::*;
 
 use crate::system::FlSystem;
 
@@ -178,10 +177,10 @@ impl WorkerPool {
             });
             (rest, first) = (tail, end);
         }
-        // One pool item per lane (a map targets at least `max_threads()`
-        // chunks, and there are no more lanes than that); a single lane runs
-        // in-line.
-        let _: Vec<()> = work.into_par_iter().map(train_lane).collect();
+        // One pool item per lane, so one lane per chunk (a map targets at
+        // least `max_threads()` chunks, and there are no more lanes than
+        // that); a single lane runs in-line.
+        parallel::par_map(work, train_lane);
     }
 
     /// Worker `w`'s row of the latest round. Panics if `w` did not train in

@@ -40,7 +40,6 @@ use airfedga::system::{FlSystem, FlSystemConfig};
 use baselines::Mechanism;
 pub use baselines::MechanismChoice;
 use fedml::rng::Rng64;
-use parallel::prelude::*;
 use simcore::trace::TrainingTrace;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -123,9 +122,9 @@ impl RunSummary {
 /// CI determinism job uses to cross-check the parallel schedule.
 ///
 /// Grid cells are exactly the workload over-decomposition exists for —
-/// heterogeneous mechanisms and seeds finishing at very different times — so
-/// the fan-out passes [`ChunkHint::Fine`] to the pool (scheduling-only: any
-/// hint, and any explicit `PARALLEL_CHUNKS` pin, is bit-identical).
+/// heterogeneous mechanisms and seeds finishing at very different times —
+/// which is why [`parallel::chunk_factor`] defaults to 16 (scheduling-only:
+/// any `PARALLEL_CHUNKS` pin is bit-identical).
 pub fn run_grid<T, R, F>(cells: Vec<T>, run_cell: F) -> Vec<R>
 where
     T: Send,
@@ -133,20 +132,16 @@ where
     F: Fn(T) -> R + Sync,
 {
     let indexed: Vec<(usize, T)> = cells.into_iter().enumerate().collect();
-    indexed
-        .into_par_iter()
-        .map(|(index, cell)| {
-            // Re-panic with the cell index attached: a bare worker panic
-            // ("index out of bounds…") is useless in a 100-cell grid.
-            match catch_unwind(AssertUnwindSafe(|| run_cell(cell))) {
-                Ok(result) => result,
-                Err(payload) => {
-                    panic!("grid cell {index} panicked: {}", panic_message(&*payload))
-                }
+    parallel::par_map(indexed, |(index, cell)| {
+        // Re-panic with the cell index attached: a bare worker panic
+        // ("index out of bounds…") is useless in a 100-cell grid.
+        match catch_unwind(AssertUnwindSafe(|| run_cell(cell))) {
+            Ok(result) => result,
+            Err(payload) => {
+                panic!("grid cell {index} panicked: {}", panic_message(&*payload))
             }
-        })
-        .with_chunk_hint(ChunkHint::Fine)
-        .collect()
+        }
+    })
 }
 
 /// Best-effort extraction of a panic payload's message (`&str` / `String`

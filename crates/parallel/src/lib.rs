@@ -1,10 +1,8 @@
-//! Rayon-style fork/join parallelism over a **persistent worker pool**.
+//! Order-preserving parallel map over a **persistent worker pool**.
 //!
-//! The build container has no crates.io access, so this crate provides the
-//! small slice of the rayon API the workspace needs — `par_iter().map(..)
-//! .collect()` over slices and owned vectors, plus the raw
-//! [`fork_join_chunks`] primitive they are built on — without pulling in a
-//! dependency.
+//! The workspace builds without crates.io, so instead of rayon this crate
+//! provides the one call it needs, [`par_map`] (an order-preserving map over
+//! an owned vector), and the [`fork_join_chunks`] primitive beneath it.
 //!
 //! ## Persistent pool semantics
 //!
@@ -23,7 +21,7 @@
 //! ## Nesting rules
 //!
 //! Fork/join calls may nest arbitrarily: a closure running on a pool worker
-//! (or on the caller) can itself call [`fork_join_chunks`] / `par_iter`.
+//! (or on the caller) can itself call [`fork_join_chunks`] / [`par_map`].
 //! Nested calls push to the same global queue, so idle workers **and joining
 //! callers** help with them. A thread only parks when its own call's chunks
 //! are all claimed and nothing it may help with is queued; it is woken by new
@@ -48,9 +46,9 @@
 //!
 //! ## Over-decomposed chunking
 //!
-//! A parallel map does **not** split its input into one contiguous chunk per
-//! thread: it publishes up to `PARALLEL_CHUNKS × threads` fixed-boundary
-//! contiguous chunks (default factor 4, capped by the item count). With one
+//! [`par_map`] does **not** split its input into one contiguous chunk per
+//! thread: it publishes up to [`chunk_factor`] `×` [`max_threads`]
+//! fixed-boundary contiguous chunks (capped by the item count). With one
 //! chunk per thread, a single expensive item — a heterogeneous mechanism in
 //! an experiment grid, a seed that runs long before hitting
 //! `max_virtual_time` — serializes the whole fan-out on the thread that drew
@@ -58,19 +56,18 @@
 //! work-claiming scheduler rebalance: threads that finish their cheap chunks
 //! claim the remaining ones, so the tail shrinks from "slowest chunk" towards
 //! "slowest single item". The factor trades tail latency against per-chunk
-//! queue overhead; 4 keeps the hot 2–4-item engine fan-outs at one item per
-//! chunk while giving large experiment grids room to balance. Callers that
-//! know their cost profile can override the factor per call with a
-//! [`ChunkHint`] (`.map(..).with_chunk_hint(..)`): fine splits for uneven
-//! experiment grids. An explicit `PARALLEL_CHUNKS` pin beats every hint;
-//! hints are scheduling-only and never change results.
+//! queue overhead. Its default, 16, gives uneven experiment grids room to
+//! balance and costs the training engine nothing: the engine's map hands the
+//! pool one item per training lane, at most `max_threads()` of them, and
+//! `min(threads × factor, n) = n` for any factor ≥ 1, so every lane is its
+//! own chunk whatever the factor.
 //!
 //! ## Determinism
 //!
 //! Two properties keep parallel runs **bit-identical** to sequential runs:
 //!
 //! * **Fixed chunk → output mapping**: chunks are contiguous input ranges and
-//!   each writes its own output slot; `collect()` concatenates the slots in
+//!   each writes its own output slot; [`par_map`] concatenates the slots in
 //!   input order. Which thread executes a chunk (or in what order) cannot
 //!   affect the result, so a work-claiming scheduler is safe to use — the
 //!   *assignment* of items to chunks is deterministic, the *scheduling* of
@@ -78,11 +75,11 @@
 //!   any `PARALLEL_CHUNKS` × `PARALLEL_THREADS` combination produces the
 //!   same concatenation, which the CI determinism job cross-checks by
 //!   diffing experiment outputs across both knobs.
-//! * **No shared mutable state**: the `map` closure receives each item by
-//!   value / shared reference; any per-item RNG or scratch state must travel
-//!   inside the item itself, which is exactly how the training engine hands
-//!   each lane its own scratch model and workspace and the slots (RNG stream,
-//!   parameter buffer) of the workers it trains.
+//! * **No shared mutable state**: the mapped closure receives each item by
+//!   value; any per-item RNG or scratch state must travel inside the item
+//!   itself, which is exactly how the training engine hands each lane its own
+//!   scratch model and workspace and the slots (RNG stream, parameter buffer)
+//!   of the workers it trains.
 //!
 //! Thread count defaults to [`std::thread::available_parallelism`] and can be
 //! pinned with the `PARALLEL_THREADS` environment variable, read once at
@@ -90,7 +87,9 @@
 //! threads are ever spawned — useful for profiling; by construction the
 //! results are identical either way). The over-decomposition factor is
 //! pinned the same way with `PARALLEL_CHUNKS` (``1`` restores
-//! one-chunk-per-thread).
+//! one-chunk-per-thread). An unset or empty variable means the default; any
+//! other value that is not a non-negative integer panics at first read,
+//! naming the variable, instead of quietly running the default schedule.
 //!
 //! A panic inside a chunk is captured, the remaining chunks still run (so the
 //! fork/join protocol stays balanced), and the first panic payload is
@@ -100,85 +99,37 @@
 
 use std::sync::{Mutex, OnceLock};
 
-/// Convenience re-exports mirroring `rayon::prelude`.
-pub mod prelude {
-    pub use crate::{ChunkHint, IntoParVec, ParSlice};
+/// A schedule pin: the environment variable `var` as a non-negative integer,
+/// `None` when it is unset or empty. Any other value panics, naming the
+/// variable and the value.
+fn env_pin(var: &str) -> Option<usize> {
+    let text = std::env::var_os(var)?.to_string_lossy().into_owned();
+    let bad = format!("{var}={text:?} is not a non-negative integer");
+    match text.trim() {
+        "" => None,
+        pin => Some(pin.parse().expect(&bad)),
+    }
 }
 
 /// Maximum number of threads a fork/join call will use (the calling thread
-/// plus [`pool_workers`] persistent workers).
+/// plus [`pool_workers`] persistent workers): `PARALLEL_THREADS` (at least
+/// 1), read once at first use, or every available core.
 pub fn max_threads() -> usize {
     static CACHED: OnceLock<usize> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        if let Ok(v) = std::env::var("PARALLEL_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                return n.max(1);
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+    *CACHED.get_or_init(|| match env_pin("PARALLEL_THREADS") {
+        Some(n) => n.max(1),
+        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
     })
 }
 
-/// The built-in over-decomposition factor used when neither the
-/// `PARALLEL_CHUNKS` environment variable nor a per-call [`ChunkHint`]
-/// overrides it.
-pub(crate) const DEFAULT_CHUNK_FACTOR: usize = 4;
-
-/// The explicitly-pinned over-decomposition factor, if any: the
-/// `PARALLEL_CHUNKS` environment variable, read once at first use. An
-/// explicit pin takes precedence over per-call [`ChunkHint`]s, so the CI
-/// determinism matrix (and profiling runs) can force one factor everywhere.
-fn env_chunk_factor() -> Option<usize> {
-    static CACHED: OnceLock<Option<usize>> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        std::env::var("PARALLEL_CHUNKS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map(|n| n.max(1))
-    })
-}
-
-/// Over-decomposition factor: a parallel map targets `chunk_factor() ×`
-/// [`max_threads`] chunks (capped by the item count). Defaults to 4; pinned
-/// with the `PARALLEL_CHUNKS` environment variable, read once at first use
-/// (`1` restores the old one-contiguous-chunk-per-thread split). The factor
-/// never affects results — only how finely the scheduler can load-balance.
+/// Over-decomposition factor: [`par_map`] targets `chunk_factor() ×`
+/// [`max_threads`] chunks (capped by the item count). Defaults to 16; pinned
+/// with the `PARALLEL_CHUNKS` environment variable (at least 1), read once at
+/// first use (`1` gives one contiguous chunk per thread). The factor never
+/// affects results — only how finely the scheduler can load-balance.
 pub fn chunk_factor() -> usize {
-    env_chunk_factor().unwrap_or(DEFAULT_CHUNK_FACTOR)
-}
-
-/// Per-call hint for how finely a parallel map should over-decompose its
-/// input, for callers that know their cost profile: experiment grids with
-/// wildly uneven cells want fine splits so the work-claiming scheduler can
-/// rebalance.
-///
-/// Hints are **scheduling-only**: the chunk → output mapping stays fixed, so
-/// any hint is bit-identical to any other (and to sequential execution). An
-/// explicit `PARALLEL_CHUNKS` environment pin overrides every hint, which
-/// keeps the CI determinism matrix able to force one factor everywhere.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ChunkHint {
-    /// Use the global default ([`chunk_factor`]).
-    #[default]
-    Default,
-    /// Known-uneven workloads: split 4× finer than the default (factor 16).
-    Fine,
-}
-
-impl ChunkHint {
-    /// The effective over-decomposition factor for this hint, honouring an
-    /// explicit `PARALLEL_CHUNKS` pin over the hint itself.
-    pub fn factor(self) -> usize {
-        if let Some(pinned) = env_chunk_factor() {
-            return pinned;
-        }
-        match self {
-            ChunkHint::Default => DEFAULT_CHUNK_FACTOR,
-            ChunkHint::Fine => 4 * DEFAULT_CHUNK_FACTOR,
-        }
-    }
+    static CACHED: OnceLock<usize> = OnceLock::new();
+    *CACHED.get_or_init(|| env_pin("PARALLEL_CHUNKS").map_or(16, |n| n.max(1)))
 }
 
 /// Number of persistent worker threads backing the pool: `max_threads() - 1`
@@ -192,9 +143,9 @@ pub fn pool_workers() -> usize {
 /// Run `run(0), run(1), …, run(chunks - 1)`, distributing the chunk indices
 /// across the persistent pool; returns when every chunk has completed.
 ///
-/// This is the primitive beneath `par_iter().map(..).collect()`. The calling
-/// thread participates (it claims and executes chunks like a worker), so the
-/// call completes even if every pool worker is busy, and nested calls are
+/// This is the primitive beneath [`par_map`]. The calling thread
+/// participates (it claims and executes chunks like a worker), so the call
+/// completes even if every pool worker is busy, and nested calls are
 /// deadlock-free (see the module docs). While chunks of this call are still
 /// running elsewhere, the calling thread may execute chunks of *other* calls
 /// at least as deeply nested as this one. With `chunks <= 1` or a sequential
@@ -204,10 +155,9 @@ pub fn pool_workers() -> usize {
 /// panic is re-thrown on the calling thread afterwards (never on a thread
 /// that merely helped with the chunk).
 pub fn fork_join_chunks<F: Fn(usize) + Sync>(chunks: usize, run: &F) {
-    // Sched plane: a sequential configuration short-circuits parallel maps
-    // in `collect_with` before they reach this call, so the fan-out count
-    // (like the chunk claims counted inside the pool) describes the
-    // schedule, not the program.
+    // Sched plane: a sequential configuration short-circuits `par_map`
+    // before it reaches this call, so the fan-out count (like the chunk claims
+    // counted inside the pool) describes the schedule, not the program.
     telemetry::metrics::POOL_FORK_JOINS.add(1);
     pool::fork_join(chunks, run)
 }
@@ -484,237 +434,87 @@ mod pool {
     }
 }
 
-/// Parallel iteration over slices, mirroring `rayon`'s `par_iter()`.
-pub trait ParSlice<T: Sync> {
-    /// A parallel iterator over shared references to the elements.
-    fn par_iter(&self) -> ParIter<'_, T>;
+/// Contiguous chunk length for `n ≥ 1` items: [`par_map`] targets `threads ×
+/// factor` chunks, capped by the item count.
+fn chunk_len(n: usize, threads: usize, factor: usize) -> usize {
+    n.div_ceil((threads * factor).min(n))
 }
 
-impl<T: Sync> ParSlice<T> for [T] {
-    fn par_iter(&self) -> ParIter<'_, T> {
-        ParIter { items: self }
+/// Map every item through `f` on the pool and return the results in input
+/// order: bit-identical to `items.into_iter().map(f).collect()` on any
+/// schedule.
+///
+/// The items are split into up to [`chunk_factor`] `×` [`max_threads`]
+/// contiguous chunks; each runs as one [`fork_join_chunks`] chunk that maps
+/// its items in order into its own slot, and the slots are concatenated in
+/// input order. A sequential configuration or fewer than two items run
+/// in-line, one fan-out level deeper, like a pool chunk. A panic in `f`
+/// reaches the caller with its own payload.
+pub fn par_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let n = items.len();
+    // Both pins are read (and so checked) by every map, whichever path it takes.
+    let (threads, factor) = (max_threads(), chunk_factor());
+    if threads <= 1 || n < 2 {
+        let _level = pool::Level::nested();
+        return items.into_iter().map(f).collect();
     }
-}
-
-impl<T: Sync> ParSlice<T> for Vec<T> {
-    fn par_iter(&self) -> ParIter<'_, T> {
-        ParIter { items: self }
+    let chunk = chunk_len(n, threads, factor);
+    // A chunk's slot holds its input until the chunk takes it, then its
+    // output. No lock is held while `f` runs, so a panic cannot poison one.
+    let mut items = items.into_iter();
+    let slots: Vec<Mutex<(Vec<T>, Vec<R>)>> = (0..n.div_ceil(chunk))
+        .map(|_| Mutex::new((items.by_ref().take(chunk).collect(), Vec::new())))
+        .collect();
+    let slot = |c: usize| slots[c].lock().expect("par map slot poisoned");
+    fork_join_chunks(slots.len(), &|c| {
+        let input = std::mem::take(&mut slot(c).0);
+        let output = input.into_iter().map(&f).collect();
+        slot(c).1 = output;
+    });
+    let mut out = Vec::with_capacity(n);
+    for s in slots {
+        out.extend(s.into_inner().expect("par map slot poisoned").1);
     }
-}
-
-/// Parallel iteration over owned vectors, mirroring `rayon`'s
-/// `into_par_iter()`.
-pub trait IntoParVec<T: Send> {
-    /// A parallel iterator that consumes the vector.
-    fn into_par_iter(self) -> ParIntoIter<T>;
-}
-
-impl<T: Send> IntoParVec<T> for Vec<T> {
-    fn into_par_iter(self) -> ParIntoIter<T> {
-        ParIntoIter { items: self }
-    }
-}
-
-/// Borrowing parallel iterator (see [`ParSlice::par_iter`]).
-pub struct ParIter<'a, T> {
-    items: &'a [T],
-}
-
-impl<'a, T: Sync> ParIter<'a, T> {
-    /// Map every element through `f`, in parallel.
-    pub fn map<R, F>(self, f: F) -> ParMap<'a, T, F>
-    where
-        R: Send,
-        F: Fn(&'a T) -> R + Sync,
-    {
-        ParMap {
-            items: self.items,
-            f,
-            hint: ChunkHint::Default,
-        }
-    }
-}
-
-/// The result of [`ParIter::map`]; terminate it with `collect()`.
-pub struct ParMap<'a, T, F> {
-    items: &'a [T],
-    f: F,
-    hint: ChunkHint,
-}
-
-/// Contiguous chunk length for `n` items under over-decomposition: the map
-/// targets `hint.factor() × `[`max_threads`] chunks (the factor defaulting to
-/// [`chunk_factor`]), capped by the item count, so uneven per-item costs can
-/// be rebalanced by the work-claiming scheduler instead of serializing the
-/// fan-out on the slowest thread. Boundaries are a pure function of
-/// `(n, threads, factor)` — and the output concatenation is
-/// chunking-independent, so any setting of any knob is bit-identical to
-/// sequential execution.
-fn chunk_len(n: usize, hint: ChunkHint) -> usize {
-    let target = (max_threads() * hint.factor()).min(n.max(1));
-    n.div_ceil(target)
-}
-
-impl<'a, T: Sync, F> ParMap<'a, T, F> {
-    /// Override the over-decomposition factor for this call (see
-    /// [`ChunkHint`]; scheduling-only, never affects the result).
-    pub fn with_chunk_hint(mut self, hint: ChunkHint) -> Self {
-        self.hint = hint;
-        self
-    }
-
-    /// Execute the map on the pool and collect the results in input order.
-    pub fn collect<R, C>(self) -> C
-    where
-        R: Send,
-        F: Fn(&'a T) -> R + Sync,
-        C: FromOrdered<R>,
-    {
-        let n = self.items.len();
-        let f = &self.f;
-        if max_threads() <= 1 || n < 2 {
-            let _level = pool::Level::nested();
-            return C::from_vec(self.items.iter().map(f).collect());
-        }
-        let chunk = chunk_len(n, self.hint);
-        let nchunks = n.div_ceil(chunk);
-        let items = self.items;
-        // One output slot per chunk; each chunk locks only its own slot, once.
-        let slots: Vec<Mutex<Vec<R>>> = (0..nchunks).map(|_| Mutex::new(Vec::new())).collect();
-        fork_join_chunks(nchunks, &|c| {
-            let lo = c * chunk;
-            let hi = ((c + 1) * chunk).min(n);
-            let out: Vec<R> = items[lo..hi].iter().map(f).collect();
-            *slots[c].lock().expect("par map slot poisoned") = out;
-        });
-        let mut out = Vec::with_capacity(n);
-        for slot in slots {
-            out.extend(slot.into_inner().expect("par map slot poisoned"));
-        }
-        C::from_vec(out)
-    }
-}
-
-/// Consuming parallel iterator (see [`IntoParVec::into_par_iter`]).
-pub struct ParIntoIter<T> {
-    items: Vec<T>,
-}
-
-impl<T: Send> ParIntoIter<T> {
-    /// Map every element through `f`, in parallel, consuming the input.
-    pub fn map<R, F>(self, f: F) -> ParIntoMap<T, F>
-    where
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        ParIntoMap {
-            items: self.items,
-            f,
-            hint: ChunkHint::Default,
-        }
-    }
-}
-
-/// The result of [`ParIntoIter::map`]; terminate it with `collect()`.
-pub struct ParIntoMap<T, F> {
-    items: Vec<T>,
-    f: F,
-    hint: ChunkHint,
-}
-
-impl<T: Send, F> ParIntoMap<T, F> {
-    /// Override the over-decomposition factor for this call (see
-    /// [`ChunkHint`]; scheduling-only, never affects the result).
-    pub fn with_chunk_hint(mut self, hint: ChunkHint) -> Self {
-        self.hint = hint;
-        self
-    }
-
-    /// Execute the map on the pool and collect the results in input order.
-    pub fn collect<R, C>(self) -> C
-    where
-        R: Send,
-        F: Fn(T) -> R + Sync,
-        C: FromOrdered<R>,
-    {
-        let n = self.items.len();
-        let f = &self.f;
-        if max_threads() <= 1 || n < 2 {
-            let _level = pool::Level::nested();
-            return C::from_vec(self.items.into_iter().map(f).collect());
-        }
-        let chunk = chunk_len(n, self.hint);
-        // Split the input into per-chunk contiguous vectors, preserving order.
-        let mut split: Vec<Vec<T>> = Vec::with_capacity(n.div_ceil(chunk));
-        let mut rest = self.items;
-        while rest.len() > chunk {
-            let tail = rest.split_off(chunk);
-            split.push(rest);
-            rest = tail;
-        }
-        split.push(rest);
-        let nchunks = split.len();
-        // Input handed out through per-chunk slots (each taken exactly once),
-        // results returned the same way.
-        let inputs: Vec<Mutex<Option<Vec<T>>>> =
-            split.into_iter().map(|c| Mutex::new(Some(c))).collect();
-        let slots: Vec<Mutex<Vec<R>>> = (0..nchunks).map(|_| Mutex::new(Vec::new())).collect();
-        fork_join_chunks(nchunks, &|c| {
-            let chunk_items = inputs[c]
-                .lock()
-                .expect("par map input slot poisoned")
-                .take()
-                .expect("chunk input taken twice");
-            let out: Vec<R> = chunk_items.into_iter().map(f).collect();
-            *slots[c].lock().expect("par map slot poisoned") = out;
-        });
-        let mut out = Vec::with_capacity(n);
-        for slot in slots {
-            out.extend(slot.into_inner().expect("par map slot poisoned"));
-        }
-        C::from_vec(out)
-    }
-}
-
-/// Collection types an ordered parallel map can terminate into.
-pub trait FromOrdered<R> {
-    /// Build the collection from an already-ordered vector of results.
-    fn from_vec(v: Vec<R>) -> Self;
-}
-
-impl<R> FromOrdered<R> for Vec<R> {
-    fn from_vec(v: Vec<R>) -> Self {
-        v
-    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
-    use super::prelude::*;
     use super::*;
 
     #[test]
     fn par_map_preserves_order() {
-        let xs: Vec<u64> = (0..1000).collect();
-        let doubled: Vec<u64> = xs.par_iter().map(|&x| x * 2).collect();
+        let doubled = par_map((0..1000u64).collect(), |x| x * 2);
         assert_eq!(doubled, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn into_par_map_preserves_order() {
-        let xs: Vec<u64> = (0..997).collect();
-        let out: Vec<u64> = xs.into_par_iter().map(|x| x + 1).collect();
+        let out = par_map((0..997u64).collect(), |x| x + 1);
         assert_eq!(out, (1..998).collect::<Vec<_>>());
     }
 
     #[test]
     fn small_inputs_run_sequentially() {
-        let xs = vec![41u32];
-        let out: Vec<u32> = xs.par_iter().map(|&x| x + 1).collect();
-        assert_eq!(out, vec![42]);
-        let empty: Vec<u32> = Vec::new();
-        let out: Vec<u32> = empty.par_iter().map(|&x| x).collect();
-        assert!(out.is_empty());
+        assert_eq!(par_map(vec![41u32], |x| x + 1), vec![42]);
+        assert!(par_map(Vec::<u32>::new(), |x| x).is_empty());
+    }
+
+    #[test]
+    fn the_factor_keeps_one_lane_per_chunk_and_splits_grids_finely() {
+        if env_pin("PARALLEL_CHUNKS").is_none() {
+            assert_eq!(chunk_factor(), 16);
+        }
+        // The engine's map: at most one item per thread, one item per chunk
+        // whatever the factor.
+        for threads in 1..=8 {
+            for n in 1..=threads {
+                for factor in [1, 4, 16] {
+                    assert_eq!(chunk_len(n, threads, factor), 1);
+                }
+            }
+        }
+        // A 60-cell grid on two threads: 32 chunks at 16, 8 at 4, 2 at 1.
+        assert_eq!(
+            [16, 4, 1].map(|f| 60usize.div_ceil(chunk_len(60, 2, f))),
+            [30, 8, 2]
+        );
     }
 
     #[test]
@@ -736,7 +536,7 @@ mod tests {
         // Order preservation means the caller's fold order is fixed, so the
         // floating-point sum is bit-identical however many threads ran.
         let xs: Vec<f64> = (0..10_000).map(|i| (i as f64).sin()).collect();
-        let mapped: Vec<f64> = xs.par_iter().map(|&x| x * 1.000001 + 0.5).collect();
+        let mapped = par_map(xs.clone(), |x| x * 1.000001 + 0.5);
         let seq: Vec<f64> = xs.iter().map(|&x| x * 1.000001 + 0.5).collect();
         for (a, b) in mapped.iter().zip(seq.iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -744,60 +544,13 @@ mod tests {
     }
 
     #[test]
-    fn chunk_hints_never_change_results() {
-        let xs: Vec<f64> = (0..3_001).map(|i| (i as f64 * 0.37).cos()).collect();
-        let seq: Vec<f64> = xs.iter().map(|&x| x * 1.5 - 0.25).collect();
-        for hint in [ChunkHint::Default, ChunkHint::Fine] {
-            let par: Vec<f64> = xs
-                .par_iter()
-                .map(|&x| x * 1.5 - 0.25)
-                .with_chunk_hint(hint)
-                .collect();
-            for (a, b) in par.iter().zip(seq.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "hint {hint:?}");
-            }
-            let owned: Vec<f64> = xs
-                .clone()
-                .into_par_iter()
-                .map(|x| x * 1.5 - 0.25)
-                .with_chunk_hint(hint)
-                .collect();
-            assert_eq!(owned.len(), seq.len());
-            for (a, b) in owned.iter().zip(seq.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "hint {hint:?} (owned)");
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_hint_factors_resolve_as_documented() {
-        // An explicit PARALLEL_CHUNKS pin overrides hints; only assert the
-        // hint → factor mapping when the environment leaves it in charge.
-        if std::env::var("PARALLEL_CHUNKS").is_err() {
-            assert_eq!(ChunkHint::Default.factor(), DEFAULT_CHUNK_FACTOR);
-            assert_eq!(ChunkHint::Fine.factor(), 4 * DEFAULT_CHUNK_FACTOR);
-        } else {
-            let pinned = chunk_factor();
-            for hint in [ChunkHint::Default, ChunkHint::Fine] {
-                assert_eq!(hint.factor(), pinned);
-            }
-        }
-    }
-
-    #[test]
     fn nested_fan_out_matches_nested_sequential() {
-        // Inner par_iter inside an outer par_iter; compare against the plain
+        // An inner map inside an outer map; compare against the plain
         // nested iterator computation.
-        let outer: Vec<u64> = (0..32).collect();
-        let nested: Vec<u64> = outer
-            .par_iter()
-            .map(|&o| {
-                let inner: Vec<u64> = (0..50u64).collect();
-                let mapped: Vec<u64> = inner.par_iter().map(|&i| i * o).collect();
-                mapped.iter().sum()
-            })
-            .collect();
-        let expect: Vec<u64> = outer.iter().map(|&o| (0..50u64).sum::<u64>() * o).collect();
+        let nested = par_map((0..32u64).collect(), |o| {
+            par_map((0..50u64).collect(), |i| i * o).iter().sum::<u64>()
+        });
+        let expect: Vec<u64> = (0..32).map(|o| (0..50u64).sum::<u64>() * o).collect();
         assert_eq!(nested, expect);
     }
 }

@@ -6,8 +6,7 @@
 //! checks that every parallel-map shape is **bit-identical** to its
 //! sequential counterpart whatever the factor.
 
-use parallel::prelude::*;
-use parallel::{chunk_factor, fork_join_chunks, max_threads, ChunkHint};
+use parallel::{chunk_factor, fork_join_chunks, max_threads, par_map};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Once;
 
@@ -28,26 +27,10 @@ pub fn force(factor: usize) {
     });
 }
 
-/// Borrowing map over floats: parallel result must be bit-identical to the
-/// plain iterator result.
-pub fn borrowed_map_matches_sequential() {
-    let xs: Vec<f64> = (0..2_003).map(|i| (i as f64 * 0.61).sin()).collect();
-    let par: Vec<f64> = xs.par_iter().map(|&x| x.mul_add(1.7, -0.3).exp()).collect();
-    let seq: Vec<f64> = xs.iter().map(|&x| x.mul_add(1.7, -0.3).exp()).collect();
-    assert_eq!(par.len(), seq.len());
-    for (a, b) in par.iter().zip(seq.iter()) {
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
-}
-
-/// Consuming map preserves input order exactly.
+/// The map consumes its input and preserves its order exactly.
 pub fn consuming_map_matches_sequential() {
     let xs: Vec<u64> = (0..4_441).collect();
-    let par: Vec<u64> = xs
-        .clone()
-        .into_par_iter()
-        .map(|x| x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 9)
-        .collect();
+    let par = par_map(xs.clone(), |x| x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 9);
     let seq: Vec<u64> = xs
         .into_iter()
         .map(|x| x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 9)
@@ -62,10 +45,10 @@ pub fn nested_fan_out_matches_sequential() {
     let outer: Vec<u64> = (0..13).collect();
     let run_inner = |o: u64| -> f64 {
         let inner: Vec<f64> = (0..37).map(|i| (i as f64 + o as f64 * 0.5).cos()).collect();
-        let mapped: Vec<f64> = inner.par_iter().map(|&x| x * 1.000001 + 0.25).collect();
+        let mapped = par_map(inner, |x| x * 1.000001 + 0.25);
         mapped.iter().sum()
     };
-    let par: Vec<f64> = outer.par_iter().map(|&o| run_inner(o)).collect();
+    let par = par_map(outer.clone(), run_inner);
     let seq: Vec<f64> = outer
         .iter()
         .map(|&o| {
@@ -83,18 +66,15 @@ pub fn nested_fan_out_matches_sequential() {
 /// exists for): results must still be position-exact.
 pub fn uneven_item_costs_stay_ordered() {
     let xs: Vec<usize> = (0..97).collect();
-    let par: Vec<u64> = xs
-        .par_iter()
-        .map(|&i| {
-            // Item cost varies by ~300x across the input.
-            let spins = if i % 7 == 0 { 30_000 } else { 100 };
-            let mut acc = i as u64;
-            for s in 0..spins {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(s);
-            }
-            acc
-        })
-        .collect();
+    let par = par_map(xs.clone(), |i| {
+        // Item cost varies by ~300x across the input.
+        let spins = if i % 7 == 0 { 30_000 } else { 100 };
+        let mut acc = i as u64;
+        for s in 0..spins {
+            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(s);
+        }
+        acc
+    });
     let seq: Vec<u64> = xs
         .iter()
         .map(|&i| {
@@ -109,24 +89,21 @@ pub fn uneven_item_costs_stay_ordered() {
     assert_eq!(par, seq);
 }
 
-/// Per-call [`ChunkHint`]s under an explicit `PARALLEL_CHUNKS` pin: the pin
-/// wins (scheduling), and results stay bit-identical to sequential whatever
-/// the hint.
-pub fn chunk_hints_respect_env_pin() {
-    let pinned = chunk_factor();
-    for hint in [ChunkHint::Default, ChunkHint::Fine] {
-        assert_eq!(hint.factor(), pinned, "env pin must beat hint {hint:?}");
-        let xs: Vec<f64> = (0..1_777).map(|i| (i as f64 * 0.83).sin()).collect();
-        let par: Vec<f64> = xs
-            .par_iter()
-            .map(|&x| x.mul_add(0.9, 0.1))
-            .with_chunk_hint(hint)
-            .collect();
-        let seq: Vec<f64> = xs.iter().map(|&x| x.mul_add(0.9, 0.1)).collect();
-        for (a, b) in par.iter().zip(seq.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "hint {hint:?}");
-        }
-    }
+/// A panic inside the mapped closure reaches the caller with its own
+/// payload, never as a poisoned slot, and the pool keeps working.
+pub fn closure_panic_reaches_the_caller() {
+    let caught = std::panic::catch_unwind(|| {
+        par_map((0..97u32).collect(), |i| {
+            if i == 61 {
+                panic!("item 61 exploded");
+            }
+            i
+        })
+    });
+    let payload = caught.expect_err("the panic must propagate");
+    let msg = payload.downcast_ref::<&str>().copied().unwrap_or("?");
+    assert_eq!(msg, "item 61 exploded");
+    assert_eq!(par_map((0..97u32).collect(), |i| i + 1)[96], 97);
 }
 
 /// `fork_join_chunks` is unaffected by the factor (the caller fixes the chunk
@@ -146,10 +123,9 @@ pub fn fork_join_still_covers_every_chunk() {
 /// Run the whole suite (called by each factor-pinned binary).
 pub fn run_suite(factor: usize) {
     force(factor);
-    borrowed_map_matches_sequential();
     consuming_map_matches_sequential();
     nested_fan_out_matches_sequential();
     uneven_item_costs_stay_ordered();
-    chunk_hints_respect_env_pin();
+    closure_panic_reaches_the_caller();
     fork_join_still_covers_every_chunk();
 }

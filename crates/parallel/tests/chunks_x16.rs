@@ -1,5 +1,6 @@
-//! Over-decomposition factor 16 (finer than any engine fan-out needs — every
-//! item gets its own chunk) must be bit-identical to sequential.
+//! Over-decomposition factor 16 (the default: the finest split, which gives
+//! an experiment grid's uneven cells room to balance) must be bit-identical
+//! to sequential.
 
 #[path = "chunk_common/mod.rs"]
 mod chunk_common;

@@ -1,5 +1,5 @@
-//! Over-decomposition factor 4 (the default) must be bit-identical to
-//! sequential.
+//! Over-decomposition factor 4 (a split between one chunk per thread and the
+//! default) must be bit-identical to sequential.
 
 #[path = "chunk_common/mod.rs"]
 mod chunk_common;

@@ -12,8 +12,7 @@
 //! that thread does (a pool that blocks in its join hangs, and the dead-man
 //! timer turns the hang into a failure).
 
-use parallel::prelude::*;
-use parallel::{fork_join_chunks, max_threads, pool_workers};
+use parallel::{fork_join_chunks, max_threads, par_map, pool_workers};
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -177,7 +176,7 @@ fn suspended_joiner_never_takes_a_shallower_chunk(threads: usize, as_map: bool) 
     fork_join_chunks(2, &|p| {
         outer_gate.wait();
         if p == 0 && as_map {
-            let _: Vec<()> = [()].par_iter().map(|_| g0()).collect();
+            par_map(vec![()], |()| g0());
         } else if p == 0 {
             fork_join_chunks(1, &|_| g0());
         } else {

@@ -7,8 +7,7 @@
 //! thread-count cache is guaranteed to be initialised to 4 and the claiming /
 //! parking / nested-help machinery genuinely runs on worker threads.
 
-use parallel::prelude::*;
-use parallel::{fork_join_chunks, max_threads, pool_workers};
+use parallel::{fork_join_chunks, max_threads, par_map, pool_workers};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Once;
 
@@ -37,10 +36,7 @@ fn pool_spawns_persistent_workers() {
 fn forked_map_is_bit_identical_to_sequential() {
     force_threads();
     let xs: Vec<f64> = (0..4096).map(|i| (i as f64 * 0.37).cos()).collect();
-    let par: Vec<f64> = xs
-        .par_iter()
-        .map(|&x| x.mul_add(1.25, -0.5).exp())
-        .collect();
+    let par = par_map(xs.clone(), |x| x.mul_add(1.25, -0.5).exp());
     let seq: Vec<f64> = xs.iter().map(|&x| x.mul_add(1.25, -0.5).exp()).collect();
     assert_eq!(par.len(), seq.len());
     for (a, b) in par.iter().zip(seq.iter()) {
@@ -52,11 +48,7 @@ fn forked_map_is_bit_identical_to_sequential() {
 fn consuming_map_is_bit_identical_to_sequential() {
     force_threads();
     let xs: Vec<u64> = (0..10_001).collect();
-    let par: Vec<u64> = xs
-        .clone()
-        .into_par_iter()
-        .map(|x| x.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 7)
-        .collect();
+    let par = par_map(xs.clone(), |x| x.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 7);
     let seq: Vec<u64> = xs
         .into_iter()
         .map(|x| x.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 7)
@@ -85,15 +77,11 @@ fn nested_fan_out_runs_on_the_pool_without_deadlock() {
     // calls are issued from pool workers (and from the caller), exercising
     // the idle-worker borrowing path. 500 repetitions to shake out races.
     for _ in 0..500 {
-        let outer: Vec<usize> = (0..8).collect();
-        let sums: Vec<usize> = outer
-            .par_iter()
-            .map(|&o| {
-                let inner: Vec<usize> = (0..8).collect();
-                let vals: Vec<usize> = inner.par_iter().map(|&i| o * 100 + i).collect();
-                vals.iter().sum()
-            })
-            .collect();
+        let sums = par_map((0..8).collect(), |o: usize| {
+            par_map((0..8).collect(), |i: usize| o * 100 + i)
+                .iter()
+                .sum::<usize>()
+        });
         let expect: Vec<usize> = (0..8).map(|o| (0..8).map(|i| o * 100 + i).sum()).collect();
         assert_eq!(sums, expect);
     }
@@ -106,9 +94,7 @@ fn deep_nesting_terminates() {
         if depth == 0 {
             return 1;
         }
-        let parts: Vec<usize> = vec![depth; 3];
-        let counts: Vec<usize> = parts.par_iter().map(|&d| recurse(d - 1)).collect();
-        counts.iter().sum()
+        par_map(vec![depth; 3], |d| recurse(d - 1)).iter().sum()
     }
     // 3^4 leaves across 4 levels of nested fan-out.
     assert_eq!(recurse(4), 81);
@@ -131,9 +117,25 @@ fn chunk_panic_propagates_to_the_caller() {
         .unwrap_or("<non-str payload>");
     assert!(msg.contains("chunk five"), "unexpected payload: {msg}");
     // The pool must still be functional after a propagated panic.
-    let xs: Vec<u32> = (0..100).collect();
-    let out: Vec<u32> = xs.par_iter().map(|&x| x + 1).collect();
+    let out = par_map((0..100u32).collect(), |x| x + 1);
     assert_eq!(out[99], 100);
+}
+
+#[test]
+fn map_closure_panic_propagates_with_its_own_payload() {
+    force_threads();
+    let caught = std::panic::catch_unwind(|| {
+        par_map((0..64u32).collect(), |i| {
+            if i == 37 {
+                panic!("item 37 exploded");
+            }
+            i
+        })
+    });
+    let payload = caught.expect_err("panic must propagate");
+    let msg = payload.downcast_ref::<&str>().copied().unwrap_or("?");
+    assert_eq!(msg, "item 37 exploded");
+    assert_eq!(par_map((0..64u32).collect(), |i| i * 2)[63], 126);
 }
 
 #[test]

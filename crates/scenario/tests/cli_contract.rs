@@ -2,9 +2,10 @@
 //! the documented exit codes (0 clean / 1 unrecovered failures / 2 usage),
 //! and the `--store-root` / `--results-dir` relocation flags producing
 //! byte-identical outputs to a default-layout run (the equivalence the job
-//! server builds on), an all-hits `--resume` that rewrites no file, and every
+//! server builds on), an all-hits `--resume` that rewrites no file, every
 //! byte of stdout and `results/` that the four scenario kinds print, replayed
-//! against `golden/pinned/`.
+//! against `golden/pinned/`, and the fan-out counts of the benchmark's
+//! two-thread schedule.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -615,6 +616,58 @@ fn every_kind_reproduces_its_pinned_stdout_and_results() {
             }
             fs::remove_dir_all(&cwd).ok();
         }
+    }
+}
+
+/// The schedule itself is pinned: at `PARALLEL_THREADS=2` and the default
+/// chunk factor (the benchmark's setting), these quick runs issue exactly
+/// these fan-outs and chunk claims — the sched plane of `profile.json`,
+/// deterministic per configuration. fig3's nine `--seeds 3` replicates are
+/// the one case here that a factor of 4 would split differently (1,085
+/// claims). The counts were read from the binary of the commit before
+/// `parallel::par_map` replaced the iterator-style map and its per-call
+/// chunk hints.
+const SCHEDULE_PINS: &[(&str, u64, u64)] = &[
+    ("../../scenarios/fig3.toml", 181, 363),
+    ("../../scenarios/fig3.toml --seeds 3", 541, 1089),
+    ("../../scenarios/outage_xi_grid.toml", 481, 968),
+];
+
+#[test]
+fn the_default_two_thread_schedule_issues_its_pinned_fan_outs() {
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+    for (case, &(command_line, fork_joins, chunks)) in SCHEDULE_PINS.iter().enumerate() {
+        let mut words = command_line.split_whitespace();
+        let spec = manifest.join(words.next().expect("a spec path"));
+        let cwd = tmp_dir(&format!("schedule_{case}"));
+        let out = Command::new(RUN_BIN)
+            .arg(spec)
+            .args(words)
+            .args(["--fresh", "--telemetry", "tel"])
+            .current_dir(&cwd)
+            .env("AIRFEDGA_SCALE", "quick")
+            .env("PARALLEL_THREADS", "2")
+            .env_remove("PARALLEL_CHUNKS")
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{command_line}: stderr: {stderr}"
+        );
+        let profile = fs::read_to_string(cwd.join("tel/profile.json")).unwrap();
+        for (name, value) in [
+            ("pool.fork_joins", fork_joins),
+            ("pool.chunks_claimed", chunks),
+        ] {
+            let row = format!(r#"{{"name": "{name}", "plane": "sched", "value": {value}}}"#);
+            assert!(
+                profile.contains(&row),
+                "{command_line}: {name} is not {value}:\n{profile}"
+            );
+        }
+        fs::remove_dir_all(&cwd).ok();
     }
 }
 

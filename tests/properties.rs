@@ -365,7 +365,7 @@ fn batched_local_step_matches_per_sample_reference() {
     }
 }
 
-/// Rayon-style parallel worker rounds produce bit-identical training traces
+/// Parallel worker rounds produce bit-identical training traces
 /// to sequential execution for fixed seeds, across aggregation back-ends.
 #[test]
 fn parallel_rounds_are_bit_identical_to_sequential() {
