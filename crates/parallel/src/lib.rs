@@ -486,6 +486,11 @@ mod tests {
     fn par_map_preserves_order() {
         let doubled = par_map((0..1000u64).collect(), |x| x * 2);
         assert_eq!(doubled, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn into_par_map_preserves_order() {
+        // par_map consumes its input; an odd length leaves a short last chunk.
         let out = par_map((0..997u64).collect(), |x| x + 1);
         assert_eq!(out, (1..998).collect::<Vec<_>>());
     }
