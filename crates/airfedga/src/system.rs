@@ -135,7 +135,7 @@ impl FlSystemConfig {
 
         let (train, test) = self.dataset.generate_split(self.test_per_class, rng);
         let shards_idx = self.partitioner.partition(&train, self.num_workers, rng);
-        let shards: Vec<Dataset> = shards_idx.iter().map(|s| train.subset(s)).collect();
+        let (train, shards) = train.into_shards(&shards_idx);
         let data_sizes: Vec<usize> = shards.iter().map(|s| s.len()).collect();
         let profiles = WorkerProfile::generate(
             &data_sizes,
@@ -192,12 +192,13 @@ impl FlSystemConfig {
 pub struct FlSystem {
     /// The configuration this system was built from.
     pub config: FlSystemConfig,
-    /// The full (virtual) training dataset — only used for reference; workers
-    /// never access it directly.
+    /// The whole training dataset, stored once, in shard order: worker 0's
+    /// samples first. Workers read it only through their shards.
     pub train: Dataset,
     /// The held-out evaluation dataset used for the loss/accuracy traces.
     pub test: Dataset,
-    /// Per-worker local shards.
+    /// Per-worker local shards `D_i`: each a window of [`FlSystem::train`]'s
+    /// storage holding the worker's samples in the partitioner's order.
     pub shards: Vec<Dataset>,
     /// Per-worker latency/heterogeneity profiles.
     pub(crate) profiles: Vec<WorkerProfile>,
@@ -330,5 +331,62 @@ mod tests {
         let max = times.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
         assert!(max > 1.5 * min, "expected heterogeneity, got {min}..{max}");
+    }
+
+    #[test]
+    fn every_shard_is_a_window_of_the_one_training_matrix() {
+        let sys = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(4));
+        let mut offset = 0;
+        for shard in &sys.shards {
+            assert!(std::ptr::eq(shard.sample(0), sys.train.sample(offset)));
+            offset += shard.len();
+        }
+        assert_eq!(offset, sys.train.len());
+    }
+
+    /// The bits of a row, so `-0.0` and `0.0` count as different.
+    fn bits(row: &[f64]) -> Vec<u64> {
+        row.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn shards_equal_an_independent_copying_construction() {
+        let mut quick_vgg = FlSystemConfig::imagenet_vgg();
+        quick_vgg.num_workers = 20;
+        quick_vgg.dataset.samples_per_class = 20;
+        let workloads = [
+            FlSystemConfig::mnist_lr_quick(),
+            FlSystemConfig::mnist_lr(),
+            quick_vgg,
+        ];
+        let partitioners = [
+            Partitioner::LabelSkew,
+            Partitioner::Dirichlet { alpha: 0.3 },
+            Partitioner::Iid,
+        ];
+        for base in &workloads {
+            for partitioner in &partitioners {
+                let mut cfg = base.clone();
+                cfg.partitioner = partitioner.clone();
+                let sys = cfg.build(&mut Rng64::seed_from(42));
+                // The construction the system replaced: copy each shard's rows.
+                let rng = &mut Rng64::seed_from(42);
+                let (train, test) = cfg.dataset.generate_split(cfg.test_per_class, rng);
+                let shards_idx = cfg.partitioner.partition(&train, cfg.num_workers, rng);
+                assert_eq!(sys.shards.len(), shards_idx.len());
+                for (shard, idx) in sys.shards.iter().zip(&shards_idx) {
+                    let copy = train.subset(idx);
+                    assert_eq!(shard.len(), copy.len());
+                    assert_eq!(shard.label_counts(), copy.label_counts());
+                    for r in 0..copy.len() {
+                        assert_eq!(bits(shard.sample(r)), bits(copy.sample(r)));
+                        assert_eq!(shard.label(r), copy.label(r));
+                    }
+                }
+                for r in 0..test.len() {
+                    assert_eq!(bits(sys.test.sample(r)), bits(test.sample(r)));
+                }
+            }
+        }
     }
 }

@@ -13,21 +13,34 @@
 use crate::linalg::Matrix;
 use crate::rng::Rng64;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
-/// A labelled classification dataset: a dense feature matrix plus one integer
-/// label per row.
+/// A labelled classification dataset: a window of rows of a dense feature
+/// matrix plus one integer label per row.
+///
+/// The matrix and the labels live in shared storage, and a dataset is a
+/// contiguous row window `(start, len)` of it. [`Dataset::new`] makes a
+/// window over all of its rows; [`Dataset::into_shards`] cuts one storage
+/// into the workers' windows, so a federated system holds every sample
+/// once. A window reads only its own rows ([`Dataset::sample`] panics past
+/// its end), and `Clone` is shallow: it shares the storage.
 #[derive(Debug, Clone)]
 pub struct Dataset {
-    features: Matrix,
-    labels: Vec<usize>,
+    features: Arc<Matrix>,
+    labels: Arc<Vec<usize>>,
+    /// First row of the window in the shared storage.
+    start: usize,
+    /// Number of rows in the window.
+    len: usize,
     num_classes: usize,
     /// Human-readable name, e.g. `"mnist-like"`.
-    name: String,
+    name: Arc<str>,
 }
 
 impl Dataset {
-    /// Build a dataset from parts. Panics if the number of feature rows and
-    /// labels differ or a label is out of range.
+    /// Build a dataset from parts, taking ownership of the matrix (its rows
+    /// are not copied). Panics if the number of feature rows and labels
+    /// differ or a label is out of range.
     pub fn new(features: Matrix, labels: Vec<usize>, num_classes: usize, name: &str) -> Self {
         assert_eq!(
             features.rows(),
@@ -39,21 +52,23 @@ impl Dataset {
             "label out of range"
         );
         Self {
-            features,
-            labels,
+            len: labels.len(),
+            start: 0,
+            features: Arc::new(features),
+            labels: Arc::new(labels),
             num_classes,
-            name: name.to_string(),
+            name: name.into(),
         }
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.labels.len()
+        self.len
     }
 
     /// True if the dataset has no samples.
     pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
+        self.len == 0
     }
 
     /// Feature dimensionality.
@@ -71,58 +86,128 @@ impl Dataset {
         &self.name
     }
 
-    /// Feature row of sample `i`.
+    /// Feature row of sample `i`. Panics if `i >= len()`.
     pub fn sample(&self, i: usize) -> &[f64] {
-        self.features.row(i)
+        assert!(i < self.len, "sample {i} out of bounds ({})", self.len);
+        self.features.row(self.start + i)
     }
 
-    /// The full `len × num_features` feature matrix. The batched evaluation
-    /// path feeds contiguous row ranges of this matrix straight into GEMM,
-    /// avoiding any per-sample gather.
-    pub fn features(&self) -> &Matrix {
-        &self.features
+    /// The window's `len × num_features` feature rows, row-major. The
+    /// batched evaluation path feeds contiguous row ranges of them straight
+    /// into GEMM, avoiding any per-sample gather.
+    pub(crate) fn features(&self) -> &[f64] {
+        let d = self.num_features();
+        &self.features.as_slice()[self.start * d..(self.start + self.len) * d]
     }
 
-    /// Label of sample `i`.
+    /// Label of sample `i`. Panics if `i >= len()`.
     pub fn label(&self, i: usize) -> usize {
-        self.labels[i]
+        self.labels()[i]
     }
 
-    /// All labels.
-    pub fn labels(&self) -> &[usize] {
-        &self.labels
+    /// The window's labels.
+    pub(crate) fn labels(&self) -> &[usize] {
+        &self.labels[self.start..self.start + self.len]
     }
 
     /// Per-class sample counts `d_i^k`.
     pub fn label_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.num_classes];
-        for &l in &self.labels {
+        for &l in self.labels() {
             counts[l] += 1;
         }
         counts
     }
 
-    /// Build a new dataset containing only the given sample indices (a
-    /// worker's local shard).
+    /// Build a new dataset, with storage of its own, holding copies of the
+    /// given samples in the given order.
     pub fn subset(&self, indices: &[usize]) -> Dataset {
         let cols = self.num_features();
         let mut feats = Matrix::zeros(indices.len(), cols);
         let mut labels = Vec::with_capacity(indices.len());
         for (row, &i) in indices.iter().enumerate() {
-            assert!(i < self.len(), "subset index {i} out of bounds");
-            feats.row_mut(row).copy_from_slice(self.features.row(i));
-            labels.push(self.labels[i]);
+            feats.row_mut(row).copy_from_slice(self.sample(i));
+            labels.push(self.label(i));
         }
         Dataset::new(feats, labels, self.num_classes, &self.name)
     }
 
+    /// Cut this dataset into one window per shard without copying a sample.
+    ///
+    /// `shards` must partition `0..len()` (every index in exactly one
+    /// shard; panics otherwise). The rows are reordered in place into shard
+    /// order — shard 0's rows first, each shard's in the order it lists
+    /// them — so shard `w` is a window whose row `r` is this dataset's
+    /// sample `shards[w][r]`. Returns the whole, now in shard order, and the
+    /// windows; all of them share one storage. The reorder copies nothing
+    /// when the storage is not shared (a freshly generated dataset) and
+    /// clones it once otherwise.
+    pub fn into_shards(mut self, shards: &[Vec<usize>]) -> (Dataset, Vec<Dataset>) {
+        let (start, n, d) = (self.start, self.len, self.num_features());
+        let mut owned = vec![false; n];
+        let mut order = Vec::with_capacity(n);
+        for &i in shards.iter().flatten() {
+            assert!(i < n, "shard index {i} out of range ({n} samples)");
+            assert!(!owned[i], "sample {i} is in two shards");
+            owned[i] = true;
+            order.push(i);
+        }
+        assert_eq!(order.len(), n, "some sample is in no shard");
+        permute_rows(
+            &mut Arc::make_mut(&mut self.features).as_mut_slice()[start * d..(start + n) * d],
+            &mut Arc::make_mut(&mut self.labels)[start..start + n],
+            d,
+            &order,
+        );
+        let mut offset = start;
+        let windows = shards
+            .iter()
+            .map(|s| {
+                let window = Dataset {
+                    start: offset,
+                    len: s.len(),
+                    ..self.clone()
+                };
+                offset += s.len();
+                window
+            })
+            .collect();
+        (self, windows)
+    }
+
     /// Indices of all samples carrying the given label.
-    pub fn indices_of_class(&self, class: usize) -> Vec<usize> {
-        self.labels
+    pub(crate) fn indices_of_class(&self, class: usize) -> Vec<usize> {
+        self.labels()
             .iter()
             .enumerate()
             .filter_map(|(i, &l)| (l == class).then_some(i))
             .collect()
+    }
+}
+
+/// Move row `order[p]` of a row-major block of `d`-wide rows (and its label)
+/// to row `p`, for every `p`, in place: each cycle of the permutation is
+/// walked once with one row of scratch.
+fn permute_rows(data: &mut [f64], labels: &mut [usize], d: usize, order: &[usize]) {
+    let mut done = vec![false; order.len()];
+    let mut row = vec![0.0; d];
+    for first in 0..order.len() {
+        if done[first] {
+            continue;
+        }
+        row.copy_from_slice(&data[first * d..(first + 1) * d]);
+        let label = labels[first];
+        let mut p = first;
+        while order[p] != first {
+            let src = order[p];
+            data.copy_within(src * d..(src + 1) * d, p * d);
+            labels[p] = labels[src];
+            done[p] = true;
+            p = src;
+        }
+        data[p * d..(p + 1) * d].copy_from_slice(&row);
+        labels[p] = label;
+        done[p] = true;
     }
 }
 
@@ -316,6 +401,85 @@ mod tests {
     #[test]
     fn imagenet_spec_has_100_classes() {
         assert_eq!(SyntheticSpec::imagenet100_like().num_classes, 100);
+    }
+
+    /// Thirty samples of three classes, cut into three uneven shards.
+    fn sharded() -> (Dataset, Dataset, Vec<Vec<usize>>, Vec<Dataset>) {
+        let mut rng = Rng64::seed_from(6);
+        let spec = SyntheticSpec::mnist_like().with_samples_per_class(3);
+        let d = spec.generate(&mut rng);
+        let shards = vec![vec![29, 0, 14], (1..14).rev().collect(), (15..29).collect()];
+        let (whole, windows) = d.clone().into_shards(&shards);
+        (d, whole, shards, windows)
+    }
+
+    #[test]
+    fn shards_are_windows_holding_the_listed_samples_in_order() {
+        let (d, whole, shards, windows) = sharded();
+        assert_eq!(whole.len(), d.len());
+        let mut offset = 0;
+        for (shard, window) in shards.iter().zip(&windows) {
+            assert_eq!(window.len(), shard.len());
+            for (r, &i) in shard.iter().enumerate() {
+                assert_eq!(window.sample(r), d.sample(i));
+                assert_eq!(window.label(r), d.label(i));
+                // One storage: the window's row is the whole's row, not a copy.
+                assert!(std::ptr::eq(window.sample(r), whole.sample(offset + r)));
+            }
+            let counts = d.subset(shard).label_counts();
+            assert_eq!(window.label_counts(), counts);
+            offset += shard.len();
+        }
+        // `d` still shared the storage, so the reorder cloned it and left
+        // `d` in generation order.
+        assert_eq!(d.label(0), 0);
+        assert!(!std::ptr::eq(d.sample(0), whole.sample(0)));
+    }
+
+    #[test]
+    fn a_window_evaluates_only_its_own_rows() {
+        let (_, _, shards, windows) = sharded();
+        let w = &windows[1];
+        assert_eq!(w.features().len(), shards[1].len() * w.num_features());
+        assert_eq!(&w.features()[..w.num_features()], w.sample(0));
+        assert_eq!(w.labels().len(), shards[1].len());
+        let per_class = (0..w.num_classes()).map(|c| w.indices_of_class(c).len());
+        assert_eq!(per_class.sum::<usize>(), w.len());
+        assert_eq!(w.indices_of_class(0), vec![11, 12]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sample 3 out of bounds")]
+    fn a_window_cannot_read_its_neighbours_rows() {
+        let (_, _, _, windows) = sharded();
+        let _ = windows[0].sample(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "sample 1 is in two shards")]
+    fn into_shards_rejects_a_duplicate_index() {
+        let d = SyntheticSpec::mnist_like()
+            .with_samples_per_class(1)
+            .generate(&mut Rng64::seed_from(7));
+        let _ = d.into_shards(&[vec![0, 1], vec![1, 2, 3, 4, 5, 6, 7, 8, 9]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "some sample is in no shard")]
+    fn into_shards_rejects_a_missing_index() {
+        let d = SyntheticSpec::mnist_like()
+            .with_samples_per_class(1)
+            .generate(&mut Rng64::seed_from(7));
+        let _ = d.into_shards(&[vec![0, 1], vec![2, 3, 4, 5, 6, 7, 8]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "shard index 10 out of range")]
+    fn into_shards_rejects_an_out_of_range_index() {
+        let d = SyntheticSpec::mnist_like()
+            .with_samples_per_class(1)
+            .generate(&mut Rng64::seed_from(7));
+        let _ = d.into_shards(&[vec![0, 1, 10], vec![2, 3, 4, 5, 6, 7, 8, 9]]);
     }
 
     #[test]

@@ -563,7 +563,7 @@ impl Model for Mlp {
         // Transpose every layer's weights once for the whole evaluation.
         let wts = Self::transpose_weights(&self.layers, ws);
         // Every chunk reads the dataset's feature matrix in place.
-        let features = data.features().as_slice();
+        let features = data.features();
         let mut loss_sum = 0.0;
         let mut correct = 0usize;
         let mut r0 = 0;

@@ -23,15 +23,6 @@ pub struct LabelDistribution {
 }
 
 impl LabelDistribution {
-    /// Compute the label distribution of a set of sample indices of `data`.
-    pub fn from_indices(data: &Dataset, indices: &[usize]) -> Self {
-        let mut counts = vec![0usize; data.num_classes()];
-        for &i in indices {
-            counts[data.label(i)] += 1;
-        }
-        Self::from_counts(&counts)
-    }
-
     /// Compute the label distribution from raw per-class counts.
     pub fn from_counts(counts: &[usize]) -> Self {
         let total: usize = counts.iter().sum();
@@ -268,6 +259,11 @@ mod tests {
             .generate(&mut rng)
     }
 
+    /// The label distribution of the samples of `data` a shard lists.
+    fn shard_distribution(data: &Dataset, shard: &[usize]) -> LabelDistribution {
+        LabelDistribution::from_counts(&data.subset(shard).label_counts())
+    }
+
     fn assert_is_partition(shards: &[Vec<usize>], total: usize) {
         let mut all: Vec<usize> = shards.iter().flatten().copied().collect();
         all.sort_unstable();
@@ -284,7 +280,7 @@ mod tests {
         assert_eq!(shards.len(), 100);
         assert_is_partition(&shards, data.len());
         for shard in &shards {
-            let dist = LabelDistribution::from_indices(&data, shard);
+            let dist = shard_distribution(&data, shard);
             let nonzero = dist.proportions.iter().filter(|&&p| p > 0.0).count();
             assert_eq!(nonzero, 1, "label-skew shard should hold a single class");
         }
@@ -300,7 +296,7 @@ mod tests {
         let global = LabelDistribution::from_counts(&data.label_counts());
         let avg: f64 = shards
             .iter()
-            .map(|s| LabelDistribution::from_indices(&data, s).l1_distance(&global))
+            .map(|s| shard_distribution(&data, s).l1_distance(&global))
             .sum::<f64>()
             / shards.len() as f64;
         assert!((avg - 1.8).abs() < 1e-9, "average EMD {avg} != 1.8");
@@ -334,7 +330,7 @@ mod tests {
         let emd = |shards: &[Vec<usize>]| -> f64 {
             shards
                 .iter()
-                .map(|s| LabelDistribution::from_indices(&data, s).l1_distance(&global))
+                .map(|s| shard_distribution(&data, s).l1_distance(&global))
                 .sum::<f64>()
                 / shards.len() as f64
         };
@@ -362,7 +358,7 @@ mod tests {
         let shards = Partitioner::LabelSkew.partition(&data, 10, &mut rng);
         let dists: Vec<LabelDistribution> = shards
             .iter()
-            .map(|s| LabelDistribution::from_indices(&data, s))
+            .map(|s| shard_distribution(&data, s))
             .collect();
         let refs: Vec<&LabelDistribution> = dists.iter().collect();
         let merged = LabelDistribution::merge(&refs);

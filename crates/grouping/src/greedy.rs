@@ -7,6 +7,16 @@
 //! (or a fresh group) that minimises the current objective while keeping the
 //! constraint satisfied. The worst-case complexity is `O(N²)` objective
 //! evaluations, negligible next to training time.
+//!
+//! **Infeasible placements (lines 14–18).** The paper assumes some
+//! placement keeps the convergence bound feasible (`δ < ε`). This reading
+//! ranks the candidates that satisfy the ξ-constraint feasibility first, in
+//! one pass: a feasible placement by the objective, an infeasible one by the
+//! residual `δ` it reaches without the feasibility cut, and any feasible one
+//! beats every infeasible one. Opening a singleton whenever nothing is
+//! feasible instead leaves 100-class single-label workers (no single-class
+//! group of 100 classes is feasible) as `N` singletons at every ξ; ranking by
+//! `δ` builds the many-class groups that do turn feasible.
 
 use crate::objective::GroupingObjective;
 use crate::worker_info::{Grouping, WorkerInfo};
@@ -74,8 +84,9 @@ pub fn greedy_grouping(workers: &[WorkerInfo], cfg: &GreedyGroupingConfig) -> Gr
 
     let mut groups: Vec<Vec<usize>> = Vec::new();
     for &wi in &order {
-        // Lines 5-13: try every existing group plus a fresh singleton group.
-        let mut best_objective = f64::INFINITY;
+        // Lines 5-13: try every existing group plus a fresh singleton group,
+        // ranked feasibility first (see the module docs).
+        let mut best_score = (true, f64::INFINITY);
         let mut best_group: Option<usize> = None;
         for j in 0..=groups.len() {
             let mut candidate = groups.clone();
@@ -89,15 +100,15 @@ pub fn greedy_grouping(workers: &[WorkerInfo], cfg: &GreedyGroupingConfig) -> Gr
             if !cfg.objective.slice_satisfies_xi(&candidate[j], workers) {
                 continue;
             }
-            let value = cfg.objective.evaluate_groups(&candidate, workers);
-            if value < best_objective {
-                best_objective = value;
+            let score = cfg.objective.placement_score(&candidate, workers);
+            if score < best_score {
+                best_score = score;
                 best_group = Some(j);
             }
         }
-        // Lines 14-18: commit the best placement; if every placement was
-        // infeasible (e.g. the convergence bound cannot be met yet), fall
-        // back to a fresh singleton group, which always satisfies (36d).
+        // Lines 14-18: commit the best placement. Only a worker without data
+        // has no score at all; it opens a fresh singleton group, which
+        // always satisfies (36d).
         match best_group {
             Some(j) if j < groups.len() => groups[j].push(wi),
             _ => groups.push(vec![wi]),
@@ -166,6 +177,20 @@ mod tests {
         // our latency ladder has all-distinct latencies, so every group is a
         // singleton (fully asynchronous FL, as discussed for Fig. 8).
         assert_eq!(g.num_groups(), 20);
+    }
+
+    #[test]
+    fn single_class_workers_of_100_classes_still_form_groups() {
+        // No single-class group of 100 classes keeps the bound feasible, so
+        // every early placement is infeasible; ranking those by δ must still
+        // build mixed groups instead of 100 singletons.
+        let ws = heterogeneous_single_label_workers(100, 100);
+        for xi in [0.3, 0.7, 1.0] {
+            let cfg = config(xi);
+            let g = greedy_grouping(&ws, &cfg);
+            assert!(g.num_groups() < 20, "xi = {xi}: {} groups", g.num_groups());
+            assert!(cfg.objective.satisfies_xi(&g, &ws));
+        }
     }
 
     #[test]

@@ -51,11 +51,16 @@ pub struct ObjectiveConstants {
 }
 
 impl Default for ObjectiveConstants {
-    /// Defaults chosen so that the bound stays feasible (`δ < ε`) across the
-    /// whole EMD range `Λ_j ∈ [0, 2]` of the paper's label-skew workloads,
-    /// while still penalising skewed groups with a larger residual. They
-    /// correspond to a well-conditioned logistic-regression task
-    /// (`µ = 0.2`, `L = 1`, `γ = 0.75 ∈ (1/(2L), 1/L)`).
+    /// Defaults of a well-conditioned logistic-regression task (`µ = 0.4`,
+    /// `L = 1`, `γ = 0.75 ∈ (1/(2L), 1/L)`, `G² = 0.1`, `C = 0.01`,
+    /// `ε = 1.272`). A group of EMD `Λ` then contributes
+    /// `δ = (0.075 Λ² + 0.01) / 0.2`, so the bound is feasible (`δ < ε`)
+    /// only for `Λ ≤ 1.805`, not across the whole range `[0, 2]`. A
+    /// single-class worker of `K` classes has `Λ = 2(1 − 1/K)`: at `K = 10`
+    /// (`Λ = 1.8`) its singleton clears `ε` by 0.5 %, and at `K = 100`
+    /// (`Λ = 1.98`, `δ ≈ 1.52`) no single-class group is feasible, which is
+    /// why Algorithm 3 ranks infeasible placements by `δ` (see
+    /// [`greedy_grouping`](crate::greedy::greedy_grouping)).
     fn default() -> Self {
         Self {
             mu: 0.4,
@@ -167,13 +172,21 @@ impl GroupingObjective {
             .unwrap_or(f64::INFINITY)
     }
 
-    /// Evaluate the objective for an arbitrary (possibly partial) list of
-    /// groups, returning `+∞` when infeasible. The greedy Algorithm 3 calls
-    /// this on incrementally-built assignments.
-    pub(crate) fn evaluate_groups(&self, groups: &[Vec<usize>], workers: &[WorkerInfo]) -> f64 {
-        self.breakdown_groups(groups, workers)
-            .map(|b| b.total_time)
-            .unwrap_or(f64::INFINITY)
+    /// Algorithm 3's score of an arbitrary (possibly partial) list of
+    /// groups, compared as a pair, lower first: a feasible list scores
+    /// `(false, objective)`, and one that makes the bound infeasible scores
+    /// `(true, δ)`, its residual computed without the feasibility cut
+    /// (`+∞` when no data is assigned). The greedy calls this on
+    /// incrementally-built assignments.
+    pub(crate) fn placement_score(
+        &self,
+        groups: &[Vec<usize>],
+        workers: &[WorkerInfo],
+    ) -> (bool, f64) {
+        match self.estimate(groups, workers) {
+            Ok(b) => (false, b.total_time),
+            Err(residual) => (true, residual),
+        }
     }
 
     /// Evaluate the objective together with its intermediate quantities.
@@ -203,8 +216,19 @@ impl GroupingObjective {
         groups: &[Vec<usize>],
         workers: &[WorkerInfo],
     ) -> Option<ObjectiveBreakdown> {
+        self.estimate(groups, workers).ok()
+    }
+
+    /// [`GroupingObjective::breakdown_groups`], or, when the bound is
+    /// infeasible, the residual `δ` the list of groups reaches (`+∞` when
+    /// it is undefined: an empty group, or no data assigned).
+    fn estimate(
+        &self,
+        groups: &[Vec<usize>],
+        workers: &[WorkerInfo],
+    ) -> Result<ObjectiveBreakdown, f64> {
         if groups.is_empty() || groups.iter().any(|g| g.is_empty()) {
-            return None;
+            return Err(f64::INFINITY);
         }
         let c = &self.constants;
         let completion: Vec<f64> = groups
@@ -239,28 +263,25 @@ impl GroupingObjective {
                     + c.smoothness * c.smoothness * c.aggregation_error);
         }
         if psi_beta_sum <= 0.0 {
-            return None;
+            return Err(f64::INFINITY);
         }
 
-        // Contraction base B = 1 - (2 mu gamma - mu / L_s) * sum psi_j beta_j.
-        let contraction = 1.0 - (2.0 * c.mu * c.gamma - c.mu / c.smoothness) * psi_beta_sum;
-        if contraction <= 0.0 || contraction >= 1.0 {
-            return None;
-        }
         // Residual delta of Theorem 1.
         let residual = weighted_residual_numerator
             / ((2.0 * c.mu * c.gamma * c.smoothness - c.mu) * psi_beta_sum);
-        if residual >= c.epsilon {
-            return None;
+        // Contraction base B = 1 - (2 mu gamma - mu / L_s) * sum psi_j beta_j.
+        let contraction = 1.0 - (2.0 * c.mu * c.gamma - c.mu / c.smoothness) * psi_beta_sum;
+        if contraction <= 0.0 || contraction >= 1.0 || residual >= c.epsilon {
+            return Err(residual);
         }
         let a = (c.epsilon - residual) / c.initial_gap;
         if a <= 0.0 || a >= 1.0 {
-            return None;
+            return Err(residual);
         }
         // T >= (1 + tau_max) log_B A  (Eq. 38); both logs are negative.
         let estimated_rounds = (1.0 + estimated_staleness) * (a.ln() / contraction.ln());
         let total_time = average_round_time * estimated_rounds;
-        Some(ObjectiveBreakdown {
+        Ok(ObjectiveBreakdown {
             average_round_time,
             estimated_staleness,
             estimated_rounds,

@@ -369,6 +369,70 @@ pub fn describe() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use airfedga::mechanism::{AirFedGa, AirFedGaConfig};
+    use experiments::scale::Scale;
+    use fedml::rng::Rng64;
+    use std::fmt::Write;
+
+    /// Algorithm 3's group counts at ξ = 0 / 0.3 / 0.7 / 1 for every
+    /// workload × partition × scale, on the figures' system seed (42).
+    const GROUPING_CENSUS: &str = "\
+quick mnist_lr       label_skew    N= 20 K= 10 groups [20, 3, 2, 1]
+quick mnist_lr       dirichlet:0.3 N= 20 K= 10 groups [20, 4, 3, 1]
+quick mnist_lr_quick label_skew    N= 20 K= 10 groups [20, 4, 2, 1]
+quick mnist_lr_quick dirichlet:0.3 N= 20 K= 10 groups [20, 5, 3, 1]
+quick mnist_cnn      label_skew    N= 20 K= 10 groups [20, 3, 2, 1]
+quick mnist_cnn      dirichlet:0.3 N= 20 K= 10 groups [20, 4, 3, 1]
+quick cifar_cnn      label_skew    N= 20 K= 10 groups [20, 5, 3, 1]
+quick cifar_cnn      dirichlet:0.3 N= 20 K= 10 groups [20, 5, 3, 1]
+quick imagenet_vgg   label_skew    N= 20 K=100 groups [20, 4, 3, 1]
+quick imagenet_vgg   dirichlet:0.3 N= 20 K=100 groups [20, 4, 2, 1]
+full  mnist_lr       label_skew    N=100 K= 10 groups [100, 5, 2, 1]
+full  mnist_lr       dirichlet:0.3 N=100 K= 10 groups [100, 6, 4, 1]
+full  mnist_lr_quick label_skew    N=100 K= 10 groups [100, 4, 3, 1]
+full  mnist_lr_quick dirichlet:0.3 N=100 K= 10 groups [100, 5, 4, 1]
+full  mnist_cnn      label_skew    N=100 K= 10 groups [100, 5, 2, 1]
+full  mnist_cnn      dirichlet:0.3 N=100 K= 10 groups [100, 6, 4, 1]
+full  cifar_cnn      label_skew    N=100 K= 10 groups [100, 4, 2, 1]
+full  cifar_cnn      dirichlet:0.3 N=100 K= 10 groups [100, 6, 3, 1]
+full  imagenet_vgg   label_skew    N=100 K=100 groups [100, 5, 3, 1]
+full  imagenet_vgg   dirichlet:0.3 N=100 K=100 groups [100, 6, 3, 1]
+";
+
+    #[test]
+    fn grouping_census() {
+        // System build and Algorithm 3 only: no training.
+        let mut table = String::new();
+        for (scale, scale_name) in [(Scale::Quick, "quick"), (Scale::Full, "full")] {
+            for (name, _, build) in WORKLOADS {
+                for key in ["label_skew", "dirichlet:0.3"] {
+                    let mut cfg = scale.apply(build());
+                    cfg.partitioner = partitioner(key).unwrap();
+                    let system = cfg.build(&mut Rng64::seed_from(42));
+                    let groups = [0.0, 0.3, 0.7, 1.0].map(|xi| {
+                        let config = AirFedGaConfig {
+                            xi,
+                            ..AirFedGaConfig::default()
+                        };
+                        AirFedGa::new(config).grouping_for(&system).num_groups()
+                    });
+                    let (n, k) = (system.num_workers(), system.train.num_classes());
+                    writeln!(
+                        table,
+                        "{scale_name:5} {name:14} {key:13} N={n:3} K={k:3} groups {groups:?}"
+                    )
+                    .unwrap();
+                    if scale == Scale::Full {
+                        assert!(
+                            groups[1..].iter().all(|&g| g < n),
+                            "full-scale {name} / {key}: {n} singleton groups at xi >= 0.3 ({groups:?})"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(table, GROUPING_CENSUS, "census moved:\n{table}");
+    }
 
     #[test]
     fn every_catalogue_entry_builds() {
