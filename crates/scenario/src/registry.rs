@@ -372,31 +372,34 @@ mod tests {
     use airfedga::mechanism::{AirFedGa, AirFedGaConfig};
     use experiments::scale::Scale;
     use fedml::rng::Rng64;
+    use runstore::Fnv128;
     use std::fmt::Write;
 
     /// Algorithm 3's group counts at ξ = 0 / 0.3 / 0.7 / 1 for every
-    /// workload × partition × scale, on the figures' system seed (42).
+    /// workload × partition × scale, on the figures' system seed (42), and a
+    /// digest of the four groupings' member lists (who is grouped with whom,
+    /// in Algorithm 3's order).
     const GROUPING_CENSUS: &str = "\
-quick mnist_lr       label_skew    N= 20 K= 10 groups [20, 3, 2, 1]
-quick mnist_lr       dirichlet:0.3 N= 20 K= 10 groups [20, 4, 3, 1]
-quick mnist_lr_quick label_skew    N= 20 K= 10 groups [20, 4, 2, 1]
-quick mnist_lr_quick dirichlet:0.3 N= 20 K= 10 groups [20, 5, 3, 1]
-quick mnist_cnn      label_skew    N= 20 K= 10 groups [20, 3, 2, 1]
-quick mnist_cnn      dirichlet:0.3 N= 20 K= 10 groups [20, 4, 3, 1]
-quick cifar_cnn      label_skew    N= 20 K= 10 groups [20, 5, 3, 1]
-quick cifar_cnn      dirichlet:0.3 N= 20 K= 10 groups [20, 5, 3, 1]
-quick imagenet_vgg   label_skew    N= 20 K=100 groups [20, 4, 3, 1]
-quick imagenet_vgg   dirichlet:0.3 N= 20 K=100 groups [20, 4, 2, 1]
-full  mnist_lr       label_skew    N=100 K= 10 groups [100, 5, 2, 1]
-full  mnist_lr       dirichlet:0.3 N=100 K= 10 groups [100, 6, 4, 1]
-full  mnist_lr_quick label_skew    N=100 K= 10 groups [100, 4, 3, 1]
-full  mnist_lr_quick dirichlet:0.3 N=100 K= 10 groups [100, 5, 4, 1]
-full  mnist_cnn      label_skew    N=100 K= 10 groups [100, 5, 2, 1]
-full  mnist_cnn      dirichlet:0.3 N=100 K= 10 groups [100, 6, 4, 1]
-full  cifar_cnn      label_skew    N=100 K= 10 groups [100, 4, 2, 1]
-full  cifar_cnn      dirichlet:0.3 N=100 K= 10 groups [100, 6, 3, 1]
-full  imagenet_vgg   label_skew    N=100 K=100 groups [100, 5, 3, 1]
-full  imagenet_vgg   dirichlet:0.3 N=100 K=100 groups [100, 6, 3, 1]
+quick mnist_lr       label_skew    N= 20 K= 10 groups [20, 3, 2, 1] members bef14daa0f609b0d
+quick mnist_lr       dirichlet:0.3 N= 20 K= 10 groups [20, 4, 3, 1] members ae7d2bc245d8db1d
+quick mnist_lr_quick label_skew    N= 20 K= 10 groups [20, 4, 2, 1] members 395b7d422540e3c5
+quick mnist_lr_quick dirichlet:0.3 N= 20 K= 10 groups [20, 5, 3, 1] members 43206a65dc04aaf5
+quick mnist_cnn      label_skew    N= 20 K= 10 groups [20, 3, 2, 1] members bef14daa0f609b0d
+quick mnist_cnn      dirichlet:0.3 N= 20 K= 10 groups [20, 4, 3, 1] members ae7d2bc245d8db1d
+quick cifar_cnn      label_skew    N= 20 K= 10 groups [20, 5, 3, 1] members 9a5d6bf4dfda4e95
+quick cifar_cnn      dirichlet:0.3 N= 20 K= 10 groups [20, 5, 3, 1] members 638cc220a9e4e125
+quick imagenet_vgg   label_skew    N= 20 K=100 groups [20, 4, 3, 1] members 9f92b27e18fe5eed
+quick imagenet_vgg   dirichlet:0.3 N= 20 K=100 groups [20, 4, 2, 1] members d0a5b698d2264ce5
+full  mnist_lr       label_skew    N=100 K= 10 groups [100, 5, 2, 1] members 5df887c00753380d
+full  mnist_lr       dirichlet:0.3 N=100 K= 10 groups [100, 6, 4, 1] members 5d968831ecd74415
+full  mnist_lr_quick label_skew    N=100 K= 10 groups [100, 4, 3, 1] members f64ef170bc01ff4d
+full  mnist_lr_quick dirichlet:0.3 N=100 K= 10 groups [100, 5, 4, 1] members 7489df503111213d
+full  mnist_cnn      label_skew    N=100 K= 10 groups [100, 5, 2, 1] members 5df887c00753380d
+full  mnist_cnn      dirichlet:0.3 N=100 K= 10 groups [100, 6, 4, 1] members 5d968831ecd74415
+full  cifar_cnn      label_skew    N=100 K= 10 groups [100, 4, 2, 1] members 5dfc9f6c561cb0d5
+full  cifar_cnn      dirichlet:0.3 N=100 K= 10 groups [100, 6, 3, 1] members d0046e6f4de43b3d
+full  imagenet_vgg   label_skew    N=100 K=100 groups [100, 5, 3, 1] members 92573450c8f7e1b5
+full  imagenet_vgg   dirichlet:0.3 N=100 K=100 groups [100, 6, 3, 1] members a18710ee431b14dd
 ";
 
     #[test]
@@ -409,17 +412,30 @@ full  imagenet_vgg   dirichlet:0.3 N=100 K=100 groups [100, 6, 3, 1]
                     let mut cfg = scale.apply(build());
                     cfg.partitioner = partitioner(key).unwrap();
                     let system = cfg.build(&mut Rng64::seed_from(42));
-                    let groups = [0.0, 0.3, 0.7, 1.0].map(|xi| {
+                    let groupings = [0.0, 0.3, 0.7, 1.0].map(|xi| {
                         let config = AirFedGaConfig {
                             xi,
                             ..AirFedGaConfig::default()
                         };
-                        AirFedGa::new(config).grouping_for(&system).num_groups()
+                        AirFedGa::new(config).grouping_for(&system)
                     });
+                    let groups = groupings.each_ref().map(|g| g.num_groups());
+                    let mut digest = Fnv128::new();
+                    for grouping in &groupings {
+                        for group in grouping.groups() {
+                            for &w in group {
+                                digest.update(&(w as u64).to_le_bytes());
+                            }
+                            digest.update(&u64::MAX.to_le_bytes());
+                        }
+                        digest.update(b"|");
+                    }
+                    let members = digest.finish() as u64;
                     let (n, k) = (system.num_workers(), system.train.num_classes());
                     writeln!(
                         table,
-                        "{scale_name:5} {name:14} {key:13} N={n:3} K={k:3} groups {groups:?}"
+                        "{scale_name:5} {name:14} {key:13} N={n:3} K={k:3} groups {groups:?} \
+                         members {members:016x}"
                     )
                     .unwrap();
                     if scale == Scale::Full {
