@@ -19,8 +19,6 @@
 //!   training scratch (model, workspace); a round's members train in
 //!   parallel, one run per lane, on the persistent worker pool with
 //!   bit-identical-to-sequential results.
-//! * [`convergence`] — numerical evaluation of the Theorem-1 bound
-//!   (`ρ`, `δ`, the Lemma-1 recursion) and of Corollaries 1–2.
 //!
 //! ## Quickstart
 //!
@@ -42,7 +40,6 @@
 
 #![warn(missing_docs)]
 
-pub mod convergence;
 pub mod mechanism;
 pub mod server;
 pub mod system;

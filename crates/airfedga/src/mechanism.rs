@@ -26,7 +26,7 @@ use crate::system::FlSystem;
 use crate::worker_pool::WorkerPool;
 use fedml::params::FlatParams;
 use fedml::rng::Rng64;
-use grouping::greedy::{greedy_grouping, GreedyGroupingConfig};
+use grouping::greedy::greedy_grouping;
 use grouping::objective::{GroupingObjective, ObjectiveConstants};
 use grouping::worker_info::Grouping;
 use simcore::events::EventQueue;
@@ -343,7 +343,7 @@ impl AirFedGa {
             self.config.xi,
             ObjectiveConstants::default(),
         );
-        greedy_grouping(&system.worker_infos, &GreedyGroupingConfig::new(objective))
+        greedy_grouping(&system.worker_infos, &objective)
     }
 
     /// Run Air-FedGA's engine (AirComp under Algorithm 2) with an explicit

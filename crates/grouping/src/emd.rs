@@ -8,15 +8,13 @@
 //! Table III compares the average EMD achieved by different grouping methods
 //! (Original 1.8 → TiFL 0.69 → Air-FedGA 0.21).
 
-use crate::worker_info::{Grouping, WorkerInfo};
+use crate::worker_info::{slice_label_distribution, Grouping, WorkerInfo};
 use fedml::partition::LabelDistribution;
 
 /// The EMD `Λ_j` between one group's label distribution and the global one.
 pub fn group_emd(grouping: &Grouping, group: usize, workers: &[WorkerInfo]) -> f64 {
     let global = LabelDistribution::from_counts(&WorkerInfo::global_label_counts(workers));
-    grouping
-        .group_label_distribution(group, workers)
-        .l1_distance(&global)
+    slice_label_distribution(grouping.group(group), workers).l1_distance(&global)
 }
 
 /// The unweighted average EMD `Λ̄ = (1/M) Σ_j Λ_j` over all groups — the
@@ -25,11 +23,7 @@ pub fn average_group_emd(grouping: &Grouping, workers: &[WorkerInfo]) -> f64 {
     let global = LabelDistribution::from_counts(&WorkerInfo::global_label_counts(workers));
     let m = grouping.num_groups();
     (0..m)
-        .map(|j| {
-            grouping
-                .group_label_distribution(j, workers)
-                .l1_distance(&global)
-        })
+        .map(|j| slice_label_distribution(grouping.group(j), workers).l1_distance(&global))
         .sum::<f64>()
         / m as f64
 }

@@ -20,32 +20,11 @@
 
 use crate::objective::GroupingObjective;
 use crate::worker_info::{Grouping, WorkerInfo};
-use serde::{Deserialize, Serialize};
-
-/// Configuration of the greedy grouping run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GreedyGroupingConfig {
-    /// The objective/constraint evaluator (carries `L_u`, ξ and the
-    /// convergence constants).
-    pub(crate) objective: GroupingObjective,
-    /// If true (the paper's choice), workers are processed in descending
-    /// order of data size; if false, in index order (useful for ablation).
-    pub(crate) sort_by_data_size: bool,
-}
-
-impl GreedyGroupingConfig {
-    /// Standard configuration used by the experiments.
-    pub fn new(objective: GroupingObjective) -> Self {
-        Self {
-            objective,
-            sort_by_data_size: true,
-        }
-    }
-}
 
 /// Run Algorithm 3 over the given worker population and return the resulting
-/// grouping (a validated partition of all workers).
-pub fn greedy_grouping(workers: &[WorkerInfo], cfg: &GreedyGroupingConfig) -> Grouping {
+/// grouping (a validated partition of all workers). The objective carries
+/// `L_u`, ξ and the convergence constants.
+pub fn greedy_grouping(workers: &[WorkerInfo], objective: &GroupingObjective) -> Grouping {
     assert!(!workers.is_empty(), "cannot group an empty worker set");
     // Line 3: sort workers in descending order of data size. The paper
     // leaves the order of equal-sized workers unspecified; we break ties by
@@ -71,16 +50,14 @@ pub fn greedy_grouping(workers: &[WorkerInfo], cfg: &GreedyGroupingConfig) -> Gr
         seen_per_label[label] += 1;
     }
     let mut order: Vec<usize> = (0..workers.len()).collect();
-    if cfg.sort_by_data_size {
-        order.sort_by(|&a, &b| {
-            workers[b]
-                .data_size
-                .cmp(&workers[a].data_size)
-                .then(rank_within_label[a].cmp(&rank_within_label[b]))
-                .then(dominant_label[a].cmp(&dominant_label[b]))
-                .then(a.cmp(&b))
-        });
-    }
+    order.sort_by(|&a, &b| {
+        workers[b]
+            .data_size
+            .cmp(&workers[a].data_size)
+            .then(rank_within_label[a].cmp(&rank_within_label[b]))
+            .then(dominant_label[a].cmp(&dominant_label[b]))
+            .then(a.cmp(&b))
+    });
 
     let mut groups: Vec<Vec<usize>> = Vec::new();
     for &wi in &order {
@@ -97,10 +74,10 @@ pub fn greedy_grouping(workers: &[WorkerInfo], cfg: &GreedyGroupingConfig) -> Gr
             }
             // Constraint (36d) must hold for the group that received the
             // worker (the other groups are unchanged).
-            if !cfg.objective.slice_satisfies_xi(&candidate[j], workers) {
+            if !objective.slice_satisfies_xi(&candidate[j], workers) {
                 continue;
             }
-            let score = cfg.objective.placement_score(&candidate, workers);
+            let score = objective.placement_score(&candidate, workers);
             if score < best_score {
                 best_score = score;
                 best_group = Some(j);
@@ -139,18 +116,14 @@ mod tests {
             .collect()
     }
 
-    fn config(xi: f64) -> GreedyGroupingConfig {
-        GreedyGroupingConfig::new(GroupingObjective::new(
-            0.5,
-            xi,
-            ObjectiveConstants::default(),
-        ))
+    fn objective(xi: f64) -> GroupingObjective {
+        GroupingObjective::new(0.5, xi, ObjectiveConstants::default())
     }
 
     #[test]
     fn produces_a_valid_partition() {
         let ws = heterogeneous_single_label_workers(30, 10);
-        let g = greedy_grouping(&ws, &config(0.3));
+        let g = greedy_grouping(&ws, &objective(0.3));
         assert_eq!(g.num_workers(), 30);
         let covered: usize = g.groups().iter().map(|x| x.len()).sum();
         assert_eq!(covered, 30);
@@ -160,19 +133,16 @@ mod tests {
     fn respects_the_xi_constraint() {
         let ws = heterogeneous_single_label_workers(40, 10);
         for xi in [0.1, 0.3, 0.6, 1.0] {
-            let cfg = config(xi);
-            let g = greedy_grouping(&ws, &cfg);
-            assert!(
-                cfg.objective.satisfies_xi(&g, &ws),
-                "xi = {xi} constraint violated"
-            );
+            let obj = objective(xi);
+            let g = greedy_grouping(&ws, &obj);
+            assert!(obj.satisfies_xi(&g, &ws), "xi = {xi} constraint violated");
         }
     }
 
     #[test]
     fn xi_zero_degenerates_towards_singletons() {
         let ws = heterogeneous_single_label_workers(20, 10);
-        let g = greedy_grouping(&ws, &config(0.0));
+        let g = greedy_grouping(&ws, &objective(0.0));
         // With xi = 0 only workers with identical latency may share a group;
         // our latency ladder has all-distinct latencies, so every group is a
         // singleton (fully asynchronous FL, as discussed for Fig. 8).
@@ -186,17 +156,17 @@ mod tests {
         // build mixed groups instead of 100 singletons.
         let ws = heterogeneous_single_label_workers(100, 100);
         for xi in [0.3, 0.7, 1.0] {
-            let cfg = config(xi);
-            let g = greedy_grouping(&ws, &cfg);
+            let obj = objective(xi);
+            let g = greedy_grouping(&ws, &obj);
             assert!(g.num_groups() < 20, "xi = {xi}: {} groups", g.num_groups());
-            assert!(cfg.objective.satisfies_xi(&g, &ws));
+            assert!(obj.satisfies_xi(&g, &ws));
         }
     }
 
     #[test]
     fn grouping_reduces_average_emd_well_below_original() {
         let ws = heterogeneous_single_label_workers(100, 10);
-        let g = greedy_grouping(&ws, &config(0.3));
+        let g = greedy_grouping(&ws, &objective(0.3));
         let original = average_group_emd(&Grouping::singletons(100), &ws);
         let grouped = average_group_emd(&g, &ws);
         assert!((original - 1.8).abs() < 1e-9);
@@ -209,10 +179,10 @@ mod tests {
     #[test]
     fn grouping_beats_singletons_on_the_objective() {
         let ws = heterogeneous_single_label_workers(50, 10);
-        let cfg = config(0.3);
-        let g = greedy_grouping(&ws, &cfg);
-        let greedy_value = cfg.objective.evaluate(&g, &ws);
-        let singleton_value = cfg.objective.evaluate(&Grouping::singletons(50), &ws);
+        let obj = objective(0.3);
+        let g = greedy_grouping(&ws, &obj);
+        let greedy_value = obj.evaluate(&g, &ws);
+        let singleton_value = obj.evaluate(&Grouping::singletons(50), &ws);
         assert!(
             greedy_value <= singleton_value,
             "greedy {greedy_value} worse than singletons {singleton_value}"
@@ -223,8 +193,8 @@ mod tests {
     fn groups_cluster_similar_latencies() {
         // Fig. 7: workers within a group should have comparable latency.
         let ws = heterogeneous_single_label_workers(60, 10);
-        let cfg = config(0.3);
-        let g = greedy_grouping(&ws, &cfg);
+        let obj = objective(0.3);
+        let g = greedy_grouping(&ws, &obj);
         let spread = WorkerInfo::latency_spread(&ws);
         for j in 0..g.num_groups() {
             let members = g.group(j);
@@ -243,9 +213,9 @@ mod tests {
     #[test]
     fn deterministic_given_identical_input() {
         let ws = heterogeneous_single_label_workers(40, 10);
-        let cfg = config(0.3);
-        let a = greedy_grouping(&ws, &cfg);
-        let b = greedy_grouping(&ws, &cfg);
+        let obj = objective(0.3);
+        let a = greedy_grouping(&ws, &obj);
+        let b = greedy_grouping(&ws, &obj);
         assert_eq!(a, b);
     }
 }

@@ -3,9 +3,10 @@
 //! The grouping algorithms of §V never look at raw samples; they only need
 //! each worker's estimated local-training latency `l_i`, data size `d_i` and
 //! per-class data sizes `d_i^k`. [`WorkerInfo`] carries exactly that, and
-//! [`Grouping`] is a partition of worker indices into groups with the
-//! bookkeeping the objective and the mechanisms need (`D_j`, `β_j`, group
-//! latencies, membership lookup).
+//! [`Grouping`] is a partition of worker indices into groups. Each group
+//! statistic the objective needs — data size `D_j`, label distribution
+//! `β_j^k`, slowest latency — is one `slice_*` function over a list of
+//! worker indices, so complete and partial groupings share it.
 
 use fedml::partition::LabelDistribution;
 use serde::{Deserialize, Serialize};
@@ -69,11 +70,6 @@ impl WorkerInfo {
             .map(|w| w.local_training_time)
             .fold(f64::INFINITY, f64::min);
         max - min
-    }
-
-    /// Total data size `D` of a worker population.
-    pub(crate) fn total_data(workers: &[WorkerInfo]) -> usize {
-        workers.iter().map(|w| w.data_size).sum()
     }
 
     /// Global label counts `Σ_i d_i^k` of a worker population.
@@ -182,49 +178,9 @@ impl Grouping {
         &self.groups
     }
 
-    /// Group data size `D_j`.
-    pub(crate) fn group_data_size(&self, j: usize, workers: &[WorkerInfo]) -> usize {
-        self.groups[j].iter().map(|&w| workers[w].data_size).sum()
-    }
-
-    /// Group share of the total data, `β_j = D_j / D`.
-    pub fn group_data_fraction(&self, j: usize, workers: &[WorkerInfo]) -> f64 {
-        self.group_data_size(j, workers) as f64 / WorkerInfo::total_data(workers) as f64
-    }
-
-    /// Group label distribution `β_j^k`.
-    pub(crate) fn group_label_distribution(
-        &self,
-        j: usize,
-        workers: &[WorkerInfo],
-    ) -> LabelDistribution {
-        let k = workers[self.groups[j][0]].num_classes();
-        let mut counts = vec![0usize; k];
-        for &w in &self.groups[j] {
-            for (c, &n) in counts.iter_mut().zip(workers[w].label_counts.iter()) {
-                *c += n;
-            }
-        }
-        LabelDistribution::from_counts(&counts)
-    }
-
     /// The slowest local-training time inside group `j` (`max_{v_i∈V_j} l_i`).
     pub fn group_max_latency(&self, j: usize, workers: &[WorkerInfo]) -> f64 {
-        self.groups[j]
-            .iter()
-            .map(|&w| workers[w].local_training_time)
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Per-group completion times `L_j = max_{v_i∈V_j} l_i + L_u` (Eq. (34)).
-    pub fn group_completion_times(
-        &self,
-        workers: &[WorkerInfo],
-        aggregation_time: f64,
-    ) -> Vec<f64> {
-        (0..self.num_groups())
-            .map(|j| self.group_max_latency(j, workers) + aggregation_time)
-            .collect()
+        slice_max_latency(&self.groups[j], workers)
     }
 }
 
@@ -255,7 +211,7 @@ mod tests {
     #[test]
     fn population_helpers() {
         let ws = workers();
-        assert_eq!(WorkerInfo::total_data(&ws), 100);
+        assert_eq!(slice_data_size(&[0, 1, 2], &ws), 100);
         assert_eq!(WorkerInfo::latency_spread(&ws), 20.0);
         assert_eq!(WorkerInfo::global_label_counts(&ws), vec![45, 55]);
     }
@@ -265,12 +221,11 @@ mod tests {
         let ws = workers();
         let g = Grouping::new(vec![vec![0, 1], vec![2]], 3);
         assert_eq!(g.num_groups(), 2);
-        assert_eq!(g.group_data_size(0, &ws), 50);
-        assert!((g.group_data_fraction(1, &ws) - 0.5).abs() < 1e-12);
+        assert_eq!(g.group(1), &[2]);
+        assert_eq!(slice_data_size(g.group(0), &ws), 50);
         assert_eq!(g.group_max_latency(0, &ws), 20.0);
-        let completion = g.group_completion_times(&ws, 1.0);
-        assert_eq!(completion, vec![21.0, 31.0]);
-        let dist = g.group_label_distribution(0, &ws);
+        assert_eq!(g.group_max_latency(1, &ws), 30.0);
+        let dist = slice_label_distribution(g.group(0), &ws);
         assert_eq!(dist.proportions, vec![0.4, 0.6]);
     }
 

@@ -1,72 +1,61 @@
 //! Theorem 1 in practice: evaluate the convergence bound for different
 //! groupings and staleness levels, illustrating Corollaries 1 and 2, then
 //! on the groupings Algorithm 3, TiFL and per-worker singletons actually
-//! produce for the paper's 100-worker `mnist_lr` system (seed 42).
+//! produce for the paper's 100-worker `mnist_lr` system (seed 42). Every
+//! bound is evaluated at `ObjectiveConstants::default()`, the constants
+//! Algorithm 3 groups with.
 //!
 //! ```bash
 //! cargo run --release --example convergence_bound
 //! ```
 
-use air_fedga::airfedga::convergence::{theorem1_bound, BoundInputs, GroupTerm};
 use air_fedga::airfedga::mechanism::{AirFedGa, AirFedGaConfig};
-use air_fedga::airfedga::system::{FlSystem, FlSystemConfig};
+use air_fedga::airfedga::system::FlSystemConfig;
 use air_fedga::experiments::report::Table;
 use air_fedga::fedml::rng::Rng64;
-use air_fedga::grouping::emd::group_emd;
+use air_fedga::grouping::objective::{theorem1_bound, GroupingObjective, ObjectiveConstants};
 use air_fedga::grouping::tifl::{default_tier_count, tifl_grouping};
 use air_fedga::grouping::worker_info::Grouping;
 
-fn inputs(max_staleness: usize) -> BoundInputs {
-    BoundInputs {
-        mu: 0.2,
-        smoothness: 1.0,
-        gamma: 0.75,
-        gradient_bound_sq: 0.02,
-        aggregation_error: 0.01,
-        max_staleness,
-        initial_gap: 2.3,
-    }
+/// `m` groups with `ψ_j = β_j = 1/m` and one EMD.
+fn uniform_groups(m: usize, emd: f64) -> Vec<(f64, f64, f64)> {
+    vec![(1.0 / m as f64, 1.0 / m as f64, emd); m]
 }
 
-fn uniform_groups(m: usize, emd: f64) -> Vec<GroupTerm> {
-    (0..m)
-        .map(|_| GroupTerm {
-            psi: 1.0 / m as f64,
-            beta: 1.0 / m as f64,
-            emd,
-        })
-        .collect()
+/// Theorem 1's per-round contraction factor `ρ = B^{1/(1+τ_max)}`.
+fn rho(contraction: f64, max_staleness: usize) -> f64 {
+    contraction.powf(1.0 / (1.0 + max_staleness as f64))
 }
 
-/// The Theorem-1 group terms of a real grouping: `psi` from the groups'
-/// completion rates, `beta` their data fractions, `emd` their label skew.
-fn terms_for(grouping: &Grouping, system: &FlSystem) -> Vec<GroupTerm> {
-    let workers = &system.worker_infos;
-    let lu = system.aircomp_aggregation_time();
-    let completion = grouping.group_completion_times(workers, lu);
-    let inv_sum: f64 = completion.iter().map(|l| 1.0 / l).sum();
-    (0..grouping.num_groups())
-        .map(|j| GroupTerm {
-            psi: (1.0 / completion[j]) / inv_sum,
-            beta: grouping.group_data_fraction(j, workers),
-            emd: group_emd(grouping, j, workers),
-        })
-        .collect()
+/// Eq. (38) rounded up: the first round after which the bound is at most
+/// `ε`, or "unreachable".
+fn rounds_to_epsilon(
+    c: &ObjectiveConstants,
+    (contraction, residual): (f64, f64),
+    max_staleness: usize,
+) -> String {
+    c.rounds_to_epsilon(contraction, residual, max_staleness as f64)
+        .map(|t| (t.ceil() as usize).to_string())
+        .unwrap_or_else(|| "unreachable".to_string())
 }
 
 /// Theorem 1 and Corollary 2 on the paper's 100-worker system.
-fn print_paper_system_bounds() {
+fn print_paper_system_bounds(c: &ObjectiveConstants) {
     // The preset is the paper's setup: 100 workers, one label each.
     let system = FlSystemConfig::mnist_lr().build(&mut Rng64::seed_from(42));
-    let airfedga_grouping = AirFedGa::new(AirFedGaConfig::default()).grouping_for(&system);
-    let tifl = tifl_grouping(
-        &system.worker_infos,
-        default_tier_count(system.num_workers()),
-    );
+    let config = AirFedGaConfig::default();
+    let airfedga_grouping = AirFedGa::new(config.clone()).grouping_for(&system);
+    // Algorithm 3's own objective: its ψ_j, β_j and Λ_j are the bound's.
+    let objective = GroupingObjective::new(system.aircomp_aggregation_time(), config.xi, *c);
+    let workers = &system.worker_infos;
+    let tifl = tifl_grouping(workers, default_tier_count(system.num_workers()));
     let singles = Grouping::singletons(system.num_workers());
 
     let mut table = Table::new(
-        "Theorem 1: convergence bound per grouping (epsilon = 1.0)",
+        &format!(
+            "Theorem 1: convergence bound per grouping (epsilon = {})",
+            c.epsilon
+        ),
         &[
             "grouping",
             "groups",
@@ -82,58 +71,56 @@ fn print_paper_system_bounds() {
         ("Per-worker singletons", &singles),
     ] {
         let tau = grouping.num_groups().saturating_sub(1);
-        let bound = theorem1_bound(&inputs(tau), &terms_for(grouping, &system));
-        let rounds = bound
-            .rounds_to_reach(1.0, 2.3)
-            .map(|r| r.to_string())
-            .unwrap_or_else(|| "unreachable".to_string());
+        let bound = objective.bound(grouping, workers).expect("defined");
         table.add_row(vec![
             name.to_string(),
             grouping.num_groups().to_string(),
             tau.to_string(),
-            format!("{:.4}", bound.rho),
-            format!("{:.3}", bound.delta),
-            rounds,
+            format!("{:.4}", rho(bound.0, tau)),
+            format!("{:.3}", bound.1),
+            rounds_to_epsilon(c, bound, tau),
         ]);
     }
     println!("{}", table.render());
 
     // Corollary 2 on Algorithm 3's grouping: rho increases with tau_max.
-    let terms = terms_for(&airfedga_grouping, &system);
+    let (contraction, _) = objective
+        .bound(&airfedga_grouping, workers)
+        .expect("defined");
     let mut corollary = Table::new(
         "Corollary 2: contraction factor rho vs staleness bound tau_max",
         &["tau_max", "rho"],
     );
     for tau in [0usize, 1, 2, 4, 8, 16] {
-        let bound = theorem1_bound(&inputs(tau), &terms);
-        corollary.add_row(vec![tau.to_string(), format!("{:.4}", bound.rho)]);
+        corollary.add_row(vec![
+            tau.to_string(),
+            format!("{:.4}", rho(contraction, tau)),
+        ]);
     }
     println!("{}", corollary.render());
 }
 
 fn main() {
+    let c = ObjectiveConstants::default();
     println!("Corollary 1 — residual error grows with inter-group Non-IID (EMD):");
-    println!("  EMD    delta      rounds to gap 1.0");
+    println!("  EMD    delta      rounds to gap {}", c.epsilon);
     for emd in [0.0, 0.4, 0.8, 1.2, 1.6, 1.8] {
-        let bound = theorem1_bound(&inputs(4), &uniform_groups(8, emd));
+        let bound = theorem1_bound(&c, uniform_groups(8, emd)).expect("defined");
         println!(
             "  {emd:.1}   {:.4}    {}",
-            bound.delta,
-            bound
-                .rounds_to_reach(1.0, 2.3)
-                .map(|r| r.to_string())
-                .unwrap_or_else(|| "unreachable".into())
+            bound.1,
+            rounds_to_epsilon(&c, bound, 4)
         );
     }
 
     println!("\nCorollary 2 — contraction factor rho grows with the staleness bound:");
     println!("  tau_max   rho       bound after 200 rounds");
+    let (contraction, residual) = theorem1_bound(&c, uniform_groups(8, 0.4)).expect("defined");
     for tau in [0usize, 1, 2, 4, 8, 16, 32] {
-        let bound = theorem1_bound(&inputs(tau), &uniform_groups(8, 0.4));
+        let r = rho(contraction, tau);
         println!(
-            "  {tau:>7}   {:.4}    {:.4}",
-            bound.rho,
-            bound.after(200, 2.3)
+            "  {tau:>7}   {r:.4}    {:.4}",
+            r.powi(200) * c.initial_gap + residual
         );
     }
 
@@ -143,5 +130,5 @@ fn main() {
          groups mean faster rounds but a larger tau_max and (if the grouping ignores\n\
          labels) a larger residual.\n"
     );
-    print_paper_system_bounds();
+    print_paper_system_bounds(&c);
 }

@@ -8,7 +8,6 @@
 //! cases deterministic and the failures reproducible — rerun with the case
 //! index printed in the assertion message.
 
-use air_fedga::airfedga::convergence::{lemma1_envelope, lemma1_recursion};
 use air_fedga::airfedga::mechanism::{run_group_async, AggregationMode, EngineOptions};
 use air_fedga::airfedga::mechanism::{AirFedGa, AirFedGaConfig};
 use air_fedga::airfedga::system::FlSystemConfig;
@@ -21,7 +20,7 @@ use air_fedga::fedml::partition::{LabelDistribution, Partitioner};
 use air_fedga::fedml::rng::Rng64;
 use air_fedga::fedml::workspace::Workspace;
 use air_fedga::grouping::emd::average_group_emd;
-use air_fedga::grouping::greedy::{greedy_grouping, GreedyGroupingConfig};
+use air_fedga::grouping::greedy::greedy_grouping;
 use air_fedga::grouping::objective::{GroupingObjective, ObjectiveConstants};
 use air_fedga::grouping::worker_info::{Grouping, WorkerInfo};
 use air_fedga::wireless::aircomp::{
@@ -29,7 +28,10 @@ use air_fedga::wireless::aircomp::{
     apply_group_update_in_place, AirAggregationInput, AirAggregationScratch,
 };
 use air_fedga::wireless::power::{optimize_power, transmit_power, PowerControlConfig};
-use reference::{air_aggregate, mlp_evaluate, mlp_local_update_reference, mlp_loss_and_gradient};
+use reference::{
+    air_aggregate, lemma1_envelope, lemma1_recursion, mlp_evaluate, mlp_local_update_reference,
+    mlp_loss_and_gradient,
+};
 
 mod reference;
 
@@ -168,8 +170,7 @@ fn greedy_grouping_invariants() {
         let latencies: Vec<f64> = (0..n).map(|_| rng.uniform_range(5.0, 60.0)).collect();
         let workers = label_skew_workers(n, &latencies);
         let objective = GroupingObjective::new(0.5, xi, ObjectiveConstants::default());
-        let cfg = GreedyGroupingConfig::new(objective.clone());
-        let grouping = greedy_grouping(&workers, &cfg);
+        let grouping = greedy_grouping(&workers, &objective);
         assert_eq!(grouping.num_workers(), n, "case {case}");
         assert!(objective.satisfies_xi(&grouping, &workers), "case {case}");
         let singles = Grouping::singletons(n);

@@ -1,6 +1,7 @@
 //! Reference implementations kept out of the library crates, as oracles for
-//! `tests/properties.rs`: the per-sample trainer and the allocating
-//! over-the-air aggregation ([`air_aggregate`]).
+//! `tests/properties.rs`: the per-sample trainer, the allocating
+//! over-the-air aggregation ([`air_aggregate`]) and Lemma 1's recursion and
+//! closed-form envelope ([`lemma1_recursion`], [`lemma1_envelope`]).
 //!
 //! ## The per-sample reference trainer
 //!
@@ -303,6 +304,41 @@ pub fn air_aggregate(
     }
 }
 
+/// The Lemma-1 recursion: given `Q(t) ≤ x·Q(t−1) + y·Q(l_t) + z` with
+/// `x + y < 1` and `l_t ≥ t − τ_max − 1`, the lemma asserts
+/// `Q(t) ≤ ρ^t Q(0) + δ` with `ρ = (x+y)^{1/(1+τ_max)}` and `δ = z/(1−x−y)`.
+/// This helper iterates the recursion numerically (worst case `l_t = t−τ−1`)
+/// so tests can confirm the closed form dominates it.
+pub fn lemma1_recursion(
+    x: f64,
+    y: f64,
+    z: f64,
+    q0: f64,
+    tau_max: usize,
+    rounds: usize,
+) -> Vec<f64> {
+    assert!(
+        x >= 0.0 && y >= 0.0 && z >= 0.0 && q0 >= 0.0,
+        "nonnegative inputs"
+    );
+    assert!(x + y < 1.0, "Lemma 1 requires x + y < 1");
+    let mut q = vec![q0];
+    for t in 1..=rounds {
+        let prev = q[t - 1];
+        let lt = t.saturating_sub(tau_max + 1);
+        let stale = q[lt];
+        q.push(x * prev + y * stale + z);
+    }
+    q
+}
+
+/// Closed-form Lemma-1 envelope `ρ^t Q(0) + δ`.
+pub fn lemma1_envelope(x: f64, y: f64, z: f64, q0: f64, tau_max: usize, t: usize) -> f64 {
+    let rho = (x + y).powf(1.0 / (1.0 + tau_max as f64));
+    let delta = z / (1.0 - x - y);
+    rho.powi(t as i32) * q0 + delta
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,5 +456,18 @@ mod tests {
         };
         mlp_local_update_reference(&mut m, &data, &cfg, &mut rng);
         assert!(mlp_evaluate(&m, &data).0 < before);
+    }
+
+    #[test]
+    fn lemma1_envelope_dominates_recursion() {
+        let (x, y, z, q0, tau) = (0.55, 0.35, 0.02, 3.0, 4);
+        let seq = lemma1_recursion(x, y, z, q0, tau, 200);
+        for (t, q) in seq.iter().enumerate() {
+            let env = lemma1_envelope(x, y, z, q0, tau, t);
+            assert!(
+                *q <= env + 1e-9,
+                "recursion {q} exceeds envelope {env} at t={t}"
+            );
+        }
     }
 }
