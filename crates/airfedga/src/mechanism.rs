@@ -558,7 +558,10 @@ mod tests {
         // Regression: an isolated worker whose shard is empty used to hit
         // `data_sizes[k] / group_data` with `group_data == 0` on the OMA path.
         let mut system = quick_system(36);
-        system.shards[0] = system.shards[0].subset(&[]);
+        let shard = &system.shards[0];
+        let features = fedml::linalg::Matrix::zeros(0, shard.num_features());
+        let (classes, name) = (shard.num_classes(), shard.name());
+        system.shards[0] = fedml::dataset::Dataset::new(features, vec![], classes, name);
         system.worker_infos[0].data_size = 0;
         let n = system.num_workers();
         // Grouping that isolates the empty worker in its own group.

@@ -375,7 +375,14 @@ mod tests {
                 let shards_idx = cfg.partitioner.partition(&train, cfg.num_workers, rng);
                 assert_eq!(sys.shards.len(), shards_idx.len());
                 for (shard, idx) in sys.shards.iter().zip(&shards_idx) {
-                    let copy = train.subset(idx);
+                    let rows = idx.iter().flat_map(|&i| train.sample(i)).copied();
+                    let features = fedml::linalg::Matrix::from_vec(
+                        idx.len(),
+                        train.num_features(),
+                        rows.collect(),
+                    );
+                    let labels = idx.iter().map(|&i| train.label(i)).collect();
+                    let copy = Dataset::new(features, labels, train.num_classes(), train.name());
                     assert_eq!(shard.len(), copy.len());
                     assert_eq!(shard.label_counts(), copy.label_counts());
                     for r in 0..copy.len() {

@@ -119,9 +119,9 @@ impl Dataset {
         counts
     }
 
-    /// Build a new dataset, with storage of its own, holding copies of the
-    /// given samples in the given order.
-    pub fn subset(&self, indices: &[usize]) -> Dataset {
+    /// A new dataset holding copies of the given samples, in order (tests only).
+    #[cfg(test)]
+    pub(crate) fn subset(&self, indices: &[usize]) -> Dataset {
         let cols = self.num_features();
         let mut feats = Matrix::zeros(indices.len(), cols);
         let mut labels = Vec::with_capacity(indices.len());

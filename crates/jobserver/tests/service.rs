@@ -1,18 +1,23 @@
-//! End-to-end service tests: wire round trips, queue/cancel semantics over a
-//! live executor, and the kill-the-daemon crash-recovery story.
+//! End-to-end service tests: wire round trips, service ≡ batch, queue/cancel
+//! semantics over a live executor, the `airfedga-ctl` client against the real
+//! daemon, and the kill-the-daemon crash-recovery story.
 //!
 //! The in-process tests share one executor-global surface (the progress
-//! sink, the process-wide cancel flag), so they serialize on [`LOCK`]. The kill/restart test drives the real
-//! `airfedga-serve` binary in child processes and needs no lock.
+//! sink, the process-wide cancel flag), so they serialize on [`LOCK`]. The
+//! tests that drive the real `airfedga-serve` binary in child processes need
+//! no lock.
 
 #![expect(
     clippy::disallowed_methods,
     reason = "polling a live daemon needs real deadlines"
 )]
 
+use experiments::Scale;
 use jobserver::json::Json;
 use jobserver::{client, http};
 use jobserver::{JobState, Server, ServerConfig};
+use scenario::{CliOverrides, ScenarioSpec, StoreMode};
+use std::collections::BTreeMap;
 use std::fs;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
@@ -105,9 +110,26 @@ fn tmp_root(tag: &str) -> PathBuf {
 fn open(root: &Path) -> Server {
     Server::open(ServerConfig {
         root: root.to_path_buf(),
-        scale: experiments::Scale::Quick,
+        scale: Scale::Quick,
     })
     .unwrap()
+}
+
+/// Every file under `dir` whose name `keep` accepts (relative path → bytes).
+fn files(dir: &Path, keep: fn(&str) -> bool) -> BTreeMap<String, Vec<u8>> {
+    fn walk(dir: &Path, base: &Path, keep: fn(&str) -> bool, out: &mut BTreeMap<String, Vec<u8>>) {
+        for path in fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()) {
+            if path.is_dir() {
+                walk(&path, base, keep, out);
+            } else if keep(&path.file_name().unwrap().to_string_lossy()) {
+                let rel = path.strip_prefix(base).unwrap().to_string_lossy();
+                out.insert(rel.into_owned(), fs::read(&path).unwrap());
+            }
+        }
+    }
+    let mut out = BTreeMap::new();
+    walk(dir, dir, keep, &mut out);
+    out
 }
 
 /// Bind a loopback listener and serve it on a thread; returns the address.
@@ -168,6 +190,29 @@ fn http_submit_execute_fetch_and_dedup_round_trip() {
         ["harness: 2 of 8 replicate(s) reused an identical replicate computed in this run"]
     );
 
+    // Service ≡ batch: the job's results and the shared store's replicate and
+    // spec files are the bytes the batch driver's `--resume` writes for the
+    // same spec into a root of its own.
+    let batch = tmp_root("http_batch");
+    let cli = CliOverrides {
+        store: StoreMode::Resume,
+        store_root: Some(batch.join("runstore")),
+        results_dir: Some(batch.join("results")),
+        ..CliOverrides::default()
+    };
+    let spec = ScenarioSpec::parse(TINY_SPEC).unwrap();
+    assert!(scenario::run::execute(&spec, Scale::Quick, &cli)
+        .unwrap()
+        .is_clean());
+    let job_results = root.join("jobs").join(id.to_string()).join("results");
+    let all = |_: &str| true;
+    let stored = |name: &str| name.ends_with(".run") || name == "spec.txt";
+    assert_eq!(files(&job_results, all), files(&batch.join("results"), all));
+    let store = files(&root.join("runstore"), stored);
+    assert_eq!(store.len(), 9, "{:?}", store.keys());
+    assert_eq!(store, files(&batch.join("runstore"), stored));
+    fs::remove_dir_all(&batch).ok();
+
     // The job's CSVs are in its own results store and fetchable.
     let files = client::result_files(&addr, id).unwrap();
     assert!(
@@ -185,10 +230,9 @@ fn http_submit_execute_fetch_and_dedup_round_trip() {
         .collect::<Vec<_>>()
         .join("\n");
     assert!(big.len() > 1 << 20);
-    let results = root.join("jobs").join(id.to_string()).join("results");
-    fs::write(results.join("big.csv"), &big).unwrap();
+    fs::write(job_results.join("big.csv"), &big).unwrap();
     assert_eq!(client::fetch_file(&addr, id, "big.csv").unwrap(), big);
-    fs::remove_file(results.join("big.csv")).unwrap();
+    fs::remove_file(job_results.join("big.csv")).unwrap();
 
     // Duplicate submission: identical spec, zero recomputation.
     let dup = client::submit(&addr, "tiny-again", 0, TINY_SPEC).unwrap();
@@ -321,17 +365,29 @@ fn cancel_while_running_drains_cooperatively() {
 }
 
 // ----------------------------------------------------------------------
-// Kill/restart: the real daemon binary, SIGKILLed mid-job.
+// The real daemon binary: the ctl client, and SIGKILL mid-job.
 // ----------------------------------------------------------------------
 
-fn spawn_daemon(root: &Path) -> std::process::Child {
-    std::process::Command::new(env!("CARGO_BIN_EXE_airfedga-serve"))
+/// A running `airfedga-serve`, killed and reaped on drop, so a test that
+/// fails before `shutdown` leaves no daemon behind.
+struct Daemon(std::process::Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        self.0.kill().ok();
+        self.0.wait().ok();
+    }
+}
+
+fn spawn_daemon(root: &Path) -> Daemon {
+    let child = std::process::Command::new(env!("CARGO_BIN_EXE_airfedga-serve"))
         .args(["--root", root.to_str().unwrap()])
         .env("AIRFEDGA_SCALE", "quick")
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
         .spawn()
-        .unwrap()
+        .unwrap();
+    Daemon(child)
 }
 
 /// A misspelt `AIRFEDGA_SCALE` stops the daemon at startup (it used to serve
@@ -365,6 +421,71 @@ fn wait_addr(root: &Path) -> String {
     }
 }
 
+/// `airfedga-ctl` against the real daemon, found through `<root>/serve.addr`:
+/// `health`; `submit`, `watch` (exit 0), `status` and `results` of a job that
+/// finishes; `cancel` of a job queued behind a hanging one, whose `watch`
+/// exits 3; and `shutdown`, after which the daemon exits and its address file
+/// is gone.
+#[test]
+fn the_ctl_client_drives_the_daemon_through_a_job_s_life() {
+    let root = tmp_root("ctl");
+    fs::create_dir_all(&root).unwrap();
+    let mut daemon = spawn_daemon(&root);
+    wait_addr(&root);
+    let ctl = |args: &[&str]| -> (Option<i32>, String) {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_airfedga-ctl"))
+            .arg("--root")
+            .arg(&root)
+            .args(args)
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        (out.status.code(), stdout)
+    };
+    let submit = |name: &str, spec: &str| -> String {
+        let path = root.join(format!("{name}.toml"));
+        fs::write(&path, spec).unwrap();
+        let (code, id) = ctl(&["submit", path.to_str().unwrap()]);
+        assert_eq!(code, Some(0), "submit {name}");
+        id.trim().to_string()
+    };
+
+    let (code, health) = ctl(&["health"]);
+    assert_eq!(code, Some(0));
+    assert!(health.starts_with("daemon ok: "), "{health}");
+
+    let tiny = submit("tiny", TINY_SPEC);
+    assert_eq!(ctl(&["watch", &tiny]).0, Some(0));
+    let (code, status) = ctl(&["status", &tiny]);
+    assert_eq!(code, Some(0));
+    assert!(status.contains(": done"), "{status}");
+    let (code, results) = ctl(&["results", &tiny]);
+    assert_eq!(code, Some(0));
+    assert!(
+        results.lines().any(|f| f == "jobsvc_tiny_grid.csv"),
+        "{results}"
+    );
+
+    // The executor runs one job at a time: behind the hanging cell, the next
+    // job waits in the queue.
+    let hang = submit("hang", HANG_SPEC);
+    let queued = submit("queued", TINY_SPEC);
+    assert_eq!(ctl(&["cancel", &queued]).0, Some(0));
+    let (code, watched) = ctl(&["watch", &queued]);
+    assert_eq!(code, Some(3));
+    assert!(watched.contains("| cancelled while queued"), "{watched}");
+    assert_eq!(ctl(&["cancel", &hang]).0, Some(0));
+    assert_eq!(ctl(&["watch", &hang]).0, Some(3));
+
+    assert_eq!(ctl(&["shutdown"]).0, Some(0));
+    assert!(daemon.0.wait().unwrap().success());
+    assert!(
+        !root.join("serve.addr").exists(),
+        "serve.addr outlived the daemon"
+    );
+    fs::remove_dir_all(&root).ok();
+}
+
 /// Completed replicates persisted under `<root>/runstore` so far.
 fn run_files(root: &Path) -> usize {
     let store = root.join("runstore");
@@ -395,8 +516,8 @@ fn killed_daemon_requeues_and_resumes_from_the_runstore() {
         assert!(Instant::now() < deadline, "no replicate was ever persisted");
         std::thread::sleep(Duration::from_millis(5));
     }
-    first.kill().unwrap();
-    first.wait().unwrap(); // reap: frees the store lock's stale-pid check
+    first.0.kill().unwrap();
+    first.0.wait().unwrap(); // reap: frees the store lock's stale-pid check
     let survivors = run_files(&root);
     assert!(survivors >= 1);
 
@@ -435,6 +556,6 @@ fn killed_daemon_requeues_and_resumes_from_the_runstore() {
     );
 
     client::shutdown(&addr).unwrap();
-    second.wait().unwrap();
+    second.0.wait().unwrap();
     fs::remove_dir_all(&root).ok();
 }

@@ -4,8 +4,9 @@
 //! byte-identical outputs to a default-layout run (the equivalence the job
 //! server builds on), an all-hits `--resume` that rewrites no file, every
 //! byte of stdout and `results/` that the four scenario kinds print, replayed
-//! against `golden/pinned/`, and the fan-out counts of the benchmark's
-//! two-thread schedule.
+//! against `golden/pinned/` — one case per kind on every schedule, with the
+//! store, telemetry and progress flags, each of which must leave those bytes
+//! alone — and the fan-out counts of the benchmark's two-thread schedule.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -101,11 +102,16 @@ fn run_in(cwd: &Path, args: &[&str]) -> Output {
     run_with_env(cwd, args, &[])
 }
 
+/// Run the binary at quick scale with `env` on top; the schedule is `env`'s
+/// alone (an inherited `PARALLEL_THREADS` / `PARALLEL_CHUNKS` is dropped), so
+/// a run without either is the host's default schedule.
 fn run_with_env(cwd: &Path, args: &[&str], env: &[(&str, &str)]) -> Output {
     Command::new(RUN_BIN)
         .args(args)
         .current_dir(cwd)
         .env("AIRFEDGA_SCALE", "quick")
+        .env_remove("PARALLEL_THREADS")
+        .env_remove("PARALLEL_CHUNKS")
         .envs(env.iter().copied())
         .output()
         .unwrap()
@@ -131,6 +137,12 @@ fn usage_read_and_spec_errors_exit_2() {
     assert_eq!(run_in(&dir, &["x.toml", "--frsh"]).status.code(), Some(2));
     // Missing operand.
     assert_eq!(run_in(&dir, &[]).status.code(), Some(2));
+    // Conflicting store flags.
+    let out = run_in(&dir, &["x.toml", "--resume", "--fresh"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8(out.stderr)
+        .unwrap()
+        .contains("mutually exclusive"));
     // A malformed or missing `--seeds` value is a usage error (these two
     // used to panic inside the flag parser and exit 101).
     for args in [
@@ -231,7 +243,7 @@ fn clean_run_exits_0_and_unrecovered_failures_exit_1() {
         assert_eq!(failed.status.code(), Some(1), "{spec}");
         let stderr = String::from_utf8(failed.stderr).unwrap();
         assert!(
-            stderr.contains("replicate(s) panicked"),
+            stderr.contains("replicate(s) panicked") && stderr.contains("injected fault"),
             "{spec}: stderr was: {stderr}"
         );
     }
@@ -290,6 +302,14 @@ fn journals(root: &Path) -> BTreeMap<String, Vec<String>> {
     out
 }
 
+/// The store summary and harness lines of a run's stderr.
+fn report(stderr: &str) -> Vec<&str> {
+    stderr
+        .lines()
+        .filter(|l| l.starts_with("runstore: ") || l.starts_with("harness: "))
+        .collect()
+}
+
 /// The invariant the job server is built on: relocating the store and the
 /// results directory changes *where* bytes land, never *which* bytes.
 #[test]
@@ -321,13 +341,8 @@ fn store_root_and_results_dir_relocation_is_byte_identical() {
 
     // The stderr report: the store summary, then — Air-FedAvg's two xi cells
     // being one computation per seed — how many replicates reused a sibling.
-    let stderr = String::from_utf8_lossy(&default_run.stderr);
-    let report: Vec<&str> = stderr
-        .lines()
-        .filter(|l| l.starts_with("runstore: ") || l.starts_with("harness: "))
-        .collect();
     assert_eq!(
-        report,
+        report(&String::from_utf8_lossy(&default_run.stderr)),
         [
             "runstore: 0 hit(s), 8 recomputed, 0 corrupt file(s) degraded to recompute",
             "harness: 2 of 8 replicate(s) reused an identical replicate computed in this run",
@@ -385,6 +400,7 @@ fn a_partial_loss_resume_is_byte_identical_on_every_schedule() {
     let fresh = run_in(&fresh_cwd, &[spec, "--fresh"]);
     assert_eq!(fresh.status.code(), Some(0));
     let fresh_results = snapshot(&fresh_cwd.join("results"));
+    assert!(fresh_results.contains_key("joint_xi_workers_grid.csv"));
     let fresh_store = snapshot(&fresh_cwd.join("runstore"));
     let runs: Vec<&String> = fresh_store.keys().filter(|f| f.ends_with(".run")).collect();
     assert_eq!(runs.len(), 12);
@@ -409,12 +425,8 @@ fn a_partial_loss_resume_is_byte_identical_on_every_schedule() {
             Some(0),
             "{threads}x{chunks}: {stderr}"
         );
-        let report: Vec<&str> = stderr
-            .lines()
-            .filter(|l| l.starts_with("runstore: ") || l.starts_with("harness: "))
-            .collect();
         assert_eq!(
-            report,
+            report(&stderr),
             [
                 "runstore: 6 hit(s), 6 recomputed, 0 corrupt file(s) degraded to recompute",
                 "harness: 2 of 12 replicate(s) copied from an identical stored replicate",
@@ -548,114 +560,216 @@ const PINNED: &[(&str, &str, bool)] = &[
     ("convex_lr", "tests/golden/convex_lr.toml", true),
 ];
 
-/// The cases replayed under every `PARALLEL_THREADS` × `PARALLEL_CHUNKS`
-/// schedule of [`SCHEDULES`] as well, against the same pinned bytes: one
-/// per shape the training lanes see — fig3's three fat cells, a churned
-/// run, and a two-seed grid with shared replicates.
-const SCHEDULE_AXIS: &[&str] = &["fig3_s1", "churn_mnist", "grid_s2"];
+/// The cases replayed on the schedule axis instead of once: at the host's
+/// default schedule and under every `PARALLEL_THREADS` × `PARALLEL_CHUNKS`
+/// schedule of [`SCHEDULES`], against the same pinned bytes. One per scenario
+/// kind, and one per shape the training lanes see — fig3's three fat cells, a
+/// churned run, a two-seed grid with shared replicates, and the two sweep
+/// kinds at two seeds.
+const SCHEDULE_AXIS: &[&str] = &[
+    "fig3_s1",
+    "churn_mnist",
+    "grid_s2",
+    "xi_sweep_s2",
+    "scalability_s2",
+];
 
-/// `PARALLEL_THREADS` × `PARALLEL_CHUNKS`: one lane (fully sequential),
+/// `PARALLEL_THREADS` × `PARALLEL_CHUNKS`: one lane (fully sequential), two
+/// lanes (a joining caller is the only other thread: the benchmark's setting),
 /// three lanes (uneven runs: N = 100 splits 34/34/32), and four lanes
 /// over-decomposed 16-fold. The plain replay runs at the host's default
 /// schedule.
-const SCHEDULES: &[(&str, &str)] = &[("1", "1"), ("3", "4"), ("4", "16")];
+const SCHEDULES: &[(&str, &str)] = &[("1", "1"), ("2", "4"), ("3", "4"), ("4", "16")];
+
+/// Run pinned `case`'s command line plus `extra` in `cwd` under `env`, and
+/// assert that it exits 0 and that its stdout and `results/` are the pinned
+/// bytes. `results/` is emptied first, so a run that renders nothing cannot
+/// pass on an earlier run's files. Returns stderr.
+fn replay(case: &str, cwd: &Path, extra: &[&str], env: &[(&str, &str)]) -> String {
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let &(_, command_line, pins_files) = PINNED
+        .iter()
+        .find(|pinned| pinned.0 == case)
+        .expect("a pinned case");
+    let mut words = command_line.split_whitespace();
+    let spec = manifest.join(words.next().expect("a spec path"));
+    let mut args = vec![spec.to_str().unwrap()];
+    args.extend(words.chain(extra.iter().copied()));
+    let tag = format!("{case} {extra:?} {env:?}");
+    fs::remove_dir_all(cwd.join("results")).ok();
+    let out = run_with_env(cwd, &args, env);
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(0), "{tag}: stderr: {stderr}");
+    let pinned = manifest.join("tests/golden/pinned").join(case);
+    assert_eq!(
+        String::from_utf8(out.stdout).unwrap(),
+        fs::read_to_string(pinned.join("stdout.txt")).unwrap(),
+        "{tag}: stdout moved"
+    );
+    if pins_files {
+        let text = |files: BTreeMap<String, Vec<u8>>| -> BTreeMap<String, String> {
+            files
+                .into_iter()
+                .map(|(name, bytes)| (name, String::from_utf8(bytes).unwrap()))
+                .collect()
+        };
+        let files = text(snapshot(&pinned.join("files")));
+        assert!(
+            !files.is_empty(),
+            "{tag}: the pinned files are missing from this checkout"
+        );
+        assert_eq!(
+            text(snapshot(&cwd.join("results"))),
+            files,
+            "{tag}: results/ moved"
+        );
+    }
+    stderr
+}
+
+/// The progress reporter's line, which only `--progress` prints off a TTY.
+const PROGRESS: &str = ", eta ";
 
 #[test]
 fn every_kind_reproduces_its_pinned_stdout_and_results() {
-    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let text = |files: BTreeMap<String, Vec<u8>>| -> BTreeMap<String, String> {
-        files
-            .into_iter()
-            .map(|(name, bytes)| (name, String::from_utf8(bytes).unwrap()))
-            .collect()
-    };
-    for &(case, command_line, pins_files) in PINNED {
-        let axis = if SCHEDULE_AXIS.contains(&case) {
-            SCHEDULES
-        } else {
-            &[]
-        };
-        // `None` is the host's default schedule.
-        for schedule in std::iter::once(None).chain(axis.iter().map(Some)) {
-            let (tag, env) = match schedule {
-                None => (case.to_string(), vec![]),
-                Some(&(threads, chunks)) => (
-                    format!("{case}_{threads}x{chunks}"),
-                    vec![("PARALLEL_THREADS", threads), ("PARALLEL_CHUNKS", chunks)],
-                ),
-            };
-            let mut words = command_line.split_whitespace();
-            let spec = manifest.join(words.next().expect("a spec path"));
-            let mut args = vec![spec.to_str().unwrap()];
-            args.extend(words);
-            let cwd = tmp_dir(&format!("pinned_{tag}"));
-            let out = run_with_env(&cwd, &args, &env);
-            assert_eq!(
-                out.status.code(),
-                Some(0),
-                "{tag}: stderr: {}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-            let pinned = manifest.join("tests/golden/pinned").join(case);
-            assert_eq!(
-                String::from_utf8(out.stdout).unwrap(),
-                fs::read_to_string(pinned.join("stdout.txt")).unwrap(),
-                "{tag}: stdout moved"
-            );
-            if pins_files {
-                let files = text(snapshot(&pinned.join("files")));
-                assert!(
-                    !files.is_empty(),
-                    "{tag}: the pinned files are missing from this checkout"
-                );
-                assert_eq!(
-                    text(snapshot(&cwd.join("results"))),
-                    files,
-                    "{tag}: results/ moved"
-                );
-            }
-            fs::remove_dir_all(&cwd).ok();
+    for &(case, _, _) in PINNED {
+        if SCHEDULE_AXIS.contains(&case) {
+            continue; // replayed on the schedule axis below
         }
+        let cwd = tmp_dir(&format!("pinned_{case}"));
+        let stderr = replay(case, &cwd, &[], &[]);
+        assert!(!stderr.contains(PROGRESS), "{case}: {stderr}");
+        fs::remove_dir_all(&cwd).ok();
     }
 }
 
+#[test]
+fn every_kind_reproduces_its_pins_on_every_schedule() {
+    for &case in SCHEDULE_AXIS {
+        let cwd = tmp_dir(&format!("pinned_{case}"));
+        replay_on_the_schedule_axis(case, &cwd);
+        fs::remove_dir_all(&cwd).ok();
+    }
+}
+
+/// One [`SCHEDULE_AXIS`] case, in one working directory:
+/// - a `--fresh` run at the host's default schedule, telemetry off, writes
+///   the reference store;
+/// - under each of [`SCHEDULES`], a `--fresh --telemetry` run discards that
+///   store, recomputes every replicate, and writes the same store bytes, the
+///   same sorted journal and the same store and harness report; their logical
+///   `metrics.json` files are one file, and the first forces `--progress`;
+/// - an all-hits `--resume` ends it, leaving the store as it was.
+///
+/// Every run's stdout and `results/` are the pins, so neither the store
+/// flags, nor telemetry, nor `--progress`, nor the schedule moves a byte.
+fn replay_on_the_schedule_axis(case: &str, cwd: &Path) {
+    // Compared with `assert!(==)`: a failing `assert_eq!` would print every
+    // stored payload.
+    let store = || snapshot(&cwd.join("runstore"));
+    let fresh = replay(case, cwd, &["--fresh"], &[]);
+    assert!(!fresh.contains(PROGRESS), "{case}: {fresh}");
+    let (stored, journal) = (store(), journals(&cwd.join("runstore")));
+    let runs = stored.keys().filter(|f| f.ends_with(".run")).count();
+    assert!(runs > 0, "{case}: nothing stored");
+    let summary = |hits: usize, recomputed: usize| {
+        format!("runstore: {hits} hit(s), {recomputed} recomputed, 0 corrupt file(s) degraded to recompute")
+    };
+    let reference = report(&fresh);
+    assert_eq!(reference[0], summary(0, runs), "{case}");
+    // `harness: <k> of <n> replicate(s) reused …`, counted in metrics.json.
+    let shared = reference
+        .iter()
+        .find_map(|l| l.strip_prefix("harness: ")?.split(' ').next()?.parse().ok())
+        .unwrap_or(0u64);
+
+    let mut first_metrics: Option<String> = None;
+    for (i, &(threads, chunks)) in SCHEDULES.iter().enumerate() {
+        let tag = format!("{case} {threads}x{chunks}");
+        let tel = format!("tel_{threads}x{chunks}");
+        let mut extra = vec!["--fresh", "--telemetry", &tel];
+        extra.extend((i == 0).then_some("--progress"));
+        let env = [("PARALLEL_THREADS", threads), ("PARALLEL_CHUNKS", chunks)];
+        let stderr = replay(case, cwd, &extra, &env);
+        assert_eq!(stderr.contains(PROGRESS), i == 0, "{tag}: {stderr}");
+        assert_eq!(report(&stderr), reference, "{tag}");
+        assert!(store() == stored, "{tag}: the store moved");
+        assert_eq!(journals(&cwd.join("runstore")), journal, "{tag}");
+        let metrics = fs::read_to_string(cwd.join(&tel).join("metrics.json")).unwrap();
+        match &first_metrics {
+            Some(first) => assert_eq!(&metrics, first, "{tag}: metrics.json moved"),
+            None => {
+                assert_telemetry_artifacts(&tag, &cwd.join(&tel), &stderr);
+                let row = format!("\"harness.shared_replicates\": {shared},");
+                assert!(metrics.contains(&row), "{tag}: not {row}\n{metrics}");
+                first_metrics = Some(metrics);
+            }
+        }
+    }
+
+    let resume = replay(case, cwd, &["--resume"], &[]);
+    assert_eq!(report(&resume), [summary(runs, 0)], "{case}");
+    assert!(store() == stored, "{case}: --resume moved the store");
+}
+
+/// The three sidecar files `--telemetry` writes carry their schema, and
+/// stderr the run profile.
+fn assert_telemetry_artifacts(tag: &str, dir: &Path, stderr: &str) {
+    for (file, keys) in [
+        (
+            "spans.jsonl",
+            &[
+                r#""span": "grid""#,
+                r#""span": "replicate""#,
+                r#""span": "round""#,
+            ][..],
+        ),
+        (
+            "metrics.json",
+            &[
+                r#""version": 1"#,
+                r#""plane": "logical""#,
+                r#""engine.rounds""#,
+            ],
+        ),
+        (
+            "profile.json",
+            &[
+                r#""version": 1"#,
+                r#""spans""#,
+                r#""counters""#,
+                r#""histograms""#,
+            ],
+        ),
+    ] {
+        let text = fs::read_to_string(dir.join(file)).unwrap();
+        for key in keys {
+            assert!(text.contains(key), "{tag}: {file} lacks {key}");
+        }
+    }
+    assert!(stderr.contains("run profile"), "{tag}: {stderr}");
+}
+
 /// The schedule itself is pinned: at `PARALLEL_THREADS=2` and the default
-/// chunk factor (the benchmark's setting), these quick runs issue exactly
+/// chunk factor (the benchmark's setting), these pinned cases issue exactly
 /// these fan-outs and chunk claims — the sched plane of `profile.json`,
-/// deterministic per configuration. fig3's nine `--seeds 3` replicates are
-/// the one case here that a factor of 4 would split differently (1,085
-/// claims). The counts were read from the binary of the commit before
-/// `parallel::par_map` replaced the iterator-style map and its per-call
-/// chunk hints.
+/// deterministic per configuration — and print their pinned bytes. fig3's
+/// nine `--seeds 3` replicates are the one case here that a factor of 4
+/// would split differently (1,085 claims). The counts were read from the
+/// binary of the commit before `parallel::par_map` replaced the
+/// iterator-style map and its per-call chunk hints.
 const SCHEDULE_PINS: &[(&str, u64, u64)] = &[
-    ("../../scenarios/fig3.toml", 181, 363),
-    ("../../scenarios/fig3.toml --seeds 3", 541, 1089),
-    ("../../scenarios/outage_xi_grid.toml", 481, 968),
+    ("fig3_s1", 181, 363),
+    ("fig3_s3", 541, 1089),
+    ("outage_xi_grid", 481, 968),
 ];
 
 #[test]
 fn the_default_two_thread_schedule_issues_its_pinned_fan_outs() {
-    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
-    for (case, &(command_line, fork_joins, chunks)) in SCHEDULE_PINS.iter().enumerate() {
-        let mut words = command_line.split_whitespace();
-        let spec = manifest.join(words.next().expect("a spec path"));
+    for &(case, fork_joins, chunks) in SCHEDULE_PINS {
         let cwd = tmp_dir(&format!("schedule_{case}"));
-        let out = Command::new(RUN_BIN)
-            .arg(spec)
-            .args(words)
-            .args(["--fresh", "--telemetry", "tel"])
-            .current_dir(&cwd)
-            .env("AIRFEDGA_SCALE", "quick")
-            .env("PARALLEL_THREADS", "2")
-            .env_remove("PARALLEL_CHUNKS")
-            .output()
-            .unwrap();
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(
-            out.status.code(),
-            Some(0),
-            "{command_line}: stderr: {stderr}"
-        );
+        let extra = ["--fresh", "--telemetry", "tel"];
+        replay(case, &cwd, &extra, &[("PARALLEL_THREADS", "2")]);
         let profile = fs::read_to_string(cwd.join("tel/profile.json")).unwrap();
         for (name, value) in [
             ("pool.fork_joins", fork_joins),
@@ -664,7 +778,7 @@ fn the_default_two_thread_schedule_issues_its_pinned_fan_outs() {
             let row = format!(r#"{{"name": "{name}", "plane": "sched", "value": {value}}}"#);
             assert!(
                 profile.contains(&row),
-                "{command_line}: {name} is not {value}:\n{profile}"
+                "{case}: {name} is not {value}:\n{profile}"
             );
         }
         fs::remove_dir_all(&cwd).ok();

@@ -204,8 +204,10 @@ fn watchdog_smoke_hangs_with_a_small_timeout_and_no_retry() {
     assert_eq!(spec.base_config.faults.inject_hang_round, Some(2));
     assert_eq!(expand_grid(&spec).len(), 1);
     let limits = spec.limits.expect("watchdog smoke needs [limits]");
-    // The timeout must be small (CI waits it out) and retries disabled
-    // (a hang would just hang again — CI asserts a single timely failure).
+    // The timeout must be small (CI waits it out) and retries disabled (a
+    // hang would just hang again). The run itself is the watchdog smoke of
+    // the `committed-specs` job in `.github/workflows/ci.yml`, which asserts
+    // a single timely failure.
     let timeout = limits
         .cell_timeout_secs
         .expect("watchdog smoke needs a cell timeout");
