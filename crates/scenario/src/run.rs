@@ -1125,6 +1125,38 @@ xi = [1.0]
         );
     }
 
+    /// The run-store slot of every committed spec, at both scales with no
+    /// CLI overrides, pinned by name. The canonical form is the spec's
+    /// `Debug` text, so renaming any field or variant inside
+    /// [`ScenarioSpec`] re-keys every slot and orphans every stored
+    /// replicate: that must be a decision, not an accident of a refactor.
+    #[test]
+    fn committed_specs_keep_their_store_slot_names() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+        let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "toml"))
+            .collect();
+        paths.sort();
+        let cli = hermetic("slot_names");
+        let root = cli.store_root.as_deref();
+        let mut slots = String::new();
+        for path in &paths {
+            let spec = ScenarioSpec::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+            for scale in [Scale::Quick, Scale::Full] {
+                let params = figure_params(&spec, scale, &cli);
+                let store = open_store(&spec, scale, &params, StoreMode::Resume, root)
+                    .unwrap()
+                    .unwrap();
+                let slot = store.spec_dir().file_name().unwrap().to_string_lossy();
+                slots.push_str(&format!("{} {scale:?} {slot}\n", spec.name));
+            }
+        }
+        std::fs::remove_dir_all(root.unwrap()).unwrap();
+        assert_eq!(slots, include_str!("../tests/golden/slot_names.txt"));
+    }
+
     /// The hard telemetry invariant, in-process: running the same grid with
     /// telemetry off and then on produces byte-identical CSV output, while
     /// the on-run additionally writes the three sidecar artifacts and hands
