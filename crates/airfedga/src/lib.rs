@@ -4,7 +4,7 @@
 //!
 //! * [`system`] — the simulated federated-learning system shared by
 //!   Air-FedGA and every baseline: synthetic dataset + Non-IID partition,
-//!   per-worker shards, heterogeneous worker profiles (`κ_i ~ U[1,10]`),
+//!   per-worker shards, heterogeneous worker latencies (`κ_i ~ U[1,10]`),
 //!   and the wireless configuration of §VI.A.2.
 //! * [`mechanism`] — Algorithm 1: grouping asynchronous federated learning
 //!   via over-the-air computation, driven in virtual time. One engine,

@@ -55,12 +55,6 @@ pub struct EngineOptions {
     pub eval_every: usize,
     /// Stop early once the virtual clock passes this time (seconds).
     pub max_virtual_time: Option<f64>,
-    /// Run each round's per-member local updates on the persistent worker pool.
-    /// Traces are bit-identical either way (each worker owns its RNG stream
-    /// and parameter buffer, training scratch is fully overwritten by every
-    /// update, and the reduction order is fixed); `false` is the tests'
-    /// in-process sequential reference.
-    pub parallel: bool,
 }
 
 impl EngineOptions {
@@ -144,9 +138,9 @@ fn delivering_members(
 /// rows (grown to the largest round, then reused), each training lane owns
 /// one scratch model and workspace, and the per-group dispatch vectors and
 /// the [`Server`]'s power-control, AirComp estimate/energy and evaluation
-/// buffers are all reused across rounds. With `opts.parallel` the members of the
-/// aggregating group train concurrently, one contiguous run per lane on the
-/// persistent worker pool — bit-identical to the sequential schedule.
+/// buffers are all reused across rounds. The members of the aggregating group
+/// train concurrently, one contiguous run per lane on the persistent worker
+/// pool — bit-identical to the sequential schedule.
 pub fn run_group_async(
     system: &FlSystem,
     grouping: &Grouping,
@@ -252,10 +246,10 @@ pub fn run_group_async(
 
         // Local training: every participating member trains from the model
         // version its group received at dispatch time, in parallel across the
-        // group's members when enabled.
+        // group's members.
         {
             let _train_span = telemetry::span!("train", participants.len());
-            pool.train_members(&participants, &dispatch_params[j], system, opts.parallel);
+            pool.train_members(&participants, &dispatch_params[j], system, true);
         }
 
         // Aggregate the group's local models into the group estimate.
@@ -358,7 +352,6 @@ impl AirFedGa {
             total_rounds: self.config.total_rounds,
             eval_every: self.config.eval_every,
             max_virtual_time: self.config.max_virtual_time,
-            parallel: true,
         };
         let aggregation = AggregationMode::AirComp;
         run_group_async(system, grouping, aggregation, &opts, Self::NAME, rng)
@@ -393,13 +386,45 @@ mod tests {
     }
 
     /// A budget of `rounds` rounds, evaluated after each.
-    fn engine_options(rounds: usize, parallel: bool) -> EngineOptions {
+    fn engine_options(rounds: usize) -> EngineOptions {
         EngineOptions {
             total_rounds: rounds,
             eval_every: 1,
             max_virtual_time: None,
-            parallel,
         }
+    }
+
+    /// `run`'s trace here, on the host's training lanes, equals the trace a
+    /// child process of this test binary computes with `PARALLEL_THREADS=1`,
+    /// where the worker pool has one lane and every map runs in-line: the
+    /// sequential reference of a whole engine run (the pool reads its thread
+    /// pin once per process, hence the child). `test` is the calling test's
+    /// path; the child reruns it and, finding `ENGINE_SEQUENTIAL_CHILD` set,
+    /// writes its trace to the file named there instead.
+    fn assert_matches_sequential_child(test: &str, run: impl Fn() -> TrainingTrace) {
+        // `{:?}` prints every f64 in its shortest round-tripping form, so
+        // equal text means equal bits.
+        let here = format!("{:?}", run());
+        if let Ok(path) = std::env::var("ENGINE_SEQUENTIAL_CHILD") {
+            std::fs::write(path, here).unwrap();
+            return;
+        }
+        let path = std::env::temp_dir().join(format!("airfedga_{test}_{}", std::process::id()));
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([test, "--exact"])
+            .env("ENGINE_SEQUENTIAL_CHILD", &path)
+            .env("PARALLEL_THREADS", "1")
+            .env("PARALLEL_CHUNKS", "1")
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "sequential child failed:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let sequential = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(here, sequential);
     }
 
     #[test]
@@ -475,21 +500,13 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_engines_produce_identical_traces() {
+        let test = "mechanism::tests::parallel_and_sequential_engines_produce_identical_traces";
         let system = quick_system(20);
         let grouping = AirFedGa::new(quick_config(1)).grouping_for(&system);
-        let [par, seq] = [true, false].map(|parallel| {
-            let opts = engine_options(25, parallel);
+        assert_matches_sequential_child(test, || {
             let rng = &mut Rng64::seed_from(21);
-            run_group_async(&system, &grouping, AirComp, &opts, "run", rng)
+            run_group_async(&system, &grouping, AirComp, &engine_options(25), "run", rng)
         });
-        assert_eq!(par.points().len(), seq.points().len());
-        for (a, b) in par.points().iter().zip(seq.points()) {
-            assert_eq!(a.round, b.round);
-            assert_eq!(a.loss.to_bits(), b.loss.to_bits());
-            assert_eq!(a.accuracy.to_bits(), b.accuracy.to_bits());
-            assert_eq!(a.time.to_bits(), b.time.to_bits());
-            assert_eq!(a.energy.to_bits(), b.energy.to_bits());
-        }
     }
 
     fn churn_system(seed: u64) -> FlSystem {
@@ -509,20 +526,13 @@ mod tests {
 
     #[test]
     fn churn_run_is_bit_identical_parallel_vs_sequential() {
+        let test = "mechanism::tests::churn_run_is_bit_identical_parallel_vs_sequential";
         let system = churn_system(30);
         let grouping = AirFedGa::new(quick_config(1)).grouping_for(&system);
-        let [par, seq] = [true, false].map(|parallel| {
-            let opts = engine_options(30, parallel);
+        assert_matches_sequential_child(test, || {
             let rng = &mut Rng64::seed_from(31);
-            run_group_async(&system, &grouping, AirComp, &opts, "run", rng)
+            run_group_async(&system, &grouping, AirComp, &engine_options(30), "run", rng)
         });
-        assert_eq!(par.points().len(), seq.points().len());
-        for (a, b) in par.points().iter().zip(seq.points()) {
-            assert_eq!(a.loss.to_bits(), b.loss.to_bits());
-            assert_eq!(a.time.to_bits(), b.time.to_bits());
-            assert_eq!(a.energy.to_bits(), b.energy.to_bits());
-        }
-        assert_eq!(par.faults, seq.faults);
     }
 
     #[test]
@@ -566,7 +576,7 @@ mod tests {
         let n = system.num_workers();
         // Grouping that isolates the empty worker in its own group.
         let grouping = Grouping::new(vec![vec![0], (1..n).collect()], n);
-        let opts = engine_options(8, false);
+        let opts = engine_options(8);
         let rng = &mut Rng64::seed_from(37);
         let trace = run_group_async(&system, &grouping, OmaIdeal, &opts, "oma", rng);
         assert!(
@@ -596,7 +606,7 @@ mod tests {
     fn oma_engine_single_group_is_slower_per_round_than_aircomp() {
         let system = quick_system(12);
         let grouping = Grouping::single_group(system.num_workers());
-        let opts = engine_options(5, true);
+        let opts = engine_options(5);
         let [air, dig] = [AirComp, OmaIdeal].map(|aggregation| {
             let rng = &mut Rng64::seed_from(13);
             run_group_async(&system, &grouping, aggregation, &opts, "run", rng)

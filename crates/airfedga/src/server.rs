@@ -12,7 +12,7 @@
 
 use crate::system::FlSystem;
 use crate::worker_pool::WorkerPool;
-use fedml::model::Model;
+use fedml::model::Mlp;
 use fedml::params::FlatParams;
 use fedml::rng::Rng64;
 use fedml::workspace::Workspace;
@@ -38,7 +38,7 @@ pub struct Server<'a> {
     total_data: f64,
     energies: Vec<f64>,
     power: PowerControlConfig,
-    template: Box<dyn Model>,
+    template: Box<Mlp>,
     eval_ws: Workspace,
 }
 

@@ -3,19 +3,19 @@
 //! Everything the paper's evaluation varies — dataset, model, worker count,
 //! Non-IID partition, heterogeneity, wireless constants — is captured by
 //! [`FlSystemConfig`]; [`FlSystemConfig::build`] materialises it into an
-//! [`FlSystem`] (shards, worker profiles, channel model, evaluation set)
+//! [`FlSystem`] (shards, worker latencies, channel model, evaluation set)
 //! that every mechanism runs over, immutably. Keeping the system identical
 //! across mechanisms is what makes the comparisons of Figs. 3–6 and Fig. 10
 //! fair: only the grouping and the aggregation strategy differ.
 
 use faults::{FaultPlan, FaultSpec};
 use fedml::dataset::{Dataset, SyntheticSpec};
-use fedml::model::{Model, ModelKind};
+use fedml::model::{Mlp, ModelKind};
 use fedml::optimizer::SgdConfig;
 use fedml::partition::Partitioner;
 use fedml::rng::Rng64;
 use grouping::worker_info::WorkerInfo;
-use simcore::worker::{HeterogeneityModel, WorkerProfile};
+use simcore::worker::{local_training_times, HeterogeneityModel};
 use wireless::channel::ChannelModel;
 use wireless::timing::WirelessConfig;
 
@@ -122,7 +122,7 @@ impl FlSystemConfig {
     }
 
     /// Build the runtime system: generate data, partition it, draw worker
-    /// profiles and assemble the channel model. Deterministic given `rng`.
+    /// latencies and assemble the channel model. Deterministic given `rng`.
     pub fn build(&self, rng: &mut Rng64) -> FlSystem {
         assert!(self.num_workers > 0, "need at least one worker");
         assert!(
@@ -137,22 +137,18 @@ impl FlSystemConfig {
         let shards_idx = self.partitioner.partition(&train, self.num_workers, rng);
         let (train, shards) = train.into_shards(&shards_idx);
         let data_sizes: Vec<usize> = shards.iter().map(|s| s.len()).collect();
-        let profiles = WorkerProfile::generate(
+        let latencies = local_training_times(
             &data_sizes,
             self.base_time_per_sample,
             &self.heterogeneity,
             rng,
         );
-        let worker_infos: Vec<WorkerInfo> = profiles
+        let worker_infos: Vec<WorkerInfo> = latencies
             .iter()
             .zip(shards.iter())
-            .map(|(p, shard)| {
-                WorkerInfo::new(
-                    p.id,
-                    p.local_training_time(),
-                    shard.len(),
-                    shard.label_counts(),
-                )
+            .enumerate()
+            .map(|(id, (&latency, shard))| {
+                WorkerInfo::new(id, latency, shard.len(), shard.label_counts())
             })
             .collect();
         let template = self
@@ -160,7 +156,7 @@ impl FlSystemConfig {
             .build(train.num_features(), train.num_classes(), rng);
         // Compile the fault traces LAST, from a salted fork of the
         // construction stream: the fault axis hangs off the system seed, but
-        // every earlier draw (split, shards, profiles, model init) is
+        // every earlier draw (split, shards, latencies, model init) is
         // finished, so enabling faults never perturbs the system itself —
         // and a trivial spec skips the fork entirely, leaving the zero-fault
         // stream byte-identical to builds that predate fault injection.
@@ -178,7 +174,6 @@ impl FlSystemConfig {
             train,
             test,
             shards,
-            profiles,
             worker_infos,
             channel: ChannelModel::default_rayleigh(self.num_workers),
             template,
@@ -200,14 +195,13 @@ pub struct FlSystem {
     /// Per-worker local shards `D_i`: each a window of [`FlSystem::train`]'s
     /// storage holding the worker's samples in the partitioner's order.
     pub shards: Vec<Dataset>,
-    /// Per-worker latency/heterogeneity profiles.
-    pub(crate) profiles: Vec<WorkerProfile>,
-    /// Per-worker summaries consumed by the grouping algorithms.
+    /// Per-worker summaries: the latency `l_i` the schedule and the grouping
+    /// algorithms read, the data size and the label counts.
     pub worker_infos: Vec<WorkerInfo>,
     /// The wireless channel model (per-round fading gains).
     pub channel: ChannelModel,
     /// The initial model (also serves as the gradient-evaluation template).
-    pub template: Box<dyn Model>,
+    pub template: Box<Mlp>,
     /// Compiled per-worker fault traces ([`FaultPlan::none`], whose every
     /// answer is the neutral one, when the config injects no faults).
     pub faults: FaultPlan,
@@ -230,13 +224,13 @@ impl FlSystem {
     }
 
     /// A fresh clone of the initial model.
-    pub fn fresh_model(&self) -> Box<dyn Model> {
-        self.template.clone_model()
+    pub fn fresh_model(&self) -> Box<Mlp> {
+        self.template.clone()
     }
 
     /// Local training latency `l_i` of worker `i` (seconds).
     pub fn local_training_time(&self, worker: usize) -> f64 {
-        self.profiles[worker].local_training_time()
+        self.worker_infos[worker].local_training_time
     }
 
     /// AirComp aggregation latency `L_u` for this system's model (Eq. (33)).
@@ -264,7 +258,6 @@ mod tests {
         let sys = cfg.build(&mut rng);
         assert_eq!(sys.num_workers(), 10);
         assert_eq!(sys.total_data(), sys.train.len());
-        assert_eq!(sys.shards.len(), sys.profiles.len());
         assert_eq!(sys.worker_infos.len(), 10);
         assert!(sys.model_dim() > 0);
         assert!(sys.aircomp_aggregation_time() > 0.0);
@@ -306,7 +299,7 @@ mod tests {
     #[test]
     fn fault_injection_never_perturbs_the_system_itself() {
         // The fault stream hangs off the END of the construction stream, so
-        // turning churn on must leave shards, profiles and the initial model
+        // turning churn on must leave shards, latencies and the initial model
         // bit-identical to the fault-free build from the same seed.
         let clean_cfg = FlSystemConfig::mnist_lr_quick();
         let mut churn_cfg = clean_cfg.clone();

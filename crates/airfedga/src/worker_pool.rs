@@ -31,7 +31,7 @@
 //!   (members, lanes), and the aggregation that follows reads the rows in
 //!   fixed member order.
 
-use fedml::model::Model;
+use fedml::model::Mlp;
 use fedml::optimizer::local_update_from_ws;
 use fedml::params::FlatParams;
 use fedml::rng::Rng64;
@@ -58,7 +58,7 @@ struct LocalRow {
 /// overwritten from the dispatched global model at the start of every local
 /// update) and a scratch buffer pool.
 struct Trainer {
-    model: Box<dyn Model>,
+    model: Box<Mlp>,
     ws: Workspace,
 }
 
@@ -144,7 +144,7 @@ impl WorkerPool {
         let train_lane = |lane: Lane| {
             for (&w, row) in lane.run.iter().zip(lane.rows) {
                 local_update_from_ws(
-                    lane.trainer.model.as_mut(),
+                    &mut lane.trainer.model,
                     dispatch,
                     &system.shards[w],
                     sgd,

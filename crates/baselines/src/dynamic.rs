@@ -140,11 +140,11 @@ pub(crate) fn run(
             continue;
         }
 
-        // Participating workers train from the current global model (in
-        // parallel when enabled).
+        // Participating workers train from the current global model, in
+        // parallel.
         {
             let _train_span = telemetry::span!("train", participants.len());
-            pool.train_members(&participants, server.global(), system, opts.parallel);
+            pool.train_members(&participants, server.global(), system, true);
         }
         let agg_span = telemetry::span!("aggregate", participants.len());
         now += round_wait + aggregation_latency + wireless.broadcast_latency;

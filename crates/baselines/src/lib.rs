@@ -122,7 +122,6 @@ impl MechanismChoice {
                 total_rounds,
                 eval_every,
                 max_virtual_time,
-                parallel: true,
             },
         }
     }

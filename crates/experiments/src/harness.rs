@@ -643,7 +643,7 @@ where
 /// without `vary_system`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeedPlan {
-    /// Seed the system (shards, profiles, channel draws, initial model) is
+    /// Seed the system (shards, latencies, channel draws, initial model) is
     /// built from (replicate `r` adds `r` when [`Self::vary_system`]).
     pub system_seed: u64,
     /// Per-replicate run seeds, in replication order.
@@ -851,7 +851,6 @@ mod tests {
             total_rounds,
             eval_every,
             max_virtual_time: None,
-            parallel: true,
         }
     }
 

@@ -221,7 +221,6 @@ fn a_dead_shared_group_reports_every_member() {
         total_rounds: 3,
         eval_every: 1,
         max_virtual_time: None,
-        parallel: true,
     };
     let outcome = run_mechanism_cells(&[cfg], cells, &options, &plan, &policy, &NoCache);
 

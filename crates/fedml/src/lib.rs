@@ -30,7 +30,7 @@
 //! * [`workspace::Workspace`] is a checkout/checkin pool of scratch buffers;
 //!   each simulated worker owns one, so after the first mini-batch the
 //!   training loop performs **zero heap allocations**.
-//! * [`model::Model::sgd_batch_ws`] / [`model::Model::evaluate_ws`] are the
+//! * [`model::Mlp::sgd_batch_ws`] / [`model::Mlp::evaluate_ws`] are the
 //!   workspace-threaded entry points; [`optimizer::local_update_ws`] drives
 //!   the first over the shuffled mini-batches of a worker's shard.
 //!
@@ -43,7 +43,7 @@
 //!
 //! ```
 //! use fedml::dataset::SyntheticSpec;
-//! use fedml::model::{Mlp, Model};
+//! use fedml::model::Mlp;
 //! use fedml::optimizer::{local_update_ws, SgdConfig};
 //! use fedml::rng::Rng64;
 //! use fedml::workspace::Workspace;
@@ -71,7 +71,7 @@ pub mod rng;
 pub mod workspace;
 
 pub use dataset::{Dataset, SyntheticSpec};
-pub use model::{EvalStats, Mlp, Model};
+pub use model::{EvalStats, Mlp};
 pub use optimizer::{local_update_ws, SgdConfig};
 pub use params::FlatParams;
 pub use partition::{LabelDistribution, Partitioner};

@@ -8,9 +8,9 @@
 //! cross-entropy head and optional L2 regularisation.
 //!
 //! * The paper's "LR" on MNIST is itself a 2×512-unit MLP; the CNN and VGG-16
-//!   workloads are represented by deeper/wider MLP surrogates (constructors
-//!   [`Mlp::paper_lr`], [`Mlp::cnn_mnist_surrogate`],
-//!   [`Mlp::cnn_cifar_surrogate`], [`Mlp::vgg16_surrogate`]).
+//!   workloads are represented by deeper/wider MLP surrogates. Each workload
+//!   is a [`ModelKind`], and [`ModelKind::build`] holds the one table of
+//!   their hidden widths.
 //! * With no hidden layer the network *is* multinomial logistic regression
 //!   ([`Mlp::logistic_regression`]). Its loss is smooth and (with `l2 > 0`)
 //!   strongly convex, i.e. it satisfies Assumptions 1–2 of the paper exactly,
@@ -26,8 +26,8 @@
 //! loop the first version of this crate used (kept as the reference
 //! implementation in `tests/reference/`). The layer-forward walk and the
 //! backward walk are each written once: training and evaluation share the
-//! first, the fused SGD step ([`Model::sgd_batch_ws`]) and the gradient
-//! oracle ([`Model::loss_and_gradient_ws`]) the second. All scratch memory
+//! first, the fused SGD step ([`Mlp::sgd_batch_ws`]) and the gradient
+//! oracle ([`Mlp::loss_and_gradient_ws`]) the second. All scratch memory
 //! comes from a caller-provided [`Workspace`], so the steady-state training
 //! loop ([`crate::optimizer::local_update_ws`]) performs **zero heap
 //! allocations**.
@@ -43,7 +43,7 @@ use crate::rng::Rng64;
 use crate::workspace::Workspace;
 use std::ops::Deref;
 
-/// Number of evaluation rows processed per GEMM in [`Model::evaluate_ws`].
+/// Number of evaluation rows processed per GEMM in [`Mlp::evaluate_ws`].
 /// Large enough to amortise the kernel, small enough that the logits buffer
 /// of the 100-class workload stays comfortably in L2.
 const EVAL_CHUNK: usize = 256;
@@ -56,83 +56,6 @@ pub struct EvalStats {
     pub loss: f64,
     /// Fraction of samples whose argmax prediction matches the label.
     pub accuracy: f64,
-}
-
-/// A differentiable multi-class classifier whose parameters can be flattened
-/// into a [`FlatParams`] vector for over-the-air transmission.
-///
-/// `Send + Sync` is part of the contract: mechanism engines hand shared
-/// references to the system (which holds a boxed template model) across the
-/// persistent worker pool while each training lane mutates only its own model
-/// instance.
-pub trait Model: Send + Sync {
-    /// Total number of scalar parameters `q` (the transmitted dimension).
-    fn num_params(&self) -> usize;
-
-    /// Write the current parameters into a pre-sized flat vector. Panics on
-    /// dimension mismatch. This is the zero-alloc counterpart of
-    /// [`Model::params`].
-    fn params_into(&self, out: &mut FlatParams);
-
-    /// Overwrite the parameters from a flat vector. Panics on dimension
-    /// mismatch.
-    fn set_params(&mut self, params: &FlatParams);
-
-    /// Average loss and average gradient over the given sample indices of
-    /// `data`, written into `grad` (which must already have dimension
-    /// [`Model::num_params`]). All scratch memory is drawn from `ws`;
-    /// steady-state calls allocate nothing. Panics if `indices` is empty.
-    fn loss_and_gradient_ws(
-        &self,
-        data: &Dataset,
-        indices: &[usize],
-        ws: &mut Workspace,
-        grad: &mut FlatParams,
-    ) -> f64;
-
-    /// One fused mini-batch SGD step `w ← w − γ · ∇f(w)`: the forward pass,
-    /// the backward pass and the parameter update in a single pass that
-    /// accumulates `−γ · δᵀ · X` directly into the weights ([`gemm_tn_acc`]),
-    /// never touching a gradient buffer. Returns the batch loss at the
-    /// parameters the step started from. Panics if `indices` is empty.
-    fn sgd_batch_ws(
-        &mut self,
-        data: &Dataset,
-        indices: &[usize],
-        learning_rate: f64,
-        ws: &mut Workspace,
-    ) -> f64;
-
-    /// Mean loss and accuracy over an entire dataset in one batched forward
-    /// pass over the dataset's contiguous feature matrix (no per-sample
-    /// gather, no gradient work). Both are 0 for an empty dataset.
-    fn evaluate_ws(&self, data: &Dataset, ws: &mut Workspace) -> EvalStats;
-
-    /// Clone into a boxed trait object (mechanisms keep one model instance
-    /// per training lane).
-    fn clone_model(&self) -> Box<dyn Model>;
-
-    /// Flatten the current parameters (provided method; allocates).
-    fn params(&self) -> FlatParams {
-        let mut out = FlatParams::zeros(self.num_params());
-        self.params_into(&mut out);
-        out
-    }
-
-    /// Average loss and average gradient over the given sample indices
-    /// (provided method; allocates a fresh workspace and gradient).
-    fn loss_and_gradient(&self, data: &Dataset, indices: &[usize]) -> (f64, FlatParams) {
-        let mut ws = Workspace::new();
-        let mut grad = FlatParams::zeros(self.num_params());
-        let loss = self.loss_and_gradient_ws(data, indices, &mut ws, &mut grad);
-        (loss, grad)
-    }
-}
-
-impl Clone for Box<dyn Model> {
-    fn clone(&self) -> Self {
-        self.clone_model()
-    }
 }
 
 /// One dense layer of an [`Mlp`].
@@ -218,26 +141,9 @@ impl Mlp {
         self
     }
 
-    /// The paper's "LR" workload for MNIST: a fully-connected network with
-    /// two hidden layers (scaled down from 512 to keep the simulation
-    /// laptop-sized; the width is configurable through [`Mlp::new`]).
+    /// The paper's "LR" workload for MNIST, [`ModelKind::PaperLr`].
     pub fn paper_lr(num_features: usize, num_classes: usize, rng: &mut Rng64) -> Self {
-        Self::new(num_features, &[64, 64], num_classes, rng)
-    }
-
-    /// Surrogate for the paper's MNIST CNN (two conv + two dense layers).
-    pub fn cnn_mnist_surrogate(num_features: usize, num_classes: usize, rng: &mut Rng64) -> Self {
-        Self::new(num_features, &[128, 64], num_classes, rng)
-    }
-
-    /// Surrogate for the paper's CIFAR-10 CNN.
-    pub fn cnn_cifar_surrogate(num_features: usize, num_classes: usize, rng: &mut Rng64) -> Self {
-        Self::new(num_features, &[160, 96], num_classes, rng)
-    }
-
-    /// Surrogate for VGG-16 on ImageNet-100: the deepest and widest MLP.
-    pub fn vgg16_surrogate(num_features: usize, num_classes: usize, rng: &mut Rng64) -> Self {
-        Self::new(num_features, &[256, 128, 64], num_classes, rng)
+        *ModelKind::PaperLr.build(num_features, num_classes, rng)
     }
 
     /// Number of layers (hidden + output).
@@ -443,12 +349,23 @@ impl Mlp {
     }
 }
 
-impl Model for Mlp {
-    fn num_params(&self) -> usize {
+impl Mlp {
+    /// Total number of scalar parameters `q` (the transmitted dimension).
+    pub fn num_params(&self) -> usize {
         self.layers.iter().map(|l| l.num_params()).sum()
     }
 
-    fn params_into(&self, out: &mut FlatParams) {
+    /// Flatten the current parameters (allocates; [`Mlp::params_into`] is
+    /// the zero-alloc counterpart).
+    pub fn params(&self) -> FlatParams {
+        let mut out = FlatParams::zeros(self.num_params());
+        self.params_into(&mut out);
+        out
+    }
+
+    /// Write the current parameters into a pre-sized flat vector. Panics on
+    /// dimension mismatch.
+    pub fn params_into(&self, out: &mut FlatParams) {
         assert_eq!(out.dim(), self.num_params(), "parameter size mismatch");
         let mut offset = 0;
         for l in &self.layers {
@@ -461,7 +378,9 @@ impl Model for Mlp {
         debug_assert_eq!(offset, out.dim());
     }
 
-    fn set_params(&mut self, params: &FlatParams) {
+    /// Overwrite the parameters from a flat vector. Panics on dimension
+    /// mismatch.
+    pub fn set_params(&mut self, params: &FlatParams) {
         assert_eq!(params.dim(), self.num_params(), "parameter size mismatch");
         let mut offset = 0;
         for l in &mut self.layers {
@@ -477,7 +396,20 @@ impl Model for Mlp {
         debug_assert_eq!(offset, params.dim());
     }
 
-    fn loss_and_gradient_ws(
+    /// Average loss and average gradient over the given sample indices
+    /// (allocates a fresh workspace and gradient).
+    pub fn loss_and_gradient(&self, data: &Dataset, indices: &[usize]) -> (f64, FlatParams) {
+        let mut ws = Workspace::new();
+        let mut grad = FlatParams::zeros(self.num_params());
+        let loss = self.loss_and_gradient_ws(data, indices, &mut ws, &mut grad);
+        (loss, grad)
+    }
+
+    /// Average loss and average gradient over the given sample indices of
+    /// `data`, written into `grad` (which must already have dimension
+    /// [`Mlp::num_params`]). All scratch memory is drawn from `ws`;
+    /// steady-state calls allocate nothing. Panics if `indices` is empty.
+    pub fn loss_and_gradient_ws(
         &self,
         data: &Dataset,
         indices: &[usize],
@@ -512,7 +444,12 @@ impl Model for Mlp {
         Self::batch_pass(&self.layers[..], l2, data, indices, ws, land)
     }
 
-    fn sgd_batch_ws(
+    /// One fused mini-batch SGD step `w ← w − γ · ∇f(w)`: the forward pass,
+    /// the backward pass and the parameter update in a single pass that
+    /// accumulates `−γ · δᵀ · X` directly into the weights ([`gemm_tn_acc`]),
+    /// never touching a gradient buffer. Returns the batch loss at the
+    /// parameters the step started from. Panics if `indices` is empty.
+    pub fn sgd_batch_ws(
         &mut self,
         data: &Dataset,
         indices: &[usize],
@@ -542,7 +479,10 @@ impl Model for Mlp {
         Self::batch_pass(&mut self.layers[..], l2, data, indices, ws, land)
     }
 
-    fn evaluate_ws(&self, data: &Dataset, ws: &mut Workspace) -> EvalStats {
+    /// Mean loss and accuracy over an entire dataset in one batched forward
+    /// pass over the dataset's contiguous feature matrix (no per-sample
+    /// gather, no gradient work). Both are 0 for an empty dataset.
+    pub fn evaluate_ws(&self, data: &Dataset, ws: &mut Workspace) -> EvalStats {
         if data.is_empty() {
             return EvalStats {
                 loss: 0.0,
@@ -585,24 +525,23 @@ impl Model for Mlp {
             accuracy: correct as f64 / n as f64,
         }
     }
-
-    fn clone_model(&self) -> Box<dyn Model> {
-        Box::new(self.clone())
-    }
 }
 
-/// Which model family an experiment uses. This mirrors the paper's
-/// model/dataset pairs and lets the experiment harness construct the right
-/// surrogate from a single enum value.
+/// Which model an experiment uses. This mirrors the paper's model/dataset
+/// pairs: each is an [`Mlp`] of the hidden widths [`ModelKind::build`]
+/// lists, the paper's CNNs and VGG-16 represented by deeper and wider
+/// surrogates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelKind {
-    /// The paper's "LR" (2-hidden-layer fully-connected network) on MNIST.
+    /// The paper's "LR" on MNIST: a fully-connected network with two hidden
+    /// layers (scaled down from 512 units to 64 to keep the simulation
+    /// laptop-sized).
     PaperLr,
-    /// CNN surrogate for MNIST.
+    /// Surrogate for the paper's MNIST CNN (two conv + two dense layers).
     CnnMnist,
-    /// CNN surrogate for CIFAR-10.
+    /// Surrogate for the paper's CIFAR-10 CNN.
     CnnCifar,
-    /// VGG-16 surrogate for ImageNet-100.
+    /// Surrogate for VGG-16 on ImageNet-100: the deepest and widest model.
     Vgg16,
     /// Plain convex multinomial logistic regression (used for Theorem-1
     /// validation, not a paper workload).
@@ -610,21 +549,20 @@ pub enum ModelKind {
 }
 
 impl ModelKind {
-    /// Build the model for a dataset of the given shape.
-    pub fn build(self, num_features: usize, num_classes: usize, rng: &mut Rng64) -> Box<dyn Model> {
-        match self {
-            ModelKind::PaperLr => Box::new(Mlp::paper_lr(num_features, num_classes, rng)),
-            ModelKind::CnnMnist => {
-                Box::new(Mlp::cnn_mnist_surrogate(num_features, num_classes, rng))
-            }
-            ModelKind::CnnCifar => {
-                Box::new(Mlp::cnn_cifar_surrogate(num_features, num_classes, rng))
-            }
-            ModelKind::Vgg16 => Box::new(Mlp::vgg16_surrogate(num_features, num_classes, rng)),
+    /// Build the model for a dataset of the given shape: the one table of
+    /// hidden widths.
+    pub fn build(self, num_features: usize, num_classes: usize, rng: &mut Rng64) -> Box<Mlp> {
+        let hidden: &[usize] = match self {
+            ModelKind::PaperLr => &[64, 64],
+            ModelKind::CnnMnist => &[128, 64],
+            ModelKind::CnnCifar => &[160, 96],
+            ModelKind::Vgg16 => &[256, 128, 64],
             ModelKind::ConvexLr => {
-                Box::new(Mlp::logistic_regression(num_features, num_classes).with_l2(1e-3))
+                let model = Mlp::logistic_regression(num_features, num_classes).with_l2(1e-3);
+                return Box::new(model);
             }
-        }
+        };
+        Box::new(Mlp::new(num_features, hidden, num_classes, rng))
     }
 
     /// Human-readable label used in experiment reports.
@@ -935,8 +873,8 @@ mod tests {
     #[test]
     fn clone_model_preserves_params() {
         let mut rng = Rng64::seed_from(6);
-        let m = Mlp::new(10, &[4], 3, &mut rng);
-        let c = m.clone_model();
+        let m = ModelKind::CnnMnist.build(10, 3, &mut rng);
+        let c = m.clone();
         assert_eq!(c.params(), m.params());
     }
 }

@@ -8,7 +8,7 @@
 //! epoch at a batch size no smaller than the shard.
 
 use crate::dataset::Dataset;
-use crate::model::Model;
+use crate::model::Mlp;
 use crate::params::FlatParams;
 use crate::rng::Rng64;
 use crate::workspace::Workspace;
@@ -55,11 +55,11 @@ impl SgdConfig {
 /// observed over the processed batches.
 ///
 /// Per mini-batch this performs one fused forward/backward/update pass
-/// ([`Model::sgd_batch_ws`], all scratch from `ws`); the shuffle order and
+/// ([`Mlp::sgd_batch_ws`], all scratch from `ws`); the shuffle order and
 /// batch scratch are drawn from — and returned to — the pool, so after the
 /// first batch the loop touches the allocator not at all.
 pub fn local_update_ws(
-    model: &mut dyn Model,
+    model: &mut Mlp,
     shard: &Dataset,
     cfg: &SgdConfig,
     rng: &mut Rng64,
@@ -90,7 +90,7 @@ pub fn local_update_ws(
 /// to the model dimension) and all scratch comes from `ws`, so the per-round
 /// worker loop of the mechanism engines allocates nothing in steady state.
 pub fn local_update_from_ws(
-    template: &mut dyn Model,
+    template: &mut Mlp,
     global: &FlatParams,
     shard: &Dataset,
     cfg: &SgdConfig,
@@ -108,7 +108,6 @@ pub fn local_update_from_ws(
 mod tests {
     use super::*;
     use crate::dataset::SyntheticSpec;
-    use crate::model::Mlp;
 
     fn toy() -> Dataset {
         let mut rng = Rng64::seed_from(77);

@@ -385,7 +385,6 @@ pub fn execute(
             total_rounds: listing.rounds,
             eval_every: params.eval(),
             max_virtual_time: params.max_virtual_time,
-            parallel: true,
         },
         &plan,
         &policy,

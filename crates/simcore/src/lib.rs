@@ -8,8 +8,8 @@
 //! aggregates. This crate provides that machinery in virtual time:
 //!
 //! * [`events`] — a deterministic discrete-event queue keyed on virtual time.
-//! * [`worker`] — per-worker profiles (data size, base training cost,
-//!   heterogeneity factor) and the `l_i = κ_i · l̂_i` latency model.
+//! * [`worker`] — the heterogeneity factors `κ_i` and the
+//!   `l_i = κ_i · l̂_i` latency of every worker.
 //! * [`trace`] — time-series recording of loss/accuracy/energy so that the
 //!   experiment harness can regenerate the paper's figures.
 //! * [`cancel`] — cooperative cancellation tokens polled at round boundaries,

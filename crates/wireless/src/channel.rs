@@ -1,40 +1,31 @@
-//! Wireless channel gain models.
+//! The wireless channel gain model.
 //!
 //! The paper assumes the channel gain `h_i^t` between worker `v_i` and the
 //! parameter server stays constant within a communication round (block
 //! fading) and is known at both ends (needed for the power-scaling rule of
 //! Eq. (6)). We model Rayleigh block fading — `|h|` is Rayleigh distributed,
-//! equivalently `|h|²` is exponential — plus a deterministic variant for
-//! tests and ablations.
+//! equivalently `|h|²` is exponential.
 
 use fedml::rng::Rng64;
 use serde::{Deserialize, Serialize};
 
-/// A model of per-round channel gains for a population of workers.
+/// Rayleigh block fading of a population of workers: per round,
+/// `h_i^t = sqrt(Exp(1)) * sqrt(mean_gain_i)` where `mean_gain_i` captures the
+/// (distance-dependent) average path gain of worker `i`. A floor keeps gains
+/// bounded away from zero so the inverse-channel power rule of Eq. (6) stays
+/// finite.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum ChannelModel {
-    /// Rayleigh block fading: per round, `h_i^t = sqrt(Exp(1)) * sqrt(mean_gain_i)`
-    /// where `mean_gain_i` captures the (distance-dependent) average path
-    /// gain of worker `i`. A floor keeps gains bounded away from zero so the
-    /// inverse-channel power rule of Eq. (6) stays finite.
-    Rayleigh {
-        /// Average power gain per worker (same value reused for all workers
-        /// if the vector is shorter than the worker count).
-        mean_gains: Vec<f64>,
-        /// Lower bound on the realised gain (deep-fade clipping).
-        floor: f64,
-    },
-    /// Deterministic static gains — useful for unit tests and for isolating
-    /// the effect of heterogeneity from the effect of fading.
-    Static {
-        /// Fixed gain per worker.
-        gains: Vec<f64>,
-    },
+pub struct ChannelModel {
+    /// Average power gain per worker (same value reused for all workers if
+    /// the vector is shorter than the worker count).
+    pub mean_gains: Vec<f64>,
+    /// Lower bound on the realised gain (deep-fade clipping).
+    pub floor: f64,
 }
 
 impl ChannelModel {
-    /// A Rayleigh model with unit average gain for every one of `n` workers,
-    /// the configuration used by the paper's experiments.
+    /// Unit average gain for every one of `n` workers, the configuration
+    /// used by the paper's experiments.
     ///
     /// The floor of 0.3 implements truncated channel inversion: the
     /// channel-inverting power rule of Eq. (6) caps the power-scaling factor
@@ -42,7 +33,7 @@ impl ChannelModel {
     /// force the whole group's received SNR to zero. Truncation is the
     /// standard remedy in the AirComp literature the paper builds on.
     pub fn default_rayleigh(n: usize) -> Self {
-        ChannelModel::Rayleigh {
+        ChannelModel {
             mean_gains: vec![1.0; n],
             floor: 0.3,
         }
@@ -50,28 +41,20 @@ impl ChannelModel {
 
     /// Draw the channel gains `h_i^t` of every worker for one round.
     pub fn draw_round(&self, rng: &mut Rng64) -> Vec<f64> {
-        match self {
-            ChannelModel::Rayleigh { mean_gains, floor } => mean_gains
-                .iter()
-                .map(|&g| {
-                    // |h|^2 ~ Exp(1) scaled by the mean power gain.
-                    let power = rng.exponential(1.0) * g;
-                    power.sqrt().max(*floor)
-                })
-                .collect(),
-            ChannelModel::Static { gains } => gains.clone(),
-        }
+        self.mean_gains
+            .iter()
+            .map(|&g| {
+                // |h|^2 ~ Exp(1) scaled by the mean power gain.
+                let power = rng.exponential(1.0) * g;
+                power.sqrt().max(self.floor)
+            })
+            .collect()
     }
 
     /// Draw the gain of a single worker for one round.
     pub fn draw_worker(&self, worker: usize, rng: &mut Rng64) -> f64 {
-        match self {
-            ChannelModel::Rayleigh { mean_gains, floor } => {
-                let g = mean_gains[worker % mean_gains.len()];
-                (rng.exponential(1.0) * g).sqrt().max(*floor)
-            }
-            ChannelModel::Static { gains } => gains[worker % gains.len()],
-        }
+        let g = self.mean_gains[worker % self.mean_gains.len()];
+        (rng.exponential(1.0) * g).sqrt().max(self.floor)
     }
 }
 
@@ -80,19 +63,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn static_channel_is_deterministic() {
-        let m = ChannelModel::Static {
-            gains: vec![0.5, 2.0],
-        };
-        let mut rng = Rng64::seed_from(1);
-        assert_eq!(m.draw_round(&mut rng), vec![0.5, 2.0]);
-        assert_eq!(m.draw_round(&mut rng), vec![0.5, 2.0]);
-        assert_eq!(m.draw_worker(0, &mut rng), 0.5);
-    }
-
-    #[test]
     fn rayleigh_gains_are_positive_and_respect_floor() {
-        let m = ChannelModel::Rayleigh {
+        let m = ChannelModel {
             mean_gains: vec![1.0; 50],
             floor: 0.1,
         };
@@ -106,7 +78,7 @@ mod tests {
 
     #[test]
     fn rayleigh_mean_power_tracks_mean_gain() {
-        let m = ChannelModel::Rayleigh {
+        let m = ChannelModel {
             mean_gains: vec![4.0],
             floor: 1e-6,
         };

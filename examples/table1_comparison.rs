@@ -50,7 +50,6 @@ fn main() {
             total_rounds: rounds,
             eval_every: scale.eval_every(),
             max_virtual_time: None,
-            parallel: true,
         },
         &SeedPlan::fixed_system(42, vec![4242]),
         &RunPolicy::default(),

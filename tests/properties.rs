@@ -14,7 +14,7 @@ use air_fedga::airfedga::system::FlSystemConfig;
 use air_fedga::airfedga::worker_pool::WorkerPool;
 use air_fedga::baselines::MechanismChoice;
 use air_fedga::fedml::dataset::{Dataset, SyntheticSpec};
-use air_fedga::fedml::model::{Mlp, Model};
+use air_fedga::fedml::model::Mlp;
 use air_fedga::fedml::params::FlatParams;
 use air_fedga::fedml::partition::{LabelDistribution, Partitioner};
 use air_fedga::fedml::rng::Rng64;
@@ -366,8 +366,14 @@ fn batched_local_step_matches_per_sample_reference() {
     }
 }
 
-/// Parallel worker rounds produce bit-identical training traces
-/// to sequential execution for fixed seeds, across aggregation back-ends.
+/// Parallel worker rounds produce bit-identical training traces to
+/// sequential execution for fixed seeds, across aggregation back-ends: the
+/// traces here, on the host's training lanes, equal those a child process of
+/// this test binary computes with `PARALLEL_THREADS=1`, where the worker pool
+/// has one lane and every map runs in-line (the pool reads its thread pin
+/// once per process, hence the child). The child reruns this test and,
+/// finding `ENGINE_SEQUENTIAL_CHILD` set, writes its traces to the file
+/// named there instead.
 #[test]
 fn parallel_rounds_are_bit_identical_to_sequential() {
     let mut cfg = FlSystemConfig::mnist_lr_quick();
@@ -377,27 +383,39 @@ fn parallel_rounds_are_bit_identical_to_sequential() {
         Grouping::single_group(system.num_workers()),
         Grouping::new(vec![vec![0, 2, 4, 6], vec![1, 3, 5, 7]], 8),
     ];
+    let opts = EngineOptions {
+        total_rounds: 12,
+        eval_every: 1,
+        max_virtual_time: None,
+    };
+    let mut here = String::new();
     for grouping in &groupings {
         for aggregation in [AggregationMode::AirComp, AggregationMode::OmaIdeal] {
-            let [a, b] = [true, false].map(|parallel| {
-                let opts = EngineOptions {
-                    total_rounds: 12,
-                    eval_every: 1,
-                    max_virtual_time: None,
-                    parallel,
-                };
-                let rng = &mut Rng64::seed_from(9);
-                run_group_async(&system, grouping, aggregation, &opts, "run", rng)
-            });
-            assert_eq!(a.points().len(), b.points().len());
-            for (pa, pb) in a.points().iter().zip(b.points()) {
-                assert_eq!(pa.loss.to_bits(), pb.loss.to_bits());
-                assert_eq!(pa.accuracy.to_bits(), pb.accuracy.to_bits());
-                assert_eq!(pa.time.to_bits(), pb.time.to_bits());
-                assert_eq!(pa.energy.to_bits(), pb.energy.to_bits());
-            }
+            let rng = &mut Rng64::seed_from(9);
+            let trace = run_group_async(&system, grouping, aggregation, &opts, "run", rng);
+            here.push_str(&runstore::encode_trace(&trace));
         }
     }
+    if let Ok(path) = std::env::var("ENGINE_SEQUENTIAL_CHILD") {
+        std::fs::write(path, here).unwrap();
+        return;
+    }
+    let path = std::env::temp_dir().join(format!("properties_rounds_{}", std::process::id()));
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["parallel_rounds_are_bit_identical_to_sequential", "--exact"])
+        .env("ENGINE_SEQUENTIAL_CHILD", &path)
+        .env("PARALLEL_THREADS", "1")
+        .env("PARALLEL_CHUNKS", "1")
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "sequential child failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let sequential = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(here, sequential);
 }
 
 /// Every GEMM variant — `gemm_nn` and `gemm_tn_acc`, the latter both as the
@@ -722,7 +740,7 @@ fn reused_training_scratch_gives_the_bits_of_fresh_scratch() {
         let start_b = system.template.params();
         let start_a = FlatParams(start_b.0.iter().map(|x| 0.5 * x + 0.01).collect());
         // Worker `w`'s update from `start`, drawing from `w`'s own stream.
-        let train = |model: &mut dyn Model, start: &FlatParams, w: usize, ws: &mut Workspace| {
+        let train = |model: &mut Mlp, start: &FlatParams, w: usize, ws: &mut Workspace| {
             let mut local = FlatParams::zeros(system.model_dim());
             let rng = &mut Rng64::seed_from(7121 + w as u64);
             let loss =
@@ -813,7 +831,6 @@ fn run_grid_with_nested_rounds_matches_sequential_loop() {
             total_rounds: 6,
             eval_every: 2,
             max_virtual_time: None,
-            parallel: true,
         };
         run_group_async(
             &system,

@@ -20,7 +20,7 @@
 
 use fedml::dataset::Dataset;
 use fedml::linalg::Matrix;
-use fedml::model::{Mlp, Model};
+use fedml::model::Mlp;
 use fedml::optimizer::SgdConfig;
 use fedml::params::FlatParams;
 use fedml::rng::Rng64;
@@ -141,7 +141,7 @@ fn l2_penalty(model: &Mlp) -> f64 {
 }
 
 /// Per-sample loss and averaged gradient of an [`Mlp`] — the reference
-/// implementation of `Model::loss_and_gradient` (per-sample backprop with
+/// implementation of `Mlp::loss_and_gradient` (per-sample backprop with
 /// rank-one weight updates, then the L2 term `l2 · W` on every weight
 /// matrix).
 pub fn mlp_loss_and_gradient(model: &Mlp, data: &Dataset, indices: &[usize]) -> (f64, FlatParams) {
@@ -194,7 +194,7 @@ pub fn mlp_loss_and_gradient(model: &Mlp, data: &Dataset, indices: &[usize]) -> 
 }
 
 /// Per-sample mean loss and accuracy of an [`Mlp`] over a whole dataset —
-/// the reference implementation of `Model::evaluate_ws` (one forward trace
+/// the reference implementation of `Mlp::evaluate_ws` (one forward trace
 /// per sample; the first of several maximal logits is the prediction).
 pub fn mlp_evaluate(model: &Mlp, data: &Dataset) -> (f64, f64) {
     let mut total_loss = 0.0;
