@@ -118,8 +118,10 @@ impl RunSummary {
 /// * **No cell-order side effects**: cells must not print or write files —
 ///   render tables/CSVs from the returned vector afterwards, in input order.
 ///
-/// Under `PARALLEL_THREADS=1` the cells run in-line in input order, which the
-/// CI determinism job uses to cross-check the parallel schedule.
+/// Under `PARALLEL_THREADS=1` the cells run in-line in input order: the 1×1
+/// schedule the `scenario` crate's
+/// `every_kind_reproduces_its_pins_on_every_schedule` test replays beside
+/// the parallel ones.
 ///
 /// Grid cells are exactly the workload over-decomposition exists for —
 /// heterogeneous mechanisms and seeds finishing at very different times —

@@ -5,7 +5,8 @@
 //! scenario specs from multiple submitters, queues them crash-safely, and
 //! executes them one at a time through the *same* driver path
 //! (`scenario::run::execute`) — so a job's CSVs and runstore contents are
-//! byte-identical to a batch run of the same spec (CI diffs them).
+//! byte-identical to a batch run of the same spec
+//! (`http_submit_execute_fetch_and_dedup_round_trip` compares them).
 //! `airfedga-ctl` is the client.
 //!
 //! Design points, in the workspace's house style:

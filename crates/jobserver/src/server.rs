@@ -30,6 +30,7 @@ use crate::queue::JobQueue;
 use experiments::scale::Scale;
 use runstore::{CacheStats, StoreLock};
 use scenario::run::ExecutionReport;
+use scenario::spec::TelemetrySettings;
 use scenario::{CliOverrides, ScenarioSpec, StoreMode};
 use std::fs;
 use std::io;
@@ -111,9 +112,18 @@ impl Server {
     }
 
     /// Submit a spec. Validation happens here: a spec that does not parse is
-    /// refused (the error names the line), never queued.
+    /// refused (the error names the line), never queued. So is a spec with
+    /// a `[telemetry]` table: it would have the daemon create a directory of
+    /// the submitter's choosing and switch the process-wide telemetry on.
     pub fn submit(&self, name: &str, priority: i64, spec_text: &str) -> Result<u64, String> {
-        ScenarioSpec::parse(spec_text).map_err(|e| e.to_string())?;
+        let spec = ScenarioSpec::parse(spec_text).map_err(|e| e.to_string())?;
+        if spec.telemetry != TelemetrySettings::default() {
+            return Err(
+                "the daemon runs no `[telemetry]` table: drop it from the spec \
+                        (telemetry belongs to `airfedga-run --telemetry <dir>`)"
+                    .to_string(),
+            );
+        }
         let mut queue = self.lock_queue();
         let id = queue
             .submit(name, priority, spec_text)
@@ -626,7 +636,8 @@ fn cache_json(cache: &Option<CacheStats>) -> Json {
 }
 
 /// Bind the daemon's listener and record the bound address in
-/// `<root>/serve.addr` (how `airfedga-ctl --root` and CI find an
+/// `<root>/serve.addr` (how `airfedga-ctl --root`, and so
+/// `the_ctl_client_drives_the_daemon_through_a_job_s_life`, finds an
 /// OS-assigned port).
 pub fn bind_and_record(root: &Path, addr: &str) -> io::Result<(TcpListener, String)> {
     let listener = TcpListener::bind(addr)?;

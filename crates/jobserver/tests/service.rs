@@ -296,6 +296,60 @@ fn deeply_nested_bodies_get_a_400_and_the_daemon_keeps_serving() {
     fs::remove_dir_all(&root).ok();
 }
 
+/// Submit `TINY_SPEC` with each edit to a live daemon: every one must get a
+/// 400 whose body names `key`, with nothing queued and nothing written
+/// outside the daemon's root (`<root>/outside` is where an edit points).
+fn assert_refused(tag: &str, key: &str, edits: fn(&Path) -> Vec<String>) {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let root = tmp_root(tag);
+    let server = open(&root);
+    let executor = server.start_executor();
+    let addr = serve(&server);
+    let outside = root.join("outside");
+    for spec in edits(&outside) {
+        let body = Json::obj(vec![("name", Json::str(tag)), ("spec", Json::str(&spec))]);
+        let resp = http::request(&addr, "POST", "/jobs", Some(&body.encode())).unwrap();
+        assert_eq!(resp.status, 400, "{spec}: {}", resp.body);
+        assert!(resp.body.contains(key), "{spec}: {}", resp.body);
+    }
+    assert!(server.list().is_empty());
+    assert!(!outside.exists() && !root.join("jobs").join("x_grid.csv").exists());
+    client::shutdown(&addr).unwrap();
+    poke(&addr);
+    executor.join().unwrap();
+    fs::remove_dir_all(&root).ok();
+}
+
+/// A job writes its CSVs into its own `jobs/<id>/results/`: a CSV prefix
+/// that is a path (absolute, or climbing out with `..`) would put them
+/// anywhere, so the spec is refused at the door.
+#[test]
+fn a_csv_prefix_path_gets_a_400_and_nothing_is_written() {
+    assert_refused("escape_csv", "csv_prefix", |outside| {
+        let line = "csv_prefix = \"jobsvc_tiny\"\n";
+        let prefix = |p: &str| TINY_SPEC.replace(line, &format!("csv_prefix = {p:?}\n"));
+        vec![
+            prefix(&outside.join("x").to_string_lossy()),
+            prefix("../../x"),
+        ]
+    });
+}
+
+/// A `[telemetry]` table would have the daemon create a directory of the
+/// submitter's choosing and switch the process-wide telemetry on for the
+/// job, so any spec that sets one is refused at the door.
+#[test]
+fn a_telemetry_table_gets_a_400_and_nothing_is_written() {
+    assert_refused("escape_telemetry", "[telemetry]", |outside| {
+        let dir = format!("[telemetry]\ndir = {:?}\n", outside.to_string_lossy());
+        let progress = "[telemetry]\nprogress = \"off\"\n";
+        vec![
+            format!("{TINY_SPEC}{dir}"),
+            format!("{TINY_SPEC}{progress}"),
+        ]
+    });
+}
+
 #[test]
 fn cancel_while_queued_flips_the_state_without_running() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());

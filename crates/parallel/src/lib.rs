@@ -73,8 +73,10 @@
 //!   *assignment* of items to chunks is deterministic, the *scheduling* of
 //!   chunks is free. For the same reason the *number* of chunks is free too:
 //!   any `PARALLEL_CHUNKS` × `PARALLEL_THREADS` combination produces the
-//!   same concatenation, which the CI determinism job cross-checks by
-//!   diffing experiment outputs across both knobs.
+//!   same concatenation, which this crate's `chunks_x*` tests check on the
+//!   map itself and the `scenario` crate's
+//!   `every_kind_reproduces_its_pins_on_every_schedule` on whole runs, at
+//!   1×1, 2×4, 3×4 and 4×16.
 //! * **No shared mutable state**: the mapped closure receives each item by
 //!   value; any per-item RNG or scratch state must travel inside the item
 //!   itself, which is exactly how the training engine hands each lane its own

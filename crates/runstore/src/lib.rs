@@ -235,7 +235,8 @@ pub fn decode_trace(text: &str) -> Option<TrainingTrace> {
 /// One scenario's slice of the on-disk run store.
 ///
 /// Layout under the store root (default `runstore/` in the working
-/// directory — deliberately *not* under `results/`, which CI byte-diffs):
+/// directory — deliberately *not* under `results/`, which `cli_contract`'s
+/// replays compare byte for byte with the pins):
 ///
 /// ```text
 /// runstore/

@@ -13,7 +13,9 @@
 //!   persist as `--resume` does.
 //! * `--telemetry <dir>` — enable telemetry for the run and write
 //!   `spans.jsonl` / `metrics.json` / `profile.json` into `<dir>` afterwards
-//!   (stdout, CSVs and the run store stay byte-identical — CI diffs them).
+//!   (stdout, CSVs and the run store stay byte-identical —
+//!   `cli_contract`'s `every_kind_reproduces_its_pins_on_every_schedule`
+//!   compares them).
 //! * `--progress` — force the stderr progress reporter on even when stderr
 //!   is not a TTY.
 //! * `--store-root DIR` — relocate the run store away from `runstore/` (the
@@ -24,7 +26,8 @@
 //! Scale comes from `AIRFEDGA_SCALE` (`full` / `quick`; any other value is a
 //! usage error). The driver prints nothing beyond what the scenario's driver
 //! prints, so output stays byte-comparable across schedules, resumes and the
-//! job service (CI diffs them). Exit status: 0 on a clean run, 1 when the
+//! job service (`cli_contract`'s replays and `jobserver`'s
+//! `http_submit_execute_fetch_and_dedup_round_trip` compare them). Exit status: 0 on a clean run, 1 when the
 //! grid finished but lost replicates for good (the failure report goes to
 //! stderr), 2 on usage/parse errors.
 

@@ -53,9 +53,10 @@ use runstore::{CacheStats, RunStore, StoreCache};
 use std::path::{Path, PathBuf};
 
 /// Root directory of the on-disk run store, relative to the working
-/// directory. Deliberately *outside* `results/` so the CI determinism jobs'
-/// `diff -r results` never see it, and `rm -rf results` between runs leaves
-/// completed replicates intact.
+/// directory. Deliberately *outside* `results/`, so a comparison of
+/// `results/` (`cli_contract`'s replays compare it file by file with the
+/// pins) never sees it, and `rm -rf results` between runs leaves completed
+/// replicates intact.
 pub const STORE_ROOT: &str = "runstore";
 
 /// Exit code of a clean run: every replicate finished (recovered retries

@@ -423,14 +423,25 @@ impl ScenarioSpec {
         // [scenario] — identity and driver shape.
         let scenario_tbl = root.table_req("scenario")?;
         let scenario = SpecReader::new(scenario_tbl, "scenario");
-        let (name, _) = scenario.required_str("name")?;
+        let (name, name_line) = scenario.required_str("name")?;
         let (kind_key, kind_line) = scenario.required_str("kind")?;
         let kind = ScenarioKind::from_key(&kind_key, kind_line)?;
         let (title, _) = scenario.required_str("title")?;
-        let csv_prefix = scenario
+        let (csv_prefix, prefix_line) = scenario
             .str_opt("csv_prefix")?
-            .map(|(s, _)| s)
-            .unwrap_or_else(|| name.clone());
+            .unwrap_or_else(|| (name.clone(), name_line));
+        // The prefix names files inside the results directory, so it must be
+        // a plain stem: `Path::join` with `/x` or `..` would leave it.
+        if matches!(csv_prefix.as_str(), "" | "." | "..") || csv_prefix.contains(['/', '\\']) {
+            return Err(ScenarioError::at(
+                prefix_line,
+                format!(
+                    "the CSV prefix {csv_prefix:?} (`scenario.csv_prefix`, default \
+                     `scenario.name`) must be a plain file-name stem: not empty, `.` \
+                     or `..`, and without `/` or `\\`"
+                ),
+            ));
+        }
         scenario.finish()?;
 
         // [system] — the workload, resolved through the registry.
@@ -916,6 +927,31 @@ xi = [0.2, 0.4]
         assert_eq!(err.line, Some(5));
         assert!(err.msg.contains("unrecognised"), "{}", err.msg);
         assert!(err.msg.contains("scenario.typo_key"), "{}", err.msg);
+    }
+
+    #[test]
+    fn a_csv_prefix_that_leaves_the_results_directory_is_rejected() {
+        let spec = |keys: &str| {
+            format!(
+                "[scenario]\n{keys}kind = \"grid\"\ntitle = \"t\"\n\
+                 [run]\nmechanisms = [\"fedavg\"]\naccuracy_targets = [0.5]\n\
+                 [sweep]\nxi = [1.0]\n"
+            )
+        };
+        for bad in ["", ".", "..", "/tmp/x", "../../x", "a/b", "a\\\\b"] {
+            // Set explicitly: the error points at the `csv_prefix` line.
+            let src = spec(&format!("name = \"ok\"\ncsv_prefix = \"{bad}\"\n"));
+            let err = ScenarioSpec::parse(&src).unwrap_err();
+            assert_eq!(err.line, Some(3), "{bad:?}");
+            assert!(err.msg.contains("plain file-name stem"), "{}", err.msg);
+            // Defaulted from the name: the error points at the `name` line.
+            let err = ScenarioSpec::parse(&spec(&format!("name = \"{bad}\"\n"))).unwrap_err();
+            assert_eq!(err.line, Some(2), "{bad:?}");
+            assert!(err.msg.contains("plain file-name stem"), "{}", err.msg);
+        }
+        // A name with a path in it is fine once the prefix is a stem.
+        let src = spec("name = \"a/b\"\ncsv_prefix = \"a_b\"\n");
+        assert_eq!(ScenarioSpec::parse(&src).unwrap().csv_prefix, "a_b");
     }
 
     #[test]

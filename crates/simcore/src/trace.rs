@@ -119,7 +119,7 @@ pub struct TrainingTrace {
     pub workload: String,
     /// Fault/robustness bookkeeping (empty unless fault injection is on;
     /// deliberately not part of [`TrainingTrace::to_csv`], whose byte layout
-    /// is frozen by the figure-equivalence CI diffs).
+    /// the `scenario` crate's `cli_contract` replays pin).
     pub faults: FaultLog,
     points: Vec<TracePoint>,
 }

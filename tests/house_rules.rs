@@ -101,6 +101,59 @@ fn durable_writes_go_through_telemetry_write_atomic() {
     assert_eq!(sites, want.map(|(file, call)| (file.to_string(), call)));
 }
 
+/// Every trait declared in library source, the serde stand-ins of
+/// `crates/compat/` aside, has at least two `impl … for` sites in library
+/// code: a trait with one implementor is indirection its type can absorb.
+#[test]
+fn library_traits_have_more_than_one_implementor() {
+    let sources: Vec<(String, String)> = library_sources()
+        .into_iter()
+        .filter(|(rel, _)| !rel.starts_with("compat/"))
+        .collect();
+    let ident = |word: &str| -> String {
+        let end = word.find(|c: char| !(c.is_alphanumeric() || c == '_'));
+        word[..end.unwrap_or(word.len())].to_string()
+    };
+    let mut traits = Vec::new();
+    for (rel, src) in &sources {
+        for line in before_tests(src).lines() {
+            let words: Vec<&str> = line.split_whitespace().collect();
+            if let Some(at) = words.iter().position(|w| *w == "trait") {
+                let modifiers = &words[..at];
+                if modifiers
+                    .iter()
+                    .all(|w| w.starts_with("pub") || *w == "unsafe")
+                {
+                    traits.push((ident(words[at + 1]), rel.clone()));
+                }
+            }
+        }
+    }
+    assert!(traits.iter().any(|(name, _)| name == "ReplicateCache"));
+    for (name, rel) in traits {
+        let implemented = |line: &str| {
+            let line = line.trim_start().trim_start_matches("unsafe ");
+            let Some((head, _)) = line
+                .strip_prefix("impl")
+                .and_then(|l| l.split_once(" for "))
+            else {
+                return false;
+            };
+            let path = head.split_whitespace().last().unwrap_or("");
+            ident(path.rsplit("::").next().unwrap_or("")) == name
+        };
+        let sites = sources
+            .iter()
+            .flat_map(|(_, src)| before_tests(src).lines())
+            .filter(|line| implemented(line))
+            .count();
+        assert!(
+            sites >= 2,
+            "trait `{name}` of {rel} has {sites} implementor(s)"
+        );
+    }
+}
+
 const RAW_SEED_FIXTURE: &str = "// A library file: raw seed arithmetic in Rng64
 // construction or fork salts (lines 11 and 12) is a finding, but named salt
 // constants pass and #[cfg(test)] modules are exempt (fixed per-case seed
