@@ -177,9 +177,9 @@ pub fn run_group_async(
 
     for round in 1..=opts.total_rounds {
         let _round_span = telemetry::span!("round", round);
-        // Round boundary: honour a watchdog cancellation (no-op without an
-        // installed token) and any injected test fault. Neither touches
-        // floats or RNG state, so instrumented runs stay bit-identical.
+        // Round boundary: honour a cancel or an expired watchdog deadline
+        // and any injected test fault. Neither touches floats or RNG
+        // state, so instrumented runs stay bit-identical.
         simcore::cancel::checkpoint(round);
         system.faults.injected_fault(round);
         let Some((ready_time, j)) = queue.pop() else {

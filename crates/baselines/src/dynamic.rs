@@ -82,7 +82,7 @@ pub(crate) fn run(
     let mut now = 0.0;
     for round in 1..=opts.total_rounds {
         let _round_span = telemetry::span!("round", round);
-        // Round boundary: honour a watchdog cancellation and any
+        // Round boundary: honour a cancel or an expired watchdog and any
         // injected test fault (see the group-async engine).
         simcore::cancel::checkpoint(round);
         faults.injected_fault(round);

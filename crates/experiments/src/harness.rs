@@ -277,7 +277,7 @@ impl Drop for IsolatedFlagGuard {
 fn attempt_cell<R>(policy: &RunPolicy, f: impl FnOnce() -> R) -> Result<R, String> {
     install_quiet_hook();
     let _quiet = IsolatedFlagGuard::set();
-    let _watch = policy.cell_timeout.map(crate::watchdog::watch);
+    let _deadline = policy.cell_timeout.map(simcore::cancel::deadline);
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| panic_message(&*payload))
 }
 

@@ -28,10 +28,6 @@
 //! * [`stats`] — Welford replication statistics behind the multi-seed
 //!   error bars, and the one fold (`CellStats::stat`) over the `Metric`
 //!   vocabulary.
-//! * [`watchdog`] — per-cell wall-clock timeouts: a monitor thread cancels
-//!   the cooperative `simcore::cancel` token of a cell that overruns its
-//!   `[limits] cell_timeout_secs` budget, turning a hung cell into a
-//!   labelled `CellFailure` instead of a stalled grid.
 //!
 //! Figs. 3–6 and 8–10 are committed specs (`scenarios/fig*.toml`) run by
 //! the `scenario` crate's `airfedga-run`. The analyses no scenario kind
@@ -51,7 +47,6 @@ pub mod render;
 pub mod report;
 pub mod scale;
 pub mod stats;
-pub mod watchdog;
 
 pub use harness::{MechanismChoice, RunSummary, SeedPlan};
 pub use report::{write_csv, Table};

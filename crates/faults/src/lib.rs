@@ -72,8 +72,9 @@ pub struct FaultSpec {
     /// end; never set by the statistical presets.
     pub inject_panic_round: Option<usize>,
     /// Test fault: simulate an infinite loop at the start of this round
-    /// (1-based). The cell spins until a watchdog cancellation token breaks
-    /// it — meaningful only under a `[limits] cell_timeout_secs` watchdog.
+    /// (1-based). The cell spins until its watchdog deadline passes (or the
+    /// job is cancelled) — meaningful only under a `[limits]
+    /// cell_timeout_secs` watchdog.
     pub inject_hang_round: Option<usize>,
 }
 
@@ -290,7 +291,7 @@ impl FaultPlan {
 
     /// Fire any injected *test* fault scheduled for `round`: a configured
     /// panic round panics here, a configured hang round spins until a
-    /// watchdog cancellation breaks it (see [`simcore::cancel`]). The
+    /// watchdog deadline or a cancel breaks it (see [`simcore::cancel`]). The
     /// round loops call this at every round boundary; a plan without
     /// injected rounds returns immediately.
     pub fn injected_fault(&self, round: usize) {

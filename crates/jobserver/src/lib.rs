@@ -31,8 +31,9 @@
 //!   interleave their nondeterministic *completion* order. Priorities
 //!   (higher first) with FIFO within a priority decide what runs next.
 //! * **Cancellation** — a queued job is cancelled by a state flip; a running
-//!   job is cancelled cooperatively via `simcore::cancel::cancel_all`, which
-//!   every engine polls at round boundaries (the PR-7 watchdog mechanism).
+//!   job is cancelled cooperatively via `simcore::cancel::cancel_all`, the
+//!   process-wide flag every engine reads at round boundaries beside the
+//!   watchdog's deadline.
 //! * **Progress** — the daemon subscribes to `telemetry::progress` snapshots
 //!   (the PR-9 reporter's new sink hook) and serves them per job, so
 //!   `airfedga-ctl watch` streams live counts without scraping stderr.

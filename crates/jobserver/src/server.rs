@@ -58,11 +58,12 @@ pub struct ServerConfig {
     pub scale: Scale,
 }
 
-/// Live info about the currently executing job.
+/// Live info about the currently executing job. Its cancel record is
+/// `simcore::cancel`'s process-wide flag, raised and cleared under this
+/// struct's lock.
 #[derive(Debug, Default)]
 struct RunningJob {
     id: Option<u64>,
-    cancel_requested: bool,
     progress: Option<ProgressSnapshot>,
 }
 
@@ -151,14 +152,8 @@ impl Server {
                 Some(JobState::Cancelled)
             }
             JobState::Running => {
-                let mut running = self
-                    .shared
-                    .running
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner());
+                let running = self.lock_running();
                 if running.id == Some(id) {
-                    running.cancel_requested = true;
-                    drop(running);
                     simcore::cancel::cancel_all();
                 }
                 Some(JobState::Running)
@@ -173,11 +168,7 @@ impl Server {
         let queue = self.lock_queue();
         let rec = queue.get(id)?.clone();
         drop(queue);
-        let running = self
-            .shared
-            .running
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let running = self.lock_running();
         let progress = (running.id == Some(id))
             .then_some(running.progress)
             .flatten();
@@ -264,26 +255,18 @@ impl Server {
         // info: `cancel` serializes on the same queue lock, so a cancellation
         // either lands while the job is still `queued` (state flip, we skip it
         // here) or finds `running.id` already published (cooperative abort).
-        // `reset_cancel_all` also lives inside the lock so a concurrent
-        // cancel's `cancel_all` can never be wiped out.
+        // The process-wide cancel flag is raised only while `running.id` is
+        // this job's and cleared with it, both under the `running` lock, so
+        // no cancel is lost and none outlives its job.
         let (spec_text, job_dir) = {
             let mut queue = self.lock_queue();
             if queue.get(id).map(|r| r.state) != Some(JobState::Queued) {
                 return; // cancelled (or otherwise resolved) before it started
             }
-            simcore::cancel::reset_cancel_all();
-            {
-                let mut running = self
-                    .shared
-                    .running
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner());
-                *running = RunningJob {
-                    id: Some(id),
-                    cancel_requested: false,
-                    progress: None,
-                };
-            }
+            *self.lock_running() = RunningJob {
+                id: Some(id),
+                progress: None,
+            };
             let spec = queue.spec_text(id);
             queue
                 .mutate(id, |r| {
@@ -293,13 +276,9 @@ impl Server {
                 .ok();
             (spec, queue.job_dir(id))
         };
-        let sink_shared = self.shared.clone();
+        let sink = self.clone();
         telemetry::progress::set_sink(move |snapshot| {
-            let mut running = sink_shared
-                .running
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            running.progress = Some(*snapshot);
+            sink.lock_running().progress = Some(*snapshot);
         });
 
         let outcome = spec_text
@@ -307,16 +286,12 @@ impl Server {
 
         telemetry::progress::clear_sink();
         let cancel_requested = {
-            let mut running = self
-                .shared
-                .running
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            let requested = running.cancel_requested;
+            let mut running = self.lock_running();
             *running = RunningJob::default();
+            let requested = simcore::cancel::cancel_all_requested();
+            simcore::cancel::reset_cancel_all();
             requested
         };
-        simcore::cancel::reset_cancel_all();
 
         let (state, unrecovered, cache, harness, error) = match outcome {
             Ok(Ok(Ok(report))) => {
@@ -512,8 +487,19 @@ impl Server {
                 let Some(spec) = body.get("spec").and_then(Json::as_str) else {
                     return error(400, "Bad Request", "missing \"spec\" (the scenario text)");
                 };
-                let name = body.get("name").and_then(Json::as_str).unwrap_or("unnamed");
-                let priority = body.get("priority").and_then(Json::as_i64).unwrap_or(0);
+                // An absent key takes its default; a malformed one is refused.
+                let name = match body.get("name").map(Json::as_str) {
+                    None => "unnamed",
+                    Some(Some(name)) => name,
+                    Some(None) => return error(400, "Bad Request", "\"name\" must be a string"),
+                };
+                let priority = match body.get("priority").map(Json::as_i64) {
+                    None => 0,
+                    Some(Some(priority)) => priority,
+                    Some(None) => {
+                        return error(400, "Bad Request", "\"priority\" must be an integer")
+                    }
+                };
                 match self.submit(name, priority, spec) {
                     Ok(id) => json(200, "OK", Json::obj(vec![("id", Json::num(id))])),
                     Err(e) => error(400, "Bad Request", &e),
@@ -588,6 +574,13 @@ impl Server {
 
     fn lock_queue(&self) -> std::sync::MutexGuard<'_, JobQueue> {
         self.shared.queue.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn lock_running(&self) -> std::sync::MutexGuard<'_, RunningJob> {
+        self.shared
+            .running
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
     }
 }
 

@@ -350,6 +350,50 @@ fn a_telemetry_table_gets_a_400_and_nothing_is_written() {
     });
 }
 
+/// A `name` that is not a string or a `priority` that is not an integer is
+/// refused with a 400 naming the field, and nothing is queued; only an
+/// absent key takes its default (`"unnamed"`, 0).
+#[test]
+fn a_malformed_name_or_priority_gets_a_400_and_nothing_is_queued() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let root = tmp_root("bad_fields");
+    let server = open(&root); // no executor: a queued job stays queued
+    let addr = serve(&server);
+    let submit = |field: Option<(&str, Json)>| {
+        let mut pairs = vec![("spec", Json::str(TINY_SPEC))];
+        pairs.extend(field);
+        let body = Json::obj(pairs).encode();
+        http::request(&addr, "POST", "/jobs", Some(&body)).unwrap()
+    };
+    for (key, value, error) in [
+        (
+            "priority",
+            Json::str("9"),
+            r#"\"priority\" must be an integer"#,
+        ),
+        (
+            "priority",
+            Json::Num(1.5),
+            r#"\"priority\" must be an integer"#,
+        ),
+        ("name", Json::num(7), r#"\"name\" must be a string"#),
+    ] {
+        let shown = value.encode();
+        let resp = submit(Some((key, value)));
+        assert_eq!(resp.status, 400, "{key} = {shown}: {}", resp.body);
+        assert!(resp.body.contains(error), "{key} = {shown}: {}", resp.body);
+    }
+    assert!(server.list().is_empty());
+    let resp = submit(None);
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let jobs = server.list();
+    assert_eq!(jobs.len(), 1);
+    assert_eq!((jobs[0].name.as_str(), jobs[0].priority), ("unnamed", 0));
+    server.request_shutdown();
+    poke(&addr);
+    fs::remove_dir_all(&root).ok();
+}
+
 #[test]
 fn cancel_while_queued_flips_the_state_without_running() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());

@@ -41,7 +41,7 @@
 //! each cell's training rounds issue per-member fan-outs (depth 1), so a
 //! thread waiting inside one cell helps other cells' rounds but never starts
 //! a second cell on top of the suspended one — thread-local guards installed
-//! per cell (telemetry scope, cancel token, watchdog budget) never interleave
+//! per cell (telemetry scope, watchdog deadline) never interleave
 //! and at most one system per thread is live in memory.
 //!
 //! ## Over-decomposed chunking

@@ -250,6 +250,44 @@ fn clean_run_exits_0_and_unrecovered_failures_exit_1() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// `scenarios/watchdog_smoke.toml` hangs its one cell at round 2 under a 2 s
+/// watchdog with no retry: the deadline is read at the next round boundary,
+/// the cell fails as timed out, and the grid still finishes, prints its
+/// title and exits 1 — once the deadline has passed, and long before a
+/// wedged run would be noticed. The hang attempts no round, so the logical
+/// plane counts two rounds and one cancel.
+#[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the watchdog's budget is wall-clock time"
+)]
+fn a_hung_cell_times_out_and_the_grid_completes() {
+    let dir = tmp_dir("watchdog_smoke");
+    let spec = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/watchdog_smoke.toml");
+    let start = std::time::Instant::now();
+    let out = run_in(&dir, &[spec.to_str().unwrap(), "--telemetry", "tel"]);
+    let elapsed = start.elapsed().as_secs_f64();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    for line in [
+        "timed out: watchdog cancelled the cell at the round-2 boundary",
+        "replicate(s) panicked",
+    ] {
+        assert!(stderr.contains(line), "stderr lacks {line:?}: {stderr}");
+    }
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        stdout.contains("Watchdog smoke: injected hang times out, grid completes"),
+        "{stdout}"
+    );
+    let metrics = fs::read_to_string(dir.join("tel/metrics.json")).unwrap();
+    for row in [r#""watchdog.cancels": 1,"#, r#""engine.rounds": 2,"#] {
+        assert!(metrics.contains(row), "not {row}\n{metrics}");
+    }
+    assert!((2.0..60.0).contains(&elapsed), "took {elapsed:.2} s");
+    fs::remove_dir_all(&dir).ok();
+}
+
 /// Every file under `root` (relative path → bytes), excluding per-run
 /// bookkeeping whose ordering is timing-dependent (`journal`) and transient
 /// (`lock`).

@@ -204,14 +204,14 @@ fn watchdog_smoke_hangs_with_a_small_timeout_and_no_retry() {
     assert_eq!(spec.base_config.faults.inject_hang_round, Some(2));
     assert_eq!(expand_grid(&spec).len(), 1);
     let limits = spec.limits.expect("watchdog smoke needs [limits]");
-    // The timeout must be small (CI waits it out) and retries disabled (a
-    // hang would just hang again). The run itself is the watchdog smoke of
-    // the `committed-specs` job in `.github/workflows/ci.yml`, which asserts
-    // a single timely failure.
+    // The timeout must be small (tier-1 waits it out) and retries disabled
+    // (a hang would just hang again). The run itself is `cli_contract.rs`'s
+    // `a_hung_cell_times_out_and_the_grid_completes`, which asserts a single
+    // timely failure.
     let timeout = limits
         .cell_timeout_secs
         .expect("watchdog smoke needs a cell timeout");
-    assert!(timeout <= 5.0, "keep the smoke timeout CI-friendly");
+    assert!(timeout <= 5.0, "keep the smoke timeout tier-1-friendly");
     assert_eq!(limits.max_retries, Some(0));
 }
 

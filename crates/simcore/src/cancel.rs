@@ -2,58 +2,41 @@
 //!
 //! A grid cell is a pure, single-threaded round loop; there is no safe way to
 //! preempt it from outside without `unsafe` or process isolation. Instead the
-//! engines poll a thread-local [`CancelToken`] at every round boundary via
-//! [`checkpoint`]: a watchdog (or any monitor) that owns a clone of the token
-//! flips it, and the *next* round boundary turns the flip into a panic. The
-//! panic unwinds into the harness's existing `catch_unwind` isolation layer
-//! and becomes a labelled `CellFailure` — the hung cell dies, the grid
-//! completes.
+//! engines call [`checkpoint`] at every round boundary, and that is the one
+//! place a stop is decided, from one record per scope:
+//!
+//! * the calling thread's **deadline**, armed for one cell attempt by
+//!   [`deadline`] (the `[limits] cell_timeout_secs` watchdog);
+//! * the process-wide **cancel flag**, raised by [`cancel_all`] (the job
+//!   server's cancel of a running job).
+//!
+//! Either turns the boundary into a panic, which unwinds into the harness's
+//! existing `catch_unwind` isolation and becomes a labelled `CellFailure` —
+//! the hung cell dies, the grid completes.
 //!
 //! The design is cooperative by construction: a cell stuck *inside* a single
 //! round (e.g. in member training) is only observed at the next boundary it
 //! reaches. Round bodies are short (micro- to milliseconds of host time), so
-//! in practice cancellation latency is one round. The checkpoint itself is a
-//! thread-local read — it performs no floating-point work and never touches
-//! RNG state, so instrumented runs stay bit-identical to uninstrumented ones.
+//! in practice cancellation latency is one round. The checkpoint performs no
+//! floating-point work and never touches RNG state, and a deadline that does
+//! not expire changes nothing, so instrumented runs stay bit-identical to
+//! uninstrumented ones.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
-
-/// A shared cancellation flag. Clones observe the same flag; flipping it with
-/// [`CancelToken::cancel`] asks the cell that installed it to abort at its
-/// next round boundary.
-#[derive(Clone, Debug, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// Creates a fresh, un-cancelled token.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests cancellation. Idempotent; takes effect at the target cell's
-    /// next [`checkpoint`].
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether cancellation has been requested.
-    pub(crate) fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
-    }
-}
+use std::time::{Duration, Instant};
 
 thread_local! {
-    static ACTIVE: RefCell<Option<CancelToken>> = const { RefCell::new(None) };
+    /// When the current thread's cell attempt times out (`None`: no
+    /// watchdog). The pool's depth rule keeps a thread suspended inside one
+    /// replicate from starting another, so deadlines never interleave.
+    static DEADLINE: Cell<Option<Instant>> = const { Cell::new(None) };
 }
 
 /// Process-wide cancellation flag, checked by [`checkpoint`] alongside the
-/// thread-local token. The job server flips it to abort *every* in-flight
-/// cell of the current grid (cancel-while-running) without having to reach
-/// each pool worker's token; batch drivers never set it, so the cost is one
-/// relaxed load per round boundary.
+/// thread's deadline. The job server raises it to abort *every* in-flight
+/// cell of the current grid (cancel-while-running); batch drivers never set
+/// it, so the cost is one relaxed load per round boundary.
 static CANCEL_ALL: AtomicBool = AtomicBool::new(false);
 
 /// Request cancellation of every running cell in the process. Cells observe
@@ -73,72 +56,83 @@ pub fn cancel_all_requested() -> bool {
     CANCEL_ALL.load(Ordering::SeqCst)
 }
 
-/// Guard returned by [`install`]; restores the previously installed token
-/// (usually `None`) when dropped, so nested installs behave like a stack.
+/// Guard returned by [`deadline`]; restores the previous deadline (usually
+/// none) when dropped, so nested deadlines behave like a stack.
 #[derive(Debug)]
-pub struct CancelGuard {
-    prev: Option<CancelToken>,
+pub struct DeadlineGuard {
+    prev: Option<Instant>,
 }
 
-/// Installs `token` as the current thread's active cancellation token and
-/// returns a guard that restores the previous one on drop. The engines only
-/// ever consult the *installed* token, so a cell with no watchdog pays a
-/// single `None` check per round.
-pub fn install(token: CancelToken) -> CancelGuard {
-    let prev = ACTIVE.with(|a| a.borrow_mut().replace(token));
-    CancelGuard { prev }
-}
-
-impl Drop for CancelGuard {
+impl Drop for DeadlineGuard {
     fn drop(&mut self) {
-        let prev = self.prev.take();
-        ACTIVE.with(|a| *a.borrow_mut() = prev);
+        DEADLINE.with(|d| d.set(self.prev));
     }
 }
 
-/// Whether the current thread has an installed, still-pending token.
-/// (Diagnostic; the engines use [`checkpoint`].)
-pub fn is_installed() -> bool {
-    ACTIVE.with(|a| a.borrow().is_some())
+/// Arms a watchdog for the calling thread: once `timeout_secs` wall-clock
+/// seconds have passed, its next [`checkpoint`] panics with a "timed out"
+/// message. Call at the top of a cell attempt and keep the guard alive for
+/// the attempt's duration.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a timeout is real elapsed time by design; no simulated result reads it"
+)]
+pub fn deadline(timeout_secs: f64) -> DeadlineGuard {
+    assert!(
+        timeout_secs > 0.0 && timeout_secs.is_finite(),
+        "watchdog timeout must be positive and finite"
+    );
+    let at = Instant::now() + Duration::from_secs_f64(timeout_secs);
+    DeadlineGuard {
+        prev: DEADLINE.with(|d| d.replace(Some(at))),
+    }
 }
 
-/// Round-boundary poll: panics if the installed token has been cancelled.
-/// Called by the group-async engine and the Dynamic baseline at the top of
-/// every round; a no-op when no token is installed or it is still live.
+/// Round-boundary poll: panics if the job was cancelled or the thread's
+/// deadline has passed. Called by the group-async engine and the Dynamic
+/// baseline at the top of every round; a no-op otherwise.
 pub fn checkpoint(round: usize) {
     // Every engine polls here once per attempted round, which makes this the
     // single place to count rounds for telemetry's logical plane.
     telemetry::metrics::ENGINE_ROUNDS.add(1);
+    stop_if_requested(round);
+}
+
+/// The stop decision of [`checkpoint`], without counting a round.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a timeout is real elapsed time by design; no simulated result reads it"
+)]
+fn stop_if_requested(round: usize) {
     if CANCEL_ALL.load(Ordering::Relaxed) {
         panic!("cancelled: the job was cancelled at the round-{round} boundary");
     }
-    let cancelled = ACTIVE.with(|a| {
-        a.borrow()
-            .as_ref()
-            .map(CancelToken::is_cancelled)
-            .unwrap_or(false)
-    });
-    if cancelled {
+    if DEADLINE
+        .with(Cell::get)
+        .is_some_and(|at| Instant::now() >= at)
+    {
+        telemetry::metrics::WATCHDOG_CANCELS.add(1);
         panic!("timed out: watchdog cancelled the cell at the round-{round} boundary");
     }
 }
 
-/// Spin (politely) until the installed token is cancelled, then panic exactly
-/// like [`checkpoint`]. This is the implementation of the *injected hang*
-/// test fault: it simulates an infinite loop that the watchdog must break.
+/// Spin (politely) until the cell is stopped, then panic exactly like
+/// [`checkpoint`]. This is the implementation of the *injected hang* test
+/// fault: it simulates an infinite loop that the watchdog must break. The
+/// spin attempts no round, so it counts none.
 ///
-/// If no token is installed the "hang" would stall the process forever, so it
+/// Without a deadline the "hang" would stall the process forever, so it
 /// panics immediately with an explanation instead — an injected hang is only
 /// meaningful under a `[limits] cell_timeout_secs` watchdog.
 pub fn hang_until_cancelled(round: usize) {
-    if !is_installed() {
+    if DEADLINE.with(Cell::get).is_none() {
         panic!(
             "injected hang at round {round} has no watchdog to break it: \
              set [limits] cell_timeout_secs in the scenario"
         );
     }
     loop {
-        checkpoint(round);
+        stop_if_requested(round);
         std::thread::sleep(Duration::from_millis(1));
     }
 }
@@ -148,61 +142,91 @@ mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
+    fn armed() -> bool {
+        DEADLINE.with(Cell::get).is_some()
+    }
+
+    /// Panics `f` must raise, as text.
+    fn panic_text(f: impl FnOnce()) -> String {
+        let err = catch_unwind(AssertUnwindSafe(f)).unwrap_err();
+        err.downcast_ref::<String>().unwrap().clone()
+    }
+
     #[test]
     fn checkpoint_is_a_noop_without_a_token() {
         checkpoint(1);
-        assert!(!is_installed());
+        assert!(!armed());
     }
 
     #[test]
     fn cancelled_token_panics_at_the_next_checkpoint() {
-        let token = CancelToken::new();
-        let guard = install(token.clone());
-        checkpoint(3); // live token: no panic
-        token.cancel();
-        let err = catch_unwind(AssertUnwindSafe(|| checkpoint(4))).unwrap_err();
-        let msg = err.downcast_ref::<String>().unwrap();
-        assert!(msg.contains("timed out"), "message was: {msg}");
-        assert!(msg.contains("round-4"), "message was: {msg}");
+        let guard = deadline(0.1);
+        checkpoint(3); // live deadline: no panic
+        std::thread::sleep(Duration::from_millis(120));
+        let msg = panic_text(|| checkpoint(4));
+        assert_eq!(
+            msg,
+            "timed out: watchdog cancelled the cell at the round-4 boundary"
+        );
         drop(guard);
-        assert!(!is_installed());
+        assert!(!armed());
     }
 
     #[test]
     fn install_guard_restores_the_previous_token() {
-        let outer = CancelToken::new();
-        let g1 = install(outer.clone());
+        let outer = deadline(0.02);
         {
-            let inner = CancelToken::new();
-            let _g2 = install(inner);
-            assert!(is_installed());
+            let _inner = deadline(3600.0);
+            std::thread::sleep(Duration::from_millis(30));
+            checkpoint(1); // the inner deadline is the live one
         }
-        // Outer token is active again: cancelling it trips the checkpoint.
-        outer.cancel();
-        assert!(catch_unwind(AssertUnwindSafe(|| checkpoint(1))).is_err());
-        drop(g1);
+        // The outer deadline is active again, and has passed.
+        assert!(panic_text(|| checkpoint(1)).contains("timed out"));
+        drop(outer);
+        assert!(!armed());
     }
 
     #[test]
     fn hang_without_a_watchdog_panics_immediately() {
-        let err = catch_unwind(AssertUnwindSafe(|| hang_until_cancelled(2))).unwrap_err();
-        let msg = err.downcast_ref::<String>().unwrap();
+        let msg = panic_text(|| hang_until_cancelled(2));
         assert!(msg.contains("no watchdog"), "message was: {msg}");
     }
 
     #[test]
     fn hang_breaks_when_the_token_is_cancelled() {
-        let token = CancelToken::new();
-        let handle = {
-            let token = token.clone();
-            std::thread::spawn(move || {
-                let _guard = install(token);
-                catch_unwind(AssertUnwindSafe(|| hang_until_cancelled(7))).unwrap_err();
-                "broke out"
-            })
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        token.cancel();
-        assert_eq!(handle.join().unwrap(), "broke out");
+        let handle = std::thread::spawn(|| {
+            let _guard = deadline(0.02);
+            panic_text(|| hang_until_cancelled(7))
+        });
+        let msg = handle.join().unwrap();
+        assert!(msg.contains("round-7"), "message was: {msg}");
+    }
+
+    #[test]
+    fn expired_watchdog_trips_the_next_checkpoint() {
+        let msg = panic_text(|| {
+            let _guard = deadline(0.05);
+            // Simulate a hung cell: poll round boundaries until the
+            // deadline passes (bounded by the outer test timeout).
+            loop {
+                checkpoint(9);
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        assert!(msg.contains("timed out"), "message was: {msg}");
+        assert!(!armed(), "unwinding dropped the guard");
+    }
+
+    #[test]
+    fn completed_cell_is_never_cancelled() {
+        {
+            let _guard = deadline(0.1);
+            checkpoint(1); // finishes well inside the deadline
+        }
+        // Long after the deadline would have passed, this thread has no
+        // deadline and checkpoints stay no-ops.
+        std::thread::sleep(Duration::from_millis(150));
+        checkpoint(2);
+        assert!(!armed());
     }
 }

@@ -12,8 +12,9 @@
 //!   `l_i = κ_i · l̂_i` latency of every worker.
 //! * [`trace`] — time-series recording of loss/accuracy/energy so that the
 //!   experiment harness can regenerate the paper's figures.
-//! * [`cancel`] — cooperative cancellation tokens polled at round boundaries,
-//!   so a watchdog can break a hung grid cell without preemption.
+//! * [`cancel`] — cooperative cancellation read at round boundaries (a
+//!   per-attempt deadline and a process-wide flag), so a watchdog or the
+//!   job server can break a hung grid cell without preemption.
 //!
 //! Virtual time makes runs deterministic and lets a laptop sweep worker
 //! populations that the paper needed a GPU workstation for.

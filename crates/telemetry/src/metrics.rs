@@ -238,9 +238,10 @@ pub static HARNESS_RETRIES: Counter = Counter::new("harness.retries", Plane::Log
 /// order, not completion order, so the count is schedule-independent.
 pub static HARNESS_SHARED_REPLICATES: Counter =
     Counter::new("harness.shared_replicates", Plane::Logical);
-/// Cells cancelled by the watchdog after exceeding their wall-clock budget.
-/// Logical in the sense that a cancel changes the run's *results*: two runs
-/// that disagree on this counter already disagree on their failure reports.
+/// Cell attempts stopped by the watchdog after exceeding their wall-clock
+/// budget, counted where the timeout panic is raised. Logical in the sense
+/// that a cancel changes the run's *results*: two runs that disagree on this
+/// counter already disagree on their failure reports.
 pub static WATCHDOG_CANCELS: Counter = Counter::new("watchdog.cancels", Plane::Logical);
 
 /// `A·B` GEMM calls (`fedml::linalg::gemm_nn`).

@@ -7,8 +7,9 @@
 //!   the median worker idle-waiting for stragglers (lower is better).
 //! * *Handling Non-IID* — average inter-group EMD of the units that
 //!   participate in one global update (lower is better).
-//! * *Scalability* — ratio of the average round time at N = 60 vs N = 20
-//!   (greater than 1 means rounds get slower as the system grows).
+//! * *Scalability* — ratio of the average round time at the larger vs the
+//!   smaller population, N = 60 vs N = 20 (N = 20 vs N = 10 at quick scale;
+//!   greater than 1 means rounds get slower as the system grows).
 //!
 //! ```bash
 //! AIRFEDGA_SCALE=quick cargo run --release --example table1_comparison
@@ -24,7 +25,7 @@ use air_fedga::experiments::scale::Scale;
 use air_fedga::fedml::rng::Rng64;
 use air_fedga::grouping::emd::average_group_emd;
 use air_fedga::grouping::tifl::{default_tier_count, tifl_grouping};
-use air_fedga::grouping::worker_info::Grouping;
+use air_fedga::grouping::worker_info::{Grouping, WorkerInfo};
 
 fn main() {
     let scale = Scale::from_env_or_exit("table1_comparison");
@@ -75,10 +76,8 @@ fn main() {
     let workers = &system.worker_infos;
     let emd_all_workers = average_group_emd(&Grouping::single_group(n_large), workers); // = 0
     let emd_single_worker = average_group_emd(&Grouping::singletons(n_large), workers);
-    let emd_tifl = average_group_emd(
-        &tifl_grouping(workers, default_tier_count(n_large)),
-        workers,
-    );
+    let tifl_tiers = tifl_grouping(workers, default_tier_count(n_large));
+    let emd_tifl = average_group_emd(&tifl_tiers, workers);
     let airfedga_grouping = AirFedGa::new(AirFedGaConfig::default()).grouping_for(&system);
     let emd_airfedga = average_group_emd(&airfedga_grouping, workers);
 
@@ -97,22 +96,10 @@ fn main() {
     let median = latencies[n_large / 2];
     let max = latencies[n_large - 1];
     let idle_sync = 1.0 - median / max;
-    let idle_airfedga = {
-        // Median worker's idle fraction inside its Air-FedGA group.
-        let mut fractions: Vec<f64> = (0..airfedga_grouping.num_groups())
-            .flat_map(|j| {
-                let gmax = airfedga_grouping.group_max_latency(j, workers);
-                airfedga_grouping
-                    .group(j)
-                    .iter()
-                    .map(|&wk| 1.0 - workers[wk].local_training_time / gmax)
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        fractions.sort_by(|a, b| a.total_cmp(b));
-        fractions[fractions.len() / 2]
-    };
+    let idle_tifl = median_idle_fraction(&tifl_tiers, workers);
+    let idle_airfedga = median_idle_fraction(&airfedga_grouping, workers);
 
+    let ratio_header = format!("round-time ratio N={n_large}/N={n_small}");
     let mut table = Table::new(
         "Table I: mechanism-family comparison (measured proxies)",
         &[
@@ -120,7 +107,7 @@ fn main() {
             "upload air-time/round (s)",
             "median idle fraction",
             "participating-unit EMD",
-            "round-time ratio N=60/N=20",
+            &ratio_header,
         ],
     );
     let families: Vec<(&str, f64, f64, f64, usize)> = vec![
@@ -134,7 +121,7 @@ fn main() {
         (
             "Asynchronous tiers (TiFL)",
             oma_tier,
-            idle_airfedga,
+            idle_tifl,
             emd_tifl,
             1,
         ),
@@ -175,4 +162,21 @@ fn main() {
         "Reading guide: low air-time = low communication consumption; low idle fraction = \
          handles heterogeneity; low EMD = handles Non-IID; ratio <= 1 = scalable."
     );
+}
+
+/// The median worker's idle fraction inside its group of `grouping`: the
+/// share of a group round, `1 − l_i / max_{k ∈ group} l_k`, it spends waiting
+/// for the group's straggler.
+fn median_idle_fraction(grouping: &Grouping, workers: &[WorkerInfo]) -> f64 {
+    let mut fractions: Vec<f64> = (0..grouping.num_groups())
+        .flat_map(|j| {
+            let gmax = grouping.group_max_latency(j, workers);
+            grouping
+                .group(j)
+                .iter()
+                .map(move |&wk| 1.0 - workers[wk].local_training_time / gmax)
+        })
+        .collect();
+    fractions.sort_by(|a, b| a.total_cmp(b));
+    fractions[fractions.len() / 2]
 }
