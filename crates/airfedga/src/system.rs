@@ -122,8 +122,27 @@ impl FlSystemConfig {
     }
 
     /// Build the runtime system: generate data, partition it, draw worker
-    /// latencies and assemble the channel model. Deterministic given `rng`.
+    /// latencies and assemble the channel model. Deterministic given `rng`:
+    /// [`FlSystemConfig::generate_split`], then [`FlSystemConfig::build_on`].
     pub fn build(&self, rng: &mut Rng64) -> FlSystem {
+        let split = self.generate_split(rng);
+        self.build_on(split, rng)
+    }
+
+    /// The `(train, test)` split this config's systems are built on: the
+    /// first draws of the construction stream. Configs with equal `dataset`
+    /// and `test_per_class` draw the same split from the same stream, so
+    /// they can share one (see [`FlSystemConfig::build_on`]).
+    pub fn generate_split(&self, rng: &mut Rng64) -> (Dataset, Dataset) {
+        self.dataset.generate_split(self.test_per_class, rng)
+    }
+
+    /// Everything [`FlSystemConfig::build`] does after the split, on a split
+    /// already drawn: with `rng` in the state [`FlSystemConfig::generate_split`]
+    /// left it, the system is bit-identical to `build`'s. The system shares
+    /// the split's storage: it copies no sample. Panics if the split does
+    /// not have this config's shape.
+    pub fn build_on(&self, (train, test): (Dataset, Dataset), rng: &mut Rng64) -> FlSystem {
         assert!(self.num_workers > 0, "need at least one worker");
         assert!(
             self.base_time_per_sample > 0.0,
@@ -132,8 +151,14 @@ impl FlSystemConfig {
         self.sgd.validate();
         self.wireless.validate();
         self.faults.validate();
+        let spec = &self.dataset;
+        assert!(
+            train.len() == spec.num_classes * spec.samples_per_class
+                && test.len() == spec.num_classes * self.test_per_class
+                && train.num_features() == spec.num_features,
+            "the split does not have this config's dataset shape"
+        );
 
-        let (train, test) = self.dataset.generate_split(self.test_per_class, rng);
         let shards_idx = self.partitioner.partition(&train, self.num_workers, rng);
         let (train, shards) = train.into_shards(&shards_idx);
         let data_sizes: Vec<usize> = shards.iter().map(|s| s.len()).collect();
@@ -187,13 +212,15 @@ impl FlSystemConfig {
 pub struct FlSystem {
     /// The configuration this system was built from.
     pub config: FlSystemConfig,
-    /// The whole training dataset, stored once, in shard order: worker 0's
-    /// samples first. Workers read it only through their shards.
+    /// The whole training dataset, stored once, in generation order (class
+    /// by class). Workers read it only through their shards, which index
+    /// into it; systems built on one split share it.
     pub train: Dataset,
     /// The held-out evaluation dataset used for the loss/accuracy traces.
     pub test: Dataset,
     /// Per-worker local shards `D_i`: each a window of [`FlSystem::train`]'s
-    /// storage holding the worker's samples in the partitioner's order.
+    /// storage reading the worker's samples, in the partitioner's order,
+    /// through a row map.
     pub shards: Vec<Dataset>,
     /// Per-worker summaries: the latency `l_i` the schedule and the grouping
     /// algorithms read, the data size and the label counts.
@@ -328,13 +355,57 @@ mod tests {
 
     #[test]
     fn every_shard_is_a_window_of_the_one_training_matrix() {
-        let sys = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(4));
-        let mut offset = 0;
-        for shard in &sys.shards {
-            assert!(std::ptr::eq(shard.sample(0), sys.train.sample(offset)));
-            offset += shard.len();
+        let cfg = FlSystemConfig::mnist_lr_quick();
+        let sys = cfg.build(&mut Rng64::seed_from(4));
+        let rng = &mut Rng64::seed_from(4);
+        let (train, _) = cfg.generate_split(rng);
+        let shards_idx = cfg.partitioner.partition(&train, cfg.num_workers, rng);
+        let mut total = 0;
+        for (shard, idx) in sys.shards.iter().zip(&shards_idx) {
+            for (r, &i) in idx.iter().enumerate() {
+                assert!(std::ptr::eq(shard.sample(r), sys.train.sample(i)));
+            }
+            total += shard.len();
         }
-        assert_eq!(offset, sys.train.len());
+        assert_eq!(total, sys.train.len());
+    }
+
+    #[test]
+    fn systems_built_on_one_split_equal_their_own_builds() {
+        let mut base = FlSystemConfig::mnist_lr_quick();
+        base.faults.dropout_rate = 0.01;
+        base.faults.mean_downtime = 40.0;
+        let rng = &mut Rng64::seed_from(9);
+        let split = base.generate_split(rng);
+        for num_workers in [10, 16] {
+            let cfg = FlSystemConfig {
+                num_workers,
+                ..base.clone()
+            };
+            let own = cfg.build(&mut Rng64::seed_from(9));
+            let shared = cfg.build_on(split.clone(), &mut rng.clone());
+            assert!(std::ptr::eq(shared.train.sample(0), split.0.sample(0)));
+            assert!(std::ptr::eq(shared.test.sample(0), split.1.sample(0)));
+            assert_eq!(own.shards.len(), shared.shards.len());
+            for (a, b) in own.shards.iter().zip(&shared.shards) {
+                assert_eq!(a.len(), b.len());
+                for r in 0..a.len() {
+                    assert_eq!(bits(a.sample(r)), bits(b.sample(r)));
+                    assert_eq!(a.label(r), b.label(r));
+                }
+            }
+            for r in 0..own.test.len() {
+                assert_eq!(bits(own.test.sample(r)), bits(shared.test.sample(r)));
+                assert_eq!(own.test.label(r), shared.test.label(r));
+            }
+            assert_eq!(own.worker_infos, shared.worker_infos);
+            assert_eq!(
+                bits(&own.template.params().0),
+                bits(&shared.template.params().0)
+            );
+            assert!(own.faults.enabled());
+            assert_eq!(format!("{:?}", own.faults), format!("{:?}", shared.faults));
+        }
     }
 
     /// The bits of a row, so `-0.0` and `0.0` count as different.

@@ -39,11 +39,12 @@ use airfedga::mechanism::EngineOptions;
 use airfedga::system::{FlSystem, FlSystemConfig};
 use baselines::Mechanism;
 pub use baselines::MechanismChoice;
+use fedml::dataset::Dataset;
 use fedml::rng::Rng64;
 use simcore::trace::TrainingTrace;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Summary of one mechanism's run, as reported in the paper's text.
 #[derive(Debug, Clone)]
@@ -746,6 +747,81 @@ pub fn scalability_cells(
     (configs, cells)
 }
 
+/// The systems of a fixed-system plan: each config built at most once, on
+/// first use, from one seed; configs that generate the same data are built
+/// on one split of it.
+struct SharedSystems<'a> {
+    configs: &'a [FlSystemConfig],
+    seed: u64,
+    systems: Vec<OnceLock<FlSystem>>,
+    /// Per config, the first config with the same `(dataset,
+    /// test_per_class)`: the slot of the split it builds on.
+    split_of: Vec<usize>,
+    /// Per slot: the split and the construction stream after it, drawn on
+    /// first use, and how many of the slot's configs are not built yet; the
+    /// slot lets go of the split once that count reaches 0.
+    splits: Vec<Mutex<(Option<Split>, usize)>>,
+}
+
+/// A `(train, test)` split and the construction stream right after it.
+type Split = ((Dataset, Dataset), Rng64);
+
+impl<'a> SharedSystems<'a> {
+    fn new(configs: &'a [FlSystemConfig], seed: u64) -> Self {
+        let same_data = |a: &FlSystemConfig, b: &FlSystemConfig| {
+            a.dataset == b.dataset && a.test_per_class == b.test_per_class
+        };
+        let split_of: Vec<usize> = configs
+            .iter()
+            .map(|c| {
+                let first = configs.iter().position(|o| same_data(o, c));
+                first.expect("a config has its own data")
+            })
+            .collect();
+        let splits = (0..configs.len())
+            .map(|slot| Mutex::new((None, split_of.iter().filter(|&&s| s == slot).count())))
+            .collect();
+        Self {
+            configs,
+            seed,
+            systems: configs.iter().map(|_| OnceLock::new()).collect(),
+            split_of,
+            splits,
+        }
+    }
+
+    /// Config `config`'s system, built on first use: bit-identical to
+    /// `configs[config].build(&mut Rng64::seed_from(seed))`, since each build
+    /// starts from a clone of the stream the split left.
+    fn get(&self, config: usize) -> &FlSystem {
+        self.systems[config].get_or_init(|| {
+            #[cfg(test)]
+            tests::SHARED_SYSTEM_BUILDERS
+                .lock()
+                .unwrap()
+                .push(std::thread::current().id());
+            let slot = &self.splits[self.split_of[config]];
+            // Every update leaves a slot valid (a split that fails to
+            // generate is never stored), so a panicking build poisons nothing.
+            let lock = || slot.lock().unwrap_or_else(PoisonError::into_inner);
+            let (split, mut rng) = lock()
+                .0
+                .get_or_insert_with(|| {
+                    let mut rng = Rng64::seed_from(self.seed);
+                    (self.configs[config].generate_split(&mut rng), rng)
+                })
+                .clone();
+            let system = self.configs[config].build_on(split, &mut rng);
+            let mut slot = lock();
+            slot.1 -= 1;
+            if slot.1 == 0 {
+                slot.0 = None;
+            }
+            system
+        })
+    }
+}
+
 /// The runner for cells that each run a mechanism on one of a few system
 /// variants — every scenario kind has this shape. Two decisions live here
 /// and nowhere else.
@@ -753,17 +829,24 @@ pub fn scalability_cells(
 /// **How systems are shared.** Under a fixed-system plan each of `configs`
 /// is built at most once from `plan.system_seed` and shared by every cell
 /// and replicate that names it; a config no cache miss names is never built,
-/// so an all-hits run builds nothing. The build happens in the runner's
-/// prepare step — on the calling thread, before the parallel pass — and not
-/// in whichever replicate gets there first. The system is the same either
-/// way (a build is a function of the config and the seed alone, and emits no
-/// telemetry), but the allocator arena that holds it is the building
-/// thread's: a long-lived process (`airfedga-serve`) whose jobs build it now
-/// on one thread, now on another ends up with a system's worth of freed
-/// memory in each arena (+3 MB peak resident set from the first job on that
-/// the pool thread won). A config whose build panics is met again, isolated,
-/// by each replicate that names it. Under `plan.vary_system` every replicate
-/// builds its own from `plan.system_seed_for(seed)`.
+/// so an all-hits run builds nothing. Configs that differ only in what comes
+/// after the data (the worker count of a `num_workers` grid, the
+/// partitioner, the model) draw the first part of the construction stream —
+/// the train/test split — identically, so the split is drawn once per
+/// distinct `(dataset, test_per_class)` and every such system is built on it
+/// from a clone of the stream it left: one training matrix for all of them,
+/// each system's shards indexing it. The runner lets go of a split once all
+/// its configs are built. The builds happen in the runner's prepare step —
+/// on the calling thread, before the parallel pass — and not in whichever
+/// replicate gets there first. The system is the same either way (a build is
+/// a function of the config and the seed alone, and emits no telemetry), but
+/// the allocator arena that holds it is the building thread's: a long-lived
+/// process (`airfedga-serve`) whose jobs build it now on one thread, now on
+/// another ends up with a system's worth of freed memory in each arena (+3
+/// MB peak resident set from the first job on that the pool thread won). A
+/// config whose build panics is met again, isolated, by each replicate that
+/// names it. Under `plan.vary_system` every replicate builds its own from
+/// `plan.system_seed_for(seed)`.
 ///
 /// **Which cells are one computation.** A cell's identity is its config, its
 /// mechanism and, if the mechanism table says the mechanism reads one, its ξ
@@ -786,18 +869,7 @@ pub fn run_mechanism_cells(
     policy: &RunPolicy,
     cache: &dyn ReplicateCache,
 ) -> ReplicatedOutcome {
-    let build = |config: usize, seed: u64| configs[config].build(&mut Rng64::seed_from(seed));
-    let shared: Vec<OnceLock<FlSystem>> = configs.iter().map(|_| OnceLock::new()).collect();
-    let shared_system = |config: usize| {
-        shared[config].get_or_init(|| {
-            #[cfg(test)]
-            tests::SHARED_SYSTEM_BUILDERS
-                .lock()
-                .unwrap()
-                .push(std::thread::current().id());
-            build(config, plan.system_seed)
-        })
-    };
+    let shared = SharedSystems::new(configs, plan.system_seed);
     run_replicates(
         cells,
         plan,
@@ -807,7 +879,7 @@ pub fn run_mechanism_cells(
         cache,
         |cell, _| {
             if !plan.vary_system {
-                shared_system(cell.config);
+                shared.get(cell.config);
             }
         },
         |cell, seed| {
@@ -818,10 +890,10 @@ pub fn run_mechanism_cells(
             };
             let own;
             let system = if plan.vary_system {
-                own = build(cell.config, plan.system_seed_for(seed));
+                own = configs[cell.config].build(&mut Rng64::seed_from(plan.system_seed_for(seed)));
                 &own
             } else {
-                shared_system(cell.config)
+                shared.get(cell.config)
             };
             RunSummary::from_trace(mech.run(system, &mut Rng64::seed_from(seed)))
         },
@@ -832,7 +904,6 @@ pub fn run_mechanism_cells(
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
 
     /// The thread of every shared-system build `run_mechanism_cells` made in
     /// this test process. Only the subprocess of
@@ -1621,6 +1692,35 @@ mod tests {
         assert!(outcome.failures.is_empty(), "{}", outcome.failure_report());
         let me = std::thread::current().id();
         assert_eq!(*SHARED_SYSTEM_BUILDERS.lock().unwrap(), [me, me]);
+    }
+
+    /// A `num_workers` grid builds one split: the N = 10 and N = 20 systems
+    /// read the same training and test rows, each equals its own build, and
+    /// the split is let go once both are built. A scalability sweep's
+    /// configs generate different data and share nothing.
+    #[test]
+    fn systems_that_differ_only_in_n_share_one_split() {
+        let quick = FlSystemConfig::mnist_lr_quick();
+        let configs: Vec<FlSystemConfig> = [10, 20]
+            .into_iter()
+            .map(|num_workers| FlSystemConfig {
+                num_workers,
+                ..quick.clone()
+            })
+            .collect();
+        let shared = SharedSystems::new(&configs, 42);
+        let (small, large) = (shared.get(0), shared.get(1));
+        assert!(std::ptr::eq(small.train.sample(7), large.train.sample(7)));
+        assert!(std::ptr::eq(small.test.sample(7), large.test.sample(7)));
+        let own = configs[1].build(&mut Rng64::seed_from(42));
+        assert_eq!(own.worker_infos, large.worker_infos);
+        assert!(shared.splits.iter().all(|s| s.lock().unwrap().0.is_none()));
+
+        let (configs, _) = scalability_cells(&quick, &[10, 20], 20, &DUO);
+        let shared = SharedSystems::new(&configs, 42);
+        let (small, large) = (shared.get(0), shared.get(1));
+        assert_ne!(small.train.len(), large.train.len());
+        assert!(!std::ptr::eq(small.train.sample(7), large.train.sample(7)));
     }
 
     /// Under four pool threads — replicates of one config all needing its

@@ -15,22 +15,29 @@ use crate::rng::Rng64;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// A labelled classification dataset: a window of rows of a dense feature
-/// matrix plus one integer label per row.
+/// A labelled classification dataset: a window of samples over a dense
+/// feature matrix and one integer label per row.
 ///
-/// The matrix and the labels live in shared storage, and a dataset is a
-/// contiguous row window `(start, len)` of it. [`Dataset::new`] makes a
-/// window over all of its rows; [`Dataset::into_shards`] cuts one storage
-/// into the workers' windows, so a federated system holds every sample
-/// once. A window reads only its own rows ([`Dataset::sample`] panics past
-/// its end), and `Clone` is shallow: it shares the storage.
+/// The matrix and the labels live in shared storage, in generation order.
+/// [`Dataset::new`] makes the identity window over all of its rows;
+/// [`Dataset::into_shards`] cuts the workers' windows out of it without
+/// moving or copying a row: the windows share one row map, a `u32` storage
+/// row per sample, and shard `w`'s sample `r` is the storage row the map
+/// holds at the shard's offset plus `r`. So a federated system holds every
+/// sample once however many systems are cut from the same storage. A window
+/// reads only its own samples ([`Dataset::sample`] panics past its end),
+/// and `Clone` is shallow: it shares the storage and the map.
 #[derive(Debug, Clone)]
 pub struct Dataset {
     features: Arc<Matrix>,
     labels: Arc<Vec<usize>>,
-    /// First row of the window in the shared storage.
+    /// The storage row of every sample of the windows one
+    /// [`Dataset::into_shards`] call cut, in shard order; `None` for an
+    /// identity window, whose sample `i` is storage row `start + i`.
+    rows: Option<Arc<Vec<u32>>>,
+    /// The window's first entry: a storage row, or a position in `rows`.
     start: usize,
-    /// Number of rows in the window.
+    /// Number of samples in the window.
     len: usize,
     num_classes: usize,
     /// Human-readable name, e.g. `"mnist-like"`.
@@ -54,6 +61,7 @@ impl Dataset {
         Self {
             len: labels.len(),
             start: 0,
+            rows: None,
             features: Arc::new(features),
             labels: Arc::new(labels),
             num_classes,
@@ -86,35 +94,48 @@ impl Dataset {
         &self.name
     }
 
+    /// The storage row of sample `i`. Panics if `i >= len()`.
+    fn row(&self, i: usize) -> usize {
+        assert!(i < self.len, "sample {i} out of bounds ({})", self.len);
+        match &self.rows {
+            Some(rows) => rows[self.start + i] as usize,
+            None => self.start + i,
+        }
+    }
+
     /// Feature row of sample `i`. Panics if `i >= len()`.
     pub fn sample(&self, i: usize) -> &[f64] {
-        assert!(i < self.len, "sample {i} out of bounds ({})", self.len);
-        self.features.row(self.start + i)
+        self.features.row(self.row(i))
     }
 
     /// The window's `len × num_features` feature rows, row-major. The
     /// batched evaluation path feeds contiguous row ranges of them straight
-    /// into GEMM, avoiding any per-sample gather.
+    /// into GEMM, avoiding any per-sample gather. Only an identity window
+    /// (a whole dataset, such as a test set) is contiguous; panics on a
+    /// shard.
     pub(crate) fn features(&self) -> &[f64] {
+        assert!(self.rows.is_none(), "a shard's rows are not contiguous");
         let d = self.num_features();
         &self.features.as_slice()[self.start * d..(self.start + self.len) * d]
     }
 
     /// Label of sample `i`. Panics if `i >= len()`.
     pub fn label(&self, i: usize) -> usize {
-        self.labels()[i]
+        self.labels[self.row(i)]
     }
 
-    /// The window's labels.
+    /// The window's labels, contiguous like [`Dataset::features`] (and
+    /// likewise only for an identity window).
     pub(crate) fn labels(&self) -> &[usize] {
+        assert!(self.rows.is_none(), "a shard's labels are not contiguous");
         &self.labels[self.start..self.start + self.len]
     }
 
     /// Per-class sample counts `d_i^k`.
     pub fn label_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.num_classes];
-        for &l in self.labels() {
-            counts[l] += 1;
+        for i in 0..self.len {
+            counts[self.label(i)] += 1;
         }
         counts
     }
@@ -132,43 +153,38 @@ impl Dataset {
         Dataset::new(feats, labels, self.num_classes, &self.name)
     }
 
-    /// Cut this dataset into one window per shard without copying a sample.
+    /// Cut this dataset into one window per shard without moving or
+    /// copying a sample.
     ///
     /// `shards` must partition `0..len()` (every index in exactly one
-    /// shard; panics otherwise). The rows are reordered in place into shard
-    /// order — shard 0's rows first, each shard's in the order it lists
-    /// them — so shard `w` is a window whose row `r` is this dataset's
-    /// sample `shards[w][r]`. Returns the whole, now in shard order, and the
-    /// windows; all of them share one storage. The reorder copies nothing
-    /// when the storage is not shared (a freshly generated dataset) and
-    /// clones it once otherwise.
-    pub fn into_shards(mut self, shards: &[Vec<usize>]) -> (Dataset, Vec<Dataset>) {
-        let (start, n, d) = (self.start, self.len, self.num_features());
+    /// shard; panics otherwise). Shard `w` becomes a window whose sample `r`
+    /// is this dataset's sample `shards[w][r]`, read through one row map
+    /// the windows share (`u32` per sample). Returns this dataset, unchanged
+    /// and still in its own order, and the windows; all of them share one
+    /// storage.
+    pub fn into_shards(self, shards: &[Vec<usize>]) -> (Dataset, Vec<Dataset>) {
+        let n = self.len;
         let mut owned = vec![false; n];
-        let mut order = Vec::with_capacity(n);
+        let mut rows = Vec::with_capacity(n);
         for &i in shards.iter().flatten() {
             assert!(i < n, "shard index {i} out of range ({n} samples)");
             assert!(!owned[i], "sample {i} is in two shards");
             owned[i] = true;
-            order.push(i);
+            rows.push(u32::try_from(self.row(i)).expect("storage rows fit in u32"));
         }
-        assert_eq!(order.len(), n, "some sample is in no shard");
-        permute_rows(
-            &mut Arc::make_mut(&mut self.features).as_mut_slice()[start * d..(start + n) * d],
-            &mut Arc::make_mut(&mut self.labels)[start..start + n],
-            d,
-            &order,
-        );
-        let mut offset = start;
+        assert_eq!(rows.len(), n, "some sample is in no shard");
+        let rows = Arc::new(rows);
+        let mut start = 0;
         let windows = shards
             .iter()
             .map(|s| {
                 let window = Dataset {
-                    start: offset,
+                    rows: Some(Arc::clone(&rows)),
+                    start,
                     len: s.len(),
                     ..self.clone()
                 };
-                offset += s.len();
+                start += s.len();
                 window
             })
             .collect();
@@ -177,37 +193,7 @@ impl Dataset {
 
     /// Indices of all samples carrying the given label.
     pub(crate) fn indices_of_class(&self, class: usize) -> Vec<usize> {
-        self.labels()
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &l)| (l == class).then_some(i))
-            .collect()
-    }
-}
-
-/// Move row `order[p]` of a row-major block of `d`-wide rows (and its label)
-/// to row `p`, for every `p`, in place: each cycle of the permutation is
-/// walked once with one row of scratch.
-fn permute_rows(data: &mut [f64], labels: &mut [usize], d: usize, order: &[usize]) {
-    let mut done = vec![false; order.len()];
-    let mut row = vec![0.0; d];
-    for first in 0..order.len() {
-        if done[first] {
-            continue;
-        }
-        row.copy_from_slice(&data[first * d..(first + 1) * d]);
-        let label = labels[first];
-        let mut p = first;
-        while order[p] != first {
-            let src = order[p];
-            data.copy_within(src * d..(src + 1) * d, p * d);
-            labels[p] = labels[src];
-            done[p] = true;
-            p = src;
-        }
-        data[p * d..(p + 1) * d].copy_from_slice(&row);
-        labels[p] = label;
-        done[p] = true;
+        (0..self.len).filter(|&i| self.label(i) == class).collect()
     }
 }
 
@@ -417,35 +403,39 @@ mod tests {
     fn shards_are_windows_holding_the_listed_samples_in_order() {
         let (d, whole, shards, windows) = sharded();
         assert_eq!(whole.len(), d.len());
-        let mut offset = 0;
         for (shard, window) in shards.iter().zip(&windows) {
             assert_eq!(window.len(), shard.len());
             for (r, &i) in shard.iter().enumerate() {
                 assert_eq!(window.sample(r), d.sample(i));
                 assert_eq!(window.label(r), d.label(i));
                 // One storage: the window's row is the whole's row, not a copy.
-                assert!(std::ptr::eq(window.sample(r), whole.sample(offset + r)));
+                assert!(std::ptr::eq(window.sample(r), whole.sample(i)));
             }
             let counts = d.subset(shard).label_counts();
             assert_eq!(window.label_counts(), counts);
-            offset += shard.len();
         }
-        // `d` still shared the storage, so the reorder cloned it and left
-        // `d` in generation order.
-        assert_eq!(d.label(0), 0);
-        assert!(!std::ptr::eq(d.sample(0), whole.sample(0)));
+        // Nothing moved: `d` and the whole are one storage in generation order.
+        for i in 0..d.len() {
+            assert!(std::ptr::eq(d.sample(i), whole.sample(i)));
+            assert_eq!(d.label(i), whole.label(i));
+        }
     }
 
     #[test]
     fn a_window_evaluates_only_its_own_rows() {
         let (_, _, shards, windows) = sharded();
         let w = &windows[1];
-        assert_eq!(w.features().len(), shards[1].len() * w.num_features());
-        assert_eq!(&w.features()[..w.num_features()], w.sample(0));
-        assert_eq!(w.labels().len(), shards[1].len());
         let per_class = (0..w.num_classes()).map(|c| w.indices_of_class(c).len());
         assert_eq!(per_class.sum::<usize>(), w.len());
+        assert_eq!(w.label_counts().iter().sum::<usize>(), shards[1].len());
         assert_eq!(w.indices_of_class(0), vec![11, 12]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a shard's rows are not contiguous")]
+    fn a_shard_has_no_contiguous_feature_matrix() {
+        let (_, _, _, windows) = sharded();
+        let _ = windows[0].features();
     }
 
     #[test]

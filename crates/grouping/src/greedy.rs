@@ -18,7 +18,7 @@
 //! group of 100 classes is feasible) as `N` singletons at every ξ; ranking by
 //! `δ` builds the many-class groups that do turn feasible.
 
-use crate::objective::GroupingObjective;
+use crate::objective::{GroupingObjective, Population};
 use crate::worker_info::{Grouping, WorkerInfo};
 
 /// Run Algorithm 3 over the given worker population and return the resulting
@@ -59,6 +59,7 @@ pub fn greedy_grouping(workers: &[WorkerInfo], objective: &GroupingObjective) ->
             .then(a.cmp(&b))
     });
 
+    let population = Population::new(workers);
     let mut groups: Vec<Vec<usize>> = Vec::new();
     for &wi in &order {
         // Lines 5-13: try every existing group plus a fresh singleton group,
@@ -66,18 +67,20 @@ pub fn greedy_grouping(workers: &[WorkerInfo], objective: &GroupingObjective) ->
         let mut best_score = (true, f64::INFINITY);
         let mut best_group: Option<usize> = None;
         for j in 0..=groups.len() {
-            let mut candidate = groups.clone();
-            if j == groups.len() {
-                candidate.push(vec![wi]);
-            } else {
-                candidate[j].push(wi);
-            }
             // Constraint (36d) must hold for the group that received the
-            // worker (the other groups are unchanged).
-            if !objective.slice_satisfies_xi(&candidate[j], workers) {
+            // worker (the other groups are unchanged), so only a placement
+            // that passes it is worth a copy of the grouping.
+            let mut group = groups.get(j).cloned().unwrap_or_default();
+            group.push(wi);
+            if !objective.slice_satisfies_xi(&group, &population) {
                 continue;
             }
-            let score = objective.placement_score(&candidate, workers);
+            let mut candidate = groups.clone();
+            match candidate.get_mut(j) {
+                Some(slot) => *slot = group,
+                None => candidate.push(group),
+            }
+            let score = objective.placement_score(&candidate, &population);
             if score < best_score {
                 best_score = score;
                 best_group = Some(j);

@@ -190,6 +190,26 @@ pub struct GroupingObjective {
     pub(crate) constants: ObjectiveConstants,
 }
 
+/// A worker population with what every score reads of it as a whole,
+/// computed once: the latency spread `Δl` of constraint (36d) and the
+/// global label distribution the EMDs are measured against. Algorithm 3
+/// scores `O(N²)` candidates against one population.
+pub(crate) struct Population<'a> {
+    pub(crate) workers: &'a [WorkerInfo],
+    spread: f64,
+    global: LabelDistribution,
+}
+
+impl<'a> Population<'a> {
+    pub(crate) fn new(workers: &'a [WorkerInfo]) -> Self {
+        Self {
+            workers,
+            spread: WorkerInfo::latency_spread(workers),
+            global: LabelDistribution::from_counts(&WorkerInfo::global_label_counts(workers)),
+        }
+    }
+}
+
 /// The objective's intermediate quantities for a list of groups, before the
 /// feasibility cut.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -222,26 +242,27 @@ impl GroupingObjective {
     /// `L_j − L_u − l_i ≤ ξ·Δl` for every member — equivalently the latency
     /// gap between the slowest member and any member is at most `ξ·Δl`,
     /// where `Δl` is the latency spread of the *whole* population.
-    pub(crate) fn slice_satisfies_xi(&self, group: &[usize], workers: &[WorkerInfo]) -> bool {
-        let spread = WorkerInfo::latency_spread(workers);
+    pub(crate) fn slice_satisfies_xi(&self, group: &[usize], population: &Population) -> bool {
+        let workers = population.workers;
         let max_latency = slice_max_latency(group, workers);
-        group
-            .iter()
-            .all(|&w| max_latency - workers[w].local_training_time <= self.xi * spread + 1e-12)
+        group.iter().all(|&w| {
+            max_latency - workers[w].local_training_time <= self.xi * population.spread + 1e-12
+        })
     }
 
     /// Does every group satisfy the ξ-constraint of Eq. (36d)?
     pub fn satisfies_xi(&self, grouping: &Grouping, workers: &[WorkerInfo]) -> bool {
+        let population = Population::new(workers);
         grouping
             .groups()
             .iter()
-            .all(|g| self.slice_satisfies_xi(g, workers))
+            .all(|g| self.slice_satisfies_xi(g, &population))
     }
 
     /// Evaluate the full objective. Returns `+∞` for groupings under which
     /// the convergence bound cannot reach the target gap `ε`.
     pub fn evaluate(&self, grouping: &Grouping, workers: &[WorkerInfo]) -> f64 {
-        match self.placement_score(grouping.groups(), workers) {
+        match self.placement_score(grouping.groups(), &Population::new(workers)) {
             (false, total_time) => total_time,
             (true, _) => f64::INFINITY,
         }
@@ -251,7 +272,7 @@ impl GroupingObjective {
     /// objective derives them (see [`theorem1_bound`]), without the
     /// feasibility cut.
     pub fn bound(&self, grouping: &Grouping, workers: &[WorkerInfo]) -> Option<(f64, f64)> {
-        self.breakdown(grouping.groups(), workers)
+        self.breakdown(grouping.groups(), &Population::new(workers))
             .map(|b| (b.contraction, b.residual))
     }
 
@@ -264,9 +285,9 @@ impl GroupingObjective {
     pub(crate) fn placement_score(
         &self,
         groups: &[Vec<usize>],
-        workers: &[WorkerInfo],
+        population: &Population,
     ) -> (bool, f64) {
-        let Some(b) = self.breakdown(groups, workers) else {
+        let Some(b) = self.breakdown(groups, population) else {
             return (true, f64::INFINITY);
         };
         match self
@@ -283,8 +304,8 @@ impl GroupingObjective {
     /// they are undefined (no group, an empty group, or `Σ_j ψ_j β_j ≤ 0`).
     ///
     /// The latency spread `Δl` and the reference (global) label distribution
-    /// are always computed over the *entire* worker population — they are
-    /// properties of the problem, not of the assignment. The data fractions
+    /// are always the *entire* worker population's ([`Population`]) — they
+    /// are properties of the problem, not of the assignment. The data fractions
     /// `β_j`, however, are normalised by the data assigned *so far*: during
     /// Algorithm 3's incremental construction this keeps `Σ_j ψ_j β_j` at a
     /// stable magnitude, so early placement decisions weigh the Non-IID
@@ -294,8 +315,9 @@ impl GroupingObjective {
     pub(crate) fn breakdown(
         &self,
         groups: &[Vec<usize>],
-        workers: &[WorkerInfo],
+        population: &Population,
     ) -> Option<ObjectiveBreakdown> {
+        let workers = population.workers;
         if groups.is_empty() || groups.iter().any(|g| g.is_empty()) {
             return None;
         }
@@ -316,12 +338,11 @@ impl GroupingObjective {
         // data assigned so far; see the method docs) and EMDs.
         let assigned_data: usize = groups.iter().map(|g| slice_data_size(g, workers)).sum();
         let total_data = assigned_data as f64;
-        let global = LabelDistribution::from_counts(&WorkerInfo::global_label_counts(workers));
         let terms = groups.iter().zip(&completion).map(|(g, l)| {
             (
                 (1.0 / l) / inv_sum,
                 slice_data_size(g, workers) as f64 / total_data,
-                slice_label_distribution(g, workers).l1_distance(&global),
+                slice_label_distribution(g, workers).l1_distance(&population.global),
             )
         });
         let (contraction, residual) = theorem1_bound(&self.constants, terms)?;
@@ -366,7 +387,9 @@ mod tests {
     fn single_group_has_zero_staleness() {
         let ws = workers();
         let g = Grouping::single_group(10);
-        let b = objective(1.0).breakdown(g.groups(), &ws).expect("defined");
+        let b = objective(1.0)
+            .breakdown(g.groups(), &Population::new(&ws))
+            .expect("defined");
         assert!(b.estimated_staleness.abs() < 1e-9);
         // One group => round time equals the slowest worker + L_u.
         assert!((b.average_round_time - 55.5).abs() < 1e-9);
@@ -376,10 +399,12 @@ mod tests {
     fn more_groups_mean_shorter_rounds_but_more_staleness() {
         let ws = workers();
         let single = objective(1.0)
-            .breakdown(Grouping::single_group(10).groups(), &ws)
+            .breakdown(Grouping::single_group(10).groups(), &Population::new(&ws))
             .unwrap();
         let pairs = Grouping::new((0..5).map(|i| vec![2 * i, 2 * i + 1]).collect(), 10);
-        let paired = objective(1.0).breakdown(pairs.groups(), &ws).unwrap();
+        let paired = objective(1.0)
+            .breakdown(pairs.groups(), &Population::new(&ws))
+            .unwrap();
         assert!(paired.average_round_time < single.average_round_time);
         assert!(paired.estimated_staleness > single.estimated_staleness);
     }
@@ -413,8 +438,12 @@ mod tests {
         // against the single group (EMD 0).
         let single = Grouping::single_group(10);
         let obj = objective(1.0);
-        let b_skewed = obj.breakdown(skewed.groups(), &ws).unwrap();
-        let b_single = obj.breakdown(single.groups(), &ws).unwrap();
+        let b_skewed = obj
+            .breakdown(skewed.groups(), &Population::new(&ws))
+            .unwrap();
+        let b_single = obj
+            .breakdown(single.groups(), &Population::new(&ws))
+            .unwrap();
         assert!(b_single.residual < b_skewed.residual);
     }
 

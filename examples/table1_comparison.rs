@@ -88,14 +88,10 @@ fn main() {
     let oma_tier = w.oma_round_upload_time(dim, n_large / default_tier_count(n_large).max(1));
     let aircomp = w.aircomp_aggregation_time(dim);
 
-    // Straggler idle time: median worker latency vs group max latency.
-    let mut latencies: Vec<f64> = (0..n_large)
-        .map(|i| system.local_training_time(i))
-        .collect();
-    latencies.sort_by(|a, b| a.total_cmp(b));
-    let median = latencies[n_large / 2];
-    let max = latencies[n_large - 1];
-    let idle_sync = 1.0 - median / max;
+    // Straggler idle time: median worker latency vs group max latency, one
+    // definition for every row. The Dynamic row still shows the whole
+    // population's wait, not that of the subset it schedules (a ROADMAP item).
+    let idle_sync = median_idle_fraction(&Grouping::single_group(n_large), workers);
     let idle_tifl = median_idle_fraction(&tifl_tiers, workers);
     let idle_airfedga = median_idle_fraction(&airfedga_grouping, workers);
 
