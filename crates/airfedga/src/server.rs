@@ -25,7 +25,10 @@ use wireless::power::{optimize_power, PowerControlConfig};
 /// one training run.
 pub struct Server<'a> {
     system: &'a FlSystem,
-    global: FlatParams,
+    /// The global model `w_t`: Eq. (10) updates its parameters in place and
+    /// [`Server::evaluate`] runs it as it stands.
+    global: Mlp,
+    /// The ledger of every participant's transmit energy.
     ledger: EnergyLedger,
     /// The participants' data sizes `D_i` and their sum `D_j`, filled by
     /// [`Server::weigh`].
@@ -35,20 +38,22 @@ pub struct Server<'a> {
     gains: Vec<f64>,
     /// The aggregating group's model estimate.
     estimate: FlatParams,
+    /// The system's total data size `D` (the denominator of `β_j`).
     total_data: f64,
+    /// The participants' transmit energies this round.
     energies: Vec<f64>,
+    /// Algorithm 2's inputs, refilled per aggregating group.
     power: PowerControlConfig,
-    template: Box<Mlp>,
+    /// Scratch for evaluating the global model.
     eval_ws: Workspace,
 }
 
 impl<'a> Server<'a> {
     /// A server for one run over `system`, holding its initial model `w_0`.
     pub fn new(system: &'a FlSystem) -> Self {
-        let template = system.fresh_model();
         Self {
             system,
-            global: template.params(),
+            global: *system.fresh_model(),
             ledger: EnergyLedger::default(),
             data_sizes: Vec::new(),
             gains: Vec::new(),
@@ -57,14 +62,13 @@ impl<'a> Server<'a> {
             total_data: system.total_data() as f64,
             energies: Vec::new(),
             power: PowerControlConfig::for_group(1.0, &[1.0], &[1.0]),
-            template,
             eval_ws: Workspace::new(),
         }
     }
 
     /// The global model `w_t`.
     pub fn global(&self) -> &FlatParams {
-        &self.global
+        self.global.params()
     }
 
     /// Record the round's participants: their data sizes, and the sum `D_j`,
@@ -81,9 +85,8 @@ impl<'a> Server<'a> {
     /// Evaluate the global model on the test set (batched loss + accuracy in
     /// one pass) and record the point in `trace`.
     pub fn evaluate(&mut self, time: f64, round: usize, trace: &mut TrainingTrace) {
-        self.template.set_params(&self.global);
         let stats = self
-            .template
+            .global
             .evaluate_ws(&self.system.test, &mut self.eval_ws);
         trace.record(TracePoint {
             time,
@@ -98,7 +101,7 @@ impl<'a> Server<'a> {
     /// the group last [weighed](Self::weigh) into the global model.
     fn apply_estimate(&mut self) {
         apply_group_update_in_place(
-            &mut self.global,
+            self.global.params_mut(),
             &self.estimate,
             self.group_data,
             self.total_data,

@@ -62,7 +62,7 @@ impl FlSystemConfig {
     /// `√q·σ₀ / (σ_t D_{j_t} √η_t)`). We therefore scale the noise variance
     /// down to 10⁻⁵ W so that the *relative* aggregation error matches the
     /// regime the paper operates in, and keep every other constant
-    /// (B = 1 MHz, Ê_i = 10 J) at the paper's values. See DESIGN.md §5.
+    /// (B = 1 MHz, Ê_i = 10 J) at the paper's values.
     pub fn mnist_lr() -> Self {
         Self {
             dataset: SyntheticSpec::mnist_like().with_samples_per_class(300),
@@ -227,7 +227,8 @@ pub struct FlSystem {
     pub worker_infos: Vec<WorkerInfo>,
     /// The wireless channel model (per-round fading gains).
     pub channel: ChannelModel,
-    /// The initial model (also serves as the gradient-evaluation template).
+    /// The initial model `w_0`, which every model a run holds starts as a
+    /// clone of ([`FlSystem::fresh_model`]).
     pub template: Box<Mlp>,
     /// Compiled per-worker fault traces ([`FaultPlan::none`], whose every
     /// answer is the neutral one, when the config injects no faults).
@@ -250,7 +251,8 @@ impl FlSystem {
         self.template.num_params()
     }
 
-    /// A fresh clone of the initial model.
+    /// A fresh clone of the initial model. A run holds one per pool row and
+    /// one global model (`tests/house_rules.rs` pins those two call sites).
     pub fn fresh_model(&self) -> Box<Mlp> {
         self.template.clone()
     }

@@ -3,36 +3,37 @@
 //!
 //! Every mechanism simulation owns a [`WorkerPool`]. Per simulated worker it
 //! keeps only what outlives a round: the worker's private deterministic RNG
-//! stream. A round's local parameters and their cached `‖w_i‖²` are read only
-//! by the aggregation that immediately follows the round (Algorithm 1 trains
+//! stream. A round's local models and their cached `‖w_i‖²` are read only by
+//! the aggregation that immediately follows the round (Algorithm 1 trains
 //! and aggregates a group in the same round), so they live in one pool-owned
 //! buffer of *rows*, row `k` holding the k-th sorted member of the latest
-//! [`WorkerPool::train_members`] call. The buffer grows to the largest round
-//! seen and is reused after that. The model instance and the scratch
-//! [`Workspace`] an update runs on are *training scratch*, and there is one of
-//! each per **lane** — `min(`[`parallel::max_threads`]`, N)` of them, built
-//! once with the pool — not one per worker: a round's sorted members are
-//! split into contiguous runs, one per lane, and each lane trains its run
-//! member after member on its own model and workspace, writing its own
-//! contiguous window of rows.
+//! [`WorkerPool::train_members`] call. A row *is* a model: the member's
+//! update loads the dispatched parameters into it, trains it in place and
+//! caches its norm, and the aggregation reads its parameters where they lie.
+//! The rows grow to the largest round seen and are reused after that; they
+//! are the only models the pool holds. Lanes own no model: a **lane** —
+//! there are `min(`[`parallel::max_threads`]`, N)` of them, built once with
+//! the pool — is a scratch [`Workspace`]. A round's sorted members are split
+//! into contiguous runs, one per lane, and each lane trains its run's rows
+//! member after member with its own workspace.
 //!
-//! * **Zero steady-state allocation** — per member nothing: lane scratch,
-//!   RNG streams and rows are reused across every round (the rows grow only
+//! * **Zero steady-state allocation** — per member nothing: workspaces, RNG
+//!   streams and rows are reused across every round (the rows grow only
 //!   while rounds keep getting larger). Per round the parallel fan-out
 //!   allocates its O(lanes) bookkeeping (the lane list and the pool's
 //!   per-chunk slots).
 //! * **Deterministic parallelism** — results are **bit-identical** to
 //!   sequential execution, at any lane count, because nothing a member
 //!   computes depends on which lane ran it or what that lane ran before:
-//!   each member draws from its own pre-forked RNG stream and writes only its
+//!   each member draws from its own pre-forked RNG stream and trains only its
 //!   own row; an update starts with `set_params`, which overwrites every
-//!   weight and bias of the lane's model; and [`Workspace`] checkouts are
-//!   overwritten by every caller. Lane boundaries are a pure function of
-//!   (members, lanes), and the aggregation that follows reads the rows in
-//!   fixed member order.
+//!   weight and bias of the row, whoever trained it last; and [`Workspace`]
+//!   checkouts are overwritten by every caller. Lane boundaries are a pure
+//!   function of (members, lanes), and the aggregation that follows reads
+//!   the rows in fixed member order.
 
 use fedml::model::Mlp;
-use fedml::optimizer::local_update_from_ws;
+use fedml::optimizer::local_update_ws;
 use fedml::params::FlatParams;
 use fedml::rng::Rng64;
 use fedml::workspace::Workspace;
@@ -45,47 +46,40 @@ struct WorkerSlot {
     rng: Rng64,
 }
 
-/// One member's result of the latest round.
+/// One member's model of the latest round.
 struct LocalRow {
-    /// The local parameters the member's update produced.
-    params: FlatParams,
-    /// `params.norm_sq()`, computed once at the end of the update (inside the
-    /// parallel fan-out) for the power-control bound and the transmit energy.
+    /// The model the member's update trained, in place, from the dispatch.
+    model: Mlp,
+    /// `model.params().norm_sq()`, computed once at the end of the update
+    /// (inside the parallel fan-out) for the power-control bound and the
+    /// transmit energy.
     norm_sq: f64,
 }
 
-/// One lane's training scratch: a model instance (its parameters are
-/// overwritten from the dispatched global model at the start of every local
-/// update) and a scratch buffer pool.
-struct Trainer {
-    model: Box<Mlp>,
-    ws: Workspace,
-}
-
-/// One contiguous run of a round's sorted members, the trainer it runs on,
-/// the window of slots it spans (`slots[0]` is worker `first`) and the rows
-/// its members write (`rows[i]` is `run[i]`'s).
+/// One contiguous run of a round's sorted members, the workspace it trains
+/// with, the window of slots it spans (`slots[0]` is worker `first`) and the
+/// rows its members train (`rows[i]` is `run[i]`'s).
 struct Lane<'a> {
     run: &'a [usize],
-    trainer: &'a mut Trainer,
+    ws: &'a mut Workspace,
     first: usize,
     slots: &'a mut [WorkerSlot],
     rows: &'a mut [LocalRow],
 }
 
-/// One slot per worker, one trainer per lane, one row per member of the
+/// One slot per worker, one workspace per lane, one row per member of the
 /// largest round so far, plus the scratch needed to hand a round's members to
 /// the thread pool.
 pub struct WorkerPool {
     slots: Vec<WorkerSlot>,
-    trainers: Vec<Trainer>,
+    workspaces: Vec<Workspace>,
     /// The latest round's members, sorted; row `k` is `sorted_members[k]`'s.
     sorted_members: Vec<usize>,
     rows: Vec<LocalRow>,
 }
 
 impl WorkerPool {
-    /// Create one slot per worker of `system` and one trainer per lane.
+    /// Create one slot per worker of `system` and one workspace per lane.
     /// Forks one child RNG stream per worker from `rng` (in worker order, so
     /// the construction itself is deterministic). Rows are allocated by the
     /// first rounds, not here.
@@ -96,23 +90,31 @@ impl WorkerPool {
                 rng: rng.fork(w as u64),
             })
             .collect();
-        let trainers = (0..parallel::max_threads().min(n))
-            .map(|_| Trainer {
-                model: system.fresh_model(),
-                ws: Workspace::new(),
-            })
+        let workspaces = (0..parallel::max_threads().min(n))
+            .map(|_| Workspace::new())
             .collect();
         Self {
             slots,
-            trainers,
+            workspaces,
             sorted_members: Vec::new(),
             rows: Vec::new(),
         }
     }
 
+    /// Grow the rows to `m`, each a model of `system`'s shape (its
+    /// parameters are overwritten before it trains).
+    fn grow_rows(&mut self, m: usize, system: &FlSystem) {
+        if self.rows.len() < m {
+            self.rows.resize_with(m, || LocalRow {
+                model: *system.fresh_model(),
+                norm_sq: 0.0,
+            });
+        }
+    }
+
     /// Run one local update for every worker in `members` (distinct), each
-    /// starting from `dispatch`, writing the results into this round's rows.
-    /// The previous round's results are no longer readable afterwards.
+    /// starting from `dispatch`, training this round's rows. The previous
+    /// round's results are no longer readable afterwards.
     ///
     /// With `parallel` the sorted members are split into one contiguous run
     /// per lane and the runs are mapped over the persistent worker pool;
@@ -133,44 +135,32 @@ impl WorkerPool {
             "a round's members must be distinct"
         );
         let m = self.sorted_members.len();
-        if self.rows.len() < m {
-            let q = system.model_dim();
-            self.rows.resize_with(m, || LocalRow {
-                params: FlatParams::zeros(q),
-                norm_sq: 0.0,
-            });
-        }
+        self.grow_rows(m, system);
         let sgd = &system.config.sgd;
         let train_lane = |lane: Lane| {
             for (&w, row) in lane.run.iter().zip(lane.rows) {
-                local_update_from_ws(
-                    &mut lane.trainer.model,
-                    dispatch,
-                    &system.shards[w],
-                    sgd,
-                    &mut lane.slots[w - lane.first].rng,
-                    &mut lane.trainer.ws,
-                    &mut row.params,
-                );
-                row.norm_sq = row.params.norm_sq();
+                row.model.set_params(dispatch);
+                let rng = &mut lane.slots[w - lane.first].rng;
+                local_update_ws(&mut row.model, &system.shards[w], sgd, rng, lane.ws);
+                row.norm_sq = row.model.params().norm_sq();
             }
         };
         // Runs of ⌈m / lanes⌉ members: at most `lanes` of them, each paired
-        // with its own trainer, the (disjoint) window of slots it spans and
+        // with its own workspace, the (disjoint) window of slots it spans and
         // the (disjoint) window of rows its members own.
-        let lanes = if parallel { self.trainers.len() } else { 1 };
+        let lanes = if parallel { self.workspaces.len() } else { 1 };
         let run_len = m.div_ceil(lanes).max(1);
         let mut rest: &mut [WorkerSlot] = &mut self.slots;
         let mut first = 0;
         let mut work: Vec<Lane> = Vec::with_capacity(lanes);
         let runs = self.sorted_members.chunks(run_len);
         let row_windows = self.rows[..m].chunks_mut(run_len);
-        for ((run, rows), trainer) in runs.zip(row_windows).zip(&mut self.trainers) {
+        for ((run, rows), ws) in runs.zip(row_windows).zip(&mut self.workspaces) {
             let end = run[run.len() - 1] + 1;
             let (slots, tail) = std::mem::take(&mut rest).split_at_mut(end - first);
             work.push(Lane {
                 run,
-                trainer,
+                ws,
                 first,
                 slots,
                 rows,
@@ -195,7 +185,7 @@ impl WorkerPool {
     /// The local parameters worker `w` produced in the latest round. Panics
     /// if `w` was not a member of it.
     pub fn local(&self, w: usize) -> &FlatParams {
-        &self.row(w).params
+        self.row(w).model.params()
     }
 
     /// `‖local(w)‖²`, bit-identical to `local(w).norm_sq()`. Panics if `w`
@@ -204,14 +194,8 @@ impl WorkerPool {
         self.row(w).norm_sq
     }
 
-    /// Model instances this pool holds: one per lane.
-    #[cfg(test)]
-    fn model_instances(&self) -> usize {
-        self.trainers.len()
-    }
-
-    /// Local-parameter rows this pool holds: one per member of its largest
-    /// round so far.
+    /// Rows this pool holds — its only models, since a lane holds a
+    /// workspace alone: one per member of its largest round so far.
     #[cfg(test)]
     fn rows_held(&self) -> usize {
         self.rows.len()
@@ -230,9 +214,9 @@ mod tests {
         let dispatch = system.template.params();
 
         let mut par = WorkerPool::new(&system, &mut Rng64::seed_from(7));
-        par.train_members(&members, &dispatch, &system, true);
+        par.train_members(&members, dispatch, &system, true);
         let mut seq = WorkerPool::new(&system, &mut Rng64::seed_from(7));
-        seq.train_members(&members, &dispatch, &system, false);
+        seq.train_members(&members, dispatch, &system, false);
 
         for &w in &members {
             for (a, b) in par.local(w).0.iter().zip(seq.local(w).0.iter()) {
@@ -246,7 +230,7 @@ mod tests {
         let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(4));
         let dispatch = system.template.params();
         let mut pool = WorkerPool::new(&system, &mut Rng64::seed_from(8));
-        pool.train_members(&[5, 1, 3], &dispatch, &system, true);
+        pool.train_members(&[5, 1, 3], dispatch, &system, true);
         assert!(pool.local(1).norm_sq() > 0.0);
         assert!(pool.local(3).norm_sq() > 0.0);
         assert!(pool.local(5).norm_sq() > 0.0);
@@ -258,8 +242,8 @@ mod tests {
         let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(4));
         let dispatch = system.template.params();
         let mut pool = WorkerPool::new(&system, &mut Rng64::seed_from(8));
-        pool.train_members(&[2, 6], &dispatch, &system, true);
-        pool.train_members(&[6, 1], &dispatch, &system, true);
+        pool.train_members(&[2, 6], dispatch, &system, true);
+        pool.train_members(&[6, 1], dispatch, &system, true);
         pool.local(2);
     }
 
@@ -271,7 +255,7 @@ mod tests {
         assert_eq!(pool.rows_held(), 0);
         for size in [3, 7, 5] {
             let members: Vec<usize> = (0..size).rev().collect();
-            pool.train_members(&members, &dispatch, &system, true);
+            pool.train_members(&members, dispatch, &system, true);
         }
         assert_eq!(pool.rows_held(), 7);
     }
@@ -282,15 +266,18 @@ mod tests {
         let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(4));
         let dispatch = system.template.params();
         let mut pool = WorkerPool::new(&system, &mut Rng64::seed_from(8));
-        pool.train_members(&[2, 6, 2], &dispatch, &system, true);
+        pool.train_members(&[2, 6, 2], dispatch, &system, true);
     }
 
     #[test]
-    fn a_pool_holds_one_model_per_lane_not_per_worker() {
+    fn a_pool_holds_no_model_besides_its_rows() {
         let mut cfg = FlSystemConfig::mnist_lr_quick();
         cfg.num_workers = 100;
         let system = cfg.build(&mut Rng64::seed_from(5));
-        let pool = WorkerPool::new(&system, &mut Rng64::seed_from(9));
-        assert_eq!(pool.model_instances(), parallel::max_threads().min(100));
+        let dispatch = system.template.params();
+        let mut pool = WorkerPool::new(&system, &mut Rng64::seed_from(9));
+        assert_eq!(pool.rows_held(), 0, "a fresh pool holds no model");
+        pool.train_members(&[40, 2, 71], dispatch, &system, true);
+        assert_eq!(pool.rows_held(), 3);
     }
 }

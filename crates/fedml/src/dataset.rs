@@ -8,7 +8,8 @@
 //! evaluation actually measures — the relative time-to-accuracy of different
 //! aggregation mechanisms under Non-IID label-skew partitions — depends on the
 //! *label structure* and the *training dynamics*, both of which these
-//! surrogates preserve (see DESIGN.md §5).
+//! surrogates preserve (the channel-noise calibration that goes with the
+//! smaller surrogate models is stated on `FlSystemConfig::mnist_lr`).
 
 use crate::linalg::Matrix;
 use crate::rng::Rng64;

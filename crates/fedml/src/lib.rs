@@ -28,7 +28,7 @@
 //!   (training and evaluation) and one backward walk (the fused SGD step and
 //!   the gradient oracle).
 //! * [`workspace::Workspace`] is a checkout/checkin pool of scratch buffers;
-//!   each simulated worker owns one, so after the first mini-batch the
+//!   each training lane owns one, so after the first mini-batch the
 //!   training loop performs **zero heap allocations**.
 //! * [`model::Mlp::sgd_batch_ws`] / [`model::Mlp::evaluate_ws`] are the
 //!   workspace-threaded entry points; [`optimizer::local_update_ws`] drives

@@ -11,9 +11,11 @@
 //! * [`gemm_nn`] — `C = A · B` with `B` in k-major (contraction-major)
 //!   layout. This is the workhorse: the backward data pass (`δ_prev = δ · W`)
 //!   uses it directly, and the forward pass uses it after a weight
-//!   `transpose` per batch (`Z = X · Wᵀ = X · transpose(W)`). That is
-//!   O(parameters) next to the GEMM's O(batch · parameters), but not cheap
-//!   at the modal 16-row batch: ≈ 15 % of a 64→64→64→10 SGD step.
+//!   `transpose` (`Z = X · Wᵀ = X · transpose(W)`): a training step
+//!   transposes each layer just before its GEMM, an evaluation every layer
+//!   once per call. That is O(parameters) next to the GEMM's
+//!   O(batch · parameters), but not cheap at the modal 16-row batch:
+//!   12–17 % of a 64→64→64→10 SGD step.
 //! * [`gemm_tn_acc`] — `C += α · Aᵀ · B`, the weight-gradient pass
 //!   (`δᵀ · X`). At `α = −γ` it accumulates straight into the weights, which
 //!   lets a whole SGD step run without materialising the gradient; at `α = 1`
@@ -76,17 +78,6 @@ impl Matrix {
         }
     }
 
-    /// Create a matrix from a closure over `(row, col)`.
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                data.push(f(r, c));
-            }
-        }
-        Self { rows, cols, data }
-    }
-
     /// Create a matrix from an existing row-major buffer.
     ///
     /// Panics if `data.len() != rows * cols`.
@@ -137,17 +128,47 @@ impl Matrix {
         debug_assert!(r < self.rows);
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
+}
 
-    /// In-place scale of every element.
-    pub fn scale(&mut self, alpha: f64) {
-        for v in &mut self.data {
-            *v *= alpha;
-        }
+/// A borrowed, row-major `rows × cols` matrix: how a model lends out one
+/// layer's weights, which live inside its flat parameter vector.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MatrixView<'a> {
+    rows: usize,
+    cols: usize,
+    data: &'a [f64],
+}
+
+impl<'a> MatrixView<'a> {
+    /// View `data` as a row-major `rows × cols` matrix.
+    ///
+    /// Panics if `data.len() != rows * cols`.
+    pub fn new(rows: usize, cols: usize, data: &'a [f64]) -> Self {
+        assert_eq!(
+            data.len(),
+            rows * cols,
+            "buffer length {} does not match {rows}x{cols}",
+            data.len()
+        );
+        Self { rows, cols, data }
     }
 
-    /// Squared Frobenius norm.
-    pub fn frobenius_sq(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum()
+    /// Number of rows.
+    #[inline]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    #[inline]
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// The row-major buffer.
+    #[inline]
+    pub fn as_slice(&self) -> &'a [f64] {
+        self.data
     }
 }
 
@@ -185,7 +206,7 @@ fn tally_gemm(counter: &'static telemetry::metrics::Counter, m: usize, n: usize,
 /// `C = A · B` where `a` is `m × k`, `b` is `k × n` and `c` is `m × n`, all
 /// row-major. This is the workhorse kernel: the backward data pass
 /// (`δ_prev = δ · W`) uses it directly, and the forward pass uses it after a
-/// weight `transpose` per batch (`Z = X · Wᵀ = X · transpose(W)`).
+/// weight `transpose` (`Z = X · Wᵀ = X · transpose(W)`).
 ///
 /// Each output row is accumulated from four `B` rows at a time
 /// (`axpy4_into`), so the inner loop is a run of independent element-wise
@@ -590,10 +611,12 @@ fn axpy4x2_into(
 const TRANSPOSE_BAND: usize = 16;
 
 /// Transpose the row-major `rows × cols` matrix `src` into `dst`
-/// (`cols × rows`). The batched forward pass transposes each layer's weight
-/// matrix once per call so that `Z = X · Wᵀ` can run through the vectorised
-/// [`gemm_nn`] kernel: ≈ 4.9 µs of a 33 µs 16-row SGD step on a
-/// 64→64→64→10 `Mlp` (≈ 15 %).
+/// (`cols × rows`), so that a layer's `Z = X · Wᵀ` can run through the
+/// vectorised [`gemm_nn`] kernel. A training step transposes each layer
+/// once, just before that layer's forward GEMM; an evaluation transposes
+/// every layer once per call. The three layers of a 64→64→64→10 `Mlp` take
+/// 3.8–5.2 µs (the same loop in two builds) of a 31 µs 16-row SGD step
+/// (12–17 %).
 ///
 /// A plain row loop keeps a destination line per column in flight, and at
 /// a power-of-two `rows` they crowd into a few L1 sets (3–8× slower per
@@ -678,14 +701,6 @@ mod tests {
         let mut y = vec![1.0, 1.0, 1.0];
         axpy(0.5, &x, &mut y);
         assert_eq!(y, vec![1.5, 2.0, 2.5]);
-    }
-
-    #[test]
-    fn frobenius_and_scale() {
-        let mut m = Matrix::from_vec(1, 3, vec![1.0, 2.0, 2.0]);
-        assert_eq!(m.frobenius_sq(), 9.0);
-        m.scale(2.0);
-        assert_eq!(m.frobenius_sq(), 36.0);
     }
 
     fn pseudo_random_buf(len: usize, salt: u64) -> Vec<f64> {

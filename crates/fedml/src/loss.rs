@@ -48,18 +48,24 @@ pub(crate) fn softmax_cross_entropy_batch(
     loss_sum
 }
 
-/// Batched evaluation of a `rows × classes` logits matrix: returns the summed
-/// per-sample cross-entropy loss and the number of rows whose argmax matches
-/// the label. One pass, no scratch memory — this is the evaluation-path
-/// counterpart of [`softmax_cross_entropy_batch`].
-pub(crate) fn eval_logits_batch(logits: &[f64], labels: &[usize], classes: usize) -> (f64, usize) {
+/// Batched evaluation of a `rows × classes` logits matrix: adds each row's
+/// cross-entropy loss to `loss_sum`, in row order, and returns that sum and
+/// the number of rows whose argmax matches the label. A running sum carried
+/// across calls adds in the order one call over all of their rows would. One
+/// pass, no scratch memory — this is the evaluation-path counterpart of
+/// [`softmax_cross_entropy_batch`].
+pub(crate) fn eval_logits_batch(
+    logits: &[f64],
+    labels: &[usize],
+    classes: usize,
+    mut loss_sum: f64,
+) -> (f64, usize) {
     let rows = labels.len();
     assert_eq!(
         logits.len(),
         rows * classes,
         "eval_logits_batch dimension mismatch"
     );
-    let mut loss_sum = 0.0;
     let mut correct = 0usize;
     for (r, &label) in labels.iter().enumerate() {
         assert!(label < classes, "label out of range");
@@ -88,7 +94,7 @@ mod tests {
 
     /// Summed loss of the evaluation head over a batch.
     fn loss(logits: &[f64], labels: &[usize], classes: usize) -> f64 {
-        eval_logits_batch(logits, labels, classes).0
+        eval_logits_batch(logits, labels, classes, 0.0).0
     }
 
     /// `(softmax(z) − onehot(label))` and the summed loss, from the training
@@ -188,7 +194,7 @@ mod tests {
     fn eval_batch_matches_per_sample_loss_and_argmax() {
         let logits = vec![3.0, 1.0, -1.0, /* row 2 */ 0.0, 0.1, 0.0];
         let labels = [0usize, 2];
-        let (loss_sum, correct) = eval_logits_batch(&logits, &labels, 3);
+        let (loss_sum, correct) = eval_logits_batch(&logits, &labels, 3, 0.0);
         let expect: f64 = labels
             .iter()
             .enumerate()
@@ -204,7 +210,7 @@ mod tests {
     #[test]
     fn eval_batch_is_stable_for_huge_logits() {
         let logits = vec![1000.0, 999.0];
-        let (loss, correct) = eval_logits_batch(&logits, &[0], 2);
+        let (loss, correct) = eval_logits_batch(&logits, &[0], 2, 0.0);
         assert!(loss.is_finite() && loss > 0.0);
         assert_eq!(correct, 1);
     }

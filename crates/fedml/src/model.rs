@@ -18,35 +18,51 @@
 //!
 //! # Batched execution
 //!
+//! An [`Mlp`] keeps its parameters as one [`FlatParams`] in the order the
+//! wire uses, so a layer's weights and bias are windows of that vector and
+//! loading or reading a transmitted model reshapes nothing.
+//!
 //! A mini-batch is one `B × d` matrix per layer: the forward pass is a
-//! [`gemm_nn`] over the once-transposed weights (`Z = X · Wᵀ`), the backward
-//! data pass another (`δ_prev = δ · W`), and the weight gradient a
+//! [`gemm_nn`] over the layer's transposed weights (`Z = X · Wᵀ`), the
+//! backward data pass another (`δ_prev = δ · W`), and the weight gradient a
 //! [`gemm_tn_acc`] (`δᵀ · X`, accumulated at `−γ` straight into the weights by
 //! the training step) — instead of the per-sample matvec + rank-one-update
 //! loop the first version of this crate used (kept as the reference
 //! implementation in `tests/reference/`). The layer-forward walk and the
 //! backward walk are each written once: training and evaluation share the
 //! first, the fused SGD step ([`Mlp::sgd_batch_ws`]) and the gradient
-//! oracle ([`Mlp::loss_and_gradient_ws`]) the second. All scratch memory
-//! comes from a caller-provided [`Workspace`], so the steady-state training
-//! loop ([`crate::optimizer::local_update_ws`]) performs **zero heap
-//! allocations**.
+//! oracle ([`Mlp::loss_and_gradient_ws`]) the second.
+//!
+//! All scratch memory comes from a caller-provided [`Workspace`], so the
+//! steady-state training loop ([`crate::optimizer::local_update_ws`])
+//! performs **zero heap allocations**. A training step holds no
+//! model-sized buffer: it transposes one layer at a time, just before that
+//! layer's GEMM, into a buffer the size of the largest layer. An evaluation
+//! transposes every layer once per call, into one buffer of all the
+//! weights, and forwards its rows a few dozen at a time.
 
 use crate::dataset::Dataset;
 use crate::linalg::{
-    add_row_bias, axpy, col_sums_acc, gemm_nn, gemm_tn_acc, relu_backward_batch,
-    relu_batch_in_place, transpose, Matrix,
+    add_row_bias, axpy, col_sums_acc, gemm_nn, gemm_tn_acc, norm_sq, relu_backward_batch,
+    relu_batch_in_place, transpose, MatrixView,
 };
 use crate::loss::{eval_logits_batch, softmax_cross_entropy_batch};
 use crate::params::FlatParams;
 use crate::rng::Rng64;
 use crate::workspace::Workspace;
-use std::ops::Deref;
+use std::ops::{Deref, Range};
 
-/// Number of evaluation rows processed per GEMM in [`Mlp::evaluate_ws`].
-/// Large enough to amortise the kernel, small enough that the logits buffer
-/// of the 100-class workload stays comfortably in L2.
+/// Rows per loss window of [`Mlp::evaluate_ws`]: a window's per-row losses
+/// are summed in row order, and the window sums are added in window order,
+/// so this length is part of the evaluated loss's bits.
 const EVAL_CHUNK: usize = 256;
+
+/// Rows per forward GEMM of [`Mlp::evaluate_ws`]: a loss window runs through
+/// the layers in sub-chunks of this many rows, so the activations take
+/// `2 · EVAL_ROWS` rows of the widest layer, not a window's worth. Every
+/// forward kernel computes a row from that row alone, so the sub-chunk
+/// length moves no bit.
+const EVAL_ROWS: usize = 32;
 
 /// Loss and accuracy of one model over one dataset, computed in a single
 /// batched forward pass.
@@ -58,46 +74,78 @@ pub struct EvalStats {
     pub accuracy: f64,
 }
 
-/// One dense layer of an [`Mlp`].
-#[derive(Debug, Clone)]
-struct DenseLayer {
-    weights: Matrix, // out x in
-    bias: Vec<f64>,
+/// Where one dense layer sits in an [`Mlp`]'s flat parameter vector: its
+/// `out × in` row-major weights from `offset` on, then its `out` biases.
+#[derive(Debug, Clone, Copy)]
+struct Layer {
+    offset: usize,
+    in_width: usize,
+    out_width: usize,
 }
 
-impl DenseLayer {
-    /// He initialisation, appropriate for ReLU activations.
-    fn he(input: usize, output: usize, rng: &mut Rng64) -> Self {
-        let std = (2.0 / input as f64).sqrt();
-        Self {
-            weights: Matrix::from_fn(output, input, |_, _| rng.gaussian_with(0.0, std)),
-            bias: vec![0.0; output],
-        }
+impl Layer {
+    fn weight_len(self) -> usize {
+        self.in_width * self.out_width
     }
 
-    fn num_params(&self) -> usize {
-        self.weights.rows() * self.weights.cols() + self.bias.len()
+    fn weights(self) -> Range<usize> {
+        self.offset..self.offset + self.weight_len()
     }
 
-    fn in_width(&self) -> usize {
-        self.weights.cols()
+    fn bias(self) -> Range<usize> {
+        let start = self.offset + self.weight_len();
+        start..start + self.out_width
     }
 
-    fn out_width(&self) -> usize {
-        self.weights.rows()
+    /// One past the layer's last parameter: the next layer's `offset`.
+    fn end(self) -> usize {
+        self.bias().end
     }
+}
+
+/// The transposed weights a forward walk ([`Mlp::forward`]) multiplies by.
+enum Transposed<'a> {
+    /// Every layer's, transposed up front and laid end to end
+    /// ([`Mlp::transpose_all`]), for a walk repeated over many row chunks.
+    All(&'a [f64]),
+    /// Scratch the size of the largest layer: the walk transposes each layer
+    /// into it just before that layer's GEMM.
+    EachLayer(&'a mut [f64]),
 }
 
 /// A fully-connected ReLU network with a softmax cross-entropy head and an
 /// optional L2 (ridge) term `½ · l2 · Σ_l ‖W_l‖²` on the weight matrices (not
 /// the biases).
+///
+/// The parameters are one [`FlatParams`] in the order the wire uses — W₀,
+/// b₀, W₁, b₁, …, each `W_l` row-major `out × in` — so loading a
+/// transmitted model ([`Mlp::set_params`]) is one copy and reading one out
+/// ([`Mlp::params`]) is none.
 #[derive(Debug, Clone)]
 pub struct Mlp {
-    layers: Vec<DenseLayer>,
+    params: FlatParams,
+    layers: Vec<Layer>,
     l2: f64,
 }
 
 impl Mlp {
+    /// The layers mapping `sizes[l]` to `sizes[l + 1]`, packed from offset 0.
+    fn layout(sizes: &[usize]) -> Vec<Layer> {
+        let mut offset = 0;
+        sizes
+            .windows(2)
+            .map(|w| {
+                let layer = Layer {
+                    offset,
+                    in_width: w[0],
+                    out_width: w[1],
+                };
+                offset = layer.end();
+                layer
+            })
+            .collect()
+    }
+
     /// Create a He-initialised MLP with the given hidden-layer widths and no
     /// regularisation. `hidden` may be empty, in which case the model is
     /// multinomial logistic regression from a random start.
@@ -110,11 +158,20 @@ impl Mlp {
         sizes.push(num_features);
         sizes.extend_from_slice(hidden);
         sizes.push(num_classes);
-        let layers = sizes
-            .windows(2)
-            .map(|w| DenseLayer::he(w[0], w[1], rng))
-            .collect();
-        Self { layers, l2: 0.0 }
+        let layers = Self::layout(&sizes);
+        let mut params = Vec::with_capacity(layers[layers.len() - 1].end());
+        for layer in &layers {
+            // He initialisation (appropriate for ReLU activations), row by
+            // row; the biases start at zero.
+            let std = (2.0 / layer.in_width as f64).sqrt();
+            params.extend((0..layer.weight_len()).map(|_| rng.gaussian_with(0.0, std)));
+            params.resize(layer.end(), 0.0);
+        }
+        Self {
+            params: FlatParams(params),
+            layers,
+            l2: 0.0,
+        }
     }
 
     /// Multinomial logistic regression: no hidden layer, zero-initialised
@@ -124,12 +181,10 @@ impl Mlp {
     /// `l2`-strongly convex and `(L_max + l2)`-smooth, satisfying
     /// Assumptions 1–2 of the paper, so Theorem 1 applies exactly.
     pub fn logistic_regression(num_features: usize, num_classes: usize) -> Self {
-        let layer = DenseLayer {
-            weights: Matrix::zeros(num_classes, num_features),
-            bias: vec![0.0; num_classes],
-        };
+        let layers = Self::layout(&[num_features, num_classes]);
         Self {
-            layers: vec![layer],
+            params: FlatParams::zeros(layers[0].end()),
+            layers,
             l2: 0.0,
         }
     }
@@ -156,52 +211,69 @@ impl Mlp {
         self.l2
     }
 
-    /// The `out × in` weight matrix of layer `l` (read-only; used by the
-    /// per-sample reference implementation in `tests/reference/`).
-    pub fn layer_weights(&self, l: usize) -> &Matrix {
-        &self.layers[l].weights
+    /// The `out × in` weight matrix of layer `l`, borrowed from the flat
+    /// parameters (used by the per-sample reference implementation in
+    /// `tests/reference/`).
+    pub fn layer_weights(&self, l: usize) -> MatrixView<'_> {
+        let layer = self.layers[l];
+        MatrixView::new(
+            layer.out_width,
+            layer.in_width,
+            &self.params.0[layer.weights()],
+        )
     }
 
     /// The bias vector of layer `l` (read-only).
     pub fn layer_bias(&self, l: usize) -> &[f64] {
-        &self.layers[l].bias
+        &self.params.0[self.layers[l].bias()]
+    }
+
+    /// The flat parameters, asserting that nobody resized them through
+    /// [`Mlp::params_mut`].
+    fn checked_params(&self) -> &[f64] {
+        let q = self.layers[self.layers.len() - 1].end();
+        assert_eq!(self.params.dim(), q, "parameter size mismatch");
+        self.params.as_slice()
     }
 
     /// Widest activation any batch row produces (sizes the ping-pong buffers
     /// of the backward walk and of evaluation).
-    fn max_width(layers: &[DenseLayer]) -> usize {
+    fn max_width(layers: &[Layer]) -> usize {
         layers
             .iter()
-            .map(|l| l.out_width())
+            .map(|l| l.out_width)
             .max()
             .expect("an Mlp always has at least one layer")
     }
 
     /// The regularisation term of the loss, `½ · l2 · Σ_l ‖W_l‖²`. Without
     /// regularisation it is 0 and costs no O(q) pass.
-    fn l2_penalty(layers: &[DenseLayer], l2: f64) -> f64 {
+    fn l2_penalty(layers: &[Layer], params: &[f64], l2: f64) -> f64 {
         if l2 > 0.0 {
-            0.5 * l2 * layers.iter().map(|l| l.weights.frobenius_sq()).sum::<f64>()
+            0.5 * l2
+                * layers
+                    .iter()
+                    .map(|l| norm_sq(&params[l.weights()]))
+                    .sum::<f64>()
         } else {
             0.0
         }
     }
 
-    /// Transpose every layer's weights into one workspace buffer (O(q)) so
-    /// the forward GEMMs run through the vectorised k-major kernel. Layer
-    /// `l`'s block starts at the running sum of the preceding
-    /// `in_width · out_width` lengths — the same walk [`Mlp::forward`] does.
-    fn transpose_weights(layers: &[DenseLayer], ws: &mut Workspace) -> Vec<f64> {
-        let wlen_total: usize = layers.iter().map(|l| l.in_width() * l.out_width()).sum();
-        let mut wts = ws.take(wlen_total);
+    /// Transpose every layer's weights into one workspace buffer (O(q)), for
+    /// [`Transposed::All`]. Layer `l`'s block starts at the running sum of
+    /// the preceding `in_width · out_width` lengths — the same walk
+    /// [`Mlp::forward`] does.
+    fn transpose_all(layers: &[Layer], params: &[f64], ws: &mut Workspace) -> Vec<f64> {
+        let mut wts = ws.take(layers.iter().map(|l| l.weight_len()).sum());
         let mut off = 0;
         for layer in layers {
-            let len = layer.in_width() * layer.out_width();
+            let len = layer.weight_len();
             transpose(
-                layer.weights.as_slice(),
+                &params[layer.weights()],
                 &mut wts[off..off + len],
-                layer.out_width(),
-                layer.in_width(),
+                layer.out_width,
+                layer.in_width,
             );
             off += len;
         }
@@ -210,23 +282,33 @@ impl Mlp {
 
     /// The layer-forward walk: `rows` samples, read in place from `x`,
     /// through every layer, one GEMM per layer over the transposed weights
-    /// `wts` ([`Mlp::transpose_weights`]). Layer `l` leaves its
-    /// `rows × out_width` output (post-ReLU for a hidden layer, the logits
-    /// for the last) at `acts[starts[l]..]` and reads layer `l − 1`'s from
-    /// where that left it, so the caller picks the storage: consecutive
-    /// segments keep every activation for a backward walk, two alternating
-    /// ones ping-pong an evaluation chunk.
+    /// `wts` (so the GEMMs run through the vectorised k-major kernel). Layer
+    /// `l` leaves its `rows × out_width` output (post-ReLU for a hidden
+    /// layer, the logits for the last) at `acts[starts[l]..]` and reads
+    /// layer `l − 1`'s from where that left it, so the caller picks the
+    /// storage: consecutive segments keep every activation for a backward
+    /// walk, two alternating ones ping-pong an evaluation chunk.
     fn forward(
-        layers: &[DenseLayer],
-        wts: &[f64],
+        layers: &[Layer],
+        params: &[f64],
+        mut wts: Transposed<'_>,
         x: &[f64],
         rows: usize,
         acts: &mut [f64],
         starts: &[usize],
     ) {
         let mut woff = 0;
-        for (l, layer) in layers.iter().enumerate() {
-            let (in_w, out_w) = (layer.in_width(), layer.out_width());
+        for (l, &layer) in layers.iter().enumerate() {
+            let (in_w, out_w) = (layer.in_width, layer.out_width);
+            let len = layer.weight_len();
+            let wt: &[f64] = match &mut wts {
+                Transposed::All(all) => &all[woff..woff + len],
+                Transposed::EachLayer(scratch) => {
+                    transpose(&params[layer.weights()], &mut scratch[..len], out_w, in_w);
+                    &scratch[..len]
+                }
+            };
+            woff += len;
             let (input, out) = if l == 0 {
                 (x, &mut acts[starts[0]..starts[0] + rows * out_w])
             } else {
@@ -240,16 +322,8 @@ impl Mlp {
                     (&tail[..rows * in_w], &mut head[write..write + rows * out_w])
                 }
             };
-            gemm_nn(
-                input,
-                &wts[woff..woff + in_w * out_w],
-                out,
-                rows,
-                out_w,
-                in_w,
-            );
-            woff += in_w * out_w;
-            add_row_bias(out, &layer.bias, rows);
+            gemm_nn(input, wt, out, rows, out_w, in_w);
+            add_row_bias(out, &params[layer.bias()], rows);
             if l + 1 < layers.len() {
                 relu_batch_in_place(out);
             }
@@ -258,34 +332,37 @@ impl Mlp {
 
     /// The training pass over one mini-batch, shared by the gradient oracle
     /// and the fused SGD step: gather, [`Mlp::forward`] keeping every
-    /// activation, the softmax cross-entropy head, then the backward walk.
+    /// activation (each layer transposed just before its GEMM, into scratch
+    /// the size of the largest layer), the softmax cross-entropy head, then
+    /// the backward walk.
     ///
     /// Per layer, last to first, the walk sends `δ` through the layer's
     /// weights *as they were on entry* (`δ_prev = δ · W`, masked by the
-    /// previous layer's ReLU) and only then calls `land(layers, l, δ, input)`,
-    /// which puts the layer's `δᵀ · input` and `Σ δ` wherever its caller
-    /// wants them — a gradient block, or the layer's own parameters. The two
-    /// callers differ in nothing else; `L` is `&[DenseLayer]` for the one
-    /// that only reads the model and `&mut [DenseLayer]` for the one that
-    /// steps it, handed back to `land` between the walk's own reads.
+    /// previous layer's ReLU) and only then calls `land(params, layer, δ,
+    /// input)`, which puts the layer's `δᵀ · input` and `Σ δ` wherever its
+    /// caller wants them — a gradient block, or the layer's own parameters.
+    /// The two callers differ in nothing else; `P` is `&[f64]` for the one
+    /// that only reads the model and `&mut [f64]` for the one that steps it,
+    /// handed back to `land` between the walk's own reads.
     ///
     /// Returns the mean batch loss, [`Mlp::l2_penalty`] of the entry weights
     /// included. Every buffer comes from `ws` and is back in it on return.
-    fn batch_pass<L: Deref<Target = [DenseLayer]>>(
-        mut layers: L,
+    fn batch_pass<P: Deref<Target = [f64]>>(
+        layers: &[Layer],
+        mut params: P,
         l2: f64,
         data: &Dataset,
         indices: &[usize],
         ws: &mut Workspace,
-        mut land: impl FnMut(&mut L, usize, &[f64], &[f64]),
+        mut land: impl FnMut(&mut P, Layer, &[f64], &[f64]),
     ) -> f64 {
         assert!(!indices.is_empty(), "gradient over an empty batch");
-        let d = layers[0].in_width();
+        let d = layers[0].in_width;
         assert_eq!(data.num_features(), d, "dataset feature dimension mismatch");
         let bsz = indices.len();
         let inv_n = 1.0 / bsz as f64;
         let depth = layers.len();
-        let k = layers[depth - 1].out_width();
+        let k = layers[depth - 1].out_width;
 
         let mut x = ws.take(bsz * d);
         let mut labels = ws.take_indices(bsz);
@@ -295,26 +372,27 @@ impl Mlp {
         }
         let mut starts = ws.take_indices(depth);
         let mut total = 0;
-        for layer in layers.iter() {
+        for layer in layers {
             starts.push(total);
-            total += bsz * layer.out_width();
+            total += bsz * layer.out_width;
         }
         let mut acts = ws.take(total);
-        let wts = Self::transpose_weights(&layers, ws);
-        Self::forward(&layers, &wts, &x, bsz, &mut acts, &starts);
+        let mut wt = ws.take(layers.iter().map(|l| l.weight_len()).max().unwrap_or(0));
+        let each = Transposed::EachLayer(&mut wt);
+        Self::forward(layers, &params, each, &x, bsz, &mut acts, &starts);
 
         // Head: logits → δ = (softmax − onehot) / B, in place.
         let logits = &mut acts[starts[depth - 1]..];
         let loss_sum = softmax_cross_entropy_batch(logits, &labels, k, inv_n);
-        let loss = loss_sum * inv_n + Self::l2_penalty(&layers, l2);
+        let loss = loss_sum * inv_n + Self::l2_penalty(layers, &params, l2);
 
         // Backward walk with two ping-pong delta buffers.
-        let maxw = Self::max_width(&layers);
+        let maxw = Self::max_width(layers);
         let mut cur = ws.take(bsz * maxw);
         let mut nxt = ws.take(bsz * maxw);
         cur[..bsz * k].copy_from_slice(&acts[starts[depth - 1]..]);
-        for l in (0..depth).rev() {
-            let (in_w, out_w) = (layers[l].in_width(), layers[l].out_width());
+        for (l, &layer) in layers.iter().enumerate().rev() {
+            let (in_w, out_w) = (layer.in_width, layer.out_width);
             let input = if l == 0 {
                 &x[..]
             } else {
@@ -324,7 +402,7 @@ impl Mlp {
             if l > 0 {
                 gemm_nn(
                     delta,
-                    layers[l].weights.as_slice(),
+                    &params[layer.weights()],
                     &mut nxt[..bsz * in_w],
                     bsz,
                     in_w,
@@ -332,7 +410,7 @@ impl Mlp {
                 );
                 relu_backward_batch(&mut nxt[..bsz * in_w], input);
             }
-            land(&mut layers, l, delta, input);
+            land(&mut params, layer, delta, input);
             if l > 0 {
                 std::mem::swap(&mut cur, &mut nxt);
             }
@@ -340,7 +418,7 @@ impl Mlp {
 
         ws.give(x);
         ws.give(acts);
-        ws.give(wts);
+        ws.give(wt);
         ws.give(cur);
         ws.give(nxt);
         ws.give_indices(labels);
@@ -352,48 +430,27 @@ impl Mlp {
 impl Mlp {
     /// Total number of scalar parameters `q` (the transmitted dimension).
     pub fn num_params(&self) -> usize {
-        self.layers.iter().map(|l| l.num_params()).sum()
+        self.params.dim()
     }
 
-    /// Flatten the current parameters (allocates; [`Mlp::params_into`] is
-    /// the zero-alloc counterpart).
-    pub fn params(&self) -> FlatParams {
-        let mut out = FlatParams::zeros(self.num_params());
-        self.params_into(&mut out);
-        out
+    /// The parameters, flattened in wire order (borrowed: the model stores
+    /// them this way).
+    pub fn params(&self) -> &FlatParams {
+        &self.params
     }
 
-    /// Write the current parameters into a pre-sized flat vector. Panics on
+    /// The parameters, mutably, for an in-place update of the whole vector
+    /// (Eq. (10)'s global step). Their length is the model's: a resize
+    /// panics at the next pass.
+    pub fn params_mut(&mut self) -> &mut FlatParams {
+        &mut self.params
+    }
+
+    /// Overwrite the parameters from a flat vector (one copy). Panics on
     /// dimension mismatch.
-    pub fn params_into(&self, out: &mut FlatParams) {
-        assert_eq!(out.dim(), self.num_params(), "parameter size mismatch");
-        let mut offset = 0;
-        for l in &self.layers {
-            let wlen = l.weights.rows() * l.weights.cols();
-            out.0[offset..offset + wlen].copy_from_slice(l.weights.as_slice());
-            offset += wlen;
-            out.0[offset..offset + l.bias.len()].copy_from_slice(&l.bias);
-            offset += l.bias.len();
-        }
-        debug_assert_eq!(offset, out.dim());
-    }
-
-    /// Overwrite the parameters from a flat vector. Panics on dimension
-    /// mismatch.
     pub fn set_params(&mut self, params: &FlatParams) {
         assert_eq!(params.dim(), self.num_params(), "parameter size mismatch");
-        let mut offset = 0;
-        for l in &mut self.layers {
-            let wlen = l.weights.rows() * l.weights.cols();
-            l.weights
-                .as_mut_slice()
-                .copy_from_slice(&params.0[offset..offset + wlen]);
-            offset += wlen;
-            let blen = l.bias.len();
-            l.bias.copy_from_slice(&params.0[offset..offset + blen]);
-            offset += blen;
-        }
-        debug_assert_eq!(offset, params.dim());
+        self.params.0.copy_from_slice(&params.0);
     }
 
     /// Average loss and average gradient over the given sample indices
@@ -416,32 +473,25 @@ impl Mlp {
         ws: &mut Workspace,
         grad: &mut FlatParams,
     ) -> f64 {
-        assert_eq!(grad.dim(), self.num_params(), "gradient size mismatch");
+        let params = self.checked_params();
+        assert_eq!(grad.dim(), params.len(), "gradient size mismatch");
         let (l2, bsz) = (self.l2, indices.len());
-        let land = |layers: &mut &[DenseLayer], l: usize, delta: &[f64], input: &[f64]| {
+        let land = |params: &mut &[f64], layer: Layer, delta: &[f64], input: &[f64]| {
             // ∇W = δᵀ · X + l2 · W and ∇b = Σ δ into the layer's block of
-            // the flat gradient: the accumulating kernels at α = 1 over a
-            // zero fill (`1.0 * x` is exact, so this is the plain product).
-            let layer = &layers[l];
-            let offset: usize = layers[..l].iter().map(|x| x.num_params()).sum();
-            let block = &mut grad.0[offset..offset + layer.num_params()];
+            // the flat gradient, which has the parameters' layout: the
+            // accumulating kernels at α = 1 over a zero fill (`1.0 * x` is
+            // exact, so this is the plain product).
+            let block = &mut grad.0[layer.offset..layer.end()];
             block.fill(0.0);
-            let (gw, gb) = block.split_at_mut(layer.out_width() * layer.in_width());
-            gemm_tn_acc(
-                delta,
-                input,
-                gw,
-                layer.out_width(),
-                layer.in_width(),
-                bsz,
-                1.0,
-            );
+            let (gw, gb) = block.split_at_mut(layer.weight_len());
+            let (out_w, in_w) = (layer.out_width, layer.in_width);
+            gemm_tn_acc(delta, input, gw, out_w, in_w, bsz, 1.0);
             col_sums_acc(delta, bsz, gb, 1.0);
             if l2 > 0.0 {
-                axpy(l2, layer.weights.as_slice(), gw);
+                axpy(l2, &params[layer.weights()], gw);
             }
         };
-        Self::batch_pass(&self.layers[..], l2, data, indices, ws, land)
+        Self::batch_pass(&self.layers, params, l2, data, indices, ws, land)
     }
 
     /// One fused mini-batch SGD step `w ← w − γ · ∇f(w)`: the forward pass,
@@ -456,32 +506,32 @@ impl Mlp {
         learning_rate: f64,
         ws: &mut Workspace,
     ) -> f64 {
+        self.checked_params();
         let (l2, bsz) = (self.l2, indices.len());
-        let land = |layers: &mut &mut [DenseLayer], l: usize, delta: &[f64], input: &[f64]| {
-            let layer = &mut layers[l];
-            let (in_w, out_w) = (layer.in_width(), layer.out_width());
+        let land = |params: &mut &mut [f64], layer: Layer, delta: &[f64], input: &[f64]| {
+            let (in_w, out_w) = (layer.in_width, layer.out_width);
+            let weights = &mut params[layer.weights()];
             // The −γ · l2 · W part of the step, applied to the old weights.
             if l2 > 0.0 {
-                layer.weights.scale(1.0 - learning_rate * l2);
+                let shrink = 1.0 - learning_rate * l2;
+                weights.iter_mut().for_each(|w| *w *= shrink);
             }
             // Fused update: W += −γ · δᵀ · X, b += −γ · Σ δ.
-            gemm_tn_acc(
-                delta,
-                input,
-                layer.weights.as_mut_slice(),
-                out_w,
-                in_w,
-                bsz,
-                -learning_rate,
-            );
-            col_sums_acc(delta, bsz, &mut layer.bias, -learning_rate);
+            gemm_tn_acc(delta, input, weights, out_w, in_w, bsz, -learning_rate);
+            col_sums_acc(delta, bsz, &mut params[layer.bias()], -learning_rate);
         };
-        Self::batch_pass(&mut self.layers[..], l2, data, indices, ws, land)
+        let params = self.params.as_mut_slice();
+        Self::batch_pass(&self.layers, params, l2, data, indices, ws, land)
     }
 
     /// Mean loss and accuracy over an entire dataset in one batched forward
     /// pass over the dataset's contiguous feature matrix (no per-sample
     /// gather, no gradient work). Both are 0 for an empty dataset.
+    ///
+    /// Every layer is transposed once per call. The rows run in loss windows
+    /// of `EVAL_CHUNK`, each forwarded in sub-chunks of `EVAL_ROWS` rows with
+    /// one running loss sum across the window, so the activations stay a
+    /// few sub-chunks wide.
     pub fn evaluate_ws(&self, data: &Dataset, ws: &mut Workspace) -> EvalStats {
         if data.is_empty() {
             return EvalStats {
@@ -489,39 +539,43 @@ impl Mlp {
                 accuracy: 0.0,
             };
         }
-        let d = self.layers[0].in_width();
+        let (layers, params) = (&self.layers[..], self.checked_params());
+        let d = layers[0].in_width;
         assert_eq!(data.num_features(), d, "dataset feature dimension mismatch");
         let n = data.len();
-        let depth = self.layers.len();
-        let k = self.layers[depth - 1].out_width();
+        let depth = layers.len();
+        let k = layers[depth - 1].out_width;
         // Two alternating segments: layer `l` overwrites layer `l − 2`'s
         // output, which nothing reads any more.
-        let half = EVAL_CHUNK.min(n) * Self::max_width(&self.layers);
+        let half = EVAL_ROWS.min(n) * Self::max_width(layers);
         let mut starts = ws.take_indices(depth);
         starts.extend((0..depth).map(|l| (l % 2) * half));
         let mut acts = ws.take(2 * half);
-        // Transpose every layer's weights once for the whole evaluation.
-        let wts = Self::transpose_weights(&self.layers, ws);
-        // Every chunk reads the dataset's feature matrix in place.
-        let features = data.features();
+        let wts = Self::transpose_all(layers, params, ws);
+        // Every sub-chunk reads the dataset's feature matrix in place.
+        let (features, labels) = (data.features(), data.labels());
         let mut loss_sum = 0.0;
         let mut correct = 0usize;
-        let mut r0 = 0;
-        while r0 < n {
-            let rows = (n - r0).min(EVAL_CHUNK);
-            let x = &features[r0 * d..(r0 + rows) * d];
-            Self::forward(&self.layers, &wts, x, rows, &mut acts, &starts);
-            let logits = &acts[starts[depth - 1]..starts[depth - 1] + rows * k];
-            let (l, c) = eval_logits_batch(logits, &data.labels()[r0..r0 + rows], k);
-            loss_sum += l;
-            correct += c;
-            r0 += rows;
+        for w0 in (0..n).step_by(EVAL_CHUNK) {
+            let w1 = (w0 + EVAL_CHUNK).min(n);
+            let mut window_loss = 0.0;
+            for r0 in (w0..w1).step_by(EVAL_ROWS) {
+                let rows = (w1 - r0).min(EVAL_ROWS);
+                let x = &features[r0 * d..(r0 + rows) * d];
+                let all = Transposed::All(&wts);
+                Self::forward(layers, params, all, x, rows, &mut acts, &starts);
+                let logits = &acts[starts[depth - 1]..starts[depth - 1] + rows * k];
+                let (l, c) = eval_logits_batch(logits, &labels[r0..r0 + rows], k, window_loss);
+                window_loss = l;
+                correct += c;
+            }
+            loss_sum += window_loss;
         }
         ws.give(acts);
         ws.give(wts);
         ws.give_indices(starts);
         EvalStats {
-            loss: loss_sum / n as f64 + Self::l2_penalty(&self.layers, self.l2),
+            loss: loss_sum / n as f64 + Self::l2_penalty(layers, params, self.l2),
             accuracy: correct as f64 / n as f64,
         }
     }
@@ -592,19 +646,15 @@ mod tests {
     /// Overwrite every parameter with a small Gaussian draw, so that a
     /// zero-initialised model has non-trivial gradients and a non-zero L2 term.
     fn randomise(m: &mut Mlp, std: f64, rng: &mut Rng64) {
-        let mut p = m.params();
-        for v in p.0.iter_mut() {
+        for v in m.params_mut().0.iter_mut() {
             *v = rng.gaussian_with(0.0, std);
         }
-        m.set_params(&p);
     }
 
-    /// `w ← w − γ · g` through the allocating params/axpy/set_params
-    /// round-trip: the unfused step the fused one is compared with.
+    /// `w ← w − γ · g` as a plain axpy on the flat parameters: the unfused
+    /// step the fused one is compared with.
     fn step(m: &mut Mlp, learning_rate: f64, grad: &FlatParams) {
-        let mut p = m.params();
-        p.axpy(-learning_rate, grad);
-        m.set_params(&p);
+        m.params_mut().axpy(-learning_rate, grad);
     }
 
     fn evaluate(m: &Mlp, data: &Dataset) -> EvalStats {
@@ -615,27 +665,27 @@ mod tests {
     fn logreg_param_roundtrip() {
         let data = toy_data();
         let mut m = Mlp::logistic_regression(data.num_features(), data.num_classes());
-        let mut p = m.params();
+        let mut p = m.params().clone();
         assert_eq!(p.dim(), m.num_params());
         assert_eq!(p.dim(), (data.num_features() + 1) * data.num_classes());
         let last = p.dim() - 1;
         p.0[0] = 3.5;
         p.0[last] = -1.25;
         m.set_params(&p);
-        assert_eq!(m.params(), p);
+        assert_eq!(m.params(), &p);
     }
 
     #[test]
     fn mlp_param_roundtrip() {
         let mut rng = Rng64::seed_from(1);
         let mut m = Mlp::new(8, &[5, 4], 3, &mut rng);
-        let p = m.params();
+        let p = m.params().clone();
         assert_eq!(p.dim(), m.num_params());
         assert_eq!(p.dim(), (8 * 5 + 5) + (5 * 4 + 4) + (4 * 3 + 3));
         let mut q = p.clone();
         q.scale(0.5);
         m.set_params(&q);
-        assert_eq!(m.params(), q);
+        assert_eq!(m.params(), &q);
     }
 
     /// Central differences of the batch loss (through `loss_and_gradient`:
@@ -806,6 +856,113 @@ mod tests {
         assert!((stats.accuracy - correct / data.len() as f64).abs() < 1e-12);
     }
 
+    const KINDS: [ModelKind; 5] = [
+        ModelKind::PaperLr,
+        ModelKind::CnnMnist,
+        ModelKind::CnnCifar,
+        ModelKind::Vgg16,
+        ModelKind::ConvexLr,
+    ];
+
+    /// 600 rows of the 100-class, 128-feature ImageNet stand-in.
+    fn hundred_class_data(rng: &mut Rng64) -> Dataset {
+        SyntheticSpec::imagenet100_like()
+            .with_samples_per_class(6)
+            .generate(rng)
+    }
+
+    /// Evaluation as one forward walk per 256-row loss window, each window's
+    /// loss summed from 0 in row order and the windows' sums added in order.
+    /// The window is a literal: the evaluated loss's bits are pinned to it.
+    fn evaluate_whole_windows(m: &Mlp, data: &Dataset) -> EvalStats {
+        const WINDOW: usize = 256;
+        let (layers, params) = (&m.layers[..], m.params.as_slice());
+        let (n, d, depth) = (data.len(), data.num_features(), m.depth());
+        let k = layers[depth - 1].out_width;
+        let half = WINDOW * Mlp::max_width(layers);
+        let starts: Vec<usize> = (0..depth).map(|l| (l % 2) * half).collect();
+        let mut acts = vec![0.0; 2 * half];
+        let wts = Mlp::transpose_all(layers, params, &mut Workspace::new());
+        let (mut loss_sum, mut correct) = (0.0, 0);
+        for r0 in (0..n).step_by(WINDOW) {
+            let rows = (n - r0).min(WINDOW);
+            let x = &data.features()[r0 * d..(r0 + rows) * d];
+            Mlp::forward(
+                layers,
+                params,
+                Transposed::All(&wts),
+                x,
+                rows,
+                &mut acts,
+                &starts,
+            );
+            let logits = &acts[starts[depth - 1]..starts[depth - 1] + rows * k];
+            let (l, c) = eval_logits_batch(logits, &data.labels()[r0..r0 + rows], k, 0.0);
+            loss_sum += l;
+            correct += c;
+        }
+        EvalStats {
+            loss: loss_sum / n as f64 + Mlp::l2_penalty(layers, params, m.l2),
+            accuracy: correct as f64 / n as f64,
+        }
+    }
+
+    /// Forwarding a loss window in `EVAL_ROWS`-row sub-chunks gives the bits
+    /// of forwarding it whole, for every model kind and for datasets that
+    /// end on, before and after a sub-chunk and a window boundary.
+    #[test]
+    fn sub_chunked_evaluation_equals_whole_window_forwards() {
+        let mut rng = Rng64::seed_from(24);
+        let data = hundred_class_data(&mut rng);
+        for kind in KINDS {
+            let mut m = *kind.build(data.num_features(), data.num_classes(), &mut rng);
+            // The convex model starts at zero, where every row's loss ties.
+            randomise(&mut m, 0.1, &mut rng);
+            for n in [1, 31, 32, 33, 255, 256, 257, 600] {
+                let window = data.subset(&(0..n).collect::<Vec<_>>());
+                let (got, want) = (evaluate(&m, &window), evaluate_whole_windows(&m, &window));
+                let tag = format!("{kind:?}, {n} rows");
+                assert_eq!(got.loss.to_bits(), want.loss.to_bits(), "{tag}: loss");
+                assert_eq!(got.accuracy, want.accuracy, "{tag}: accuracy");
+            }
+        }
+    }
+
+    /// A workspace that ran a local update and an evaluation holds no buffer
+    /// of the model's size: training transposes one layer at a time (so with
+    /// more than one layer no buffer holds every layer's weights), and
+    /// evaluation forwards `EVAL_ROWS` rows at a time.
+    #[test]
+    fn no_workspace_buffer_reaches_the_model_size() {
+        use crate::optimizer::{local_update_ws, SgdConfig};
+        let mut rng = Rng64::seed_from(25);
+        let data = hundred_class_data(&mut rng);
+        let cfg = SgdConfig {
+            learning_rate: 0.1,
+            batch_size: 16,
+            local_epochs: 1,
+        };
+        for kind in KINDS {
+            let mut m = *kind.build(data.num_features(), data.num_classes(), &mut rng);
+            let mut ws = Workspace::new();
+            local_update_ws(&mut m, &data, &cfg, &mut rng, &mut ws);
+            let weights: usize = m.layers.iter().map(|l| l.weight_len()).sum();
+            if m.depth() > 1 {
+                let largest = ws.largest_buffer();
+                assert!(
+                    largest < weights,
+                    "{kind:?}: {largest} ≥ {weights} after training"
+                );
+            }
+            m.evaluate_ws(&data, &mut ws);
+            let (largest, q) = (ws.largest_buffer(), m.num_params());
+            assert!(
+                largest < q,
+                "{kind:?}: {largest} ≥ q = {q} after evaluating"
+            );
+        }
+    }
+
     #[test]
     fn evaluation_includes_l2_term_like_training_loss() {
         let data = toy_data();
@@ -822,7 +979,7 @@ mod tests {
             // … and the term is there at all: it is what `with_l2` adds.
             let bare = evaluate(&m.clone().with_l2(0.0), &data).loss;
             let norm_sq: f64 = (0..m.depth())
-                .map(|l| m.layer_weights(l).frobenius_sq())
+                .map(|l| norm_sq(m.layer_weights(l).as_slice()))
                 .sum();
             assert!(norm_sq > 1.0);
             assert!((eval_loss - bare - 0.5 * 0.05 * norm_sq).abs() < 1e-10);
@@ -866,7 +1023,7 @@ mod tests {
         // The seed-stream contract: the zero-initialised model draws nothing.
         let mut untouched = rng.clone();
         let convex = ModelKind::ConvexLr.build(64, 10, &mut rng);
-        assert_eq!(convex.params(), FlatParams::zeros(64 * 10 + 10));
+        assert_eq!(convex.params(), &FlatParams::zeros(64 * 10 + 10));
         assert_eq!(rng.next_u64(), untouched.next_u64());
     }
 

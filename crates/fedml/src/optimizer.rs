@@ -9,7 +9,6 @@
 
 use crate::dataset::Dataset;
 use crate::model::Mlp;
-use crate::params::FlatParams;
 use crate::rng::Rng64;
 use crate::workspace::Workspace;
 use serde::{Deserialize, Serialize};
@@ -83,31 +82,11 @@ pub fn local_update_ws(
     loss_sum / batches as f64
 }
 
-/// Starting from `global`, compute the parameters a worker would hold after
-/// its local update. This is the form used by the mechanism simulators, which
-/// keep per-worker parameter vectors and load them into a model object only
-/// to train: the resulting local parameters are written into `out` (pre-sized
-/// to the model dimension) and all scratch comes from `ws`, so the per-round
-/// worker loop of the mechanism engines allocates nothing in steady state.
-pub fn local_update_from_ws(
-    template: &mut Mlp,
-    global: &FlatParams,
-    shard: &Dataset,
-    cfg: &SgdConfig,
-    rng: &mut Rng64,
-    ws: &mut Workspace,
-    out: &mut FlatParams,
-) -> f64 {
-    template.set_params(global);
-    let loss = local_update_ws(template, shard, cfg, rng, ws);
-    template.params_into(out);
-    loss
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::SyntheticSpec;
+    use crate::params::FlatParams;
 
     fn toy() -> Dataset {
         let mut rng = Rng64::seed_from(77);
@@ -142,13 +121,14 @@ mod tests {
         let mut rng = Rng64::seed_from(2);
         let mut m = logreg(&data);
         let global = FlatParams::zeros(m.num_params());
-        let mut local = FlatParams::zeros(m.num_params());
         let cfg = SgdConfig::default();
-        let mut ws = Workspace::new();
-        local_update_from_ws(&mut m, &global, &data, &cfg, &mut rng, &mut ws, &mut local);
-        assert_eq!(global, FlatParams::zeros(local.dim()));
-        assert!(local.norm_sq() > 0.0, "local update should move parameters");
-        assert_eq!(m.params(), local);
+        m.set_params(&global);
+        local_update_ws(&mut m, &data, &cfg, &mut rng, &mut Workspace::new());
+        assert_eq!(global, FlatParams::zeros(m.num_params()));
+        assert!(
+            m.params().norm_sq() > 0.0,
+            "local update should move parameters"
+        );
     }
 
     /// Eq. (4) to the letter: a batch size beyond the shard is one
@@ -166,7 +146,7 @@ mod tests {
         };
         let all: Vec<usize> = (0..data.len()).collect();
         let (loss_before, g) = m.loss_and_gradient(&data, &all);
-        let mut expected = m.params();
+        let mut expected = m.params().clone();
         expected.axpy(-0.1, &g);
         let loss = local_update_ws(&mut m, &data, &cfg, &mut rng, &mut Workspace::new());
         assert!((loss - loss_before).abs() < 1e-12);

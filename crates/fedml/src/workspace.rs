@@ -105,6 +105,13 @@ impl Workspace {
     pub(crate) fn pooled_buffers(&self) -> usize {
         self.free_f64.len()
     }
+
+    /// Capacity of the largest pooled `f64` buffer (0 when none is) — used
+    /// by the scratch-size tests.
+    #[cfg(test)]
+    pub(crate) fn largest_buffer(&self) -> usize {
+        self.free_f64.iter().map(Vec::capacity).max().unwrap_or(0)
+    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! House rules rustc and clippy cannot state: every member opts into the
-//! workspace lints, every RNG seed or fork salt is a named stream, and every
-//! durable write goes through one function.
+//! workspace lints, every RNG seed or fork salt is a named stream, every
+//! durable write goes through one function, and a run clones its models in
+//! two places.
 
 use std::{collections::BTreeSet, fs, path::Path};
 
@@ -99,6 +100,43 @@ fn durable_writes_go_through_telemetry_write_atomic() {
         ("telemetry/src/lib.rs", "sync_all("),
     ];
     assert_eq!(sites, want.map(|(file, call)| (file.to_string(), call)));
+}
+
+/// A run holds one model per pool row and one global model, so in the
+/// library sources of `airfedga` and `baselines` a model is cloned from the
+/// system's initial one (`fresh_model()`, whose body is the one
+/// `template.clone()`) only in `Server::new` and in the pool's row growth. A
+/// per-lane or per-evaluation model copy would be a third site.
+#[test]
+fn models_are_cloned_only_for_the_global_model_and_pool_rows() {
+    let mut sites = Vec::new();
+    for (rel, src) in library_sources() {
+        if !(rel.starts_with("airfedga/") || rel.starts_with("baselines/")) {
+            continue;
+        }
+        let mut within = String::new();
+        for line in before_tests(&src).lines() {
+            let code = line.trim_start();
+            let code = code.strip_prefix("pub(crate) ").unwrap_or(code);
+            let code = code.strip_prefix("pub ").unwrap_or(code);
+            if let Some(head) = code.strip_prefix("fn ") {
+                within = head[..head.find(['(', '<']).unwrap_or(head.len())].to_string();
+            }
+            for call in ["fresh_model()", "template.clone()"] {
+                if !code.starts_with("//") && code.contains(call) {
+                    sites.push((rel.clone(), within.clone(), call));
+                }
+            }
+        }
+    }
+    sites.sort();
+    let want = [
+        ("airfedga/src/server.rs", "new", "fresh_model()"),
+        ("airfedga/src/system.rs", "fresh_model", "template.clone()"),
+        ("airfedga/src/worker_pool.rs", "grow_rows", "fresh_model()"),
+    ];
+    let want = want.map(|(file, within, call)| (file.to_string(), within.to_string(), call));
+    assert_eq!(sites, want);
 }
 
 /// Every trait declared in library source, the serde stand-ins of

@@ -279,11 +279,9 @@ fn batched_logreg_matches_per_sample_reference() {
         let l2 = random_l2(&mut rng);
         let mut model =
             Mlp::logistic_regression(data.num_features(), data.num_classes()).with_l2(l2);
-        let mut p = model.params();
-        for v in p.0.iter_mut() {
+        for v in model.params_mut().0.iter_mut() {
             *v = rng.gaussian_with(0.0, 0.3);
         }
-        model.set_params(&p);
         assert_matches_per_sample_reference(case, &model, &data, &mut rng);
     }
 }
@@ -640,7 +638,7 @@ fn worker_pool_norm_cache_matches_recomputation() {
     let n = system.num_workers();
     for parallel in [false, true] {
         let mut pool = WorkerPool::new(&system, &mut Rng64::seed_from(7105));
-        let mut dispatch = system.template.params();
+        let mut dispatch = system.template.params().clone();
         let mut rng = Rng64::seed_from(7106);
         for round in 0..4 {
             let members: Vec<usize> = (0..n).filter(|_| rng.uniform() < 0.6).collect();
@@ -661,13 +659,13 @@ fn worker_pool_norm_cache_matches_recomputation() {
 
 /// Whatever buffers `WorkerPool` keeps a round's locals in, each member's
 /// `local(w)` and `local_norm_sq(w)` are the bits of a direct
-/// `local_update_from_ws` from the dispatched model on the worker's own
+/// `set_params` + `local_update_ws` from the dispatched model on the worker's own
 /// stream — forked as `WorkerPool::new` forks it (`fork(w)` in worker order)
 /// and advanced only by the rounds the worker trained in — over random member
 /// subsets, parallel and sequential.
 #[test]
 fn worker_pool_locals_match_direct_updates_on_own_streams() {
-    use air_fedga::fedml::optimizer::local_update_from_ws;
+    use air_fedga::fedml::optimizer::local_update_ws;
     let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(7130));
     let n = system.num_workers();
     let sgd = &system.config.sgd;
@@ -676,8 +674,7 @@ fn worker_pool_locals_match_direct_updates_on_own_streams() {
         let mut fork_rng = Rng64::seed_from(7131);
         let mut streams: Vec<Rng64> = (0..n).map(|w| fork_rng.fork(w as u64)).collect();
         let (mut model, mut ws) = (system.fresh_model(), Workspace::new());
-        let mut want = FlatParams::zeros(system.model_dim());
-        let mut dispatch = system.template.params();
+        let mut dispatch = system.template.params().clone();
         let mut rng = Rng64::seed_from(7132);
         for round in 0..5 {
             let mut members: Vec<usize> = (0..n).filter(|_| rng.uniform() < 0.5).collect();
@@ -686,15 +683,9 @@ fn worker_pool_locals_match_direct_updates_on_own_streams() {
             for &w in &members {
                 let shard = &system.shards[w];
                 let stream = &mut streams[w];
-                local_update_from_ws(
-                    model.as_mut(),
-                    &dispatch,
-                    shard,
-                    sgd,
-                    stream,
-                    &mut ws,
-                    &mut want,
-                );
+                model.set_params(&dispatch);
+                local_update_ws(&mut model, shard, sgd, stream, &mut ws);
+                let want = model.params();
                 let tag = format!("parallel {parallel}, round {round}, worker {w}");
                 assert_eq!(
                     pool.local_norm_sq(w).to_bits(),
@@ -718,11 +709,12 @@ fn worker_pool_locals_match_direct_updates_on_own_streams() {
 /// trained worker `a` and evaluated the test set trains worker `b` to the
 /// bits fresh scratch gives — for every model kind, and across shards of
 /// different lengths (the stale buffers have other shapes). `WorkerPool`
-/// shares one model and workspace per training lane on this invariant.
+/// rests on this invariant: a row's model trains whichever member holds the
+/// row this round, and a lane's workspace serves every member of its run.
 #[test]
 fn reused_training_scratch_gives_the_bits_of_fresh_scratch() {
     use air_fedga::fedml::model::ModelKind;
-    use air_fedga::fedml::optimizer::local_update_from_ws;
+    use air_fedga::fedml::optimizer::local_update_ws;
     for kind in [
         ModelKind::PaperLr,
         ModelKind::CnnMnist,
@@ -737,15 +729,14 @@ fn reused_training_scratch_gives_the_bits_of_fresh_scratch() {
         let sgd = &system.config.sgd;
         // `a` trains from another start than `b`, so `b`'s `set_params` has
         // something to overwrite.
-        let start_b = system.template.params();
+        let start_b = system.template.params().clone();
         let start_a = FlatParams(start_b.0.iter().map(|x| 0.5 * x + 0.01).collect());
         // Worker `w`'s update from `start`, drawing from `w`'s own stream.
         let train = |model: &mut Mlp, start: &FlatParams, w: usize, ws: &mut Workspace| {
-            let mut local = FlatParams::zeros(system.model_dim());
             let rng = &mut Rng64::seed_from(7121 + w as u64);
-            let loss =
-                local_update_from_ws(model, start, &system.shards[w], sgd, rng, ws, &mut local);
-            (loss, local)
+            model.set_params(start);
+            let loss = local_update_ws(model, &system.shards[w], sgd, rng, ws);
+            (loss, model.params().clone())
         };
         let pairs: Vec<(usize, usize)> = (0..4)
             .flat_map(|a| (0..4).map(move |b| (a, b)))

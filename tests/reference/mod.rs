@@ -19,7 +19,7 @@
 //! code with the batched implementation.
 
 use fedml::dataset::Dataset;
-use fedml::linalg::Matrix;
+use fedml::linalg::{norm_sq, Matrix, MatrixView};
 use fedml::model::Mlp;
 use fedml::optimizer::SgdConfig;
 use fedml::params::FlatParams;
@@ -27,7 +27,7 @@ use fedml::rng::Rng64;
 use wireless::aircomp::{air_aggregate_into, AirAggregationInput, AirAggregationScratch};
 
 /// `y = m x`, the matrix–vector product (`x.len() == m.cols()`).
-fn matvec(m: &Matrix, x: &[f64]) -> Vec<f64> {
+fn matvec(m: MatrixView<'_>, x: &[f64]) -> Vec<f64> {
     assert_eq!(x.len(), m.cols(), "matvec dimension mismatch");
     let mut y = vec![0.0; m.rows()];
     for (yv, row) in y.iter_mut().zip(m.as_slice().chunks_exact(m.cols())) {
@@ -41,7 +41,7 @@ fn matvec(m: &Matrix, x: &[f64]) -> Vec<f64> {
 }
 
 /// `y = mᵀ x`, the transposed matrix–vector product (`x.len() == m.rows()`).
-fn matvec_transposed(m: &Matrix, x: &[f64]) -> Vec<f64> {
+fn matvec_transposed(m: MatrixView<'_>, x: &[f64]) -> Vec<f64> {
     assert_eq!(x.len(), m.rows(), "matvec_transposed dimension mismatch");
     let mut y = vec![0.0; m.cols()];
     for (row, &xr) in m.as_slice().chunks_exact(m.cols()).zip(x.iter()) {
@@ -135,7 +135,7 @@ fn mlp_forward_trace(model: &Mlp, x: &[f64]) -> (Vec<Vec<f64>>, Vec<Vec<bool>>, 
 /// matrices only, not biases).
 fn l2_penalty(model: &Mlp) -> f64 {
     let norm_sq: f64 = (0..model.depth())
-        .map(|l| model.layer_weights(l).frobenius_sq())
+        .map(|l| norm_sq(model.layer_weights(l).as_slice()))
         .sum();
     0.5 * model.l2() * norm_sq
 }
@@ -217,8 +217,8 @@ pub fn mlp_evaluate(model: &Mlp, data: &Dataset) -> (f64, f64) {
 }
 
 /// The seed's per-sample local SGD step: per mini-batch it runs
-/// [`mlp_loss_and_gradient`] and applies the update through the allocating
-/// params/axpy/set_params round-trip.
+/// [`mlp_loss_and_gradient`] and applies the update as a plain axpy on the
+/// flat parameters.
 pub fn mlp_local_update_reference(
     model: &mut Mlp,
     shard: &Dataset,
@@ -235,9 +235,7 @@ pub fn mlp_local_update_reference(
         rng.shuffle(&mut order);
         for chunk in order.chunks(batch) {
             let (loss, grad) = mlp_loss_and_gradient(model, shard, chunk);
-            let mut p = model.params();
-            p.axpy(-cfg.learning_rate, &grad);
-            model.set_params(&p);
+            model.params_mut().axpy(-cfg.learning_rate, &grad);
             loss_sum += loss;
             batches += 1;
         }
@@ -346,23 +344,23 @@ mod tests {
 
     #[test]
     fn matvec_identity() {
-        let eye = Matrix::from_fn(3, 3, |r, c| if r == c { 1.0 } else { 0.0 });
+        let eye = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0];
         let x = vec![1.0, -2.0, 3.5];
-        assert_eq!(matvec(&eye, &x), x);
+        assert_eq!(matvec(MatrixView::new(3, 3, &eye), &x), x);
     }
 
     #[test]
     fn matvec_known_values() {
-        let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let y = matvec(&m, &[1.0, 0.0, -1.0]);
+        let m = MatrixView::new(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let y = matvec(m, &[1.0, 0.0, -1.0]);
         assert_eq!(y, vec![-2.0, -2.0]);
     }
 
     #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn matvec_rejects_bad_dims() {
-        let m = Matrix::zeros(2, 3);
-        let _ = matvec(&m, &[1.0, 2.0]);
+        let m = MatrixView::new(2, 3, &[0.0; 6]);
+        let _ = matvec(m, &[1.0, 2.0]);
     }
 
     #[test]
@@ -384,8 +382,8 @@ mod tests {
 
     #[test]
     fn matvec_transposed_matches_manual() {
-        let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let y = matvec_transposed(&m, &[2.0, -1.0]);
+        let m = MatrixView::new(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let y = matvec_transposed(m, &[2.0, -1.0]);
         assert_eq!(y, vec![2.0 - 4.0, 4.0 - 5.0, 6.0 - 6.0]);
     }
 
