@@ -240,6 +240,55 @@ mod tests {
         }
     }
 
+    /// A round in which every worker is down at dispatch: nobody is
+    /// selectable, so the server waits the slowest (slowdown-scaled,
+    /// deadline-capped) round of the whole population and skips. The churned
+    /// replays may never reach that fallback; this pins a trace that does.
+    #[test]
+    fn an_all_down_dispatch_waits_a_full_round_and_the_trace_is_pinned() {
+        let mut cfg = FlSystemConfig::mnist_lr_quick();
+        cfg.faults = faults::FaultSpec {
+            dropout_rate: 0.01,
+            mean_downtime: 400.0,
+            straggler_fraction: 0.3,
+            straggler_slowdown: 3.0,
+            deadline: Some(300.0),
+            ..faults::FaultSpec::none()
+        };
+        let system = cfg.build(&mut Rng64::seed_from(43));
+        let trace = Dynamic
+            .build(40, 1, None)
+            .run(&system, &mut Rng64::seed_from(44));
+        let n = system.num_workers();
+        let scaled = |w: usize| system.local_training_time(w) * system.faults.slowdown(w);
+        let full_wait = (0..n).map(scaled).fold(0.0_f64, f64::max).min(300.0);
+        let all_down = trace.faults.events.iter().filter(|e| {
+            let dispatch = e.time - full_wait;
+            (0..n).all(|w| !system.faults.available(w, dispatch))
+        });
+        assert_eq!(all_down.count(), 9, "dispatches with every worker down");
+        // FNV-1a over every float of the trace, points then skip times.
+        let points = trace.points().iter();
+        let floats = points.flat_map(|p| [p.time, p.loss, p.accuracy, p.energy]);
+        let floats = floats.chain(trace.faults.events.iter().map(|e| e.time));
+        let digest = floats.fold(0xcbf2_9ce4_8422_2325_u64, |h, x| {
+            (h ^ x.to_bits()).wrapping_mul(0x0100_0000_01b3)
+        });
+        let log = &trace.faults;
+        let counts = [
+            trace.points().len(),
+            log.events.len(),
+            log.rounds_attempted,
+            log.rounds_aggregated,
+            log.participants_total,
+            log.members_total,
+        ];
+        assert_eq!(
+            (digest, counts),
+            (0xfb8d_ed6e_9b95_fddb, [16, 25, 40, 15, 17, 59])
+        );
+    }
+
     /// A diverged run stops with the round-labelled message under Dynamic as
     /// it does under the engine's mechanisms (both share the server's check):
     /// a learning rate near 1e160 keeps every parameter finite while `‖w‖²`
