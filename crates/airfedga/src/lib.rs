@@ -16,8 +16,8 @@
 //!   engine and the Dynamic baseline's own loop.
 //! * [`worker_pool`] — per-worker RNG streams, one reused buffer of the
 //!   latest round's local parameters (one row per member) and per-lane
-//!   training scratch (model, workspace); a round's members train in
-//!   parallel, one run per lane, on the persistent worker pool with
+//!   training scratch (a workspace); a round's members train in parallel,
+//!   one run per lane, on as many cores as are idle, with
 //!   bit-identical-to-sequential results.
 //!
 //! ## Quickstart

@@ -78,7 +78,7 @@ impl EngineOptions {
 /// discovers it has nothing to aggregate when its ready event fires. Under
 /// the empty plan (everyone up, slowdown exactly 1.0, no deadline) this is
 /// the slowest member's training time, bit for bit.
-fn group_latency(system: &FlSystem, members: &[usize], dispatch: f64) -> f64 {
+pub fn group_latency(system: &FlSystem, members: &[usize], dispatch: f64) -> f64 {
     let faults = &system.faults;
     let scaled = |w: usize| system.local_training_time(w) * faults.slowdown(w);
     let mut raw = members
@@ -100,7 +100,7 @@ fn group_latency(system: &FlSystem, members: &[usize], dispatch: f64) -> f64 {
 /// update at `ready`: up at dispatch, up and outage-free at the aggregation
 /// instant, and finished (slowdown included) before the group closed. Under
 /// the empty plan that is every member.
-fn delivering_members(
+pub fn delivering_members(
     system: &FlSystem,
     members: &[usize],
     dispatch: f64,
@@ -136,11 +136,11 @@ fn delivering_members(
 /// every worker owns a persistent [`WorkerPool`] RNG stream, the round's
 /// members write their local parameters and cached `‖w_i‖²` into the pool's
 /// rows (grown to the largest round, then reused), each training lane owns
-/// one scratch model and workspace, and the per-group dispatch vectors and
-/// the [`Server`]'s power-control, AirComp estimate/energy and evaluation
-/// buffers are all reused across rounds. The members of the aggregating group
-/// train concurrently, one contiguous run per lane on the persistent worker
-/// pool — bit-identical to the sequential schedule.
+/// one workspace, and the per-group dispatch vectors and the [`Server`]'s
+/// power-control, AirComp estimate/energy and evaluation buffers are all
+/// reused across rounds. The members of the aggregating group train
+/// concurrently, one contiguous run per lane, on as many cores as are idle
+/// (`parallel::par_map`) — bit-identical to the sequential schedule.
 pub fn run_group_async(
     system: &FlSystem,
     grouping: &Grouping,
@@ -249,7 +249,7 @@ pub fn run_group_async(
         // group's members.
         {
             let _train_span = telemetry::span!("train", participants.len());
-            pool.train_members(&participants, &dispatch_params[j], system, true);
+            pool.train_members(&participants, &dispatch_params[j], system);
         }
 
         // Aggregate the group's local models into the group estimate.

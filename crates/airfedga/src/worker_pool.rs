@@ -1,5 +1,4 @@
-//! Per-worker training state and the (optionally parallel) local-training
-//! round.
+//! Per-worker training state and the parallel local-training round.
 //!
 //! Every mechanism simulation owns a [`WorkerPool`]. Per simulated worker it
 //! keeps only what outlives a round: the worker's private deterministic RNG
@@ -20,7 +19,7 @@
 //! * **Zero steady-state allocation** — per member nothing: workspaces, RNG
 //!   streams and rows are reused across every round (the rows grow only
 //!   while rounds keep getting larger). Per round the parallel fan-out
-//!   allocates its O(lanes) bookkeeping (the lane list and the pool's
+//!   allocates its O(lanes) bookkeeping (the lane list and the map's
 //!   per-chunk slots).
 //! * **Deterministic parallelism** — results are **bit-identical** to
 //!   sequential execution, at any lane count, because nothing a member
@@ -116,17 +115,10 @@ impl WorkerPool {
     /// starting from `dispatch`, training this round's rows. The previous
     /// round's results are no longer readable afterwards.
     ///
-    /// With `parallel` the sorted members are split into one contiguous run
-    /// per lane and the runs are mapped over the persistent worker pool;
-    /// without, every member trains on lane 0. Both give the same bits (see
-    /// the module docs).
-    pub fn train_members(
-        &mut self,
-        members: &[usize],
-        dispatch: &FlatParams,
-        system: &FlSystem,
-        parallel: bool,
-    ) {
+    /// The sorted members are split into one contiguous run per lane and the
+    /// runs are mapped in parallel ([`parallel::par_map`]); the bits do not
+    /// depend on the lane count (see the module docs).
+    pub fn train_members(&mut self, members: &[usize], dispatch: &FlatParams, system: &FlSystem) {
         self.sorted_members.clear();
         self.sorted_members.extend_from_slice(members);
         self.sorted_members.sort_unstable();
@@ -148,7 +140,7 @@ impl WorkerPool {
         // Runs of ⌈m / lanes⌉ members: at most `lanes` of them, each paired
         // with its own workspace, the (disjoint) window of slots it spans and
         // the (disjoint) window of rows its members own.
-        let lanes = if parallel { self.workspaces.len() } else { 1 };
+        let lanes = self.workspaces.len();
         let run_len = m.div_ceil(lanes).max(1);
         let mut rest: &mut [WorkerSlot] = &mut self.slots;
         let mut first = 0;
@@ -167,7 +159,7 @@ impl WorkerPool {
             });
             (rest, first) = (tail, end);
         }
-        // One pool item per lane, so one lane per chunk (a map targets at
+        // One map item per lane, so one lane per chunk (a map targets at
         // least `max_threads()` chunks, and there are no more lanes than
         // that); a single lane runs in-line.
         parallel::par_map(work, train_lane);
@@ -208,29 +200,11 @@ mod tests {
     use crate::system::FlSystemConfig;
 
     #[test]
-    fn parallel_and_sequential_training_are_bit_identical() {
-        let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(3));
-        let members: Vec<usize> = (0..system.num_workers()).collect();
-        let dispatch = system.template.params();
-
-        let mut par = WorkerPool::new(&system, &mut Rng64::seed_from(7));
-        par.train_members(&members, dispatch, &system, true);
-        let mut seq = WorkerPool::new(&system, &mut Rng64::seed_from(7));
-        seq.train_members(&members, dispatch, &system, false);
-
-        for &w in &members {
-            for (a, b) in par.local(w).0.iter().zip(seq.local(w).0.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "worker {w} diverged");
-            }
-        }
-    }
-
-    #[test]
     fn members_can_be_an_unsorted_subset() {
         let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(4));
         let dispatch = system.template.params();
         let mut pool = WorkerPool::new(&system, &mut Rng64::seed_from(8));
-        pool.train_members(&[5, 1, 3], dispatch, &system, true);
+        pool.train_members(&[5, 1, 3], dispatch, &system);
         assert!(pool.local(1).norm_sq() > 0.0);
         assert!(pool.local(3).norm_sq() > 0.0);
         assert!(pool.local(5).norm_sq() > 0.0);
@@ -242,8 +216,8 @@ mod tests {
         let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(4));
         let dispatch = system.template.params();
         let mut pool = WorkerPool::new(&system, &mut Rng64::seed_from(8));
-        pool.train_members(&[2, 6], dispatch, &system, true);
-        pool.train_members(&[6, 1], dispatch, &system, true);
+        pool.train_members(&[2, 6], dispatch, &system);
+        pool.train_members(&[6, 1], dispatch, &system);
         pool.local(2);
     }
 
@@ -255,7 +229,7 @@ mod tests {
         assert_eq!(pool.rows_held(), 0);
         for size in [3, 7, 5] {
             let members: Vec<usize> = (0..size).rev().collect();
-            pool.train_members(&members, dispatch, &system, true);
+            pool.train_members(&members, dispatch, &system);
         }
         assert_eq!(pool.rows_held(), 7);
     }
@@ -266,7 +240,7 @@ mod tests {
         let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(4));
         let dispatch = system.template.params();
         let mut pool = WorkerPool::new(&system, &mut Rng64::seed_from(8));
-        pool.train_members(&[2, 6, 2], dispatch, &system, true);
+        pool.train_members(&[2, 6, 2], dispatch, &system);
     }
 
     #[test]
@@ -277,7 +251,7 @@ mod tests {
         let dispatch = system.template.params();
         let mut pool = WorkerPool::new(&system, &mut Rng64::seed_from(9));
         assert_eq!(pool.rows_held(), 0, "a fresh pool holds no model");
-        pool.train_members(&[40, 2, 71], dispatch, &system, true);
+        pool.train_members(&[40, 2, 71], dispatch, &system);
         assert_eq!(pool.rows_held(), 3);
     }
 }

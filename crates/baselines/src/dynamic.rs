@@ -20,16 +20,16 @@
 //! It cannot become a grouping rule of that engine (one group re-selected
 //! each round) at equal bytes, for three reasons:
 //!
-//! * it draws all `N` channel gains from the run stream at dispatch
-//!   (`draw_round`), while the engine draws one gain per participant inside
-//!   the aggregation, so every later draw of the run stream would move;
+//! * it draws all `N` channel gains from the run stream at dispatch, while
+//!   the engine draws one gain per participant inside the aggregation, so
+//!   every later draw of the run stream would move;
 //! * it evaluates at aggregation + broadcast, while the engine evaluates at
 //!   the aggregation instant, so every trace time would move by one
 //!   `broadcast_latency`;
 //! * its `max_virtual_time` check counts the broadcast too, so a budgeted
 //!   run would stop at a different round.
 
-use airfedga::mechanism::EngineOptions;
+use airfedga::mechanism::{delivering_members, group_latency, EngineOptions};
 use airfedga::server::Server;
 use airfedga::system::FlSystem;
 use airfedga::worker_pool::WorkerPool;
@@ -73,7 +73,7 @@ pub(crate) fn run(
     let aggregation_latency = system.aircomp_aggregation_time();
     let n = system.num_workers();
     let k = ((n as f64 * SELECT_FRACTION).ceil() as usize).max(1);
-    let scaled = |w: usize| system.local_training_time(w) * faults.slowdown(w);
+    let everyone: Vec<usize> = (0..n).collect();
     let mut pool = WorkerPool::new(system, rng);
     let mut participants: Vec<usize> = Vec::new();
 
@@ -89,31 +89,25 @@ pub(crate) fn run(
         // The scheduler observes this round's channel gains and selects
         // the best-channel subset among the workers that are up.
         let dispatch_span = telemetry::span!("dispatch", round);
-        let gains = system.channel.draw_round(rng);
+        let gains: Vec<f64> = (0..n).map(|w| system.channel.draw_worker(w, rng)).collect();
         let dispatch = now;
         let selected = select_workers(&gains, k, |w| faults.available(w, dispatch));
 
-        // Synchronous round: the round lasts as long as the slowest
-        // scheduled worker, slowdown-scaled and deadline-capped; when nobody
-        // is up the server still waits a full round before discovering it
-        // has nothing to aggregate.
-        let mut round_wait = selected.iter().copied().map(scaled).fold(0.0_f64, f64::max);
-        if round_wait == 0.0 {
-            round_wait = (0..n).map(scaled).fold(0.0_f64, f64::max);
-        }
-        if let Some(deadline) = faults.deadline() {
-            round_wait = round_wait.min(deadline);
-        }
+        // Synchronous round, timed like an engine group: it lasts as long as
+        // the slowest scheduled worker, slowdown-scaled and deadline-capped.
+        // When nobody is up the server still waits a full round of the whole
+        // population before discovering it has nothing to aggregate.
+        let waited_on = if selected.is_empty() {
+            &everyone
+        } else {
+            &selected
+        };
+        let round_wait = group_latency(system, waited_on, dispatch);
         let ready = dispatch + round_wait;
 
         // Who actually delivers an update: still up and outage-free at
         // aggregation time and finished before the deadline closed.
-        participants.clear();
-        participants.extend(selected.iter().copied().filter(|&w| {
-            faults.available(w, ready)
-                && !faults.in_outage(w, ready)
-                && dispatch + scaled(w) <= ready + 1e-9
-        }));
+        delivering_members(system, &selected, dispatch, ready, &mut participants);
         if faults.enabled() {
             trace
                 .faults
@@ -144,7 +138,7 @@ pub(crate) fn run(
         // parallel.
         {
             let _train_span = telemetry::span!("train", participants.len());
-            pool.train_members(&participants, server.global(), system, true);
+            pool.train_members(&participants, server.global(), system);
         }
         let agg_span = telemetry::span!("aggregate", participants.len());
         now += round_wait + aggregation_latency + wireless.broadcast_latency;

@@ -4,10 +4,9 @@
 //! `(system variant × mechanism × seed)` product of independent replicates
 //! folded into per-cell [`CellStats`]. This module runs it, one way:
 //!
-//! * [`run_grid`] — the bare pool fan-out: independent cells across the
-//!   persistent worker pool, results in input order, nested fan-out allowed
-//!   (each cell's training rounds use the pool again; see the `parallel`
-//!   crate docs).
+//! * [`run_grid`] — the bare parallel fan-out: independent cells across
+//!   the cores, results in input order, nested fan-out allowed (each cell's
+//!   training rounds fan out again; see the `parallel` crate docs).
 //! * [`run_replicated_isolated_plan`] — **the** runner: cache pass → group
 //!   the misses that are one computation → parallel pass over the group
 //!   leaders (stored as they complete) → bounded input-order retries →
@@ -103,13 +102,14 @@ impl RunSummary {
     }
 }
 
-/// Fan the independent cells of an experiment grid across the persistent
-/// worker pool, returning the per-cell results **in input order**.
+/// Fan the independent cells of an experiment grid across the cores
+/// ([`parallel::par_map`]), returning the per-cell results **in input
+/// order**.
 ///
 /// A *cell* is one self-contained unit of a figure/table grid — a (seed,
 /// mechanism, config) combination, a worker-count of a scalability sweep, a
 /// ξ value of the Fig. 8 sweep. Cells run concurrently (each may itself use
-/// inner per-member round parallelism: the pool supports nested fan-out), so
+/// inner per-member round parallelism, on cores other cells left idle), so
 /// `run_cell` must uphold the determinism contract that makes the grid's
 /// output byte-identical to a sequential `cells.into_iter().map(run_cell)`:
 ///
@@ -253,8 +253,9 @@ fn install_quiet_hook() {
     });
 }
 
-/// Re-arms the previous quiet-flag state on drop (attempts can nest through
-/// the pool's help-first caller participation).
+/// Re-arms the previous quiet-flag state on drop: `false`, unless the attempt
+/// ran inside another on the same thread (a cell that runs isolated attempts
+/// itself) — a thread waiting inside one cell never runs another's chunks.
 struct IsolatedFlagGuard {
     prev: bool,
 }
@@ -424,8 +425,8 @@ where
 ///
 /// 1. **Cache pass**, sequential and in input order: replicates the
 ///    [`ReplicateCache`] holds under their own key are loaded, the rest
-///    queued. A fully warmed cache replays the grid without touching the
-///    worker pool.
+///    queued. A fully warmed cache replays the grid without a parallel
+///    pass.
 /// 2. **Copy, then group** the misses by `(identity, run seed, system
 ///    seed)`, in input order. A miss whose key a hit shares takes a clone of
 ///    the first such hit and is stored under its own key on the calling

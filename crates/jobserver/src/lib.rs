@@ -27,7 +27,7 @@
 //!   cell of a grid re-runs only the changed cells. Per-job and
 //!   daemon-lifetime hit totals are reported over the wire.
 //! * **One job at a time** — a grid already saturates the machine through
-//!   the deterministic `parallel` pool; running jobs concurrently would only
+//!   the deterministic `parallel` map; running jobs concurrently would only
 //!   interleave their nondeterministic *completion* order. Priorities
 //!   (higher first) with FIFO within a priority decide what runs next.
 //! * **Cancellation** — a queued job is cancelled by a state flip; a running

@@ -16,7 +16,7 @@
 //! ## Execution model
 //!
 //! One executor thread runs jobs strictly one at a time (the grid saturates
-//! the machine through the deterministic pool; see the crate docs) through
+//! the machine through the deterministic parallel map; see the crate docs) through
 //! `scenario::run::execute` — the *same* function the batch driver calls —
 //! with two overrides, the same for every scenario kind: the run store is
 //! `--resume` against the daemon's shared `<root>/runstore` (cross-job

@@ -1,8 +1,8 @@
 //! Shared body for the `chunks_x*` integration test binaries.
 //!
-//! The pool caches `PARALLEL_THREADS` / `PARALLEL_CHUNKS` once per process,
+//! The crate caches `PARALLEL_THREADS` / `PARALLEL_CHUNKS` once per process,
 //! so each over-decomposition factor gets its own test binary: the binary
-//! pins the environment before any pool use, then runs this suite, which
+//! pins the environment before any fan-out, then runs this suite, which
 //! checks that every parallel-map shape is **bit-identical** to its
 //! sequential counterpart whatever the factor.
 
@@ -10,7 +10,7 @@ use parallel::{chunk_factor, fork_join_chunks, max_threads, par_map};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Once;
 
-/// Pin `PARALLEL_THREADS=4` and `PARALLEL_CHUNKS=<factor>` before the pool
+/// Pin `PARALLEL_THREADS=4` and `PARALLEL_CHUNKS=<factor>` before the crate
 /// reads them. Every test must call this first (the `Once` makes the write
 /// race-free across the test harness's threads).
 pub fn force(factor: usize) {
@@ -90,7 +90,7 @@ pub fn uneven_item_costs_stay_ordered() {
 }
 
 /// A panic inside the mapped closure reaches the caller with its own
-/// payload, never as a poisoned slot, and the pool keeps working.
+/// payload, never as a poisoned slot, and later maps keep working.
 pub fn closure_panic_reaches_the_caller() {
     let caught = std::panic::catch_unwind(|| {
         par_map((0..97u32).collect(), |i| {

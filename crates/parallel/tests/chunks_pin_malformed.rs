@@ -1,6 +1,6 @@
 //! A `PARALLEL_CHUNKS` value that is not a non-negative integer panics at
 //! first read, naming the variable and the value, instead of quietly running
-//! the default factor — even on a sequential pool, where no map splits.
+//! the default factor — even at one thread, where no map splits.
 //! Its own binary: the pin is cached once per process.
 
 use std::panic::catch_unwind;

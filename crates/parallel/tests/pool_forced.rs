@@ -1,35 +1,26 @@
-//! Pool tests that force a multi-threaded configuration.
+//! Fork/join tests that force a multi-threaded configuration.
 //!
-//! The CI/sandbox machines may report a single core, in which case the lazy
-//! pool never spawns workers and the in-crate unit tests only exercise the
-//! sequential fallback. This integration test binary contains *only* tests
-//! that call [`force_threads`] before any pool use, so the process-wide
-//! thread-count cache is guaranteed to be initialised to 4 and the claiming /
-//! parking / nested-help machinery genuinely runs on worker threads.
+//! The CI/sandbox machines may report a single core, in which case no helper
+//! is ever spawned and the in-crate unit tests only exercise the in-line
+//! path. This integration test binary contains *only* tests that call
+//! [`force_threads`] before any fan-out, so the process-wide thread-count
+//! cache is guaranteed to be initialised to 4 and chunks genuinely run on
+//! helper threads.
 
-use parallel::{fork_join_chunks, max_threads, par_map, pool_workers};
+use parallel::{fork_join_chunks, max_threads, par_map};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Once;
 
-/// Pin `PARALLEL_THREADS=4` before the pool reads it. Every test in this
+/// Pin `PARALLEL_THREADS=4` before any fan-out reads it. Every test in this
 /// binary must call this first; the `Once` makes the write race-free across
-/// the test harness's threads because the first caller wins before any pool
-/// use can cache a different value.
+/// the test harness's threads because the first caller wins before any
+/// fan-out can cache a different value.
 fn force_threads() {
     static FORCE: Once = Once::new();
     FORCE.call_once(|| {
         std::env::set_var("PARALLEL_THREADS", "4");
         assert_eq!(max_threads(), 4, "thread count cached before the tests ran");
     });
-}
-
-#[test]
-fn pool_spawns_persistent_workers() {
-    force_threads();
-    assert_eq!(pool_workers(), 3);
-    // Repeated calls reuse the same pool (no further spawning observable
-    // through the API; this mostly checks the OnceLock path is stable).
-    assert_eq!(pool_workers(), 3);
 }
 
 #[test]
@@ -74,8 +65,9 @@ fn fork_join_covers_every_chunk_exactly_once() {
 fn nested_fan_out_runs_on_the_pool_without_deadlock() {
     force_threads();
     // Outer fan-out of 8 tasks, each issuing an inner fan-out of 8: the inner
-    // calls are issued from pool workers (and from the caller), exercising
-    // the idle-worker borrowing path. 500 repetitions to shake out races.
+    // calls are issued from helpers (and from the caller), and a caller that
+    // runs out of chunks frees its slot for them. 500 repetitions to shake
+    // out races.
     for _ in 0..500 {
         let sums = par_map((0..8).collect(), |o: usize| {
             par_map((0..8).collect(), |i: usize| o * 100 + i)
@@ -116,7 +108,7 @@ fn chunk_panic_propagates_to_the_caller() {
         .copied()
         .unwrap_or("<non-str payload>");
     assert!(msg.contains("chunk five"), "unexpected payload: {msg}");
-    // The pool must still be functional after a propagated panic.
+    // Fan-outs still work after a propagated panic.
     let out = par_map((0..100u32).collect(), |x| x + 1);
     assert_eq!(out[99], 100);
 }
@@ -141,8 +133,8 @@ fn map_closure_panic_propagates_with_its_own_payload() {
 #[test]
 fn many_small_fan_outs_reuse_the_pool() {
     force_threads();
-    // Thousands of back-to-back fork/joins: if the pool leaked threads or
-    // queue entries per call this would blow up quickly.
+    // Thousands of back-to-back fork/joins: if a call leaked a slot or a
+    // thread this would serialise or blow up quickly.
     let total = AtomicUsize::new(0);
     for _ in 0..5_000 {
         fork_join_chunks(4, &|_| {

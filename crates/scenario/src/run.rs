@@ -1256,7 +1256,7 @@ xi = [0.3, 1.0]
     /// The logical-plane determinism invariant: `metrics.json` (logical
     /// counters only) is byte-identical between a sequential 1×1 schedule
     /// and a 4-thread × 16-chunk schedule of the same grid. Spawns the test
-    /// binary twice because the parallel pool reads its env pins once per
+    /// binary twice because the `parallel` crate reads its env pins once per
     /// process.
     #[test]
     fn logical_metrics_identical_across_thread_chunk_matrix() {

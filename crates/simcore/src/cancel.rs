@@ -28,8 +28,9 @@ use std::time::{Duration, Instant};
 
 thread_local! {
     /// When the current thread's cell attempt times out (`None`: no
-    /// watchdog). The pool's depth rule keeps a thread suspended inside one
-    /// replicate from starting another, so deadlines never interleave.
+    /// watchdog). A thread runs chunks of no fan-out but the one it entered,
+    /// so a thread suspended inside one replicate never starts another, and
+    /// deadlines never interleave.
     static DEADLINE: Cell<Option<Instant>> = const { Cell::new(None) };
 }
 

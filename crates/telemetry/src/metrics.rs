@@ -213,10 +213,10 @@ pub static ENGINE_PARTICIPANTS_FILTERED: Counter =
 /// Rounds skipped because an entire group was down.
 pub static ENGINE_GROUP_SKIPS: Counter = Counter::new("engine.group_skips", Plane::Logical);
 
-/// Fork/join fan-outs issued to the worker pool. Sched plane, not logical:
-/// a sequential configuration (`PARALLEL_THREADS=1`) short-circuits parallel
-/// maps before they reach the pool at all, so even the fan-out *count*
-/// depends on the schedule.
+/// Fork/join fan-outs issued (`parallel::fork_join_chunks`). Sched plane,
+/// not logical: a sequential configuration (`PARALLEL_THREADS=1`)
+/// short-circuits parallel maps before they fan out at all, so even the
+/// fan-out *count* depends on the schedule.
 pub static POOL_FORK_JOINS: Counter = Counter::new("pool.fork_joins", Plane::Sched);
 /// Chunks executed across all fan-outs. The chunk count is
 /// `min(items, threads × chunk_factor)` — a property of the schedule — so

@@ -107,7 +107,7 @@ struct RenderState {
 }
 
 /// Progress tracker for one grid run; all update methods are safe to call
-/// from pool worker threads.
+/// from the threads a parallel map runs on.
 pub struct Reporter {
     active: bool,
     tty: bool,

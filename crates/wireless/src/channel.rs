@@ -39,20 +39,9 @@ impl ChannelModel {
         }
     }
 
-    /// Draw the channel gains `h_i^t` of every worker for one round.
-    pub fn draw_round(&self, rng: &mut Rng64) -> Vec<f64> {
-        self.mean_gains
-            .iter()
-            .map(|&g| {
-                // |h|^2 ~ Exp(1) scaled by the mean power gain.
-                let power = rng.exponential(1.0) * g;
-                power.sqrt().max(self.floor)
-            })
-            .collect()
-    }
-
-    /// Draw the gain of a single worker for one round.
+    /// Draw the gain `h_i^t` of a single worker for one round.
     pub fn draw_worker(&self, worker: usize, rng: &mut Rng64) -> f64 {
+        // |h|^2 ~ Exp(1) scaled by the mean power gain.
         let g = self.mean_gains[worker % self.mean_gains.len()];
         (rng.exponential(1.0) * g).sqrt().max(self.floor)
     }
@@ -70,9 +59,7 @@ mod tests {
         };
         let mut rng = Rng64::seed_from(2);
         for _ in 0..20 {
-            let gains = m.draw_round(&mut rng);
-            assert_eq!(gains.len(), 50);
-            assert!(gains.iter().all(|&h| h >= 0.1));
+            assert!((0..50).all(|w| m.draw_worker(w, &mut rng) >= 0.1));
         }
     }
 
@@ -100,7 +87,6 @@ mod tests {
     #[test]
     fn default_rayleigh_covers_all_workers() {
         let m = ChannelModel::default_rayleigh(7);
-        let mut rng = Rng64::seed_from(4);
-        assert_eq!(m.draw_round(&mut rng).len(), 7);
+        assert_eq!(m.mean_gains, vec![1.0; 7]);
     }
 }

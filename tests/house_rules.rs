@@ -16,12 +16,8 @@ fn every_member_inherits_the_workspace_lints() {
     assert!(members.len() > 30, "{members:?}");
     for member in members.into_iter().skip(1).step_by(2).chain(["."]) {
         let inherits = read(member).contains("\n[lints]\nworkspace = true\n");
-        assert!(inherits || member == "crates/parallel", "{member}");
+        assert!(inherits, "{member}");
     }
-    let (_, clippy) = root.split_once("[workspace.lints.clippy]").unwrap();
-    let clippy = &clippy[..clippy.find("\n\n").unwrap()];
-    let own = format!("[lints.rust]\nunsafe_code = \"deny\"\n\n[lints.clippy]{clippy}\n");
-    assert!(read("crates/parallel").contains(&own), "want:\n{own}");
 }
 
 /// Every source file below a `src/` directory of `crates/`, as its path

@@ -629,30 +629,28 @@ fn engine_core_is_bit_identical_to_the_public_aggregate() {
     }
 }
 
-/// `WorkerPool` caches each member's `‖w_i‖²` inside the (parallel or
-/// sequential) local update; the cache is the same bits as recomputing it
-/// for every member, round after round.
+/// `WorkerPool` caches each member's `‖w_i‖²` inside the parallel local
+/// update; the cache is the same bits as recomputing it for every member,
+/// round after round.
 #[test]
 fn worker_pool_norm_cache_matches_recomputation() {
     let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(7104));
     let n = system.num_workers();
-    for parallel in [false, true] {
-        let mut pool = WorkerPool::new(&system, &mut Rng64::seed_from(7105));
-        let mut dispatch = system.template.params().clone();
-        let mut rng = Rng64::seed_from(7106);
-        for round in 0..4 {
-            let members: Vec<usize> = (0..n).filter(|_| rng.uniform() < 0.6).collect();
-            pool.train_members(&members, &dispatch, &system, parallel);
-            for &w in &members {
-                assert_eq!(
-                    pool.local_norm_sq(w).to_bits(),
-                    pool.local(w).norm_sq().to_bits(),
-                    "parallel {parallel}, round {round}, worker {w}"
-                );
-            }
-            if let Some(&w) = members.first() {
-                dispatch.clone_from(pool.local(w));
-            }
+    let mut pool = WorkerPool::new(&system, &mut Rng64::seed_from(7105));
+    let mut dispatch = system.template.params().clone();
+    let mut rng = Rng64::seed_from(7106);
+    for round in 0..4 {
+        let members: Vec<usize> = (0..n).filter(|_| rng.uniform() < 0.6).collect();
+        pool.train_members(&members, &dispatch, &system);
+        for &w in &members {
+            assert_eq!(
+                pool.local_norm_sq(w).to_bits(),
+                pool.local(w).norm_sq().to_bits(),
+                "round {round}, worker {w}"
+            );
+        }
+        if let Some(&w) = members.first() {
+            dispatch.clone_from(pool.local(w));
         }
     }
 }
@@ -662,43 +660,41 @@ fn worker_pool_norm_cache_matches_recomputation() {
 /// `set_params` + `local_update_ws` from the dispatched model on the worker's own
 /// stream — forked as `WorkerPool::new` forks it (`fork(w)` in worker order)
 /// and advanced only by the rounds the worker trained in — over random member
-/// subsets, parallel and sequential.
+/// subsets, at the lane count `PARALLEL_THREADS` gives.
 #[test]
 fn worker_pool_locals_match_direct_updates_on_own_streams() {
     use air_fedga::fedml::optimizer::local_update_ws;
     let system = FlSystemConfig::mnist_lr_quick().build(&mut Rng64::seed_from(7130));
     let n = system.num_workers();
     let sgd = &system.config.sgd;
-    for parallel in [false, true] {
-        let mut pool = WorkerPool::new(&system, &mut Rng64::seed_from(7131));
-        let mut fork_rng = Rng64::seed_from(7131);
-        let mut streams: Vec<Rng64> = (0..n).map(|w| fork_rng.fork(w as u64)).collect();
-        let (mut model, mut ws) = (system.fresh_model(), Workspace::new());
-        let mut dispatch = system.template.params().clone();
-        let mut rng = Rng64::seed_from(7132);
-        for round in 0..5 {
-            let mut members: Vec<usize> = (0..n).filter(|_| rng.uniform() < 0.5).collect();
-            rng.shuffle(&mut members);
-            pool.train_members(&members, &dispatch, &system, parallel);
-            for &w in &members {
-                let shard = &system.shards[w];
-                let stream = &mut streams[w];
-                model.set_params(&dispatch);
-                local_update_ws(&mut model, shard, sgd, stream, &mut ws);
-                let want = model.params();
-                let tag = format!("parallel {parallel}, round {round}, worker {w}");
-                assert_eq!(
-                    pool.local_norm_sq(w).to_bits(),
-                    want.norm_sq().to_bits(),
-                    "{tag}: norm²"
-                );
-                for (c, (x, y)) in pool.local(w).0.iter().zip(want.0.iter()).enumerate() {
-                    assert_eq!(x.to_bits(), y.to_bits(), "{tag}: param {c}");
-                }
+    let mut pool = WorkerPool::new(&system, &mut Rng64::seed_from(7131));
+    let mut fork_rng = Rng64::seed_from(7131);
+    let mut streams: Vec<Rng64> = (0..n).map(|w| fork_rng.fork(w as u64)).collect();
+    let (mut model, mut ws) = (system.fresh_model(), Workspace::new());
+    let mut dispatch = system.template.params().clone();
+    let mut rng = Rng64::seed_from(7132);
+    for round in 0..5 {
+        let mut members: Vec<usize> = (0..n).filter(|_| rng.uniform() < 0.5).collect();
+        rng.shuffle(&mut members);
+        pool.train_members(&members, &dispatch, &system);
+        for &w in &members {
+            let shard = &system.shards[w];
+            let stream = &mut streams[w];
+            model.set_params(&dispatch);
+            local_update_ws(&mut model, shard, sgd, stream, &mut ws);
+            let want = model.params();
+            let tag = format!("round {round}, worker {w}");
+            assert_eq!(
+                pool.local_norm_sq(w).to_bits(),
+                want.norm_sq().to_bits(),
+                "{tag}: norm²"
+            );
+            for (c, (x, y)) in pool.local(w).0.iter().zip(want.0.iter()).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "{tag}: param {c}");
             }
-            if let Some(&w) = members.last() {
-                dispatch.clone_from(pool.local(w));
-            }
+        }
+        if let Some(&w) = members.last() {
+            dispatch.clone_from(pool.local(w));
         }
     }
 }
