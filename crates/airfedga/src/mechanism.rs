@@ -117,6 +117,76 @@ pub fn delivering_members(
     }));
 }
 
+/// The model each group was dispatched, held once per live model version.
+///
+/// A group dispatched at the global model's current version trains from the
+/// global itself. Just before an aggregation moves the global past a version
+/// that other groups still train from,
+/// [`before_global_moves`](Self::before_global_moves) copies it once into a
+/// snapshot those groups share — the only copy of a model the engine makes.
+/// A group releases its snapshot as soon as its members have trained, and a
+/// snapshot no group names is recycled for the next one, so a single-group
+/// run holds none and an `m`-group run at most `m − 1` (the group that moved
+/// the global last always follows it).
+struct DispatchVersions {
+    /// Group `j`'s snapshot, or `None` while it follows the global model.
+    of_group: Vec<Option<usize>>,
+    /// The snapshot buffers, live or free for reuse.
+    snapshots: Vec<FlatParams>,
+    /// How many groups name each snapshot (0: free).
+    holders: Vec<usize>,
+}
+
+impl DispatchVersions {
+    /// `groups` groups, all dispatched at the current global model.
+    fn new(groups: usize) -> Self {
+        Self {
+            of_group: vec![None; groups],
+            snapshots: Vec::new(),
+            holders: Vec::new(),
+        }
+    }
+
+    /// The model group `j` was dispatched: its snapshot, or `global`.
+    fn model<'a>(&'a self, j: usize, global: &'a FlatParams) -> &'a FlatParams {
+        self.of_group[j].map_or(global, |s| &self.snapshots[s])
+    }
+
+    /// Group `j` is done with its dispatch (its members trained, or it was
+    /// skipped) and follows the global model from its re-dispatch on.
+    fn release(&mut self, j: usize) {
+        if let Some(s) = self.of_group[j].take() {
+            self.holders[s] -= 1;
+        }
+    }
+
+    /// Group `j` is about to move the global model: every other group that
+    /// still follows it gets one shared snapshot of `global` first.
+    fn before_global_moves(&mut self, j: usize, global: &FlatParams) {
+        let follows = |k: usize, s: &Option<usize>| k != j && s.is_none();
+        let of_group = self.of_group.iter().enumerate();
+        let waiting = of_group.filter(|&(k, s)| follows(k, s)).count();
+        if waiting == 0 {
+            return;
+        }
+        let s = match self.holders.iter().position(|&h| h == 0) {
+            Some(free) => free,
+            None => {
+                self.snapshots.push(FlatParams::default());
+                self.holders.push(0);
+                self.snapshots.len() - 1
+            }
+        };
+        self.snapshots[s].clone_from(global);
+        self.holders[s] = waiting;
+        for (k, slot) in self.of_group.iter_mut().enumerate() {
+            if follows(k, slot) {
+                *slot = Some(s);
+            }
+        }
+    }
+}
+
 /// Simulate group-asynchronous federated learning over `system` with the
 /// given `grouping` and aggregation back-end, returning the training trace.
 ///
@@ -136,11 +206,14 @@ pub fn delivering_members(
 /// every worker owns a persistent [`WorkerPool`] RNG stream, the round's
 /// members write their local parameters and cached `‖w_i‖²` into the pool's
 /// rows (grown to the largest round, then reused), each training lane owns
-/// one workspace, and the per-group dispatch vectors and the [`Server`]'s
-/// power-control, AirComp estimate/energy and evaluation buffers are all
-/// reused across rounds. The members of the aggregating group train
-/// concurrently, one contiguous run per lane, on as many cores as are idle
-/// (`parallel::par_map`) — bit-identical to the sequential schedule.
+/// one workspace, and the [`Server`]'s power-control and energy buffers are
+/// reused across rounds. A group trains from the global model while it still
+/// holds the group's dispatch version; a version the global moves past while
+/// a group still needs it is copied once into a recycled snapshot, so a
+/// single-group run copies no model at all. The members of the aggregating
+/// group train concurrently, one contiguous run per lane, on as many cores
+/// as are idle (`parallel::par_map`) — bit-identical to the sequential
+/// schedule.
 pub fn run_group_async(
     system: &FlSystem,
     grouping: &Grouping,
@@ -149,6 +222,19 @@ pub fn run_group_async(
     mechanism_name: &str,
     rng: &mut Rng64,
 ) -> TrainingTrace {
+    run_engine(system, grouping, aggregation, opts, mechanism_name, rng).0
+}
+
+/// [`run_group_async`], also returning how many dispatch snapshots the run
+/// allocated: its peak, since they are recycled and never freed.
+fn run_engine(
+    system: &FlSystem,
+    grouping: &Grouping,
+    aggregation: AggregationMode,
+    opts: &EngineOptions,
+    mechanism_name: &str,
+    rng: &mut Rng64,
+) -> (TrainingTrace, usize) {
     opts.validate();
     assert_eq!(
         grouping.num_workers(),
@@ -161,7 +247,7 @@ pub fn run_group_async(
     let wireless = &system.config.wireless;
 
     let m = grouping.num_groups();
-    let mut dispatch_params: Vec<FlatParams> = vec![server.global().clone(); m];
+    let mut dispatch = DispatchVersions::new(m);
     let mut dispatch_times: Vec<f64> = vec![0.0; m];
     let mut pool = WorkerPool::new(system, rng);
     let mut participants: Vec<usize> = Vec::new();
@@ -219,7 +305,7 @@ pub fn run_group_async(
                     break;
                 }
             }
-            dispatch_params[j].clone_from(server.global());
+            dispatch.release(j);
             let next_dispatch = ready_time + wireless.broadcast_latency;
             dispatch_times[j] = next_dispatch;
             queue.push(
@@ -249,8 +335,10 @@ pub fn run_group_async(
         // group's members.
         {
             let _train_span = telemetry::span!("train", participants.len());
-            pool.train_members(&participants, &dispatch_params[j], system);
+            pool.train_members(&participants, dispatch.model(j, server.global()), system);
         }
+        dispatch.release(j);
+        dispatch.before_global_moves(j, server.global());
 
         // Aggregate the group's local models into the group estimate.
         let agg_span = telemetry::span!("aggregate", participants.len());
@@ -275,10 +363,10 @@ pub fn run_group_async(
             server.evaluate(aggregation_time, round, &mut trace);
         }
 
-        // Re-dispatch the fresh global model to the group and schedule its
+        // Re-dispatch the fresh global model to the group (it follows the
+        // global until the next version would move past it) and schedule its
         // next ready event.
         let _dispatch_span = telemetry::span!("dispatch", j);
-        dispatch_params[j].clone_from(server.global());
         let next_dispatch = aggregation_time + wireless.broadcast_latency;
         dispatch_times[j] = next_dispatch;
         queue.push(
@@ -286,7 +374,7 @@ pub fn run_group_async(
             j,
         );
     }
-    trace
+    (trace, dispatch.snapshots.len())
 }
 
 /// Configuration of the Air-FedGA mechanism.
@@ -600,6 +688,79 @@ mod tests {
         let mech = AirFedGa::new(cfg);
         let trace = mech.run(&system, &mut Rng64::seed_from(11));
         assert!(trace.total_time() <= 100.0 + 1e-9);
+    }
+
+    #[test]
+    fn a_single_group_run_holds_no_dispatch_snapshot() {
+        let system = quick_system(14);
+        let grouping = Grouping::single_group(system.num_workers());
+        for aggregation in [AirComp, OmaIdeal] {
+            let rng = &mut Rng64::seed_from(15);
+            let (trace, snapshots) = run_engine(
+                &system,
+                &grouping,
+                aggregation,
+                &engine_options(60),
+                "run",
+                rng,
+            );
+            assert_eq!(trace.total_rounds(), 60);
+            assert_eq!(snapshots, 0, "{aggregation:?}");
+        }
+    }
+
+    #[test]
+    fn an_m_group_run_holds_at_most_m_minus_one_dispatch_snapshots() {
+        // Algorithm 3's grouping, a one-worker-per-group grouping and a
+        // churned system (skipped groups re-dispatch without aggregating).
+        let system = quick_system(16);
+        let n = system.num_workers();
+        let singletons = Grouping::new((0..n).map(|w| vec![w]).collect(), n);
+        let alg3 = AirFedGa::new(quick_config(1)).grouping_for(&system);
+        let churned = churn_system(17);
+        let churned_alg3 = AirFedGa::new(quick_config(1)).grouping_for(&churned);
+        let runs = [
+            (&system, &alg3),
+            (&system, &singletons),
+            (&churned, &churned_alg3),
+        ];
+        for (system, grouping) in runs {
+            let m = grouping.num_groups();
+            assert!(m > 1, "the case needs several groups");
+            let rng = &mut Rng64::seed_from(18);
+            let (_, snapshots) =
+                run_engine(system, grouping, AirComp, &engine_options(200), "run", rng);
+            assert!(
+                (1..m).contains(&snapshots),
+                "{snapshots} snapshots for {m} groups"
+            );
+        }
+    }
+
+    /// Each group trains from the global model as it stood at the group's
+    /// dispatch, whichever groups aggregate in between: a replay that keeps
+    /// one copy per dispatch agrees with the versions, step for step.
+    #[test]
+    fn dispatch_versions_serve_each_group_the_model_it_was_dispatched() {
+        let mut rng = Rng64::seed_from(19);
+        for m in [1, 2, 3, 7] {
+            let mut versions = DispatchVersions::new(m);
+            let mut global = FlatParams(vec![0.0; 5]);
+            let mut copies = vec![global.clone(); m];
+            for step in 0..400 {
+                let j = rng.index(m);
+                assert_eq!(versions.model(j, &global), &copies[j], "m {m}, step {step}");
+                versions.release(j);
+                if rng.uniform() < 0.8 {
+                    // Aggregate: the global moves to a new version.
+                    versions.before_global_moves(j, &global);
+                    global.0[step % 5] += 1.0;
+                }
+                copies[j].clone_from(&global);
+                let held = versions.snapshots.len();
+                assert!(held < m, "m {m}, step {step}: {held} snapshots");
+            }
+        }
     }
 
     #[test]

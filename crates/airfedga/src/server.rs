@@ -7,8 +7,15 @@
 //! baseline's synchronous one — do these two steps the same way, so they are
 //! written once here; *when* a round happens, who takes part and which channel
 //! gains they see is scheduling, and stays with the loops. [`Server`] carries
-//! the global model and every buffer the steps reuse across rounds, so the
-//! steady state allocates nothing.
+//! the global model and every buffer the steps reuse across rounds, so a
+//! round allocates nothing; an evaluation checks out its scratch for the call
+//! (its layer transposes and activations) and frees it on return, so no
+//! evaluation buffer is held between evaluations.
+//!
+//! A group is folded straight into the global model: the aggregation forms
+//! its estimate one block of the parameter vector at a time and applies
+//! Eq. (10) to each block as it is formed ([`fold_group`]), so the server
+//! holds no estimate buffer.
 
 use crate::system::FlSystem;
 use crate::worker_pool::WorkerPool;
@@ -17,12 +24,12 @@ use fedml::params::FlatParams;
 use fedml::rng::Rng64;
 use fedml::workspace::Workspace;
 use simcore::trace::{TracePoint, TrainingTrace};
-use wireless::aircomp::{air_superpose_into, apply_group_update_in_place, AirAggregationInput};
+use wireless::aircomp::{air_fold, fold_group, global_update, AirAggregationInput};
 use wireless::energy::EnergyLedger;
 use wireless::power::{optimize_power, PowerControlConfig};
 
 /// The global model, the energy ledger and the round-persistent buffers of
-/// one training run.
+/// one training run. The global is its only model-sized buffer.
 pub struct Server<'a> {
     system: &'a FlSystem,
     /// The global model `w_t`: Eq. (10) updates its parameters in place and
@@ -36,16 +43,12 @@ pub struct Server<'a> {
     group_data: f64,
     /// The participants' channel gains this round.
     gains: Vec<f64>,
-    /// The aggregating group's model estimate.
-    estimate: FlatParams,
     /// The system's total data size `D` (the denominator of `β_j`).
     total_data: f64,
     /// The participants' transmit energies this round.
     energies: Vec<f64>,
     /// Algorithm 2's inputs, refilled per aggregating group.
     power: PowerControlConfig,
-    /// Scratch for evaluating the global model.
-    eval_ws: Workspace,
 }
 
 impl<'a> Server<'a> {
@@ -57,12 +60,10 @@ impl<'a> Server<'a> {
             ledger: EnergyLedger::default(),
             data_sizes: Vec::new(),
             gains: Vec::new(),
-            estimate: FlatParams::zeros(system.model_dim()),
             group_data: 0.0,
             total_data: system.total_data() as f64,
             energies: Vec::new(),
             power: PowerControlConfig::for_group(1.0, &[1.0], &[1.0]),
-            eval_ws: Workspace::new(),
         }
     }
 
@@ -83,11 +84,12 @@ impl<'a> Server<'a> {
     }
 
     /// Evaluate the global model on the test set (batched loss + accuracy in
-    /// one pass) and record the point in `trace`.
+    /// one pass) and record the point in `trace`. The evaluation's scratch
+    /// lives for this call only.
     pub fn evaluate(&mut self, time: f64, round: usize, trace: &mut TrainingTrace) {
         let stats = self
             .global
-            .evaluate_ws(&self.system.test, &mut self.eval_ws);
+            .evaluate_ws(&self.system.test, &mut Workspace::new());
         trace.record(TracePoint {
             time,
             round,
@@ -97,33 +99,21 @@ impl<'a> Server<'a> {
         });
     }
 
-    /// Apply the asynchronous global update of Eq. (10): fold the estimate of
-    /// the group last [weighed](Self::weigh) into the global model.
-    fn apply_estimate(&mut self) {
-        apply_group_update_in_place(
-            self.global.params_mut(),
-            &self.estimate,
-            self.group_data,
-            self.total_data,
-        );
-    }
-
     /// Aggregate the participants' local models (in `pool`, after their local
     /// update) exactly — the ideal OMA upload, which costs no transmit energy
-    /// here — and apply the result to the global model. The weights `D_i /
+    /// here — and fold the result into the global model. The weights `D_i /
     /// D_j` are over the participants last [weighed](Self::weigh), whose
     /// `D_j` must be positive.
     pub(crate) fn aggregate_exact(&mut self, pool: &WorkerPool, participants: &[usize]) {
-        self.estimate.as_mut_slice().fill(0.0);
-        for (k, &w) in participants.iter().enumerate() {
-            self.estimate
-                .axpy(self.data_sizes[k] / self.group_data, pool.local(w));
-        }
-        self.apply_estimate();
+        let (data_sizes, group_data) = (&self.data_sizes, self.group_data);
+        let member = |k: usize| (data_sizes[k] / group_data, pool.local(participants[k]));
+        // Eq. (10), applied to each block of the estimate as it is formed.
+        let sink = global_update(self.global.params_mut(), group_data, self.total_data);
+        fold_group(participants.len(), member, None, 1.0, sink);
     }
 
     /// Aggregate the participants' local models (in `pool`, after their local
-    /// update) over the noisy fading MAC and apply the result to the global
+    /// update) over the noisy fading MAC and fold the result into the global
     /// model: take each participant's channel gain from `gain_of(worker,
     /// rng)`, bound the local norms, run Algorithm 2 for `(σ_t, η_t)`,
     /// superpose with the AWGN of Eq. (9) at the system's
@@ -168,9 +158,10 @@ impl<'a> Server<'a> {
         let power = optimize_power(&self.power);
         // Gather straight from the round-persistent buffers (no per-round
         // Vec<AirAggregationInput>), one pass over each local model: its
-        // norm² was cached by the local update.
+        // norm² was cached by the local update. Eq. (10) is applied to each
+        // block of the estimate as it is formed.
         let (data_sizes, gains) = (&self.data_sizes, &self.gains);
-        air_superpose_into(
+        air_fold(
             participants.len(),
             |k| AirAggregationInput {
                 data_size: data_sizes[k],
@@ -182,12 +173,11 @@ impl<'a> Server<'a> {
             power.eta,
             wireless.noise_variance,
             rng,
-            &mut self.estimate,
             &mut self.energies,
+            global_update(self.global.params_mut(), self.group_data, self.total_data),
         );
         for &energy in &self.energies {
             self.ledger.record(energy);
         }
-        self.apply_estimate();
     }
 }

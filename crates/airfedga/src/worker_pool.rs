@@ -16,6 +16,13 @@
 //! into contiguous runs, one per lane, and each lane trains its run's rows
 //! member after member with its own workspace.
 //!
+//! A training cell holds no other model than these rows, the server's
+//! global model, and a dispatch snapshot per model version the global has
+//! moved past while a group still trains from it: none under a single group
+//! (FedAvg, Air-FedAvg, Dynamic), at most `m − 1` under `m` groups (see
+//! [`run_group_async`](crate::mechanism::run_group_async)). The members
+//! read the global model itself whenever it still is their dispatch.
+//!
 //! * **Zero steady-state allocation** — per member nothing: workspaces, RNG
 //!   streams and rows are reused across every round (the rows grow only
 //!   while rounds keep getting larger). Per round the parallel fan-out

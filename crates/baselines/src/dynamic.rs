@@ -43,22 +43,26 @@ const SELECT_FRACTION: f64 = 0.3;
 /// Channel-aware scheduling: among the workers that are `up` when the round
 /// opens, pick the `k` with the best instantaneous channel gains (they can
 /// meet the energy budget with the largest power-scaling factor). Ties break
-/// by worker index; the result is in worker order.
-fn select_workers(gains: &[f64], k: usize, up: impl Fn(usize) -> bool) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..gains.len()).filter(|&w| up(w)).collect();
+/// by worker index; the selection overwrites `order`, in worker order.
+fn select_workers(gains: &[f64], k: usize, up: impl Fn(usize) -> bool, order: &mut Vec<usize>) {
+    order.clear();
+    order.extend((0..gains.len()).filter(|&w| up(w)));
     // total_cmp, not partial_cmp(..).expect(): a NaN gain orders
-    // deterministically instead of panicking mid-round.
-    order.sort_by(|&a, &b| gains[b].total_cmp(&gains[a]).then(a.cmp(&b)));
+    // deterministically instead of panicking mid-round. The index tie-break
+    // makes the order total, so an unstable (in-place) sort gives the one
+    // order a stable sort would.
+    order.sort_unstable_by(|&a, &b| gains[b].total_cmp(&gains[a]).then(a.cmp(&b)));
     order.truncate(k);
     order.sort_unstable();
-    order
 }
 
 /// Simulate Dynamic over `system` for the budget `opts`, tracing under
 /// `mechanism_name`. As in the engine there is one schedule: selection, the
 /// round's wait and its participants always go through the system's fault
 /// plan (whose empty form is neutral), and only the fault log's
-/// participation counters depend on the plan being enabled.
+/// participation counters depend on the plan being enabled. Like the engine,
+/// a round allocates nothing but an evaluation's scratch: the gains and the
+/// selection live in buffers the run reuses.
 pub(crate) fn run(
     system: &FlSystem,
     opts: &EngineOptions,
@@ -76,6 +80,8 @@ pub(crate) fn run(
     let everyone: Vec<usize> = (0..n).collect();
     let mut pool = WorkerPool::new(system, rng);
     let mut participants: Vec<usize> = Vec::new();
+    let mut gains: Vec<f64> = Vec::with_capacity(n);
+    let mut selected: Vec<usize> = Vec::with_capacity(n);
 
     server.evaluate(0.0, 0, &mut trace);
 
@@ -89,9 +95,11 @@ pub(crate) fn run(
         // The scheduler observes this round's channel gains and selects
         // the best-channel subset among the workers that are up.
         let dispatch_span = telemetry::span!("dispatch", round);
-        let gains: Vec<f64> = (0..n).map(|w| system.channel.draw_worker(w, rng)).collect();
+        gains.clear();
+        gains.extend((0..n).map(|w| system.channel.draw_worker(w, rng)));
         let dispatch = now;
-        let selected = select_workers(&gains, k, |w| faults.available(w, dispatch));
+        let up = |w| faults.available(w, dispatch);
+        select_workers(&gains, k, up, &mut selected);
 
         // Synchronous round, timed like an engine group: it lasts as long as
         // the slowest scheduled worker, slowdown-scaled and deadline-capped.
@@ -187,10 +195,15 @@ mod tests {
     #[test]
     fn selection_picks_best_channels() {
         let gains = vec![0.2, 0.9, 0.5, 1.4, 0.1];
-        assert_eq!(select_workers(&gains, 2, |_| true), vec![1, 3]);
-        assert_eq!(select_workers(&gains, 10, |_| true).len(), 5);
+        let select = |k, up: fn(usize) -> bool| {
+            let mut order = vec![7; 9]; // stale contents are overwritten
+            select_workers(&gains, k, up, &mut order);
+            order
+        };
+        assert_eq!(select(2, |_| true), vec![1, 3]);
+        assert_eq!(select(10, |_| true).len(), 5);
         // Only workers that are up are candidates.
-        assert_eq!(select_workers(&gains, 2, |w| w != 3), vec![1, 2]);
+        assert_eq!(select(2, |w| w != 3), vec![1, 2]);
     }
 
     #[test]

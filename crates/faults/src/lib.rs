@@ -163,9 +163,9 @@ struct WorkerFaults {
     /// Latency multiplier (exactly 1.0 for non-stragglers).
     slowdown: f64,
     /// Dropout intervals, sorted by start, disjoint.
-    down: Vec<(f64, f64)>,
+    down: Box<[(f64, f64)]>,
     /// Channel-outage intervals, sorted by start, disjoint.
-    outages: Vec<(f64, f64)>,
+    outages: Box<[(f64, f64)]>,
 }
 
 /// Compiled per-worker fault traces. All engine-side queries are pure
@@ -186,22 +186,23 @@ fn covered(intervals: &[(f64, f64)], t: f64) -> bool {
 }
 
 /// Poisson arrivals at `rate` with per-event lengths from `draw_len`,
-/// merged into sorted disjoint intervals up to `horizon`.
+/// merged into sorted disjoint intervals up to `horizon`, stored at their
+/// exact count (a plan lives as long as its system).
 fn sample_intervals(
     rate: f64,
     horizon: f64,
     rng: &mut Rng64,
     mut draw_len: impl FnMut(&mut Rng64) -> f64,
-) -> Vec<(f64, f64)> {
+) -> Box<[(f64, f64)]> {
     let mut out = Vec::new();
     if rate <= 0.0 {
-        return out;
+        return out.into_boxed_slice();
     }
     let mut t = 0.0;
     loop {
         let start = t + rng.exponential(rate);
         if start >= horizon {
-            return out;
+            return out.into_boxed_slice();
         }
         let end = start + draw_len(rng).max(f64::MIN_POSITIVE);
         out.push((start, end));

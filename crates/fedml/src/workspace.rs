@@ -17,8 +17,8 @@
 
 /// A pool of reusable scratch buffers.
 ///
-/// Each training lane owns one (lanes train in parallel); so does each run's
-/// evaluation.
+/// Each training lane owns one (lanes train in parallel); an evaluation
+/// creates one for the call.
 #[derive(Debug, Default)]
 pub struct Workspace {
     free_f64: Vec<Vec<f64>>,

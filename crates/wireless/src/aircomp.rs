@@ -14,11 +14,25 @@
 //! update of Eq. (10) / Eq. (16). This module performs that computation and
 //! reports the per-round aggregation error `ε_j^t` (Eq. (17)) and the energy
 //! spent by each worker (Eq. (7)).
+//!
+//! Every aggregation is one [`fold_group`]: it forms the estimate one block
+//! of the parameter vector at a time and hands each block to a sink, so the
+//! engine loops fold a group straight into the global model
+//! ([`global_update`]) and hold no estimate buffer. [`air_fold`] is the
+//! AirComp fold; [`air_aggregate_indexed_into`] sinks the same fold into the
+//! caller's estimate and adds the ideal model and the error norm.
 
 use crate::energy::transmit_energy_from_norm_sq;
 use crate::power::transmit_power;
 use fedml::params::FlatParams;
 use fedml::rng::Rng64;
+
+/// Length of one block of a [`fold_group`]. A block's sum, AWGN and
+/// denoising stay in a stack buffer of this many `f64`s (4 KiB). It is even,
+/// so [`Rng64::add_gaussian_noise`] pairs its draws over every block as it
+/// does over the whole vector; only the last block can be odd, and it ends
+/// where the vector does.
+const FOLD_BLOCK: usize = 512;
 
 /// One worker's contribution to an over-the-air aggregation.
 #[derive(Debug, Clone)]
@@ -101,8 +115,9 @@ pub fn air_aggregate_into(
 /// `Vec<AirAggregationInput>`. Bit-identical to the slice path: same
 /// accumulation order (`k = 0, 1, …`), same RNG draw order.
 ///
-/// The engine loops call the core, [`air_superpose_into`], directly; this
-/// function adds the ideal model and error norm on top of it.
+/// It is [`air_fold`] sunk into `group_estimate`, plus the ideal model and
+/// the error norm of Eq. (15)/(17), which no engine reads; the engine loops
+/// sink the same fold into the global model instead.
 #[expect(
     clippy::too_many_arguments,
     reason = "the scalars of Eqs. (9)–(10) plus caller-owned output buffers"
@@ -117,9 +132,10 @@ pub fn air_aggregate_indexed_into<'p>(
     group_estimate: &mut FlatParams,
     scratch: &mut AirAggregationScratch,
 ) -> AirAggregationStats {
-    // Ideal group model sum_i (d_i / D_j) w_i and the error against it, on
-    // top of the shared core (which validates the inputs).
-    let group_data_size = air_superpose_into(
+    // The blocks arrive in order from coordinate 0, so the estimate is
+    // rebuilt by appending them (no reallocation once it has grown).
+    group_estimate.0.clear();
+    let group_data_size = air_fold(
         count,
         &input,
         |k| input(k).params.norm_sq(),
@@ -127,9 +143,10 @@ pub fn air_aggregate_indexed_into<'p>(
         eta,
         noise_variance,
         rng,
-        group_estimate,
         &mut scratch.per_worker_energy,
+        |_, block| group_estimate.0.extend_from_slice(block),
     );
+    // Ideal group model sum_i (d_i / D_j) w_i and the error against it.
     scratch.ideal.0.resize(group_estimate.dim(), 0.0);
     scratch.ideal.as_mut_slice().fill(0.0);
     for k in 0..count {
@@ -142,21 +159,22 @@ pub fn air_aggregate_indexed_into<'p>(
     }
 }
 
-/// The core of an over-the-air aggregation, and the whole of it for the
-/// engine loops: superposition (Eq. (9)), AWGN, denoising (Eq. (10)) and the
-/// per-worker energy (Eq. (7), pushed onto the cleared `per_worker_energy` in
-/// input order) from a caller-supplied `‖w_i‖²` — `norm_sq(k)` must equal
-/// `input(k).params.norm_sq()`, which the engines cache per local update.
-/// Returns the group data size `D_j`.
+/// Over-the-air aggregation of one group, folded into `sink`: the
+/// superposition of Eq. (9) with each member's `d_i σ`, the AWGN at
+/// `noise_variance` (0 draws nothing), and the denoising `1 / (D_j √η)` of
+/// Eq. (10), one block at a time ([`fold_group`]). It also pushes each
+/// member's transmit energy (Eq. (7), from a caller-supplied `‖w_i‖²` —
+/// `norm_sq(k)` must equal `input(k).params.norm_sq()`, which the engines
+/// cache per local update) onto the cleared `per_worker_energy`, in input
+/// order, and returns the group data size `D_j`.
 ///
-/// [`air_aggregate_indexed_into`] is this plus the ideal model and the error
-/// norm of Eq. (15)/(17), which no engine reads; estimate, energies and RNG
-/// draws are bit-identical between the two.
+/// Panics if there are no inputs, a factor or data size is not positive, or
+/// the dimensions differ.
 #[expect(
     clippy::too_many_arguments,
     reason = "the scalars of Eqs. (9)–(10) plus caller-owned output buffers"
 )]
-pub fn air_superpose_into<'p>(
+pub fn air_fold<'p>(
     count: usize,
     input: impl Fn(usize) -> AirAggregationInput<'p>,
     norm_sq: impl Fn(usize) -> f64,
@@ -164,56 +182,108 @@ pub fn air_superpose_into<'p>(
     eta: f64,
     noise_variance: f64,
     rng: &mut Rng64,
-    group_estimate: &mut FlatParams,
     per_worker_energy: &mut Vec<f64>,
+    sink: impl FnMut(usize, &[f64]),
 ) -> f64 {
     assert!(count > 0, "over-the-air aggregation with no workers");
     assert!(sigma > 0.0, "sigma must be positive");
     assert!(eta > 0.0, "eta must be positive");
     assert!(noise_variance >= 0.0, "noise variance must be non-negative");
-    let dim = input(0).params.dim();
     let group_data_size: f64 = (0..count).map(|k| input(k).data_size).sum();
     assert!(group_data_size > 0.0, "group data size must be positive");
-
-    // Received superposed signal y_t = sum_i d_i sigma w_i + z_t, accumulated
-    // directly in the caller's estimate buffer.
-    group_estimate.0.resize(dim, 0.0);
-    group_estimate.as_mut_slice().fill(0.0);
     per_worker_energy.clear();
     for k in 0..count {
         let c = input(k);
-        assert_eq!(c.params.dim(), dim, "parameter dimension mismatch");
         assert!(c.data_size > 0.0, "worker data size must be positive");
-        group_estimate.axpy(c.data_size * sigma, c.params);
         let p = transmit_power(c.data_size, sigma, c.channel_gain);
         per_worker_energy.push(transmit_energy_from_norm_sq(p, norm_sq(k)));
     }
-    if noise_variance > 0.0 {
-        let std = noise_variance.sqrt();
-        rng.add_gaussian_noise(group_estimate.as_mut_slice(), std);
-    }
-
-    // Denoised group estimate w~ = y / (D_j sqrt(eta)).
-    group_estimate.scale(1.0 / (group_data_size * eta.sqrt()));
+    let noise = (noise_variance > 0.0).then(|| (noise_variance.sqrt(), rng));
+    fold_group(
+        count,
+        |k| {
+            let c = input(k);
+            (c.data_size * sigma, c.params)
+        },
+        noise,
+        1.0 / (group_data_size * eta.sqrt()),
+        sink,
+    );
     group_data_size
 }
 
-/// Apply the asynchronous global update of Eq. (10)/(16) to `global` in
-/// place: `w_t = (1 − β_j) w_{t−1} + β_j w̃_j^t` where `β_j = D_j / D`.
-pub fn apply_group_update_in_place(
+/// Fold a group's models into one estimate, one block of the parameter
+/// vector at a time. For each block, in order from coordinate 0: sum the
+/// members' blocks `y += c_k · w_k` in member order (`member(k)` is `(c_k,
+/// w_k)`), add AWGN of standard deviation `std` from `rng` when `noise` is
+/// `Some((std, rng))`, multiply by `scale`, and call `sink(start, y)` with
+/// the block that begins at coordinate `start`.
+///
+/// Every coordinate goes through the same roundings in the same order as a
+/// whole-vector fill, axpy per member, noise and scale would put it through.
+/// A block is 512 coordinates, an even length, so the noise's pairs of draws
+/// never straddle two blocks and fall as they do over the whole vector: the
+/// blocks are bit-identical to that vector, and `rng` is left in the same
+/// state. An exact (OMA) fold passes weights `D_i / D_j`, no noise and a
+/// `scale` of 1, which changes no bit.
+///
+/// Panics if there are no members or their dimensions differ.
+pub fn fold_group<'p>(
+    count: usize,
+    member: impl Fn(usize) -> (f64, &'p FlatParams),
+    mut noise: Option<(f64, &mut Rng64)>,
+    scale: f64,
+    mut sink: impl FnMut(usize, &[f64]),
+) {
+    assert!(count > 0, "over-the-air aggregation with no workers");
+    let dim = member(0).1.dim();
+    for k in 1..count {
+        assert_eq!(member(k).1.dim(), dim, "parameter dimension mismatch");
+    }
+    let mut buffer = [0.0_f64; FOLD_BLOCK];
+    for start in (0..dim).step_by(FOLD_BLOCK) {
+        let end = (start + FOLD_BLOCK).min(dim);
+        let y = &mut buffer[..end - start];
+        y.fill(0.0);
+        for k in 0..count {
+            let (c, w) = member(k);
+            for (y, &w) in y.iter_mut().zip(&w.as_slice()[start..end]) {
+                *y += c * w;
+            }
+        }
+        if let Some((std, rng)) = noise.as_mut() {
+            rng.add_gaussian_noise(y, *std);
+        }
+        for y in y.iter_mut() {
+            *y *= scale;
+        }
+        sink(start, y);
+    }
+}
+
+/// The sink of a [`fold_group`] that applies the asynchronous global update
+/// of Eq. (10)/(16) to `global` in place, block by block: `w_t = (1 − β_j)
+/// w_{t−1} + β_j w̃_j^t` where `β_j = D_j / D` — per coordinate `w *= 1 − β`,
+/// then `w += β · w̃`.
+pub fn global_update(
     global: &mut FlatParams,
-    group_estimate: &FlatParams,
     group_data_size: f64,
     total_data_size: f64,
-) {
+) -> impl FnMut(usize, &[f64]) + '_ {
     assert!(total_data_size > 0.0, "total data size must be positive");
     assert!(
         group_data_size > 0.0 && group_data_size <= total_data_size + 1e-9,
         "group data size must lie in (0, D]"
     );
     let beta = group_data_size / total_data_size;
-    global.scale(1.0 - beta);
-    global.axpy(beta, group_estimate);
+    let keep = 1.0 - beta;
+    move |start, estimate| {
+        let block = &mut global.as_mut_slice()[start..start + estimate.len()];
+        for (w, &e) in block.iter_mut().zip(estimate) {
+            *w *= keep;
+            *w += beta * e;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -350,11 +420,11 @@ mod tests {
         let global = params(vec![0.0, 0.0]);
         let estimate = params(vec![1.0, 2.0]);
         let mut updated = global.clone();
-        apply_group_update_in_place(&mut updated, &estimate, 25.0, 100.0);
+        global_update(&mut updated, 25.0, 100.0)(0, estimate.as_slice());
         assert_eq!(updated.0, vec![0.25, 0.5]);
         // Full participation replaces the global model entirely.
         let mut replaced = global.clone();
-        apply_group_update_in_place(&mut replaced, &estimate, 100.0, 100.0);
+        global_update(&mut replaced, 100.0, 100.0)(0, estimate.as_slice());
         assert_eq!(replaced.0, estimate.0);
     }
 

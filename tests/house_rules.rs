@@ -98,13 +98,27 @@ fn durable_writes_go_through_telemetry_write_atomic() {
     assert_eq!(sites, want.map(|(file, call)| (file.to_string(), call)));
 }
 
-/// A run holds one model per pool row and one global model, so in the
-/// library sources of `airfedga` and `baselines` a model is cloned from the
-/// system's initial one (`fresh_model()`, whose body is the one
-/// `template.clone()`) only in `Server::new` and in the pool's row growth. A
-/// per-lane or per-evaluation model copy would be a third site.
+/// A run holds one model per pool row, one global model and a snapshot per
+/// model version the global has moved past while a group still trains from
+/// it, so in the library sources of `airfedga` and `baselines` a model-sized
+/// parameter vector is created in three places only: from the system's
+/// initial model (`fresh_model()`, whose body is the one `template.clone()`)
+/// in `Server::new` and in the pool's row growth, and as a copy of the global
+/// (`clone_from(`) in `DispatchVersions::before_global_moves`. A per-lane,
+/// per-group, per-round or per-evaluation copy — a `FlatParams::zeros(`, a
+/// `global().clone()` — would be a fourth site.
 #[test]
 fn models_are_cloned_only_for_the_global_model_and_pool_rows() {
+    let calls = [
+        "fresh_model()",
+        "template.clone()",
+        "clone_from(",
+        "FlatParams::zeros(",
+        "FlatParams(",
+        "global().clone()",
+        "global.clone()",
+        "params().clone()",
+    ];
     let mut sites = Vec::new();
     for (rel, src) in library_sources() {
         if !(rel.starts_with("airfedga/") || rel.starts_with("baselines/")) {
@@ -118,7 +132,7 @@ fn models_are_cloned_only_for_the_global_model_and_pool_rows() {
             if let Some(head) = code.strip_prefix("fn ") {
                 within = head[..head.find(['(', '<']).unwrap_or(head.len())].to_string();
             }
-            for call in ["fresh_model()", "template.clone()"] {
+            for call in calls {
                 if !code.starts_with("//") && code.contains(call) {
                     sites.push((rel.clone(), within.clone(), call));
                 }
@@ -127,6 +141,11 @@ fn models_are_cloned_only_for_the_global_model_and_pool_rows() {
     }
     sites.sort();
     let want = [
+        (
+            "airfedga/src/mechanism.rs",
+            "before_global_moves",
+            "clone_from(",
+        ),
         ("airfedga/src/server.rs", "new", "fresh_model()"),
         ("airfedga/src/system.rs", "fresh_model", "template.clone()"),
         ("airfedga/src/worker_pool.rs", "grow_rows", "fresh_model()"),

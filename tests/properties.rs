@@ -24,13 +24,13 @@ use air_fedga::grouping::greedy::greedy_grouping;
 use air_fedga::grouping::objective::{GroupingObjective, ObjectiveConstants};
 use air_fedga::grouping::worker_info::{Grouping, WorkerInfo};
 use air_fedga::wireless::aircomp::{
-    air_aggregate_indexed_into, air_aggregate_into, air_superpose_into,
-    apply_group_update_in_place, AirAggregationInput, AirAggregationScratch,
+    air_aggregate_indexed_into, air_aggregate_into, air_fold, fold_group, global_update,
+    AirAggregationInput, AirAggregationScratch,
 };
 use air_fedga::wireless::power::{optimize_power, transmit_power, PowerControlConfig};
 use reference::{
-    air_aggregate, lemma1_envelope, lemma1_recursion, mlp_evaluate, mlp_local_update_reference,
-    mlp_loss_and_gradient,
+    air_aggregate, exact_aggregate, group_update, lemma1_envelope, lemma1_recursion, mlp_evaluate,
+    mlp_local_update_reference, mlp_loss_and_gradient,
 };
 
 mod reference;
@@ -104,7 +104,7 @@ fn noiseless_aircomp_is_exact() {
         assert!(res.error_norm_sq < 1e-16, "case {case}");
         let total: f64 = sizes.iter().sum();
         let mut updated = FlatParams::zeros(dims);
-        apply_group_update_in_place(&mut updated, &res.group_estimate, total, total * 2.0);
+        global_update(&mut updated, total, total * 2.0)(0, res.group_estimate.as_slice());
         // Half weight: every coordinate equals half the ideal average.
         for (u, i) in updated.0.iter().zip(res.ideal_group_model.0.iter()) {
             assert!((u - 0.5 * i).abs() < 1e-12, "case {case}");
@@ -550,17 +550,17 @@ fn air_aggregate_into_is_bit_identical_to_allocating_path() {
     }
 }
 
-/// The engines' aggregation core (`air_superpose_into`, fed a cached norm²)
-/// is bit-identical to the public `air_aggregate_indexed_into` on everything
-/// both produce — group estimate, per-worker energies, group size and the
-/// RNG stream left behind — for odd and even dimensions, with and without
-/// noise, from one member to a hundred.
+/// The engines' aggregation core (`air_fold`, fed a cached norm² and sunk
+/// straight into the global model by `global_update`) is bit-identical to the
+/// public `air_aggregate_indexed_into` followed by Eq. (10) on the whole
+/// estimate — global model, per-worker energies, group size and the RNG
+/// stream left behind — for odd and even dimensions, with and without noise,
+/// from one member to a hundred.
 #[test]
 fn engine_core_is_bit_identical_to_the_public_aggregate() {
     let mut rng = Rng64::seed_from(7103);
     let mut estimate = FlatParams::zeros(0);
     let mut scratch = AirAggregationScratch::new();
-    let mut core_estimate = FlatParams::zeros(0);
     let mut core_energies: Vec<f64> = Vec::new();
     let groups = [1usize, 2, 3, 7, 30, 100];
     for case in 0..CASES {
@@ -572,6 +572,7 @@ fn engine_core_is_bit_identical_to_the_public_aggregate() {
         let sizes: Vec<f64> = (0..group).map(|_| rng.uniform_range(1.0, 50.0)).collect();
         let gains: Vec<f64> = (0..group).map(|_| rng.uniform_range(0.05, 2.0)).collect();
         let norms: Vec<f64> = params.iter().map(FlatParams::norm_sq).collect();
+        let global = FlatParams((0..dim).map(|_| rng.gaussian()).collect());
         let input = |k: usize| AirAggregationInput {
             data_size: sizes[k],
             channel_gain: gains[k],
@@ -584,6 +585,7 @@ fn engine_core_is_bit_identical_to_the_public_aggregate() {
         } else {
             rng.uniform_range(0.0, 1.0)
         };
+        let total: f64 = sizes.iter().sum::<f64>() * 1.5;
         let mut rng_public = Rng64::seed_from(9100 + case as u64);
         let mut rng_core = Rng64::seed_from(9100 + case as u64);
         let stats = air_aggregate_indexed_into(
@@ -596,7 +598,10 @@ fn engine_core_is_bit_identical_to_the_public_aggregate() {
             &mut estimate,
             &mut scratch,
         );
-        let group_size = air_superpose_into(
+        let mut public_global = global.clone();
+        global_update(&mut public_global, stats.group_data_size, total)(0, estimate.as_slice());
+        let mut core_global = global.clone();
+        let group_size = air_fold(
             group,
             input,
             |k| norms[k],
@@ -604,8 +609,8 @@ fn engine_core_is_bit_identical_to_the_public_aggregate() {
             eta,
             noise,
             &mut rng_core,
-            &mut core_estimate,
             &mut core_energies,
+            global_update(&mut core_global, stats.group_data_size, total),
         );
         let tag = format!("case {case}: dim {dim}, {group} members, noise {noise}");
         assert_eq!(
@@ -613,9 +618,8 @@ fn engine_core_is_bit_identical_to_the_public_aggregate() {
             stats.group_data_size.to_bits(),
             "{tag}"
         );
-        assert_eq!(core_estimate.dim(), dim, "{tag}");
-        for (x, y) in core_estimate.0.iter().zip(estimate.0.iter()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "{tag}: estimate diverged");
+        for (x, y) in core_global.0.iter().zip(public_global.0.iter()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{tag}: global diverged");
         }
         assert_eq!(core_energies.len(), group, "{tag}");
         for (x, y) in core_energies.iter().zip(scratch.per_worker_energy.iter()) {
@@ -626,6 +630,102 @@ fn engine_core_is_bit_identical_to_the_public_aggregate() {
             rng_public.next_u64(),
             "{tag}: RNG draws"
         );
+    }
+}
+
+/// The blocked fold agrees bit for bit with the whole-vector reference —
+/// fill, per-member axpy, noise over the whole vector, denoising, then
+/// Eq. (10) — on each side of the block edges (q = 1, 511, 512, 513, 1,025)
+/// and at the four workloads' model sizes, with noise on and off, and with
+/// the exact (OMA) weights `D_i / D_j`. The RNG stream it leaves behind is
+/// the reference's too.
+#[test]
+fn the_blocked_fold_matches_the_whole_vector_reference() {
+    // q of mnist_lr, cnn_mnist, cnn_cifar and imagenet_vgg.
+    let dims = [1usize, 511, 512, 513, 1025, 8_970, 17_226, 31_946, 80_676];
+    let mut rng = Rng64::seed_from(7106);
+    for (case, &dim) in dims.iter().enumerate() {
+        let group = 1 + case % 4;
+        let params: Vec<FlatParams> = (0..group)
+            .map(|_| FlatParams((0..dim).map(|_| rng.gaussian()).collect()))
+            .collect();
+        let sizes: Vec<f64> = (0..group).map(|_| rng.uniform_range(1.0, 50.0)).collect();
+        let gains: Vec<f64> = (0..group).map(|_| rng.uniform_range(0.05, 2.0)).collect();
+        let global = FlatParams((0..dim).map(|_| rng.gaussian()).collect());
+        let inputs: Vec<AirAggregationInput<'_>> = (0..group)
+            .map(|k| AirAggregationInput {
+                data_size: sizes[k],
+                channel_gain: gains[k],
+                params: &params[k],
+            })
+            .collect();
+        let (sigma, eta) = (rng.uniform_range(0.1, 2.0), rng.uniform_range(0.1, 4.0));
+        let group_data: f64 = sizes.iter().sum();
+        let total = group_data * 1.25;
+        let same_bits = |a: &FlatParams, b: &FlatParams, what: &str| {
+            assert_eq!(a.dim(), b.dim(), "q {dim}: {what}");
+            for (i, (x, y)) in a.0.iter().zip(&b.0).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "q {dim}: {what} at {i}");
+            }
+        };
+        for noise in [0.0, 0.7] {
+            let seed = 9200 + case as u64;
+            let (mut rng_ref, mut rng_fold) = (Rng64::seed_from(seed), Rng64::seed_from(seed));
+            let (mut rng_pub, mut estimate) = (Rng64::seed_from(seed), FlatParams::zeros(3));
+            let want = air_aggregate(&inputs, sigma, eta, noise, &mut rng_ref);
+            let mut want_global = global.clone();
+            group_update(&mut want_global, &want.group_estimate, group_data, total);
+
+            let mut folded = global.clone();
+            let mut energies = Vec::new();
+            air_fold(
+                group,
+                |k| inputs[k].clone(),
+                |k| params[k].norm_sq(),
+                sigma,
+                eta,
+                noise,
+                &mut rng_fold,
+                &mut energies,
+                global_update(&mut folded, group_data, total),
+            );
+            same_bits(&folded, &want_global, "AirComp global");
+            assert_eq!(energies, want.per_worker_energy, "q {dim}");
+            assert_eq!(rng_fold.next_u64(), rng_ref.next_u64(), "q {dim}: RNG");
+
+            let mut scratch = AirAggregationScratch::new();
+            let stats = air_aggregate_into(
+                &inputs,
+                sigma,
+                eta,
+                noise,
+                &mut rng_pub,
+                &mut estimate,
+                &mut scratch,
+            );
+            same_bits(&estimate, &want.group_estimate, "estimate");
+            same_bits(&scratch.ideal, &want.ideal_group_model, "ideal model");
+            assert_eq!(stats.error_norm_sq.to_bits(), want.error_norm_sq.to_bits());
+            assert_eq!(stats.group_data_size.to_bits(), group_data.to_bits());
+        }
+        let members: Vec<(f64, &FlatParams)> = sizes.iter().copied().zip(&params).collect();
+        let mut want_global = global.clone();
+        group_update(
+            &mut want_global,
+            &exact_aggregate(&members),
+            group_data,
+            total,
+        );
+        let mut folded = global.clone();
+        let weight = |k: usize| (sizes[k] / group_data, &params[k]);
+        fold_group(
+            group,
+            weight,
+            None,
+            1.0,
+            global_update(&mut folded, group_data, total),
+        );
+        same_bits(&folded, &want_global, "OMA global");
     }
 }
 

@@ -1,6 +1,7 @@
 //! Reference implementations kept out of the library crates, as oracles for
-//! `tests/properties.rs`: the per-sample trainer, the allocating
-//! over-the-air aggregation ([`air_aggregate`]) and Lemma 1's recursion and
+//! `tests/properties.rs`: the per-sample trainer, the whole-vector
+//! over-the-air and exact aggregations and Eq. (10) ([`air_aggregate`],
+//! [`exact_aggregate`], [`group_update`]) and Lemma 1's recursion and
 //! closed-form envelope ([`lemma1_recursion`], [`lemma1_envelope`]).
 //!
 //! ## The per-sample reference trainer
@@ -24,7 +25,7 @@ use fedml::model::Mlp;
 use fedml::optimizer::SgdConfig;
 use fedml::params::FlatParams;
 use fedml::rng::Rng64;
-use wireless::aircomp::{air_aggregate_into, AirAggregationInput, AirAggregationScratch};
+use wireless::aircomp::AirAggregationInput;
 
 /// `y = m x`, the matrix–vector product (`x.len() == m.cols()`).
 fn matvec(m: MatrixView<'_>, x: &[f64]) -> Vec<f64> {
@@ -270,10 +271,14 @@ impl AirAggregationResult {
     }
 }
 
-/// One over-the-air aggregation (Eq. (9) + the denoising of Eq. (10)) into
-/// freshly allocated buffers: the fresh-buffer side of the bit-identity
-/// property tests. Same arguments, panics, accumulation order and RNG draws
-/// as [`air_aggregate_into`], which it wraps.
+/// One over-the-air aggregation (Eq. (9) + the denoising of Eq. (10)) over
+/// the whole parameter vector at once, into freshly allocated buffers: the
+/// oracle the library's blocked fold is checked against, bit for bit. It
+/// calls nothing in `wireless`: fill `y` with zeros, add `(d_i σ) · w_i` per
+/// member in input order, add the AWGN over the whole vector (one
+/// `add_gaussian_noise` call), multiply by `1 / (D_j √η)`; then the ideal
+/// model `Σ (d_i / D_j) w_i`, the error norm and each member's energy
+/// `p_i² ‖w_i‖²` with `p_i = d_i σ / h_i` (Eqs. (6)–(7)).
 pub fn air_aggregate(
     inputs: &[AirAggregationInput<'_>],
     sigma: f64,
@@ -281,24 +286,75 @@ pub fn air_aggregate(
     noise_variance: f64,
     rng: &mut Rng64,
 ) -> AirAggregationResult {
-    let dim = inputs.first().map_or(0, |c| c.params.dim());
-    let mut group_estimate = FlatParams::zeros(dim);
-    let mut scratch = AirAggregationScratch::new();
-    let stats = air_aggregate_into(
-        inputs,
-        sigma,
-        eta,
-        noise_variance,
-        rng,
-        &mut group_estimate,
-        &mut scratch,
+    assert!(
+        !inputs.is_empty(),
+        "over-the-air aggregation with no workers"
     );
+    let dim = inputs[0].params.dim();
+    let group_data_size: f64 = inputs.iter().map(|c| c.data_size).sum();
+    let mut y = vec![0.0; dim];
+    for c in inputs {
+        assert_eq!(c.params.dim(), dim, "parameter dimension mismatch");
+        let coefficient = c.data_size * sigma;
+        for (y, w) in y.iter_mut().zip(c.params.as_slice()) {
+            *y += coefficient * w;
+        }
+    }
+    if noise_variance > 0.0 {
+        rng.add_gaussian_noise(&mut y, noise_variance.sqrt());
+    }
+    let denoise = 1.0 / (group_data_size * eta.sqrt());
+    for y in &mut y {
+        *y *= denoise;
+    }
+    let mut ideal = vec![0.0; dim];
+    for c in inputs {
+        let weight = c.data_size / group_data_size;
+        for (x, w) in ideal.iter_mut().zip(c.params.as_slice()) {
+            *x += weight * w;
+        }
+    }
+    let error_norm_sq = y.iter().zip(&ideal).map(|(a, b)| (a - b) * (a - b)).sum();
+    let per_worker_energy = inputs
+        .iter()
+        .map(|c| {
+            let power = c.data_size * sigma / c.channel_gain;
+            let norm_sq: f64 = c.params.as_slice().iter().map(|v| v * v).sum();
+            power * power * norm_sq
+        })
+        .collect();
     AirAggregationResult {
-        group_estimate,
-        ideal_group_model: scratch.ideal,
-        error_norm_sq: stats.error_norm_sq,
-        per_worker_energy: scratch.per_worker_energy,
-        group_data_size: stats.group_data_size,
+        group_estimate: FlatParams(y),
+        ideal_group_model: FlatParams(ideal),
+        error_norm_sq,
+        per_worker_energy,
+        group_data_size,
+    }
+}
+
+/// The exact (OMA) group model `Σ (d_i / D_j) w_i` over the whole vector,
+/// members in input order: the oracle of the engine's exact fold.
+pub fn exact_aggregate(members: &[(f64, &FlatParams)]) -> FlatParams {
+    let group_data_size: f64 = members.iter().map(|&(d, _)| d).sum();
+    let mut y = vec![0.0; members[0].1.dim()];
+    for &(d, w) in members {
+        let weight = d / group_data_size;
+        for (y, w) in y.iter_mut().zip(w.as_slice()) {
+            *y += weight * w;
+        }
+    }
+    FlatParams(y)
+}
+
+/// Eq. (10) over the whole vector: `w ← (1 − β) w`, then `w ← w + β w̃`,
+/// with `β = D_j / D`.
+pub fn group_update(global: &mut FlatParams, estimate: &FlatParams, group_data: f64, total: f64) {
+    let beta = group_data / total;
+    for w in global.0.iter_mut() {
+        *w *= 1.0 - beta;
+    }
+    for (w, e) in global.0.iter_mut().zip(estimate.as_slice()) {
+        *w += beta * e;
     }
 }
 
